@@ -373,8 +373,9 @@ impl HaWorld {
                 let q = self.sources[s].queue();
                 conns.extend(
                     (0..q.connections().len())
-                        .filter(|&ci| q.connection(ConnectionId(ci)).active)
-                        .map(|ci| (0, ci, q.connection(ConnectionId(ci)).dest)),
+                        .map(ConnectionId)
+                        .filter(|&ci| q.connection(ci).active)
+                        .map(|ci| (0, ci, q.connection(ci).dest)),
                 );
             }
             for &(_, ci, dest) in &conns {
@@ -387,7 +388,7 @@ impl HaWorld {
                 let start = elems.len();
                 self.sources[s]
                     .queue_mut()
-                    .drain_sendable_into(ConnectionId(ci), &mut elems);
+                    .drain_sendable_into(ci, &mut elems);
                 if elems.len() > start {
                     let last = elems[elems.len() - 1];
                     let (stream, last_seq, n) =
@@ -545,57 +546,51 @@ impl HaWorld {
         );
     }
 
-    /// Drains every connection of every output port of an instance and
-    /// transmits the new elements.
+    /// Drains every active connection of the instance's sendable output
+    /// ports (see [`sps_engine::PeInstance::take_sendable_conns`]) and
+    /// transmits the new elements. A port outside the set has nothing to
+    /// send, so the cost follows the ports written, not the ports owned.
     pub(crate) fn dispatch_outputs(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
         let (pe, replica) = unslot(slot);
         let src_machine = self.instance_machine[slot];
+        let Some(inst) = self.instances[slot].as_mut() else {
+            return;
+        };
+        debug_assert!(
+            inst.sendable_set_is_complete(),
+            "{pe}/{replica}: an output port outside the sendable set has unsent elements"
+        );
         // Same reused-buffer pattern as `dispatch_source_outputs`.
         let mut elems = std::mem::take(&mut self.dispatch_scratch);
         let mut spans = std::mem::take(&mut self.span_scratch);
         let mut conns = std::mem::take(&mut self.conn_scratch);
-        {
-            {
-                let inst = match self.instances[slot].as_ref() {
-                    Some(i) => i,
-                    None => {
-                        self.dispatch_scratch = elems;
-                        self.span_scratch = spans;
-                        self.conn_scratch = conns;
-                        return;
-                    }
-                };
-                conns.extend((0..inst.output_ports()).flat_map(|port| {
-                    (0..inst.output(port).connections().len()).filter_map(move |ci| {
-                        let c = inst.output(port).connection(ConnectionId(ci));
-                        c.active.then_some((port, ci, c.dest))
-                    })
-                }));
+        inst.take_sendable_conns(&mut conns);
+        for &(port, ci, dest) in &conns {
+            let dst = self.dest_machine(dest);
+            let partitioned = self.cluster.network().is_partitioned(src_machine, dst);
+            let inst = self.instances[slot].as_mut().expect("checked");
+            if partitioned {
+                // Stalled-TCP semantics across partitions: keep the cursor,
+                // and keep the port in the set so the backlog flows on heal.
+                if inst.output(port).has_unsent(ci) {
+                    inst.mark_sendable(port);
+                }
+                continue;
             }
-            for &(port, ci, dest) in &conns {
-                // Stalled-TCP semantics across partitions: keep the cursor.
-                let dst = self.dest_machine(dest);
-                if self.cluster.network().is_partitioned(src_machine, dst) {
-                    continue;
-                }
-                let inst = self.instances[slot].as_mut().expect("checked");
-                let start = elems.len();
-                inst.output_mut(port)
-                    .drain_sendable_into(ConnectionId(ci), &mut elems);
-                if elems.len() > start {
-                    let last = elems[elems.len() - 1];
-                    let (stream, last_seq, n) =
-                        (last.stream.0, last.seq, (elems.len() - start) as u32);
-                    self.tracer
-                        .emit_data(ctx.now(), || TraceEvent::ElementSend {
-                            pe: pe.0,
-                            replica: replica_code(replica),
-                            stream,
-                            elements: n,
-                            last_seq,
-                        });
-                    spans.push((dest, start, elems.len()));
-                }
+            let start = elems.len();
+            inst.drain_sendable_into(port, ci, &mut elems);
+            if elems.len() > start {
+                let last = elems[elems.len() - 1];
+                let (stream, last_seq, n) = (last.stream.0, last.seq, (elems.len() - start) as u32);
+                self.tracer
+                    .emit_data(ctx.now(), || TraceEvent::ElementSend {
+                        pe: pe.0,
+                        replica: replica_code(replica),
+                        stream,
+                        elements: n,
+                        last_seq,
+                    });
+                spans.push((dest, start, elems.len()));
             }
         }
         if let Some(lin) = self.lineage.as_deref_mut() {

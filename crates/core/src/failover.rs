@@ -245,9 +245,8 @@ impl HaWorld {
             // switch-over outright — "our hybrid method can afford false
             // alarms to certain extent".
             SjState::SwitchingOver => {
-                let sj = &mut self.subjobs[sj_id.0 as usize];
-                sj.epoch += 1;
-                sj.state = SjState::Normal;
+                self.subjobs[sj_id.0 as usize].epoch += 1;
+                self.set_sj_state(sj_id, SjState::Normal);
                 self.emit_epoch_change(ctx.now(), sj_id, EpochCause::SwitchoverAbort);
             }
             SjState::SwitchedOver => {
@@ -281,9 +280,8 @@ impl HaWorld {
         for &pe in &pes {
             self.deactivate_instance_io(pe, standby);
         }
-        let sj = &mut self.subjobs[sj_id.0 as usize];
-        sj.pending = None;
-        sj.state = SjState::Normal;
+        self.subjobs[sj_id.0 as usize].pending = None;
+        self.set_sj_state(sj_id, SjState::Normal);
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackComplete);
     }
 
@@ -365,9 +363,9 @@ impl HaWorld {
             self.abort_failover(ctx, sj_id, machine, reason);
             return;
         }
+        self.set_sj_state(sj_id, SjState::SwitchingOver);
         let sj = &mut self.subjobs[sj_id.0 as usize];
         sj.epoch += 1;
-        sj.state = SjState::SwitchingOver;
         let epoch = sj.epoch;
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::Switchover);
         self.log_event(ctx.now(), sj_id, HaEventKind::Detected);
@@ -400,7 +398,7 @@ impl HaWorld {
         }
         let sj_id = SubjobId(subjob);
         let standby = self.subjobs[subjob as usize].primary_replica.other();
-        self.subjobs[subjob as usize].state = SjState::SwitchedOver;
+        self.set_sj_state(sj_id, SjState::SwitchedOver);
         let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
         // Without pre-deployment the copy is created right now, from the
         // stored checkpoints (the deploy delay was already paid). With it,
@@ -438,7 +436,7 @@ impl HaWorld {
 
     fn hybrid_rollback_start(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId) {
         let standby = self.subjobs[sj_id.0 as usize].primary_replica.other();
-        self.subjobs[sj_id.0 as usize].state = SjState::RollingBack;
+        self.set_sj_state(sj_id, SjState::RollingBack);
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackStarted);
         // Pause the live secondary's PEs so their state can be read
         // consistently.
@@ -564,8 +562,8 @@ impl HaWorld {
             sj.pe_ckpt_pausing.clear();
             sj.pe_ckpt_inflight.clear();
             sj.pending = None;
-            sj.state = SjState::Normal;
         }
+        self.set_sj_state(sj_id, SjState::Normal);
         for &pe in &adopted {
             self.activate_instance_io(ctx, pe, primary);
         }
@@ -582,9 +580,9 @@ impl HaWorld {
             self.abort_failover(ctx, sj_id, machine, reason);
             return;
         }
+        self.set_sj_state(sj_id, SjState::Deploying);
         let sj = &mut self.subjobs[sj_id.0 as usize];
         sj.epoch += 1;
-        sj.state = SjState::Deploying;
         let epoch = sj.epoch;
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::PsDetect);
         self.log_event(ctx.now(), sj_id, HaEventKind::Detected);
@@ -610,7 +608,7 @@ impl HaWorld {
             .secondary_machine
             .expect("guarded at ps_recover");
         self.deploy_standby_instances(sj_id, standby, sec_machine, /*suspended:*/ true);
-        self.subjobs[subjob as usize].state = SjState::Connecting;
+        self.set_sj_state(sj_id, SjState::Connecting);
         self.log_event(ctx.now(), sj_id, HaEventKind::PsDeployed);
         ctx.schedule_in(
             self.cfg.connect_delay,
@@ -664,7 +662,6 @@ impl HaWorld {
             sj.primary_machine = sj.secondary_machine.expect("guarded");
             sj.primary_replica = new_primary;
             sj.epoch += 1;
-            sj.state = SjState::Normal;
             sj.stored.clear();
             sj.pe_ckpt_pausing.clear();
             sj.pe_ckpt_inflight.clear();
@@ -673,6 +670,7 @@ impl HaWorld {
             sj.last_ckpt_at.clear();
             (old_machine, sj.primary_machine)
         };
+        self.set_sj_state(sj_id, SjState::Normal);
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::PsConnect);
         let (target, fresh) = if self.cluster.machine(old_machine).is_up()
             && !self.domain_has_active_fault(old_machine)
@@ -733,9 +731,8 @@ impl HaWorld {
             for &pe in &pes {
                 self.try_start(ctx, slot_of(pe, standby));
             }
-            let sj = &mut self.subjobs[sj_id.0 as usize];
-            sj.pending = None;
-            sj.state = SjState::SwitchedOver;
+            self.subjobs[sj_id.0 as usize].pending = None;
+            self.set_sj_state(sj_id, SjState::SwitchedOver);
         }
         if self.subjobs[sj_id.0 as usize].state != SjState::SwitchedOver {
             // A mid-incident standby loss can have returned the subjob to
@@ -769,7 +766,6 @@ impl HaWorld {
                 .secondary_machine
                 .expect("standby existed to switch over");
             sj.epoch += 1;
-            sj.state = SjState::Normal;
             sj.stored.clear();
             sj.pe_ckpt_pausing.clear();
             sj.pe_ckpt_inflight.clear();
@@ -778,6 +774,7 @@ impl HaWorld {
             sj.last_ckpt_at.clear();
             sj.primary_machine
         };
+        self.set_sj_state(sj_id, SjState::Normal);
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::Promote);
         // Automatic standby re-provisioning: a fresh standby on a healthy
         // machine domain-disjoint from the new primary (with a flat
@@ -865,13 +862,13 @@ impl HaWorld {
             }
             sj.secondary_machine = Some(spare);
             sj.epoch += 1;
-            sj.state = SjState::Deploying;
             sj.pending = None;
             sj.pe_ckpt_pausing.clear();
             sj.pe_ckpt_inflight.clear();
             sj.snap_positions.clear();
             sj.last_ckpt_at.clear();
         }
+        self.set_sj_state(sj_id, SjState::Deploying);
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::SpareRedeploy);
         // No pair constraint yet: the dead primary is about to be replaced
         // by this very machine through the migration path.
@@ -933,8 +930,8 @@ impl HaWorld {
             sj.pe_ckpt_inflight.clear();
             sj.pending = None;
             sj.epoch += 1;
-            sj.state = SjState::Normal;
         }
+        self.set_sj_state(sj_id, SjState::Normal);
         self.emit_epoch_change(ctx.now(), sj_id, EpochCause::StandbyLost);
         self.metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
         let primary_machine = self.subjobs[idx].primary_machine;

@@ -313,7 +313,35 @@ pub enum TaskTag {
 }
 
 impl TaskTag {
-    /// Packs the tag into the machine's `u64` task tag.
+    /// Instance slots the `PeWork` layout can address: the slot sits in
+    /// the 24 bits under the epoch.
+    pub(crate) const MAX_SLOTS: usize = 1 << 24;
+    /// Heartbeat monitors the `HeartbeatReply` layout can address: the
+    /// monitor index sits in the 16 bits under the task kind.
+    pub(crate) const MAX_MONITORS: usize = 1 << 16;
+
+    /// Rejects a world whose instance slots or monitors would not fit the
+    /// tag's bit fields; [`TaskTag::encode`] does not mask them, so an
+    /// index past either limit would corrupt the epoch or the task kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots > MAX_SLOTS` or `monitors > MAX_MONITORS`.
+    pub(crate) fn assert_addressable(slots: usize, monitors: usize) {
+        assert!(
+            slots <= Self::MAX_SLOTS,
+            "too many PE instance slots for a task tag: {slots} > {}",
+            Self::MAX_SLOTS
+        );
+        assert!(
+            monitors <= Self::MAX_MONITORS,
+            "too many monitored subjobs for a task tag: {monitors} > {}",
+            Self::MAX_MONITORS
+        );
+    }
+
+    /// Packs the tag into the machine's `u64` task tag. [`HaWorld::new`]
+    /// accepts only worlds whose slot and monitor indices fit their fields.
     pub fn encode(self) -> u64 {
         match self {
             TaskTag::PeWork { slot, epoch } => ((epoch as u64) << 24) | slot as u64,
@@ -358,6 +386,11 @@ pub enum SjState {
     Deploying,
     /// Passive standby: connection establishment is in flight.
     Connecting,
+}
+
+impl SjState {
+    /// Number of states (the length of a per-state table).
+    pub(crate) const COUNT: usize = 6;
 }
 
 /// Pending multi-PE quiesce actions.
@@ -512,6 +545,10 @@ pub struct HaWorld {
     pub(crate) source_timers: Vec<TimerSlot>,
     pub(crate) sinks: Vec<SinkRuntime>,
     pub(crate) subjobs: Vec<SubjobHa>,
+    /// How many subjobs are in each [`SjState`], indexed by the state's
+    /// discriminant and kept by [`HaWorld::set_sj_state`], so
+    /// [`HaWorld::protocol_phase`] need not scan the subjobs.
+    pub(crate) sj_state_counts: [u32; SjState::COUNT],
     /// Per-subjob mode overrides applied at construction.
     pub(crate) monitors: Vec<MonitorRt>,
     pub(crate) bench_detectors: Vec<BenchRt>,
@@ -555,7 +592,7 @@ pub struct HaWorld {
     pub(crate) span_scratch: Vec<(sps_engine::Dest, usize, usize)>,
     /// Reusable buffer for dispatch: `(port, conn, dest)` of the active
     /// connections of the hop being dispatched, emptied before return.
-    pub(crate) conn_scratch: Vec<(usize, usize, sps_engine::Dest)>,
+    pub(crate) conn_scratch: Vec<(usize, sps_engine::ConnectionId, sps_engine::Dest)>,
     /// Reusable buffer for element completion: `(port, element)` outputs of
     /// the element just finished, emptied before return.
     pub(crate) finish_scratch: Vec<(usize, sps_engine::DataElement)>,
@@ -607,7 +644,8 @@ impl HaWorld {
     /// # Panics
     ///
     /// Panics on inconsistent placement (missing secondary for an HA mode
-    /// that needs one) or invalid configuration.
+    /// that needs one), invalid configuration, or a job with more instance
+    /// slots (2²⁴) or monitored subjobs (2¹⁶) than a [`TaskTag`] can address.
     pub fn new(
         job: Job,
         cfg: HaConfig,
@@ -634,6 +672,10 @@ impl HaWorld {
         cluster.add_machines(placement.machine_count());
 
         let n_pes = job.pe_count();
+        TaskTag::assert_addressable(
+            n_pes * 2,
+            modes.iter().filter(|mode| mode.monitors()).count(),
+        );
         let mut instances: Vec<Option<sps_engine::PeInstance>> =
             (0..n_pes * 2).map(|_| None).collect();
         let mut instance_machine = vec![MachineId(0); n_pes * 2];
@@ -701,6 +743,7 @@ impl HaWorld {
             machine_timers: (0..cluster.len()).map(|_| TimerSlot::new()).collect(),
             source_timers: (0..sources.len()).map(|_| TimerSlot::new()).collect(),
             subjobs: Vec::new(),
+            sj_state_counts: [0; SjState::COUNT],
             monitors: Vec::new(),
             bench_detectors: Vec::new(),
             counters: MsgCounters::new(),
@@ -763,6 +806,8 @@ impl HaWorld {
                 });
             }
         }
+
+        world.sj_state_counts[SjState::Normal as usize] = world.subjobs.len() as u32;
 
         world.wire_all();
         world
@@ -1115,27 +1160,41 @@ impl HaWorld {
         }
     }
 
+    /// Moves a subjob to `state`. Every life-cycle transition goes through
+    /// here so the per-state counts stay exact.
+    pub(crate) fn set_sj_state(&mut self, sj: SubjobId, state: SjState) {
+        let slot = &mut self.subjobs[sj.0 as usize].state;
+        self.sj_state_counts[*slot as usize] -= 1;
+        self.sj_state_counts[state as usize] += 1;
+        *slot = state;
+    }
+
     /// A coarse label of what the recovery protocol is doing right now:
     /// the most advanced non-`Normal` subjob state, or `"steady"`. The
     /// self-profiler bins host-side event cost by this label.
     pub fn protocol_phase(&self) -> &'static str {
-        let mut rank = 0u8;
-        let mut label = "steady";
-        for sj in &self.subjobs {
-            let (r, l) = match sj.state {
-                SjState::Normal => (0, "steady"),
-                SjState::Deploying => (1, "ps_deploying"),
-                SjState::Connecting => (2, "ps_connecting"),
-                SjState::SwitchingOver => (3, "switching_over"),
-                SjState::SwitchedOver => (4, "switched_over"),
-                SjState::RollingBack => (5, "rolling_back"),
-            };
-            if r > rank {
-                rank = r;
-                label = l;
-            }
-        }
-        label
+        // Most advanced first.
+        const PHASES: [(SjState, &str); 5] = [
+            (SjState::RollingBack, "rolling_back"),
+            (SjState::SwitchedOver, "switched_over"),
+            (SjState::SwitchingOver, "switching_over"),
+            (SjState::Connecting, "ps_connecting"),
+            (SjState::Deploying, "ps_deploying"),
+        ];
+        debug_assert_eq!(
+            self.subjobs
+                .iter()
+                .fold([0; SjState::COUNT], |mut counts, sj| {
+                    counts[sj.state as usize] += 1;
+                    counts
+                }),
+            self.sj_state_counts,
+            "a subjob state was written past set_sj_state"
+        );
+        PHASES
+            .iter()
+            .find(|(state, _)| self.sj_state_counts[*state as usize] > 0)
+            .map_or("steady", |&(_, label)| label)
     }
 
     // ---- periodic telemetry sampler ----
@@ -1599,6 +1658,49 @@ mod tests {
         assert_eq!(slot_of(PeId(0), Replica::Primary), 0);
         assert_eq!(slot_of(PeId(0), Replica::Secondary), 1);
         assert_eq!(slot_of(PeId(1), Replica::Primary), 2);
+    }
+
+    #[test]
+    fn task_tags_round_trip_at_the_field_boundaries() {
+        let tags = [
+            TaskTag::PeWork { slot: 0, epoch: 0 },
+            TaskTag::PeWork {
+                slot: TaskTag::MAX_SLOTS - 1,
+                epoch: u32::MAX,
+            },
+            TaskTag::HeartbeatReply { monitor: 0, seq: 0 },
+            TaskTag::HeartbeatReply {
+                monitor: TaskTag::MAX_MONITORS as u32 - 1,
+                seq: 0xFF_FFFF_FFFF,
+            },
+            TaskTag::Benchmark { det: u32::MAX },
+        ];
+        for tag in tags {
+            assert_eq!(TaskTag::decode(tag.encode()), tag);
+        }
+        // One past either limit spills into the neighbouring field, which
+        // is why worlds that large are rejected up front.
+        let spilled = TaskTag::PeWork {
+            slot: TaskTag::MAX_SLOTS,
+            epoch: 0,
+        };
+        assert_eq!(
+            TaskTag::decode(spilled.encode()),
+            TaskTag::PeWork { slot: 0, epoch: 1 }
+        );
+        TaskTag::assert_addressable(TaskTag::MAX_SLOTS, TaskTag::MAX_MONITORS);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many PE instance slots")]
+    fn one_slot_too_many_is_rejected() {
+        TaskTag::assert_addressable(TaskTag::MAX_SLOTS + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many monitored subjobs")]
+    fn one_monitor_too_many_is_rejected() {
+        TaskTag::assert_addressable(0, TaskTag::MAX_MONITORS + 1);
     }
 
     #[test]

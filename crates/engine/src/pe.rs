@@ -181,6 +181,12 @@ pub struct PeInstance {
     /// Reused per-element output collector; capacity persists across
     /// elements so the steady-state processing loop never allocates.
     scratch_emitter: Emitter,
+    /// The sendable-port set: bit `p` of word `p / 64` is set for every
+    /// output port holding an element that some active connection has not
+    /// yet sent (it may also be set for a clean port — draining one is a
+    /// no-op). The runtime dispatches only these ports, so a wide router
+    /// pays for the ports it wrote, not the ports it has.
+    sendable: Vec<u64>,
 }
 
 impl PeInstance {
@@ -204,6 +210,7 @@ impl PeInstance {
             next_input_port: 0,
             processed_total: 0,
             scratch_emitter: Emitter::default(),
+            sendable: vec![0; out_streams.len().div_ceil(64)],
         }
     }
 
@@ -232,6 +239,7 @@ impl PeInstance {
         active: bool,
         counts_for_trim: bool,
     ) -> ConnectionId {
+        self.mark_sendable(port);
         self.outputs[port].connect(dest, active, counts_for_trim)
     }
 
@@ -240,9 +248,63 @@ impl PeInstance {
         &self.outputs[port]
     }
 
-    /// The output queue on `port`, exclusively.
+    /// The output queue on `port`, exclusively. The caller may activate a
+    /// connection or rewind its cursor, so the port joins the sendable set.
     pub fn output_mut(&mut self, port: usize) -> &mut OutputQueue<Dest> {
+        self.mark_sendable(port);
         &mut self.outputs[port]
+    }
+
+    // ---- sendable-port set ----
+
+    /// Puts `port` into the sendable set. The runtime calls this for a port
+    /// whose backlog it had to leave behind (a partitioned link keeps its
+    /// send cursor); every engine-side mutation marks on its own.
+    pub fn mark_sendable(&mut self, port: usize) {
+        self.sendable[port / 64] |= 1 << (port % 64);
+    }
+
+    /// Empties the sendable set, appending `(port, connection, dest)` for
+    /// every active connection of every port that was in it — ascending
+    /// port, then ascending connection, the order a scan of all ports
+    /// visits them in.
+    pub fn take_sendable_conns(&mut self, out: &mut Vec<(usize, ConnectionId, Dest)>) {
+        for (w, word) in self.sendable.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let port = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let conns = self.outputs[port].connections();
+                out.extend(
+                    conns
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, c)| c.active)
+                        .map(|(ci, c)| (port, ConnectionId(ci), c.dest)),
+                );
+            }
+        }
+    }
+
+    /// Drains the elements `conn` of `port` has not yet sent into `out`
+    /// and returns how many, without touching the sendable set — the
+    /// dispatch path's accessor.
+    pub fn drain_sendable_into(
+        &mut self,
+        port: usize,
+        conn: ConnectionId,
+        out: &mut Vec<DataElement>,
+    ) -> usize {
+        self.outputs[port].drain_sendable_into(conn, out)
+    }
+
+    /// The sendable set's invariant: every port with an element some
+    /// active connection has not yet sent is in the set.
+    pub fn sendable_set_is_complete(&self) -> bool {
+        self.outputs.iter().enumerate().all(|(port, q)| {
+            self.sendable[port / 64] & (1 << (port % 64)) != 0
+                || (0..q.connections().len()).all(|ci| !q.has_unsent(ConnectionId(ci)))
+        })
     }
 
     /// Number of output ports.
@@ -361,6 +423,7 @@ impl PeInstance {
         self.processed_total += 1;
         let _ = now;
         for (out_port, payload) in emitter.drain() {
+            self.mark_sendable(out_port);
             let produced = self.outputs[out_port].produce(payload, elem.created_at);
             out.push((out_port, produced));
         }
@@ -534,6 +597,10 @@ impl PeInstance {
         self.operator.restore(&ckpt.operator_state);
         for (q, s) in self.outputs.iter_mut().zip(&ckpt.outputs) {
             q.restore(s);
+        }
+        // Restored queues hold elements no cursor has been pointed at yet.
+        for port in 0..self.outputs.len() {
+            self.mark_sendable(port);
         }
         for (q, positions) in self.inputs.iter_mut().zip(&ckpt.input_positions) {
             q.restore(positions);

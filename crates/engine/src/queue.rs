@@ -171,6 +171,14 @@ impl<D> OutputQueue<D> {
         out.len() - before
     }
 
+    /// `true` if [`OutputQueue::drain_sendable_into`] on `conn` would yield
+    /// at least one element: the connection is active and its send cursor
+    /// is behind the head of the stream.
+    pub fn has_unsent(&self, conn: ConnectionId) -> bool {
+        let c = &self.connections[conn.0];
+        c.active && c.next_to_send < self.next_seq
+    }
+
     /// Registers a cumulative acknowledgment on `conn` and trims every
     /// element no trim-relevant consumer still needs. Returns the number of
     /// elements removed.

@@ -3,8 +3,8 @@
 //! equivalence. Driven by seeded [`SimRng`] loops.
 
 use sps_engine::{
-    DataElement, InputQueue, InstanceId, Offer, OperatorSpec, OutputQueue, Payload, PeId,
-    PeInstance, Replica, StreamId,
+    ConnectionId, DataElement, Dest, InputQueue, InstanceId, Offer, OperatorSpec, OutputQueue,
+    Payload, PeId, PeInstance, Replica, SinkId, StreamId,
 };
 use sps_sim::{SimRng, SimTime};
 
@@ -274,5 +274,173 @@ fn output_session_coalescing_matches_naive_reference() {
         session.clear();
         assert_eq!(session.run_count(), 0);
         assert_eq!(session.element_count(), 0);
+    }
+}
+
+/// Sendable-port set: under random interleavings of produce, connection
+/// activation, cursor rewinds, acks, late connections, restore, and
+/// dispatches that skip some connections (partitioned links), draining
+/// only the ports in the set yields exactly the `(port, conn, seqs)`
+/// sequence a scan of every port yields — the set never hides a sendable
+/// element and never reorders a send.
+#[test]
+fn sendable_set_drain_matches_full_port_scan() {
+    const PORTS: usize = 130; // three bitset words, the last one partial
+    type Sent = Vec<(usize, usize, Vec<u64>)>;
+
+    let build = || {
+        let streams: Vec<StreamId> = (0..PORTS as u32).map(|p| StreamId(100 + p)).collect();
+        let mut inst = PeInstance::new(
+            InstanceId {
+                pe: PeId(0),
+                replica: Replica::Primary,
+            },
+            OperatorSpec::ShardRouter {
+                shards: PORTS as u32,
+                demand_secs: 1e-6,
+            },
+            1,
+            &streams,
+        );
+        inst.register_input_stream(0, StreamId(0));
+        for port in 0..PORTS {
+            // A serving consumer plus an early (inactive) standby link.
+            inst.connect_output(port, Dest::Sink(SinkId(0)), true, true);
+            inst.connect_output(port, Dest::Sink(SinkId(1)), false, true);
+        }
+        inst
+    };
+    // What a dispatch that leaves `skipped` connections alone sends.
+    let via_set = |inst: &mut PeInstance, skipped: &dyn Fn(usize, usize) -> bool| -> Sent {
+        let mut conns = Vec::new();
+        inst.take_sendable_conns(&mut conns);
+        let mut sent = Sent::new();
+        for (port, conn, _) in conns {
+            if skipped(port, conn.0) {
+                if inst.output(port).has_unsent(conn) {
+                    inst.mark_sendable(port);
+                }
+                continue;
+            }
+            let mut out = Vec::new();
+            if inst.drain_sendable_into(port, conn, &mut out) > 0 {
+                sent.push((port, conn.0, out.iter().map(|e| e.seq).collect()));
+            }
+        }
+        sent
+    };
+    let via_scan = |inst: &mut PeInstance, skipped: &dyn Fn(usize, usize) -> bool| -> Sent {
+        let mut sent = Sent::new();
+        for port in 0..PORTS {
+            for ci in 0..inst.output(port).connections().len() {
+                if !inst.output(port).connection(ConnectionId(ci)).active || skipped(port, ci) {
+                    continue;
+                }
+                let out = inst.output_mut(port).drain_sendable(ConnectionId(ci));
+                if !out.is_empty() {
+                    sent.push((port, ci, out.iter().map(|e| e.seq).collect()));
+                }
+            }
+        }
+        sent
+    };
+
+    let mut rng = SimRng::seed_from(0x5E7D);
+    for case in 0..24 {
+        let (mut set, mut scan) = (build(), build());
+        let mut next_in = 1u64;
+        let mut ckpt = set.snapshot(SimTime::ZERO);
+        let mut total_sent = 0usize;
+        for step in 0..rng.uniform_u64(50, 400) {
+            // The same mutation on both instances.
+            let port = rng.uniform_u64(0, PORTS as u64) as usize;
+            let conns = set.output(port).connections().len();
+            let conn = ConnectionId(rng.uniform_u64(0, conns as u64) as usize);
+            let (trimmed, head) = {
+                let q = set.output(port);
+                (q.trimmed_through(), q.next_seq())
+            };
+            match rng.uniform_u64(0, 10) {
+                0..=3 => {
+                    for _ in 0..rng.uniform_u64(1, 6) {
+                        let mut e = elem(0, next_in, 0.0);
+                        e.key = rng.next_u64();
+                        next_in += 1;
+                        for inst in [&mut set, &mut scan] {
+                            inst.offer(0, e);
+                            inst.start_next().expect("just offered");
+                            inst.finish_inflight(SimTime::ZERO);
+                        }
+                    }
+                }
+                4 => {
+                    let active = rng.chance(0.6);
+                    for inst in [&mut set, &mut scan] {
+                        inst.output_mut(port).set_active(conn, active);
+                    }
+                }
+                5 => {
+                    let seq = rng.uniform_u64(trimmed + 1, head + 1);
+                    for inst in [&mut set, &mut scan] {
+                        inst.output_mut(port).set_next_to_send(conn, seq);
+                    }
+                }
+                6 => {
+                    // Acknowledge only what this connection has sent, so
+                    // trimming never overtakes a send cursor.
+                    let sent_through = set.output(port).connection(conn).next_to_send - 1;
+                    let seq = rng.uniform_u64(0, sent_through + 1);
+                    for inst in [&mut set, &mut scan] {
+                        inst.register_ack(port, conn, seq);
+                    }
+                }
+                7 if conns < 4 => {
+                    let active = rng.chance(0.5);
+                    for inst in [&mut set, &mut scan] {
+                        inst.connect_output(port, Dest::Sink(SinkId(9)), active, false);
+                    }
+                }
+                8 => {
+                    if rng.chance(0.4) {
+                        ckpt = set.snapshot(SimTime::ZERO);
+                    } else {
+                        if rng.chance(0.5) {
+                            // Redeploy: the checkpoint lands in fresh copies
+                            // whose cursors sit at the start of every stream
+                            // and whose sets a first dispatch has emptied.
+                            (set, scan) = (build(), build());
+                            assert_eq!(via_set(&mut set, &|_, _| false), Sent::new());
+                        }
+                        set.restore(&ckpt);
+                        scan.restore(&ckpt);
+                        // Upstream retention replays from the restored
+                        // input position.
+                        next_in = set.input_positions(0)[0].1 + 1;
+                    }
+                }
+                _ => {}
+            }
+            assert!(
+                set.sendable_set_is_complete(),
+                "case {case} step {step}: a sendable port fell out of the set"
+            );
+            if rng.chance(0.5) {
+                let modulus = rng.uniform_u64(1, 6) as usize;
+                let rem = rng.uniform_u64(0, 6) as usize;
+                let skipped = move |port: usize, ci: usize| (port * 4 + ci) % modulus == rem;
+                let got = via_set(&mut set, &skipped);
+                let want = via_scan(&mut scan, &skipped);
+                assert_eq!(got, want, "case {case} step {step}: set drain != full scan");
+                total_sent += got.len();
+            }
+        }
+        // Heal every link: the skipped backlogs flow, identically.
+        let got = via_set(&mut set, &|_, _| false);
+        assert_eq!(got, via_scan(&mut scan, &|_, _| false), "case {case}: heal");
+        assert!(
+            total_sent + got.len() > 0,
+            "case {case}: nothing was ever sent"
+        );
+        assert_eq!(via_set(&mut set, &|_, _| false), Sent::new(), "drained");
     }
 }

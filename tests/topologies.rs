@@ -168,3 +168,95 @@ fn tree_with_two_sources_under_active_standby() {
         assert_eq!(inst.input_ports(), 2);
     }
 }
+
+/// A 64-way key-partitioned job (router + one subjob per shard) on an
+/// 83-machine grid, multiplexed two-deep: a switch partition cuts twelve
+/// machines — the primaries of 24 shards — off the router for a second,
+/// and later one other shard's primary fail-stops. The router's ports to
+/// the cut shards keep their backlog while the link is down (stalled-TCP
+/// semantics, so the runtime has to come back to those ports on its own
+/// after the heal), every shard recovers, and the sink sees each element
+/// exactly once.
+#[test]
+fn wide_sharded_job_survives_a_switch_partition_and_a_shard_failstop() {
+    use hybrid_ha::cluster::{ChaosPlan, FaultTopology, SwitchId};
+    use hybrid_ha::ha::SjState;
+    use hybrid_ha::workloads::{sharded_job, sharded_placement, ZipfKeys};
+
+    const SHARDS: usize = 64;
+    let job = sharded_job(SHARDS, 2e-4, 16);
+    // 4 machines per rack, 3 racks per switch: switch 1 is machines 12..24.
+    let topology = FaultTopology::grid(83, 4, 3);
+    let placement = sharded_placement(&job, 83, &topology);
+    let cut: Vec<usize> = (0..SHARDS)
+        .filter(|&s| (12..24).contains(&placement.primaries[1 + s].0))
+        .collect();
+    assert_eq!(cut.len(), 24, "two shard primaries per cut machine");
+    let victim = placement.primaries[1 + 30];
+    assert!(!(12..24).contains(&victim.0) && victim != placement.primaries[0]);
+
+    // Heal between two heartbeats, so no rollback is under way yet when
+    // the drain is checked.
+    let (cut_at, heal_at) = (SimTime::from_secs(2), SimTime::from_millis(3_030));
+    let mut sim = HaSimulation::builder(job)
+        .mode(HaMode::Hybrid)
+        .topology(topology)
+        .placement(placement)
+        .source_profile(
+            0,
+            RateProfile::Constant { per_sec: 2_000.0 },
+            ZipfKeys::new(100_000, 0.8).payload_gen(),
+        )
+        .chaos(ChaosPlan::new().switch_partition_window(cut_at, heal_at, SwitchId(1)))
+        // Fail-stop after 1.5 s of silence: longer than the partition, so
+        // the cut shards roll back and only the dead one is promoted.
+        .tune(|c| c.failstop_miss_threshold = 15)
+        .seed(65)
+        .build();
+    sim.fail_stop_at(victim, SimTime::from_secs(5));
+    sim.stop_sources_at(SimTime::from_secs(8));
+
+    // Elements the router has produced for the cut shards' primaries but
+    // not yet sent them.
+    let stalled = |sim: &HaSimulation| -> u64 {
+        let router = sim
+            .world()
+            .instance(PeId(0), Replica::Primary)
+            .expect("router deployed");
+        cut.iter()
+            .map(|&s| {
+                let q = router.output(s);
+                q.next_seq() - q.connections()[0].next_to_send
+            })
+            .sum()
+    };
+    // Just before the heal the cursors have held position for a second...
+    sim.run_until(heal_at - SimDuration::from_millis(1));
+    let held = stalled(&sim);
+    assert!(held > 300, "backlog behind the partition: {held}");
+    // ...and the router's next few completions after it (one per 0.5 ms,
+    // nearly all for other shards, well before any rollback touches these
+    // queues) flush every stalled port, not just the ports they wrote.
+    sim.run_until(heal_at + SimDuration::from_millis(20));
+    assert_eq!(stalled(&sim), 0, "healed links drain at the next dispatch");
+
+    sim.run_until(SimTime::from_secs(14));
+    let world = sim.world();
+    let produced = world.sources()[0].produced();
+    assert!(produced > 15_000);
+    assert_eq!(
+        world.sinks()[0].accepted(),
+        produced,
+        "every element reaches the sink exactly once"
+    );
+    for sj in 0..=SHARDS as u32 {
+        assert_eq!(
+            world.subjob(SubjobId(sj)).state,
+            SjState::Normal,
+            "subjob {sj} back to Normal"
+        );
+    }
+    let count = |kind| world.ha_events().iter().filter(|e| e.kind == kind).count();
+    assert_eq!(count(HaEventKind::RollbackComplete), cut.len());
+    assert_eq!(count(HaEventKind::Promoted), 1, "only the dead shard");
+}
