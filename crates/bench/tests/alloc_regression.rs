@@ -20,13 +20,14 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// The fig06 rate-sweep configuration (§V-B): an 8-PE chain in 4 subjobs,
 /// light per-element demand, at 10 K elements/s.
-fn fig06_sim(mode: HaMode, ckpt_ms: u64) -> HaSimulation {
+fn fig06_sim(mode: HaMode, ckpt_ms: u64, lineage: bool) -> HaSimulation {
     let job = chain_job_with(15e-6, 20, 8, 4);
     let n_subjobs = job.subjob_count();
     let mut builder = HaSimulation::builder(job)
         .mode(mode)
         .source_rate(10_000.0)
         .seed(2010)
+        .lineage(lineage)
         .tune(|c| c.checkpoint_interval = SimDuration::from_millis(ckpt_ms));
     for sj in 0..n_subjobs as u32 {
         builder = builder.subjob_mode(SubjobId(sj), mode);
@@ -56,7 +57,7 @@ fn measure_window(sim: &mut HaSimulation) -> (u64, u64) {
 /// covers the queues, and the timer wheel's buckets are warm.
 #[test]
 fn fig06_steady_state_none_mode_is_allocation_free() {
-    let mut sim = fig06_sim(HaMode::None, 500);
+    let mut sim = fig06_sim(HaMode::None, 500, false);
     let (events, allocs) = measure_window(&mut sim);
     assert!(events >= 10_000);
     assert_eq!(
@@ -70,7 +71,7 @@ fn fig06_steady_state_none_mode_is_allocation_free() {
 /// checkpoint messages), which are bounded per checkpoint — not per event.
 #[test]
 fn fig06_steady_state_hybrid_allocates_only_per_checkpoint() {
-    let mut sim = fig06_sim(HaMode::Hybrid, 100);
+    let mut sim = fig06_sim(HaMode::Hybrid, 100, false);
     let (events, allocs) = measure_window(&mut sim);
     assert!(events >= 10_000);
     // The window spans at most a few 100 ms checkpoint rounds over 4
@@ -80,6 +81,50 @@ fn fig06_steady_state_hybrid_allocates_only_per_checkpoint() {
         allocs <= 512,
         "hybrid window of {events} events made {allocs} heap allocations \
          (expected a small per-checkpoint constant)"
+    );
+}
+
+/// Lineage is the one observation table that grows with the run, so its
+/// growth is budgeted: rows arrive in 1,024-slot chunks, never through a
+/// per-event allocation, and a record costs at most 96 bytes of heap.
+/// Measured as the difference between the same deterministic window with
+/// lineage on and off, which cancels the per-checkpoint allocations.
+#[test]
+fn fig06_lineage_allocates_per_chunk_and_stays_under_96_bytes_per_record() {
+    let window = |lineage: bool| {
+        let mut sim = fig06_sim(HaMode::Hybrid, 100, lineage);
+        sim.run_until(SimTime::from_secs(1));
+        let records = |sim: &HaSimulation| sim.world().lineage().map_or(0, |l| l.len() as u64);
+        let (e0, r0) = (sim.events_processed(), records(&sim));
+        let (a0, b0) = (counting_alloc::allocations(), counting_alloc::live_bytes());
+        sim.run_until(SimTime::from_secs(3));
+        (
+            sim.events_processed() - e0,
+            records(&sim) - r0,
+            counting_alloc::allocations() - a0,
+            counting_alloc::live_bytes() as i64 - b0 as i64,
+            sim.world().job().stream_count() as u64,
+        )
+    };
+    let (events_off, _, allocs_off, bytes_off, _) = window(false);
+    let (events, records, allocs_on, bytes_on, streams) = window(true);
+    assert_eq!(events, events_off, "lineage must not move an event");
+    assert!(records >= 150_000, "window too short: {records} records");
+
+    // One chunk per 1,024 new records per stream (plus the one each stream
+    // is part-way through), one doubling of each column's chunk-pointer
+    // vector, and the doublings of the delivery log.
+    let lineage_allocs = allocs_on - allocs_off;
+    let budget = records / 1_024 + 2 * streams + 4;
+    assert!(
+        lineage_allocs <= budget,
+        "{records} new records over {events} events cost {lineage_allocs} \
+         allocations (budget {budget}): lineage allocates per event"
+    );
+    let per_record = (bytes_on - bytes_off) as f64 / records as f64;
+    assert!(
+        per_record <= 96.0,
+        "lineage holds {per_record:.1} bytes per record"
     );
 }
 

@@ -4,8 +4,8 @@
 use sps_cluster::{LoadComponent, MachineId};
 use sps_engine::{ConnectionId, DataElement, Dest, Offer, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
-use sps_sim::{Ctx, TimerGen};
-use sps_trace::{DropReason, TraceEvent};
+use sps_sim::{Ctx, SimTime, TimerGen};
+use sps_trace::{DropReason, LineageTable, TraceEvent};
 
 use crate::message::{Msg, ProducerAddr};
 use crate::world::{replica_code, slot_of, unslot, Event, HaWorld, SjState, TaskTag};
@@ -410,11 +410,10 @@ impl HaWorld {
             // its creation, its first drain is its first transmission.
             // Re-drains after a rewind and the AS second connection both
             // no-op (first-writer-wins).
-            let now = ctx.now();
             for e in &elems {
                 lin.record_root((e.stream.0, e.seq), e.created_at);
-                lin.note_sent((e.stream.0, e.seq), now);
             }
+            note_spans_sent(lin, &elems, &spans, ctx.now());
         }
         self.transmit_spans(ctx, src_machine, false, &elems, &spans);
         elems.clear();
@@ -596,10 +595,7 @@ impl HaWorld {
         if let Some(lin) = self.lineage.as_deref_mut() {
             // Hop records were created when the producing element finished;
             // checkpoint-restored elements with no record no-op here.
-            let now = ctx.now();
-            for e in &elems {
-                lin.note_sent((e.stream.0, e.seq), now);
-            }
+            note_spans_sent(lin, &elems, &spans, ctx.now());
         }
         let produced_by_secondary = replica == Replica::Secondary;
         self.transmit_spans(ctx, src_machine, produced_by_secondary, &elems, &spans);
@@ -1437,6 +1433,25 @@ impl HaWorld {
         }
         // Safe point: no observation range outlives its sweep.
         self.sweep_arena.reset();
+    }
+}
+
+/// Stamps the first transmission of every drained span: a span is one
+/// connection's drain of one output queue, hence one stream and
+/// consecutive sequences, so it is a single range in the lineage table.
+fn note_spans_sent(
+    lin: &mut LineageTable,
+    elems: &[DataElement],
+    spans: &[(Dest, usize, usize)],
+    now: SimTime,
+) {
+    for &(_, start, end) in spans {
+        let (first, last) = (elems[start], elems[end - 1]);
+        debug_assert!(
+            first.stream == last.stream && last.seq - first.seq == (end - start - 1) as u64,
+            "a drained span is one contiguous run"
+        );
+        lin.note_sent_range(first.stream.0, first.seq, last.seq, now);
     }
 }
 

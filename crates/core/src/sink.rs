@@ -130,9 +130,10 @@ impl SinkRuntime {
     /// this position, safe to re-acknowledge) from stashed out-of-order
     /// arrivals.
     pub fn processed_through(&self, stream: StreamId) -> u64 {
+        // Borrowing walk: this runs per rejected element on the delivery
+        // path, where duplicate-heavy recovery windows must not allocate.
         self.input
-            .positions()
-            .into_iter()
+            .positions_iter()
             .find(|&(s, _)| s == stream)
             .map(|(_, seq)| seq)
             .unwrap_or(0)
@@ -222,6 +223,25 @@ mod tests {
         assert_eq!(acc.newly_accepted, 2);
         assert_eq!(acc.processed_through, 2);
         assert_eq!(s.accepted(), 2);
+    }
+
+    #[test]
+    fn processed_through_reads_the_cursor_of_any_stream() {
+        let mut s = SinkRuntime::new(SinkId(0), false);
+        s.register_stream(StreamId(5));
+        s.register_stream(StreamId(9));
+        assert_eq!(s.processed_through(StreamId(5)), 0, "never accepted");
+        assert_eq!(s.processed_through(StreamId(7)), 0, "unregistered");
+        s.deliver(SimTime::from_millis(1), elem(1, 0));
+        s.deliver(SimTime::from_millis(2), elem(3, 0)); // stashed behind 2
+        assert_eq!(s.processed_through(StreamId(5)), 1);
+        s.deliver(SimTime::from_millis(3), elem(2, 0));
+        assert_eq!(s.processed_through(StreamId(5)), 3);
+        assert_eq!(s.processed_through(StreamId(9)), 0, "registered, idle");
+        // The allocating form checkpoints use reads the same cursors.
+        for (stream, through) in s.input.positions() {
+            assert_eq!(s.processed_through(stream), through);
+        }
     }
 
     #[test]

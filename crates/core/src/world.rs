@@ -1107,7 +1107,10 @@ impl HaWorld {
 
     /// Switches causal tuple lineage on (builder-time only).
     pub(crate) fn enable_lineage(&mut self) {
-        self.lineage = Some(Box::default());
+        // One column per stream up front, so recording never grows the vector.
+        self.lineage = Some(Box::new(LineageTable::with_streams(
+            self.job.stream_count(),
+        )));
     }
 
     /// Switches metrics collection on (builder-time only).

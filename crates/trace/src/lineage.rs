@@ -98,11 +98,182 @@ fn ms_between(from: SimTime, to: SimTime) -> f64 {
     (to.as_nanos().saturating_sub(from.as_nanos())) as f64 / 1e6
 }
 
+/// Slots per chunk of a stream's column.
+const CHUNK: usize = 1024;
+
+/// "Not yet" for the three optional stamps of a [`Row`]; no simulated run
+/// reaches it.
+const NEVER: SimTime = SimTime::MAX;
+
+/// Parent stream of a root row. Stream ids are dense job indices, so the
+/// top id is never a real stream.
+const NO_PARENT: u32 = u32::MAX;
+
+/// [`TupleRecord`] as stored: `Option`s folded into sentinels and the two
+/// keys split so their `u32` halves pack with the other narrow fields.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    emitted_at: SimTime,
+    sent_at: SimTime,
+    recv_at: SimTime,
+    proc_start_at: SimTime,
+    parent_seq: u64,
+    origin_seq: u64,
+    parent_stream: u32,
+    origin_stream: u32,
+    pe: u32,
+    depth: u32,
+    retransmits: u32,
+    replica: u8,
+    /// `false` until the slot's first write.
+    live: bool,
+}
+
+// The memory budget of the one unbounded observation table is this row.
+const _: () = assert!(std::mem::size_of::<Row>() <= 80);
+
+impl Row {
+    const VACANT: Row = Row {
+        emitted_at: SimTime::ZERO,
+        sent_at: NEVER,
+        recv_at: NEVER,
+        proc_start_at: NEVER,
+        parent_seq: 0,
+        origin_seq: 0,
+        parent_stream: NO_PARENT,
+        origin_stream: 0,
+        pe: 0,
+        depth: 0,
+        retransmits: 0,
+        replica: 0,
+        live: false,
+    };
+
+    /// First-writer-wins write of one optional stamp.
+    fn stamp(slot: &mut SimTime, at: SimTime) {
+        if *slot == NEVER {
+            *slot = at;
+        }
+    }
+
+    fn view(&self) -> TupleRecord {
+        let seen = |t: SimTime| (t != NEVER).then_some(t);
+        TupleRecord {
+            parent: (self.parent_stream != NO_PARENT)
+                .then_some((self.parent_stream, self.parent_seq)),
+            origin: (self.origin_stream, self.origin_seq),
+            pe: self.pe,
+            replica: self.replica,
+            depth: self.depth,
+            emitted_at: self.emitted_at,
+            sent_at: seen(self.sent_at),
+            recv_at: seen(self.recv_at),
+            proc_start_at: seen(self.proc_start_at),
+            retransmits: self.retransmits,
+        }
+    }
+}
+
+type Chunk = [Row; CHUNK];
+
+/// The rows of one stream. Slot `i` of `chunks[c]` is sequence
+/// `base + c * CHUNK + i`; a chunk is allocated by the first write into
+/// it and never moves afterwards.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    /// Sequence of the first slot of `chunks[0]`, a multiple of `CHUNK`.
+    base: u64,
+    chunks: Vec<Option<Box<Chunk>>>,
+}
+
+impl Column {
+    fn locate(&self, seq: u64) -> Option<(usize, usize)> {
+        let off = seq.checked_sub(self.base)?;
+        let chunk = usize::try_from(off / CHUNK as u64).ok()?;
+        Some((chunk, (off % CHUNK as u64) as usize))
+    }
+
+    fn get(&self, seq: u64) -> Option<&Row> {
+        let (c, i) = self.locate(seq)?;
+        let row = &self.chunks.get(c)?.as_deref()?[i];
+        row.live.then_some(row)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Row> {
+        let (c, i) = self.locate(seq)?;
+        let row = &mut self.chunks.get_mut(c)?.as_deref_mut()?[i];
+        row.live.then_some(row)
+    }
+
+    /// The slot of `seq`, vacant or not, allocating its chunk if needed.
+    fn slot(&mut self, seq: u64) -> &mut Row {
+        let aligned = seq - seq % CHUNK as u64;
+        if self.chunks.is_empty() {
+            self.base = aligned;
+        } else if aligned < self.base {
+            // A first write below the base (lineage attached mid-run, a
+            // restored replica re-producing old sequences): the column
+            // grows downwards by vacant chunks.
+            let missing = ((self.base - aligned) / CHUNK as u64) as usize;
+            self.chunks
+                .splice(0..0, std::iter::repeat_with(|| None).take(missing));
+            self.base = aligned;
+        }
+        let (c, i) = self.locate(seq).expect("base is at or below seq");
+        if c >= self.chunks.len() {
+            self.chunks.resize_with(c + 1, || None);
+        }
+        let chunk = self.chunks[c].get_or_insert_with(|| {
+            vec![Row::VACANT; CHUNK]
+                .into_boxed_slice()
+                .try_into()
+                .expect("CHUNK rows")
+        });
+        &mut chunk[i]
+    }
+
+    /// Calls `f` on every live row of `seq_start..=seq_end`, one slice
+    /// loop per chunk present in the range.
+    fn for_each_live_in(&mut self, seq_start: u64, seq_end: u64, mut f: impl FnMut(&mut Row)) {
+        let slots = (self.chunks.len() * CHUNK) as u64;
+        if slots == 0 {
+            return;
+        }
+        // Clamped to the column, so the cost follows the chunks present
+        // and not the width of the range asked for.
+        let lo = seq_start.max(self.base);
+        let hi = seq_end.min(self.base.saturating_add(slots - 1));
+        if lo > hi {
+            return;
+        }
+        let (first, from) = self.locate(lo).expect("clamped to the column");
+        let (last, to) = self.locate(hi).expect("clamped to the column");
+        for c in first..=last {
+            let Some(chunk) = self.chunks[c].as_deref_mut() else {
+                continue;
+            };
+            let from = if c == first { from } else { 0 };
+            let to = if c == last { to } else { CHUNK - 1 };
+            for row in chunk[from..=to].iter_mut().filter(|r| r.live) {
+                f(row);
+            }
+        }
+    }
+}
+
 /// The lineage table of one run. All mutation is first-writer-wins; see
 /// the module docs for why that is exactly right under replication.
+///
+/// Storage is one [`Column`] per stream id, because the keys are dense on
+/// both axes: stream ids are the job's stream indices and every output
+/// queue stamps consecutive sequences. A key far from every other costs
+/// pointer slots in proportion to the distance, not rows.
 #[derive(Debug, Clone, Default)]
 pub struct LineageTable {
-    records: BTreeMap<ElementKey, TupleRecord>,
+    /// Indexed by stream id.
+    streams: Vec<Column>,
+    /// Live rows over all columns.
+    len: usize,
     /// Sink-accepted elements in acceptance order: `(key, accepted_at)`.
     delivered: Vec<(ElementKey, SimTime)>,
     /// Per `(sink, stream)`: highest sequence already recorded delivered.
@@ -115,20 +286,48 @@ impl LineageTable {
         Self::default()
     }
 
+    /// An empty table with a column ready for each of stream ids
+    /// `0..streams`, so recording on those never grows the column vector.
+    pub fn with_streams(streams: usize) -> Self {
+        LineageTable {
+            streams: vec![Column::default(); streams],
+            ..Self::default()
+        }
+    }
+
+    fn row(&self, key: ElementKey) -> Option<&Row> {
+        self.streams.get(key.0 as usize)?.get(key.1)
+    }
+
+    fn row_mut(&mut self, key: ElementKey) -> Option<&mut Row> {
+        self.streams.get_mut(key.0 as usize)?.get_mut(key.1)
+    }
+
+    fn insert_if_absent(&mut self, key: ElementKey, row: Row) {
+        let stream = key.0 as usize;
+        if stream >= self.streams.len() {
+            self.streams.resize_with(stream + 1, Column::default);
+        }
+        let slot = self.streams[stream].slot(key.1);
+        if !slot.live {
+            *slot = row;
+            self.len += 1;
+        }
+    }
+
     /// Registers a source-produced element (no-op if already known).
     pub fn record_root(&mut self, key: ElementKey, emitted_at: SimTime) {
-        self.records.entry(key).or_insert(TupleRecord {
-            parent: None,
-            origin: key,
-            pe: SOURCE_PE,
-            replica: 0,
-            depth: 0,
-            emitted_at,
-            sent_at: None,
-            recv_at: None,
-            proc_start_at: None,
-            retransmits: 0,
-        });
+        self.insert_if_absent(
+            key,
+            Row {
+                origin_stream: key.0,
+                origin_seq: key.1,
+                pe: SOURCE_PE,
+                emitted_at,
+                live: true,
+                ..Row::VACANT
+            },
+        );
     }
 
     /// Registers an operator-produced element derived from `parent`
@@ -141,40 +340,51 @@ impl LineageTable {
         replica: u8,
         emitted_at: SimTime,
     ) {
-        let (origin, depth) = match self.records.get(&parent) {
-            Some(p) => (p.origin, p.depth + 1),
+        let (origin, depth) = match self.row(parent) {
+            Some(p) => ((p.origin_stream, p.origin_seq), p.depth + 1),
             // Parent unseen (lineage enabled mid-run): anchor at the parent.
             None => (parent, 1),
         };
-        self.records.entry(key).or_insert(TupleRecord {
-            parent: Some(parent),
-            origin,
-            pe,
-            replica,
-            depth,
-            emitted_at,
-            sent_at: None,
-            recv_at: None,
-            proc_start_at: None,
-            retransmits: 0,
-        });
+        self.insert_if_absent(
+            key,
+            Row {
+                parent_stream: parent.0,
+                parent_seq: parent.1,
+                origin_stream: origin.0,
+                origin_seq: origin.1,
+                pe,
+                replica,
+                depth,
+                emitted_at,
+                live: true,
+                ..Row::VACANT
+            },
+        );
     }
 
     /// Records the first transmission time of `key` (later copies no-op).
     pub fn note_sent(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
-            if r.sent_at.is_none() {
-                r.sent_at = Some(at);
-            }
+        if let Some(r) = self.row_mut(key) {
+            Row::stamp(&mut r.sent_at, at);
         }
     }
 
     /// Records the first arrival time of `key` (later copies no-op).
     pub fn note_recv(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
-            if r.recv_at.is_none() {
-                r.recv_at = Some(at);
-            }
+        if let Some(r) = self.row_mut(key) {
+            Row::stamp(&mut r.recv_at, at);
+        }
+    }
+
+    fn for_each_live_in(
+        &mut self,
+        stream: u32,
+        seq_start: u64,
+        seq_end: u64,
+        f: impl FnMut(&mut Row),
+    ) {
+        if let Some(col) = self.streams.get_mut(stream as usize) {
+            col.for_each_live_in(seq_start, seq_end, f);
         }
     }
 
@@ -183,32 +393,30 @@ impl LineageTable {
     /// expands to per-tuple stamps. The expansion stays lazy on the batch
     /// side: the batch carries one stamp, and only this table fans it out.
     pub fn note_sent_range(&mut self, stream: u32, seq_start: u64, seq_end: u64, at: SimTime) {
-        for seq in seq_start..=seq_end {
-            self.note_sent((stream, seq), at);
-        }
+        self.for_each_live_in(stream, seq_start, seq_end, |r| {
+            Row::stamp(&mut r.sent_at, at)
+        });
     }
 
     /// [`LineageTable::note_recv`] over the inclusive sequence range
     /// `seq_start..=seq_end` of `stream`.
     pub fn note_recv_range(&mut self, stream: u32, seq_start: u64, seq_end: u64, at: SimTime) {
-        for seq in seq_start..=seq_end {
-            self.note_recv((stream, seq), at);
-        }
+        self.for_each_live_in(stream, seq_start, seq_end, |r| {
+            Row::stamp(&mut r.recv_at, at)
+        });
     }
 
     /// Records the first processing start of `key` (later copies no-op).
     pub fn note_proc_start(&mut self, key: ElementKey, at: SimTime) {
-        if let Some(r) = self.records.get_mut(&key) {
-            if r.proc_start_at.is_none() {
-                r.proc_start_at = Some(at);
-            }
+        if let Some(r) = self.row_mut(key) {
+            Row::stamp(&mut r.proc_start_at, at);
         }
     }
 
     /// Counts one send-cursor rewind over `key`. The decomposition exposes
     /// this as a single boolean flag per hop regardless of retry count.
     pub fn mark_retransmit(&mut self, key: ElementKey) {
-        if let Some(r) = self.records.get_mut(&key) {
+        if let Some(r) = self.row_mut(key) {
             r.retransmits += 1;
         }
     }
@@ -218,9 +426,7 @@ impl LineageTable {
     /// contiguous run; under batching the resend splits on the acked
     /// boundary but the rewind itself is still one range).
     pub fn mark_retransmit_range(&mut self, stream: u32, seq_start: u64, seq_end: u64) {
-        for seq in seq_start..=seq_end {
-            self.mark_retransmit((stream, seq));
-        }
+        self.for_each_live_in(stream, seq_start, seq_end, |r| r.retransmits += 1);
     }
 
     /// Records that sink `sink` has accepted stream `stream` through
@@ -235,18 +441,18 @@ impl LineageTable {
     }
 
     /// The record for one element, if known.
-    pub fn record(&self, key: ElementKey) -> Option<&TupleRecord> {
-        self.records.get(&key)
+    pub fn record(&self, key: ElementKey) -> Option<TupleRecord> {
+        self.row(key).map(Row::view)
     }
 
     /// Number of elements tracked.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// Sink-accepted elements in acceptance order.
@@ -262,8 +468,8 @@ impl LineageTable {
         let mut chain = Vec::new();
         let mut cur = Some(key);
         while let Some(k) = cur {
-            let r = self.records.get(&k)?;
-            chain.push((k, *r));
+            let r = self.record(k)?;
+            chain.push((k, r));
             cur = r.parent;
             // The parent chain is acyclic by construction (children are
             // registered after their parent, keyed by unique (stream, seq)),
