@@ -8,6 +8,10 @@
 //! 500×256 sharded cells plus the hot/cold shard recovery) must equal the
 //! committed golden, so a host-side change that perturbs wide-topology
 //! send order fails here and not only in the serial-vs-parallel diff.
+//!
+//! `fig06 --quick` at `SPS_BATCH_SIZE=64` is pinned the same way: 64 is
+//! `CHUNK_CAP`, the batch size the benchmark runs and the one size at which
+//! a delivered run spans exactly one queue chunk.
 
 use sps_bench::common::{Experiment, Scale};
 use sps_bench::experiments::{fig06, fig09_11};
@@ -55,5 +59,20 @@ fn bench_scale_quick_matches_the_committed_golden() {
         String::from_utf8_lossy(&run.stdout),
         include_str!("../golden/bench_scale_quick.txt"),
         "bench_scale --quick stdout diverged from crates/bench/golden/bench_scale_quick.txt"
+    );
+}
+
+#[test]
+fn fig06_at_batch_64_matches_the_committed_golden() {
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_fig06"))
+        .env("SPS_BATCH_SIZE", "64")
+        .args(["--quick", "--jobs", "2"])
+        .output()
+        .expect("fig06 starts");
+    assert!(run.status.success(), "fig06 failed: {run:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout),
+        include_str!("../golden/fig06_b64.txt"),
+        "fig06 --quick at batch 64 diverged from crates/bench/golden/fig06_b64.txt"
     );
 }

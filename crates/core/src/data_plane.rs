@@ -2,7 +2,7 @@
 //! element delivery, and acknowledgment processing.
 
 use sps_cluster::{LoadComponent, MachineId};
-use sps_engine::{ConnectionId, DataElement, Dest, Offer, Replica, StreamId};
+use sps_engine::{ConnectionId, DataBatch, DataElement, Dest, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
 use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, LineageTable, TraceEvent};
@@ -424,53 +424,11 @@ impl HaWorld {
         self.conn_scratch = conns;
     }
 
-    /// Transmits one element, classifying redundant copies and accounting
-    /// the hybrid's switch-over overhead (elements still sent to the
-    /// suspected primary, Fig 10).
-    pub(crate) fn send_data(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        src_machine: MachineId,
-        produced_by_secondary: bool,
-        dest: Dest,
-        elem: DataElement,
-    ) {
-        let dst = self.dest_machine(dest);
-        let mut class = if produced_by_secondary {
-            MsgClass::DupData
-        } else {
-            MsgClass::Data
-        };
-        if let Dest::Pe { inst, .. } = dest {
-            if inst.replica == Replica::Secondary {
-                class = MsgClass::DupData;
-            }
-            let sj = &mut self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-            if sj.state == SjState::SwitchedOver && dst == sj.primary_machine && src_machine != dst
-            {
-                sj.switch_overhead_elements += 1;
-            }
-        }
-        self.metric_inc(
-            Scope::machine("data_plane", src_machine.0),
-            "elements_sent",
-            1,
-        );
-        self.send_msg(
-            ctx,
-            src_machine,
-            dst,
-            Msg::Data { to: dest, elem },
-            class,
-            1,
-        );
-    }
-
     /// Transmits the drained spans through the world's [`OutputSession`]:
-    /// same-destination contiguous runs coalesce into one range-stamped
-    /// batch per delivery, capped at `batch_size`. Singleton runs go out
-    /// as plain [`Msg::Data`] — at batch size 1 every run is a singleton,
-    /// so the transmission sequence is exactly the unbatched one.
+    /// each span is given as one run, and same-destination contiguous runs
+    /// coalesce into one range-stamped message per delivery, capped at
+    /// `batch_size`. At batch size 1 every run is a singleton, so the
+    /// transmission sequence is exactly the unbatched one.
     ///
     /// [`OutputSession`]: sps_engine::OutputSession
     fn transmit_spans(
@@ -483,26 +441,22 @@ impl HaWorld {
     ) {
         let mut session = std::mem::take(&mut self.session_scratch);
         for &(dest, start, end) in spans {
-            for &elem in &elems[start..end] {
-                session.give(dest, elem);
-            }
+            session.give_run(dest, &elems[start..end]);
         }
         for i in 0..session.run_count() {
             let (dest, run) = session.run(i);
-            if let &[elem] = run {
-                self.send_data(ctx, src_machine, produced_by_secondary, dest, elem);
-            } else {
-                self.send_data_batch(ctx, src_machine, produced_by_secondary, dest, run);
-            }
+            self.send_run(ctx, src_machine, produced_by_secondary, dest, run);
         }
         session.clear();
         self.session_scratch = session;
     }
 
-    /// Transmits a contiguous run of two or more elements as one
-    /// range-stamped [`Msg::DataBatch`], with the same classification and
-    /// per-element accounting as [`HaWorld::send_data`].
-    fn send_data_batch(
+    /// Transmits one coalesced run — a singleton as [`Msg::Data`], two or
+    /// more elements as one range-stamped [`Msg::DataBatch`] in a buffer
+    /// from the free list — classifying redundant copies and accounting
+    /// the hybrid's switch-over overhead (elements still sent to the
+    /// suspected primary, Fig 10) per element.
+    fn send_run(
         &mut self,
         ctx: &mut Ctx<Event>,
         src_machine: MachineId,
@@ -532,17 +486,14 @@ impl HaWorld {
             "elements_sent",
             n,
         );
-        self.send_msg(
-            ctx,
-            src_machine,
-            dst,
-            Msg::DataBatch {
+        let msg = match *run {
+            [elem] => Msg::Data { to: dest, elem },
+            _ => Msg::DataBatch {
                 to: dest,
-                batch: sps_engine::DataBatch::from_run(run),
+                batch: DataBatch::from_run_in(run, self.batch_bufs.pop().unwrap_or_default()),
             },
-            class,
-            n,
-        );
+        };
+        self.send_msg(ctx, src_machine, dst, msg, class, n);
     }
 
     /// Drains every active connection of the instance's sendable output
@@ -648,43 +599,25 @@ impl HaWorld {
         }
         let (pe, replica) = unslot(slot);
         // One CPU task completes the whole in-flight batch (a single
-        // element at batch size 1): finish each element in dequeue order,
-        // preserving per-element semantics — lineage parents, processed
-        // positions, output stamping — exactly as repeated singleton
-        // completions would.
+        // element at batch size 1), oldest first. The outputs land in the
+        // output queues and are dispatched by draining connections below;
+        // lineage links each to the input that produced it as it is stamped.
+        let now = ctx.now();
+        let mut lineage = self.lineage.as_deref_mut();
         let batch_len = self.instances[slot]
-            .as_ref()
+            .as_mut()
             .expect("checked")
-            .inflight_len();
-        // The produced elements land in the output queues and are dispatched
-        // by draining connections below; the completion buffer is reused
-        // world scratch so finishing an element allocates nothing.
-        let mut finished = std::mem::take(&mut self.finish_scratch);
-        for _ in 0..batch_len {
-            // Lineage links outputs to the input that produced them; the
-            // input is still in flight here, so read it before finishing.
-            let parent_key = if self.lineage.is_some() {
-                self.instances[slot]
-                    .as_ref()
-                    .expect("checked")
-                    .inflight_elem()
-                    .map(|e| (e.stream.0, e.seq))
-            } else {
-                None
-            };
-            self.instances[slot]
-                .as_mut()
-                .expect("checked")
-                .finish_inflight_into(ctx.now(), &mut finished);
-            if let (Some(lin), Some(pk)) = (self.lineage.as_deref_mut(), parent_key) {
-                let now = ctx.now();
-                for &(_, e) in finished.iter() {
-                    lin.record_hop(pk, (e.stream.0, e.seq), pe.0, replica_code(replica), now);
+            .finish_batch(&mut self.dispatch_scratch, |parent, _, child| {
+                if let Some(lin) = lineage.as_deref_mut() {
+                    lin.record_hop(
+                        (parent.stream.0, parent.seq),
+                        (child.stream.0, child.seq),
+                        pe.0,
+                        replica_code(replica),
+                        now,
+                    );
                 }
-            }
-            finished.clear();
-        }
-        self.finish_scratch = finished;
+            });
         self.dispatch_outputs(ctx, slot);
 
         // Acknowledgment policy: the primary-role copy of a checkpointing
@@ -850,8 +783,15 @@ impl HaWorld {
             return;
         }
         match msg {
-            Msg::Data { to: dest, elem } => self.on_data(ctx, to, dest, elem),
-            Msg::DataBatch { to: dest, batch } => self.on_data_batch(ctx, to, dest, batch),
+            Msg::Data { to: dest, elem } => {
+                self.on_data(ctx, to, dest, std::slice::from_ref(&elem))
+            }
+            Msg::DataBatch { to: dest, batch } => {
+                self.on_data(ctx, to, dest, batch.elems());
+                // The receiver hands the element buffer back for the next
+                // batch any sender builds.
+                self.batch_bufs.push(batch.into_buffer());
+            }
             Msg::Ack {
                 to: addr,
                 from,
@@ -888,64 +828,68 @@ impl HaWorld {
         }
     }
 
-    fn on_data(&mut self, ctx: &mut Ctx<Event>, at: MachineId, dest: Dest, elem: DataElement) {
+    /// Delivers a run — a singleton message or a range-stamped batch. The
+    /// input queue's deduplication and position tracking see the run as
+    /// they would its elements one by one (so a partial retransmission
+    /// overlapping an earlier delivery stays exactly-once), while traces,
+    /// metrics, and acknowledgments aggregate over the run.
+    fn on_data(&mut self, ctx: &mut Ctx<Event>, at: MachineId, dest: Dest, run: &[DataElement]) {
+        let now = ctx.now();
+        let (first, last) = (run[0], run[run.len() - 1]);
+        let stream = first.stream;
         match dest {
             Dest::Pe { inst, port } => {
                 let slot = slot_of(inst.pe, inst.replica);
                 if self.instances[slot].is_none() || self.instance_machine[slot] != at {
                     // Stale delivery to a departed instance.
                     self.tracer.emit(
-                        ctx.now(),
+                        now,
                         TraceEvent::ElementDrop {
                             machine: at.0,
-                            elements: 1,
+                            elements: run.len() as u32,
                             reason: DropReason::StaleEpoch,
                         },
                     );
                     return;
                 }
-                let stream = elem.stream.0;
                 if let Some(lin) = self.lineage.as_deref_mut() {
                     // First arrival of any copy — duplicates and stashed
                     // out-of-order arrivals no-op via first-writer-wins.
-                    lin.note_recv((stream, elem.seq), ctx.now());
+                    lin.note_recv_range(stream.0, first.seq, last.seq, now);
                 }
                 let offer = self.instances[slot]
                     .as_mut()
                     .expect("checked")
-                    .offer(port, elem);
-                let now = ctx.now();
-                self.tracer.emit_data(now, || {
-                    let (accepted, stashed, duplicates) = match offer {
-                        Offer::Accepted(n) => (n as u32, 0, 0),
-                        Offer::Stashed => (0, 1, 0),
-                        Offer::Duplicate => (0, 0, 1),
-                    };
-                    TraceEvent::ElementRecv {
-                        pe: inst.pe.0,
-                        replica: replica_code(inst.replica),
-                        stream,
-                        accepted,
-                        stashed,
-                        duplicates,
-                    }
+                    .offer_run(port, run);
+                self.tracer.emit_data(now, || TraceEvent::ElementRecv {
+                    pe: inst.pe.0,
+                    replica: replica_code(inst.replica),
+                    stream: stream.0,
+                    accepted: offer.accepted as u32,
+                    stashed: offer.stashed as u32,
+                    duplicates: offer.duplicates as u32,
                 });
-                if offer == Offer::Duplicate {
-                    self.metric_inc(Scope::machine("data_plane", at.0), "duplicates", 1);
+                if offer.duplicates > 0 {
+                    self.metric_inc(
+                        Scope::machine("data_plane", at.0),
+                        "duplicates",
+                        offer.duplicates as u64,
+                    );
                     self.tracer.emit(
                         now,
                         TraceEvent::ElementDrop {
                             machine: at.0,
-                            elements: 1,
+                            elements: offer.duplicates as u32,
                             reason: DropReason::Duplicate,
                         },
                     );
                     // Under the reliable layer a duplicate is usually a
                     // sweep retransmission whose original ack was lost:
                     // re-ack from the current positions so the producer
-                    // trims and stops resending. Checkpoint-acked primaries
-                    // must not — their acks may only follow stored
-                    // checkpoints (§III-B ordering).
+                    // trims and stops resending — once per run, cumulative
+                    // acks cover every duplicate in it. Checkpoint-acked
+                    // primaries must not — their acks may only follow
+                    // stored checkpoints (§III-B ordering).
                     if self.cfg.reliable_control {
                         let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
                         if !(sj.mode.checkpoints() && inst.replica == sj.primary_replica) {
@@ -957,255 +901,59 @@ impl HaWorld {
             }
             Dest::Sink(sink) => {
                 let s = sink.0 as usize;
-                let (stream, seq) = (elem.stream, elem.seq);
-                let created_at = elem.created_at;
                 if let Some(lin) = self.lineage.as_deref_mut() {
-                    lin.note_recv((stream.0, seq), ctx.now());
+                    lin.note_recv_range(stream.0, first.seq, last.seq, now);
                 }
-                let delivered = if self.cfg.test_break_sink_dedup {
-                    self.sinks[s].deliver_without_dedup(ctx.now(), elem)
-                } else {
-                    self.sinks[s].deliver(ctx.now(), elem)
+                // The end-to-end delay is observed per element of the run
+                // whose own offer the sink accepted.
+                let metrics = &mut self.metrics;
+                let observe = |elem: &DataElement| {
+                    if let Some(m) = metrics.as_deref_mut() {
+                        let e2e_ms = now.saturating_since(elem.created_at).as_millis_f64();
+                        m.registry
+                            .observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
+                    }
                 };
-                if let Some(accept) = delivered {
+                let accept = if self.cfg.test_break_sink_dedup {
+                    self.sinks[s].deliver_run_without_dedup(now, run, observe)
+                } else {
+                    self.sinks[s].deliver_run(now, run, observe)
+                };
+                let through = accept.processed_through;
+                if accept.newly_accepted > 0 {
                     self.metric_inc(
                         Scope::global("sink"),
                         "accepted",
                         accept.newly_accepted as u64,
                     );
-                    let e2e_ms = ctx.now().saturating_since(created_at).as_millis_f64();
-                    self.metric_observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
                     if let Some(lin) = self.lineage.as_deref_mut() {
-                        // `processed_through` is cumulative: it covers this
-                        // element plus any stashed ones the gap-fill just
+                        // `processed_through` is cumulative: it covers the
+                        // run plus any stashed elements the gap-fill just
                         // released, each recorded delivered exactly once.
-                        lin.record_delivery(
-                            sink.0,
-                            accept.stream.0,
-                            accept.processed_through,
-                            ctx.now(),
-                        );
+                        lin.record_delivery(sink.0, stream.0, through, now);
                     }
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::SinkDeliver {
-                            sink: sink.0,
-                            stream: stream.0,
-                            seq_start: seq,
-                            seq_end: seq,
-                            newly_accepted: accept.newly_accepted as u32,
-                            duplicates: 0,
-                            processed_through: accept.processed_through,
-                        },
-                    );
+                }
+                self.tracer.emit(
+                    now,
+                    TraceEvent::SinkDeliver {
+                        sink: sink.0,
+                        stream: stream.0,
+                        seq_start: first.seq,
+                        seq_end: last.seq,
+                        newly_accepted: accept.newly_accepted as u32,
+                        duplicates: accept.duplicates as u32,
+                        processed_through: through,
+                    },
+                );
+                // One cumulative ack per run: acks are monotone, so the
+                // final position covers every accepted element. A wholly
+                // rejected run is re-acked under the reliable layer if it
+                // starts behind the processed position (a retransmission
+                // whose ack was lost).
+                if accept.newly_accepted > 0 || (self.cfg.reliable_control && through >= first.seq)
+                {
                     let from_machine = self.placement.sinks[s];
-                    self.send_acks_for_stream(
-                        ctx,
-                        from_machine,
-                        Dest::Sink(sink),
-                        accept.stream,
-                        accept.processed_through,
-                    );
-                } else {
-                    // Rejected arrival: a duplicate (behind the processed
-                    // position — likely a retransmission whose ack was
-                    // lost) or stashed out of order.
-                    if self.tracer.is_enabled() {
-                        let through = self.sinks[s].processed_through(stream);
-                        self.tracer.emit(
-                            ctx.now(),
-                            TraceEvent::SinkDeliver {
-                                sink: sink.0,
-                                stream: stream.0,
-                                seq_start: seq,
-                                seq_end: seq,
-                                newly_accepted: 0,
-                                duplicates: u32::from(through >= seq),
-                                processed_through: through,
-                            },
-                        );
-                    }
-                    if self.cfg.reliable_control {
-                        // Re-ack only duplicates; cumulative acks are
-                        // monotone, so resending the current position is
-                        // always safe.
-                        let through = self.sinks[s].processed_through(stream);
-                        if through >= seq {
-                            let from_machine = self.placement.sinks[s];
-                            self.send_acks_for_stream(
-                                ctx,
-                                from_machine,
-                                Dest::Sink(sink),
-                                stream,
-                                through,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Delivers a range-stamped batch: per-element offers preserve the
-    /// input queue's deduplication and position tracking (so a partial
-    /// retransmission overlapping an earlier delivery stays exactly-once),
-    /// while traces, metrics, and acknowledgments aggregate over the run.
-    fn on_data_batch(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        at: MachineId,
-        dest: Dest,
-        batch: sps_engine::DataBatch,
-    ) {
-        match dest {
-            Dest::Pe { inst, port } => {
-                let slot = slot_of(inst.pe, inst.replica);
-                if self.instances[slot].is_none() || self.instance_machine[slot] != at {
-                    // Stale delivery to a departed instance.
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::ElementDrop {
-                            machine: at.0,
-                            elements: batch.len() as u32,
-                            reason: DropReason::StaleEpoch,
-                        },
-                    );
-                    return;
-                }
-                let stream = batch.stream().0;
-                if let Some(lin) = self.lineage.as_deref_mut() {
-                    // The range stamp expands to per-tuple arrival records
-                    // here (first-writer-wins, like the singleton path).
-                    lin.note_recv_range(stream, batch.seq_start(), batch.seq_end(), ctx.now());
-                }
-                let (mut accepted, mut stashed, mut duplicates) = (0u32, 0u32, 0u32);
-                for &elem in batch.elems() {
-                    match self.instances[slot]
-                        .as_mut()
-                        .expect("checked")
-                        .offer(port, elem)
-                    {
-                        Offer::Accepted(n) => accepted += n as u32,
-                        Offer::Stashed => stashed += 1,
-                        Offer::Duplicate => duplicates += 1,
-                    }
-                }
-                let now = ctx.now();
-                self.tracer.emit_data(now, || TraceEvent::ElementRecv {
-                    pe: inst.pe.0,
-                    replica: replica_code(inst.replica),
-                    stream,
-                    accepted,
-                    stashed,
-                    duplicates,
-                });
-                if duplicates > 0 {
-                    self.metric_inc(
-                        Scope::machine("data_plane", at.0),
-                        "duplicates",
-                        duplicates as u64,
-                    );
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::ElementDrop {
-                            machine: at.0,
-                            elements: duplicates,
-                            reason: DropReason::Duplicate,
-                        },
-                    );
-                    // Same re-ack rule as the singleton path, sent once per
-                    // batch: cumulative acks cover every duplicate in it.
-                    if self.cfg.reliable_control {
-                        let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-                        if !(sj.mode.checkpoints() && inst.replica == sj.primary_replica) {
-                            self.send_instance_acks(ctx, slot);
-                        }
-                    }
-                }
-                self.try_start(ctx, slot);
-            }
-            Dest::Sink(sink) => {
-                let s = sink.0 as usize;
-                let stream = batch.stream();
-                if let Some(lin) = self.lineage.as_deref_mut() {
-                    lin.note_recv_range(stream.0, batch.seq_start(), batch.seq_end(), ctx.now());
-                }
-                let mut last_accept: Option<(StreamId, u64)> = None;
-                let trace = self.tracer.is_enabled();
-                let mut newly_accepted: u32 = 0;
-                let mut duplicates: u32 = 0;
-                for &elem in batch.elems() {
-                    let created_at = elem.created_at;
-                    let delivered = if self.cfg.test_break_sink_dedup {
-                        self.sinks[s].deliver_without_dedup(ctx.now(), elem)
-                    } else {
-                        self.sinks[s].deliver(ctx.now(), elem)
-                    };
-                    if let Some(accept) = delivered {
-                        self.metric_inc(
-                            Scope::global("sink"),
-                            "accepted",
-                            accept.newly_accepted as u64,
-                        );
-                        let e2e_ms = ctx.now().saturating_since(created_at).as_millis_f64();
-                        self.metric_observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
-                        if let Some(lin) = self.lineage.as_deref_mut() {
-                            lin.record_delivery(
-                                sink.0,
-                                accept.stream.0,
-                                accept.processed_through,
-                                ctx.now(),
-                            );
-                        }
-                        newly_accepted += accept.newly_accepted as u32;
-                        last_accept = Some((accept.stream, accept.processed_through));
-                    } else if trace && elem.seq <= self.sinks[s].processed_through(stream) {
-                        duplicates += 1;
-                    }
-                }
-                if trace {
-                    let through = match last_accept {
-                        Some((_, t)) => t,
-                        None => self.sinks[s].processed_through(stream),
-                    };
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::SinkDeliver {
-                            sink: sink.0,
-                            stream: stream.0,
-                            seq_start: batch.seq_start(),
-                            seq_end: batch.seq_end(),
-                            newly_accepted,
-                            duplicates,
-                            processed_through: through,
-                        },
-                    );
-                }
-                let from_machine = self.placement.sinks[s];
-                if let Some((astream, through)) = last_accept {
-                    // One cumulative ack per batch: acks are monotone, so
-                    // the final position covers every accepted element.
-                    self.send_acks_for_stream(
-                        ctx,
-                        from_machine,
-                        Dest::Sink(sink),
-                        astream,
-                        through,
-                    );
-                } else if self.cfg.reliable_control {
-                    // Wholly rejected batch: re-ack if it was all behind
-                    // the processed position (a retransmission whose ack
-                    // was lost), mirroring the singleton rule.
-                    let through = self.sinks[s].processed_through(stream);
-                    if through >= batch.seq_start() {
-                        self.send_acks_for_stream(
-                            ctx,
-                            from_machine,
-                            Dest::Sink(sink),
-                            stream,
-                            through,
-                        );
-                    }
+                    self.send_acks_for_stream(ctx, from_machine, Dest::Sink(sink), stream, through);
                 }
             }
         }

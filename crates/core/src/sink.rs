@@ -6,7 +6,7 @@
 //! acknowledgment stream that seeds the sweeping-checkpoint trim wave at the
 //! most-downstream PE.
 
-use sps_engine::{DataElement, InputQueue, Offer, SinkId, StreamId};
+use sps_engine::{DataElement, InputQueue, SinkId, StreamId};
 use sps_metrics::LatencyRecorder;
 use sps_sim::SimTime;
 
@@ -21,16 +21,17 @@ pub struct SinkRuntime {
     accept_log: Option<Vec<(SimTime, StreamId, u64)>>,
 }
 
-/// What a sink did with a delivered element.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a sink did with a delivered run, in elements.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SinkAccept {
-    /// The stream the element arrived on.
-    pub stream: StreamId,
-    /// Cumulative processed-through position on that stream (for the ack).
-    pub processed_through: u64,
-    /// How many elements were newly accepted (the element plus drained
-    /// stash).
+    /// Newly accepted: elements of the run plus any stash drained behind
+    /// them.
     pub newly_accepted: usize,
+    /// Behind the processed position; dropped.
+    pub duplicates: usize,
+    /// Cumulative processed-through position on the run's stream after the
+    /// delivery (for the ack).
+    pub processed_through: u64,
 }
 
 impl SinkRuntime {
@@ -57,37 +58,47 @@ impl SinkRuntime {
         self.input.register_stream(stream);
     }
 
-    /// Delivers an element; returns `Some` when it (and possibly stashed
-    /// successors) was newly accepted, so the caller can send the ack.
-    pub fn deliver(&mut self, now: SimTime, elem: DataElement) -> Option<SinkAccept> {
-        match self.input.offer(elem) {
-            Offer::Accepted(n) => {
-                // Everything accepted is immediately "processed" by the
-                // external consumer; drain and record.
-                let mut processed_through = elem.seq;
-                while let Some(e) = self.input.take_next() {
-                    self.accepted += 1;
-                    processed_through = processed_through.max(e.seq);
-                    self.input.mark_processed(e.stream, e.seq);
-                    // Keyed by *creation* time so delays can be attributed
-                    // to the failure window the element was born into (the
-                    // §V-B "8-fold during unavailability" metric).
-                    self.latency.record(
-                        e.created_at.as_secs_f64(),
-                        now.saturating_since(e.created_at).as_millis_f64(),
-                    );
-                    if let Some(log) = &mut self.accept_log {
-                        log.push((now, e.stream, e.seq));
-                    }
+    /// Delivers a run (one stream, consecutive sequence numbers): one
+    /// offer to the input queue, then everything it made pending is drained
+    /// and recorded. `on_accept` sees each element of the run whose own
+    /// offer was accepted (see [`InputQueue::offer_run`]).
+    pub fn deliver_run(
+        &mut self,
+        now: SimTime,
+        run: &[DataElement],
+        on_accept: impl FnMut(&DataElement),
+    ) -> SinkAccept {
+        let stream = run[0].stream;
+        let offer = self.input.offer_run(run, on_accept);
+        // Everything accepted is immediately "processed" by the external
+        // consumer; drain and record. Only this run's stream is pending,
+        // in sequence order, so the last element is the new position.
+        let (latency, log) = (&mut self.latency, &mut self.accept_log);
+        let mut last = None;
+        self.input.take_run(usize::MAX, |taken| {
+            for e in taken {
+                // Keyed by *creation* time so delays can be attributed to
+                // the failure window the element was born into (the §V-B
+                // "8-fold during unavailability" metric).
+                latency.record(
+                    e.created_at.as_secs_f64(),
+                    now.saturating_since(e.created_at).as_millis_f64(),
+                );
+                if let Some(log) = log {
+                    log.push((now, e.stream, e.seq));
                 }
-                self.last_accept_at = Some(now);
-                Some(SinkAccept {
-                    stream: elem.stream,
-                    processed_through,
-                    newly_accepted: n,
-                })
             }
-            Offer::Duplicate | Offer::Stashed => None,
+            last = taken.last().copied();
+        });
+        if let Some(e) = last {
+            self.input.mark_processed(e.stream, e.seq);
+            self.accepted += offer.accepted as u64;
+            self.last_accept_at = Some(now);
+        }
+        SinkAccept {
+            newly_accepted: offer.accepted,
+            duplicates: offer.duplicates,
+            processed_through: self.processed_through(stream),
         }
     }
 
@@ -95,29 +106,34 @@ impl SinkRuntime {
     /// duplicates of already-processed positions are *counted as accepted*
     /// instead of dropped, deliberately violating receiver exactly-once so
     /// the protocol auditor's mutation canary has something to catch.
-    /// Stashed out-of-order arrivals still return `None`.
+    /// Stashed out-of-order arrivals are still not accepted.
     #[doc(hidden)]
-    pub fn deliver_without_dedup(&mut self, now: SimTime, elem: DataElement) -> Option<SinkAccept> {
-        if let Some(accept) = self.deliver(now, elem) {
-            return Some(accept);
+    pub fn deliver_run_without_dedup(
+        &mut self,
+        now: SimTime,
+        run: &[DataElement],
+        mut on_accept: impl FnMut(&DataElement),
+    ) -> SinkAccept {
+        let mut total = SinkAccept::default();
+        for elem in run {
+            let one = self.deliver_run(now, std::slice::from_ref(elem), &mut on_accept);
+            total.newly_accepted += one.newly_accepted;
+            total.processed_through = one.processed_through;
+            if one.duplicates > 0 {
+                // Double-count the duplicate as a fresh accept: the position
+                // does not advance, which is exactly the signature the
+                // auditor flags.
+                self.accepted += 1;
+                self.latency.record(
+                    elem.created_at.as_secs_f64(),
+                    now.saturating_since(elem.created_at).as_millis_f64(),
+                );
+                self.last_accept_at = Some(now);
+                on_accept(elem);
+                total.newly_accepted += 1;
+            }
         }
-        let through = self.processed_through(elem.stream);
-        if elem.seq > through {
-            return None; // stashed, not a duplicate
-        }
-        // Double-count the duplicate as a fresh accept: the position does
-        // not advance, which is exactly the signature the auditor flags.
-        self.accepted += 1;
-        self.latency.record(
-            elem.created_at.as_secs_f64(),
-            now.saturating_since(elem.created_at).as_millis_f64(),
-        );
-        self.last_accept_at = Some(now);
-        Some(SinkAccept {
-            stream: elem.stream,
-            processed_through: through,
-            newly_accepted: 1,
-        })
+        total
     }
 
     /// Total elements accepted (after deduplication).
@@ -178,6 +194,13 @@ impl SinkRuntime {
 mod tests {
     use super::*;
 
+    /// Delivers one element; `Some` when it (and possibly stashed
+    /// successors) was newly accepted.
+    fn deliver(s: &mut SinkRuntime, now: SimTime, elem: DataElement) -> Option<SinkAccept> {
+        let accept = s.deliver_run(now, &[elem], |_| {});
+        (accept.newly_accepted > 0).then_some(accept)
+    }
+
     fn elem(seq: u64, created_ms: u64) -> DataElement {
         DataElement {
             stream: StreamId(5),
@@ -193,7 +216,7 @@ mod tests {
     fn accepts_records_latency_and_acks() {
         let mut s = SinkRuntime::new(SinkId(0), false);
         s.register_stream(StreamId(5));
-        let acc = s.deliver(SimTime::from_millis(10), elem(1, 4)).unwrap();
+        let acc = deliver(&mut s, SimTime::from_millis(10), elem(1, 4)).unwrap();
         assert_eq!(acc.processed_through, 1);
         assert_eq!(acc.newly_accepted, 1);
         assert_eq!(s.accepted(), 1);
@@ -204,8 +227,8 @@ mod tests {
     fn duplicates_are_silent() {
         let mut s = SinkRuntime::new(SinkId(0), false);
         s.register_stream(StreamId(5));
-        s.deliver(SimTime::from_millis(1), elem(1, 0)).unwrap();
-        assert_eq!(s.deliver(SimTime::from_millis(2), elem(1, 0)), None);
+        deliver(&mut s, SimTime::from_millis(1), elem(1, 0)).unwrap();
+        assert_eq!(deliver(&mut s, SimTime::from_millis(2), elem(1, 0)), None);
         assert_eq!(s.duplicates_dropped(), 1);
         assert_eq!(s.accepted(), 1);
     }
@@ -215,11 +238,11 @@ mod tests {
         let mut s = SinkRuntime::new(SinkId(0), false);
         s.register_stream(StreamId(5));
         assert_eq!(
-            s.deliver(SimTime::from_millis(1), elem(2, 0)),
+            deliver(&mut s, SimTime::from_millis(1), elem(2, 0)),
             None,
             "stashed"
         );
-        let acc = s.deliver(SimTime::from_millis(2), elem(1, 0)).unwrap();
+        let acc = deliver(&mut s, SimTime::from_millis(2), elem(1, 0)).unwrap();
         assert_eq!(acc.newly_accepted, 2);
         assert_eq!(acc.processed_through, 2);
         assert_eq!(s.accepted(), 2);
@@ -232,10 +255,10 @@ mod tests {
         s.register_stream(StreamId(9));
         assert_eq!(s.processed_through(StreamId(5)), 0, "never accepted");
         assert_eq!(s.processed_through(StreamId(7)), 0, "unregistered");
-        s.deliver(SimTime::from_millis(1), elem(1, 0));
-        s.deliver(SimTime::from_millis(2), elem(3, 0)); // stashed behind 2
+        deliver(&mut s, SimTime::from_millis(1), elem(1, 0));
+        deliver(&mut s, SimTime::from_millis(2), elem(3, 0)); // stashed behind 2
         assert_eq!(s.processed_through(StreamId(5)), 1);
-        s.deliver(SimTime::from_millis(3), elem(2, 0));
+        deliver(&mut s, SimTime::from_millis(3), elem(2, 0));
         assert_eq!(s.processed_through(StreamId(5)), 3);
         assert_eq!(s.processed_through(StreamId(9)), 0, "registered, idle");
         // The allocating form checkpoints use reads the same cursors.
@@ -248,8 +271,8 @@ mod tests {
     fn accept_log_supports_recovery_queries() {
         let mut s = SinkRuntime::new(SinkId(0), true);
         s.register_stream(StreamId(5));
-        s.deliver(SimTime::from_millis(10), elem(1, 0));
-        s.deliver(SimTime::from_millis(30), elem(2, 0));
+        deliver(&mut s, SimTime::from_millis(10), elem(1, 0));
+        deliver(&mut s, SimTime::from_millis(30), elem(2, 0));
         assert_eq!(
             s.first_accept_at_or_after(SimTime::from_millis(11)),
             Some(SimTime::from_millis(30))

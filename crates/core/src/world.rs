@@ -593,9 +593,6 @@ pub struct HaWorld {
     /// Reusable buffer for dispatch: `(port, conn, dest)` of the active
     /// connections of the hop being dispatched, emptied before return.
     pub(crate) conn_scratch: Vec<(usize, sps_engine::ConnectionId, sps_engine::Dest)>,
-    /// Reusable buffer for element completion: `(port, element)` outputs of
-    /// the element just finished, emptied before return.
-    pub(crate) finish_scratch: Vec<(usize, sps_engine::DataElement)>,
     /// Reusable buffer for acknowledgment generation: `(port, stream,
     /// processed-through)` triples of the instance being acked, emptied
     /// before return.
@@ -608,6 +605,11 @@ pub struct HaWorld {
     /// elements, emptied before return. At batch size 1 every run is a
     /// singleton, reproducing the unbatched transmission sequence exactly.
     pub(crate) session_scratch: sps_engine::OutputSession<sps_engine::Dest>,
+    /// Free list of [`sps_engine::DataBatch`] element buffers: a sender
+    /// takes one to build a batch, the receiver hands it back, so a steady
+    /// batched run stops allocating per message. It holds at most as many
+    /// buffers as batches were ever in flight at once.
+    pub(crate) batch_bufs: Vec<Vec<sps_engine::DataElement>>,
     /// Bump arena for the retransmit sweep's per-producer connection
     /// observations `(port, conn, dest, active, acked, next_to_send)`;
     /// reset at the end of each sweep, so the cold rewind path stops
@@ -761,10 +763,10 @@ impl HaWorld {
             dispatch_scratch: Vec::new(),
             span_scratch: Vec::new(),
             conn_scratch: Vec::new(),
-            finish_scratch: Vec::new(),
             ack_scratch: Vec::new(),
             task_scratch: Vec::new(),
             session_scratch: sps_engine::OutputSession::new(cfg.batch_size),
+            batch_bufs: Vec::new(),
             sweep_arena: sps_sim::BumpArena::new(),
             lineage: None,
             metrics: None,
@@ -1152,14 +1154,6 @@ impl HaWorld {
     pub(crate) fn metric_inc(&mut self, scope: Scope, name: &'static str, by: u64) {
         if let Some(m) = self.metrics.as_deref_mut() {
             m.registry.inc(scope, name, by);
-        }
-    }
-
-    /// Records a histogram observation — one branch when metrics are off.
-    #[inline]
-    pub(crate) fn metric_observe(&mut self, scope: Scope, name: &'static str, value: f64) {
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.registry.observe(scope, name, value);
         }
     }
 

@@ -19,7 +19,7 @@
 //! which is what keeps batch size 1 byte-identical to the unbatched
 //! runtime.
 
-use crate::element::DataElement;
+use crate::element::{is_contiguous_run, DataElement};
 
 /// A contiguous run of same-stream elements shipped as one data-plane
 /// message. Invariant: all elements share one stream and their sequence
@@ -38,15 +38,28 @@ impl DataBatch {
     /// Panics (debug builds) if `run` is empty, spans streams, or has
     /// non-consecutive sequence numbers.
     pub fn from_run(run: &[DataElement]) -> DataBatch {
+        DataBatch::from_run_in(run, Vec::new())
+    }
+
+    /// [`DataBatch::from_run`] into a recycled element buffer (its contents
+    /// are discarded, its capacity kept): the sender takes `buf` from a
+    /// free list and the receiver returns it with
+    /// [`DataBatch::into_buffer`], so a steady stream of batches stops
+    /// allocating per message.
+    pub fn from_run_in(run: &[DataElement], mut buf: Vec<DataElement>) -> DataBatch {
         debug_assert!(!run.is_empty(), "empty batch");
         debug_assert!(
-            run.windows(2)
-                .all(|w| w[1].stream == w[0].stream && w[1].seq == w[0].seq + 1),
+            is_contiguous_run(run),
             "batch run must be one stream of consecutive sequence numbers"
         );
-        DataBatch {
-            elems: run.to_vec(),
-        }
+        buf.clear();
+        buf.extend_from_slice(run);
+        DataBatch { elems: buf }
+    }
+
+    /// Consumes the batch, returning its element buffer for reuse.
+    pub fn into_buffer(self) -> Vec<DataElement> {
+        self.elems
     }
 
     /// The shared stream of every element in the batch.
@@ -131,26 +144,47 @@ impl<D: Copy + PartialEq> OutputSession<D> {
         self.batch_size = batch_size as usize;
     }
 
-    /// Appends one element bound for `dest`, extending the open run when
-    /// the destination matches, the stream matches, the sequence number is
-    /// consecutive, and the run is below the cap — otherwise closing it
-    /// and opening a new one.
+    /// Appends one element bound for `dest`: [`OutputSession::give_run`] of
+    /// a run of one.
     pub fn give(&mut self, dest: D, elem: DataElement) {
-        if let Some(last) = self.runs.last_mut() {
-            let prev = self.elems[last.2 - 1];
-            if last.0 == dest
-                && last.2 - last.1 < self.batch_size
-                && prev.stream == elem.stream
-                && elem.seq == prev.seq + 1
-            {
-                self.elems.push(elem);
-                last.2 += 1;
-                return;
-            }
+        self.give_run(dest, std::slice::from_ref(&elem));
+    }
+
+    /// Appends a run (one stream, consecutive sequence numbers) bound for
+    /// `dest`. It extends the open run while the destination matches, the
+    /// stream matches, the sequence numbers are consecutive, and the open
+    /// run is below the cap — otherwise, and whenever the cap is reached,
+    /// it closes that run and opens a new one.
+    #[inline]
+    pub fn give_run(&mut self, dest: D, mut run: &[DataElement]) {
+        debug_assert!(
+            is_contiguous_run(run),
+            "a given run is one stream of consecutive sequence numbers"
+        );
+        while let Some((first, rest)) = run.split_first() {
+            // Room in the open run once `first` has joined it (a run of
+            // one then involves no slice copy at all).
+            let room = match self.runs.last() {
+                Some(&(d, start, end))
+                    if d == dest
+                        && end - start < self.batch_size
+                        && self.elems[end - 1].stream == first.stream
+                        && self.elems[end - 1].seq + 1 == first.seq =>
+                {
+                    self.batch_size - (end - start) - 1
+                }
+                _ => {
+                    let at = self.elems.len();
+                    self.runs.push((dest, at, at));
+                    self.batch_size - 1
+                }
+            };
+            let more = room.min(rest.len());
+            self.elems.push(*first);
+            self.elems.extend_from_slice(&rest[..more]);
+            self.runs.last_mut().expect("open run").2 += 1 + more;
+            run = &rest[more..];
         }
-        let start = self.elems.len();
-        self.elems.push(elem);
-        self.runs.push((dest, start, start + 1));
     }
 
     /// Number of coalesced runs accumulated so far.

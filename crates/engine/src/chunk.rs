@@ -21,7 +21,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::element::DataElement;
+use crate::element::{append_run, DataElement};
 
 /// Elements per chunk. Small enough that a copy-on-write chunk clone stays
 /// cheap, large enough that a snapshot is ~64x smaller than the element
@@ -94,10 +94,11 @@ impl ChunkedDeque {
         self.len == 0
     }
 
-    /// Appends an element. Allocation-free once warm: a new tail chunk comes
-    /// from the recycled spare when one is available, and a copy-on-write
-    /// chunk clone only happens on the first push after a capture.
-    pub fn push_back(&mut self, elem: DataElement) {
+    /// The tail chunk, uniquely owned and with room for at least one more
+    /// element. A new tail comes from the recycled spare when one is
+    /// available; a tail shared with a snapshot is un-shared first (a
+    /// bounded copy that leaves the snapshot's view untouched).
+    fn tail_mut(&mut self) -> &mut Vec<DataElement> {
         let needs_chunk = match self.chunks.back() {
             None => true,
             Some(c) => c.elems.len() == CHUNK_CAP,
@@ -116,37 +117,84 @@ impl ChunkedDeque {
             self.chunks.push_back(chunk);
         }
         let back = self.chunks.back_mut().expect("tail chunk exists");
-        if let Some(c) = Arc::get_mut(back) {
-            c.elems.push(elem);
-        } else {
-            // Shared with a snapshot: un-share this one chunk (bounded copy),
-            // leaving the snapshot's view untouched.
+        if Arc::strong_count(back) != 1 {
             let mut fresh = Chunk::with_capacity();
             fresh.elems.extend_from_slice(&back.elems);
-            fresh.elems.push(elem);
             *back = Arc::new(fresh);
         }
+        &mut Arc::get_mut(back).expect("tail un-shared above").elems
+    }
+
+    /// Appends an element. Allocation-free once warm: a copy-on-write chunk
+    /// clone only happens on the first push after a capture.
+    pub fn push_back(&mut self, elem: DataElement) {
+        self.tail_mut().push(elem);
         self.len += 1;
+    }
+
+    /// Appends a run of elements with one slice copy, and one ownership
+    /// check, per chunk touched.
+    pub fn extend_from_slice(&mut self, mut run: &[DataElement]) {
+        while !run.is_empty() {
+            let tail = self.tail_mut();
+            let take = (CHUNK_CAP - tail.len()).min(run.len());
+            append_run(tail, &run[..take]);
+            self.len += take;
+            run = &run[take..];
+        }
     }
 
     /// Removes and returns the front element. Never copies chunk contents:
     /// consuming from a shared head chunk just advances the skip counter.
     pub fn pop_front(&mut self) -> Option<DataElement> {
-        if self.len == 0 {
-            return None;
-        }
-        let front = self.chunks.front().expect("non-empty deque has a chunk");
-        let elem = front.elems[self.front_skip];
-        self.front_skip += 1;
-        self.len -= 1;
-        if self.front_skip == CHUNK_CAP {
-            let drained = self.chunks.pop_front().expect("front chunk exists");
-            self.front_skip = 0;
-            if self.spare.is_none() && Arc::strong_count(&drained) == 1 {
-                self.spare = Some(drained);
+        let mut front = None;
+        self.pop_front_run(1, |run| front = Some(run[0]));
+        front
+    }
+
+    /// Removes up to `max` front elements, handing them to `sink` in order
+    /// as one slice per chunk touched. Returns how many were removed.
+    pub fn pop_front_run(&mut self, max: usize, mut sink: impl FnMut(&[DataElement])) -> usize {
+        let n = max.min(self.len);
+        let mut left = n;
+        while left > 0 {
+            let front = &self.chunks.front().expect("non-empty deque").elems;
+            let take = (front.len() - self.front_skip).min(left);
+            sink(&front[self.front_skip..self.front_skip + take]);
+            self.front_skip += take;
+            self.len -= take;
+            left -= take;
+            if self.front_skip == CHUNK_CAP {
+                let drained = self.chunks.pop_front().expect("front chunk exists");
+                self.front_skip = 0;
+                if self.spare.is_none() && Arc::strong_count(&drained) == 1 {
+                    self.spare = Some(drained);
+                }
             }
         }
-        Some(elem)
+        n
+    }
+
+    /// Drops up to `n` front elements without reading them (an acknowledged
+    /// prefix). Returns how many were dropped.
+    pub fn drop_front(&mut self, n: usize) -> usize {
+        self.pop_front_run(n, |_| {})
+    }
+
+    /// Appends a copy of the elements from logical index `start` on to
+    /// `out`, one slice copy per chunk.
+    pub fn copy_from_into(&self, start: usize, out: &mut Vec<DataElement>) {
+        let start = start.min(self.len);
+        let mut pos = self.front_skip + start;
+        let mut left = self.len - start;
+        while left > 0 {
+            let chunk = &self.chunks[pos / CHUNK_CAP].elems;
+            let from = pos % CHUNK_CAP;
+            let take = (chunk.len() - from).min(left);
+            append_run(out, &chunk[from..from + take]);
+            pos += take;
+            left -= take;
+        }
     }
 
     /// The front element, if any.

@@ -92,6 +92,23 @@ impl From<&DataElement> for Payload {
     }
 }
 
+/// `true` if `run` is one stream of consecutive sequence numbers: the shape
+/// a [`DataBatch`](crate::DataBatch) carries and every run operation takes.
+pub(crate) fn is_contiguous_run(run: &[DataElement]) -> bool {
+    run.windows(2)
+        .all(|w| w[1].stream == w[0].stream && w[1].seq == w[0].seq + 1)
+}
+
+/// Appends `run` to `out`. A run of one — every run at batch size 1 — is
+/// a push rather than a `memcpy` call.
+#[inline]
+pub(crate) fn append_run(out: &mut Vec<DataElement>, run: &[DataElement]) {
+    match run {
+        [elem] => out.push(*elem),
+        _ => out.extend_from_slice(run),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,4 +48,6 @@ pub use operator::{
     shard_of, AggKind, Emitter, Operator, OperatorFactory, OperatorSpec, OperatorState,
 };
 pub use pe::{Dest, InstanceId, PeCheckpoint, PeInstance, Replica, SinkId, WorkBatch, WorkItem};
-pub use queue::{Connection, ConnectionId, InputQueue, Offer, OutputQueue, OutputQueueState};
+pub use queue::{
+    Connection, ConnectionId, InputQueue, Offer, OutputQueue, OutputQueueState, RunOffer,
+};

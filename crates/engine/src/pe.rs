@@ -17,7 +17,7 @@ use sps_sim::SimTime;
 use crate::chunk::ChunkedDeque;
 use crate::element::{DataElement, PeId, StreamId};
 use crate::operator::{Emitter, Operator, OperatorSpec, OperatorState};
-use crate::queue::{ConnectionId, InputQueue, Offer, OutputQueue, OutputQueueState};
+use crate::queue::{ConnectionId, InputQueue, Offer, OutputQueue, OutputQueueState, RunOffer};
 
 /// Which copy of a logical PE an instance is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -329,6 +329,12 @@ impl PeInstance {
         self.inputs[port].offer(elem)
     }
 
+    /// Offers an arriving run to input `port` (see
+    /// [`InputQueue::offer_run`]).
+    pub fn offer_run(&mut self, port: usize, run: &[DataElement]) -> RunOffer {
+        self.inputs[port].offer_run(run, |_| {})
+    }
+
     /// `true` if the processing loop may start another element.
     pub fn can_start(&self) -> bool {
         !self.suspended
@@ -340,49 +346,48 @@ impl PeInstance {
     /// Dequeues the next element (round-robin across ports) and returns the
     /// CPU work the runtime must execute, or `None` if nothing can start.
     pub fn start_next(&mut self) -> Option<WorkItem> {
-        if !self.can_start() {
-            return None;
-        }
-        let ports = self.inputs.len();
-        for i in 0..ports {
-            let port = (self.next_input_port + i) % ports;
-            if let Some(elem) = self.inputs[port].take_next() {
-                self.next_input_port = (port + 1) % ports;
-                self.inflight.push_back((elem, port));
-                return Some(WorkItem {
-                    element: elem,
-                    port,
-                    demand_secs: self.operator.demand_secs(&elem),
-                });
-            }
-        }
-        None
+        let work = self.start_next_batch(1)?;
+        let &(element, port) = self.inflight.front()?;
+        Some(WorkItem {
+            element,
+            port,
+            demand_secs: work.demand_secs,
+        })
     }
 
-    /// Dequeues up to `max` elements (round-robin across ports, exactly as
-    /// repeated [`PeInstance::start_next`] would) into one in-flight batch
-    /// and returns the summed CPU work, or `None` if nothing can start. At
-    /// `max == 1` this is equivalent to `start_next`.
+    /// Dequeues up to `max` elements round-robin across ports into one
+    /// in-flight batch and returns the summed CPU work, or `None` if
+    /// nothing can start. An instance with a single input port takes a
+    /// prefix of its pending queue as a run.
     pub fn start_next_batch(&mut self, max: u32) -> Option<WorkBatch> {
         if !self.can_start() {
             return None;
         }
-        let ports = self.inputs.len();
-        let mut elements = 0u32;
         let mut demand_secs = 0.0f64;
-        'fill: while elements < max {
-            for i in 0..ports {
-                let port = (self.next_input_port + i) % ports;
-                if let Some(elem) = self.inputs[port].take_next() {
-                    self.next_input_port = (port + 1) % ports;
-                    demand_secs += self.operator.demand_secs(&elem);
-                    self.inflight.push_back((elem, port));
-                    elements += 1;
-                    continue 'fill;
+        if let [input] = &mut self.inputs[..] {
+            let (operator, inflight) = (&self.operator, &mut self.inflight);
+            input.take_run(max as usize, |run| {
+                for elem in run {
+                    demand_secs += operator.demand_secs(elem);
+                    inflight.push_back((*elem, 0));
                 }
+            });
+        } else {
+            let ports = self.inputs.len();
+            'fill: while self.inflight.len() < max as usize {
+                for i in 0..ports {
+                    let port = (self.next_input_port + i) % ports;
+                    if let Some(elem) = self.inputs[port].take_next() {
+                        self.next_input_port = (port + 1) % ports;
+                        demand_secs += self.operator.demand_secs(&elem);
+                        self.inflight.push_back((elem, port));
+                        continue 'fill;
+                    }
+                }
+                break;
             }
-            break;
         }
+        let elements = self.inflight.len() as u32;
         (elements > 0).then_some(WorkBatch {
             elements,
             demand_secs,
@@ -404,15 +409,14 @@ impl PeInstance {
     }
 
     /// Like [`PeInstance::finish_inflight`], but appends the produced
-    /// elements to a caller-owned buffer — the runtime's hot path reuses one
-    /// scratch buffer per world so completing an element allocates nothing.
-    /// Under batching the runtime calls this once per in-flight element, in
-    /// dequeue order, when the batch's CPU task completes.
+    /// elements to a caller-owned buffer. This is the element-by-element
+    /// form of [`PeInstance::finish_batch`], which the runtime calls; it
+    /// stays as the reference the batch completion is tested against.
     ///
     /// # Panics
     ///
     /// Panics if no element is in flight.
-    pub fn finish_inflight_into(&mut self, now: SimTime, out: &mut Vec<(usize, DataElement)>) {
+    pub fn finish_inflight_into(&mut self, _now: SimTime, out: &mut Vec<(usize, DataElement)>) {
         let (elem, port) = self
             .inflight
             .pop_front()
@@ -421,7 +425,6 @@ impl PeInstance {
         self.operator.process(port, &elem, &mut emitter);
         self.inputs[port].mark_processed(elem.stream, elem.seq);
         self.processed_total += 1;
-        let _ = now;
         for (out_port, payload) in emitter.drain() {
             self.mark_sendable(out_port);
             let produced = self.outputs[out_port].produce(payload, elem.created_at);
@@ -430,27 +433,50 @@ impl PeInstance {
         self.scratch_emitter = emitter;
     }
 
+    /// Completes the whole in-flight batch, oldest first: applies the
+    /// operator to each element, advances the processed positions, and
+    /// stamps the outputs into the output queues — each port's outputs
+    /// retained as one run, staged in the caller's empty scratch buffer
+    /// `staged` (returned empty). `hop` sees every `(parent, output port,
+    /// child)` as the child is stamped (lineage records the derivation
+    /// there). Returns the number of elements completed.
+    pub fn finish_batch(
+        &mut self,
+        staged: &mut Vec<DataElement>,
+        mut hop: impl FnMut(&DataElement, usize, &DataElement),
+    ) -> usize {
+        debug_assert!(staged.is_empty(), "staging buffer in use");
+        let n = self.inflight.len();
+        let mut emitter = std::mem::take(&mut self.scratch_emitter);
+        let mut staged_port = 0;
+        for (elem, port) in self.inflight.drain(..) {
+            self.operator.process(port, &elem, &mut emitter);
+            self.inputs[port].mark_processed(elem.stream, elem.seq);
+            for (out_port, payload) in emitter.drain() {
+                if out_port != staged_port {
+                    retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
+                    staged_port = out_port;
+                }
+                let child = self.outputs[out_port].stamp(payload, elem.created_at);
+                hop(&elem, out_port, &child);
+                staged.push(child);
+            }
+        }
+        retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
+        self.processed_total += n as u64;
+        self.scratch_emitter = emitter;
+        n
+    }
+
     /// `true` while at least one element is being processed on the CPU.
     pub fn has_inflight(&self) -> bool {
         !self.inflight.is_empty()
-    }
-
-    /// Number of elements currently being processed on the CPU (the size
-    /// of the in-flight batch).
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
     }
 
     /// The in-flight elements in dequeue order (lineage stamps processing
     /// start for each element of a just-started batch).
     pub fn inflight_elems(&self) -> impl Iterator<Item = &DataElement> {
         self.inflight.iter().map(|(elem, _)| elem)
-    }
-
-    /// The oldest element currently being processed, if any (lineage
-    /// tracking reads it to link produced outputs to their input).
-    pub fn inflight_elem(&self) -> Option<&DataElement> {
-        self.inflight.front().map(|(elem, _)| elem)
     }
 
     /// Drops all in-flight elements without applying them (machine
@@ -623,6 +649,21 @@ impl PeInstance {
     /// trimmed.
     pub fn register_ack(&mut self, port: usize, conn: ConnectionId, seq: u64) -> usize {
         self.outputs[port].register_ack(conn, seq)
+    }
+}
+
+/// Retains the staged outputs of `port` as one run and puts the port into
+/// the sendable set.
+fn retain_staged(
+    outputs: &mut [OutputQueue<Dest>],
+    sendable: &mut [u64],
+    port: usize,
+    staged: &mut Vec<DataElement>,
+) {
+    if !staged.is_empty() {
+        outputs[port].retain_run(staged);
+        sendable[port / 64] |= 1 << (port % 64);
+        staged.clear();
     }
 }
 

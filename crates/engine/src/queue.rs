@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 use sps_sim::SimTime;
 
 use crate::chunk::ChunkedDeque;
-use crate::element::{DataElement, Payload, StreamId, FIRST_SEQ};
+use crate::element::{is_contiguous_run, DataElement, Payload, StreamId, FIRST_SEQ};
 
 /// Index of a connection within one output queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,10 +120,11 @@ impl<D> OutputQueue<D> {
         id
     }
 
-    /// Stamps `payload` with this stream and the next sequence number,
-    /// retains it, and returns it. The runtime then calls
-    /// [`OutputQueue::drain_sendable`] per active connection.
-    pub fn produce(&mut self, payload: Payload, created_at: SimTime) -> DataElement {
+    /// Stamps `payload` with this stream and the next sequence number
+    /// without retaining it: the caller stages a run of stamped elements
+    /// and hands it to [`OutputQueue::retain_run`] before anything else
+    /// reads the queue.
+    pub(crate) fn stamp(&mut self, payload: Payload, created_at: SimTime) -> DataElement {
         let elem = DataElement {
             stream: self.stream,
             seq: self.next_seq,
@@ -134,6 +135,20 @@ impl<D> OutputQueue<D> {
         };
         self.next_seq += 1;
         self.produced_total += 1;
+        elem
+    }
+
+    /// Retains a run of just-stamped elements with one slice append.
+    pub(crate) fn retain_run(&mut self, run: &[DataElement]) {
+        self.retained.extend_from_slice(run);
+        self.high_water = self.high_water.max(self.retained.len());
+    }
+
+    /// Stamps `payload` with this stream and the next sequence number,
+    /// retains it, and returns it. The runtime then calls
+    /// [`OutputQueue::drain_sendable`] per active connection.
+    pub fn produce(&mut self, payload: Payload, created_at: SimTime) -> DataElement {
+        let elem = self.stamp(payload, created_at);
         self.retained.push_back(elem);
         self.high_water = self.high_water.max(self.retained.len());
         elem
@@ -166,7 +181,7 @@ impl<D> OutputQueue<D> {
         );
         let start = (c.next_to_send - self.trimmed - 1) as usize;
         let before = out.len();
-        out.extend(self.retained.iter_from(start));
+        self.retained.copy_from_into(start, out);
         c.next_to_send = self.next_seq;
         out.len() - before
     }
@@ -196,18 +211,18 @@ impl<D> OutputQueue<D> {
             .map(|c| c.acked)
             .min()
             .unwrap_or(self.trimmed);
-        let mut removed = 0;
-        while let Some(front) = self.retained.front() {
-            if front.seq <= floor {
-                self.retained.pop_front();
-                removed += 1;
-            } else {
-                break;
-            }
+        if floor <= self.trimmed {
+            return 0;
         }
-        if floor > self.trimmed {
-            self.trimmed = floor.min(self.next_seq - 1);
-        }
+        // Retained sequences are contiguous from `trimmed + 1`, so the
+        // acknowledged prefix is a length, not a search.
+        debug_assert!(self
+            .retained
+            .front()
+            .is_none_or(|e| e.seq == self.trimmed + 1));
+        let floor = floor.min(self.next_seq - 1);
+        let removed = self.retained.drop_front((floor - self.trimmed) as usize);
+        self.trimmed = floor;
         removed
     }
 
@@ -313,6 +328,18 @@ impl<D> OutputQueue<D> {
     }
 }
 
+/// Outcome of offering a run to an input queue, in elements.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunOffer {
+    /// Became pending: accepted elements of the run plus any stash drained
+    /// behind them.
+    pub accepted: usize,
+    /// Ahead of the expected sequence; stashed until the gap fills.
+    pub stashed: usize,
+    /// Already accepted earlier; dropped.
+    pub duplicates: usize,
+}
+
 /// Outcome of offering an element to an input queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
@@ -405,21 +432,22 @@ impl InputQueue {
         pos
     }
 
+    /// Index of a registered `stream` in `cursors`.
+    fn cursor_index(&self, stream: StreamId) -> usize {
+        match self.lookup.get(stream.0 as usize) {
+            Some(&idx) if idx != NO_STREAM => idx as usize,
+            _ => panic!("stream {stream} not registered on this input"),
+        }
+    }
+
     /// Offers one element; duplicates are dropped, gaps stashed.
     ///
     /// # Panics
     ///
     /// Panics if the element's stream was never registered.
     pub fn offer(&mut self, elem: DataElement) -> Offer {
-        let idx = self
-            .lookup
-            .get(elem.stream.0 as usize)
-            .copied()
-            .unwrap_or(NO_STREAM);
-        if idx == NO_STREAM {
-            panic!("stream {} not registered on this input", elem.stream);
-        }
-        let cursor = &mut self.cursors[idx as usize];
+        let idx = self.cursor_index(elem.stream);
+        let cursor = &mut self.cursors[idx];
         if elem.seq < cursor.next_accept {
             self.duplicates_dropped += 1;
             return Offer::Duplicate;
@@ -453,9 +481,72 @@ impl InputQueue {
         Offer::Accepted(accepted)
     }
 
+    /// Offers a run — consecutive sequence numbers of one stream, as a
+    /// [`DataBatch`](crate::DataBatch) carries — with the outcome of
+    /// offering its elements one by one. `on_accept` sees each element of
+    /// the run whose own offer was accepted (not the stash drained behind
+    /// it).
+    ///
+    /// With nothing stashed and a run that does not start past the next
+    /// expected sequence, the leading duplicates and the in-order tail are
+    /// one cursor update and one slice append; otherwise the run is offered
+    /// element by element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's stream was never registered.
+    pub fn offer_run(
+        &mut self,
+        run: &[DataElement],
+        mut on_accept: impl FnMut(&DataElement),
+    ) -> RunOffer {
+        let Some(first) = run.first() else {
+            return RunOffer::default();
+        };
+        debug_assert!(
+            is_contiguous_run(run),
+            "a run is one stream of consecutive sequence numbers"
+        );
+        let idx = self.cursor_index(first.stream);
+        let cursor = &mut self.cursors[idx];
+        if !cursor.stashed.is_empty() || first.seq > cursor.next_accept {
+            let mut total = RunOffer::default();
+            for elem in run {
+                match self.offer(*elem) {
+                    Offer::Accepted(n) => {
+                        total.accepted += n;
+                        on_accept(elem);
+                    }
+                    Offer::Stashed => total.stashed += 1,
+                    Offer::Duplicate => total.duplicates += 1,
+                }
+            }
+            return total;
+        }
+        let duplicates = ((cursor.next_accept - first.seq) as usize).min(run.len());
+        let tail = &run[duplicates..];
+        cursor.next_accept += tail.len() as u64;
+        self.pending.extend_from_slice(tail);
+        tail.iter().for_each(on_accept);
+        self.duplicates_dropped += duplicates as u64;
+        self.accepted_total += tail.len() as u64;
+        self.high_water = self.high_water.max(self.pending.len());
+        RunOffer {
+            accepted: tail.len(),
+            stashed: 0,
+            duplicates,
+        }
+    }
+
     /// Takes the next pending element for processing (FIFO across streams).
     pub fn take_next(&mut self) -> Option<DataElement> {
         self.pending.pop_front()
+    }
+
+    /// Takes up to `max` pending elements, handing them to `sink` in order
+    /// as slices. Returns how many were taken.
+    pub fn take_run(&mut self, max: usize, sink: impl FnMut(&[DataElement])) -> usize {
+        self.pending.pop_front_run(max, sink)
     }
 
     /// Records that processing of `elem` completed and its effects are in

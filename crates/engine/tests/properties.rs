@@ -1,6 +1,12 @@
 //! Randomized property tests for engine invariants: queue
 //! retention/trimming, duplicate elimination, and checkpoint/restore
 //! equivalence. Driven by seeded [`SimRng`] loops.
+//!
+//! The last four tests hold every bulk (run) operation to the per-element
+//! form it replaced: `ChunkedDeque` bulk ops against a `VecDeque` model,
+//! `InputQueue::offer_run` against repeated `offer`, batch completion
+//! against repeated `finish_inflight_into`, and `OutputSession::give_run`
+//! against repeated `give`.
 
 use sps_engine::{
     ConnectionId, DataElement, Dest, InputQueue, InstanceId, Offer, OperatorSpec, OutputQueue,
@@ -442,5 +448,316 @@ fn sendable_set_drain_matches_full_port_scan() {
             "case {case}: nothing was ever sent"
         );
         assert_eq!(via_set(&mut set, &|_, _| false), Sent::new(), "drained");
+    }
+}
+
+/// Run lengths that sit on, beside and well past a chunk edge.
+const RUN_LENS: [usize; 5] = [1, 63, 64, 65, 200];
+
+fn run_len(rng: &mut SimRng) -> usize {
+    RUN_LENS[rng.uniform_u64(0, RUN_LENS.len() as u64) as usize]
+}
+
+/// Bulk deque operations: under random interleavings of `extend_from_slice`,
+/// `pop_front_run`, `drop_front`, `copy_from_into`, the per-element ops and
+/// snapshots (`clone`) taken mid-stream — so appends cross copy-on-write
+/// tails and pops cross shared heads — the deque matches a `VecDeque`
+/// model, and every snapshot stays frozen.
+#[test]
+fn chunked_deque_bulk_ops_match_vecdeque_model() {
+    use std::collections::VecDeque;
+
+    use sps_engine::ChunkedDeque;
+
+    let mut rng = SimRng::seed_from(0xB01C);
+    for case in 0..24 {
+        let mut dq = ChunkedDeque::new();
+        let mut model: VecDeque<DataElement> = VecDeque::new();
+        let mut snaps: Vec<(ChunkedDeque, Vec<DataElement>)> = Vec::new();
+        let mut seq = 0u64;
+        for step in 0..300 {
+            let len = run_len(&mut rng);
+            match rng.uniform_u64(0, 8) {
+                0 | 1 => {
+                    let run: Vec<DataElement> =
+                        (0..len as u64).map(|i| elem(0, seq + i, 0.0)).collect();
+                    seq += len as u64;
+                    dq.extend_from_slice(&run);
+                    model.extend(run);
+                }
+                2 => {
+                    let mut got = Vec::new();
+                    let n = dq.pop_front_run(len, |run| got.extend_from_slice(run));
+                    let want: Vec<DataElement> = model.drain(..len.min(model.len())).collect();
+                    assert_eq!(n, want.len(), "case {case} step {step}");
+                    assert_eq!(got, want, "case {case} step {step}");
+                }
+                3 => {
+                    let n = dq.drop_front(len);
+                    assert_eq!(n, len.min(model.len()), "case {case} step {step}");
+                    model.drain(..n);
+                }
+                4 => {
+                    let start = rng.uniform_u64(0, model.len() as u64 + 2) as usize;
+                    let mut got = vec![elem(9, 9, 9.0)];
+                    dq.copy_from_into(start, &mut got);
+                    let want: Vec<DataElement> = model.iter().skip(start).copied().collect();
+                    assert_eq!(got[0], elem(9, 9, 9.0), "appends, never overwrites");
+                    assert_eq!(got[1..], want[..], "case {case} step {step}");
+                }
+                5 => {
+                    dq.push_back(elem(0, seq, 0.0));
+                    model.push_back(elem(0, seq, 0.0));
+                    seq += 1;
+                }
+                6 => assert_eq!(dq.pop_front(), model.pop_front(), "case {case}"),
+                _ => snaps.push((dq.clone(), model.iter().copied().collect())),
+            }
+            assert_eq!(dq.len(), model.len(), "case {case} step {step}");
+            assert_eq!(dq.front(), model.front(), "case {case} step {step}");
+        }
+        assert!(dq.iter().eq(model.iter().copied()), "case {case}");
+        for (snap, expect) in &snaps {
+            assert_eq!(&snap.iter().collect::<Vec<_>>(), expect, "case {case}");
+        }
+    }
+}
+
+/// `offer_run` is `offer` per element: from a random cursor state on two
+/// registered streams — with and without a stash — a run wholly behind,
+/// straddling, at, or ahead of the next expected sequence yields the same
+/// `(accepted, stashed, duplicates)`, the same accepted offers, and leaves
+/// the same queue behind.
+#[test]
+fn offer_run_matches_repeated_offer() {
+    use sps_engine::RunOffer;
+
+    let mut rng = SimRng::seed_from(0x0FFE);
+    for case in 0..400 {
+        let mut by_run = InputQueue::new();
+        for stream in [3, 7] {
+            by_run.register_stream(StreamId(stream));
+        }
+        // A random history: an accepted prefix on each stream, part of it
+        // processed, and on most cases a stash behind a gap.
+        let mut next = [0u64; 2];
+        for (i, stream) in [3u32, 7].into_iter().enumerate() {
+            next[i] = rng.uniform_u64(1, 150);
+            for seq in 1..next[i] {
+                by_run.offer(elem(stream, seq, 0.0));
+            }
+            if rng.uniform_u64(0, 3) > 0 {
+                let gap = rng.uniform_u64(1, 70);
+                for seq in next[i] + gap..next[i] + gap + rng.uniform_u64(1, 80) {
+                    by_run.offer(elem(stream, seq, 0.0));
+                }
+            }
+        }
+        for _ in 0..rng.uniform_u64(0, 100) {
+            if let Some(e) = by_run.take_next() {
+                by_run.mark_processed(e.stream, e.seq);
+            }
+        }
+        let mut by_elem = by_run.clone();
+
+        let i = rng.uniform_u64(0, 2) as usize;
+        let stream = [3u32, 7][i];
+        let len = run_len(&mut rng) as u64;
+        let start = match rng.uniform_u64(0, 4) {
+            0 => next[i].saturating_sub(len + rng.uniform_u64(0, 5)).max(1), // behind
+            1 => next[i].saturating_sub(rng.uniform_u64(1, len + 1)).max(1), // straddling
+            2 => next[i],                                                    // at
+            _ => next[i] + rng.uniform_u64(1, 90),                           // ahead
+        };
+        let run: Vec<DataElement> = (start..start + len)
+            .map(|seq| elem(stream, seq, seq as f64))
+            .collect();
+
+        let mut accepted_offers = Vec::new();
+        let got = by_run.offer_run(&run, |e| accepted_offers.push(e.seq));
+        let mut want = RunOffer::default();
+        let mut want_offers = Vec::new();
+        for e in &run {
+            match by_elem.offer(*e) {
+                Offer::Accepted(n) => {
+                    want.accepted += n;
+                    want_offers.push(e.seq);
+                }
+                Offer::Stashed => want.stashed += 1,
+                Offer::Duplicate => want.duplicates += 1,
+            }
+        }
+        assert_eq!(got, want, "case {case}: run {start}..+{len} at {}", next[i]);
+        assert_eq!(accepted_offers, want_offers, "case {case}");
+        assert_eq!(
+            by_run.duplicates_dropped(),
+            by_elem.duplicates_dropped(),
+            "case {case}"
+        );
+        assert_eq!(
+            by_run.accepted_total(),
+            by_elem.accepted_total(),
+            "case {case}"
+        );
+        assert_eq!(by_run.high_water(), by_elem.high_water(), "case {case}");
+        assert_eq!(by_run.positions(), by_elem.positions(), "case {case}");
+        assert_eq!(
+            by_run.pending_elements(),
+            by_elem.pending_elements(),
+            "case {case}"
+        );
+        // What is still stashed shows when the gap fills.
+        let fill = elem(stream, start.max(next[i]) + len, 0.0);
+        for seq in 1..fill.seq {
+            assert_eq!(
+                by_run.offer(elem(stream, seq, 0.0)),
+                by_elem.offer(elem(stream, seq, 0.0)),
+                "case {case}: stash differs at {seq}"
+            );
+        }
+    }
+}
+
+/// One batch completion is repeated `finish_inflight_into`: on instances
+/// with one and two input ports, selectivity 0.5 / 1 / 2 and a three-way
+/// router, finishing a started batch in one call leaves the same output
+/// queues, processed positions, counters and sendable set as finishing it
+/// element by element, and reports the same `(parent, port, child)` hops.
+#[test]
+fn batch_completion_matches_repeated_finish_inflight() {
+    let synthetic = |selectivity| OperatorSpec::Synthetic {
+        selectivity,
+        demand_secs: 1e-6,
+        state_elements: 20,
+    };
+    let specs = [
+        (synthetic(0.5), 1),
+        (synthetic(1.0), 1),
+        (synthetic(2.0), 1),
+        (
+            OperatorSpec::ShardRouter {
+                shards: 3,
+                demand_secs: 1e-6,
+            },
+            3,
+        ),
+    ];
+    let mut rng = SimRng::seed_from(0xF1B5);
+    for case in 0..120 {
+        let (spec, out_ports) = specs[case % specs.len()].clone();
+        let in_ports = 1 + (case / specs.len()) % 2;
+        let build = || {
+            let streams: Vec<StreamId> = (0..out_ports as u32).map(|p| StreamId(50 + p)).collect();
+            let mut inst = PeInstance::new(
+                InstanceId {
+                    pe: PeId(0),
+                    replica: Replica::Primary,
+                },
+                spec.clone(),
+                in_ports,
+                &streams,
+            );
+            for port in 0..in_ports {
+                inst.register_input_stream(port, StreamId(port as u32));
+            }
+            for port in 0..out_ports {
+                inst.connect_output(port, Dest::Sink(SinkId(port as u32)), true, true);
+            }
+            inst
+        };
+        let (mut batched, mut single) = (build(), build());
+        let mut next = vec![1u64; in_ports];
+        for _round in 0..4 {
+            for (port, next) in next.iter_mut().enumerate() {
+                let len = run_len(&mut rng) as u64;
+                let run: Vec<DataElement> = (*next..*next + len)
+                    .map(|seq| DataElement {
+                        key: rng.uniform_u64(0, 1_000),
+                        created_at: SimTime::from_millis(seq),
+                        ..elem(port as u32, seq, seq as f64)
+                    })
+                    .collect();
+                *next += len;
+                batched.offer_run(port, &run);
+                for e in &run {
+                    single.offer(port, *e);
+                }
+            }
+            let max = [1u32, 7, 64, 100][rng.uniform_u64(0, 4) as usize];
+            while let Some(work) = batched.start_next_batch(max) {
+                assert_eq!(single.start_next_batch(max), Some(work), "case {case}");
+                let parents: Vec<DataElement> = single.inflight_elems().copied().collect();
+                assert!(batched.inflight_elems().eq(parents.iter()), "case {case}");
+
+                let (mut hops, mut staged) = (Vec::new(), Vec::new());
+                let n = batched.finish_batch(&mut staged, |parent, port, child| {
+                    hops.push((*parent, port, *child));
+                });
+                assert_eq!(n, parents.len(), "case {case}");
+                let mut want_hops = Vec::new();
+                for parent in &parents {
+                    let mut out = Vec::new();
+                    single.finish_inflight_into(SimTime::ZERO, &mut out);
+                    want_hops.extend(out.into_iter().map(|(port, child)| (*parent, port, child)));
+                }
+                assert_eq!(hops, want_hops, "case {case}");
+                assert!(!batched.has_inflight() && !single.has_inflight());
+
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                batched.take_sendable_conns(&mut a);
+                single.take_sendable_conns(&mut b);
+                assert_eq!(a, b, "case {case}: sendable set");
+            }
+            assert_eq!(batched.processed_total(), single.processed_total());
+            assert_eq!(
+                batched.snapshot(SimTime::ZERO),
+                single.snapshot(SimTime::ZERO),
+                "case {case}: output queues, operator state or positions differ"
+            );
+            for port in 0..out_ports {
+                assert_eq!(
+                    batched.output(port).high_water(),
+                    single.output(port).high_water(),
+                    "case {case}"
+                );
+            }
+        }
+    }
+}
+
+/// `give_run` is `give` per element: random runs to random destinations,
+/// contiguous with their predecessor or not, coalesce into the same runs.
+#[test]
+fn give_run_matches_repeated_give() {
+    use sps_engine::OutputSession;
+
+    let mut rng = SimRng::seed_from(0x61FE);
+    for case in 0..200 {
+        let batch_size = [1u32, 2, 3, 64, 100][rng.uniform_u64(0, 5) as usize];
+        let mut by_run: OutputSession<u8> = OutputSession::new(batch_size);
+        let mut by_elem: OutputSession<u8> = OutputSession::new(batch_size);
+        let mut next_seq = [1u64; 2];
+        for _ in 0..rng.uniform_u64(1, 12) {
+            let dest = rng.uniform_u64(0, 2) as u8;
+            let stream = rng.uniform_u64(0, 2) as usize;
+            if rng.uniform_u64(0, 4) == 0 {
+                next_seq[stream] += 1; // a gap: the open run must close
+            }
+            let len = run_len(&mut rng) as u64;
+            let run: Vec<DataElement> = (next_seq[stream]..next_seq[stream] + len)
+                .map(|seq| elem(stream as u32, seq, 0.0))
+                .collect();
+            next_seq[stream] += len;
+            by_run.give_run(dest, &run);
+            for e in &run {
+                by_elem.give(dest, *e);
+            }
+        }
+        assert_eq!(by_run.run_count(), by_elem.run_count(), "case {case}");
+        for i in 0..by_run.run_count() {
+            assert_eq!(by_run.run(i), by_elem.run(i), "case {case} run {i}");
+            assert!(by_run.run(i).1.len() <= batch_size as usize, "case {case}");
+        }
+        assert_eq!(by_run.element_count(), by_elem.element_count());
     }
 }
