@@ -1128,7 +1128,7 @@ impl HaWorld {
                 self.job.in_ports(pe),
                 &out_streams,
             );
-            for (port, stream) in self.job.input_streams(pe) {
+            for &(port, stream) in self.job.input_streams(pe) {
                 inst.register_input_stream(port, stream);
             }
             if let Some(ckpt) = self.subjobs[sj_id.0 as usize].stored.get(&pe) {
@@ -1150,7 +1150,7 @@ impl HaWorld {
         // Input-side connections from upstream producers (cross-subjob
         // and sources).
         for &pe in &pes {
-            for (port, stream) in self.job.input_streams(pe) {
+            for &(port, stream) in self.job.input_streams(pe) {
                 let dest = Dest::Pe {
                     inst: InstanceId { pe, replica },
                     port,
@@ -1227,8 +1227,8 @@ impl HaWorld {
         }
         // Inputs: point each feeding connection at the instance's restored
         // position; retained elements beyond it will be retransmitted.
-        let input_streams = self.job.input_streams(pe);
-        for (port, stream) in input_streams {
+        // (Copied: the loop dispatches through `&mut self`.)
+        for (port, stream) in self.job.input_streams(pe).to_vec() {
             let position = {
                 let inst = self.instances[slot].as_ref().expect("checked");
                 inst.input_positions(port)
@@ -1345,8 +1345,7 @@ impl HaWorld {
     /// Deactivates the data path of one instance copy (suspension,
     /// retirement, rollback).
     fn deactivate_instance_io(&mut self, pe: PeId, replica: Replica) {
-        let dest_ports: Vec<(usize, StreamId)> = self.job.input_streams(pe);
-        for (port, stream) in dest_ports {
+        for &(port, stream) in self.job.input_streams(pe) {
             let dest = Dest::Pe {
                 inst: InstanceId { pe, replica },
                 port,

@@ -696,7 +696,7 @@ impl HaWorld {
                     job.in_ports(pe),
                     &out_streams,
                 );
-                for (port, stream) in job.input_streams(pe) {
+                for &(port, stream) in job.input_streams(pe) {
                     inst.register_input_stream(port, stream);
                 }
                 inst

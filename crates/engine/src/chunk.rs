@@ -17,6 +17,16 @@
 //! The deque recycles the most recently drained chunk (when uniquely owned)
 //! as the next tail chunk, so a steady-state produce/trim cycle allocates
 //! nothing once warm.
+//!
+//! Most deques of a wide job are cold: a shard's queues hold a handful of
+//! elements and never fill one chunk. So a chunk's *allocation* follows its
+//! content while it is the deque's only chunk — it starts empty and grows
+//! in powers of two up to [`CHUNK_CAP`], and un-sharing it from a snapshot
+//! allocates the same way — whereas a chunk appended behind a full one is
+//! going to fill, and is allocated at `CHUNK_CAP` in one call. Recycled
+//! spares keep whatever capacity they reached. None of this touches the
+//! layout invariant below, which is about chunk *lengths*: every chunk but
+//! the last holds exactly `CHUNK_CAP` elements.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -27,18 +37,18 @@ use crate::element::{append_run, DataElement};
 /// cheap, large enough that a snapshot is ~64x smaller than the element
 /// count.
 pub const CHUNK_CAP: usize = 64;
+const _: () = assert!(CHUNK_CAP.is_power_of_two(), "cold growth must land on it");
 
 #[derive(Debug)]
 struct Chunk {
     elems: Vec<DataElement>,
 }
 
-impl Chunk {
-    fn with_capacity() -> Chunk {
-        Chunk {
-            elems: Vec::with_capacity(CHUNK_CAP),
-        }
-    }
+/// Capacity of a deque's only chunk when it must hold `need` elements:
+/// geometric steps that land exactly on [`CHUNK_CAP`].
+fn cold_capacity(need: usize) -> usize {
+    debug_assert!(need <= CHUNK_CAP);
+    need.next_power_of_two().max(4)
 }
 
 /// A deque of [`DataElement`]s in `Arc`-shared fixed-size chunks, with O(1)
@@ -94,41 +104,54 @@ impl ChunkedDeque {
         self.len == 0
     }
 
-    /// The tail chunk, uniquely owned and with room for at least one more
-    /// element. A new tail comes from the recycled spare when one is
-    /// available; a tail shared with a snapshot is un-shared first (a
-    /// bounded copy that leaves the snapshot's view untouched).
-    fn tail_mut(&mut self) -> &mut Vec<DataElement> {
+    /// The tail chunk, uniquely owned, with room for at least one more
+    /// element and capacity for `want` more (or as many as fit a chunk). A
+    /// new tail comes from the recycled spare when one is available; a
+    /// tail shared with a snapshot is un-shared first (a bounded copy that
+    /// leaves the snapshot's view untouched).
+    fn tail_mut(&mut self, want: usize) -> &mut Vec<DataElement> {
         let needs_chunk = match self.chunks.back() {
             None => true,
             Some(c) => c.elems.len() == CHUNK_CAP,
         };
         if needs_chunk {
-            let chunk = match self.spare.take() {
-                Some(mut spare) => match Arc::get_mut(&mut spare) {
-                    Some(c) => {
-                        c.elems.clear();
-                        spare
-                    }
-                    None => Arc::new(Chunk::with_capacity()),
-                },
-                None => Arc::new(Chunk::with_capacity()),
-            };
+            let recycled = self.spare.take().and_then(|mut spare| {
+                Arc::get_mut(&mut spare)?.elems.clear();
+                Some(spare)
+            });
+            // A chunk joining a non-empty spine is going to fill: one
+            // full-size allocation. A deque's only chunk starts empty and
+            // is sized below.
+            let chunk = recycled.unwrap_or_else(|| {
+                let cap = if self.chunks.is_empty() { 0 } else { CHUNK_CAP };
+                Arc::new(Chunk {
+                    elems: Vec::with_capacity(cap),
+                })
+            });
             self.chunks.push_back(chunk);
         }
+        let lone = self.chunks.len() == 1;
         let back = self.chunks.back_mut().expect("tail chunk exists");
+        let len = back.elems.len();
+        let need = len + want.min(CHUNK_CAP - len);
         if Arc::strong_count(back) != 1 {
-            let mut fresh = Chunk::with_capacity();
-            fresh.elems.extend_from_slice(&back.elems);
-            *back = Arc::new(fresh);
+            let cap = if lone { cold_capacity(need) } else { CHUNK_CAP };
+            let mut fresh = Vec::with_capacity(cap);
+            fresh.extend_from_slice(&back.elems);
+            *back = Arc::new(Chunk { elems: fresh });
         }
-        &mut Arc::get_mut(back).expect("tail un-shared above").elems
+        let elems = &mut Arc::get_mut(back).expect("tail un-shared above").elems;
+        if elems.capacity() < need {
+            // Only a deque's sole, not yet full-size chunk gets here.
+            elems.reserve_exact(cold_capacity(need) - len);
+        }
+        elems
     }
 
     /// Appends an element. Allocation-free once warm: a copy-on-write chunk
     /// clone only happens on the first push after a capture.
     pub fn push_back(&mut self, elem: DataElement) {
-        self.tail_mut().push(elem);
+        self.tail_mut(1).push(elem);
         self.len += 1;
     }
 
@@ -136,7 +159,7 @@ impl ChunkedDeque {
     /// check, per chunk touched.
     pub fn extend_from_slice(&mut self, mut run: &[DataElement]) {
         while !run.is_empty() {
-            let tail = self.tail_mut();
+            let tail = self.tail_mut(run.len());
             let take = (CHUNK_CAP - tail.len()).min(run.len());
             append_run(tail, &run[..take]);
             self.len += take;
@@ -378,6 +401,98 @@ mod tests {
             dq.push_back(elem(s));
         }
         assert!(dq.spare.is_none(), "spare reused for the new tail");
+    }
+
+    fn tail_capacity(dq: &ChunkedDeque) -> usize {
+        dq.chunks.back().expect("non-empty spine").elems.capacity()
+    }
+
+    #[test]
+    fn a_lone_chunk_is_sized_to_its_content() {
+        let mut dq = ChunkedDeque::new();
+        for s in 0..3 {
+            dq.push_back(elem(s));
+        }
+        assert!(
+            tail_capacity(&dq) <= 4,
+            "3 elements in {}",
+            tail_capacity(&dq)
+        );
+        // Growth is geometric and lands exactly on the chunk size, by
+        // pushes and by runs of an awkward length alike.
+        let sized_to = |dq: &ChunkedDeque| dq.len().next_power_of_two().max(4);
+        for s in 3..CHUNK_CAP as u64 {
+            dq.push_back(elem(s));
+            assert_eq!(tail_capacity(&dq), sized_to(&dq));
+        }
+        assert_eq!((dq.chunks.len(), tail_capacity(&dq)), (1, CHUNK_CAP));
+        let mut by_runs = ChunkedDeque::new();
+        let run: Vec<DataElement> = (0..5).map(elem).collect();
+        for _ in 0..CHUNK_CAP / run.len() {
+            by_runs.extend_from_slice(&run);
+            assert_eq!(tail_capacity(&by_runs), sized_to(&by_runs));
+        }
+        by_runs.extend_from_slice(&run); // fills the chunk and spills one over
+        assert_eq!(by_runs.chunks.len(), 2);
+        assert_eq!(by_runs.chunks[0].elems.capacity(), CHUNK_CAP);
+    }
+
+    #[test]
+    fn a_chunk_behind_a_full_one_is_allocated_whole() {
+        let mut dq = ChunkedDeque::new();
+        for s in 0..=CHUNK_CAP as u64 {
+            dq.push_back(elem(s));
+        }
+        assert_eq!(dq.chunks.len(), 2);
+        assert_eq!(tail_capacity(&dq), CHUNK_CAP, "one allocation, no growth");
+        // Un-sharing a tail that is not the only chunk stays full-size too.
+        let snap = dq.clone();
+        dq.push_back(elem(99));
+        assert_eq!(tail_capacity(&dq), CHUNK_CAP);
+        assert_eq!(snap.len(), CHUNK_CAP + 1);
+    }
+
+    #[test]
+    fn unsharing_a_lone_tail_leaves_the_snapshot_untouched_at_every_fill() {
+        for fill in 1..=CHUNK_CAP as u64 {
+            let mut dq: ChunkedDeque = (0..fill).map(elem).collect();
+            let snap = dq.clone();
+            dq.push_back(elem(fill));
+            assert!(snap.iter().map(|e| e.seq).eq(0..fill), "fill {fill}");
+            assert!(dq.iter().map(|e| e.seq).eq(0..=fill), "fill {fill}");
+            if (fill as usize) < CHUNK_CAP {
+                let expect = (fill as usize + 1).next_power_of_two().max(4);
+                assert_eq!(tail_capacity(&dq), expect, "fill {fill}");
+            }
+        }
+    }
+
+    /// Once a chunk has drained into the spare, a produce/trim cycle moves
+    /// the same allocations round: no chunk buffer is ever new.
+    #[test]
+    fn warm_cycle_reuses_the_same_buffers() {
+        let mut dq = ChunkedDeque::new();
+        for s in 0..(CHUNK_CAP as u64 * 2) {
+            dq.push_back(elem(s));
+        }
+        dq.drop_front(CHUNK_CAP);
+        let buffers = |dq: &ChunkedDeque| {
+            let mut ptrs: Vec<*const DataElement> = dq
+                .chunks
+                .iter()
+                .chain(&dq.spare)
+                .map(|c| c.elems.as_ptr())
+                .collect();
+            ptrs.sort_unstable();
+            ptrs
+        };
+        let warm = buffers(&dq);
+        assert_eq!(warm.len(), 2);
+        for s in 0..(CHUNK_CAP as u64 * 10) {
+            dq.push_back(elem(s));
+            dq.pop_front();
+            assert_eq!(buffers(&dq), warm);
+        }
     }
 
     #[test]

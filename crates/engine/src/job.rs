@@ -321,6 +321,20 @@ impl JobBuilder {
             }
         }
 
+        // Inputs per PE, ordered by (port, stream); `consumers` is walked
+        // in stream order and the sort is stable.
+        let mut inputs: Vec<Vec<(usize, StreamId)>> = vec![Vec::new(); n];
+        for (s, list) in consumers.iter().enumerate() {
+            for c in list {
+                if let Consumer::Pe(pe, port) = *c {
+                    inputs[pe.0 as usize].push((port, StreamId(s as u32)));
+                }
+            }
+        }
+        for list in &mut inputs {
+            list.sort_by_key(|&(port, _)| port);
+        }
+
         // Subjob lookup.
         let mut subjob_of = vec![SubjobId(0); n];
         for (sj, members) in self.subjobs.iter().enumerate() {
@@ -338,6 +352,7 @@ impl JobBuilder {
             out_ports,
             stream_base,
             consumers,
+            inputs,
             subjobs: self.subjobs,
             subjob_of,
         })
@@ -355,6 +370,8 @@ pub struct Job {
     out_ports: Vec<usize>,
     stream_base: Vec<u32>,
     consumers: Vec<Vec<Consumer>>,
+    /// `(port, stream)` pairs feeding each PE, ordered by port.
+    inputs: Vec<Vec<(usize, StreamId)>>,
     subjobs: Vec<Vec<PeId>>,
     subjob_of: Vec<SubjobId>,
 }
@@ -507,30 +524,21 @@ impl Job {
         if (s as usize) < self.sources.len() {
             return Producer::Source(SourceId(s));
         }
-        for pe in 0..self.pes.len() {
-            let base = self.stream_base[pe];
-            let count = self.out_ports[pe] as u32;
-            if s >= base && s < base + count {
-                return Producer::Pe(PeId(pe as u32), (s - base) as usize);
-            }
+        // `stream_base` ascends (every PE has at least one output port) and
+        // starts at the source count, so the last base at or below `s` is
+        // the producer's.
+        let pe = self.stream_base.partition_point(|&base| base <= s) - 1;
+        let port = (s - self.stream_base[pe]) as usize;
+        if port >= self.out_ports[pe] {
+            unreachable!("stream {stream} out of range")
         }
-        unreachable!("stream {stream} out of range")
+        Producer::Pe(PeId(pe as u32), port)
     }
 
-    /// The streams feeding each input port of `pe`: `(port, stream)` pairs.
-    pub fn input_streams(&self, pe: PeId) -> Vec<(usize, StreamId)> {
-        let mut found = Vec::new();
-        for s in 0..self.consumers.len() {
-            for c in &self.consumers[s] {
-                if let Consumer::Pe(p, port) = c {
-                    if *p == pe {
-                        found.push((*port, StreamId(s as u32)));
-                    }
-                }
-            }
-        }
-        found.sort_unstable_by_key(|&(port, _)| port);
-        found
+    /// The streams feeding each input port of `pe`: `(port, stream)` pairs
+    /// in port order.
+    pub fn input_streams(&self, pe: PeId) -> &[(usize, StreamId)] {
+        &self.inputs[pe.0 as usize]
     }
 
     /// Number of subjobs.
@@ -621,7 +629,14 @@ mod tests {
         assert_eq!(job.consumers(s2), &[Consumer::Sink(SinkId(0))]);
         assert_eq!(job.producer(s0), Producer::Pe(PeId(0), 0));
         assert_eq!(job.producer(src), Producer::Source(SourceId(0)));
-        assert_eq!(job.input_streams(PeId(1)), vec![(0, s0)]);
+        assert_eq!(job.input_streams(PeId(1)), &[(0, s0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn producer_of_an_unallocated_stream_panics() {
+        let job = Job::chain("eval", &counter(), 3, 1);
+        let _ = job.producer(StreamId(job.stream_count() as u32));
     }
 
     #[test]

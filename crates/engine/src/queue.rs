@@ -370,19 +370,25 @@ const NO_STREAM: u16 = u16::MAX;
 /// A deduplicating input queue over one or more logical streams.
 ///
 /// Streams are resolved through a dense per-queue index assigned at wiring
-/// time: `lookup[stream.0]` maps a global [`StreamId`] to a compact slot in
-/// the parallel `ids`/`cursors` vectors, so the per-element `offer` path is
-/// two array loads instead of a tree walk. `ids` stays sorted by stream id
-/// so [`InputQueue::positions`] and [`InputQueue::streams`] iterate in the
-/// same order the previous `BTreeMap` representation did.
+/// time: `lookup[stream.0 - base]` maps a global [`StreamId`] to a compact
+/// slot in the parallel `ids`/`cursors` vectors, so the per-element `offer`
+/// path is two array loads instead of a tree walk. The table is a window
+/// starting at the smallest registered id, so its length is the spread of
+/// the ids this queue consumes, not the job's stream count. `ids` stays
+/// sorted by stream id so [`InputQueue::positions`] and
+/// [`InputQueue::streams`] iterate in the same order the previous
+/// `BTreeMap` representation did.
 #[derive(Debug, Clone, Default)]
 pub struct InputQueue {
     /// Registered streams, sorted ascending.
     ids: Vec<StreamId>,
     /// Cursor per registered stream, parallel to `ids`.
     cursors: Vec<StreamCursor>,
-    /// Global stream id -> compact index into `ids`/`cursors`.
+    /// Global stream id minus `base` -> compact index into
+    /// `ids`/`cursors`.
     lookup: Vec<u16>,
+    /// The stream id `lookup[0]` stands for: the smallest registered id.
+    base: u32,
     pending: ChunkedDeque,
     duplicates_dropped: u64,
     accepted_total: u64,
@@ -404,13 +410,21 @@ impl InputQueue {
 
     /// Index of `stream` in `ids`/`cursors`, registering it if new.
     fn ensure_stream(&mut self, stream: StreamId) -> usize {
-        let sid = stream.0 as usize;
-        if sid >= self.lookup.len() {
-            self.lookup.resize(sid + 1, NO_STREAM);
+        if let Some(idx) = self.find(stream) {
+            return idx;
         }
-        let existing = self.lookup[sid];
-        if existing != NO_STREAM {
-            return existing as usize;
+        if self.lookup.is_empty() {
+            self.base = stream.0;
+        } else if stream.0 < self.base {
+            // Rare: a lower id registered after the window was placed.
+            let gap = (self.base - stream.0) as usize;
+            self.lookup
+                .splice(0..0, std::iter::repeat_n(NO_STREAM, gap));
+            self.base = stream.0;
+        }
+        let slot = (stream.0 - self.base) as usize;
+        if slot >= self.lookup.len() {
+            self.lookup.resize(slot + 1, NO_STREAM);
         }
         let pos = self.ids.partition_point(|&s| s < stream);
         self.ids.insert(pos, stream);
@@ -427,17 +441,25 @@ impl InputQueue {
             "too many streams on one input queue"
         );
         for (i, s) in self.ids.iter().enumerate().skip(pos) {
-            self.lookup[s.0 as usize] = i as u16;
+            self.lookup[(s.0 - self.base) as usize] = i as u16;
         }
         pos
     }
 
+    /// Index of `stream` in `cursors`, if registered. An id below the
+    /// window wraps past its end.
+    #[inline]
+    fn find(&self, stream: StreamId) -> Option<usize> {
+        match self.lookup.get(stream.0.wrapping_sub(self.base) as usize) {
+            Some(&idx) if idx != NO_STREAM => Some(idx as usize),
+            _ => None,
+        }
+    }
+
     /// Index of a registered `stream` in `cursors`.
     fn cursor_index(&self, stream: StreamId) -> usize {
-        match self.lookup.get(stream.0 as usize) {
-            Some(&idx) if idx != NO_STREAM => idx as usize,
-            _ => panic!("stream {stream} not registered on this input"),
-        }
+        self.find(stream)
+            .unwrap_or_else(|| panic!("stream {stream} not registered on this input"))
     }
 
     /// Offers one element; duplicates are dropped, gaps stashed.
@@ -553,11 +575,9 @@ impl InputQueue {
     /// the operator state. Checkpoints and acknowledgments use this
     /// position.
     pub fn mark_processed(&mut self, stream: StreamId, seq: u64) {
-        if let Some(&idx) = self.lookup.get(stream.0 as usize) {
-            if idx != NO_STREAM {
-                let cursor = &mut self.cursors[idx as usize];
-                cursor.processed = cursor.processed.max(seq);
-            }
+        if let Some(idx) = self.find(stream) {
+            let cursor = &mut self.cursors[idx];
+            cursor.processed = cursor.processed.max(seq);
         }
     }
 
@@ -867,6 +887,42 @@ mod tests {
         let positions = q.positions();
         assert_eq!(positions.len(), 2);
         assert_eq!(q.streams().count(), 2);
+    }
+
+    #[test]
+    fn lookup_is_a_window_from_the_smallest_registered_id() {
+        let mut q = InputQueue::new();
+        q.register_stream(StreamId(4_000));
+        assert_eq!(q.lookup.len(), 1, "one stream, one entry, whatever its id");
+        q.offer(elem(4_000, 1));
+        q.mark_processed(StreamId(4_000), 1);
+        // A lower id arriving later moves the window and keeps the cursor.
+        q.register_stream(StreamId(7));
+        assert_eq!((q.base, q.lookup.len()), (7, 4_000 - 7 + 1));
+        assert_eq!(q.offer(elem(7, 1)), Offer::Accepted(1));
+        assert_eq!(q.offer(elem(4_000, 1)), Offer::Duplicate);
+        assert_eq!(q.offer(elem(4_000, 2)), Offer::Accepted(1));
+        assert_eq!(q.positions(), vec![(StreamId(7), 0), (StreamId(4_000), 1)]);
+        // Unregistered ids below, inside and past the window: no position
+        // moves, nothing is registered.
+        for sid in [0, 6, 8, 3_999, 4_001, u32::MAX] {
+            q.mark_processed(StreamId(sid), 9);
+        }
+        assert_eq!(q.positions(), vec![(StreamId(7), 0), (StreamId(4_000), 1)]);
+    }
+
+    #[test]
+    fn offers_outside_the_window_panic_like_any_unregistered_stream() {
+        for sid in [6, 8, 4_001] {
+            let offered = std::panic::catch_unwind(|| {
+                let mut q = InputQueue::new();
+                q.register_stream(StreamId(4_000));
+                q.register_stream(StreamId(7));
+                q.offer(elem(sid, 1))
+            });
+            let msg = *offered.unwrap_err().downcast::<String>().unwrap();
+            assert!(msg.contains("not registered"), "stream {sid}: {msg}");
+        }
     }
 
     #[test]

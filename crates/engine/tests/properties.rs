@@ -6,11 +6,13 @@
 //! form it replaced: `ChunkedDeque` bulk ops against a `VecDeque` model,
 //! `InputQueue::offer_run` against repeated `offer`, batch completion
 //! against repeated `finish_inflight_into`, and `OutputSession::give_run`
-//! against repeated `give`.
+//! against repeated `give`. One more holds `Job`'s precomputed topology
+//! lookups to the linear scans they replaced.
 
 use sps_engine::{
-    ConnectionId, DataElement, Dest, InputQueue, InstanceId, Offer, OperatorSpec, OutputQueue,
-    Payload, PeId, PeInstance, Replica, SinkId, StreamId,
+    ConnectionId, Consumer, DataElement, Dest, InputQueue, InstanceId, Job, JobBuilder, Offer,
+    OperatorSpec, OutputQueue, Payload, PeId, PeInstance, Producer, Replica, SinkId, SourceId,
+    StreamId,
 };
 use sps_sim::{SimRng, SimTime};
 
@@ -759,5 +761,103 @@ fn give_run_matches_repeated_give() {
             assert!(by_run.run(i).1.len() <= batch_size as usize, "case {case}");
         }
         assert_eq!(by_run.element_count(), by_elem.element_count());
+    }
+}
+
+/// `Job::producer` as it was before the binary search: a scan over every
+/// PE's stream range.
+fn producer_by_scan(job: &Job, stream: StreamId) -> Producer {
+    if (stream.0 as usize) < job.source_count() {
+        return Producer::Source(SourceId(stream.0));
+    }
+    for pe in job.pe_ids() {
+        let base = job.pe_stream(pe, 0).0;
+        if stream.0 >= base && stream.0 < base + job.out_ports(pe) as u32 {
+            return Producer::Pe(pe, (stream.0 - base) as usize);
+        }
+    }
+    unreachable!("stream {stream} out of range")
+}
+
+/// `Job::input_streams` as it was before the per-PE table: a walk over
+/// every stream's consumer list, sorted by port.
+fn input_streams_by_scan(job: &Job, pe: PeId) -> Vec<(usize, StreamId)> {
+    let mut found = Vec::new();
+    for s in 0..job.stream_count() as u32 {
+        for c in job.consumers(StreamId(s)) {
+            if let Consumer::Pe(p, port) = c {
+                if *p == pe {
+                    found.push((*port, StreamId(s)));
+                }
+            }
+        }
+    }
+    found.sort_unstable_by_key(|&(port, _)| port);
+    found
+}
+
+/// Over random DAGs — several sources, multi-port PEs, ports merging two
+/// streams, streams fanning out to several consumers, routers with many
+/// output ports — the precomputed `producer` and `input_streams` equal the
+/// linear scans they replaced, for every stream and every PE.
+#[test]
+fn job_lookups_match_linear_scans() {
+    let mut rng = SimRng::seed_from(0x70B0);
+    let op = OperatorSpec::Counter { demand_secs: 1e-5 };
+    for case in 0..200 {
+        let mut b = JobBuilder::new(format!("random{case}"));
+        let sources: Vec<SourceId> = (0..rng.uniform_u64(1, 4))
+            .map(|i| b.add_source(format!("s{i}")))
+            .collect();
+        let sink = b.add_sink("out");
+        let n_pes = rng.uniform_u64(1, 14) as usize;
+        let mut pes: Vec<PeId> = Vec::new();
+        let mut out_ports: Vec<usize> = Vec::new();
+        for i in 0..n_pes {
+            let pe = b.add_pe(format!("pe{i}"), op.clone());
+            for port in 0..rng.uniform_u64(1, 4) as usize {
+                // One feeder per port, sometimes two (a merge).
+                for _ in 0..rng.uniform_u64(1, 3) {
+                    let from_source = pes.is_empty() || rng.uniform_u64(0, 4) == 0;
+                    if from_source {
+                        let src = sources[rng.uniform_u64(0, sources.len() as u64) as usize];
+                        b.connect_source(src, pe, port);
+                    } else {
+                        // An existing output port of an earlier PE (fan-out
+                        // of that stream) or its next new one (a router
+                        // growing wider).
+                        let up = rng.uniform_u64(0, pes.len() as u64) as usize;
+                        let up_port = rng.uniform_u64(0, out_ports[up] as u64 + 1) as usize;
+                        out_ports[up] = out_ports[up].max(up_port + 1);
+                        b.connect(pes[up], up_port, pe, port);
+                    }
+                }
+            }
+            pes.push(pe);
+            out_ports.push(0);
+        }
+        for (i, &pe) in pes.iter().enumerate() {
+            if out_ports[i] == 0 || rng.uniform_u64(0, 3) == 0 {
+                b.connect_sink(pe, 0, sink);
+            }
+        }
+        b.subjobs(pes.chunks(3).map(<[PeId]>::to_vec).collect());
+        let job = b.build().expect("generated topology is valid");
+
+        for s in 0..job.stream_count() as u32 {
+            let stream = StreamId(s);
+            assert_eq!(
+                job.producer(stream),
+                producer_by_scan(&job, stream),
+                "case {case}: {stream}"
+            );
+        }
+        for pe in job.pe_ids() {
+            assert_eq!(
+                job.input_streams(pe),
+                input_streams_by_scan(&job, pe),
+                "case {case}: {pe}"
+            );
+        }
     }
 }

@@ -86,12 +86,19 @@ const WHEEL_MIN_DELTA: u64 = 2;
 /// strictly greater than `cur`, and [`Wheel::settle`] advances `cur` while
 /// flushing newly due buckets into the heap (level 0) or re-filing them one
 /// level down (levels 1–2, for entries whose tick is still in the future).
+///
+/// Buckets own no storage: every staged entry sits in one slab and a bucket
+/// is a singly-linked list of slab indices, so the wheel's footprint is its
+/// peak number of staged entries, not slots × the largest burst a slot ever
+/// saw. List order is arbitrary (newest first): entries leave only for the
+/// heap, which orders them by their unique `(time, seq)` key.
 #[derive(Debug)]
 struct Wheel<E> {
-    /// `3 × WHEEL_SLOTS` buckets, row-major by level. Buckets keep their
-    /// allocation across flushes, so a steady periodic-timer load stops
-    /// allocating once every bucket has been warm once.
-    slots: Vec<Vec<Entry<E>>>,
+    slab: Vec<Slot<E>>,
+    /// Head of the free-slot list, [`NIL`] when every slot is in use.
+    free: u32,
+    /// `3 × WHEEL_SLOTS` bucket list heads, row-major by level.
+    heads: [u32; 3 * WHEEL_SLOTS],
     /// One bit per slot and level: set iff the bucket is non-empty.
     occupancy: [u64; 3],
     /// Watermark tick; all bucketed entries have `tick > cur`.
@@ -99,6 +106,17 @@ struct Wheel<E> {
     /// Total entries across all buckets.
     len: usize,
 }
+
+/// One slab slot of the [`Wheel`]: a staged entry (`None` while the slot is
+/// free) and the next slot of its bucket or of the free list.
+#[derive(Debug)]
+struct Slot<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
+/// End-of-list marker for the wheel's intrusive lists.
+const NIL: u32 = u32::MAX;
 
 /// The occupancy-bit mask for slot positions in `(from, to]`, wrapping
 /// modulo [`WHEEL_SLOTS`].
@@ -114,7 +132,9 @@ fn range_mask(from: u64, to: u64) -> u64 {
 impl<E> Wheel<E> {
     fn new() -> Self {
         Wheel {
-            slots: (0..3 * WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            heads: [NIL; 3 * WHEEL_SLOTS],
             occupancy: [0; 3],
             cur: 0,
             len: 0,
@@ -126,21 +146,34 @@ impl<E> Wheel<E> {
         ((tick >> (LEVEL_SHIFT * level as u32)) & 63) as usize
     }
 
-    /// Buckets `entry` (firing at `tick`) by its distance from the
-    /// watermark. The caller guarantees `1 <= tick - cur < SPAN[2]`.
-    fn insert(&mut self, entry: Entry<E>, tick: u64) {
-        let delta = tick - self.cur;
+    /// Links slab slot `idx` (firing at `tick`) into the bucket that fits
+    /// its distance from `from`. The caller guarantees
+    /// `1 <= tick - from < SPAN[2]`.
+    fn file(&mut self, idx: u32, tick: u64, from: u64) {
+        let delta = tick - from;
         debug_assert!((1..SPAN[2]).contains(&delta));
-        let level = if delta < SPAN[0] {
-            0
-        } else if delta < SPAN[1] {
-            1
-        } else {
-            2
-        };
+        let level = usize::from(delta >= SPAN[0]) + usize::from(delta >= SPAN[1]);
         let slot = Self::slot_of(level, tick);
         self.occupancy[level] |= 1u64 << slot;
-        self.slots[level * WHEEL_SLOTS + slot].push(entry);
+        let head = &mut self.heads[level * WHEEL_SLOTS + slot];
+        self.slab[idx as usize].next = *head;
+        *head = idx;
+    }
+
+    /// Stages `entry` (firing at `tick`) by its distance from the
+    /// watermark. The caller guarantees `1 <= tick - cur < SPAN[2]`.
+    fn insert(&mut self, entry: Entry<E>, tick: u64) {
+        let (entry, next) = (Some(entry), NIL);
+        let idx = if self.free == NIL {
+            assert!(self.slab.len() < NIL as usize, "timer wheel slab is full");
+            self.slab.push(Slot { entry, next });
+            (self.slab.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.slab[idx as usize], Slot { entry, next }).next;
+            idx
+        };
+        self.file(idx, tick, self.cur);
         self.len += 1;
     }
 
@@ -172,23 +205,22 @@ impl<E> Wheel<E> {
             while due != 0 {
                 let slot = due.trailing_zeros() as usize;
                 due &= due - 1;
-                let mut bucket = std::mem::take(&mut self.slots[level * WHEEL_SLOTS + slot]);
-                self.len -= bucket.len();
-                for entry in bucket.drain(..) {
+                let mut idx = std::mem::replace(&mut self.heads[level * WHEEL_SLOTS + slot], NIL);
+                while idx != NIL {
+                    let slot = &mut self.slab[idx as usize];
+                    let following = slot.next;
+                    let entry = slot.entry.as_ref().expect("bucketed slot is full");
                     let tick = entry.time.as_nanos() >> TICK_SHIFT;
-                    if level == 0 || tick <= upto {
-                        heap.push(entry);
+                    if tick <= upto {
+                        heap.push(slot.entry.take().expect("bucketed slot is full"));
+                        slot.next = self.free;
+                        self.free = idx;
+                        self.len -= 1;
                     } else {
-                        let delta = tick - upto;
-                        let new_level = usize::from(delta >= SPAN[0]);
-                        let slot = Self::slot_of(new_level, tick);
-                        self.occupancy[new_level] |= 1u64 << slot;
-                        self.slots[new_level * WHEEL_SLOTS + slot].push(entry);
-                        self.len += 1;
+                        self.file(idx, tick, upto);
                     }
+                    idx = following;
                 }
-                // Hand the (drained) allocation back to the bucket.
-                self.slots[level * WHEEL_SLOTS + slot] = bucket;
             }
         }
         self.cur = upto;
@@ -204,25 +236,13 @@ impl<E> Wheel<E> {
         let mut best = u64::MAX;
         for level in 0..3 {
             let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
+            if occ != 0 {
+                let shift = LEVEL_SHIFT * level as u32;
+                let next_pos = (self.cur >> shift) + 1;
+                // Occupied positions live in the window [next_pos, next_pos + 64).
+                let ahead = occ.rotate_right((next_pos & 63) as u32).trailing_zeros();
+                best = best.min((next_pos + u64::from(ahead)) << shift);
             }
-            let shift = LEVEL_SHIFT * level as u32;
-            let cur_pos = self.cur >> shift;
-            let base = cur_pos & !63;
-            let mut bits = occ;
-            let mut level_best = u64::MAX;
-            while bits != 0 {
-                let s = bits.trailing_zeros() as u64;
-                bits &= bits - 1;
-                // Occupied positions live in the window (cur_pos, cur_pos + 64].
-                let mut pos = base + s;
-                if pos <= cur_pos {
-                    pos += 64;
-                }
-                level_best = level_best.min(pos);
-            }
-            best = best.min(level_best << shift);
         }
         best
     }
@@ -643,6 +663,55 @@ mod tests {
             let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
             assert_eq!(got, reference_order(&pushes), "round {round}");
         }
+    }
+
+    /// The heartbeat pattern: 2,049 timers fire at one instant and each
+    /// re-arms 100 ms out, so the burst walks the level-0 and level-1
+    /// slots, while every third firing also schedules something 0–3 ms out
+    /// (near deque, heap and level 0). Pop order must equal the stable
+    /// sort, and the slab must stay at the peak number of pending events
+    /// rather than grow with the slots the burst has visited.
+    #[test]
+    fn heartbeat_bursts_walk_every_slot_without_growing_the_slab() {
+        let period = crate::SimDuration::from_millis(100);
+        let mut rng = SimRng::seed_from(0x4EA7);
+        let mut q = EventQueue::new();
+        let mut pushes: Vec<(SimTime, usize)> = Vec::new();
+        let mut schedule = |q: &mut EventQueue<(usize, bool)>, t: SimTime, timer: bool| {
+            q.push(t, (pushes.len(), timer));
+            pushes.push((t, pushes.len()));
+        };
+        for _ in 0..2_049 {
+            schedule(&mut q, SimTime::ZERO + period, true);
+        }
+        let mut drained: Vec<usize> = Vec::new();
+        let mut slots_seen = [0u64; 2];
+        for round in 1..=200u64 {
+            let horizon = SimTime::ZERO + period * round;
+            while let Some((t, (i, timer))) = q.pop_if_at_or_before(horizon) {
+                drained.push(i);
+                if timer {
+                    schedule(&mut q, t + period, true);
+                    if i % 3 == 0 {
+                        let soon = crate::SimDuration::from_nanos(rng.next_u64() % 3_000_000);
+                        schedule(&mut q, t + soon, false);
+                    }
+                }
+            }
+            let tick = horizon.as_nanos() >> TICK_SHIFT;
+            slots_seen[0] |= 1 << Wheel::<()>::slot_of(0, tick);
+            slots_seen[1] |= 1 << Wheel::<()>::slot_of(1, tick);
+            assert!(
+                q.wheel.slab.len() <= q.peak_len(),
+                "round {round}: {} slab slots for at most {} pending events",
+                q.wheel.slab.len(),
+                q.peak_len()
+            );
+        }
+        assert_eq!(slots_seen[0], !0, "the burst visited every level-0 slot");
+        assert!(slots_seen[1].count_ones() > 48, "and most of level 1");
+        drained.extend(std::iter::from_fn(|| q.pop().map(|(_, (i, _))| i)));
+        assert_eq!(drained, reference_order(&pushes));
     }
 
     /// Ties between wheel-staged events and direct near-deque pushes at the

@@ -78,6 +78,16 @@ impl SimTime {
     }
 }
 
+/// `x.round() as u64` for `0 <= x < 2^64`, without the out-of-line libm
+/// call the baseline x86-64 target makes for `round`. Exact: below 2^52 the
+/// truncation and the fractional part are both representable, and from
+/// there up `x` is an integer.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
+}
+
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -110,6 +120,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or NaN.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs >= 0.0 && secs.is_finite(),
@@ -119,7 +130,7 @@ impl SimDuration {
         if nanos >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(nanos.round() as u64)
+            SimDuration(round_to_u64(nanos))
         }
     }
 
@@ -323,6 +334,46 @@ mod tests {
         assert_eq!(d.as_nanos(), 123_456_789);
         assert!((d.as_secs_f64() - 0.123_456_789).abs() < 1e-12);
         assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
+    }
+
+    /// The inlined rounding against the `f64::round` it replaced: halfway
+    /// cases, the floats either side of them, the integer-only range, then
+    /// seeded random values of every magnitude below 2^64.
+    #[test]
+    fn round_to_u64_equals_f64_round() {
+        let check = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        let two53 = (1u64 << 53) as f64;
+        let mut edges = vec![0.0, 1.0, 0.499_999_999_999_999_94, two53, two53 * 4.0];
+        // Up to 2^52 - 0.5, the largest half-integer an f64 holds.
+        for k in [0u64, 1, 2, 7, 1_000, 123_456_789, (1 << 52) - 1] {
+            edges.push(k as f64 + 0.5);
+        }
+        for x in edges {
+            check(x);
+            check(f64::from_bits(x.to_bits() + 1));
+            if x > 0.0 {
+                check(f64::from_bits(x.to_bits() - 1));
+            }
+        }
+        // The largest f64 below 2^64, where `from_secs_f64` saturates.
+        check(f64::from_bits((u64::MAX as f64).to_bits() - 1));
+        let mut rng = crate::rng::SimRng::seed_from(0x5EC5);
+        for _ in 0..1_000_000 {
+            // A random mantissa at a random binary magnitude, 2^-10 up to
+            // just under 2^64.
+            let mantissa = 1.0 + (rng.next_u64() >> 11) as f64 / two53;
+            check(mantissa * 2f64.powi((rng.next_u64() % 74) as i32 - 10));
+        }
+    }
+
+    #[test]
+    fn from_secs_f64_saturates_at_max() {
+        assert_eq!(SimDuration::from_secs_f64(1.9e10), SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs_f64(f64::MAX), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(1.8e10).as_nanos(),
+            18_000_000_000_000_000_000
+        );
     }
 
     #[test]
