@@ -158,10 +158,13 @@ pub fn failure_period_inflation(scale: Scale, seed: u64) -> (f64, f64) {
         .map(|w| (w.start.as_secs_f64(), w.end.as_secs_f64()))
         .collect();
     sim.inject_spike_windows(primary, &load);
+    // The recorder folds the two means as elements arrive, so it must know
+    // the windows before the run.
+    sim.world_mut().sinks_mut()[0]
+        .latency_mut()
+        .declare_windows(&windows_s);
     sim.run_until(horizon);
-    sim.world().sinks()[0]
-        .latency()
-        .mean_inside_outside(&windows_s)
+    sim.world().sinks()[0].latency().window_means()
 }
 
 /// Fig 5: multiplexing — subjobs 1–3 (hybrid) share one secondary machine.

@@ -47,14 +47,18 @@ fn run(tune: impl Fn(&mut HaConfig), failure_secs: u64, seed: u64) -> OptOutcome
         MachineId(1),
         &single_failure(failure_at, SimDuration::from_secs(failure_secs)),
     );
+    // Declared before the run: the recorder folds window means on arrival.
+    sim.world_mut().sinks_mut()[0]
+        .latency_mut()
+        .declare_windows(&[(
+            failure_end.as_secs_f64(),
+            (failure_end + SimDuration::from_secs(4)).as_secs_f64(),
+        )]);
     sim.run_until(failure_end + SimDuration::from_secs(6));
     let t = sim
         .recovery_timeline(SubjobId(1), failure_at)
         .expect("recovery happened");
-    let (inside, _) = sim.world().sinks()[0].latency().mean_inside_outside(&[(
-        failure_end.as_secs_f64(),
-        (failure_end + SimDuration::from_secs(4)).as_secs_f64(),
-    )]);
+    let (inside, _) = sim.world().sinks()[0].latency().window_means();
     OptOutcome {
         ready_ms: t.ready_ms - t.detected_ms,
         total_ms: t.total_ms(),

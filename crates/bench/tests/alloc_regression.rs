@@ -155,6 +155,45 @@ fn fig06_lineage_allocates_per_chunk_and_stays_under_96_bytes_per_record() {
     );
 }
 
+/// A default (unobserved) run holds one thing in proportion to its history:
+/// the sink's 4-byte latency column. Run the Hybrid chain to T and on to 4T:
+/// the heap may grow by at most 8 bytes per additionally accepted element
+/// (4 bytes at a `Vec`'s worst-case 2× slack; the `f64` sample log and
+/// `(f64, f64)` series this replaced cost ~31), and with the column
+/// subtracted the two horizons hold the same live state. The seed of the
+/// long-run soak (ROADMAP 5(e)).
+#[test]
+fn fig06_live_heap_grows_only_by_the_sink_latency_column() {
+    const T: u64 = 5;
+    let mut sim = fig06_sim(HaMode::Hybrid, 100, false);
+    let mut horizon = |secs: u64| {
+        sim.run_until(SimTime::from_secs(secs));
+        let sink = &sim.world().sinks()[0];
+        (
+            counting_alloc::live_bytes() as i64,
+            sink.latency().sample_bytes() as i64,
+            sink.accepted() as i64,
+        )
+    };
+    let (live_t, column_t, accepted_t) = horizon(T);
+    let (live_4t, column_4t, accepted_4t) = horizon(4 * T);
+    let elements = accepted_4t - accepted_t;
+    assert!(elements >= 100_000, "window too short: {elements} elements");
+
+    let per_element = (live_4t - live_t) as f64 / elements as f64;
+    assert!(
+        per_element <= 8.0,
+        "live heap grew {per_element:.1} bytes per accepted element"
+    );
+    let rest_growth = (live_4t - column_4t) - (live_t - column_t);
+    assert!(
+        rest_growth.abs() < 64 * 1024,
+        "beside the latency column, live heap moved {rest_growth} bytes \
+         between {T} and {} sim-s: something else grows with history",
+        4 * T
+    );
+}
+
 /// Checkpoint capture clones chunk pointers, not elements: the allocation
 /// count per capture is identical at depth 100 and depth 10 000.
 #[test]

@@ -17,7 +17,6 @@ pub struct SinkRuntime {
     input: InputQueue,
     latency: LatencyRecorder,
     accepted: u64,
-    last_accept_at: Option<SimTime>,
     accept_log: Option<Vec<(SimTime, StreamId, u64)>>,
 }
 
@@ -41,9 +40,8 @@ impl SinkRuntime {
         SinkRuntime {
             id,
             input: InputQueue::new(),
-            latency: LatencyRecorder::with_series(),
+            latency: LatencyRecorder::new(),
             accepted: 0,
-            last_accept_at: None,
             accept_log: log_accepts.then(Vec::new),
         }
     }
@@ -82,7 +80,7 @@ impl SinkRuntime {
                 // "8-fold during unavailability" metric).
                 latency.record(
                     e.created_at.as_secs_f64(),
-                    now.saturating_since(e.created_at).as_millis_f64(),
+                    now.saturating_since(e.created_at).as_nanos(),
                 );
                 if let Some(log) = log {
                     log.push((now, e.stream, e.seq));
@@ -93,7 +91,6 @@ impl SinkRuntime {
         if let Some(e) = last {
             self.input.mark_processed(e.stream, e.seq);
             self.accepted += offer.accepted as u64;
-            self.last_accept_at = Some(now);
         }
         SinkAccept {
             newly_accepted: offer.accepted,
@@ -126,9 +123,8 @@ impl SinkRuntime {
                 self.accepted += 1;
                 self.latency.record(
                     elem.created_at.as_secs_f64(),
-                    now.saturating_since(elem.created_at).as_millis_f64(),
+                    now.saturating_since(elem.created_at).as_nanos(),
                 );
-                self.last_accept_at = Some(now);
                 on_accept(elem);
                 total.newly_accepted += 1;
             }
@@ -170,11 +166,6 @@ impl SinkRuntime {
         &mut self.latency
     }
 
-    /// When the sink last accepted a new element.
-    pub fn last_accept_at(&self) -> Option<SimTime> {
-        self.last_accept_at
-    }
-
     /// The first accept at or after `t`, if logging was enabled.
     pub fn first_accept_at_or_after(&self, t: SimTime) -> Option<SimTime> {
         self.accept_log
@@ -193,6 +184,7 @@ impl SinkRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sps_sim::SimDuration;
 
     /// Delivers one element; `Some` when it (and possibly stashed
     /// successors) was newly accepted.
@@ -221,6 +213,42 @@ mod tests {
         assert_eq!(acc.newly_accepted, 1);
         assert_eq!(s.accepted(), 1);
         assert!((s.latency().mean_ms() - 6.0).abs() < 1e-9);
+    }
+
+    /// The recorder takes nanoseconds and reports `ns as f64 / 1e6`; that
+    /// must be the float `SimDuration::as_millis_f64` gives, on both sides
+    /// of the recorder's 4-byte boundary.
+    #[test]
+    fn recorded_latency_is_the_durations_millisecond_float() {
+        let edge = u64::from(u32::MAX);
+        for ns in [0, 1, 739_664, edge - 1, edge, edge + 1, 30_000_000_000] {
+            let mut s = SinkRuntime::new(SinkId(0), false);
+            s.register_stream(StreamId(5));
+            let created = SimTime::from_millis(4);
+            let latency = SimDuration::from_nanos(ns);
+            deliver(&mut s, created + latency, elem(1, 4)).unwrap();
+            let ms = latency.as_millis_f64();
+            assert_eq!(ms, ns as f64 / 1e6);
+            assert_eq!(s.latency().max_ms(), Some(ms), "{ns} ns");
+            assert_eq!(s.latency_mut().quantile_ms(0.5), Some(ms), "{ns} ns");
+        }
+    }
+
+    #[test]
+    fn broken_dedup_double_counts_and_records_the_duplicate() {
+        let mut s = SinkRuntime::new(SinkId(0), false);
+        s.register_stream(StreamId(5));
+        let mut seen = 0;
+        let first =
+            s.deliver_run_without_dedup(SimTime::from_millis(5), &[elem(1, 4)], |_| seen += 1);
+        assert_eq!((first.newly_accepted, first.duplicates), (1, 0));
+        let again =
+            s.deliver_run_without_dedup(SimTime::from_millis(9), &[elem(1, 4)], |_| seen += 1);
+        assert_eq!(again.newly_accepted, 1, "the duplicate counted as fresh");
+        assert_eq!(again.processed_through, 1, "the position did not advance");
+        assert_eq!((s.accepted(), seen), (2, 2));
+        assert_eq!(s.latency().count(), 2, "one sample per counted accept");
+        assert_eq!(s.latency().max_ms(), Some(5.0));
     }
 
     #[test]
@@ -279,6 +307,5 @@ mod tests {
         );
         assert_eq!(s.first_accept_at_or_after(SimTime::from_millis(31)), None);
         assert_eq!(s.accept_log().unwrap().len(), 2);
-        assert_eq!(s.last_accept_at(), Some(SimTime::from_millis(30)));
     }
 }
