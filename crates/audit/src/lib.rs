@@ -31,8 +31,8 @@
 //!
 //! The auditor is strictly read-only observation: it sees copies of records
 //! and cannot touch the event schedule, so installing it never perturbs a
-//! run (the CI no-perturbation job byte-compares figure output with and
-//! without `--audit-out`).
+//! run (`crates/bench/tests/goldens.rs` byte-compares campaign output with
+//! and without it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -18,18 +18,10 @@
 //! owning Zipf rank 1) against a *cold* shard under the same skew: the
 //! failed shard recovers through its own per-shard checkpoint while every
 //! other shard keeps its steady state.
-//!
-//! If a `BENCH_runner.json` sits in the working directory, the report also
-//! embeds the runner's aggregate serial events/second and the ratio of the
-//! 83-machine cell against it, for cross-harness throughput comparison.
-//!
-//! `--metrics-out` and `--audit-out` run the same instrumented capture
-//! scenarios as the figure binaries (status on stderr, stdout unchanged).
 
 use std::time::Instant;
 
 use sps_bench::common::{peak_rss_bytes, RunOpts, Scale};
-use sps_bench::{audit_capture, metrics_capture};
 use sps_cluster::{FaultTopology, Network};
 use sps_engine::SubjobId;
 use sps_ha::{HaMode, HaSimulation, RateProfile, SjState};
@@ -208,45 +200,6 @@ fn run_recovery(label: &'static str, shard: Option<u32>, seed: u64) -> RecoveryO
     }
 }
 
-/// Reads `--out <path>` / `--out=<path>` from argv (default
-/// `BENCH_scale.json`).
-fn out_path() -> String {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--out" {
-            if let Some(p) = args.next() {
-                return p;
-            }
-        } else if let Some(p) = a.strip_prefix("--out=") {
-            return p.to_string();
-        }
-    }
-    "BENCH_scale.json".to_string()
-}
-
-/// Aggregate serial events/second from a `BENCH_runner.json` in the
-/// working directory: the sum of per-figure `events` over the sum of their
-/// `wall_ms`, skipping analytic figures (which report no `events`).
-fn runner_reference_eps() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_runner.json").ok()?;
-    let field = |line: &str, key: &str| -> Option<f64> {
-        let at = line.find(key)? + key.len();
-        let rest = &line[at..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    };
-    let (mut events, mut wall_ms) = (0.0, 0.0);
-    for line in text.lines() {
-        if let (Some(e), Some(w)) = (field(line, "\"events\": "), field(line, "\"wall_ms\": ")) {
-            events += e;
-            wall_ms += w;
-        }
-    }
-    (wall_ms > 0.0).then_some(events / (wall_ms / 1e3))
-}
-
 fn json_f(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.3}")
@@ -260,8 +213,8 @@ fn json_opt_u64(x: Option<u64>) -> String {
 }
 
 fn main() {
-    let opts = RunOpts::parse();
-    let out = out_path();
+    let (opts, _, out) = RunOpts::parse_or_exit("bench_scale", &[], Some("--out"));
+    let out = out.unwrap_or_else(|| "BENCH_scale.json".to_string());
     // --quick trims the *grid*, not the simulated span: the per-cell cost
     // is small (~1 s wall for the worst cell), and keeping the span makes
     // the quick cells' events/sec directly comparable with the committed
@@ -364,8 +317,6 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let runner_eps = runner_reference_eps();
-    let cell_83 = results.iter().find(|c| c.machines == 83 && c.shards == 8);
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema\": \"sps-bench-scale-v1\",\n");
@@ -429,20 +380,8 @@ fn main() {
     }
     json.push_str("    ]\n  },\n");
     json.push_str(&format!(
-        "  \"peak_rss_bytes\": {},\n",
+        "  \"peak_rss_bytes\": {}\n",
         json_opt_u64(peak_rss_bytes())
-    ));
-    json.push_str(&format!(
-        "  \"runner_reference_events_per_sec\": {},\n",
-        runner_eps.map_or_else(|| "null".to_string(), json_f)
-    ));
-    json.push_str(&format!(
-        "  \"cell_83x8_vs_runner_ratio\": {}\n",
-        match (runner_eps, cell_83) {
-            (Some(r), Some(c)) if r > 0.0 =>
-                json_f(c.events as f64 / (c.run_ms / 1e3).max(1e-9) / r),
-            _ => "null".to_string(),
-        }
     ));
     json.push_str("}\n");
 
@@ -451,6 +390,4 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("bench_scale: report written to {out}");
-    metrics_capture::maybe_capture(opts.metrics_out.as_deref(), opts.seed);
-    audit_capture::maybe_capture(opts.audit_out.as_deref(), opts.seed);
 }

@@ -4,17 +4,15 @@
 //!
 //! Pass `--quick` for a reduced sweep and `--jobs N` to run the loss
 //! levels as parallel cells (output is byte-identical for any N). With
-//! `--trace-out <path>` (or `SPS_TRACE_OUT`) the flight-recorder JSONL of
-//! the heaviest-loss run is written there; the dump is a deterministic
-//! function of the seed, which the CI determinism job checks by
-//! byte-diffing two runs. `--metrics-out` and `--health-out` run the same
-//! instrumented capture scenarios as the figure binaries. `--audit-out
-//! <path>` attaches the protocol auditor to every real sweep cell and
-//! writes the per-cell reports there (status on stderr, stdout unchanged).
+//! `--observe-out DIR` the protocol auditor rides every real sweep cell
+//! and `DIR` receives `trace.jsonl` (the flight-recorder dump of the
+//! heaviest-loss cell, a deterministic function of the seed — the CI
+//! determinism job byte-diffs two runs) and `audit.txt` (the per-cell
+//! reports). Status goes to stderr; stdout is unchanged.
 
 use sps_audit::Auditor;
 use sps_bench::common::{Experiment, RunOpts};
-use sps_bench::{health_capture, metrics_capture};
+use sps_bench::observe_capture::write_campaign;
 use sps_cluster::{BurstLoss, ChaosPlan, FaultProfile, MachineId};
 use sps_engine::SubjobId;
 use sps_ha::{HaEventKind, HaMode, HaSimulation};
@@ -36,7 +34,7 @@ struct CampaignRun {
     /// are what crosses back to the submitting thread.
     trace_jsonl: Vec<u8>,
     trace_records: usize,
-    /// The protocol auditor's end-of-run report, when `--audit-out`
+    /// The protocol auditor's end-of-run report, when `--observe-out`
     /// attached the auditor to this cell's trace bus.
     audit_report: Option<String>,
     audit_violations: u64,
@@ -73,7 +71,7 @@ fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
         // exactly_once/quiescent columns assert the same. Declared
         // unconditionally so the JSONL preamble (and hence an offline
         // `sps-inspect audit` of the dump) is identical with and without
-        // `--audit-out`.
+        // `--observe-out`.
         .audit_expectations(true, true);
     if audit {
         // The auditor rides this cell's real trace bus: a strictly
@@ -117,7 +115,7 @@ fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
 }
 
 fn main() {
-    let opts = RunOpts::parse();
+    let (opts, _, _) = RunOpts::parse_or_exit("chaos_campaign", &[], None);
     let losses: Vec<f64> = opts
         .scale
         .pick(vec![0.0, 0.01, 0.02, 0.05], vec![0.0, 0.02]);
@@ -126,7 +124,7 @@ fn main() {
     // Each loss level is an independent simulation cell; results come back
     // in sweep order, so the table (and the heaviest-loss recorder kept for
     // the deterministic JSONL dump) match the serial sweep byte for byte.
-    let audit = opts.audit_out.is_some();
+    let audit = opts.observe_out.is_some();
     let runs = opts
         .runner()
         .map(losses.clone(), move |loss| run_campaign(loss, seed, audit));
@@ -186,31 +184,16 @@ fn main() {
              failed to settle, or promoted more than once per failure"
                 .into()
         }],
+        postscript: None,
     }
     .print();
 
-    if let Some(path) = &opts.trace_out {
-        let (trace, records) = last_trace.expect("at least one sweep point ran");
-        match std::fs::write(path, trace) {
-            Ok(()) => println!("trace: {records} records written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write trace to {}: {e}", path.display()),
-        }
+    if let Some(dir) = &opts.observe_out {
+        write_campaign(
+            dir,
+            last_trace.expect("at least one sweep point ran"),
+            (audit_reports, audit_violations),
+            losses.len(),
+        );
     }
-    if let Some(path) = &opts.audit_out {
-        // Status on stderr: the campaign stdout stays byte-identical with
-        // and without auditing, which CI byte-compares.
-        match std::fs::write(path, &audit_reports) {
-            Ok(()) => eprintln!(
-                "audit: {audit_violations} violations across {} cells, reports written to {}",
-                losses.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "warning: could not write audit reports to {}: {e}",
-                path.display()
-            ),
-        }
-    }
-    metrics_capture::maybe_capture(opts.metrics_out.as_deref(), opts.seed);
-    health_capture::maybe_capture(opts.health_out.as_deref(), opts.seed);
 }

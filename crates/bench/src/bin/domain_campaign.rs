@@ -13,25 +13,19 @@
 //! them empty.
 //!
 //! Pass `--quick` for a reduced sweep and `--jobs N` to run the cells in
-//! parallel (output is byte-identical for any N). With `--trace-out
-//! <path>` the flight-recorder JSONL of the heaviest cell is written
-//! there; `--health-out <path>` captures a separate health-instrumented
-//! standby-rack failure whose report closes a `redundancy_loss` anomaly
-//! span (the CI soak step greps for it); `--metrics-out <path>` runs the
-//! same instrumented metrics capture as the figure binaries; `--audit-out
-//! <path>` attaches the protocol auditor to every real sweep cell and
-//! writes the per-cell reports there (status on stderr, stdout unchanged).
-
-use std::path::Path;
+//! parallel (output is byte-identical for any N). With `--observe-out
+//! DIR` the protocol auditor rides every real sweep cell and `DIR`
+//! receives `trace.jsonl` (the flight-recorder dump of the heaviest
+//! domain-aware cell) and `audit.txt` (the per-cell reports). Status goes
+//! to stderr; stdout is unchanged.
 
 use sps_audit::Auditor;
 use sps_bench::common::{Experiment, RunOpts};
-use sps_bench::metrics_capture;
+use sps_bench::observe_capture::write_campaign;
 use sps_cluster::{ChaosPlan, DomainId, FaultTopology, MachineId};
 use sps_engine::SubjobId;
 use sps_ha::{HaEventKind, HaMode, HaSimulation, Placement, SjState};
 use sps_metrics::Table;
-use sps_observe::HealthConfig;
 use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, TraceEvent};
 use sps_workloads::eval_chain_job;
@@ -94,7 +88,7 @@ struct CampaignRun {
     pairs_disjoint: bool,
     trace_jsonl: Vec<u8>,
     trace_records: usize,
-    /// The protocol auditor's end-of-run report, when `--audit-out`
+    /// The protocol auditor's end-of-run report, when `--observe-out`
     /// attached the auditor to this cell's trace bus.
     audit_report: Option<String>,
     audit_violations: u64,
@@ -132,7 +126,7 @@ fn run_campaign(
         // coverage checks would flag placement policy, not protocol
         // bugs). Declared unconditionally so the JSONL preamble (and an
         // offline `sps-inspect audit` of the dump) is identical with and
-        // without `--audit-out`.
+        // without `--observe-out`.
         .audit_expectations(domain_aware, domain_aware);
     if audit {
         // The auditor is a strictly read-only probe on this cell's real
@@ -184,63 +178,15 @@ fn run_campaign(
     }
 }
 
-/// A health-instrumented standby-rack failure: the whole standby rack r1
-/// dies at 2s, the redundancy-loss detector fires while the four subjobs
-/// run unprotected, and the span closes when re-provisioning lands the
-/// replacement standbys. The stretched deploy delay guarantees several
-/// scrapes inside the degraded window.
-fn maybe_capture_domain_health(path: Option<&Path>, seed: u64) {
-    let Some(path) = path else {
-        return;
-    };
-    let plan = ChaosPlan::default().domain_fail_stop(SimTime::from_secs(2), DomainId(1));
-    let mut sim = HaSimulation::builder(eval_chain_job())
-        .mode(HaMode::Hybrid)
-        .source_rate(1_000.0)
-        .seed(seed)
-        .tune(|c| {
-            c.reliable_control = true;
-            c.deploy_delay = SimDuration::from_millis(600);
-        })
-        .placement(domain_aware_placement())
-        .topology(topology())
-        .chaos(plan)
-        .health(HealthConfig::default())
-        .build();
-    sim.stop_sources_at(SimTime::from_secs(4));
-    sim.run_until(SimTime::from_secs(6));
-    let report = sim
-        .world()
-        .health()
-        .expect("health engine enabled by builder")
-        .report();
-    match std::fs::File::create(path) {
-        Ok(mut f) => match report.export(&mut f) {
-            Ok(()) => eprintln!(
-                "health: {} scrapes, {} SLO breaches, {} anomalies written to {}",
-                report.scrapes,
-                report.breach_count(),
-                report.anomalies.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "warning: could not write health report to {}: {e}",
-                path.display()
-            ),
-        },
-        Err(e) => eprintln!("warning: could not create {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let opts = RunOpts::parse();
+    let (opts, _, _) = RunOpts::parse_or_exit("domain_campaign", &[], None);
     let ks: Vec<usize> = opts.scale.pick(vec![0, 1, 2, 3], vec![0, 1, 3]);
     let seed = opts.seed;
 
     // Static first, domain-aware second, so the flight-recorder dump kept
-    // for `--trace-out` is the heaviest domain-aware cell.
+    // for `--observe-out` is the heaviest domain-aware cell.
     let cells: Vec<(usize, bool)> = ks.iter().flat_map(|&k| [(k, false), (k, true)]).collect();
-    let audit = opts.audit_out.is_some();
+    let audit = opts.observe_out.is_some();
     let runs = opts.runner().map(cells.clone(), move |(k, domain_aware)| {
         let placement = if domain_aware {
             domain_aware_placement()
@@ -329,33 +275,16 @@ fn main() {
                 "static placement was not degraded by this sweep".into()
             },
         ],
+        postscript: None,
     }
     .print();
 
-    if let Some(path) = &opts.trace_out {
-        let (trace, records) = last_trace.expect("at least one sweep cell ran");
-        // Status goes to stderr so figure stdout stays byte-identical to
-        // the committed golden whatever flags the soak run passes.
-        match std::fs::write(path, trace) {
-            Ok(()) => eprintln!("trace: {records} records written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write trace to {}: {e}", path.display()),
-        }
+    if let Some(dir) = &opts.observe_out {
+        write_campaign(
+            dir,
+            last_trace.expect("at least one sweep cell ran"),
+            (audit_reports, audit_violations),
+            cells.len(),
+        );
     }
-    if let Some(path) = &opts.audit_out {
-        // Status on stderr, like the trace export: the campaign stdout
-        // stays byte-identical to the committed golden.
-        match std::fs::write(path, &audit_reports) {
-            Ok(()) => eprintln!(
-                "audit: {audit_violations} violations across {} cells, reports written to {}",
-                cells.len(),
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "warning: could not write audit reports to {}: {e}",
-                path.display()
-            ),
-        }
-    }
-    metrics_capture::maybe_capture(opts.metrics_out.as_deref(), opts.seed);
-    maybe_capture_domain_health(opts.health_out.as_deref(), opts.seed);
 }

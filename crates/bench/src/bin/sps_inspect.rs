@@ -1,5 +1,5 @@
 //! `sps-inspect` — offline analysis of the simulator's JSONL artifacts
-//! (`--trace-out`, `--metrics-out`, `--health-out`, lineage exports).
+//! (the files of an `--observe-out` directory, lineage exports).
 //!
 //! ```text
 //! sps-inspect summary  <dump.jsonl>...       per-kind counts, time range,

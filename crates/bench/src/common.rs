@@ -26,107 +26,97 @@ impl Scale {
     }
 }
 
-/// Command-line options shared by every figure binary, parsed exactly once
-/// in `main` and passed down explicitly — library code never scans argv.
+/// Command-line options shared by every binary, parsed exactly once in
+/// `main` and passed down explicitly — library code never scans argv.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// `--quick` (or `SPS_QUICK`): shrink runs for CI/smoke use.
+    /// `--quick`: shrink runs for CI/smoke use.
     pub scale: Scale,
-    /// `--jobs N` (or `SPS_JOBS`): worker-thread budget for the cell
-    /// runner. Defaults to the machine's available parallelism.
+    /// `--jobs N`: worker-thread budget for the cell runner. Defaults to
+    /// the machine's available parallelism.
     pub jobs: usize,
     /// `--seed N`: base RNG seed for every simulation cell.
     pub seed: u64,
-    /// `--trace-out PATH` (or `SPS_TRACE_OUT`): flight-recorder JSONL dump
-    /// destination for the instrumented capture run.
-    pub trace_out: Option<PathBuf>,
-    /// `--metrics-out PATH` (or `SPS_METRICS_OUT`): registry scrape-series
-    /// destination (`.csv` for CSV, anything else for JSONL) for the
-    /// instrumented capture run. Status goes to stderr so stdout stays
-    /// byte-identical with and without the flag.
-    pub metrics_out: Option<PathBuf>,
-    /// `--health-out PATH` (or `SPS_HEALTH_OUT`): health-report JSONL
-    /// destination for the instrumented capture run (SLO breach spans,
-    /// anomaly spans, rate series). Status goes to stderr so stdout stays
-    /// byte-identical with and without the flag.
-    pub health_out: Option<PathBuf>,
-    /// `--audit-out PATH` (or `SPS_AUDIT_OUT`): protocol-audit report
-    /// destination. The auditor rides the trace bus of the instrumented
-    /// capture run (or, for the campaign binaries, the real runs) and
-    /// writes its deterministic end-of-run report here. Status goes to
-    /// stderr so stdout stays byte-identical with and without the flag.
-    pub audit_out: Option<PathBuf>,
+    /// `--observe-out DIR`: directory for the observation artifacts —
+    /// the five files of [`crate::observe_capture`] for `figures`, the
+    /// real cells' `trace.jsonl` / `audit.txt` for the campaigns. Status
+    /// goes to stderr so stdout stays byte-identical with and without it.
+    pub observe_out: Option<PathBuf>,
 }
 
 impl RunOpts {
-    /// Parses the process arguments and environment.
-    pub fn parse() -> RunOpts {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (environment variables still act
-    /// as fallbacks). Unknown flags are ignored so binaries can layer
-    /// their own options on top.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> RunOpts {
-        let mut quick = std::env::var_os("SPS_QUICK").is_some();
-        let mut jobs: Option<usize> = None;
-        let mut seed: u64 = 2010;
-        let mut trace_out: Option<PathBuf> = None;
-        let mut metrics_out: Option<PathBuf> = None;
-        let mut health_out: Option<PathBuf> = None;
-        let mut audit_out: Option<PathBuf> = None;
+    /// Parses an argument list: the four shared options and positional
+    /// arguments drawn from `names` (none accepted when empty). A binary
+    /// with no observed run names its own output flag as `extra` (`--out`
+    /// on `bench_scale`), which then replaces `--observe-out`. Returns the
+    /// options, the positionals in order, and the extra flag's value.
+    /// Anything else — an unknown flag, a missing or unparsable value, a
+    /// name not in `names` — is an error.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+        names: &[&str],
+        extra: Option<&str>,
+    ) -> Result<(RunOpts, Vec<String>, Option<String>), String> {
+        let mut opts = RunOpts {
+            scale: Scale::Full,
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            seed: 2010,
+            observe_out: None,
+        };
+        let mut picked = Vec::new();
+        let mut extra_value = None;
         let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            let mut take = |inline: Option<&str>| -> Option<String> {
-                inline.map(str::to_string).or_else(|| args.next())
+        while let Some(arg) = args.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+                _ => (arg, None),
             };
-            if a == "--quick" {
-                quick = true;
-            } else if a == "--jobs" || a.starts_with("--jobs=") {
-                jobs = take(a.strip_prefix("--jobs=")).and_then(|v| v.parse().ok());
-            } else if a == "--seed" || a.starts_with("--seed=") {
-                if let Some(v) = take(a.strip_prefix("--seed=")).and_then(|v| v.parse().ok()) {
-                    seed = v;
+            let mut value = || {
+                inline
+                    .clone()
+                    .or_else(|| args.next())
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            let number = |v: String| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("{flag} takes a number, got `{v}`"))
+            };
+            match flag.as_str() {
+                "--quick" if inline.is_none() => opts.scale = Scale::Quick,
+                "--jobs" => opts.jobs = number(value()?)?.max(1) as usize,
+                "--seed" => opts.seed = number(value()?)?,
+                "--observe-out" if extra.is_none() => {
+                    opts.observe_out = Some(PathBuf::from(value()?))
                 }
-            } else if a == "--trace-out" || a.starts_with("--trace-out=") {
-                trace_out = take(a.strip_prefix("--trace-out=")).map(PathBuf::from);
-            } else if a == "--metrics-out" || a.starts_with("--metrics-out=") {
-                metrics_out = take(a.strip_prefix("--metrics-out=")).map(PathBuf::from);
-            } else if a == "--health-out" || a.starts_with("--health-out=") {
-                health_out = take(a.strip_prefix("--health-out=")).map(PathBuf::from);
-            } else if a == "--audit-out" || a.starts_with("--audit-out=") {
-                audit_out = take(a.strip_prefix("--audit-out=")).map(PathBuf::from);
+                f if Some(f) == extra => extra_value = Some(value()?),
+                f if f.starts_with('-') => return Err(format!("unknown flag `{f}`")),
+                name if names.contains(&name) => picked.push(flag),
+                arg if names.is_empty() => return Err(format!("unexpected argument `{arg}`")),
+                name => return Err(format!("unknown name `{name}`")),
             }
         }
-        let jobs = jobs
-            .or_else(|| std::env::var("SPS_JOBS").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
-        if trace_out.is_none() {
-            trace_out = std::env::var_os("SPS_TRACE_OUT").map(PathBuf::from);
-        }
-        if metrics_out.is_none() {
-            metrics_out = std::env::var_os("SPS_METRICS_OUT").map(PathBuf::from);
-        }
-        if health_out.is_none() {
-            health_out = std::env::var_os("SPS_HEALTH_OUT").map(PathBuf::from);
-        }
-        if audit_out.is_none() {
-            audit_out = std::env::var_os("SPS_AUDIT_OUT").map(PathBuf::from);
-        }
-        RunOpts {
-            scale: if quick { Scale::Quick } else { Scale::Full },
-            jobs,
-            seed,
-            trace_out,
-            metrics_out,
-            health_out,
-            audit_out,
-        }
+        Ok((opts, picked, extra_value))
+    }
+
+    /// Parses the process arguments for binary `bin`; on error prints the
+    /// message, the usage line and the valid names to stderr and exits 2.
+    pub fn parse_or_exit(
+        bin: &str,
+        names: &[&str],
+        extra: Option<&str>,
+    ) -> (RunOpts, Vec<String>, Option<String>) {
+        Self::from_args(std::env::args().skip(1), names, extra).unwrap_or_else(|msg| {
+            eprintln!("{bin}: {msg}");
+            eprintln!(
+                "usage: {bin}{} [--quick] [--jobs N] [--seed N] [{}]",
+                if names.is_empty() { "" } else { " [NAME...]" },
+                extra.map_or_else(|| "--observe-out DIR".to_string(), |f| format!("{f} PATH")),
+            );
+            if !names.is_empty() {
+                eprintln!("names: {}", names.join(" "));
+            }
+            std::process::exit(2);
+        })
     }
 
     /// Builds the cell runner for this invocation.
@@ -148,6 +138,9 @@ pub struct Experiment {
     pub paper_notes: Vec<String>,
     /// What this run shows (computed summary claims).
     pub measured_notes: Vec<String>,
+    /// A closing line printed after the notes (fig04's §V-B
+    /// during-failure inflation observation).
+    pub postscript: Option<String>,
 }
 
 impl Experiment {
@@ -189,6 +182,9 @@ impl Experiment {
             }
         }
         println!();
+        if let Some(line) = &self.postscript {
+            println!("{line}");
+        }
     }
 }
 
@@ -234,57 +230,67 @@ mod tests {
         assert_eq!(Scale::Quick.pick(10, 2), 2);
     }
 
+    fn parse(
+        line: &str,
+        names: &[&str],
+        extra: Option<&str>,
+    ) -> Result<(RunOpts, Vec<String>, Option<String>), String> {
+        RunOpts::from_args(line.split_whitespace().map(str::to_string), names, extra)
+    }
+
     #[test]
-    fn run_opts_parse_flags() {
-        let to_args = |s: &str| s.split_whitespace().map(str::to_string).collect::<Vec<_>>();
-        let o = RunOpts::from_args(to_args(
-            "--quick --jobs 3 --seed 77 --trace-out t.jsonl --metrics-out m.jsonl --health-out h.jsonl --audit-out a.jsonl",
-        ));
+    fn run_opts_parse_flags_and_names() {
+        let (o, picked, extra) = parse(
+            "fig06 --quick --jobs 3 fig04 --seed 77 --observe-out obs",
+            &["fig04", "fig06"],
+            None,
+        )
+        .unwrap();
         assert_eq!(o.scale, Scale::Quick);
         assert_eq!(o.jobs, 3);
         assert_eq!(o.seed, 77);
-        assert_eq!(
-            o.trace_out.as_deref(),
-            Some(std::path::Path::new("t.jsonl"))
-        );
-        assert_eq!(
-            o.metrics_out.as_deref(),
-            Some(std::path::Path::new("m.jsonl"))
-        );
-        assert_eq!(
-            o.health_out.as_deref(),
-            Some(std::path::Path::new("h.jsonl"))
-        );
-        assert_eq!(
-            o.audit_out.as_deref(),
-            Some(std::path::Path::new("a.jsonl"))
-        );
+        assert_eq!(o.observe_out.as_deref(), Some(std::path::Path::new("obs")));
+        assert_eq!(picked, ["fig06", "fig04"]);
+        assert_eq!(extra, None);
 
-        let o = RunOpts::from_args(to_args(
-            "--jobs=8 --seed=5 --trace-out=x.jsonl --metrics-out=m.csv --health-out=h2.jsonl --audit-out=a2.txt",
-        ));
+        let (o, picked, extra) =
+            parse("--jobs=8 --seed=5 --out=r.json", &[], Some("--out")).unwrap();
         assert_eq!(o.scale, Scale::Full);
         assert_eq!(o.jobs, 8);
         assert_eq!(o.seed, 5);
-        assert_eq!(
-            o.trace_out.as_deref(),
-            Some(std::path::Path::new("x.jsonl"))
-        );
-        assert_eq!(
-            o.metrics_out.as_deref(),
-            Some(std::path::Path::new("m.csv"))
-        );
-        assert_eq!(
-            o.health_out.as_deref(),
-            Some(std::path::Path::new("h2.jsonl"))
-        );
-        assert_eq!(o.audit_out.as_deref(), Some(std::path::Path::new("a2.txt")));
+        assert!(picked.is_empty());
+        assert_eq!(extra.as_deref(), Some("r.json"));
 
-        // Unknown flags are ignored; defaults hold.
-        let o = RunOpts::from_args(to_args("--out somewhere.json"));
-        assert_eq!(o.scale, Scale::Full);
-        assert_eq!(o.seed, 2010);
+        let (o, _, _) = parse("", &[], None).unwrap();
+        assert_eq!((o.scale, o.seed), (Scale::Full, 2010));
         assert!(o.jobs >= 1);
+    }
+
+    #[test]
+    fn run_opts_reject_what_they_do_not_understand() {
+        let names = ["fig04", "fig06"];
+        for (line, extra, want) in [
+            ("--quik", None, "unknown flag `--quik`"),
+            ("--quick=1", None, "unknown flag `--quick`"),
+            ("--jobs x", None, "--jobs takes a number, got `x`"),
+            ("--jobs", None, "--jobs needs a value"),
+            ("--seed=-1", None, "--seed takes a number, got `-1`"),
+            ("--observe-out", None, "--observe-out needs a value"),
+            ("--out r.json", None, "unknown flag `--out`"),
+            (
+                "--observe-out d",
+                Some("--out"),
+                "unknown flag `--observe-out`",
+            ),
+            ("fig99", None, "unknown name `fig99`"),
+        ] {
+            assert_eq!(parse(line, &names, extra).unwrap_err(), want, "{line}");
+        }
+        // A binary that takes no names rejects every positional.
+        assert_eq!(
+            parse("fig04", &[], None).unwrap_err(),
+            "unexpected argument `fig04`"
+        );
     }
 
     #[test]
@@ -300,6 +306,7 @@ mod tests {
             table,
             paper_notes: vec![],
             measured_notes: vec![],
+            postscript: None,
         };
         e.print();
         std::env::remove_var("SPS_CSV_DIR");

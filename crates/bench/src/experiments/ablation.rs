@@ -107,6 +107,7 @@ pub fn ablation_checkpointing(runner: &Runner, scale: Scale, seed: u64) -> Exper
                 fmt_count(individual.sink_accepted)
             ),
         ],
+        postscript: None,
     }
 }
 

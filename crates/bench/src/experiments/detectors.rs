@@ -178,6 +178,7 @@ pub fn ablation_detectors(runner: &Runner, scale: Scale, seed: u64) -> Experimen
              predictor {:.0} ms",
             high_delays.0, high_delays.1, high_delays.2
         )],
+        postscript: None,
     }
 }
 

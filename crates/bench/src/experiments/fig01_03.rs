@@ -70,6 +70,7 @@ pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             mean(&loaded),
             (ratio - 1.0) * 100.0
         )],
+        postscript: None,
     }
 }
 
@@ -112,6 +113,7 @@ pub fn fig02(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             s.machines_with_spikes(),
             s.machines.len()
         )],
+        postscript: None,
     }
 }
 
@@ -143,6 +145,7 @@ pub fn fig03(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             under_15 * 100.0,
             over_20 * 100.0
         )],
+        postscript: None,
     }
 }
 

@@ -127,6 +127,7 @@ pub fn fig06(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
                 (1.0 - mean_hy / (mean_as - 1.0)) * 100.0
             ),
         ],
+        postscript: None,
     }
 }
 

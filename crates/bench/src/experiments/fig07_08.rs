@@ -182,6 +182,7 @@ pub fn fig07(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
                 avg(&total_ratio)
             ),
         ],
+        postscript: None,
     }
 }
 
@@ -218,6 +219,7 @@ pub fn fig08(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
                 hy_total.last().copied().unwrap_or(0.0)
             ),
         ],
+        postscript: None,
     }
 }
 

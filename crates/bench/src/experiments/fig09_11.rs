@@ -140,6 +140,7 @@ pub fn fig09(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
                 rb_first_last.0, rb_first_last.1
             ),
         ],
+        postscript: None,
     }
 }
 
@@ -175,6 +176,7 @@ pub fn fig10(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             "dominated by elements sent to the unresponsive primary; read-back is small".into(),
         ],
         measured_notes: vec!["the last column should stay near 1.0 (≈ rate × duration)".into()],
+        postscript: None,
     }
 }
 
@@ -216,6 +218,7 @@ pub fn fig11(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             fmt_count(first),
             fmt_count(last)
         )],
+        postscript: None,
     }
 }
 

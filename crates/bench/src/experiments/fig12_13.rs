@@ -158,6 +158,7 @@ pub fn fig12(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             format!("heartbeat: {hb_low:.2} at the lowest load → {hb_high:.2} at the highest"),
             format!("benchmark at the lowest load: {bench_low:.2}"),
         ],
+        postscript: None,
     }
 }
 
@@ -190,6 +191,7 @@ pub fn fig13(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             format!("heartbeat max false-alarm ratio: {hb_max:.2}"),
             format!("benchmark min false-alarm ratio: {bench_min:.2}"),
         ],
+        postscript: None,
     }
 }
 

@@ -147,6 +147,7 @@ pub fn ablation_hybrid_optimizations(runner: &Runner, scale: Scale, seed: u64) -
                 no_read.post_rollback_delay_ms, full.post_rollback_delay_ms
             ),
         ],
+        postscript: None,
     }
 }
 

@@ -1,21 +1,18 @@
 //! # sps-bench — the figure-reproduction harnesses
 //!
-//! One experiment per figure of Zhang et al. (ICDCS 2010), each exposed as
-//! a library function (returning an [`Experiment`](common::Experiment) with
-//! the regenerated series) and as a runnable binary (`cargo run --release
-//! -p sps-bench --bin figNN`). Pass `--quick` (or set `SPS_QUICK`) for a
-//! fast reduced run.
+//! One experiment per figure of Zhang et al. (ICDCS 2010), each a library
+//! function returning an [`Experiment`](common::Experiment) with the
+//! regenerated series, registered by name in [`figures::FIGURES`] and run
+//! through one binary: `cargo run --release -p sps-bench --bin figures --
+//! [NAME...] [--quick] [--jobs N] [--seed N] [--observe-out DIR]`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
-pub mod audit_capture;
 pub mod common;
-pub mod health_capture;
-pub mod metrics_capture;
+pub mod figures;
+pub mod observe_capture;
 pub mod runner;
-pub mod timing;
-pub mod trace_capture;
 
 /// The per-figure experiment modules.
 pub mod experiments {

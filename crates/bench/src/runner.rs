@@ -14,7 +14,7 @@
 //!   helper budget is exactly the serial `for` loop it replaced.
 //! * **A shared helper budget** — the runner owns `jobs - 1` helper slots.
 //!   Nested maps (a figure cell fanning out its own sub-cells while
-//!   `all_figures` fans out figures) take whatever is left — usually
+//!   `figures` fans out figures) take whatever is left — usually
 //!   nothing — and degrade to serial instead of oversubscribing or
 //!   deadlocking.
 
@@ -24,7 +24,6 @@ use std::sync::Mutex;
 /// A work-stealing fan-out over independent experiment cells.
 #[derive(Debug)]
 pub struct Runner {
-    jobs: usize,
     /// Helper threads still available to hand out (`jobs - 1` when idle).
     helpers: Mutex<usize>,
 }
@@ -33,21 +32,14 @@ impl Runner {
     /// A runner that may use up to `jobs` threads (the caller plus
     /// `jobs - 1` helpers). `jobs` is clamped to at least 1.
     pub fn new(jobs: usize) -> Runner {
-        let jobs = jobs.max(1);
         Runner {
-            jobs,
-            helpers: Mutex::new(jobs - 1),
+            helpers: Mutex::new(jobs.max(1) - 1),
         }
     }
 
     /// A single-threaded runner: `map` is exactly the serial loop.
     pub fn serial() -> Runner {
         Runner::new(1)
-    }
-
-    /// The configured thread budget (including the calling thread).
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Applies `f` to every item and returns the results in input order.
@@ -109,13 +101,6 @@ impl Runner {
             })
             .collect()
     }
-
-    /// Runs heterogeneous cells (boxed thunks) and returns their results
-    /// in submission order. This is `map` for cells that don't share an
-    /// input type — e.g. `all_figures` submitting one cell per figure.
-    pub fn run_cells<'a, T: Send>(&self, cells: Vec<Box<dyn FnOnce() -> T + Send + 'a>>) -> Vec<T> {
-        self.map(cells, |cell| cell())
-    }
 }
 
 #[cfg(test)]
@@ -165,17 +150,6 @@ mod tests {
         assert_eq!(out[3], vec![30, 31, 32, 33]);
         // The budget is returned afterwards.
         assert_eq!(*runner.helpers.lock().unwrap(), 1);
-    }
-
-    #[test]
-    fn run_cells_supports_heterogeneous_work() {
-        let runner = Runner::new(4);
-        let cells: Vec<Box<dyn FnOnce() -> String + Send>> = vec![
-            Box::new(|| "alpha".to_string()),
-            Box::new(|| format!("{}", 6 * 7)),
-            Box::new(|| "omega".to_string()),
-        ];
-        assert_eq!(runner.run_cells(cells), vec!["alpha", "42", "omega"]);
     }
 
     #[test]

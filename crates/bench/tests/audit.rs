@@ -20,7 +20,7 @@ use sps_sim::SimTime;
 use sps_trace::SharedRecorder;
 use sps_workloads::eval_chain_job;
 
-/// The audit-capture scenario with the online auditor AND a flight
+/// The observed-run scenario with the online auditor AND a flight
 /// recorder attached, plus a config mutation hook for the canaries.
 /// Returns `(online_report, online_violations, dump_jsonl)`.
 ///

@@ -1,6 +1,6 @@
 //! Regression pins for queue-depth semantics under the batched data plane.
 //!
-//! [`sps_sim::stats`] reports `peak_queue_depth` in *logical elements* in
+//! [`HaSimulation::peak_queue_weight`] counts *logical elements* in
 //! flight (event weights), not heap entries: a coalesced
 //! [`sps_engine::DataBatch`] delivery is one pending event but
 //! `batch.len()` elements. This file pins the fig06-shaped workload's
@@ -8,9 +8,6 @@
 //! match the historical entry-count semantics exactly — and at batch 16,
 //! where an entry-counting implementation would report a different
 //! (smaller) figure.
-//!
-//! One test function: the counters are process-global, so the two
-//! measurements must not run on parallel test threads.
 
 use sps_engine::SubjobId;
 use sps_ha::{HaMode, HaSimulation};
@@ -34,10 +31,8 @@ fn fig06_peak_depth(batch_size: u32) -> u64 {
         builder = builder.subjob_mode(SubjobId(sj), HaMode::Hybrid);
     }
     let mut sim = builder.build();
-    sps_sim::stats::take(); // delimit this run's counter window
     sim.run_until(SimTime::from_secs(2));
-    drop(sim); // the run's counters flush when the simulation drops
-    sps_sim::stats::take().peak_queue_depth
+    sim.peak_queue_weight()
 }
 
 #[test]

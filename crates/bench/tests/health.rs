@@ -3,13 +3,15 @@
 //! deterministic breach span whose duration telescopes to the phase log's
 //! recovery decomposition, the exported report must be byte-stable across
 //! runs, and enabling the engine must not perturb the simulation at all.
+//! A second scenario — `domain_campaign`'s layout losing its whole standby
+//! rack — pins the `redundancy_loss` anomaly span.
 
-use sps_cluster::MachineId;
-use sps_ha::{HaMode, HaSimulation};
+use sps_cluster::{ChaosPlan, DomainId, FaultTopology, MachineId};
+use sps_ha::{HaMode, HaSimulation, Placement};
 use sps_observe::{HealthConfig, RECOVERY_MONITOR};
 use sps_sim::{SimDuration, SimTime};
-use sps_trace::{SharedRecorder, Telemetry};
-use sps_workloads::{chain_job_with, single_failure};
+use sps_trace::{AnomalyKind, SharedRecorder, Telemetry};
+use sps_workloads::{chain_job_with, eval_chain_job, single_failure};
 
 /// The Fig 9/10 `run_cycle` scenario (every subjob hybrid, one 5 s
 /// transient failure on machine 1) with the health engine attached.
@@ -130,4 +132,48 @@ fn health_engine_perturbs_nothing() {
         .latency_mut()
         .quantile_ms(0.99);
     assert_eq!(p99_with, p99_without);
+}
+
+#[test]
+fn standby_rack_failure_opens_and_closes_a_redundancy_loss_span() {
+    // `domain_campaign`'s domain-aware layout: six racks of four (one
+    // switch each), primaries fill r0, standbys fill r1, r2–r4 are spares.
+    let placement = Placement {
+        primaries: (0..4).map(MachineId).collect(),
+        secondaries: (4..8).map(|m| Some(MachineId(m))).collect(),
+        sources: vec![MachineId(20)],
+        sinks: vec![MachineId(21)],
+        spares: (8..20).map(MachineId).collect(),
+    };
+    let rack_dies_at = SimTime::from_secs(2);
+    let mut sim = HaSimulation::builder(eval_chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(1_000.0)
+        .seed(2010)
+        .tune(|c| {
+            c.reliable_control = true;
+            // Stretched so several scrapes land inside the degraded window.
+            c.deploy_delay = SimDuration::from_millis(600);
+        })
+        .placement(placement)
+        .topology(FaultTopology::grid(22, 4, 1))
+        .chaos(ChaosPlan::default().domain_fail_stop(rack_dies_at, DomainId(1)))
+        .health(HealthConfig::default())
+        .build();
+    sim.stop_sources_at(SimTime::from_secs(4));
+    sim.run_until(SimTime::from_secs(6));
+
+    // The four subjobs run unprotected from the rack failure until
+    // re-provisioning lands the replacement standbys.
+    let report = sim.world().health().expect("health enabled").report();
+    let spans: Vec<_> = report
+        .anomalies
+        .iter()
+        .filter(|a| a.detector == AnomalyKind::RedundancyLoss)
+        .collect();
+    assert!(!spans.is_empty(), "no redundancy_loss span: {report:?}");
+    for s in spans {
+        assert!(s.start_ns >= rack_dies_at.as_nanos(), "{s:?}");
+        assert!(s.end_ns.is_some(), "still open at end of run: {s:?}");
+    }
 }

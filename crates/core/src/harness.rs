@@ -226,7 +226,7 @@ impl HaSimulationBuilder {
     /// into per-hop queueing/processing/network components. Lineage is an
     /// observation layer — enabling it never changes the event schedule.
     /// The `SPS_LINEAGE=1` environment variable enables it globally (used by
-    /// the CI no-perturbation check).
+    /// the no-perturbation rows of `crates/bench/tests/goldens.rs`).
     pub fn lineage(mut self, on: bool) -> Self {
         self.lineage = on;
         self
@@ -235,8 +235,9 @@ impl HaSimulationBuilder {
     /// Switches the sim-time metrics registry on: counters, gauges and
     /// histograms are scraped every
     /// [`HaConfig::metrics_scrape_interval`](crate::HaConfig) into a
-    /// deterministic time series (exported via `--metrics-out` in the bench
-    /// binaries). Like lineage, this is read-only observation.
+    /// deterministic time series (`metrics.jsonl` / `metrics.csv` under the
+    /// bench binaries' `--observe-out`). Like lineage, this is read-only
+    /// observation.
     pub fn collect_metrics(mut self, on: bool) -> Self {
         self.collect_metrics = on;
         self
@@ -260,8 +261,8 @@ impl HaSimulationBuilder {
     /// events.
     pub fn build(mut self) -> HaSimulation {
         // `SPS_BATCH_SIZE=N` overrides the data-plane batch size globally
-        // (used by the CI batch smoke job to re-render figures at N > 1
-        // without touching the workload definitions). Batch size 1 is
+        // (used by `crates/bench/tests/goldens.rs` to re-render figures at
+        // N > 1 without touching the workload definitions). Batch size 1 is
         // byte-identical to the unbatched runtime, so the default changes
         // nothing.
         if let Ok(v) = std::env::var("SPS_BATCH_SIZE") {
@@ -364,9 +365,8 @@ impl HaSimulation {
         self.sim.events_processed()
     }
 
-    /// This run's peak logical event-queue weight, attributable to this
-    /// simulation alone (the process-wide [`sps_sim::stats`] fold
-    /// interleaves when several cells share the process).
+    /// This run's peak logical event-queue weight (elements in flight, not
+    /// heap entries).
     pub fn peak_queue_weight(&self) -> u64 {
         self.sim.peak_queue_weight()
     }

@@ -1,9 +1,10 @@
 //! Offline run analysis over the simulator's JSONL artifacts — the
 //! library behind the `sps-inspect` CLI.
 //!
-//! Input files are the dumps the bench binaries write: `--trace-out`
-//! (flight-recorder records), `--metrics-out` (registry scrape series),
-//! `--health-out` (health report), and lineage exports. Everything here
+//! Input files are the dumps the bench binaries write under
+//! `--observe-out DIR`: `trace.jsonl` (flight-recorder records),
+//! `metrics.jsonl` (registry scrape series), `health.jsonl` (health
+//! report), and lineage exports. Everything here
 //! is pure string-in/string-out so the CLI stays a thin shell and the
 //! analyses are unit-testable.
 

@@ -55,7 +55,6 @@ pub mod counting_alloc;
 mod queue;
 mod rng;
 mod sim;
-pub mod stats;
 mod time;
 mod timer;
 
@@ -65,6 +64,5 @@ pub use rng::SimRng;
 #[cfg(feature = "bench")]
 pub use sim::StepProbe;
 pub use sim::{Ctx, Simulation, World};
-pub use stats::SimStats;
 pub use time::{SimDuration, SimTime};
 pub use timer::{TimerGen, TimerSlot};

@@ -124,27 +124,10 @@ impl<E> Ctx<E> {
     }
 
     /// High-water mark of the pending queue's logical weight (elements,
-    /// not heap entries) for *this* simulation — unlike the process-wide
-    /// [`crate::stats`] fold, this stays attributable per run even when
-    /// several simulations share the process.
+    /// not heap entries: a batched delivery counts its batch length), so
+    /// the figure is comparable across batch sizes.
     pub fn peak_queue_weight(&self) -> u64 {
         self.queue.peak_weight()
-    }
-}
-
-impl<E> Drop for Ctx<E> {
-    fn drop(&mut self) {
-        // Fold this run's totals into the process-wide counters so harnesses
-        // (e.g. `bench_runner`) can report events/sec without threading a
-        // handle through every figure.
-        // Peak depth is reported in logical elements (`peak_weight`), not
-        // heap entries, so the figure stays comparable across batch sizes;
-        // with every event at weight 1 the two are identical.
-        crate::stats::record_run(
-            self.processed,
-            self.queue.scheduled_total(),
-            self.queue.peak_weight(),
-        );
     }
 }
 

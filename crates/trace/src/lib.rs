@@ -10,7 +10,8 @@
 //!   data-plane hot path costs one branch; control-plane recovery phases
 //!   are always kept (they feed the recovery-time decomposition);
 //! * [`FlightRecorder`] / [`SharedRecorder`] — a bounded ring of the most
-//!   recent records with JSONL export (`--trace-out` on the bench bins);
+//!   recent records with JSONL export (`trace.jsonl` under the bench
+//!   bins' `--observe-out`);
 //! * [`Telemetry`] / [`recovery_spans`] — distilling records into
 //!   per-machine load and per-PE queue-depth time-series and per-subjob
 //!   recovery spans (folded by `(subjob, cycle, phase)` identity);
