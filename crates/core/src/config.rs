@@ -178,16 +178,21 @@ pub struct HaConfig {
     pub reliable_control: bool,
     /// Initial retransmission timeout for reliable control messages.
     pub rel_rto_initial: SimDuration,
-    /// Retransmission timeout cap (exponential backoff doubles the RTO per
-    /// attempt up to this bound).
+    /// Retransmission backoff cap, shared by both planes through
+    /// [`HaConfig::rel_backoff`]: a reliable control message doubles its
+    /// RTO per attempt up to this bound, and a data-plane connection that
+    /// stays silent is rewound by the sweep at most this far apart.
     pub rel_rto_max: SimDuration,
     /// Retransmission attempts before a reliable message is abandoned (the
     /// periodic protocols re-drive any state it carried).
     pub rel_max_retries: u32,
-    /// Period of the data-plane retransmit sweep: stalled connections with
-    /// sent-but-unacknowledged elements and no progress over a full period
-    /// have their send cursor rewound to the acknowledged position and the
-    /// retained elements replayed (receivers deduplicate).
+    /// Period of the data-plane retransmit sweep, and the base of its
+    /// backoff: a connection with sent-but-unacknowledged elements and no
+    /// progress over a full period has its send cursor rewound to the
+    /// acknowledged position and the retained elements replayed (receivers
+    /// deduplicate). While it stays silent the next rewinds follow the
+    /// control plane's rule, `rel_sweep_interval · 2^attempt` apart,
+    /// capped at `rel_rto_max`.
     pub rel_sweep_interval: SimDuration,
     /// Checkpoint-recency rung of the promotion-safety ladder: a standby
     /// whose newest stored checkpoint is older than this budget is judged
@@ -256,6 +261,14 @@ impl HaConfig {
             mode,
             ..HaConfig::default()
         }
+    }
+
+    /// The retransmission backoff both reliable planes share: the wait
+    /// after retransmission number `attempt` is `base · 2^attempt`, capped
+    /// at [`HaConfig::rel_rto_max`]. The control plane's base is
+    /// `rel_rto_initial`, the data-plane sweep's is `rel_sweep_interval`.
+    pub(crate) fn rel_backoff(&self, base: SimDuration, attempt: u32) -> SimDuration {
+        (base * (1u64 << attempt.min(16))).min(self.rel_rto_max)
     }
 
     /// Validates parameter sanity.

@@ -166,10 +166,7 @@ impl HaWorld {
             class,
             0,
         );
-        let mut rto = self.cfg.rel_rto_initial * (1u64 << attempt.min(16));
-        if rto > self.cfg.rel_rto_max {
-            rto = self.cfg.rel_rto_max;
-        }
+        let rto = self.cfg.rel_backoff(self.cfg.rel_rto_initial, attempt);
         ctx.schedule_in(rto, Event::RelRetransmit { tx });
     }
 
@@ -1059,123 +1056,106 @@ impl HaWorld {
 
     // ---- data-plane retransmission sweep ----
 
-    /// Records one sweep observation of a connection and decides whether
-    /// it is stalled: it has unacknowledged elements in flight, its
-    /// `(acked, next_to_send)` pair is unchanged since the previous sweep,
-    /// and the destination is reachable. Partitioned or dead destinations
-    /// only record the observation, so the first sweep after a heal can
-    /// rewind immediately.
-    fn sweep_observe(
+    /// Walks one producer's staged connection observations — source `idx`,
+    /// or the instance in slot `idx` — and rewinds every connection the
+    /// [`SweepLedger`](crate::sweep::SweepLedger) finds due to its first
+    /// unacknowledged retained element. Returns whether a cursor moved,
+    /// i.e. whether the producer has something to re-dispatch.
+    fn sweep_rewind(
         &mut self,
-        key: (bool, usize, usize, usize),
+        is_instance: bool,
+        idx: usize,
         src: MachineId,
-        dest: Dest,
-        active: bool,
-        acked: u64,
-        next: u64,
+        obs: sps_sim::ArenaRange,
     ) -> bool {
-        if !active || next <= acked + 1 {
-            // Nothing unacknowledged in flight; forget the history so a
-            // future stall needs two fresh observations.
-            self.rel_sweep_prev.remove(&key);
-            return false;
+        let mut rewound = false;
+        for i in 0..obs.len() {
+            let (port, ci, dest, active, acked, next) = self.sweep_arena.slice(obs)[i];
+            let window = (active && next > acked + 1).then_some((acked, next));
+            let reachable = window.is_some() && {
+                let dst = self.dest_machine(dest);
+                self.cluster.machine(dst).is_up()
+                    && !self.cluster.network().is_partitioned(src, dst)
+            };
+            let key = (is_instance, idx, port, ci);
+            if !self
+                .rel_sweep_prev
+                .observe(&self.cfg, key, window, reachable)
+            {
+                continue;
+            }
+            let q = if is_instance {
+                let inst = self.instances[idx].as_mut().expect("swept");
+                inst.output_mut(port)
+            } else {
+                self.sources[idx].queue_mut()
+            };
+            let target = (acked + 1).max(q.trimmed_through() + 1);
+            if target < next {
+                let stream = q.stream().0;
+                q.set_next_to_send(ConnectionId(ci), target);
+                rewound = true;
+                if let Some(lin) = self.lineage.as_deref_mut() {
+                    // Every element the cursor rewound over is about to
+                    // be transmitted again — one contiguous range. Under
+                    // batching the resend itself may split on the acked
+                    // boundary, but the rewind covers the full run.
+                    lin.mark_retransmit_range(stream, target, next - 1);
+                }
+                self.metric_inc(Scope::global("reliable"), "data_retransmits", next - target);
+            }
         }
-        let dst = self.dest_machine(dest);
-        let reachable =
-            self.cluster.machine(dst).is_up() && !self.cluster.network().is_partitioned(src, dst);
-        let stalled = self.rel_sweep_prev.insert(key, (acked, next)) == Some((acked, next));
-        stalled && reachable
+        rewound
     }
 
     /// Periodic data-plane retransmission sweep (scheduled only when
     /// [`crate::HaConfig::reliable_control`] is on). Chaos losses silently
     /// advance a producer's send cursor past elements that never arrived
-    /// (or whose acks were lost); any connection that made no progress
-    /// over a full sweep interval rewinds to its first unacknowledged
-    /// element and re-dispatches. Receivers deduplicate by sequence
-    /// number, so an over-eager rewind costs bandwidth, never correctness.
+    /// (or whose acks were lost); a connection that made no progress over
+    /// a full sweep interval rewinds to its first unacknowledged element
+    /// and re-dispatches, then backs off while it stays silent (the rule
+    /// is [`crate::sweep::SweepLedger::observe`]). Receivers deduplicate by
+    /// sequence number, so an early rewind costs bandwidth, never
+    /// correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(self.cfg.rel_sweep_interval, Event::RetransmitSweep);
+        // Connection observations stage in the world's bump arena (one
+        // region per producer, all released at the sweep's end), so the
+        // periodic sweep stops allocating once the arena is warm.
         for s in 0..self.sources.len() {
             let machine = self.placement.sources[s];
             if !self.cluster.machine(machine).is_up() {
                 continue;
             }
-            // Connection observations stage in the world's bump arena (one
-            // region per producer, all released at the sweep's end), so the
-            // periodic sweep stops allocating once the arena is warm.
-            let obs = {
-                let q = self.sources[s].queue();
-                self.sweep_arena
-                    .alloc_extend((0..q.connections().len()).map(|ci| {
-                        let c = q.connection(ConnectionId(ci));
-                        (0usize, ci, c.dest, c.active, c.acked, c.next_to_send)
-                    }))
-            };
-            let mut rewound = false;
-            for i in 0..obs.len() {
-                let (_, ci, dest, active, acked, next) = self.sweep_arena.slice(obs)[i];
-                if !self.sweep_observe((false, s, 0, ci), machine, dest, active, acked, next) {
-                    continue;
-                }
-                let q = self.sources[s].queue_mut();
-                let target = (acked + 1).max(q.trimmed_through() + 1);
-                if target < next {
-                    let stream = q.stream().0;
-                    q.set_next_to_send(ConnectionId(ci), target);
-                    rewound = true;
-                    if let Some(lin) = self.lineage.as_deref_mut() {
-                        // Every element the cursor rewound over is about to
-                        // be transmitted again — one contiguous range. Under
-                        // batching the resend itself may split on the acked
-                        // boundary, but the rewind covers the full run.
-                        lin.mark_retransmit_range(stream, target, next - 1);
-                    }
-                    self.metric_inc(Scope::global("reliable"), "data_retransmits", next - target);
-                }
-            }
-            if rewound {
+            let q = self.sources[s].queue();
+            let obs = self
+                .sweep_arena
+                .alloc_extend((0..q.connections().len()).map(|ci| {
+                    let c = q.connection(ConnectionId(ci));
+                    (0usize, ci, c.dest, c.active, c.acked, c.next_to_send)
+                }));
+            if self.sweep_rewind(false, s, machine, obs) {
                 self.dispatch_source_outputs(ctx, s);
             }
         }
         for slot in 0..self.instances.len() {
             let machine = self.instance_machine[slot];
-            if self.instances[slot].is_none() || !self.cluster.machine(machine).is_up() {
+            let Some(inst) = self.instances[slot].as_ref() else {
+                continue;
+            };
+            if !self.cluster.machine(machine).is_up() {
                 continue;
             }
-            let obs = {
-                let inst = self.instances[slot].as_ref().expect("checked");
-                self.sweep_arena
-                    .alloc_extend((0..inst.output_ports()).flat_map(|port| {
-                        let q = inst.output(port);
-                        (0..q.connections().len()).map(move |ci| {
-                            let c = q.connection(ConnectionId(ci));
-                            (port, ci, c.dest, c.active, c.acked, c.next_to_send)
-                        })
-                    }))
-            };
-            let mut rewound = false;
-            for i in 0..obs.len() {
-                let (port, ci, dest, active, acked, next) = self.sweep_arena.slice(obs)[i];
-                if !self.sweep_observe((true, slot, port, ci), machine, dest, active, acked, next) {
-                    continue;
-                }
-                let q = self.instances[slot]
-                    .as_mut()
-                    .expect("checked")
-                    .output_mut(port);
-                let target = (acked + 1).max(q.trimmed_through() + 1);
-                if target < next {
-                    let stream = q.stream().0;
-                    q.set_next_to_send(ConnectionId(ci), target);
-                    rewound = true;
-                    if let Some(lin) = self.lineage.as_deref_mut() {
-                        lin.mark_retransmit_range(stream, target, next - 1);
-                    }
-                    self.metric_inc(Scope::global("reliable"), "data_retransmits", next - target);
-                }
-            }
-            if rewound {
+            let obs = self
+                .sweep_arena
+                .alloc_extend((0..inst.output_ports()).flat_map(|port| {
+                    let q = inst.output(port);
+                    (0..q.connections().len()).map(move |ci| {
+                        let c = q.connection(ConnectionId(ci));
+                        (port, ci, c.dest, c.active, c.acked, c.next_to_send)
+                    })
+                }));
+            if self.sweep_rewind(true, slot, machine, obs) {
                 self.dispatch_outputs(ctx, slot);
             }
         }

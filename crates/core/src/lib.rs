@@ -60,6 +60,7 @@ mod harness;
 mod message;
 mod sink;
 mod source;
+mod sweep;
 mod world;
 
 pub use config::{CheckpointProtocol, HaConfig, HaMode};

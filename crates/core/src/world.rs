@@ -26,6 +26,7 @@ use crate::detect::{BenchmarkConfig, BenchmarkDetector, HeartbeatMonitor};
 use crate::message::Msg;
 use crate::sink::SinkRuntime;
 use crate::source::{PayloadGen, RateProfile, SourceRuntime};
+use crate::sweep::SweepLedger;
 
 /// Where subjobs, sources, sinks, and standbys are placed.
 #[derive(Debug, Clone)]
@@ -580,10 +581,9 @@ pub struct HaWorld {
     /// retransmissions and chaos duplication). Ids are globally unique, so
     /// one set covers every machine.
     pub(crate) rel_seen: BTreeSet<u64>,
-    /// Last `(acked, next_to_send)` observed by the retransmit sweep per
-    /// connection, keyed by `(is_instance, source-or-slot, port, conn)`;
-    /// a stalled connection is one that repeats its previous observation.
-    pub(crate) rel_sweep_prev: BTreeMap<(bool, usize, usize, usize), (u64, u64)>,
+    /// What the retransmit sweep saw of every connection at the previous
+    /// sweep, and how far each stalled one is into its backoff.
+    pub(crate) rel_sweep_prev: SweepLedger,
     /// Reusable buffer for the dispatch hot path: elements drained from a
     /// hop's output connections, emptied before return.
     pub(crate) dispatch_scratch: Vec<sps_engine::DataElement>,
@@ -759,7 +759,7 @@ impl HaWorld {
             rel_next_tx: 0,
             rel_inflight: BTreeMap::new(),
             rel_seen: BTreeSet::new(),
-            rel_sweep_prev: BTreeMap::new(),
+            rel_sweep_prev: SweepLedger::default(),
             dispatch_scratch: Vec::new(),
             span_scratch: Vec::new(),
             conn_scratch: Vec::new(),

@@ -4,8 +4,9 @@
 //! machine fail-stops (the ISSUE acceptance scenario).
 
 use sps_cluster::{BurstLoss, ChaosPlan, DomainId, FaultProfile, FaultTopology, MachineId};
-use sps_engine::{Job, OperatorSpec, PeId, Replica, SubjobId};
+use sps_engine::{Dest, Job, OperatorSpec, OutputQueue, PeId, Replica, SubjobId};
 use sps_ha::{HaEventKind, HaMode, HaSimulation, Placement, SjState};
+use sps_metrics::Scope;
 use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, Telemetry};
 
@@ -605,4 +606,231 @@ fn partial_batch_retransmission_is_exactly_once_across_split() {
         seq > 1 && seen.contains(&(stream, seq - 1)) && !flagged.contains(&(stream, seq - 1))
     });
     assert!(split, "no rewind boundary fell inside a batch");
+}
+
+// ---- the retransmission sweep's backoff ----
+
+/// One output connection of the evaluation chain as a test can see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Conn {
+    /// Which one: `(pe, replica, port, connection)`, `u32::MAX` for the
+    /// source.
+    id: (u32, usize, usize, usize),
+    stream: u32,
+    /// The sequence number its queue retains nothing at or below for it:
+    /// acknowledged, or trimmed away under a suspended copy.
+    floor: u64,
+    next_to_send: u64,
+}
+
+impl Conn {
+    /// Elements sent and still retained: what a rewind would re-send.
+    fn in_flight(&self) -> u64 {
+        (self.next_to_send - 1).saturating_sub(self.floor)
+    }
+}
+
+/// Every active output connection of the chain: the source's, then each
+/// PE's by replica, port and connection.
+fn active_connections(world: &sps_ha::HaWorld) -> Vec<Conn> {
+    let mut out = Vec::new();
+    let mut push = |pe: u32, replica: usize, port: usize, q: &OutputQueue<Dest>| {
+        for (ci, c) in q.connections().iter().enumerate().filter(|(_, c)| c.active) {
+            out.push(Conn {
+                id: (pe, replica, port, ci),
+                stream: q.stream().0,
+                floor: c.acked.max(q.trimmed_through()),
+                next_to_send: c.next_to_send,
+            });
+        }
+    };
+    push(u32::MAX, 0, 0, world.sources()[0].queue());
+    for pe in 0..8 {
+        for (r, replica) in Replica::BOTH.into_iter().enumerate() {
+            if let Some(inst) = world.instance(PeId(pe), replica) {
+                for port in 0..inst.output_ports() {
+                    push(pe, r, port, inst.output(port));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Elements the sweep has re-sent so far (needs `collect_metrics(true)`).
+fn data_retransmits(world: &sps_ha::HaWorld) -> u64 {
+    let registry = world.metrics().expect("metrics collected");
+    registry.counter(Scope::global("reliable"), "data_retransmits")
+}
+
+/// How often a send cursor was rewound over `(stream, seq)` (needs
+/// `lineage(true)`).
+fn rewinds_over(world: &sps_ha::HaWorld, stream: u32, seq: u64) -> u32 {
+    let lineage = world.lineage().expect("lineage enabled");
+    lineage.record((stream, seq)).map_or(0, |r| r.retransmits)
+}
+
+/// §III-B leaves every checkpoint-acked connection with a delivered but
+/// unacknowledged tail once the stream stops, and its receiver may not
+/// re-ack duplicates — silence the sweep cannot tell from loss. The backoff
+/// bounds what that costs: over six quiet seconds the tail is re-sent about
+/// ten times (sweeps 1, 2, 4, 8, 16, 24, … 56), not on each of 60 sweeps,
+/// and nothing the sink sees changes.
+#[test]
+fn a_quiet_unacknowledged_tail_is_resent_with_backoff_not_every_sweep() {
+    let mut sim = HaSimulation::builder(chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(500.0)
+        .seed(18)
+        .tune(|c| c.reliable_control = true)
+        .collect_metrics(true)
+        .build();
+    let stop = SimTime::from_secs(4);
+    sim.stop_sources_at(stop);
+    sim.run_until(stop);
+    let before = data_retransmits(sim.world());
+    sim.run_until(stop + SimDuration::from_secs(6));
+
+    let world = sim.world();
+    let tail: u64 = active_connections(world).iter().map(Conn::in_flight).sum();
+    assert!(tail > 500, "a checkpoint interval's worth per hop: {tail}");
+    let resent = data_retransmits(world) - before;
+    assert!(
+        resent >= 7 * tail && resent <= 12 * tail,
+        "{resent} elements re-sent for a tail of {tail}: every sweep would be 59x"
+    );
+    let produced = world.sources()[0].produced();
+    assert_eq!(world.sinks()[0].accepted(), produced, "exactly once");
+    assert_eq!(
+        world.sinks()[0].duplicates_dropped(),
+        0,
+        "no resend reaches the sink"
+    );
+    for sj in 0..4 {
+        assert_eq!(world.subjob(SubjobId(sj)).state, SjState::Normal);
+    }
+}
+
+/// Backing off must not turn into giving up: under the campaign's 2 %
+/// bursty loss — where a retransmission can itself be lost — a connection
+/// that sits at one `(acked, next_to_send)` pair with elements in flight is
+/// rewound again within `rel_rto_max` plus one sweep, every time, and the
+/// run still ends exactly-once. The sources stop inside the loss window so
+/// that the frozen tails sit under loss for six seconds. A rewind is read
+/// off the lineage count of the connection's newest in-flight element;
+/// both replicas of a PE produce the same stream, so while a subjob is
+/// switched over one copy's rewind can vouch for the other's.
+#[test]
+fn a_stalled_connection_is_never_left_longer_than_the_rto_cap_under_loss() {
+    let plan = ChaosPlan::default().loss_window(
+        SimTime::from_millis(500),
+        SimTime::from_secs(12),
+        lossy_weather(),
+    );
+    let mut sim = HaSimulation::builder(chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(500.0)
+        .seed(19)
+        .tune(|c| c.reliable_control = true)
+        .chaos(plan)
+        .lineage(true)
+        .build();
+    sim.stop_sources_at(SimTime::from_secs(6));
+    let (sweep, rto_max) = {
+        let c = sim.world().config();
+        (c.rel_sweep_interval, c.rel_rto_max)
+    };
+
+    // Sampled midway between sweeps: per connection with elements in
+    // flight, its cursors and rewind count as last seen, and when any of
+    // them last changed.
+    let mut seen = std::collections::BTreeMap::new();
+    let mut capped_waits = 0u32;
+    let mut now = SimTime::from_millis(50);
+    while now < SimTime::from_secs(16) {
+        sim.run_until(now);
+        let world = sim.world();
+        let mut in_flight = active_connections(world);
+        in_flight.retain(|c| c.in_flight() > 0);
+        seen.retain(|id, _| in_flight.iter().any(|c| c.id == *id));
+        for c in in_flight {
+            let sample = (c, rewinds_over(world, c.stream, c.next_to_send - 1));
+            let (last, since) = seen.entry(c.id).or_insert((sample, now));
+            let quiet = now.saturating_since(*since);
+            assert!(
+                quiet <= rto_max + sweep,
+                "{last:?} went {quiet} without a rewind at {now}"
+            );
+            if *last != sample {
+                capped_waits += u32::from(quiet == rto_max);
+                (*last, *since) = (sample, now);
+            }
+        }
+        now += sweep;
+    }
+    assert!(
+        capped_waits > 20,
+        "the run must reach the capped regime it bounds: {capped_waits} waits of {rto_max}"
+    );
+
+    let world = sim.world();
+    let produced = world.sources()[0].produced();
+    assert!(produced > 2_000, "source ran: {produced}");
+    assert_eq!(world.sinks()[0].accepted(), produced, "exactly once");
+    for sj in 0..4 {
+        assert_eq!(world.subjob(SubjobId(sj)).state, SjState::Normal);
+    }
+}
+
+/// A partitioned destination is waited for, not backed off from: nothing
+/// is re-sent into the cut, and the first sweep after the heal rewinds —
+/// with the sources long stopped, that sweep is all that restarts the flow.
+#[test]
+fn the_first_sweep_after_a_partition_heals_rewinds_at_once() {
+    // PE 3 (subjob 1, machine 1) feeds PE 4 (subjob 2, machine 2); neither
+    // subjob's heartbeats cross that link.
+    let (cut, heal) = (SimTime::from_secs(2), SimTime::from_millis(5_030));
+    let plan = ChaosPlan::default().partition_window(cut, heal, MachineId(1), MachineId(2));
+    let mut sim = HaSimulation::builder(chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(500.0)
+        .seed(20)
+        .tune(|c| c.reliable_control = true)
+        .chaos(plan)
+        .lineage(true)
+        .build();
+    sim.stop_sources_at(SimTime::from_secs(3));
+
+    // The newest element in flight on PE 3's one active connection, and
+    // how often it has been rewound over.
+    let newest_in_flight = |world: &sps_ha::HaWorld| {
+        let q = world
+            .instance(PeId(3), Replica::Primary)
+            .expect("deployed")
+            .output(0);
+        let c = q.connections().iter().find(|c| c.active).expect("active");
+        assert!(c.next_to_send > c.acked + 1, "elements in flight");
+        let (stream, seq) = (q.stream().0, c.next_to_send - 1);
+        (stream, seq, rewinds_over(world, stream, seq))
+    };
+    sim.run_until(SimTime::from_millis(2_250));
+    let early = newest_in_flight(sim.world());
+    sim.run_until(SimTime::from_secs(5));
+    let late = newest_in_flight(sim.world());
+    assert_eq!(early, late, "nothing sent or re-sent into the partition");
+    // 30 sweeps have looked at the frozen pair; the next is at 5.1 s.
+    sim.run_until(SimTime::from_millis(5_150));
+    assert_eq!(
+        rewinds_over(sim.world(), late.0, late.1),
+        late.2 + 1,
+        "the first sweep after the heal rewinds"
+    );
+
+    sim.run_until(SimTime::from_secs(9));
+    let world = sim.world();
+    let produced = world.sources()[0].produced();
+    assert_eq!(world.sinks()[0].accepted(), produced, "the backlog flowed");
+    for sj in 0..4 {
+        assert_eq!(world.subjob(SubjobId(sj)).state, SjState::Normal);
+    }
 }
