@@ -193,10 +193,15 @@ fn backtrace_for(v: &Violation, lines: &[(usize, String)], upto: usize) -> Vec<S
 /// Replay a recorded JSONL dump through the shared checker core.
 ///
 /// Blank lines are skipped; a malformed line is an error (a dump that
-/// cannot be parsed cannot be audited). Returns the deterministic report,
-/// the violation totals, and first-violation context for the CLI.
+/// cannot be parsed cannot be audited), and so is a dump that does not
+/// open with the `audit_meta` preamble every trace leads with: a flight
+/// recorder that wrapped has evicted it, and without it the end-of-run
+/// checks are off and the epochs start mid-run, so a `PASS` would say
+/// nothing. Returns the deterministic report, the violation totals, and
+/// first-violation context for the CLI.
 pub fn replay_dump(text: &str) -> Result<ReplayOutcome, String> {
     let mut auditor = Auditor::new();
+    let mut seen_preamble = false;
     let mut derived = Vec::new();
     let mut recorded_violations = 0u64;
     // (1-based line number, raw text) of audited lines, for backtraces.
@@ -210,6 +215,14 @@ pub fn replay_dump(text: &str) -> Result<ReplayOutcome, String> {
         }
         let obj = parse_flat_object(raw).map_err(|e| format!("line {line_no}: {e}"))?;
         let kind = req_str(&obj, "kind", line_no)?;
+        if !seen_preamble && kind != "audit_meta" {
+            return Err(format!(
+                "line {line_no}: the dump opens with \"{kind}\", not the \"audit_meta\" \
+                 preamble: the head of the trace is missing (a flight recorder that \
+                 wrapped evicts its oldest records first), so it cannot be audited"
+            ));
+        }
+        seen_preamble = true;
         if kind == "audit_violation" {
             recorded_violations += 1;
             continue;
@@ -410,8 +423,35 @@ mod tests {
     fn malformed_lines_error_with_position() {
         let err = replay_dump("{\"t\":1,\"kind\":\"sink_deliver\"\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
-        let err = replay_dump("{\"t\":1,\"kind\":\"sink_deliver\",\"sink\":0}\n").unwrap_err();
-        assert!(err.contains("stream"), "{err}");
+        let preamble = jsonl(&sample_records(false)[..1]);
+        let headed = format!("{preamble}{{\"t\":1,\"kind\":\"sink_deliver\",\"sink\":0}}\n");
+        let err = replay_dump(&headed).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("stream"), "{err}");
+    }
+
+    #[test]
+    fn a_dump_without_its_preamble_is_an_error_not_a_pass() {
+        let records = sample_records(false);
+        // What a wrapped ring exports: the oldest records are gone. Before
+        // this was refused it replayed with every expectation off and
+        // printed `verdict: PASS`.
+        let err = replay_dump(&jsonl(&records[3..])).unwrap_err();
+        assert!(
+            err.contains("line 1") && err.contains("audit_meta"),
+            "{err}"
+        );
+        // Also when what is left holds nothing the auditor consumes: "0
+        // events audited, PASS" is the same empty claim.
+        let quiet_tail = [rec(
+            9,
+            TraceEvent::HeartbeatPing {
+                machine: 0,
+                seq: 12,
+            },
+        )];
+        let err = replay_dump(&jsonl(&quiet_tail)).unwrap_err();
+        assert!(err.contains("heartbeat_ping"), "{err}");
+        assert!(replay_dump("\n").is_ok(), "no record, nothing claimed");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 #![cfg(feature = "bench")]
 
 use sps_engine::{OutputQueue, Payload, StreamId, SubjobId};
-use sps_ha::{HaMode, HaSimulation};
+use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder};
 use sps_sim::counting_alloc::{self, CountingAllocator};
 use sps_sim::{SimDuration, SimTime};
+use sps_trace::{SharedRecorder, TraceRecord, TraceSink};
 use sps_workloads::chain_job_with;
 
 #[global_allocator]
@@ -26,6 +27,10 @@ fn fig06_sim(mode: HaMode, ckpt_ms: u64, lineage: bool) -> HaSimulation {
 
 /// [`fig06_sim`] at a given data-plane batch size.
 fn fig06_sim_batched(mode: HaMode, ckpt_ms: u64, lineage: bool, batch: u32) -> HaSimulation {
+    fig06_builder(mode, ckpt_ms, lineage, batch).build()
+}
+
+fn fig06_builder(mode: HaMode, ckpt_ms: u64, lineage: bool, batch: u32) -> HaSimulationBuilder {
     let job = chain_job_with(15e-6, 20, 8, 4);
     let n_subjobs = job.subjob_count();
     let mut builder = HaSimulation::builder(job)
@@ -40,7 +45,7 @@ fn fig06_sim_batched(mode: HaMode, ckpt_ms: u64, lineage: bool, batch: u32) -> H
     for sj in 0..n_subjobs as u32 {
         builder = builder.subjob_mode(SubjobId(sj), mode);
     }
-    builder.build()
+    builder
 }
 
 /// Measures allocations across a window of at least 10 000 events after a
@@ -113,11 +118,12 @@ fn fig06_steady_state_hybrid_allocates_only_per_checkpoint() {
 
 /// Lineage is the one observation table that grows with the run, so its
 /// growth is budgeted: rows arrive in 1,024-slot chunks, never through a
-/// per-event allocation, and a record costs at most 96 bytes of heap.
+/// per-event allocation, and a record costs at most 64 bytes of heap (the
+/// 56-byte row plus its share of the delivery log).
 /// Measured as the difference between the same deterministic window with
 /// lineage on and off, which cancels the per-checkpoint allocations.
 #[test]
-fn fig06_lineage_allocates_per_chunk_and_stays_under_96_bytes_per_record() {
+fn fig06_lineage_allocates_per_chunk_and_stays_under_64_bytes_per_record() {
     let window = |lineage: bool| {
         let mut sim = fig06_sim(HaMode::Hybrid, 100, lineage);
         sim.run_until(SimTime::from_secs(1));
@@ -150,8 +156,76 @@ fn fig06_lineage_allocates_per_chunk_and_stays_under_96_bytes_per_record() {
     );
     let per_record = (bytes_on - bytes_off) as f64 / records as f64;
     assert!(
-        per_record <= 96.0,
+        per_record <= 64.0,
         "lineage holds {per_record:.1} bytes per record"
+    );
+}
+
+/// The flight recorder keeps records packed: over a fully traced window a
+/// retained record costs at most 16 bytes of heap (56 as a struct), chunks
+/// arrive one allocation per few hundred records, and a ring that is full
+/// recycles the chunk its head leaves instead of allocating. Measured, like
+/// lineage, as the difference between the same deterministic window with
+/// and without the observer: a data-plane sink switches the periodic
+/// snapshots on, so the baseline is a sink that keeps nothing.
+#[test]
+fn fig06_recorder_allocates_per_chunk_and_stays_under_16_bytes_per_record() {
+    struct Discard;
+    impl TraceSink for Discard {
+        fn record(&mut self, _: &TraceRecord) {}
+    }
+    let window = |recorder: Option<&SharedRecorder>| {
+        let sink: Box<dyn TraceSink> = match recorder {
+            Some(r) => Box::new(r.clone()),
+            None => Box::new(Discard),
+        };
+        let mut sim = fig06_builder(HaMode::Hybrid, 100, false, 1)
+            .trace_sink(sink)
+            .build();
+        sim.run_until(SimTime::from_secs(1));
+        let held = || recorder.map_or(0, |r| r.with(|r| r.len() as u64 + r.evicted()));
+        let (e0, r0) = (sim.events_processed(), held());
+        let (a0, b0) = (counting_alloc::allocations(), counting_alloc::live_bytes());
+        sim.run_until(SimTime::from_secs(3));
+        (
+            sim.events_processed() - e0,
+            held() - r0,
+            counting_alloc::allocations() - a0,
+            counting_alloc::live_bytes() as i64 - b0 as i64,
+        )
+    };
+    let (events_off, _, allocs_off, bytes_off) = window(None);
+
+    let growing = SharedRecorder::default();
+    let (events, records, allocs, bytes) = window(Some(&growing));
+    assert_eq!(events, events_off, "the recorder must not move an event");
+    assert_eq!(growing.with(|r| r.evicted()), 0, "this ring must not wrap");
+    assert!(records >= 300_000, "window too short: {records} records");
+    // A chunk holds a few hundred of these records; one allocation per 128
+    // leaves room for the chunk deque's doublings and is two orders of
+    // magnitude away from one per record.
+    assert!(
+        allocs - allocs_off <= records / 128,
+        "{records} records cost {} allocations: the recorder allocates per record",
+        allocs - allocs_off
+    );
+    let per_record = (bytes - bytes_off) as f64 / records as f64;
+    assert!(
+        per_record <= 16.0,
+        "the recorder holds {per_record:.1} bytes per retained record"
+    );
+
+    let full = SharedRecorder::with_capacity(4096);
+    let (_, pushed, allocs, bytes) = window(Some(&full));
+    assert_eq!(pushed, records);
+    assert_eq!(full.with(|r| r.len()), 4096);
+    // Sequence numbers widen by a byte now and then, so the same 4,096
+    // records may come to need a chunk more; nothing else may allocate.
+    assert!(
+        allocs - allocs_off <= 4 && bytes - bytes_off <= 16 * 1024,
+        "a full ring made {} allocations and grew {} bytes over {pushed} pushes",
+        allocs - allocs_off,
+        bytes - bytes_off
     );
 }
 

@@ -29,6 +29,18 @@ use sps_workloads::eval_chain_job;
 /// staying far below the ring capacity (no preamble eviction).
 fn audited_run(seed: u64, mutate: impl FnOnce(&mut HaConfig)) -> (String, u64, String) {
     let recorder = SharedRecorder::default().control_plane_only();
+    let run = audited_run_into(&recorder, seed, mutate);
+    let evicted = recorder.with(|r| r.evicted());
+    assert_eq!(evicted, 0, "ring eviction would truncate the replay");
+    run
+}
+
+/// [`audited_run`] traced into a recorder of the caller's choosing.
+fn audited_run_into(
+    recorder: &SharedRecorder,
+    seed: u64,
+    mutate: impl FnOnce(&mut HaConfig),
+) -> (String, u64, String) {
     let chaos = ChaosPlan::default()
         .loss_window(
             SimTime::from_millis(2_500),
@@ -74,8 +86,6 @@ fn audited_run(seed: u64, mutate: impl FnOnce(&mut HaConfig)) -> (String, u64, S
     recorder
         .export_jsonl(&mut dump)
         .expect("in-memory JSONL export cannot fail");
-    let evicted = recorder.with(|r| r.evicted());
-    assert_eq!(evicted, 0, "ring eviction would truncate the replay");
     (
         report,
         violations,
@@ -96,6 +106,32 @@ fn clean_run_passes_both_frontends_identically() {
     assert_eq!(
         outcome.report, report,
         "offline replay must reproduce the online report byte for byte"
+    );
+}
+
+/// A ring that wrapped has evicted the `audit_meta` preamble first. Its
+/// dump used to replay with every expectation off and print `verdict:
+/// PASS` over a trace that starts mid-epoch; it must be refused instead.
+#[test]
+fn a_wrapped_ring_is_refused_where_the_whole_trace_passes() {
+    let small = SharedRecorder::with_capacity(4096);
+    let (report, violations, headless) = audited_run_into(&small, 2010, |_| {});
+    assert_eq!(violations, 0, "{report}");
+    assert!(
+        small.with(|r| r.evicted()) > 0,
+        "the ring must have wrapped"
+    );
+    assert_eq!(headless.lines().count(), 4096);
+    let err = replay_dump(&headless).expect_err("a headless dump is not auditable");
+    assert!(err.contains("audit_meta"), "{err}");
+
+    let whole = SharedRecorder::default();
+    let (same_report, _, dump) = audited_run_into(&whole, 2010, |_| {});
+    assert_eq!(whole.with(|r| r.evicted()), 0);
+    assert_eq!(same_report, report, "the recorder's size moves nothing");
+    assert_eq!(
+        replay_dump(&dump).expect("whole dump replays").report,
+        report
     );
 }
 

@@ -796,6 +796,13 @@ impl TraceRecord {
     /// in declaration order) so identical runs give byte-identical dumps.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Append the [`to_json`](Self::to_json) object to `s`, so an exporter
+    /// can reuse one line buffer for a whole dump.
+    pub fn write_json(&self, s: &mut String) {
         let _ = write!(
             s,
             "{{\"t\":{},\"kind\":\"{}\"",
@@ -1108,25 +1115,655 @@ impl TraceRecord {
             }
         }
         s.push('}');
-        s
     }
+}
+
+/// Upper bound on [`TraceRecord::encode`]'s output: the widest record is a
+/// `sink_deliver` whose time delta and seven integers all take their full
+/// LEB128 width (61 bytes).
+pub(crate) const MAX_ENCODED_LEN: usize = 64;
+
+/// Writer half of the packed encoding: a cursor into the caller's buffer.
+struct PackedWriter<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl PackedWriter<'_> {
+    fn byte(&mut self, b: u8) {
+        self.buf[self.pos] = b;
+        self.pos += 1;
+    }
+}
+
+/// Reader half. It reads only what a [`PackedWriter`] wrote, so a short
+/// or unknown input is a bug in this module and panics.
+struct PackedReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl PackedReader<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.buf[self.pos];
+        self.pos += 1;
+        b
+    }
+}
+
+/// A field type of the packed encoding.
+trait Wire: Sized {
+    fn put(self, w: &mut PackedWriter<'_>);
+    fn get(r: &mut PackedReader<'_>) -> Self;
+}
+
+/// LEB128: seven bits per byte, low group first.
+impl Wire for u64 {
+    fn put(mut self, w: &mut PackedWriter<'_>) {
+        while self >= 0x80 {
+            w.byte(self as u8 | 0x80);
+            self >>= 7;
+        }
+        w.byte(self as u8);
+    }
+    fn get(r: &mut PackedReader<'_>) -> u64 {
+        let (mut v, mut shift) = (0, 0);
+        loop {
+            let b = r.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Wire for u32 {
+    fn put(self, w: &mut PackedWriter<'_>) {
+        u64::from(self).put(w);
+    }
+    fn get(r: &mut PackedReader<'_>) -> u32 {
+        u64::get(r) as u32
+    }
+}
+
+impl Wire for u8 {
+    fn put(self, w: &mut PackedWriter<'_>) {
+        w.byte(self);
+    }
+    fn get(r: &mut PackedReader<'_>) -> u8 {
+        r.byte()
+    }
+}
+
+impl Wire for bool {
+    fn put(self, w: &mut PackedWriter<'_>) {
+        w.byte(self as u8);
+    }
+    fn get(r: &mut PackedReader<'_>) -> bool {
+        r.byte() != 0
+    }
+}
+
+/// The bit pattern, so `-0.0` and every NaN payload survive.
+impl Wire for f64 {
+    fn put(self, w: &mut PackedWriter<'_>) {
+        for b in self.to_bits().to_le_bytes() {
+            w.byte(b);
+        }
+    }
+    fn get(r: &mut PackedReader<'_>) -> f64 {
+        f64::from_bits(u64::from_le_bytes(std::array::from_fn(|_| r.byte())))
+    }
+}
+
+/// One byte per field-less enum: a value's index in `WIRE`, which must be
+/// declaration order (`x as u8`). The unnamed `match` makes a variant
+/// missing from the list a compile error.
+macro_rules! wire_enum {
+    ($ty:ident { $($variant:ident),+ $(,)? }) => {
+        impl $ty {
+            pub(crate) const WIRE: &'static [$ty] = &[$($ty::$variant),+];
+        }
+        impl Wire for $ty {
+            fn put(self, w: &mut PackedWriter<'_>) {
+                w.byte(self as u8);
+            }
+            fn get(r: &mut PackedReader<'_>) -> $ty {
+                $ty::WIRE[usize::from(r.byte())]
+            }
+        }
+        const _: fn($ty) = |x| match x {
+            $($ty::$variant => (),)+
+        };
+    };
+}
+
+wire_enum!(DropReason {
+    MachineDown,
+    StaleEpoch,
+    Duplicate
+});
+wire_enum!(ChaosKind {
+    LinkFaults,
+    ClearLinkFaults,
+    DefaultFaults,
+    ClearDefaultFaults,
+    Partition,
+    Heal,
+    FailStop,
+    GrayDegrade,
+    FailDomain,
+    PartitionSwitch,
+    HealSwitch,
+});
+wire_enum!(AbortReason {
+    NoStandby,
+    StandbyUnhealthy,
+    DomainFault
+});
+wire_enum!(RecoveryPhase {
+    Detected,
+    SwitchoverComplete,
+    RollbackStarted,
+    RollbackComplete,
+    PsDeployed,
+    PsConnected,
+    Promoted,
+    SecondaryReady,
+});
+wire_enum!(HaModeTag {
+    None,
+    Active,
+    Passive,
+    Hybrid
+});
+wire_enum!(EpochCause {
+    Init,
+    SwitchoverAbort,
+    Switchover,
+    PsDetect,
+    PsConnect,
+    Promote,
+    SpareRedeploy,
+    StandbyLost,
+});
+wire_enum!(AuditInvariant {
+    SinkExactlyOnce,
+    SinkSeqGap,
+    CkptAckOrder,
+    EpochRegression,
+    SplitBrain,
+    IllegalPhase,
+    RetransmitReflag,
+    StandbyCoverage,
+    DomainDisjoint,
+});
+wire_enum!(AnomalyKind {
+    Backpressure,
+    CheckpointStall,
+    HeartbeatFlaky,
+    RecoveryBudgetBurn,
+    RedundancyLoss,
+    AuditViolations,
+});
+
+/// Generates [`TraceRecord::encode`] and [`TraceRecord::decode`] from one
+/// table of `tag => Variant { fields in wire order }`; each field's type
+/// picks its [`Wire`] encoding. `encode`'s `match` has no wildcard and the
+/// patterns no `..`, so a variant or a field missing from the table does
+/// not compile.
+macro_rules! packed_layout {
+    ($($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)?) => {
+        impl TraceRecord {
+            /// Write the packed form the flight recorder stores to the
+            /// front of `out` and return its length, at most
+            /// [`MAX_ENCODED_LEN`]: one tag byte, the time as a LEB128
+            /// delta from `prev` (the record before this one), then the
+            /// payload in declaration order — LEB128 per `u32`/`u64`, one
+            /// byte per `u8`, `bool` and enum, the eight bytes of its bit
+            /// pattern per `f64`. Lossless for any `prev`, one later than
+            /// `at` included (the delta wraps).
+            pub(crate) fn encode(&self, prev: SimTime, out: &mut [u8]) -> usize {
+                let mut w = PackedWriter { buf: out, pos: 0 };
+                let dt = self.at.as_nanos().wrapping_sub(prev.as_nanos());
+                match self.event {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        w.byte($tag);
+                        dt.put(&mut w);
+                        $($field.put(&mut w);)*
+                    })+
+                }
+                w.pos
+            }
+
+            /// The record at the front of `bytes`, which
+            /// [`encode`](Self::encode) wrote with the same `prev`, and
+            /// the number of bytes it occupies.
+            pub(crate) fn decode(bytes: &[u8], prev: SimTime) -> (TraceRecord, usize) {
+                let mut r = PackedReader { buf: bytes, pos: 0 };
+                let tag = r.byte();
+                let at = SimTime::from_nanos(prev.as_nanos().wrapping_add(u64::get(&mut r)));
+                // Struct-expression fields are evaluated as written.
+                let event = match tag {
+                    $($tag => TraceEvent::$variant { $($field: Wire::get(&mut r)),* },)+
+                    _ => unreachable!("tag {tag} is not one `encode` writes"),
+                };
+                (TraceRecord { at, event }, r.pos)
+            }
+        }
+    };
+}
+
+packed_layout! {
+    0 => ElementSend { pe, replica, stream, elements, last_seq },
+    1 => ElementRecv { pe, replica, stream, accepted, stashed, duplicates },
+    2 => ElementDrop { machine, elements, reason },
+    3 => Ack { pe, replica, through_seq },
+    4 => CheckpointStart { pe, replica },
+    5 => CheckpointSent { pe, replica, elements, bytes },
+    6 => CheckpointStored { pe, replica },
+    7 => HeartbeatPing { machine, seq },
+    8 => HeartbeatPong { machine, seq, cleared_suspicion },
+    9 => HeartbeatMiss { machine, streak },
+    10 => BenchProbe { machine },
+    11 => BenchVerdict { machine, latency_ns, overloaded },
+    12 => FailureInject { machine, fail_stop },
+    13 => FailureDetect { machine, subjob, miss_streak },
+    14 => Recovery { subjob, phase },
+    15 => FailoverAborted { subjob, machine, reason },
+    16 => QueueHighWater { pe, replica, input, depth },
+    17 => MachineSnapshot { machine, cpu_load, background, run_queue },
+    18 => PeSnapshot { pe, replica, input_depth, output_backlog, processed_total },
+    19 => NetDrop { src, dst, bytes, chaos },
+    20 => NetDuplicate { src, dst, bytes },
+    21 => Retransmit { src, dst, tx, attempt },
+    22 => ChaosPhase { step, action, a, b },
+    23 => SloBreach { monitor, entered, observed, threshold, duration_ns },
+    24 => Anomaly { detector, machine, pe, onset, value },
+    25 => AuditMeta { subjobs, flat, lossless, quiescent },
+    26 => SubjobMeta { subjob, mode },
+    27 => SinkDeliver {
+        sink, stream, seq_start, seq_end, newly_accepted, duplicates, processed_through
+    },
+    28 => CheckpointCovered { pe, replica, stream, seq },
+    29 => AckSent { pe, replica, stream, seq },
+    30 => EpochChange { subjob, epoch, cause, primary_machine, primary_replica },
+    31 => StandbyProvision { subjob, machine, fresh, primary_domain, standby_domain },
+    32 => AuditViolation { invariant, subjob, entity, seq, detail },
 }
 
 /// Deterministic float formatting for the JSONL encoding: fixed six
 /// decimal places, so the same value always serialises identically and
 /// never in exponent notation.
-fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        // JSON has no Inf/NaN; clamp to a sentinel.
-        String::from("null")
+fn fmt_f64(x: f64) -> impl std::fmt::Display {
+    struct Fixed6(f64);
+    impl std::fmt::Display for Fixed6 {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            if self.0.is_finite() {
+                write!(f, "{:.6}", self.0)
+            } else {
+                // JSON has no Inf/NaN; clamp to a sentinel.
+                f.write_str("null")
+            }
+        }
+    }
+    Fixed6(x)
+}
+
+/// Test records that put every field of every variant through the values
+/// where its encoding changes width. Shared with the recorder's ring test.
+#[cfg(test)]
+pub(crate) mod samples {
+    use super::*;
+
+    const INTS: [u64; 8] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+    const FLOATS: [f64; 5] = [0.0, -0.0, 1e-9, f64::MAX, f64::MIN_POSITIVE];
+    /// Time deltas: same instant, one tick, a typical gap, past `u32`.
+    const GAPS_NS: [u64; 4] = [0, 1, 4_500, u32::MAX as u64 + 1];
+
+    /// Hands out field values, one list position per call, so neighbouring
+    /// fields differ; narrower types take the value clamped to their range.
+    pub(crate) struct Draw {
+        i: usize,
+        stride: usize,
+    }
+
+    impl Draw {
+        /// Starts `round` positions into the lists.
+        pub(crate) fn rotating(round: usize) -> Self {
+            Draw {
+                i: round,
+                stride: 1,
+            }
+        }
+
+        /// Every integer field at its type's maximum.
+        pub(crate) fn widest() -> Self {
+            Draw {
+                i: INTS.len() - 1,
+                stride: 0,
+            }
+        }
+
+        fn step(&mut self) -> usize {
+            self.i += self.stride;
+            self.i - self.stride
+        }
+        fn u64(&mut self) -> u64 {
+            INTS[self.step() % INTS.len()]
+        }
+        fn u32(&mut self) -> u32 {
+            self.u64().min(u64::from(u32::MAX)) as u32
+        }
+        fn u8(&mut self) -> u8 {
+            self.u64().min(u64::from(u8::MAX)) as u8
+        }
+        fn f64(&mut self) -> f64 {
+            FLOATS[self.step() % FLOATS.len()]
+        }
+        fn bool(&mut self) -> bool {
+            self.step() % 2 == 1
+        }
+        fn pick<T: Copy>(&mut self, all: &[T]) -> T {
+            all[self.step() % all.len()]
+        }
+        pub(crate) fn gap(&mut self) -> u64 {
+            GAPS_NS[self.step() % GAPS_NS.len()]
+        }
+    }
+
+    /// The variant declared after `prev` (`None`: the first), filled from
+    /// `d`. The `match` is exhaustive on purpose: a new variant does not
+    /// compile until it has a place in this chain, and with it a sample.
+    fn next_event(prev: Option<TraceEvent>, d: &mut Draw) -> Option<TraceEvent> {
+        use TraceEvent as E;
+        Some(match prev {
+            None => E::ElementSend {
+                pe: d.u32(),
+                replica: d.u8(),
+                stream: d.u32(),
+                elements: d.u32(),
+                last_seq: d.u64(),
+            },
+            Some(E::ElementSend { .. }) => E::ElementRecv {
+                pe: d.u32(),
+                replica: d.u8(),
+                stream: d.u32(),
+                accepted: d.u32(),
+                stashed: d.u32(),
+                duplicates: d.u32(),
+            },
+            Some(E::ElementRecv { .. }) => E::ElementDrop {
+                machine: d.u32(),
+                elements: d.u32(),
+                reason: d.pick(DropReason::WIRE),
+            },
+            Some(E::ElementDrop { .. }) => E::Ack {
+                pe: d.u32(),
+                replica: d.u8(),
+                through_seq: d.u64(),
+            },
+            Some(E::Ack { .. }) => E::CheckpointStart {
+                pe: d.u32(),
+                replica: d.u8(),
+            },
+            Some(E::CheckpointStart { .. }) => E::CheckpointSent {
+                pe: d.u32(),
+                replica: d.u8(),
+                elements: d.u32(),
+                bytes: d.u64(),
+            },
+            Some(E::CheckpointSent { .. }) => E::CheckpointStored {
+                pe: d.u32(),
+                replica: d.u8(),
+            },
+            Some(E::CheckpointStored { .. }) => E::HeartbeatPing {
+                machine: d.u32(),
+                seq: d.u64(),
+            },
+            Some(E::HeartbeatPing { .. }) => E::HeartbeatPong {
+                machine: d.u32(),
+                seq: d.u64(),
+                cleared_suspicion: d.bool(),
+            },
+            Some(E::HeartbeatPong { .. }) => E::HeartbeatMiss {
+                machine: d.u32(),
+                streak: d.u32(),
+            },
+            Some(E::HeartbeatMiss { .. }) => E::BenchProbe { machine: d.u32() },
+            Some(E::BenchProbe { .. }) => E::BenchVerdict {
+                machine: d.u32(),
+                latency_ns: d.u64(),
+                overloaded: d.bool(),
+            },
+            Some(E::BenchVerdict { .. }) => E::FailureInject {
+                machine: d.u32(),
+                fail_stop: d.bool(),
+            },
+            Some(E::FailureInject { .. }) => E::FailureDetect {
+                machine: d.u32(),
+                subjob: d.u32(),
+                miss_streak: d.u32(),
+            },
+            Some(E::FailureDetect { .. }) => E::Recovery {
+                subjob: d.u32(),
+                phase: d.pick(RecoveryPhase::WIRE),
+            },
+            Some(E::Recovery { .. }) => E::FailoverAborted {
+                subjob: d.u32(),
+                machine: d.u32(),
+                reason: d.pick(AbortReason::WIRE),
+            },
+            Some(E::FailoverAborted { .. }) => E::QueueHighWater {
+                pe: d.u32(),
+                replica: d.u8(),
+                input: d.bool(),
+                depth: d.u64(),
+            },
+            Some(E::QueueHighWater { .. }) => E::MachineSnapshot {
+                machine: d.u32(),
+                cpu_load: d.f64(),
+                background: d.f64(),
+                run_queue: d.u32(),
+            },
+            Some(E::MachineSnapshot { .. }) => E::PeSnapshot {
+                pe: d.u32(),
+                replica: d.u8(),
+                input_depth: d.u64(),
+                output_backlog: d.u64(),
+                processed_total: d.u64(),
+            },
+            Some(E::PeSnapshot { .. }) => E::NetDrop {
+                src: d.u32(),
+                dst: d.u32(),
+                bytes: d.u64(),
+                chaos: d.bool(),
+            },
+            Some(E::NetDrop { .. }) => E::NetDuplicate {
+                src: d.u32(),
+                dst: d.u32(),
+                bytes: d.u64(),
+            },
+            Some(E::NetDuplicate { .. }) => E::Retransmit {
+                src: d.u32(),
+                dst: d.u32(),
+                tx: d.u64(),
+                attempt: d.u32(),
+            },
+            Some(E::Retransmit { .. }) => E::ChaosPhase {
+                step: d.u32(),
+                action: d.pick(ChaosKind::WIRE),
+                a: d.u32(),
+                b: d.u32(),
+            },
+            Some(E::ChaosPhase { .. }) => E::SloBreach {
+                monitor: d.u32(),
+                entered: d.bool(),
+                observed: d.f64(),
+                threshold: d.f64(),
+                duration_ns: d.u64(),
+            },
+            Some(E::SloBreach { .. }) => E::Anomaly {
+                detector: d.pick(AnomalyKind::WIRE),
+                machine: d.u32(),
+                pe: d.u32(),
+                onset: d.bool(),
+                value: d.f64(),
+            },
+            Some(E::Anomaly { .. }) => E::AuditMeta {
+                subjobs: d.u32(),
+                flat: d.bool(),
+                lossless: d.bool(),
+                quiescent: d.bool(),
+            },
+            Some(E::AuditMeta { .. }) => E::SubjobMeta {
+                subjob: d.u32(),
+                mode: d.pick(HaModeTag::WIRE),
+            },
+            Some(E::SubjobMeta { .. }) => E::SinkDeliver {
+                sink: d.u32(),
+                stream: d.u32(),
+                seq_start: d.u64(),
+                seq_end: d.u64(),
+                newly_accepted: d.u32(),
+                duplicates: d.u32(),
+                processed_through: d.u64(),
+            },
+            Some(E::SinkDeliver { .. }) => E::CheckpointCovered {
+                pe: d.u32(),
+                replica: d.u8(),
+                stream: d.u32(),
+                seq: d.u64(),
+            },
+            Some(E::CheckpointCovered { .. }) => E::AckSent {
+                pe: d.u32(),
+                replica: d.u8(),
+                stream: d.u32(),
+                seq: d.u64(),
+            },
+            Some(E::AckSent { .. }) => E::EpochChange {
+                subjob: d.u32(),
+                epoch: d.u64(),
+                cause: d.pick(EpochCause::WIRE),
+                primary_machine: d.u32(),
+                primary_replica: d.u8(),
+            },
+            Some(E::EpochChange { .. }) => E::StandbyProvision {
+                subjob: d.u32(),
+                machine: d.u32(),
+                fresh: d.bool(),
+                primary_domain: d.u32(),
+                standby_domain: d.u32(),
+            },
+            Some(E::StandbyProvision { .. }) => E::AuditViolation {
+                invariant: d.pick(AuditInvariant::WIRE),
+                subjob: d.u32(),
+                entity: d.u32(),
+                seq: d.u64(),
+                detail: d.u64(),
+            },
+            Some(E::AuditViolation { .. }) => return None,
+        })
+    }
+
+    /// One event of every variant, in declaration order.
+    pub(crate) fn every_variant(d: &mut Draw) -> Vec<TraceEvent> {
+        let mut all = Vec::new();
+        let mut prev = None;
+        while let Some(event) = next_event(prev, d) {
+            all.push(event);
+            prev = Some(event);
+        }
+        all
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes `records` back to back and decodes them again, checking each
+    /// against its original by value, by `Debug` (which tells `-0.0` from
+    /// `0.0` and prints `1e-9` in full) and by JSON.
+    fn assert_round_trips(records: &[TraceRecord]) {
+        let mut bytes = Vec::new();
+        let mut prev = SimTime::ZERO;
+        for r in records {
+            // A record wider than the declared bound overruns `one`.
+            let mut one = [0; MAX_ENCODED_LEN];
+            let len = r.encode(prev, &mut one);
+            bytes.extend_from_slice(&one[..len]);
+            prev = r.at;
+        }
+        let (mut pos, mut prev) = (0, SimTime::ZERO);
+        for want in records {
+            let (got, used) = TraceRecord::decode(&bytes[pos..], prev);
+            assert_eq!(got, *want);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(got.to_json(), want.to_json());
+            pos += used;
+            prev = got.at;
+        }
+        assert_eq!(pos, bytes.len(), "decode consumed what encode wrote");
+    }
+
+    #[test]
+    fn packed_encoding_round_trips_every_variant_at_every_width() {
+        // 24 starting positions take every field through every entry of
+        // its list (the longest, `ChaosKind::WIRE`, has 11).
+        for round in 0..24 {
+            let mut draw = samples::Draw::rotating(round);
+            let mut at = 0u64;
+            let records: Vec<TraceRecord> = samples::every_variant(&mut draw)
+                .into_iter()
+                .map(|event| {
+                    at += draw.gap();
+                    TraceRecord {
+                        at: SimTime::from_nanos(at),
+                        event,
+                    }
+                })
+                .collect();
+            assert_eq!(records.len(), 33);
+            assert_round_trips(&records);
+        }
+    }
+
+    #[test]
+    fn widest_records_fit_the_declared_bound_and_time_may_run_backwards() {
+        let widest: Vec<TraceRecord> = samples::every_variant(&mut samples::Draw::widest())
+            .into_iter()
+            .zip([SimTime::MAX, SimTime::ZERO].into_iter().cycle())
+            .map(|(event, at)| TraceRecord { at, event })
+            .collect();
+        assert_round_trips(&widest);
+        let deliver = widest[27];
+        assert_eq!(deliver.event.kind(), "sink_deliver");
+        assert_eq!(
+            deliver.encode(SimTime::from_nanos(1), &mut [0; MAX_ENCODED_LEN]),
+            61,
+            "the record MAX_ENCODED_LEN is sized for"
+        );
+    }
+
+    #[test]
+    fn common_records_pack_into_about_ten_bytes() {
+        let send = TraceRecord {
+            at: SimTime::from_nanos(2_000_004_500),
+            event: TraceEvent::ElementSend {
+                pe: 5,
+                replica: 0,
+                stream: 6,
+                elements: 1,
+                last_seq: 20_000,
+            },
+        };
+        let len = send.encode(SimTime::from_secs(2), &mut [0; MAX_ENCODED_LEN]);
+        // tag, 2-byte delta, four 1-byte fields, 3-byte sequence number.
+        assert_eq!(len, 10);
+    }
 
     #[test]
     fn json_encoding_is_stable_and_wellformed() {

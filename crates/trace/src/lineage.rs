@@ -25,20 +25,18 @@ pub type ElementKey = (u32, u64);
 /// Sentinel "PE id" for elements produced by a source rather than a PE.
 pub const SOURCE_PE: u32 = u32::MAX;
 
-/// Everything the lineage table knows about one logical element.
+/// Everything the lineage table knows about one logical element. Its root
+/// and its distance from it are not stored per element: they are the first
+/// hop and the length of [`LineageTable::decompose`]'s chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TupleRecord {
     /// The input element this one was computed from (`None` for source
     /// elements).
     pub parent: Option<ElementKey>,
-    /// The source element at the root of this element's derivation chain.
-    pub origin: ElementKey,
     /// Producing PE id, or [`SOURCE_PE`] for source output.
     pub pe: u32,
     /// Replica code of the first producer observed (0 primary, 1 secondary).
     pub replica: u8,
-    /// Hops from the origin element (0 for source output).
-    pub depth: u32,
     /// When the element was produced (source generation or operator finish).
     pub emitted_at: SimTime,
     /// First time any copy left an output queue onto the network.
@@ -118,11 +116,8 @@ struct Row {
     recv_at: SimTime,
     proc_start_at: SimTime,
     parent_seq: u64,
-    origin_seq: u64,
     parent_stream: u32,
-    origin_stream: u32,
     pe: u32,
-    depth: u32,
     retransmits: u32,
     replica: u8,
     /// `false` until the slot's first write.
@@ -130,7 +125,7 @@ struct Row {
 }
 
 // The memory budget of the one unbounded observation table is this row.
-const _: () = assert!(std::mem::size_of::<Row>() <= 80);
+const _: () = assert!(std::mem::size_of::<Row>() <= 56);
 
 impl Row {
     const VACANT: Row = Row {
@@ -139,11 +134,8 @@ impl Row {
         recv_at: NEVER,
         proc_start_at: NEVER,
         parent_seq: 0,
-        origin_seq: 0,
         parent_stream: NO_PARENT,
-        origin_stream: 0,
         pe: 0,
-        depth: 0,
         retransmits: 0,
         replica: 0,
         live: false,
@@ -161,10 +153,8 @@ impl Row {
         TupleRecord {
             parent: (self.parent_stream != NO_PARENT)
                 .then_some((self.parent_stream, self.parent_seq)),
-            origin: (self.origin_stream, self.origin_seq),
             pe: self.pe,
             replica: self.replica,
-            depth: self.depth,
             emitted_at: self.emitted_at,
             sent_at: seen(self.sent_at),
             recv_at: seen(self.recv_at),
@@ -320,8 +310,6 @@ impl LineageTable {
         self.insert_if_absent(
             key,
             Row {
-                origin_stream: key.0,
-                origin_seq: key.1,
                 pe: SOURCE_PE,
                 emitted_at,
                 live: true,
@@ -340,21 +328,13 @@ impl LineageTable {
         replica: u8,
         emitted_at: SimTime,
     ) {
-        let (origin, depth) = match self.row(parent) {
-            Some(p) => ((p.origin_stream, p.origin_seq), p.depth + 1),
-            // Parent unseen (lineage enabled mid-run): anchor at the parent.
-            None => (parent, 1),
-        };
         self.insert_if_absent(
             key,
             Row {
                 parent_stream: parent.0,
                 parent_seq: parent.1,
-                origin_stream: origin.0,
-                origin_seq: origin.1,
                 pe,
                 replica,
-                depth,
                 emitted_at,
                 live: true,
                 ..Row::VACANT

@@ -1,17 +1,37 @@
 //! The flight recorder: a bounded in-memory ring of the most recent trace
 //! records, exportable as JSON Lines.
+//!
+//! The ring holds records in [`TraceRecord::encode`]'s packed form — about
+//! ten bytes for the element sends and receives that make up most of a
+//! trace, against 56 for the struct — and decodes them on the way out, so
+//! every reader still sees `TraceRecord`s and the dump is the same bytes.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::rc::Rc;
 
-use crate::event::TraceRecord;
+use sps_sim::SimTime;
+
+use crate::event::{TraceRecord, MAX_ENCODED_LEN};
 use crate::sink::TraceSink;
 
 /// Default ring capacity: enough for several seconds of a fully
 /// instrumented run of the paper's evaluation job.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
+
+/// Bytes per chunk of the ring: a few hundred records.
+const CHUNK_BYTES: usize = 4096;
+
+/// One fixed-size piece of the ring: `bytes[..len]` holds `records` whole
+/// records, the first of which counts its time delta from `base_at`.
+#[derive(Debug)]
+struct Chunk {
+    bytes: Box<[u8]>,
+    len: usize,
+    records: usize,
+    base_at: SimTime,
+}
 
 /// A bounded ring buffer of trace records. When full, the oldest record is
 /// evicted (and counted), so the recorder always holds the most recent
@@ -20,7 +40,20 @@ pub const DEFAULT_CAPACITY: usize = 1 << 20;
 pub struct FlightRecorder {
     capacity: usize,
     wants_data_plane: bool,
-    buf: VecDeque<TraceRecord>,
+    /// Packed records, oldest first. A record never straddles two chunks,
+    /// and no chunk is without a retained record: the tail is opened by
+    /// the push that writes into it, the head is removed by the eviction
+    /// of its last record.
+    chunks: VecDeque<Chunk>,
+    /// Records at the start of the front chunk that are already evicted.
+    /// Eviction only counts; the bytes go when their chunk does.
+    head_evicted: usize,
+    /// Time of the newest record.
+    tail_at: SimTime,
+    /// The chunk the head left last, kept to become the next tail: a full
+    /// ring of steady record width then allocates nothing.
+    spare: Option<Chunk>,
+    len: usize,
     evicted: u64,
 }
 
@@ -36,7 +69,11 @@ impl FlightRecorder {
         Self {
             capacity: capacity.max(1),
             wants_data_plane: true,
-            buf: VecDeque::new(),
+            chunks: VecDeque::new(),
+            head_evicted: 0,
+            tail_at: SimTime::ZERO,
+            spare: None,
+            len: 0,
             evicted: 0,
         }
     }
@@ -49,12 +86,12 @@ impl FlightRecorder {
 
     /// Records currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// Maximum records held.
@@ -68,24 +105,72 @@ impl FlightRecorder {
     }
 
     /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
+    pub fn records(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        let mut chunks = self.chunks.iter();
+        let mut rest: &[u8] = &[];
+        // Deltas run on across chunks, so only the first base is needed.
+        let mut at = self.chunks.front().map_or(SimTime::ZERO, |c| c.base_at);
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                let next = chunks.next()?;
+                rest = &next.bytes[..next.len];
+            }
+            let (record, used) = TraceRecord::decode(rest, at);
+            rest = &rest[used..];
+            at = record.at;
+            Some(record)
+        })
+        .skip(self.head_evicted)
     }
 
     /// Append one record, evicting the oldest if at capacity.
     pub fn push(&mut self, record: TraceRecord) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.evicted += 1;
+        if self.len == self.capacity {
+            self.evict_oldest();
         }
-        self.buf.push_back(record);
+        // Closed as soon as the widest record might not fit, so `encode`
+        // can write straight into the tail.
+        let tail_is_closed = |tail: &Chunk| tail.len + MAX_ENCODED_LEN > CHUNK_BYTES;
+        if self.chunks.back().is_none_or(tail_is_closed) {
+            let bytes = match self.spare.take() {
+                Some(recycled) => recycled.bytes,
+                None => vec![0; CHUNK_BYTES].into_boxed_slice(),
+            };
+            self.chunks.push_back(Chunk {
+                bytes,
+                len: 0,
+                records: 0,
+                base_at: self.tail_at,
+            });
+        }
+        let tail = self.chunks.back_mut().expect("a tail with room");
+        tail.len += record.encode(self.tail_at, &mut tail.bytes[tail.len..]);
+        tail.records += 1;
+        self.tail_at = record.at;
+        self.len += 1;
+    }
+
+    /// Drops exactly one record; the chunk it was the last of is recycled.
+    fn evict_oldest(&mut self) {
+        let head = self.chunks.front().expect("a full ring holds a record");
+        self.head_evicted += 1;
+        if self.head_evicted == head.records {
+            self.spare = self.chunks.pop_front();
+            self.head_evicted = 0;
+        }
+        self.len -= 1;
+        self.evicted += 1;
     }
 
     /// Write the retained records as JSON Lines (one object per line,
     /// oldest first).
     pub fn export_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
-        for rec in &self.buf {
-            writeln!(w, "{}", rec.to_json())?;
+        let mut line = String::new();
+        for rec in self.records() {
+            line.clear();
+            rec.write_json(&mut line);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
         }
         Ok(())
     }
@@ -93,8 +178,8 @@ impl FlightRecorder {
     /// The JSONL dump as a string (used by the determinism tests).
     pub fn to_jsonl_string(&self) -> String {
         let mut out = String::new();
-        for rec in &self.buf {
-            out.push_str(&rec.to_json());
+        for rec in self.records() {
+            rec.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -158,8 +243,9 @@ impl TraceSink for SharedRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::samples::{every_variant, Draw};
     use crate::event::TraceEvent;
-    use sps_sim::SimTime;
+    use sps_sim::SimRng;
 
     fn ping(seq: u64) -> TraceRecord {
         TraceRecord {
@@ -178,6 +264,92 @@ mod tests {
         assert_eq!(r.evicted(), 2);
         let seqs: Vec<u64> = r.records().map(|rec| rec.at.as_nanos()).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
+    }
+
+    /// What the ring replaced, kept as its oracle: the records themselves
+    /// in a deque, the oldest popped when full.
+    struct PlainRing {
+        capacity: usize,
+        buf: VecDeque<TraceRecord>,
+        evicted: u64,
+    }
+
+    impl PlainRing {
+        fn push(&mut self, record: TraceRecord) {
+            if self.buf.len() == self.capacity {
+                self.buf.pop_front();
+                self.evicted += 1;
+            }
+            self.buf.push_back(record);
+        }
+
+        fn to_jsonl_string(&self) -> String {
+            self.buf.iter().map(|r| r.to_json() + "\n").collect()
+        }
+    }
+
+    #[test]
+    fn packed_ring_matches_a_plain_deque_under_random_pushes() {
+        let pool: Vec<TraceEvent> = (0..24)
+            .flat_map(|round| every_variant(&mut Draw::rotating(round)))
+            .collect();
+        // One more record than a chunk holds of this pool on average: head
+        // and tail then sit in different chunks nearly all the time.
+        let packed: usize = pool
+            .iter()
+            .map(|&event| {
+                let at = SimTime::from_nanos(4_500);
+                TraceRecord { at, event }.encode(SimTime::ZERO, &mut [0; MAX_ENCODED_LEN])
+            })
+            .sum();
+        let above_a_chunk = CHUNK_BYTES * pool.len() / packed + 1;
+        for (case, capacity) in [1, 2, 3, 1000, above_a_chunk].into_iter().enumerate() {
+            let mut rng = SimRng::seed_from(0x0F11_6870 + case as u64);
+            let mut ring = FlightRecorder::with_capacity(capacity);
+            let mut model = PlainRing {
+                capacity,
+                buf: VecDeque::new(),
+                evicted: 0,
+            };
+            let mut gaps = Draw::rotating(case);
+            let mut at = 0u64;
+            let mut peak_chunks = 0;
+            // Long enough to wrap the ring several times, so chunks are
+            // handed over from head to tail again and again.
+            for step in 0..4 * capacity.max(64) {
+                at += gaps.gap();
+                let record = TraceRecord {
+                    at: SimTime::from_nanos(at),
+                    event: *rng.pick(&pool),
+                };
+                ring.push(record);
+                model.push(record);
+                assert_eq!(ring.len(), model.buf.len(), "case {case} step {step}");
+                assert_eq!(ring.evicted(), model.evicted, "case {case} step {step}");
+                assert!(
+                    ring.records().eq(model.buf.iter().copied()),
+                    "case {case} step {step}: records()"
+                );
+                // Rendering every step of the large rings is quadratic;
+                // theirs is compared where it matters, around each wrap.
+                if capacity <= 3 || step % capacity < 2 || step % 97 == 0 {
+                    assert_eq!(
+                        ring.to_jsonl_string(),
+                        model.to_jsonl_string(),
+                        "case {case} step {step}"
+                    );
+                }
+                peak_chunks = peak_chunks.max(ring.chunks.len());
+            }
+            assert_eq!(ring.len(), capacity);
+            // Bounded by content, not history: what `capacity` of the widest
+            // records need, plus the part-used chunk at either end.
+            let widest_fit = CHUNK_BYTES / MAX_ENCODED_LEN;
+            assert!(
+                peak_chunks <= capacity.div_ceil(widest_fit) + 2,
+                "case {case}: {peak_chunks} chunks for {capacity} records"
+            );
+        }
     }
 
     #[test]

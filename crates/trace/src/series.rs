@@ -1,6 +1,7 @@
 //! Turning raw trace records into analysable material: per-machine and
 //! per-PE telemetry time-series, and recovery-cycle span decomposition.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use sps_metrics::{Cdf, Registry, Scope};
@@ -189,9 +190,9 @@ impl Telemetry {
     }
 
     /// Fold every record of an iterator.
-    pub fn ingest_all<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
+    pub fn ingest_all(&mut self, records: impl IntoIterator<Item = impl Borrow<TraceRecord>>) {
         for r in records {
-            self.ingest(r);
+            self.ingest(r.borrow());
         }
     }
 

@@ -31,10 +31,8 @@ impl MapLineage {
             key,
             TupleRecord {
                 parent: None,
-                origin: key,
                 pe: SOURCE_PE,
                 replica: 0,
-                depth: 0,
                 emitted_at,
                 sent_at: None,
                 recv_at: None,
@@ -52,18 +50,12 @@ impl MapLineage {
         replica: u8,
         at: SimTime,
     ) {
-        let (origin, depth) = match self.records.get(&parent) {
-            Some(p) => (p.origin, p.depth + 1),
-            None => (parent, 1),
-        };
         self.insert_if_absent(
             key,
             TupleRecord {
                 parent: Some(parent),
-                origin,
                 pe,
                 replica,
-                depth,
                 emitted_at: at,
                 sent_at: None,
                 recv_at: None,

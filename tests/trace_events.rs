@@ -3,18 +3,18 @@
 
 use hybrid_ha::prelude::*;
 
-/// An instrumented hybrid run with one transient failure, returning the
-/// recorder's JSONL dump.
-fn traced_run(seed: u64) -> String {
-    let recorder = SharedRecorder::default();
-    let job = eval_chain_job();
-    let mut sim = HaSimulation::builder(job)
+/// The eval chain with subjob 1 Hybrid and a one-second spike on its
+/// primary's machine, traced into `sinks`; not yet run.
+fn spiked_sim(seed: u64, sinks: Vec<Box<dyn TraceSink>>) -> HaSimulation {
+    let mut builder = HaSimulation::builder(eval_chain_job())
         .mode(HaMode::None)
         .subjob_mode(SubjobId(1), HaMode::Hybrid)
         .source_rate(1_000.0)
-        .seed(seed)
-        .trace_sink(Box::new(recorder.clone()))
-        .build();
+        .seed(seed);
+    for sink in sinks {
+        builder = builder.trace_sink(sink);
+    }
+    let mut sim = builder.build();
     sim.inject_spike_windows(
         MachineId(1),
         &[SpikeWindow {
@@ -23,6 +23,14 @@ fn traced_run(seed: u64) -> String {
             share: 1.0,
         }],
     );
+    sim
+}
+
+/// An instrumented hybrid run with one transient failure, returning the
+/// recorder's JSONL dump.
+fn traced_run(seed: u64) -> String {
+    let recorder = SharedRecorder::default();
+    let mut sim = spiked_sim(seed, vec![Box::new(recorder.clone())]);
     sim.stop_sources_at(SimTime::from_secs(4));
     sim.run_until(SimTime::from_secs(5));
     recorder.to_jsonl_string()
@@ -96,10 +104,7 @@ fn failstop_spans(mode: HaMode) -> Vec<RecoverySpan> {
     sim.stop_sources_at(SimTime::from_secs(6));
     sim.run_until(SimTime::from_secs(8));
     let mut telemetry = Telemetry::new();
-    recorder.with(|r| {
-        let records: Vec<TraceRecord> = r.records().copied().collect();
-        telemetry.ingest_all(records.iter());
-    });
+    recorder.with(|r| telemetry.ingest_all(r.records()));
     assert_eq!(
         telemetry.injects(),
         &[(SimTime::from_secs(2), 1, true)],
@@ -203,10 +208,7 @@ fn queue_snapshots_cover_every_deployed_instance() {
     sim.stop_sources_at(SimTime::from_secs(2));
     sim.run_until(SimTime::from_secs(3));
     let mut telemetry = Telemetry::new();
-    recorder.with(|r| {
-        let records: Vec<TraceRecord> = r.records().copied().collect();
-        telemetry.ingest_all(records.iter());
-    });
+    recorder.with(|r| telemetry.ingest_all(r.records()));
     // All 8 chain PEs are hybrid-protected: primary (0) and secondary (1)
     // instances must both appear in the periodic PE snapshots.
     for pe in 0..8u32 {
@@ -227,5 +229,44 @@ fn queue_snapshots_cover_every_deployed_instance() {
                 "load {load} out of range"
             );
         }
+    }
+}
+
+/// A sink that keeps every record as the struct it was handed.
+struct Keep(std::rc::Rc<std::cell::RefCell<Vec<TraceRecord>>>);
+
+impl TraceSink for Keep {
+    fn record(&mut self, record: &TraceRecord) {
+        self.0.borrow_mut().push(*record);
+    }
+}
+
+#[test]
+fn a_wrapped_ring_holds_exactly_the_tail_of_what_was_emitted() {
+    // The recorder stores records packed and decodes them on the way out;
+    // the goldens and dumps above never wrap it. Here one run with a
+    // spike (so recovery, checkpoint and snapshot kinds flow beside the
+    // data plane) feeds a small ring and a plain `Vec` side by side.
+    let ring = SharedRecorder::with_capacity(4096);
+    let kept = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let mut sim = spiked_sim(
+        99,
+        vec![Box::new(ring.clone()), Box::new(Keep(kept.clone()))],
+    );
+    sim.stop_sources_at(SimTime::from_secs(3));
+    // Checked mid-flow and drained: two windows with different contents.
+    for until in [SimTime::from_millis(2_200), SimTime::from_secs(4)] {
+        sim.run_until(until);
+        let all = kept.borrow();
+        let tail = &all[all.len() - 4096..];
+        ring.with(|r| {
+            assert_eq!(r.len(), 4096);
+            assert_eq!(r.evicted(), (all.len() - 4096) as u64);
+            assert!(r.records().eq(tail.iter().copied()));
+        });
+        let rendered: String = tail.iter().map(|rec| rec.to_json() + "\n").collect();
+        assert_eq!(ring.to_jsonl_string(), rendered);
+        let kinds: std::collections::BTreeSet<_> = tail.iter().map(|r| r.event.kind()).collect();
+        assert!(kinds.len() >= 8, "a window of few kinds: {kinds:?}");
     }
 }
