@@ -604,17 +604,21 @@ impl HaWorld {
         let batch_len = self.instances[slot]
             .as_mut()
             .expect("checked")
-            .finish_batch(&mut self.dispatch_scratch, |parent, _, child| {
-                if let Some(lin) = lineage.as_deref_mut() {
-                    lin.record_hop(
-                        (parent.stream.0, parent.seq),
-                        (child.stream.0, child.seq),
-                        pe.0,
-                        replica_code(replica),
-                        now,
-                    );
-                }
-            });
+            .finish_batch(
+                &mut self.emit_scratch,
+                &mut self.dispatch_scratch,
+                |parent, _, child| {
+                    if let Some(lin) = lineage.as_deref_mut() {
+                        lin.record_hop(
+                            (parent.stream.0, parent.seq),
+                            (child.stream.0, child.seq),
+                            pe.0,
+                            replica_code(replica),
+                            now,
+                        );
+                    }
+                },
+            );
         self.dispatch_outputs(ctx, slot);
 
         // Acknowledgment policy: the primary-role copy of a checkpointing

@@ -587,6 +587,9 @@ pub struct HaWorld {
     /// Reusable buffer for the dispatch hot path: elements drained from a
     /// hop's output connections, emptied before return.
     pub(crate) dispatch_scratch: Vec<sps_engine::DataElement>,
+    /// Reusable output collector for batch completion: what the operator
+    /// emitted for the batch being finished, emptied before return.
+    pub(crate) emit_scratch: sps_engine::Emitter,
     /// Reusable buffer for dispatch: `(dest, start, end)` spans into
     /// `dispatch_scratch`, emptied before return.
     pub(crate) span_scratch: Vec<(sps_engine::Dest, usize, usize)>,
@@ -761,6 +764,7 @@ impl HaWorld {
             rel_seen: BTreeSet::new(),
             rel_sweep_prev: SweepLedger::default(),
             dispatch_scratch: Vec::new(),
+            emit_scratch: sps_engine::Emitter::default(),
             span_scratch: Vec::new(),
             conn_scratch: Vec::new(),
             ack_scratch: Vec::new(),

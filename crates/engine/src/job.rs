@@ -77,6 +77,9 @@ pub enum BuildJobError {
     Cyclic,
     /// Port numbers on a PE are not contiguous from zero.
     NonContiguousPorts(PeId),
+    /// A PE's built-in operator has the named parameter negative or not
+    /// finite.
+    BadOperatorParameter(PeId, &'static str),
 }
 
 impl fmt::Display for BuildJobError {
@@ -96,6 +99,12 @@ impl fmt::Display for BuildJobError {
             BuildJobError::Cyclic => write!(f, "dataflow graph contains a cycle"),
             BuildJobError::NonContiguousPorts(pe) => {
                 write!(f, "ports of {pe} are not contiguous from zero")
+            }
+            BuildJobError::BadOperatorParameter(pe, parameter) => {
+                write!(
+                    f,
+                    "operator of {pe}: {parameter} must be finite and not negative"
+                )
             }
         }
     }
@@ -198,8 +207,9 @@ impl JobBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildJobError`] describing the first structural problem
-    /// found (missing PEs/sources, disconnected inputs, bad partition,
-    /// cycles, non-contiguous ports).
+    /// found (missing PEs/sources, an operator parameter no run could
+    /// survive, disconnected inputs, bad partition, cycles, non-contiguous
+    /// ports).
     pub fn build(self) -> Result<Job, BuildJobError> {
         let n = self.pes.len();
         if n == 0 {
@@ -207,6 +217,14 @@ impl JobBuilder {
         }
         if self.sources.is_empty() {
             return Err(BuildJobError::NoSources);
+        }
+        for (pe, spec) in self.pes.iter().enumerate() {
+            if let Some(parameter) = spec.operator.invalid_parameter() {
+                return Err(BuildJobError::BadOperatorParameter(
+                    PeId(pe as u32),
+                    parameter,
+                ));
+            }
         }
 
         // Port shapes.
@@ -753,6 +771,102 @@ mod tests {
         b.connect(a, 0, j, 1); // port 0 of j never fed
         b.subjobs(vec![vec![a, j]]);
         assert_eq!(b.build().unwrap_err(), BuildJobError::NonContiguousPorts(j));
+    }
+
+    /// `a -> pe` with `pe` running `spec`; what `build` says.
+    fn build_with(spec: OperatorSpec) -> (PeId, Result<Job, BuildJobError>) {
+        let mut b = JobBuilder::new("x");
+        let s = b.add_source("s");
+        let a = b.add_pe("a", counter());
+        let pe = b.add_pe("pe", spec);
+        b.connect_source(s, a, 0);
+        b.connect(a, 0, pe, 0);
+        b.subjobs(vec![vec![a, pe]]);
+        (pe, b.build())
+    }
+
+    #[test]
+    fn build_rejects_negative_or_non_finite_operator_parameters() {
+        use OperatorSpec::*;
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1e-9] {
+            let demand_secs = bad;
+            let specs = [
+                (
+                    Synthetic {
+                        selectivity: bad,
+                        demand_secs: 1e-4,
+                        state_elements: 20,
+                    },
+                    "selectivity",
+                ),
+                (
+                    Synthetic {
+                        selectivity: 1.0,
+                        demand_secs,
+                        state_elements: 20,
+                    },
+                    "demand_secs",
+                ),
+                (
+                    Filter {
+                        min_value: 0.0,
+                        demand_secs,
+                    },
+                    "demand_secs",
+                ),
+                (
+                    Map {
+                        scale: 1.0,
+                        offset: 0.0,
+                        demand_secs,
+                    },
+                    "demand_secs",
+                ),
+                (
+                    WindowAggregate {
+                        window: 2,
+                        agg: crate::operator::AggKind::Sum,
+                        demand_secs,
+                    },
+                    "demand_secs",
+                ),
+                (
+                    Vwap {
+                        window: 2,
+                        demand_secs,
+                    },
+                    "demand_secs",
+                ),
+                (Counter { demand_secs }, "demand_secs"),
+                (
+                    ShardRouter {
+                        shards: 1,
+                        demand_secs,
+                    },
+                    "demand_secs",
+                ),
+            ];
+            for (spec, parameter) in specs {
+                let (pe, built) = build_with(spec.clone());
+                assert_eq!(
+                    built.unwrap_err(),
+                    BuildJobError::BadOperatorParameter(pe, parameter),
+                    "{spec:?}"
+                );
+            }
+        }
+        let e = BuildJobError::BadOperatorParameter(PeId(1), "selectivity");
+        assert!(e.to_string().contains("pe1") && e.to_string().contains("selectivity"));
+    }
+
+    #[test]
+    fn build_accepts_zero_selectivity_and_zero_demand() {
+        let (_, built) = build_with(OperatorSpec::Synthetic {
+            selectivity: 0.0,
+            demand_secs: 0.0,
+            state_elements: 0,
+        });
+        assert!(built.is_ok());
     }
 
     #[test]

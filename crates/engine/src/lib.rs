@@ -47,7 +47,7 @@ pub use job::{BuildJobError, Consumer, Job, JobBuilder, PeSpec, Producer, Source
 pub use operator::{
     shard_of, AggKind, Emitter, Operator, OperatorFactory, OperatorSpec, OperatorState,
 };
-pub use pe::{Dest, InstanceId, PeCheckpoint, PeInstance, Replica, SinkId, WorkBatch, WorkItem};
+pub use pe::{Dest, InstanceId, PeCheckpoint, PeInstance, Replica, SinkId, WorkBatch};
 pub use queue::{
     Connection, ConnectionId, InputQueue, Offer, OutputQueue, OutputQueueState, RunOffer,
 };

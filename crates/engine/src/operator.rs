@@ -1,7 +1,9 @@
 //! Operators: the per-element processing logic inside a PE.
 //!
 //! An [`Operator`] consumes one input element at a time and emits zero or
-//! more output payloads per port. Operators must be *deterministic*: two
+//! more output payloads per port; the runtime hands it a whole run of them
+//! per call ([`Operator::process_run`]), which by default is that
+//! per-element step in a loop. Operators must be *deterministic*: two
 //! replicas fed the same input sequence must produce the same outputs and
 //! reach the same internal state — the property both active standby and
 //! checkpoint-based recovery rely on. Internal state is snapshotted as an
@@ -25,9 +27,16 @@ pub struct OperatorState(pub Vec<f64>);
 
 /// Output collector handed to [`Operator::process`]; `port` selects the
 /// output port (chains use port 0).
+///
+/// Under [`Operator::process_run`] it also records which input of the run
+/// each output came from: [`Emitter::end_input`] closes one input, and
+/// everything emitted since the previous close is that input's.
 #[derive(Debug, Default)]
 pub struct Emitter {
     items: Vec<(usize, Payload)>,
+    /// `ends[i]` is `items.len()` as input `i` was closed: non-decreasing,
+    /// never above `items.len()`.
+    ends: Vec<u32>,
 }
 
 impl Emitter {
@@ -41,15 +50,47 @@ impl Emitter {
         self.emit(0, payload);
     }
 
+    /// Closes the current input of a run: every output emitted since the
+    /// previous close is attributed to it. An [`Operator::process_run`]
+    /// calls this once after each element of its run, in order.
+    pub fn end_input(&mut self) {
+        self.ends.push(self.items.len() as u32);
+    }
+
     /// Drains the collected outputs.
     pub fn take(&mut self) -> Vec<(usize, Payload)> {
+        self.ends.clear();
         std::mem::take(&mut self.items)
     }
 
     /// Drains the collected outputs in place, keeping the buffer's capacity
     /// for reuse — the allocation-free alternative to [`Emitter::take`].
     pub fn drain(&mut self) -> std::vec::Drain<'_, (usize, Payload)> {
+        self.ends.clear();
         self.items.drain(..)
+    }
+
+    /// Empties the collector, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
+    /// The outputs of each closed input, in input order.
+    pub(crate) fn per_input(&self) -> impl Iterator<Item = &[(usize, Payload)]> + '_ {
+        let mut from = 0;
+        self.ends.iter().map(move |&end| {
+            let outputs = &self.items[from..end as usize];
+            from = end as usize;
+            outputs
+        })
+    }
+
+    /// `true` if exactly `inputs` inputs were closed and nothing was
+    /// emitted after the last close — what a run of `inputs` elements must
+    /// leave behind.
+    pub(crate) fn closed_exactly(&self, inputs: usize) -> bool {
+        self.ends.len() == inputs && self.ends.last().map_or(0, |&e| e as usize) == self.items.len()
     }
 
     /// Number of outputs collected so far.
@@ -71,6 +112,26 @@ pub trait Operator: fmt::Debug {
 
     /// CPU demand to process `input`, in seconds of full-speed CPU.
     fn demand_secs(&self, input: &DataElement) -> f64;
+
+    /// Processes a run of input elements from input port `port`, oldest
+    /// first, closing each with [`Emitter::end_input`]. This is the form
+    /// the runtime calls. An override must leave the operator and `out`
+    /// exactly as this per-element loop does — same outputs, same
+    /// attribution to inputs, bit-equal state.
+    fn process_run(&mut self, port: usize, run: &[DataElement], out: &mut Emitter) {
+        for input in run {
+            self.process(port, input, out);
+            out.end_input();
+        }
+    }
+
+    /// CPU demand of a whole run. An override must return this sum bit for
+    /// bit: repeated addition from `0.0`, oldest first (`n * demand`
+    /// rounds differently and moves every completion instant).
+    fn demand_run(&self, run: &[DataElement]) -> f64 {
+        run.iter()
+            .fold(0.0, |sum, input| sum + self.demand_secs(input))
+    }
 
     /// Internal-state size in element units, for checkpoint-cost accounting.
     fn state_size_elements(&self) -> u64;
@@ -294,6 +355,30 @@ impl OperatorSpec {
         }
     }
 
+    /// The name of the first parameter a run could not survive, if any: a
+    /// per-element CPU demand or a selectivity that is negative or not
+    /// finite (an infinite selectivity never finishes emitting, a NaN one
+    /// silently emits nothing, and such a demand only panics once the
+    /// machine model is asked to schedule it). Custom operators are the
+    /// factory's business.
+    pub(crate) fn invalid_parameter(&self) -> Option<&'static str> {
+        let bad = |x: f64| !(x.is_finite() && x >= 0.0);
+        let demand_secs = match *self {
+            OperatorSpec::Synthetic { demand_secs, .. }
+            | OperatorSpec::Filter { demand_secs, .. }
+            | OperatorSpec::Map { demand_secs, .. }
+            | OperatorSpec::WindowAggregate { demand_secs, .. }
+            | OperatorSpec::Vwap { demand_secs, .. }
+            | OperatorSpec::Counter { demand_secs }
+            | OperatorSpec::ShardRouter { demand_secs, .. } => demand_secs,
+            OperatorSpec::Custom(_) => return None,
+        };
+        match *self {
+            OperatorSpec::Synthetic { selectivity, .. } if bad(selectivity) => Some("selectivity"),
+            _ => bad(demand_secs).then_some("demand_secs"),
+        }
+    }
+
     /// Builds a fresh operator in its initial state.
     pub fn build(&self) -> Box<dyn Operator> {
         match *self {
@@ -416,6 +501,26 @@ impl Operator for SyntheticOp {
 
     fn demand_secs(&self, _input: &DataElement) -> f64 {
         self.demand_secs
+    }
+
+    fn process_run(&mut self, _port: usize, run: &[DataElement], out: &mut Emitter) {
+        let (mut acc, mut credit) = (self.acc, self.emit_credit);
+        for input in run {
+            acc = 0.5 * acc + input.value;
+            credit += self.selectivity;
+            while credit >= 1.0 {
+                credit -= 1.0;
+                out.emit0(Payload::from(input));
+            }
+            out.end_input();
+        }
+        self.processed += run.len() as u64;
+        self.acc = acc;
+        self.emit_credit = credit;
+    }
+
+    fn demand_run(&self, run: &[DataElement]) -> f64 {
+        run.iter().fold(0.0, |sum, _| sum + self.demand_secs)
     }
 
     fn state_size_elements(&self) -> u64 {
@@ -859,6 +964,137 @@ mod tests {
         let mut b = spec.build();
         assert_eq!(drive(a.as_mut(), &inputs), drive(b.as_mut(), &inputs));
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    /// Stateful, port-sensitive, with an element-dependent demand and no
+    /// run-level override: what a user's `Custom` operator looks like.
+    #[derive(Debug, Default)]
+    struct PortTagger {
+        seen: u64,
+    }
+
+    impl Operator for PortTagger {
+        fn process(&mut self, port: usize, input: &DataElement, out: &mut Emitter) {
+            self.seen += 1;
+            out.emit(
+                port,
+                Payload {
+                    value: input.value + self.seen as f64,
+                    ..Payload::from(input)
+                },
+            );
+        }
+        fn demand_secs(&self, input: &DataElement) -> f64 {
+            1e-6 * (1 + input.key % 7) as f64
+        }
+        fn state_size_elements(&self) -> u64 {
+            1
+        }
+        fn snapshot(&self) -> OperatorState {
+            OperatorState(vec![self.seen as f64])
+        }
+        fn restore(&mut self, state: &OperatorState) {
+            self.seen = state.0[0] as u64;
+        }
+    }
+
+    #[derive(Debug)]
+    struct PortTaggerFactory;
+
+    impl OperatorFactory for PortTaggerFactory {
+        fn build(&self) -> Box<dyn Operator> {
+            Box::new(PortTagger::default())
+        }
+    }
+
+    /// The run-level contract: for every built-in and a custom operator,
+    /// over random runs on random ports, `process_run` emits what repeated
+    /// `process` emits, attributes it to the same inputs and leaves a
+    /// bit-equal state; `demand_run` is the left-to-right sum.
+    #[test]
+    fn run_forms_equal_the_per_element_loop() {
+        let synthetic = |selectivity| OperatorSpec::Synthetic {
+            selectivity,
+            demand_secs: 1.5e-5,
+            state_elements: 20,
+        };
+        let demand_secs = 1.5e-5;
+        let specs = [
+            synthetic(0.0),
+            synthetic(0.3),
+            synthetic(1.0),
+            synthetic(2.5),
+            OperatorSpec::Filter {
+                min_value: 0.0,
+                demand_secs,
+            },
+            OperatorSpec::Map {
+                scale: 1.5,
+                offset: -2.0,
+                demand_secs,
+            },
+            OperatorSpec::WindowAggregate {
+                window: 3,
+                agg: AggKind::Avg,
+                demand_secs,
+            },
+            OperatorSpec::WindowAggregate {
+                window: 5,
+                agg: AggKind::Max,
+                demand_secs,
+            },
+            OperatorSpec::Vwap {
+                window: 4,
+                demand_secs,
+            },
+            OperatorSpec::Counter { demand_secs },
+            OperatorSpec::ShardRouter {
+                shards: 5,
+                demand_secs,
+            },
+            OperatorSpec::Custom(std::sync::Arc::new(PortTaggerFactory)),
+        ];
+        let bits = |state: OperatorState| state.0.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut rng = sps_sim::SimRng::seed_from(0x0B5E);
+        for spec in &specs {
+            let (mut by_run, mut by_elem) = (spec.build(), spec.build());
+            let (mut out_run, mut out_elem) = (Emitter::default(), Emitter::default());
+            let mut seq = 0;
+            for _ in 0..40 {
+                let port = rng.uniform_u64(0, 3) as usize;
+                let run: Vec<DataElement> = (0..rng.uniform_u64(0, 130))
+                    .map(|_| {
+                        seq += 1;
+                        elem(seq, rng.uniform_u64(0, 1_000), rng.uniform(-50.0, 50.0))
+                    })
+                    .collect();
+
+                by_run.process_run(port, &run, &mut out_run);
+                assert!(out_run.closed_exactly(run.len()), "{spec:?}");
+                let got: Vec<Vec<(usize, Payload)>> =
+                    out_run.per_input().map(<[_]>::to_vec).collect();
+                out_run.clear();
+                let want: Vec<Vec<(usize, Payload)>> = run
+                    .iter()
+                    .map(|input| {
+                        by_elem.process(port, input, &mut out_elem);
+                        out_elem.take()
+                    })
+                    .collect();
+                assert_eq!(got, want, "{spec:?}");
+                assert_eq!(
+                    bits(by_run.snapshot()),
+                    bits(by_elem.snapshot()),
+                    "{spec:?}"
+                );
+
+                let mut sum = 0.0;
+                for input in &run {
+                    sum += by_elem.demand_secs(input);
+                }
+                assert_eq!(by_run.demand_run(&run).to_bits(), sum.to_bits(), "{spec:?}");
+            }
+        }
     }
 
     #[test]

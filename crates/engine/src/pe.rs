@@ -7,8 +7,9 @@
 //! Checkpoint Manager drives.
 //!
 //! Instances are passive: the HA runtime decides when to start work (it owns
-//! the machines), so the instance exposes `start_next` / `finish_inflight`
-//! around each element, and the runtime submits the CPU task in between.
+//! the machines), so the instance exposes `start_next_batch` /
+//! `finish_batch` around each batch of elements, and the runtime submits
+//! the CPU task in between.
 
 use std::fmt;
 
@@ -139,20 +140,8 @@ impl PeCheckpoint {
     }
 }
 
-/// A work item the runtime must execute on the host machine's CPU.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkItem {
-    /// The element being processed.
-    pub element: DataElement,
-    /// Which input port it came from.
-    pub port: usize,
-    /// CPU demand in seconds.
-    pub demand_secs: f64,
-}
-
 /// A batch of in-flight elements submitted as one CPU task: up to
 /// `batch_size` elements dequeued round-robin, with their demands summed.
-/// At batch size 1 this is exactly one [`WorkItem`]'s worth of work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkBatch {
     /// Elements taken in flight by this batch.
@@ -172,15 +161,16 @@ pub struct PeInstance {
     suspended: bool,
     pause_requested: bool,
     /// Elements currently on the CPU, oldest first. Singleton except when
-    /// the runtime starts a multi-element batch; completion drains it in
+    /// the runtime starts a multi-element batch; completion walks it in
     /// dequeue order so per-element semantics (lineage parents, acks,
     /// output stamping) are preserved under batching.
-    inflight: std::collections::VecDeque<(DataElement, usize)>,
+    inflight: Vec<DataElement>,
+    /// The maximal same-port runs of `inflight`, as `(input port, end
+    /// index)`. A single-input instance leaves it empty — its whole batch
+    /// is one run of port 0 — so only fan-in instances allocate it.
+    port_runs: Vec<(usize, usize)>,
     next_input_port: usize,
     processed_total: u64,
-    /// Reused per-element output collector; capacity persists across
-    /// elements so the steady-state processing loop never allocates.
-    scratch_emitter: Emitter,
     /// The sendable-port set: bit `p` of word `p / 64` is set for every
     /// output port holding an element that some active connection has not
     /// yet sent (it may also be set for a clean port — draining one is a
@@ -206,10 +196,10 @@ impl PeInstance {
             outputs: out_streams.iter().map(|&s| OutputQueue::new(s)).collect(),
             suspended: false,
             pause_requested: false,
-            inflight: std::collections::VecDeque::new(),
+            inflight: Vec::new(),
+            port_runs: Vec::new(),
             next_input_port: 0,
             processed_total: 0,
-            scratch_emitter: Emitter::default(),
             sendable: vec![0; out_streams.len().div_ceil(64)],
         }
     }
@@ -343,18 +333,6 @@ impl PeInstance {
             && self.inputs.iter().any(|q| q.pending_len() > 0)
     }
 
-    /// Dequeues the next element (round-robin across ports) and returns the
-    /// CPU work the runtime must execute, or `None` if nothing can start.
-    pub fn start_next(&mut self) -> Option<WorkItem> {
-        let work = self.start_next_batch(1)?;
-        let &(element, port) = self.inflight.front()?;
-        Some(WorkItem {
-            element,
-            port,
-            demand_secs: work.demand_secs,
-        })
-    }
-
     /// Dequeues up to `max` elements round-robin across ports into one
     /// in-flight batch and returns the summed CPU work, or `None` if
     /// nothing can start. An instance with a single input port takes a
@@ -363,15 +341,9 @@ impl PeInstance {
         if !self.can_start() {
             return None;
         }
-        let mut demand_secs = 0.0f64;
         if let [input] = &mut self.inputs[..] {
-            let (operator, inflight) = (&self.operator, &mut self.inflight);
-            input.take_run(max as usize, |run| {
-                for elem in run {
-                    demand_secs += operator.demand_secs(elem);
-                    inflight.push_back((*elem, 0));
-                }
-            });
+            let inflight = &mut self.inflight;
+            input.take_run(max as usize, |run| inflight.extend_from_slice(run));
         } else {
             let ports = self.inputs.len();
             'fill: while self.inflight.len() < max as usize {
@@ -379,8 +351,11 @@ impl PeInstance {
                     let port = (self.next_input_port + i) % ports;
                     if let Some(elem) = self.inputs[port].take_next() {
                         self.next_input_port = (port + 1) % ports;
-                        demand_secs += self.operator.demand_secs(&elem);
-                        self.inflight.push_back((elem, port));
+                        self.inflight.push(elem);
+                        match self.port_runs.last_mut() {
+                            Some((last, end)) if *last == port => *end += 1,
+                            _ => self.port_runs.push((port, self.inflight.len())),
+                        }
                         continue 'fill;
                     }
                 }
@@ -388,83 +363,76 @@ impl PeInstance {
             }
         }
         let elements = self.inflight.len() as u32;
-        (elements > 0).then_some(WorkBatch {
+        (elements > 0).then(|| WorkBatch {
             elements,
-            demand_secs,
+            demand_secs: self.operator.demand_run(&self.inflight),
         })
     }
 
-    /// Completes the oldest in-flight element: applies the operator,
-    /// advances the processed position, and stamps the outputs into the
-    /// output queues. Returns the produced elements as `(port, element)`
-    /// pairs; the runtime transmits them by draining each connection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no element is in flight.
-    pub fn finish_inflight(&mut self, now: SimTime) -> Vec<(usize, DataElement)> {
-        let mut out = Vec::new();
-        self.finish_inflight_into(now, &mut out);
-        out
-    }
-
-    /// Like [`PeInstance::finish_inflight`], but appends the produced
-    /// elements to a caller-owned buffer. This is the element-by-element
-    /// form of [`PeInstance::finish_batch`], which the runtime calls; it
-    /// stays as the reference the batch completion is tested against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no element is in flight.
-    pub fn finish_inflight_into(&mut self, _now: SimTime, out: &mut Vec<(usize, DataElement)>) {
-        let (elem, port) = self
-            .inflight
-            .pop_front()
-            .expect("finish_inflight called with no element in flight");
-        let mut emitter = std::mem::take(&mut self.scratch_emitter);
-        self.operator.process(port, &elem, &mut emitter);
-        self.inputs[port].mark_processed(elem.stream, elem.seq);
-        self.processed_total += 1;
-        for (out_port, payload) in emitter.drain() {
-            self.mark_sendable(out_port);
-            let produced = self.outputs[out_port].produce(payload, elem.created_at);
-            out.push((out_port, produced));
-        }
-        self.scratch_emitter = emitter;
-    }
-
-    /// Completes the whole in-flight batch, oldest first: applies the
-    /// operator to each element, advances the processed positions, and
-    /// stamps the outputs into the output queues — each port's outputs
-    /// retained as one run, staged in the caller's empty scratch buffer
-    /// `staged` (returned empty). `hop` sees every `(parent, output port,
+    /// Completes the whole in-flight batch, oldest first: one
+    /// [`Operator::process_run`] per same-port run into the caller's empty
+    /// scratch `emitter`, processed positions advanced once per (port,
+    /// stream) run, then every output stamped into the output queues with
+    /// its parent's origin time — each port's outputs retained as one run,
+    /// staged in the caller's empty scratch buffer `staged`. Both scratch
+    /// buffers are returned empty. `hop` sees every `(parent, output port,
     /// child)` as the child is stamped (lineage records the derivation
     /// there). Returns the number of elements completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operator's `process_run` did not close each input of
+    /// its run exactly once.
     pub fn finish_batch(
         &mut self,
+        emitter: &mut Emitter,
         staged: &mut Vec<DataElement>,
         mut hop: impl FnMut(&DataElement, usize, &DataElement),
     ) -> usize {
-        debug_assert!(staged.is_empty(), "staging buffer in use");
+        debug_assert!(
+            emitter.closed_exactly(0) && staged.is_empty(),
+            "scratch in use"
+        );
         let n = self.inflight.len();
-        let mut emitter = std::mem::take(&mut self.scratch_emitter);
+        let whole = [(0, n)];
+        let port_runs = if self.port_runs.is_empty() {
+            &whole[..]
+        } else {
+            &self.port_runs[..]
+        };
+        let mut start = 0;
+        for &(port, end) in port_runs {
+            let run = &self.inflight[start..end];
+            self.operator.process_run(port, run, emitter);
+            for of_stream in run.chunk_by(|a, b| a.stream == b.stream) {
+                // Accepted in sequence order, so the last is the highest.
+                let last = of_stream[of_stream.len() - 1];
+                self.inputs[port].mark_processed(last.stream, last.seq);
+            }
+            assert!(
+                emitter.closed_exactly(end),
+                "{}: process_run must end_input once per element of its run",
+                self.id
+            );
+            start = end;
+        }
         let mut staged_port = 0;
-        for (elem, port) in self.inflight.drain(..) {
-            self.operator.process(port, &elem, &mut emitter);
-            self.inputs[port].mark_processed(elem.stream, elem.seq);
-            for (out_port, payload) in emitter.drain() {
+        for (parent, outputs) in self.inflight.iter().zip(emitter.per_input()) {
+            for &(out_port, payload) in outputs {
                 if out_port != staged_port {
                     retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
                     staged_port = out_port;
                 }
-                let child = self.outputs[out_port].stamp(payload, elem.created_at);
-                hop(&elem, out_port, &child);
+                let child = self.outputs[out_port].stamp(payload, parent.created_at);
+                hop(parent, out_port, &child);
                 staged.push(child);
             }
         }
         retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
+        emitter.clear();
         self.processed_total += n as u64;
-        self.scratch_emitter = emitter;
+        self.inflight.clear();
+        self.port_runs.clear();
         n
     }
 
@@ -476,13 +444,14 @@ impl PeInstance {
     /// The in-flight elements in dequeue order (lineage stamps processing
     /// start for each element of a just-started batch).
     pub fn inflight_elems(&self) -> impl Iterator<Item = &DataElement> {
-        self.inflight.iter().map(|(elem, _)| elem)
+        self.inflight.iter()
     }
 
     /// Drops all in-flight elements without applying them (machine
     /// fail-stop; the elements are still retained upstream).
     pub fn abort_inflight(&mut self) {
         self.inflight.clear();
+        self.port_runs.clear();
     }
 
     /// Total elements fully processed by this instance.
@@ -636,7 +605,7 @@ impl PeInstance {
                 q.offer(elem);
             }
         }
-        self.inflight.clear();
+        self.abort_inflight();
     }
 
     /// The processed positions of every input port (for acknowledgment
@@ -683,6 +652,17 @@ mod tests {
         }
     }
 
+    /// Completes the in-flight batch; the `(port, element)` pairs produced.
+    fn finish(inst: &mut PeInstance) -> Vec<(usize, DataElement)> {
+        let mut out = Vec::new();
+        inst.finish_batch(
+            &mut Emitter::default(),
+            &mut Vec::new(),
+            |_, port, child| out.push((port, *child)),
+        );
+        out
+    }
+
     fn counter_instance() -> PeInstance {
         let mut inst = PeInstance::new(
             InstanceId {
@@ -702,11 +682,11 @@ mod tests {
     fn process_cycle_produces_sequenced_output() {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 5.0));
-        let work = inst.start_next().expect("work available");
-        assert_eq!(work.demand_secs, 1e-3);
+        let work = inst.start_next_batch(1).expect("work available");
+        assert_eq!((work.elements, work.demand_secs), (1, 1e-3));
         assert!(inst.has_inflight());
         assert!(!inst.can_start(), "one element at a time");
-        let out = inst.finish_inflight(SimTime::from_millis(2));
+        let out = finish(&mut inst);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1.stream, StreamId(10));
         assert_eq!(out[0].1.seq, 1);
@@ -725,9 +705,9 @@ mod tests {
         inst.offer(0, elem(1, 1, 1.0));
         inst.set_suspended(true);
         assert!(!inst.can_start());
-        assert!(inst.start_next().is_none());
+        assert!(inst.start_next_batch(1).is_none());
         inst.set_suspended(false);
-        assert!(inst.start_next().is_some());
+        assert!(inst.start_next_batch(1).is_some());
     }
 
     #[test]
@@ -735,10 +715,10 @@ mod tests {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 1.0));
         inst.offer(0, elem(1, 2, 1.0));
-        inst.start_next().unwrap();
+        inst.start_next_batch(1).unwrap();
         assert!(!inst.request_pause(), "in flight: not quiescent yet");
         assert!(!inst.is_quiescent());
-        inst.finish_inflight(SimTime::ZERO);
+        finish(&mut inst);
         assert!(inst.is_quiescent());
         assert!(!inst.can_start(), "paused loop starts nothing");
         inst.resume();
@@ -750,7 +730,7 @@ mod tests {
     fn snapshot_mid_element_panics() {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 1.0));
-        inst.start_next().unwrap();
+        inst.start_next_batch(1).unwrap();
         inst.snapshot(SimTime::ZERO);
     }
 
@@ -761,8 +741,8 @@ mod tests {
             a.offer(0, elem(1, s, 1.0));
         }
         for _ in 0..3 {
-            a.start_next().unwrap();
-            a.finish_inflight(SimTime::ZERO);
+            a.start_next_batch(1).unwrap();
+            finish(&mut a);
         }
         let ckpt = a.snapshot(SimTime::from_millis(9));
         assert_eq!(ckpt.input_positions[0], vec![(StreamId(1), 3)]);
@@ -776,8 +756,8 @@ mod tests {
         // Element 3 again: duplicate. Element 4: accepted and counted as #4.
         assert_eq!(b.offer(0, elem(1, 3, 1.0)), Offer::Duplicate);
         assert_eq!(b.offer(0, elem(1, 4, 1.0)), Offer::Accepted(1));
-        b.start_next().unwrap();
-        let out = b.finish_inflight(SimTime::ZERO);
+        b.start_next_batch(1).unwrap();
+        let out = finish(&mut b);
         assert_eq!(out[0].1.value, 4.0, "counter state carried over");
         assert_eq!(out[0].1.seq, 4, "output seq continues");
     }
@@ -786,7 +766,7 @@ mod tests {
     fn abort_inflight_discards_without_state_change() {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 1.0));
-        inst.start_next().unwrap();
+        inst.start_next_batch(1).unwrap();
         inst.abort_inflight();
         assert!(!inst.has_inflight());
         assert_eq!(inst.processed_total(), 0);
@@ -811,12 +791,60 @@ mod tests {
         inst.offer(0, elem(1, 1, 0.0));
         inst.offer(0, elem(1, 2, 0.0));
         inst.offer(1, elem(2, 1, 0.0));
-        let mut ports = Vec::new();
-        while let Some(w) = inst.start_next() {
-            ports.push(w.port);
-            inst.finish_inflight(SimTime::ZERO);
+        let mut streams = Vec::new();
+        while inst.start_next_batch(1).is_some() {
+            streams.extend(inst.inflight_elems().map(|e| e.stream.0));
+            finish(&mut inst);
         }
-        assert_eq!(ports, vec![0, 1, 0], "round-robin interleaves ports");
+        assert_eq!(streams, vec![1, 2, 1], "round-robin interleaves ports");
+    }
+
+    #[test]
+    #[should_panic(expected = "end_input once per element")]
+    fn a_run_form_that_does_not_close_its_inputs_is_caught() {
+        /// Overrides `process_run` and forgets `end_input`.
+        #[derive(Debug)]
+        struct Unattributed;
+        impl Operator for Unattributed {
+            fn process(&mut self, _port: usize, input: &DataElement, out: &mut Emitter) {
+                out.emit0(Payload::from(input));
+            }
+            fn process_run(&mut self, port: usize, run: &[DataElement], out: &mut Emitter) {
+                for input in run {
+                    self.process(port, input, out);
+                }
+            }
+            fn demand_secs(&self, _input: &DataElement) -> f64 {
+                1e-3
+            }
+            fn state_size_elements(&self) -> u64 {
+                0
+            }
+            fn snapshot(&self) -> OperatorState {
+                OperatorState::default()
+            }
+            fn restore(&mut self, _state: &OperatorState) {}
+        }
+        #[derive(Debug)]
+        struct Factory;
+        impl crate::operator::OperatorFactory for Factory {
+            fn build(&self) -> Box<dyn Operator> {
+                Box::new(Unattributed)
+            }
+        }
+        let mut inst = PeInstance::new(
+            InstanceId {
+                pe: PeId(4),
+                replica: Replica::Primary,
+            },
+            OperatorSpec::Custom(std::sync::Arc::new(Factory)),
+            1,
+            &[StreamId(40)],
+        );
+        inst.register_input_stream(0, StreamId(1));
+        inst.offer(0, elem(1, 1, 0.0));
+        inst.start_next_batch(1).unwrap();
+        finish(&mut inst);
     }
 
     #[test]
@@ -835,8 +863,8 @@ mod tests {
     fn checkpoint_byte_size_scales_with_elements() {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 1.0));
-        inst.start_next().unwrap();
-        inst.finish_inflight(SimTime::ZERO);
+        inst.start_next_batch(1).unwrap();
+        finish(&mut inst);
         let ckpt = inst.snapshot(SimTime::ZERO);
         assert_eq!(ckpt.byte_size(256), ckpt.element_count() * 256 + 64);
     }

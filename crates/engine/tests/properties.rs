@@ -5,14 +5,16 @@
 //! The last four tests hold every bulk (run) operation to the per-element
 //! form it replaced: `ChunkedDeque` bulk ops against a `VecDeque` model,
 //! `InputQueue::offer_run` against repeated `offer`, batch completion
-//! against repeated `finish_inflight_into`, and `OutputSession::give_run`
-//! against repeated `give`. One more holds `Job`'s precomputed topology
-//! lookups to the linear scans they replaced.
+//! against [`ElementwisePe`] (one `Operator::process` per element), and
+//! `OutputSession::give_run` against repeated `give`. One more holds
+//! `Job`'s precomputed topology lookups to the linear scans they replaced.
+
+use std::sync::Arc;
 
 use sps_engine::{
-    ConnectionId, Consumer, DataElement, Dest, InputQueue, InstanceId, Job, JobBuilder, Offer,
-    OperatorSpec, OutputQueue, Payload, PeId, PeInstance, Producer, Replica, SinkId, SourceId,
-    StreamId,
+    ConnectionId, Consumer, DataElement, Dest, Emitter, InputQueue, InstanceId, Job, JobBuilder,
+    Offer, Operator, OperatorFactory, OperatorSpec, OperatorState, OutputQueue, Payload, PeId,
+    PeInstance, Producer, Replica, SinkId, SourceId, StreamId, WorkBatch,
 };
 use sps_sim::{SimRng, SimTime};
 
@@ -25,6 +27,20 @@ fn elem(stream: u32, seq: u64, value: f64) -> DataElement {
         value,
         size_bytes: 256,
     }
+}
+
+/// Starts and completes `inst`'s next element, the way the runtime does at
+/// batch size 1: the `(output port, element)` pairs it produced, or `None`
+/// if nothing can start.
+fn process_next(inst: &mut PeInstance) -> Option<Vec<(usize, DataElement)>> {
+    inst.start_next_batch(1)?;
+    let mut produced = Vec::new();
+    inst.finish_batch(
+        &mut Emitter::default(),
+        &mut Vec::new(),
+        |_, port, child| produced.push((port, *child)),
+    );
+    Some(produced)
 }
 
 /// Retention: an output queue never trims an element past the minimum
@@ -120,10 +136,8 @@ fn restore_then_replay_equals_straight_run() {
             for s in seqs {
                 let _ = inst.offer(0, elem(0, s, values[(s - 1) as usize]));
             }
-            while let Some(_w) = inst.start_next() {
-                for (_, e) in inst.finish_inflight(SimTime::ZERO) {
-                    out.push((e.seq, e.value));
-                }
+            while let Some(produced) = process_next(inst) {
+                out.extend(produced.iter().map(|(_, e)| (e.seq, e.value)));
             }
             out
         };
@@ -204,11 +218,11 @@ fn replicas_are_equivalent_through_the_runtime() {
         let e = elem(0, s, (s as f64).cos());
         a.offer(0, e);
         b.offer(0, e);
-        while a.start_next().is_some() {
-            out_a.extend(a.finish_inflight(SimTime::ZERO));
+        while let Some(produced) = process_next(&mut a) {
+            out_a.extend(produced);
         }
-        while b.start_next().is_some() {
-            out_b.extend(b.finish_inflight(SimTime::ZERO));
+        while let Some(produced) = process_next(&mut b) {
+            out_b.extend(produced);
         }
     }
     assert_eq!(out_a, out_b);
@@ -376,8 +390,7 @@ fn sendable_set_drain_matches_full_port_scan() {
                         next_in += 1;
                         for inst in [&mut set, &mut scan] {
                             inst.offer(0, e);
-                            inst.start_next().expect("just offered");
-                            inst.finish_inflight(SimTime::ZERO);
+                            process_next(inst).expect("just offered");
                         }
                     }
                 }
@@ -620,13 +633,95 @@ fn offer_run_matches_repeated_offer() {
     }
 }
 
-/// One batch completion is repeated `finish_inflight_into`: on instances
-/// with one and two input ports, selectivity 0.5 / 1 / 2 and a three-way
-/// router, finishing a started batch in one call leaves the same output
-/// queues, processed positions, counters and sendable set as finishing it
-/// element by element, and reports the same `(parent, port, child)` hops.
+/// The element-by-element PE that the run-level [`PeInstance`] must be
+/// indistinguishable from: round-robin dequeue of one element, then one
+/// `Operator::process`, one `mark_processed` and one `produce` per output.
+struct ElementwisePe {
+    operator: Box<dyn Operator>,
+    inputs: Vec<InputQueue>,
+    outputs: Vec<OutputQueue<Dest>>,
+    next_input_port: usize,
+    processed_total: u64,
+}
+
+impl ElementwisePe {
+    /// The next element round-robin across ports, its port and its demand.
+    fn start_next(&mut self) -> Option<(DataElement, usize, f64)> {
+        let (ports, first) = (self.inputs.len(), self.next_input_port);
+        (0..ports).map(|i| (first + i) % ports).find_map(|port| {
+            let elem = self.inputs[port].take_next()?;
+            self.next_input_port = (port + 1) % ports;
+            Some((elem, port, self.operator.demand_secs(&elem)))
+        })
+    }
+
+    /// Completes `elem` of input `port`: the `(output port, child)` pairs.
+    fn finish(&mut self, elem: DataElement, port: usize) -> Vec<(usize, DataElement)> {
+        let mut emitter = Emitter::default();
+        self.operator.process(port, &elem, &mut emitter);
+        self.inputs[port].mark_processed(elem.stream, elem.seq);
+        self.processed_total += 1;
+        emitter
+            .take()
+            .into_iter()
+            .map(|(out_port, payload)| {
+                (
+                    out_port,
+                    self.outputs[out_port].produce(payload, elem.created_at),
+                )
+            })
+            .collect()
+    }
+}
+
+/// Stateful, sensitive to the input port, charging an element-dependent
+/// demand, and without a run-level override: a user's operator.
+#[derive(Debug, Default)]
+struct PortTagger {
+    seen: u64,
+}
+
+impl Operator for PortTagger {
+    fn process(&mut self, port: usize, input: &DataElement, out: &mut Emitter) {
+        self.seen += 1;
+        out.emit0(Payload {
+            value: (self.seen * 10 + port as u64) as f64,
+            ..Payload::from(input)
+        });
+    }
+    fn demand_secs(&self, input: &DataElement) -> f64 {
+        1e-6 * (1 + input.key % 7) as f64
+    }
+    fn state_size_elements(&self) -> u64 {
+        1
+    }
+    fn snapshot(&self) -> OperatorState {
+        OperatorState(vec![self.seen as f64])
+    }
+    fn restore(&mut self, state: &OperatorState) {
+        self.seen = state.0[0] as u64;
+    }
+}
+
+#[derive(Debug)]
+struct PortTaggerFactory;
+
+impl OperatorFactory for PortTaggerFactory {
+    fn build(&self) -> Box<dyn Operator> {
+        Box::new(PortTagger::default())
+    }
+}
+
+/// One batch completion is the element-by-element PE repeated: on
+/// instances with one and two input ports (a two-port batch mixes ports),
+/// selectivity 0.5 / 1 / 2, a three-way router and a port-sensitive custom
+/// operator, starting a batch charges the left-to-right sum of the
+/// per-element demands, and finishing it in one call leaves the same output
+/// queues, operator state, processed positions and counters as
+/// [`ElementwisePe`], reports the same `(parent, port, child)` hops, and
+/// puts exactly the ports it produced into in the sendable set.
 #[test]
-fn batch_completion_matches_repeated_finish_inflight() {
+fn batch_completion_matches_the_elementwise_pe() {
     let synthetic = |selectivity| OperatorSpec::Synthetic {
         selectivity,
         demand_secs: 1e-6,
@@ -643,83 +738,130 @@ fn batch_completion_matches_repeated_finish_inflight() {
             },
             3,
         ),
+        (OperatorSpec::Custom(Arc::new(PortTaggerFactory)), 1),
     ];
     let mut rng = SimRng::seed_from(0xF1B5);
-    for case in 0..120 {
+    for case in 0..150 {
         let (spec, out_ports) = specs[case % specs.len()].clone();
         let in_ports = 1 + (case / specs.len()) % 2;
-        let build = || {
-            let streams: Vec<StreamId> = (0..out_ports as u32).map(|p| StreamId(50 + p)).collect();
-            let mut inst = PeInstance::new(
-                InstanceId {
-                    pe: PeId(0),
-                    replica: Replica::Primary,
-                },
-                spec.clone(),
-                in_ports,
-                &streams,
-            );
-            for port in 0..in_ports {
-                inst.register_input_stream(port, StreamId(port as u32));
-            }
-            for port in 0..out_ports {
-                inst.connect_output(port, Dest::Sink(SinkId(port as u32)), true, true);
-            }
-            inst
+        // Input port `p` merges streams `2p` and `2p + 1`; output port `p`
+        // feeds sink `p`.
+        let out_streams: Vec<StreamId> = (0..out_ports as u32).map(|p| StreamId(50 + p)).collect();
+        let mut batched = PeInstance::new(
+            InstanceId {
+                pe: PeId(0),
+                replica: Replica::Primary,
+            },
+            spec.clone(),
+            in_ports,
+            &out_streams,
+        );
+        let mut single = ElementwisePe {
+            operator: spec.build(),
+            inputs: vec![InputQueue::new(); in_ports],
+            outputs: out_streams.iter().map(|&s| OutputQueue::new(s)).collect(),
+            next_input_port: 0,
+            processed_total: 0,
         };
-        let (mut batched, mut single) = (build(), build());
-        let mut next = vec![1u64; in_ports];
+        for stream in 0..2 * in_ports {
+            batched.register_input_stream(stream / 2, StreamId(stream as u32));
+            single.inputs[stream / 2].register_stream(StreamId(stream as u32));
+        }
+        for port in 0..out_ports {
+            let sink = Dest::Sink(SinkId(port as u32));
+            batched.connect_output(port, sink, true, true);
+            single.outputs[port].connect(sink, true, true);
+        }
+        // Wiring put every port into the sendable set; start from empty.
+        batched.take_sendable_conns(&mut Vec::new());
+
+        let mut next = vec![1u64; 2 * in_ports];
         for _round in 0..4 {
-            for (port, next) in next.iter_mut().enumerate() {
+            for (stream, next) in next.iter_mut().enumerate() {
                 let len = run_len(&mut rng) as u64;
                 let run: Vec<DataElement> = (*next..*next + len)
                     .map(|seq| DataElement {
                         key: rng.uniform_u64(0, 1_000),
                         created_at: SimTime::from_millis(seq),
-                        ..elem(port as u32, seq, seq as f64)
+                        ..elem(stream as u32, seq, seq as f64)
                     })
                     .collect();
                 *next += len;
-                batched.offer_run(port, &run);
+                batched.offer_run(stream / 2, &run);
                 for e in &run {
-                    single.offer(port, *e);
+                    single.inputs[stream / 2].offer(*e);
                 }
             }
             let max = [1u32, 7, 64, 100][rng.uniform_u64(0, 4) as usize];
             while let Some(work) = batched.start_next_batch(max) {
-                assert_eq!(single.start_next_batch(max), Some(work), "case {case}");
-                let parents: Vec<DataElement> = single.inflight_elems().copied().collect();
-                assert!(batched.inflight_elems().eq(parents.iter()), "case {case}");
+                let mut parents = Vec::new();
+                let mut demand_secs = 0.0;
+                while parents.len() < max as usize {
+                    let Some((elem, port, demand)) = single.start_next() else {
+                        break;
+                    };
+                    demand_secs += demand;
+                    parents.push((elem, port));
+                }
+                let want_work = WorkBatch {
+                    elements: parents.len() as u32,
+                    demand_secs,
+                };
+                assert_eq!(work, want_work, "case {case}");
+                assert!(
+                    batched.inflight_elems().eq(parents.iter().map(|(e, _)| e)),
+                    "case {case}"
+                );
 
-                let (mut hops, mut staged) = (Vec::new(), Vec::new());
-                let n = batched.finish_batch(&mut staged, |parent, port, child| {
+                let (mut hops, mut emitter, mut staged) =
+                    (Vec::new(), Emitter::default(), Vec::new());
+                let n = batched.finish_batch(&mut emitter, &mut staged, |parent, port, child| {
                     hops.push((*parent, port, *child));
                 });
                 assert_eq!(n, parents.len(), "case {case}");
+                assert!(emitter.is_empty() && staged.is_empty(), "case {case}");
                 let mut want_hops = Vec::new();
-                for parent in &parents {
-                    let mut out = Vec::new();
-                    single.finish_inflight_into(SimTime::ZERO, &mut out);
-                    want_hops.extend(out.into_iter().map(|(port, child)| (*parent, port, child)));
+                for &(parent, port) in &parents {
+                    let produced = single.finish(parent, port);
+                    want_hops.extend(produced.into_iter().map(|(p, child)| (parent, p, child)));
                 }
                 assert_eq!(hops, want_hops, "case {case}");
-                assert!(!batched.has_inflight() && !single.has_inflight());
+                assert!(!batched.has_inflight());
 
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                batched.take_sendable_conns(&mut a);
-                single.take_sendable_conns(&mut b);
-                assert_eq!(a, b, "case {case}: sendable set");
+                let mut sendable = Vec::new();
+                batched.take_sendable_conns(&mut sendable);
+                let mut want_sendable: Vec<_> = want_hops
+                    .iter()
+                    .map(|&(_, p, _)| (p, ConnectionId(0), Dest::Sink(SinkId(p as u32))))
+                    .collect();
+                want_sendable.sort_by_key(|&(p, ..)| p);
+                want_sendable.dedup();
+                assert_eq!(sendable, want_sendable, "case {case}: sendable set");
             }
-            assert_eq!(batched.processed_total(), single.processed_total());
+            assert!(single.start_next().is_none(), "case {case}");
+            assert_eq!(batched.processed_total(), single.processed_total);
+            let ckpt = batched.snapshot(SimTime::ZERO);
             assert_eq!(
-                batched.snapshot(SimTime::ZERO),
-                single.snapshot(SimTime::ZERO),
-                "case {case}: output queues, operator state or positions differ"
+                ckpt.operator_state,
+                single.operator.snapshot(),
+                "case {case}"
             );
+            for port in 0..in_ports {
+                assert_eq!(
+                    ckpt.input_positions[port],
+                    single.inputs[port].positions(),
+                    "case {case}"
+                );
+            }
             for port in 0..out_ports {
                 assert_eq!(
+                    ckpt.outputs[port],
+                    single.outputs[port].snapshot(),
+                    "case {case}"
+                );
+                assert_eq!(
                     batched.output(port).high_water(),
-                    single.output(port).high_water(),
+                    single.outputs[port].high_water(),
                     "case {case}"
                 );
             }
