@@ -1,21 +1,16 @@
 //! Offline frontend: replay a recorded flight-recorder dump through the
 //! same [`Auditor`] the online probe runs, re-deriving an identical report.
 //!
-//! The dump is the JSONL dialect `TraceRecord::to_json` writes; lines are
-//! parsed with the dependency-free flat-JSON reader from `sps-observe`.
-//! Only *audited* kinds are reconstructed — data-plane traffic and other
-//! control-plane records are skipped, exactly as the online auditor skips
-//! them, so the two frontends agree on the audited event count and thus on
-//! the report bytes. Previously recorded `audit_violation` lines are
-//! counted separately (they came from the online probe of the recorded
-//! run) rather than re-fed, which would double-count.
+//! The dump is the JSONL dialect `TraceRecord::to_json` writes; every line
+//! is read back with its inverse, `TraceRecord::from_json`, and handed to
+//! the auditor, which skips the kinds it does not audit exactly as it does
+//! online, so the two frontends agree on the audited event count and thus
+//! on the report bytes. Previously recorded `audit_violation` lines (they
+//! came from the online probe of the recorded run) are among the skipped
+//! kinds and are counted separately: re-feeding them would double-count.
 
-use sps_observe::jsonl::{get, parse_flat_object, FlatObject};
-use sps_sim::SimTime;
-use sps_trace::{
-    AbortReason, AuditInvariant, EpochCause, HaModeTag, RecoveryPhase, TraceEvent, TraceProbe,
-    TraceRecord,
-};
+use sps_trace::jsonl::{get, parse_flat_object};
+use sps_trace::{AuditInvariant, TraceEvent, TraceProbe, TraceRecord};
 
 use crate::{Auditor, Violation};
 
@@ -50,99 +45,6 @@ pub struct ReplayOutcome {
     pub recorded_violations: u64,
     /// Context for the first derived violation, if any.
     pub first: Option<FirstViolation>,
-}
-
-fn req_u64(obj: &FlatObject, key: &str, line: usize) -> Result<u64, String> {
-    get(obj, key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("line {line}: missing or non-integer \"{key}\""))
-}
-
-fn req_bool(obj: &FlatObject, key: &str, line: usize) -> Result<bool, String> {
-    get(obj, key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| format!("line {line}: missing or non-bool \"{key}\""))
-}
-
-fn req_str<'a>(obj: &'a FlatObject, key: &str, line: usize) -> Result<&'a str, String> {
-    get(obj, key)
-        .and_then(|v| v.as_str())
-        .ok_or_else(|| format!("line {line}: missing or non-string \"{key}\""))
-}
-
-/// Rebuild the audited-kind `TraceEvent` a dump line encodes; `Ok(None)`
-/// for kinds the auditor does not consume.
-fn event_from(kind: &str, obj: &FlatObject, line: usize) -> Result<Option<TraceEvent>, String> {
-    let u32of = |key: &str| -> Result<u32, String> { Ok(req_u64(obj, key, line)? as u32) };
-    let event = match kind {
-        "audit_meta" => TraceEvent::AuditMeta {
-            subjobs: u32of("subjobs")?,
-            flat: req_bool(obj, "flat", line)?,
-            lossless: req_bool(obj, "lossless", line)?,
-            quiescent: req_bool(obj, "quiescent", line)?,
-        },
-        "subjob_meta" => TraceEvent::SubjobMeta {
-            subjob: u32of("subjob")?,
-            mode: HaModeTag::parse(req_str(obj, "mode", line)?)
-                .ok_or_else(|| format!("line {line}: unknown ha mode"))?,
-        },
-        "sink_deliver" => TraceEvent::SinkDeliver {
-            sink: u32of("sink")?,
-            stream: u32of("stream")?,
-            seq_start: req_u64(obj, "seq_start", line)?,
-            seq_end: req_u64(obj, "seq_end", line)?,
-            newly_accepted: u32of("newly_accepted")?,
-            duplicates: u32of("duplicates")?,
-            processed_through: req_u64(obj, "processed_through", line)?,
-        },
-        "checkpoint_covered" => TraceEvent::CheckpointCovered {
-            pe: u32of("pe")?,
-            replica: req_u64(obj, "replica", line)? as u8,
-            stream: u32of("stream")?,
-            seq: req_u64(obj, "seq", line)?,
-        },
-        "ack_sent" => TraceEvent::AckSent {
-            pe: u32of("pe")?,
-            replica: req_u64(obj, "replica", line)? as u8,
-            stream: u32of("stream")?,
-            seq: req_u64(obj, "seq", line)?,
-        },
-        "epoch_change" => TraceEvent::EpochChange {
-            subjob: u32of("subjob")?,
-            epoch: req_u64(obj, "epoch", line)?,
-            cause: EpochCause::parse(req_str(obj, "cause", line)?)
-                .ok_or_else(|| format!("line {line}: unknown epoch cause"))?,
-            primary_machine: u32of("primary_machine")?,
-            primary_replica: req_u64(obj, "primary_replica", line)? as u8,
-        },
-        "recovery" => TraceEvent::Recovery {
-            subjob: u32of("subjob")?,
-            phase: RecoveryPhase::parse(req_str(obj, "phase", line)?)
-                .ok_or_else(|| format!("line {line}: unknown recovery phase"))?,
-        },
-        "failover_aborted" => TraceEvent::FailoverAborted {
-            subjob: u32of("subjob")?,
-            machine: u32of("machine")?,
-            // The auditor only uses the subjob; any reason discharges
-            // coverage identically.
-            reason: AbortReason::NoStandby,
-        },
-        "standby_provision" => TraceEvent::StandbyProvision {
-            subjob: u32of("subjob")?,
-            machine: u32of("machine")?,
-            fresh: req_bool(obj, "fresh", line)?,
-            primary_domain: u32of("primary_domain")?,
-            standby_domain: u32of("standby_domain")?,
-        },
-        "retransmit" => TraceEvent::Retransmit {
-            src: u32of("src")?,
-            dst: u32of("dst")?,
-            tx: req_u64(obj, "tx", line)?,
-            attempt: u32of("attempt")?,
-        },
-        _ => return Ok(None),
-    };
-    Ok(Some(event))
 }
 
 /// The `(key, value)` identities a violation shares with its causes, used
@@ -213,8 +115,10 @@ pub fn replay_dump(text: &str) -> Result<ReplayOutcome, String> {
         if raw.trim().is_empty() {
             continue;
         }
-        let obj = parse_flat_object(raw).map_err(|e| format!("line {line_no}: {e}"))?;
-        let kind = req_str(&obj, "kind", line_no)?;
+        let record = parse_flat_object(raw)
+            .and_then(|obj| TraceRecord::from_json(&obj))
+            .map_err(|e| format!("line {line_no}: {e}"))?;
+        let kind = record.event.kind();
         if !seen_preamble && kind != "audit_meta" {
             return Err(format!(
                 "line {line_no}: the dump opens with \"{kind}\", not the \"audit_meta\" \
@@ -223,21 +127,20 @@ pub fn replay_dump(text: &str) -> Result<ReplayOutcome, String> {
             ));
         }
         seen_preamble = true;
-        if kind == "audit_violation" {
+        if matches!(record.event, TraceEvent::AuditViolation { .. }) {
             recorded_violations += 1;
+        }
+        let (audited, before) = (auditor.events_audited, auditor.violations().len());
+        auditor.observe(&record, &mut derived);
+        derived.clear();
+        if auditor.events_audited == audited {
+            // Not an audited kind: no part of any backtrace.
             continue;
         }
-        let Some(event) = event_from(kind, &obj, line_no)? else {
-            continue;
-        };
-        let at = SimTime::from_nanos(req_u64(&obj, "t", line_no)?);
-        let before = auditor.violations().len();
-        auditor.observe(&TraceRecord { at, event }, &mut derived);
         if first.is_none() && auditor.violations().len() > before {
             first = Some((auditor.violations()[before], audited_lines.len() + 1));
         }
         audited_lines.push((line_no, raw.to_string()));
-        derived.clear();
     }
 
     auditor.finish(&mut derived);
@@ -268,7 +171,8 @@ pub fn replay_dump(text: &str) -> Result<ReplayOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sps_trace::TraceRecord;
+    use sps_sim::SimTime;
+    use sps_trace::{EpochCause, HaModeTag};
 
     fn jsonl(records: &[TraceRecord]) -> String {
         let mut s = String::new();
@@ -427,6 +331,14 @@ mod tests {
         let headed = format!("{preamble}{{\"t\":1,\"kind\":\"sink_deliver\",\"sink\":0}}\n");
         let err = replay_dump(&headed).unwrap_err();
         assert!(err.contains("line 2") && err.contains("stream"), "{err}");
+        // Drift in a kind the auditor does not consume is refused too, and
+        // so is an integer its field cannot hold (it used to be truncated).
+        let err =
+            replay_dump(&format!("{preamble}{{\"t\":1,\"kind\":\"recovry\"}}\n")).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("recovry"), "{err}");
+        let wide = "{\"t\":1,\"kind\":\"bench_probe\",\"machine\":4294967296}\n";
+        let err = replay_dump(&format!("{preamble}{wide}")).unwrap_err();
+        assert!(err.contains("line 2") && err.contains("machine"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!                                            protocol auditor; print the report
 //!                                            and first-violation backtrace
 //!                                            (exit 1 on any violation)
-//! sps-inspect check    <dump.jsonl>...       parse every line; exit nonzero
+//! sps-inspect check    <dump.jsonl>...       parse every line, a trace dump's
+//!                                            as typed records; exit nonzero
 //!                                            on the first malformed one
 //! ```
 //!
@@ -44,7 +45,8 @@ const USAGE: &str = "usage: sps-inspect <summary|timeline|diff|flame|audit|check
                        exit 1 when files differ
   flame    <trace>     recovery critical paths as folded-stack flamegraph lines
   audit    <trace>     replay through the protocol auditor; exit 1 on any violation
-  check    <dump>...   parse every line; exit nonzero on the first malformed one";
+  check    <dump>...   parse every line (a trace dump's as typed records); exit nonzero
+                       on the first malformed one";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +75,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
             for f in files {
                 let dump = Dump::load(Path::new(f))?;
-                emit(&inspect::summary(&dump));
+                emit(&inspect::summary(&dump)?);
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -120,7 +122,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "flame" => {
             need(1)?;
             let dump = Dump::load(Path::new(&files[0]))?;
-            emit(&inspect::flame(&dump));
+            emit(&inspect::flame(&dump)?);
             Ok(ExitCode::SUCCESS)
         }
         "audit" => {

@@ -17,7 +17,7 @@ use sps_audit::{replay_dump, Auditor};
 use sps_cluster::{ChaosPlan, FaultProfile, MachineId, SpikeWindow};
 use sps_ha::{HaConfig, HaMode, HaSimulation};
 use sps_sim::SimTime;
-use sps_trace::SharedRecorder;
+use sps_trace::{jsonl, SharedRecorder, TraceRecord};
 use sps_workloads::eval_chain_job;
 
 /// The observed-run scenario with the online auditor AND a flight
@@ -133,6 +133,13 @@ fn a_wrapped_ring_is_refused_where_the_whole_trace_passes() {
         replay_dump(&dump).expect("whole dump replays").report,
         report
     );
+    // Every line of a whole trace, data plane included, is a fix-point of
+    // the schema's reader and writer.
+    assert!(dump.lines().count() > 100_000);
+    for line in dump.lines() {
+        let read = jsonl::parse_flat_object(line).and_then(|obj| TraceRecord::from_json(&obj));
+        assert_eq!(read.map(|r| r.to_json()).as_deref(), Ok(line));
+    }
 }
 
 #[test]

@@ -1070,11 +1070,10 @@ impl HaWorld {
         is_instance: bool,
         idx: usize,
         src: MachineId,
-        obs: sps_sim::ArenaRange,
+        obs: &[(usize, usize, Dest, bool, u64, u64)],
     ) -> bool {
         let mut rewound = false;
-        for i in 0..obs.len() {
-            let (port, ci, dest, active, acked, next) = self.sweep_arena.slice(obs)[i];
+        for &(port, ci, dest, active, acked, next) in obs {
             let window = (active && next > acked + 1).then_some((acked, next));
             let reachable = window.is_some() && {
                 let dst = self.dest_machine(dest);
@@ -1123,22 +1122,22 @@ impl HaWorld {
     /// correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(self.cfg.rel_sweep_interval, Event::RetransmitSweep);
-        // Connection observations stage in the world's bump arena (one
-        // region per producer, all released at the sweep's end), so the
-        // periodic sweep stops allocating once the arena is warm.
+        // One producer's connection observations at a time stage in the
+        // world's scratch list, so the periodic sweep stops allocating once
+        // the list is warm.
+        let mut obs = std::mem::take(&mut self.sweep_scratch);
         for s in 0..self.sources.len() {
             let machine = self.placement.sources[s];
             if !self.cluster.machine(machine).is_up() {
                 continue;
             }
             let q = self.sources[s].queue();
-            let obs = self
-                .sweep_arena
-                .alloc_extend((0..q.connections().len()).map(|ci| {
-                    let c = q.connection(ConnectionId(ci));
-                    (0usize, ci, c.dest, c.active, c.acked, c.next_to_send)
-                }));
-            if self.sweep_rewind(false, s, machine, obs) {
+            obs.clear();
+            obs.extend((0..q.connections().len()).map(|ci| {
+                let c = q.connection(ConnectionId(ci));
+                (0usize, ci, c.dest, c.active, c.acked, c.next_to_send)
+            }));
+            if self.sweep_rewind(false, s, machine, &obs) {
                 self.dispatch_source_outputs(ctx, s);
             }
         }
@@ -1150,21 +1149,19 @@ impl HaWorld {
             if !self.cluster.machine(machine).is_up() {
                 continue;
             }
-            let obs = self
-                .sweep_arena
-                .alloc_extend((0..inst.output_ports()).flat_map(|port| {
-                    let q = inst.output(port);
-                    (0..q.connections().len()).map(move |ci| {
-                        let c = q.connection(ConnectionId(ci));
-                        (port, ci, c.dest, c.active, c.acked, c.next_to_send)
-                    })
-                }));
-            if self.sweep_rewind(true, slot, machine, obs) {
+            obs.clear();
+            obs.extend((0..inst.output_ports()).flat_map(|port| {
+                let q = inst.output(port);
+                (0..q.connections().len()).map(move |ci| {
+                    let c = q.connection(ConnectionId(ci));
+                    (port, ci, c.dest, c.active, c.acked, c.next_to_send)
+                })
+            }));
+            if self.sweep_rewind(true, slot, machine, &obs) {
                 self.dispatch_outputs(ctx, slot);
             }
         }
-        // Safe point: no observation range outlives its sweep.
-        self.sweep_arena.reset();
+        self.sweep_scratch = obs;
     }
 }
 

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use sps_sim::SimTime;
-use sps_trace::{recovery_critical_paths, recovery_spans, PhaseRecord, RecoveryPhase};
+use sps_trace::{recovery_critical_paths, recovery_spans, PhaseRecord, TraceEvent, TraceRecord};
 
 use crate::jsonl::{get, parse_flat_object, FlatObject, JsonValue};
 
@@ -53,31 +53,43 @@ impl Dump {
         })
     }
 
+    /// Line `i` (0-based) of a trace dump as the typed record it encodes.
+    /// A line the schema cannot read is an error naming file, line and
+    /// key, not a record quietly missing from the analysis.
+    fn record(&self, i: usize) -> Result<TraceRecord, String> {
+        TraceRecord::from_json(&self.lines[i]).map_err(|e| format!("{}:{}: {e}", self.path, i + 1))
+    }
+
+    /// The typed records of the lines of one `kind`, in file order.
+    fn records<'a>(
+        &'a self,
+        kind: &'a str,
+    ) -> impl Iterator<Item = Result<TraceRecord, String>> + 'a {
+        (0..self.lines.len())
+            .filter(move |&i| kind_of(&self.lines[i]) == Some(kind))
+            .map(|i| self.record(i))
+    }
+
     /// Reconstructs the control-plane phase log from a trace dump.
-    pub fn phases(&self) -> Vec<PhaseRecord> {
-        self.lines
-            .iter()
-            .filter(|l| kind_of(l) == Some("recovery"))
-            .filter_map(|l| {
-                Some(PhaseRecord {
-                    at: SimTime::from_nanos(get(l, "t")?.as_u64()?),
-                    subjob: get(l, "subjob")?.as_u64()? as u32,
-                    phase: RecoveryPhase::parse(get(l, "phase")?.as_str()?)?,
-                })
-            })
-            .collect()
+    pub fn phases(&self) -> Result<Vec<PhaseRecord>, String> {
+        let mut out = Vec::new();
+        for record in self.records("recovery") {
+            let TraceRecord { at, event } = record?;
+            if let TraceEvent::Recovery { subjob, phase } = event {
+                out.push(PhaseRecord { at, subjob, phase });
+            }
+        }
+        Ok(out)
     }
 
     /// Failure-injection instants from a trace dump, ascending.
-    pub fn injects(&self) -> Vec<SimTime> {
-        let mut out: Vec<SimTime> = self
-            .lines
-            .iter()
-            .filter(|l| kind_of(l) == Some("failure_inject"))
-            .filter_map(|l| Some(SimTime::from_nanos(get(l, "t")?.as_u64()?)))
-            .collect();
+    pub fn injects(&self) -> Result<Vec<SimTime>, String> {
+        let mut out = self
+            .records("failure_inject")
+            .map(|record| Ok(record?.at))
+            .collect::<Result<Vec<SimTime>, String>>()?;
         out.sort();
-        out
+        Ok(out)
     }
 }
 
@@ -92,7 +104,7 @@ fn fmt_t(ns: u64) -> String {
 /// Summarizes one artifact: per-kind counts, the covered sim-time range,
 /// recovery-cycle decomposition (trace dumps), and SLO/anomaly totals
 /// (health reports).
-pub fn summary(dump: &Dump) -> String {
+pub fn summary(dump: &Dump) -> Result<String, String> {
     let mut s = String::new();
     let _ = writeln!(s, "# {} — {} lines", dump.path, dump.lines.len());
     let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
@@ -118,9 +130,9 @@ pub fn summary(dump: &Dump) -> String {
         let _ = writeln!(s, "  {k:<22} {n}");
     }
     // Trace dumps: recovery decomposition.
-    let phases = dump.phases();
+    let phases = dump.phases()?;
     if !phases.is_empty() {
-        let injects = dump.injects();
+        let injects = dump.injects()?;
         let origin = injects.first().copied().unwrap_or(phases[0].at);
         let _ = writeln!(s, "recovery cycles:");
         for p in recovery_critical_paths(&phases, &injects) {
@@ -217,37 +229,29 @@ pub fn summary(dump: &Dump) -> String {
             _ => {}
         }
     }
-    s
+    Ok(s)
 }
 
 fn fmt_opt(v: &JsonValue) -> String {
     match v {
         JsonValue::Null => "-".into(),
-        JsonValue::Num(n) => format!("{n}"),
+        JsonValue::Int(n) => n.to_string(),
+        JsonValue::Num(n) => n.to_string(),
         JsonValue::Str(s) => s.clone(),
         JsonValue::Bool(b) => b.to_string(),
     }
 }
 
-/// Data-plane kinds skipped by the timeline (too high-rate to read).
-const TIMELINE_SKIP: &[&str] = &[
-    "element_send",
-    "element_recv",
-    "ack",
-    "heartbeat_ping",
-    "heartbeat_pong",
-];
-
 /// Reconstructs a per-machine / per-PE control-plane timeline from a
 /// trace dump: one sim-time-ordered line per event, grouped under the
-/// entity it is about.
+/// entity it is about. Data-plane kinds are skipped (too high-rate to read).
 pub fn timeline(dump: &Dump) -> String {
     // Entity key: machine-scoped events and PE-scoped events each group
     // under their own heading; global events under "cluster".
     let mut groups: BTreeMap<String, Vec<(u64, String)>> = BTreeMap::new();
     for l in &dump.lines {
         let Some(kind) = kind_of(l) else { continue };
-        if TIMELINE_SKIP.contains(&kind) {
+        if TraceEvent::KINDS.contains(&(kind, true)) {
             continue;
         }
         let Some(t) = get(l, "t").and_then(JsonValue::as_u64) else {
@@ -347,9 +351,9 @@ pub fn diff_with_context(a: &Dump, b: &Dump, context: usize) -> (String, bool) {
 /// Exports the recovery critical paths of a trace dump as folded-stack
 /// flamegraph lines (`stack;frames count`), one per edge, weighted in
 /// microseconds — feed to any flamegraph renderer.
-pub fn flame(dump: &Dump) -> String {
-    let phases = dump.phases();
-    let injects = dump.injects();
+pub fn flame(dump: &Dump) -> Result<String, String> {
+    let phases = dump.phases()?;
+    let injects = dump.injects()?;
     let mut s = String::new();
     for p in recovery_critical_paths(&phases, &injects) {
         for e in &p.edges {
@@ -361,15 +365,21 @@ pub fn flame(dump: &Dump) -> String {
             );
         }
     }
-    s
+    Ok(s)
 }
 
 /// Parses every file and reports per-file line counts; the first parse
-/// error aborts with the offending file/line. This is the CI self-check.
+/// error aborts with the offending file/line. A trace dump (it opens with
+/// `audit_meta`) must also read back as typed records line by line, so an
+/// unknown kind, a misspelt enum name or a missing field is format drift
+/// caught here, with the key named. This is the CI self-check.
 pub fn check(paths: &[&Path]) -> Result<String, String> {
     let mut s = String::new();
     for p in paths {
         let dump = Dump::load(p)?;
+        if dump.lines.first().and_then(kind_of) == Some("audit_meta") {
+            (0..dump.lines.len()).try_for_each(|i| dump.record(i).map(drop))?;
+        }
         let mut kinds: BTreeMap<&str, usize> = BTreeMap::new();
         for l in &dump.lines {
             *kinds.entry(kind_of(l).unwrap_or("?")).or_insert(0) += 1;
@@ -400,14 +410,66 @@ mod tests {
     #[test]
     fn phases_and_injects_reconstruct() {
         let d = Dump::from_str("t.jsonl", TRACE).unwrap();
-        assert_eq!(d.phases().len(), 4);
-        assert_eq!(d.injects(), vec![SimTime::from_millis(3_000)]);
+        assert_eq!(d.phases().unwrap().len(), 4);
+        assert_eq!(d.injects().unwrap(), vec![SimTime::from_millis(3_000)]);
+    }
+
+    #[test]
+    fn an_unreadable_recovery_line_is_an_error_not_a_shorter_phase_log() {
+        let text = TRACE.replace(
+            "\"phase\":\"rollback_started\"",
+            "\"phase\":\"rolback_started\"",
+        );
+        let d = Dump::from_str("t.jsonl", &text).unwrap();
+        for err in [
+            d.phases().unwrap_err(),
+            summary(&d).unwrap_err(),
+            flame(&d).unwrap_err(),
+        ] {
+            assert!(
+                err.contains("t.jsonl:5") && err.contains("\"phase\""),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_reads_a_trace_dump_as_typed_records() {
+        let dir = std::env::temp_dir().join(format!("sps-inspect-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = "{\"t\":0,\"kind\":\"audit_meta\",\"subjobs\":2,\"flat\":true,\"lossless\":true,\"quiescent\":true}\n";
+        let check_text = |text: &str| {
+            let path = dir.join("trace.jsonl");
+            std::fs::write(&path, text).unwrap();
+            check(&[&path])
+        };
+        let good = format!("{meta}{TRACE}");
+        assert!(check_text(&good).unwrap().contains("(7 lines, 4 kinds)"));
+        for (drift, key) in [
+            (
+                good.replace("\"phase\":\"detected\"", "\"phase\":\"detcted\""),
+                "\"phase\"",
+            ),
+            (
+                good.replace("\"kind\":\"recovery\"", "\"kind\":\"recovry\""),
+                "\"kind\"",
+            ),
+            (good.replace(",\"miss_streak\":1", ""), "\"miss_streak\""),
+        ] {
+            let err = check_text(&drift).unwrap_err();
+            assert!(err.contains("trace.jsonl:") && err.contains(key), "{err}");
+        }
+        // Anything else (health, metrics, a headless trace) keeps the
+        // flat-object check only.
+        let headless = TRACE.replace("\"kind\":\"recovery\"", "\"kind\":\"recovry\"");
+        assert!(check_text(&headless).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn summary_decomposes_recovery() {
         let d = Dump::from_str("t.jsonl", TRACE).unwrap();
-        let s = summary(&d);
+        let s = summary(&d).unwrap();
         assert!(s.contains("recovery cycles:"), "{s}");
         assert!(s.contains("subjob 1 cycle 0: 1400.0ms"), "{s}");
         assert!(s.contains("detection"), "{s}");
@@ -418,7 +480,7 @@ mod tests {
     #[test]
     fn flame_exports_folded_stacks() {
         let d = Dump::from_str("t.jsonl", TRACE).unwrap();
-        let f = flame(&d);
+        let f = flame(&d).unwrap();
         // The detection edge: inject 3.0s -> detected 3.1s = 100000us.
         assert!(
             f.contains("recovery;subjob1;cycle0;detection 100000"),
@@ -488,14 +550,14 @@ mod tests {
             "{\"t\":4600000000,\"kind\":\"audit_violation\",\"invariant\":\"split_brain\",\"subjob\":1,\"entity\":6,\"seq\":2,\"detail\":2}"
         );
         let d = Dump::from_str("t.jsonl", &text).unwrap();
-        let s = summary(&d);
+        let s = summary(&d).unwrap();
         assert!(s.contains("audit violations: 2"), "{s}");
         assert!(s.contains("sink_exactly_once"), "{s}");
         assert!(s.contains("split_brain"), "{s}");
         assert!(s.contains("4.600s split_brain subjob=1 entity=6"), "{s}");
         // Clean dumps have no audit section at all.
         let clean = Dump::from_str("t.jsonl", TRACE).unwrap();
-        assert!(!summary(&clean).contains("audit violations"));
+        assert!(!summary(&clean).unwrap().contains("audit violations"));
     }
 
     #[test]

@@ -38,10 +38,11 @@
 mod anomaly;
 mod engine;
 pub mod inspect;
-pub mod jsonl;
 mod report;
 mod slo;
 mod window;
+
+pub use sps_trace::jsonl;
 
 pub use anomaly::{
     AnomalySpan, AnomalyTransition, AuditViolationsDetector, BackpressureDetector,

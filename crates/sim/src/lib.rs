@@ -49,7 +49,6 @@
 #![cfg_attr(feature = "bench", deny(unsafe_code))]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod arena;
 #[cfg(feature = "bench")]
 pub mod counting_alloc;
 mod queue;
@@ -58,7 +57,6 @@ mod sim;
 mod time;
 mod timer;
 
-pub use arena::{ArenaRange, BumpArena};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 #[cfg(feature = "bench")]

@@ -1,1127 +1,25 @@
-//! The typed trace-event model and its JSONL encoding.
+//! The typed trace-event model and its two encodings, declared once.
 //!
 //! Every observable action in the simulator maps to one [`TraceEvent`]
 //! variant. Events carry only primitive fields (ids, counts, sizes,
 //! sim-times as nanoseconds) so they can be encoded to JSON Lines without
 //! a serialisation framework and compared byte-for-byte across runs.
+//!
+//! The schema is two kinds of declaration and nothing else: one
+//! `trace_enum!` per field-less enum (`Variant = "name"`) and one
+//! `trace_events!` table (`tag "kind" data|control => Variant { fields }`).
+//! Everything that must agree with them — names, `kind()`, the data-plane
+//! flag, the JSONL writer and reader, the packed codec, the test sampler —
+//! is generated from those rows, each field's type supplying its halves
+//! through the private [`Wire`] trait. Two things the table keeps: JSON key
+//! order = declaration order = wire order, and tags are append-only,
+//! because recorded rings are decoded by tag.
 
 use std::fmt::Write as _;
 
 use sps_sim::SimTime;
 
-/// Why a data-plane element was dropped instead of delivered/accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DropReason {
-    /// The destination machine was failed-stop at delivery time.
-    MachineDown,
-    /// The delivery raced a completed switch-over/rollback and carried a
-    /// stale epoch.
-    StaleEpoch,
-    /// The receiving input queue had already accepted this sequence number
-    /// (duplicate from a redundant replica or a retransmission overlap).
-    Duplicate,
-}
-
-impl DropReason {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DropReason::MachineDown => "machine_down",
-            DropReason::StaleEpoch => "stale_epoch",
-            DropReason::Duplicate => "duplicate",
-        }
-    }
-}
-
-/// The kind of chaos-plan action a [`TraceEvent::ChaosPhase`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ChaosKind {
-    /// A fault profile was installed on one directed link.
-    LinkFaults,
-    /// A directed link's fault profile was removed.
-    ClearLinkFaults,
-    /// The network-wide default fault profile was set.
-    DefaultFaults,
-    /// The network-wide default fault profile was cleared.
-    ClearDefaultFaults,
-    /// A two-way partition was cut.
-    Partition,
-    /// A partition was healed.
-    Heal,
-    /// A machine was fail-stopped.
-    FailStop,
-    /// A machine's CPU capacity was gray-degraded (or restored).
-    GrayDegrade,
-    /// Every machine in one rack fault domain was fail-stopped at once.
-    FailDomain,
-    /// Every machine behind one switch was partitioned from the rest.
-    PartitionSwitch,
-    /// A switch partition was healed.
-    HealSwitch,
-}
-
-impl ChaosKind {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChaosKind::LinkFaults => "link_faults",
-            ChaosKind::ClearLinkFaults => "clear_link_faults",
-            ChaosKind::DefaultFaults => "default_faults",
-            ChaosKind::ClearDefaultFaults => "clear_default_faults",
-            ChaosKind::Partition => "partition",
-            ChaosKind::Heal => "heal",
-            ChaosKind::FailStop => "fail_stop",
-            ChaosKind::GrayDegrade => "gray_degrade",
-            ChaosKind::FailDomain => "fail_domain",
-            ChaosKind::PartitionSwitch => "partition_switch",
-            ChaosKind::HealSwitch => "heal_switch",
-        }
-    }
-}
-
-/// Why a failover attempt was abandoned without promoting anything
-/// (see [`TraceEvent::FailoverAborted`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AbortReason {
-    /// The standby was already lost and no spare machine remained.
-    NoStandby,
-    /// The promotion-safety ladder rejected the standby (stale heartbeat
-    /// or checkpoint lag) and no safe spare remained.
-    StandbyUnhealthy,
-    /// The standby's machine sits in a fault domain with an active fault
-    /// and no domain-disjoint spare remained.
-    DomainFault,
-}
-
-impl AbortReason {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AbortReason::NoStandby => "no_standby",
-            AbortReason::StandbyUnhealthy => "standby_unhealthy",
-            AbortReason::DomainFault => "domain_fault",
-        }
-    }
-}
-
-/// A named phase of a recovery cycle, as logged on the control plane.
-///
-/// This is the single source of truth for recovery phases: `sps-ha`
-/// re-exports it as `HaEventKind`, and the recovery-time decomposition in
-/// `sps-metrics` is derived from spans of these phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RecoveryPhase {
-    /// A transient failure was declared (PS: 3 misses, Hybrid: 1 miss).
-    Detected,
-    /// Hybrid switch-over completed (secondary live).
-    SwitchoverComplete,
-    /// Hybrid rollback started (fresh pong received).
-    RollbackStarted,
-    /// Hybrid rollback completed (primary restored and live).
-    RollbackComplete,
-    /// PS deployment completed.
-    PsDeployed,
-    /// PS connections established (new copy live).
-    PsConnected,
-    /// Fail-stop declared; secondary promoted to primary.
-    Promoted,
-    /// Replacement secondary deployed and suspended.
-    SecondaryReady,
-}
-
-impl RecoveryPhase {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RecoveryPhase::Detected => "detected",
-            RecoveryPhase::SwitchoverComplete => "switchover_complete",
-            RecoveryPhase::RollbackStarted => "rollback_started",
-            RecoveryPhase::RollbackComplete => "rollback_complete",
-            RecoveryPhase::PsDeployed => "ps_deployed",
-            RecoveryPhase::PsConnected => "ps_connected",
-            RecoveryPhase::Promoted => "promoted",
-            RecoveryPhase::SecondaryReady => "secondary_ready",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str): parses the JSONL phase name
-    /// (offline analyzers reconstruct phase logs from trace dumps).
-    pub fn parse(name: &str) -> Option<RecoveryPhase> {
-        Some(match name {
-            "detected" => RecoveryPhase::Detected,
-            "switchover_complete" => RecoveryPhase::SwitchoverComplete,
-            "rollback_started" => RecoveryPhase::RollbackStarted,
-            "rollback_complete" => RecoveryPhase::RollbackComplete,
-            "ps_deployed" => RecoveryPhase::PsDeployed,
-            "ps_connected" => RecoveryPhase::PsConnected,
-            "promoted" => RecoveryPhase::Promoted,
-            "secondary_ready" => RecoveryPhase::SecondaryReady,
-            _ => return None,
-        })
-    }
-}
-
-/// The HA mode of one subjob, as carried by [`TraceEvent::SubjobMeta`].
-///
-/// Mirrors `sps_ha::HaMode` without depending on it: the trace crate sits
-/// below the protocol crate, and offline analyzers (the auditor's replay
-/// frontend) must reconstruct modes from dumps alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum HaModeTag {
-    /// Single copy, no failure handling.
-    None,
-    /// Active standby (two serving copies, downstream dedup).
-    Active,
-    /// Passive standby (checkpoints, deploy on demand).
-    Passive,
-    /// The paper's hybrid.
-    Hybrid,
-}
-
-impl HaModeTag {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HaModeTag::None => "none",
-            HaModeTag::Active => "active",
-            HaModeTag::Passive => "passive",
-            HaModeTag::Hybrid => "hybrid",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str) for offline replay.
-    pub fn parse(name: &str) -> Option<HaModeTag> {
-        Some(match name {
-            "none" => HaModeTag::None,
-            "active" => HaModeTag::Active,
-            "passive" => HaModeTag::Passive,
-            "hybrid" => HaModeTag::Hybrid,
-            _ => return None,
-        })
-    }
-}
-
-/// Which protocol transition bumped a subjob's epoch (see
-/// [`TraceEvent::EpochChange`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EpochCause {
-    /// Initial deployment (epoch 0, emitted once per subjob at build).
-    Init,
-    /// A switch-over in flight was aborted by a fresh pong (false alarm).
-    SwitchoverAbort,
-    /// Hybrid switch-over began (secondary resuming).
-    Switchover,
-    /// PS declared a failure and started an on-demand deploy.
-    PsDetect,
-    /// A deployed copy finished connecting and took over (role swap).
-    PsConnect,
-    /// Fail-stop promotion: the secondary became the primary.
-    Promote,
-    /// Promotion fell back to a spare redeploy (dead primary, PS path).
-    SpareRedeploy,
-    /// The standby machine died; the subjob dropped to one copy.
-    StandbyLost,
-}
-
-impl EpochCause {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EpochCause::Init => "init",
-            EpochCause::SwitchoverAbort => "switchover_abort",
-            EpochCause::Switchover => "switchover",
-            EpochCause::PsDetect => "ps_detect",
-            EpochCause::PsConnect => "ps_connect",
-            EpochCause::Promote => "promote",
-            EpochCause::SpareRedeploy => "spare_redeploy",
-            EpochCause::StandbyLost => "standby_lost",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str) for offline replay.
-    pub fn parse(name: &str) -> Option<EpochCause> {
-        Some(match name {
-            "init" => EpochCause::Init,
-            "switchover_abort" => EpochCause::SwitchoverAbort,
-            "switchover" => EpochCause::Switchover,
-            "ps_detect" => EpochCause::PsDetect,
-            "ps_connect" => EpochCause::PsConnect,
-            "promote" => EpochCause::Promote,
-            "spare_redeploy" => EpochCause::SpareRedeploy,
-            "standby_lost" => EpochCause::StandbyLost,
-            _ => return None,
-        })
-    }
-}
-
-/// The protocol invariant an [`TraceEvent::AuditViolation`] breaks.
-///
-/// The checker semantics live in `sps-audit`; the names live here so the
-/// violation event encodes/parses like every other trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AuditInvariant {
-    /// A sink accepted an already-processed sequence number (receiver
-    /// dedup failed) or its processed-through position regressed.
-    SinkExactlyOnce,
-    /// At end of a quiescent lossless run, a sink's processed-through
-    /// position never caught up with the highest sequence it saw.
-    SinkSeqGap,
-    /// A checkpoint-acked primary acknowledged upstream beyond its last
-    /// stored checkpoint position (§III-B ordering).
-    CkptAckOrder,
-    /// A subjob's epoch failed to increase across a transition.
-    EpochRegression,
-    /// Two different primaries were declared for the same subjob epoch.
-    SplitBrain,
-    /// A recovery-phase transition that the subjob's HA mode cannot
-    /// legally produce.
-    IllegalPhase,
-    /// A reliable-transfer retransmission attempt number repeated or
-    /// regressed (the flagged-once rule).
-    RetransmitReflag,
-    /// A promotion completed without re-provisioning a standby and
-    /// without declaring the failover aborted.
-    StandbyCoverage,
-    /// A freshly provisioned standby landed in the primary's fault domain
-    /// on a non-flat topology.
-    DomainDisjoint,
-}
-
-impl AuditInvariant {
-    /// Every invariant, in report order.
-    pub const ALL: [AuditInvariant; 9] = [
-        AuditInvariant::SinkExactlyOnce,
-        AuditInvariant::SinkSeqGap,
-        AuditInvariant::CkptAckOrder,
-        AuditInvariant::EpochRegression,
-        AuditInvariant::SplitBrain,
-        AuditInvariant::IllegalPhase,
-        AuditInvariant::RetransmitReflag,
-        AuditInvariant::StandbyCoverage,
-        AuditInvariant::DomainDisjoint,
-    ];
-
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AuditInvariant::SinkExactlyOnce => "sink_exactly_once",
-            AuditInvariant::SinkSeqGap => "sink_seq_gap",
-            AuditInvariant::CkptAckOrder => "ckpt_ack_order",
-            AuditInvariant::EpochRegression => "epoch_regression",
-            AuditInvariant::SplitBrain => "split_brain",
-            AuditInvariant::IllegalPhase => "illegal_phase",
-            AuditInvariant::RetransmitReflag => "retransmit_reflag",
-            AuditInvariant::StandbyCoverage => "standby_coverage",
-            AuditInvariant::DomainDisjoint => "domain_disjoint",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str) for offline replay.
-    pub fn parse(name: &str) -> Option<AuditInvariant> {
-        AuditInvariant::ALL.into_iter().find(|i| i.as_str() == name)
-    }
-}
-
-/// The detector family a [`TraceEvent::Anomaly`] verdict belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AnomalyKind {
-    /// Queue-depth high-water trend: input queues growing past threshold.
-    Backpressure,
-    /// Checkpoint sweep overran its interval budget (no store completed).
-    CheckpointStall,
-    /// Heartbeat suspect/refute churn above the flakiness band.
-    HeartbeatFlaky,
-    /// A recovery cycle in flight has burned past its time budget.
-    RecoveryBudgetBurn,
-    /// A subjob is running without a live standby (redundancy lost until
-    /// re-provisioning completes).
-    RedundancyLoss,
-    /// The protocol auditor's violation count increased (any invariant).
-    AuditViolations,
-}
-
-impl AnomalyKind {
-    /// Stable lower-snake name used in the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AnomalyKind::Backpressure => "backpressure",
-            AnomalyKind::CheckpointStall => "checkpoint_stall",
-            AnomalyKind::HeartbeatFlaky => "heartbeat_flaky",
-            AnomalyKind::RecoveryBudgetBurn => "recovery_budget_burn",
-            AnomalyKind::RedundancyLoss => "redundancy_loss",
-            AnomalyKind::AuditViolations => "audit_violations",
-        }
-    }
-}
-
-/// One typed, sim-time-free trace event. The timestamp lives in the
-/// enclosing [`TraceRecord`] so the event payload stays reusable.
-///
-/// Field conventions: `machine` is a machine index, `pe` a processing
-/// element id, `replica` is `0` for primary / `1` for secondary, `subjob`
-/// a subjob index, and times are sim-time nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A data element (or batch) left an instance's output queue.
-    ElementSend {
-        /// Sending PE id.
-        pe: u32,
-        /// Sending replica (0 primary, 1 secondary).
-        replica: u8,
-        /// Stream the elements belong to.
-        stream: u32,
-        /// Number of elements in the message.
-        elements: u32,
-        /// Highest sequence number in the batch.
-        last_seq: u64,
-    },
-    /// A data message was accepted by the receiving instance.
-    ElementRecv {
-        /// Receiving PE id.
-        pe: u32,
-        /// Receiving replica.
-        replica: u8,
-        /// Stream the elements belong to.
-        stream: u32,
-        /// Elements newly accepted for processing.
-        accepted: u32,
-        /// Elements stashed waiting for a sequence gap to fill.
-        stashed: u32,
-        /// Elements rejected as duplicates.
-        duplicates: u32,
-    },
-    /// A data-plane message was dropped instead of delivered.
-    ElementDrop {
-        /// Destination machine index.
-        machine: u32,
-        /// Elements lost with the message.
-        elements: u32,
-        /// Why the message was dropped.
-        reason: DropReason,
-    },
-    /// A downstream acknowledged element receipt back upstream.
-    Ack {
-        /// The PE whose output queue is being acknowledged.
-        pe: u32,
-        /// Replica of that PE.
-        replica: u8,
-        /// Acknowledged-through sequence number.
-        through_seq: u64,
-    },
-    /// A checkpoint began for one PE instance.
-    CheckpointStart {
-        /// PE being checkpointed.
-        pe: u32,
-        /// Replica being checkpointed.
-        replica: u8,
-    },
-    /// A checkpoint message (state snapshot) was produced and sent.
-    CheckpointSent {
-        /// PE whose state was captured.
-        pe: u32,
-        /// Replica whose state was captured.
-        replica: u8,
-        /// Retained elements captured in the snapshot.
-        elements: u32,
-        /// Serialised size of the checkpoint message.
-        bytes: u64,
-    },
-    /// A checkpoint reached stable storage / the standby.
-    CheckpointStored {
-        /// PE whose checkpoint completed.
-        pe: u32,
-        /// Replica whose checkpoint completed.
-        replica: u8,
-    },
-    /// A heartbeat ping was sent to a monitored machine.
-    HeartbeatPing {
-        /// Monitored machine index.
-        machine: u32,
-        /// Ping sequence number.
-        seq: u64,
-    },
-    /// A heartbeat reply came back fresh (clears suspicion if any).
-    HeartbeatPong {
-        /// Replying machine index.
-        machine: u32,
-        /// Sequence number being answered.
-        seq: u64,
-        /// Whether this pong cleared an active suspicion.
-        cleared_suspicion: bool,
-    },
-    /// A heartbeat tick found outstanding unanswered pings.
-    HeartbeatMiss {
-        /// Monitored machine index.
-        machine: u32,
-        /// Consecutive misses so far.
-        streak: u32,
-    },
-    /// A benchmark detector probe task was submitted.
-    BenchProbe {
-        /// Probed machine index.
-        machine: u32,
-    },
-    /// A benchmark detector probe completed and produced a verdict.
-    BenchVerdict {
-        /// Probed machine index.
-        machine: u32,
-        /// Measured probe latency in sim nanoseconds.
-        latency_ns: u64,
-        /// Whether the probe declared the machine overloaded.
-        overloaded: bool,
-    },
-    /// A failure (spike window or fail-stop) was injected by the harness.
-    FailureInject {
-        /// Affected machine index.
-        machine: u32,
-        /// `true` for a permanent fail-stop, `false` for a load spike.
-        fail_stop: bool,
-    },
-    /// The control plane declared a machine failed/overloaded.
-    FailureDetect {
-        /// Declared machine index.
-        machine: u32,
-        /// Affected subjob index.
-        subjob: u32,
-        /// Consecutive heartbeat misses at declaration time.
-        miss_streak: u32,
-    },
-    /// A recovery phase boundary on the control plane.
-    Recovery {
-        /// Affected subjob index.
-        subjob: u32,
-        /// Which phase boundary was crossed.
-        phase: RecoveryPhase,
-    },
-    /// A failover attempt gave up without promoting: the subjob keeps its
-    /// (possibly failed) primary and has lost redundancy. Previously a
-    /// silent dead-end; now visible to health reports and `sps-inspect`.
-    FailoverAborted {
-        /// Affected subjob index.
-        subjob: u32,
-        /// The standby machine the ladder rejected (or `u32::MAX` when no
-        /// standby existed at all).
-        machine: u32,
-        /// Why the attempt was abandoned.
-        reason: AbortReason,
-    },
-    /// A queue reached a new high-water mark (only growth is reported).
-    QueueHighWater {
-        /// Owning PE id.
-        pe: u32,
-        /// Owning replica.
-        replica: u8,
-        /// `true` for the input queue, `false` for the output queue.
-        input: bool,
-        /// The new high-water depth in elements.
-        depth: u64,
-    },
-    /// A periodic telemetry snapshot of one machine.
-    MachineSnapshot {
-        /// Machine index.
-        machine: u32,
-        /// Mean total utilisation over the last sample interval (0..=1+).
-        cpu_load: f64,
-        /// Background (injected) share at snapshot time.
-        background: f64,
-        /// Runnable simulated tasks at snapshot time.
-        run_queue: u32,
-    },
-    /// A periodic telemetry snapshot of one PE instance.
-    PeSnapshot {
-        /// PE id.
-        pe: u32,
-        /// Replica.
-        replica: u8,
-        /// Pending input elements (accepted + stashed).
-        input_depth: u64,
-        /// Retained output elements (sent but unacknowledged).
-        output_backlog: u64,
-        /// Total elements processed so far.
-        processed_total: u64,
-    },
-    /// The network dropped a message (partition or chaos loss).
-    NetDrop {
-        /// Sending machine index.
-        src: u32,
-        /// Destination machine index.
-        dst: u32,
-        /// Wire size of the lost message.
-        bytes: u64,
-        /// `true` for chaos loss, `false` for a partition drop.
-        chaos: bool,
-    },
-    /// The network delivered a chaos-duplicated copy of a message.
-    NetDuplicate {
-        /// Sending machine index.
-        src: u32,
-        /// Destination machine index.
-        dst: u32,
-        /// Wire size of the duplicated message.
-        bytes: u64,
-    },
-    /// The reliable control plane retransmitted an unacknowledged message.
-    Retransmit {
-        /// Sending machine index.
-        src: u32,
-        /// Destination machine index.
-        dst: u32,
-        /// Reliable-transfer id being retried.
-        tx: u64,
-        /// Retry attempt number (1 = first retransmission).
-        attempt: u32,
-    },
-    /// A chaos-plan step was applied to the cluster.
-    ChaosPhase {
-        /// Index of the step within the plan.
-        step: u32,
-        /// What kind of action fired.
-        action: ChaosKind,
-        /// First machine involved (or `u32::MAX` when not applicable).
-        a: u32,
-        /// Second machine involved (or `u32::MAX` when not applicable).
-        b: u32,
-    },
-    /// An SLO monitor crossed its breach boundary (health engine).
-    SloBreach {
-        /// Index of the monitor in the health engine's table (the health
-        /// report maps indices to monitor names).
-        monitor: u32,
-        /// `true` when the breach begins, `false` when it clears.
-        entered: bool,
-        /// The observed statistic at the crossing scrape.
-        observed: f64,
-        /// The spec's threshold.
-        threshold: f64,
-        /// Breach duration in sim nanoseconds (0 on enter).
-        duration_ns: u64,
-    },
-    /// An anomaly detector changed verdict (health engine).
-    Anomaly {
-        /// Which detector family fired.
-        detector: AnomalyKind,
-        /// Machine the verdict is about (or `u32::MAX` when global).
-        machine: u32,
-        /// PE the verdict is about (or `u32::MAX` when not PE-scoped).
-        pe: u32,
-        /// `true` at onset, `false` at clear.
-        onset: bool,
-        /// The detector's signal value at the transition.
-        value: f64,
-    },
-    /// Run-level audit metadata, emitted once at build time whenever the
-    /// tracer is enabled. Makes recorded dumps self-describing for the
-    /// offline auditor (`sps-inspect audit`).
-    AuditMeta {
-        /// Number of subjobs in the job.
-        subjobs: u32,
-        /// `true` when the fault topology is flat (every machine its own
-        /// domain) — domain-disjointness is then vacuous and unaudited.
-        flat: bool,
-        /// The scenario expects every produced element to reach its sink
-        /// (reliable control plane and/or no unrecovered loss).
-        lossless: bool,
-        /// The scenario stops its sources and drains before the end of the
-        /// run, so end-of-run liveness checks (seq gaps, standby coverage)
-        /// are meaningful.
-        quiescent: bool,
-    },
-    /// Per-subjob audit metadata (HA mode), emitted after
-    /// [`AuditMeta`](Self::AuditMeta) at build time.
-    SubjobMeta {
-        /// Subjob index.
-        subjob: u32,
-        /// The subjob's HA mode.
-        mode: HaModeTag,
-    },
-    /// A data delivery arrived at a sink: the receiver-side exactly-once
-    /// ledger, aggregated per message (batch-aware via the range stamp).
-    SinkDeliver {
-        /// Sink index.
-        sink: u32,
-        /// Stream the delivery belongs to.
-        stream: u32,
-        /// Lowest sequence number in the delivery.
-        seq_start: u64,
-        /// Highest sequence number in the delivery.
-        seq_end: u64,
-        /// Elements newly accepted (including drained stash).
-        newly_accepted: u32,
-        /// Elements rejected as duplicates of already-processed positions.
-        duplicates: u32,
-        /// The sink's cumulative processed-through position afterwards.
-        processed_through: u64,
-    },
-    /// A stored checkpoint covers acknowledgments up to `seq` on one input
-    /// stream of a checkpoint-acked primary PE (§III-B: the positions
-    /// snapshotted with the checkpoint, released when the store confirms).
-    CheckpointCovered {
-        /// PE whose checkpoint stored.
-        pe: u32,
-        /// Replica of that PE.
-        replica: u8,
-        /// Input stream the covered position belongs to.
-        stream: u32,
-        /// Covered (ackable) sequence position.
-        seq: u64,
-    },
-    /// A checkpoint-acked primary sent a cumulative upstream ack. Legal
-    /// only at or below the last [`CheckpointCovered`](Self::CheckpointCovered)
-    /// position for the same (pe, replica, stream).
-    AckSent {
-        /// Acking PE.
-        pe: u32,
-        /// Acking replica.
-        replica: u8,
-        /// Stream being acknowledged.
-        stream: u32,
-        /// Acknowledged-through sequence position.
-        seq: u64,
-    },
-    /// A subjob epoch bump: every role/life-cycle transition the stale-epoch
-    /// guard keys on, with the post-transition primary identity.
-    EpochChange {
-        /// Affected subjob index.
-        subjob: u32,
-        /// The new epoch value.
-        epoch: u64,
-        /// Which transition bumped it.
-        cause: EpochCause,
-        /// Machine playing the primary role after the transition.
-        primary_machine: u32,
-        /// Replica slot playing the primary role after the transition.
-        primary_replica: u8,
-    },
-    /// The standby slot of a subjob was (re)assigned after a failover
-    /// transition — or left empty (`machine == u32::MAX`), which must be
-    /// accompanied by a [`FailoverAborted`](Self::FailoverAborted).
-    StandbyProvision {
-        /// Affected subjob index.
-        subjob: u32,
-        /// The new standby machine, or `u32::MAX` when none remained.
-        machine: u32,
-        /// `true` when the machine was freshly taken from the spare pool
-        /// (domain-disjointness is then required on non-flat topologies).
-        fresh: bool,
-        /// Fault domain of the primary machine (`u32::MAX` when unknown).
-        primary_domain: u32,
-        /// Fault domain of the standby machine (`u32::MAX` when none).
-        standby_domain: u32,
-    },
-    /// The streaming auditor observed a protocol-invariant violation.
-    /// Field meaning depends on the invariant; the audit report renders
-    /// them (`entity` is a sink/PE/subjob/machine index, `seq` a sequence
-    /// number/epoch/phase code, `detail` the bound that was broken).
-    AuditViolation {
-        /// Which invariant was broken.
-        invariant: AuditInvariant,
-        /// Affected subjob (`u32::MAX` when not subjob-scoped).
-        subjob: u32,
-        /// Invariant-specific entity id (`u32::MAX` when unused).
-        entity: u32,
-        /// Invariant-specific sequence/epoch/code.
-        seq: u64,
-        /// Invariant-specific bound or prior value.
-        detail: u64,
-    },
-}
-
-impl TraceEvent {
-    /// Stable lower-snake event-kind name used in the JSONL encoding.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ElementSend { .. } => "element_send",
-            TraceEvent::ElementRecv { .. } => "element_recv",
-            TraceEvent::ElementDrop { .. } => "element_drop",
-            TraceEvent::Ack { .. } => "ack",
-            TraceEvent::CheckpointStart { .. } => "checkpoint_start",
-            TraceEvent::CheckpointSent { .. } => "checkpoint_sent",
-            TraceEvent::CheckpointStored { .. } => "checkpoint_stored",
-            TraceEvent::HeartbeatPing { .. } => "heartbeat_ping",
-            TraceEvent::HeartbeatPong { .. } => "heartbeat_pong",
-            TraceEvent::HeartbeatMiss { .. } => "heartbeat_miss",
-            TraceEvent::BenchProbe { .. } => "bench_probe",
-            TraceEvent::BenchVerdict { .. } => "bench_verdict",
-            TraceEvent::FailureInject { .. } => "failure_inject",
-            TraceEvent::FailureDetect { .. } => "failure_detect",
-            TraceEvent::Recovery { .. } => "recovery",
-            TraceEvent::FailoverAborted { .. } => "failover_aborted",
-            TraceEvent::QueueHighWater { .. } => "queue_high_water",
-            TraceEvent::MachineSnapshot { .. } => "machine_snapshot",
-            TraceEvent::PeSnapshot { .. } => "pe_snapshot",
-            TraceEvent::NetDrop { .. } => "net_drop",
-            TraceEvent::NetDuplicate { .. } => "net_duplicate",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::ChaosPhase { .. } => "chaos_phase",
-            TraceEvent::SloBreach { .. } => "slo_breach",
-            TraceEvent::Anomaly { .. } => "anomaly",
-            TraceEvent::AuditMeta { .. } => "audit_meta",
-            TraceEvent::SubjobMeta { .. } => "subjob_meta",
-            TraceEvent::SinkDeliver { .. } => "sink_deliver",
-            TraceEvent::CheckpointCovered { .. } => "checkpoint_covered",
-            TraceEvent::AckSent { .. } => "ack_sent",
-            TraceEvent::EpochChange { .. } => "epoch_change",
-            TraceEvent::StandbyProvision { .. } => "standby_provision",
-            TraceEvent::AuditViolation { .. } => "audit_violation",
-        }
-    }
-
-    /// `true` for the high-rate data-plane kinds that are only emitted when
-    /// a sink asked for them (see `TraceSink::wants_data_plane`).
-    pub fn is_data_plane(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::ElementSend { .. }
-                | TraceEvent::ElementRecv { .. }
-                | TraceEvent::Ack { .. }
-                | TraceEvent::HeartbeatPing { .. }
-                | TraceEvent::HeartbeatPong { .. }
-        )
-    }
-}
-
-/// A timestamped trace event: what happened, and at which sim-time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceRecord {
-    /// Simulated time of the event.
-    pub at: SimTime,
-    /// The event payload.
-    pub event: TraceEvent,
-}
-
-impl TraceRecord {
-    /// Encode as one JSON object (one JSONL line, without the newline).
-    ///
-    /// Keys are emitted in a fixed order (`t`, `kind`, then payload fields
-    /// in declaration order) so identical runs give byte-identical dumps.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        self.write_json(&mut s);
-        s
-    }
-
-    /// Append the [`to_json`](Self::to_json) object to `s`, so an exporter
-    /// can reuse one line buffer for a whole dump.
-    pub fn write_json(&self, s: &mut String) {
-        let _ = write!(
-            s,
-            "{{\"t\":{},\"kind\":\"{}\"",
-            self.at.as_nanos(),
-            self.event.kind()
-        );
-        match self.event {
-            TraceEvent::ElementSend {
-                pe,
-                replica,
-                stream,
-                elements,
-                last_seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"stream\":{stream},\"elements\":{elements},\"last_seq\":{last_seq}"
-                );
-            }
-            TraceEvent::ElementRecv {
-                pe,
-                replica,
-                stream,
-                accepted,
-                stashed,
-                duplicates,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"stream\":{stream},\"accepted\":{accepted},\"stashed\":{stashed},\"duplicates\":{duplicates}"
-                );
-            }
-            TraceEvent::ElementDrop {
-                machine,
-                elements,
-                reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"machine\":{machine},\"elements\":{elements},\"reason\":\"{}\"",
-                    reason.as_str()
-                );
-            }
-            TraceEvent::Ack {
-                pe,
-                replica,
-                through_seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"through_seq\":{through_seq}"
-                );
-            }
-            TraceEvent::CheckpointStart { pe, replica } => {
-                let _ = write!(s, ",\"pe\":{pe},\"replica\":{replica}");
-            }
-            TraceEvent::CheckpointSent {
-                pe,
-                replica,
-                elements,
-                bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"elements\":{elements},\"bytes\":{bytes}"
-                );
-            }
-            TraceEvent::CheckpointStored { pe, replica } => {
-                let _ = write!(s, ",\"pe\":{pe},\"replica\":{replica}");
-            }
-            TraceEvent::HeartbeatPing { machine, seq } => {
-                let _ = write!(s, ",\"machine\":{machine},\"seq\":{seq}");
-            }
-            TraceEvent::HeartbeatPong {
-                machine,
-                seq,
-                cleared_suspicion,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"machine\":{machine},\"seq\":{seq},\"cleared_suspicion\":{cleared_suspicion}"
-                );
-            }
-            TraceEvent::HeartbeatMiss { machine, streak } => {
-                let _ = write!(s, ",\"machine\":{machine},\"streak\":{streak}");
-            }
-            TraceEvent::BenchProbe { machine } => {
-                let _ = write!(s, ",\"machine\":{machine}");
-            }
-            TraceEvent::BenchVerdict {
-                machine,
-                latency_ns,
-                overloaded,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"machine\":{machine},\"latency_ns\":{latency_ns},\"overloaded\":{overloaded}"
-                );
-            }
-            TraceEvent::FailureInject { machine, fail_stop } => {
-                let _ = write!(s, ",\"machine\":{machine},\"fail_stop\":{fail_stop}");
-            }
-            TraceEvent::FailureDetect {
-                machine,
-                subjob,
-                miss_streak,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"machine\":{machine},\"subjob\":{subjob},\"miss_streak\":{miss_streak}"
-                );
-            }
-            TraceEvent::Recovery { subjob, phase } => {
-                let _ = write!(s, ",\"subjob\":{subjob},\"phase\":\"{}\"", phase.as_str());
-            }
-            TraceEvent::FailoverAborted {
-                subjob,
-                machine,
-                reason,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"subjob\":{subjob},\"machine\":{machine},\"reason\":\"{}\"",
-                    reason.as_str()
-                );
-            }
-            TraceEvent::QueueHighWater {
-                pe,
-                replica,
-                input,
-                depth,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"input\":{input},\"depth\":{depth}"
-                );
-            }
-            TraceEvent::MachineSnapshot {
-                machine,
-                cpu_load,
-                background,
-                run_queue,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"machine\":{machine},\"cpu_load\":{},\"background\":{},\"run_queue\":{run_queue}",
-                    fmt_f64(cpu_load),
-                    fmt_f64(background)
-                );
-            }
-            TraceEvent::PeSnapshot {
-                pe,
-                replica,
-                input_depth,
-                output_backlog,
-                processed_total,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"input_depth\":{input_depth},\"output_backlog\":{output_backlog},\"processed_total\":{processed_total}"
-                );
-            }
-            TraceEvent::NetDrop {
-                src,
-                dst,
-                bytes,
-                chaos,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{src},\"dst\":{dst},\"bytes\":{bytes},\"chaos\":{chaos}"
-                );
-            }
-            TraceEvent::NetDuplicate { src, dst, bytes } => {
-                let _ = write!(s, ",\"src\":{src},\"dst\":{dst},\"bytes\":{bytes}");
-            }
-            TraceEvent::Retransmit {
-                src,
-                dst,
-                tx,
-                attempt,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"src\":{src},\"dst\":{dst},\"tx\":{tx},\"attempt\":{attempt}"
-                );
-            }
-            TraceEvent::ChaosPhase { step, action, a, b } => {
-                let _ = write!(
-                    s,
-                    ",\"step\":{step},\"action\":\"{}\",\"a\":{a},\"b\":{b}",
-                    action.as_str()
-                );
-            }
-            TraceEvent::SloBreach {
-                monitor,
-                entered,
-                observed,
-                threshold,
-                duration_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"monitor\":{monitor},\"entered\":{entered},\"observed\":{},\"threshold\":{},\"duration_ns\":{duration_ns}",
-                    fmt_f64(observed),
-                    fmt_f64(threshold)
-                );
-            }
-            TraceEvent::Anomaly {
-                detector,
-                machine,
-                pe,
-                onset,
-                value,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"detector\":\"{}\",\"machine\":{machine},\"pe\":{pe},\"onset\":{onset},\"value\":{}",
-                    detector.as_str(),
-                    fmt_f64(value)
-                );
-            }
-            TraceEvent::AuditMeta {
-                subjobs,
-                flat,
-                lossless,
-                quiescent,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"subjobs\":{subjobs},\"flat\":{flat},\"lossless\":{lossless},\"quiescent\":{quiescent}"
-                );
-            }
-            TraceEvent::SubjobMeta { subjob, mode } => {
-                let _ = write!(s, ",\"subjob\":{subjob},\"mode\":\"{}\"", mode.as_str());
-            }
-            TraceEvent::SinkDeliver {
-                sink,
-                stream,
-                seq_start,
-                seq_end,
-                newly_accepted,
-                duplicates,
-                processed_through,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"sink\":{sink},\"stream\":{stream},\"seq_start\":{seq_start},\"seq_end\":{seq_end},\"newly_accepted\":{newly_accepted},\"duplicates\":{duplicates},\"processed_through\":{processed_through}"
-                );
-            }
-            TraceEvent::CheckpointCovered {
-                pe,
-                replica,
-                stream,
-                seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"stream\":{stream},\"seq\":{seq}"
-                );
-            }
-            TraceEvent::AckSent {
-                pe,
-                replica,
-                stream,
-                seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"pe\":{pe},\"replica\":{replica},\"stream\":{stream},\"seq\":{seq}"
-                );
-            }
-            TraceEvent::EpochChange {
-                subjob,
-                epoch,
-                cause,
-                primary_machine,
-                primary_replica,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"subjob\":{subjob},\"epoch\":{epoch},\"cause\":\"{}\",\"primary_machine\":{primary_machine},\"primary_replica\":{primary_replica}",
-                    cause.as_str()
-                );
-            }
-            TraceEvent::StandbyProvision {
-                subjob,
-                machine,
-                fresh,
-                primary_domain,
-                standby_domain,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"subjob\":{subjob},\"machine\":{machine},\"fresh\":{fresh},\"primary_domain\":{primary_domain},\"standby_domain\":{standby_domain}"
-                );
-            }
-            TraceEvent::AuditViolation {
-                invariant,
-                subjob,
-                entity,
-                seq,
-                detail,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"invariant\":\"{}\",\"subjob\":{subjob},\"entity\":{entity},\"seq\":{seq},\"detail\":{detail}",
-                    invariant.as_str()
-                );
-            }
-        }
-        s.push('}');
-    }
-}
-
-/// Upper bound on [`TraceRecord::encode`]'s output: the widest record is a
-/// `sink_deliver` whose time delta and seven integers all take their full
-/// LEB128 width (61 bytes).
-pub(crate) const MAX_ENCODED_LEN: usize = 64;
+use crate::jsonl::{self, FlatObject, JsonValue};
 
 /// Writer half of the packed encoding: a cursor into the caller's buffer.
 struct PackedWriter<'a> {
@@ -1151,14 +49,42 @@ impl PackedReader<'_> {
     }
 }
 
-/// A field type of the packed encoding.
+/// A field type of the schema: its packed form, its JSON form, and the
+/// values the tests put it through.
 trait Wire: Sized {
+    /// What a JSON value that does not read as one is reported not to be.
+    const NAME: &'static str;
     fn put(self, w: &mut PackedWriter<'_>);
     fn get(r: &mut PackedReader<'_>) -> Self;
+    fn put_json(self, s: &mut String);
+    /// `None` for a value of the wrong type or out of this type's range.
+    fn get_json(v: &JsonValue) -> Option<Self>;
+    #[cfg(test)]
+    fn sample(d: &mut samples::Draw) -> Self;
+}
+
+/// The JSON and sample halves every unsigned integer shares: printed in
+/// full, read back exactly or not at all, sampled from one list clamped to
+/// the type's range.
+macro_rules! uint_text {
+    ($ty:ident) => {
+        const NAME: &'static str = stringify!($ty);
+        fn put_json(self, s: &mut String) {
+            let _ = write!(s, "{self}");
+        }
+        fn get_json(v: &JsonValue) -> Option<$ty> {
+            v.as_u64()?.try_into().ok()
+        }
+        #[cfg(test)]
+        fn sample(d: &mut samples::Draw) -> $ty {
+            d.u64().min($ty::MAX.into()) as $ty
+        }
+    };
 }
 
 /// LEB128: seven bits per byte, low group first.
 impl Wire for u64 {
+    uint_text!(u64);
     fn put(mut self, w: &mut PackedWriter<'_>) {
         while self >= 0x80 {
             w.byte(self as u8 | 0x80);
@@ -1180,6 +106,7 @@ impl Wire for u64 {
 }
 
 impl Wire for u32 {
+    uint_text!(u32);
     fn put(self, w: &mut PackedWriter<'_>) {
         u64::from(self).put(w);
     }
@@ -1189,6 +116,7 @@ impl Wire for u32 {
 }
 
 impl Wire for u8 {
+    uint_text!(u8);
     fn put(self, w: &mut PackedWriter<'_>) {
         w.byte(self);
     }
@@ -1198,16 +126,31 @@ impl Wire for u8 {
 }
 
 impl Wire for bool {
+    const NAME: &'static str = "bool";
     fn put(self, w: &mut PackedWriter<'_>) {
         w.byte(self as u8);
     }
     fn get(r: &mut PackedReader<'_>) -> bool {
         r.byte() != 0
     }
+    fn put_json(self, s: &mut String) {
+        let _ = write!(s, "{self}");
+    }
+    fn get_json(v: &JsonValue) -> Option<bool> {
+        v.as_bool()
+    }
+    #[cfg(test)]
+    fn sample(d: &mut samples::Draw) -> bool {
+        d.bool()
+    }
 }
 
-/// The bit pattern, so `-0.0` and every NaN payload survive.
+/// Packed as the bit pattern, so `-0.0` and every NaN payload survive. In
+/// JSON fixed six decimal places, so the same value always serialises
+/// identically and never in exponent notation; JSON has no Inf/NaN, so
+/// those are written as `null`, which reads back as NaN.
 impl Wire for f64 {
+    const NAME: &'static str = "number";
     fn put(self, w: &mut PackedWriter<'_>) {
         for b in self.to_bits().to_le_bytes() {
             w.byte(b);
@@ -1216,107 +159,396 @@ impl Wire for f64 {
     fn get(r: &mut PackedReader<'_>) -> f64 {
         f64::from_bits(u64::from_le_bytes(std::array::from_fn(|_| r.byte())))
     }
+    fn put_json(self, s: &mut String) {
+        if self.is_finite() {
+            let _ = write!(s, "{self:.6}");
+        } else {
+            s.push_str("null");
+        }
+    }
+    fn get_json(v: &JsonValue) -> Option<f64> {
+        match v {
+            JsonValue::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        }
+    }
+    #[cfg(test)]
+    fn sample(d: &mut samples::Draw) -> f64 {
+        d.f64()
+    }
 }
 
-/// One byte per field-less enum: a value's index in `WIRE`, which must be
-/// declaration order (`x as u8`). The unnamed `match` makes a variant
-/// missing from the list a compile error.
-macro_rules! wire_enum {
-    ($ty:ident { $($variant:ident),+ $(,)? }) => {
-        impl $ty {
-            pub(crate) const WIRE: &'static [$ty] = &[$($ty::$variant),+];
+/// The field `key` of a parsed dump line, as the type its row declares.
+fn field<T: Wire>(obj: &FlatObject, key: &str) -> Result<T, String> {
+    let v = jsonl::get(obj, key).ok_or_else(|| format!("missing \"{key}\""))?;
+    T::get_json(v).ok_or_else(|| format!("\"{key}\": {v:?} is not a {}", T::NAME))
+}
+
+/// Declares one field-less enum of the schema, `Variant = "name"` per
+/// value, and generates everything that must list its values: `ALL`,
+/// `as_str`, `parse`, and the [`Wire`] halves (one byte on the wire — the
+/// value's index in `ALL`, which is declaration order — and the quoted
+/// name in JSON). A new value is one row; append it, because recorded
+/// rings hold the index.
+macro_rules! trace_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $name:literal),+ $(,)?
         }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant),+
+        }
+
+        impl $ty {
+            /// Every value, in declaration order (the order reports list
+            /// them in).
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),+];
+
+            /// Stable lower-snake name used in the JSONL encoding.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name),+
+                }
+            }
+
+            /// Inverse of [`as_str`](Self::as_str): offline analyzers
+            /// rebuild typed records from trace dumps.
+            pub fn parse(name: &str) -> Option<$ty> {
+                match name {
+                    $($name => Some($ty::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+
         impl Wire for $ty {
+            const NAME: &'static str = stringify!($ty);
             fn put(self, w: &mut PackedWriter<'_>) {
                 w.byte(self as u8);
             }
             fn get(r: &mut PackedReader<'_>) -> $ty {
-                $ty::WIRE[usize::from(r.byte())]
+                $ty::ALL[usize::from(r.byte())]
+            }
+            fn put_json(self, s: &mut String) {
+                s.push('"');
+                s.push_str(self.as_str());
+                s.push('"');
+            }
+            fn get_json(v: &JsonValue) -> Option<$ty> {
+                $ty::parse(v.as_str()?)
+            }
+            #[cfg(test)]
+            fn sample(d: &mut samples::Draw) -> $ty {
+                d.pick($ty::ALL)
             }
         }
-        const _: fn($ty) = |x| match x {
-            $($ty::$variant => (),)+
-        };
     };
 }
 
-wire_enum!(DropReason {
-    MachineDown,
-    StaleEpoch,
-    Duplicate
-});
-wire_enum!(ChaosKind {
-    LinkFaults,
-    ClearLinkFaults,
-    DefaultFaults,
-    ClearDefaultFaults,
-    Partition,
-    Heal,
-    FailStop,
-    GrayDegrade,
-    FailDomain,
-    PartitionSwitch,
-    HealSwitch,
-});
-wire_enum!(AbortReason {
-    NoStandby,
-    StandbyUnhealthy,
-    DomainFault
-});
-wire_enum!(RecoveryPhase {
-    Detected,
-    SwitchoverComplete,
-    RollbackStarted,
-    RollbackComplete,
-    PsDeployed,
-    PsConnected,
-    Promoted,
-    SecondaryReady,
-});
-wire_enum!(HaModeTag {
-    None,
-    Active,
-    Passive,
-    Hybrid
-});
-wire_enum!(EpochCause {
-    Init,
-    SwitchoverAbort,
-    Switchover,
-    PsDetect,
-    PsConnect,
-    Promote,
-    SpareRedeploy,
-    StandbyLost,
-});
-wire_enum!(AuditInvariant {
-    SinkExactlyOnce,
-    SinkSeqGap,
-    CkptAckOrder,
-    EpochRegression,
-    SplitBrain,
-    IllegalPhase,
-    RetransmitReflag,
-    StandbyCoverage,
-    DomainDisjoint,
-});
-wire_enum!(AnomalyKind {
-    Backpressure,
-    CheckpointStall,
-    HeartbeatFlaky,
-    RecoveryBudgetBurn,
-    RedundancyLoss,
-    AuditViolations,
-});
+trace_enum! {
+    /// Why a data-plane element was dropped instead of delivered/accepted.
+    pub enum DropReason {
+        /// The destination machine was failed-stop at delivery time.
+        MachineDown = "machine_down",
+        /// The delivery raced a completed switch-over/rollback and carried a
+        /// stale epoch.
+        StaleEpoch = "stale_epoch",
+        /// The receiving input queue had already accepted this sequence number
+        /// (duplicate from a redundant replica or a retransmission overlap).
+        Duplicate = "duplicate",
+    }
+}
 
-/// Generates [`TraceRecord::encode`] and [`TraceRecord::decode`] from one
-/// table of `tag => Variant { fields in wire order }`; each field's type
-/// picks its [`Wire`] encoding. `encode`'s `match` has no wildcard and the
-/// patterns no `..`, so a variant or a field missing from the table does
-/// not compile.
-macro_rules! packed_layout {
-    ($($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)?) => {
+trace_enum! {
+    /// The kind of chaos-plan action a [`TraceEvent::ChaosPhase`] records.
+    pub enum ChaosKind {
+        /// A fault profile was installed on one directed link.
+        LinkFaults = "link_faults",
+        /// A directed link's fault profile was removed.
+        ClearLinkFaults = "clear_link_faults",
+        /// The network-wide default fault profile was set.
+        DefaultFaults = "default_faults",
+        /// The network-wide default fault profile was cleared.
+        ClearDefaultFaults = "clear_default_faults",
+        /// A two-way partition was cut.
+        Partition = "partition",
+        /// A partition was healed.
+        Heal = "heal",
+        /// A machine was fail-stopped.
+        FailStop = "fail_stop",
+        /// A machine's CPU capacity was gray-degraded (or restored).
+        GrayDegrade = "gray_degrade",
+        /// Every machine in one rack fault domain was fail-stopped at once.
+        FailDomain = "fail_domain",
+        /// Every machine behind one switch was partitioned from the rest.
+        PartitionSwitch = "partition_switch",
+        /// A switch partition was healed.
+        HealSwitch = "heal_switch",
+    }
+}
+
+trace_enum! {
+    /// Why a failover attempt was abandoned without promoting anything
+    /// (see [`TraceEvent::FailoverAborted`]).
+    pub enum AbortReason {
+        /// The standby was already lost and no spare machine remained.
+        NoStandby = "no_standby",
+        /// The promotion-safety ladder rejected the standby (stale heartbeat
+        /// or checkpoint lag) and no safe spare remained.
+        StandbyUnhealthy = "standby_unhealthy",
+        /// The standby's machine sits in a fault domain with an active fault
+        /// and no domain-disjoint spare remained.
+        DomainFault = "domain_fault",
+    }
+}
+
+trace_enum! {
+    /// A named phase of a recovery cycle, as logged on the control plane.
+    ///
+    /// This is the single source of truth for recovery phases: `sps-ha`
+    /// re-exports it as `HaEventKind`, and the recovery-time decomposition in
+    /// `sps-metrics` is derived from spans of these phases.
+    pub enum RecoveryPhase {
+        /// A transient failure was declared (PS: 3 misses, Hybrid: 1 miss).
+        Detected = "detected",
+        /// Hybrid switch-over completed (secondary live).
+        SwitchoverComplete = "switchover_complete",
+        /// Hybrid rollback started (fresh pong received).
+        RollbackStarted = "rollback_started",
+        /// Hybrid rollback completed (primary restored and live).
+        RollbackComplete = "rollback_complete",
+        /// PS deployment completed.
+        PsDeployed = "ps_deployed",
+        /// PS connections established (new copy live).
+        PsConnected = "ps_connected",
+        /// Fail-stop declared; secondary promoted to primary.
+        Promoted = "promoted",
+        /// Replacement secondary deployed and suspended.
+        SecondaryReady = "secondary_ready",
+    }
+}
+
+trace_enum! {
+    /// The HA mode of one subjob, as carried by [`TraceEvent::SubjobMeta`].
+    ///
+    /// Mirrors `sps_ha::HaMode` without depending on it: the trace crate sits
+    /// below the protocol crate, and offline analyzers (the auditor's replay
+    /// frontend) must reconstruct modes from dumps alone.
+    pub enum HaModeTag {
+        /// Single copy, no failure handling.
+        None = "none",
+        /// Active standby (two serving copies, downstream dedup).
+        Active = "active",
+        /// Passive standby (checkpoints, deploy on demand).
+        Passive = "passive",
+        /// The paper's hybrid.
+        Hybrid = "hybrid",
+    }
+}
+
+trace_enum! {
+    /// Which protocol transition bumped a subjob's epoch (see
+    /// [`TraceEvent::EpochChange`]).
+    pub enum EpochCause {
+        /// Initial deployment (epoch 0, emitted once per subjob at build).
+        Init = "init",
+        /// A switch-over in flight was aborted by a fresh pong (false alarm).
+        SwitchoverAbort = "switchover_abort",
+        /// Hybrid switch-over began (secondary resuming).
+        Switchover = "switchover",
+        /// PS declared a failure and started an on-demand deploy.
+        PsDetect = "ps_detect",
+        /// A deployed copy finished connecting and took over (role swap).
+        PsConnect = "ps_connect",
+        /// Fail-stop promotion: the secondary became the primary.
+        Promote = "promote",
+        /// Promotion fell back to a spare redeploy (dead primary, PS path).
+        SpareRedeploy = "spare_redeploy",
+        /// The standby machine died; the subjob dropped to one copy.
+        StandbyLost = "standby_lost",
+    }
+}
+
+trace_enum! {
+    /// The protocol invariant an [`TraceEvent::AuditViolation`] breaks.
+    ///
+    /// The checker semantics live in `sps-audit`; the names live here so the
+    /// violation event encodes/parses like every other trace event.
+    pub enum AuditInvariant {
+        /// A sink accepted an already-processed sequence number (receiver
+        /// dedup failed) or its processed-through position regressed.
+        SinkExactlyOnce = "sink_exactly_once",
+        /// At end of a quiescent lossless run, a sink's processed-through
+        /// position never caught up with the highest sequence it saw.
+        SinkSeqGap = "sink_seq_gap",
+        /// A checkpoint-acked primary acknowledged upstream beyond its last
+        /// stored checkpoint position (§III-B ordering).
+        CkptAckOrder = "ckpt_ack_order",
+        /// A subjob's epoch failed to increase across a transition.
+        EpochRegression = "epoch_regression",
+        /// Two different primaries were declared for the same subjob epoch.
+        SplitBrain = "split_brain",
+        /// A recovery-phase transition that the subjob's HA mode cannot
+        /// legally produce.
+        IllegalPhase = "illegal_phase",
+        /// A reliable-transfer retransmission attempt number repeated or
+        /// regressed (the flagged-once rule).
+        RetransmitReflag = "retransmit_reflag",
+        /// A promotion completed without re-provisioning a standby and
+        /// without declaring the failover aborted.
+        StandbyCoverage = "standby_coverage",
+        /// A freshly provisioned standby landed in the primary's fault domain
+        /// on a non-flat topology.
+        DomainDisjoint = "domain_disjoint",
+    }
+}
+
+trace_enum! {
+    /// The detector family a [`TraceEvent::Anomaly`] verdict belongs to.
+    pub enum AnomalyKind {
+        /// Queue-depth high-water trend: input queues growing past threshold.
+        Backpressure = "backpressure",
+        /// Checkpoint sweep overran its interval budget (no store completed).
+        CheckpointStall = "checkpoint_stall",
+        /// Heartbeat suspect/refute churn above the flakiness band.
+        HeartbeatFlaky = "heartbeat_flaky",
+        /// A recovery cycle in flight has burned past its time budget.
+        RecoveryBudgetBurn = "recovery_budget_burn",
+        /// A subjob is running without a live standby (redundancy lost until
+        /// re-provisioning completes).
+        RedundancyLoss = "redundancy_loss",
+        /// The protocol auditor's violation count increased (any invariant).
+        AuditViolations = "audit_violations",
+    }
+}
+
+/// `true` for a `data` row of the event table, `false` for a `control` one.
+macro_rules! is_data {
+    (data) => {
+        true
+    };
+    (control) => {
+        false
+    };
+}
+
+/// Declares [`TraceEvent`] as one table, a row per kind:
+///
+/// ```text
+/// /// what happened
+/// tag "kind" data|control => Variant {
+///     /// what it is
+///     field: type,
+/// },
+/// ```
+///
+/// and generates from it the enum, [`TraceEvent::kind`],
+/// [`TraceEvent::is_data_plane`], [`TraceEvent::KINDS`], the JSONL writer
+/// [`TraceRecord::write_json`] and its total reader
+/// [`TraceRecord::from_json`], the packed [`TraceRecord::encode`] /
+/// [`TraceRecord::decode`], and the tests' every-variant sampler. `tag` is
+/// the first byte of the packed form (append-only: recorded rings are
+/// decoded by it), `"kind"` the JSONL name, `data` marks the high-rate
+/// kinds a sink must ask for, and the fields are written and read in the
+/// order declared, each by its type's [`Wire`] impl. The generated
+/// `match`es over variants have no wildcard arm, and those that touch
+/// fields bind every one, so a row cannot be half applied.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal $kind:literal $plane:ident => $variant:ident {
+                    $($(#[$fmeta:meta])* $field:ident: $fty:ty),+ $(,)?
+                }
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    $($(#[$fmeta])* $field: $fty),+
+                }
+            ),+
+        }
+
+        impl TraceEvent {
+            /// Every kind name with its data-plane flag, in declaration
+            /// order.
+            pub const KINDS: &'static [(&'static str, bool)] = &[$(($kind, is_data!($plane))),+];
+
+            /// Stable lower-snake event-kind name used in the JSONL encoding.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $kind),+
+                }
+            }
+
+            /// `true` for the high-rate data-plane kinds that are only emitted
+            /// when a sink asked for them (see `TraceSink::wants_data_plane`).
+            pub fn is_data_plane(&self) -> bool {
+                match self {
+                    $(TraceEvent::$variant { .. } => is_data!($plane)),+
+                }
+            }
+
+            /// One event of every variant, in declaration order, each
+            /// field drawn from `d` in turn.
+            #[cfg(test)]
+            pub(crate) fn every_variant(d: &mut samples::Draw) -> Vec<TraceEvent> {
+                // Struct-expression fields are evaluated as written.
+                vec![$(TraceEvent::$variant { $($field: Wire::sample(d)),+ }),+]
+            }
+        }
+
         impl TraceRecord {
+            /// Append the [`to_json`](Self::to_json) object to `s`, so an
+            /// exporter can reuse one line buffer for a whole dump.
+            pub fn write_json(&self, s: &mut String) {
+                let _ = write!(
+                    s,
+                    "{{\"t\":{},\"kind\":\"{}\"",
+                    self.at.as_nanos(),
+                    self.event.kind()
+                );
+                match self.event {
+                    $(TraceEvent::$variant { $($field),+ } => {
+                        $(
+                            s.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.put_json(s);
+                        )+
+                    })+
+                }
+                s.push('}');
+            }
+
+            /// The record a parsed dump line encodes: the inverse of
+            /// [`to_json`](Self::to_json) for every kind, up to the six
+            /// decimals floats are written with. An unknown kind or enum
+            /// name, a missing field, and an integer outside its field's
+            /// range are each an error naming the key.
+            pub fn from_json(obj: &FlatObject) -> Result<TraceRecord, String> {
+                let at = SimTime::from_nanos(field(obj, "t")?);
+                let kind = jsonl::get(obj, "kind")
+                    .and_then(JsonValue::as_str)
+                    .ok_or("missing or non-string \"kind\"")?;
+                let event = match kind {
+                    $($kind => TraceEvent::$variant {
+                        $($field: field(obj, stringify!($field))?),+
+                    },)+
+                    _ => return Err(format!("unknown \"kind\" \"{kind}\"")),
+                };
+                Ok(TraceRecord { at, event })
+            }
+
             /// Write the packed form the flight recorder stores to the
             /// front of `out` and return its length, at most
             /// [`MAX_ENCODED_LEN`]: one tag byte, the time as a LEB128
@@ -1329,10 +561,10 @@ macro_rules! packed_layout {
                 let mut w = PackedWriter { buf: out, pos: 0 };
                 let dt = self.at.as_nanos().wrapping_sub(prev.as_nanos());
                 match self.event {
-                    $(TraceEvent::$variant { $($field),* } => {
+                    $(TraceEvent::$variant { $($field),+ } => {
                         w.byte($tag);
                         dt.put(&mut w);
-                        $($field.put(&mut w);)*
+                        $($field.put(&mut w);)+
                     })+
                 }
                 w.pos
@@ -1347,7 +579,7 @@ macro_rules! packed_layout {
                 let at = SimTime::from_nanos(prev.as_nanos().wrapping_add(u64::get(&mut r)));
                 // Struct-expression fields are evaluated as written.
                 let event = match tag {
-                    $($tag => TraceEvent::$variant { $($field: Wire::get(&mut r)),* },)+
+                    $($tag => TraceEvent::$variant { $($field: Wire::get(&mut r)),+ },)+
                     _ => unreachable!("tag {tag} is not one `encode` writes"),
                 };
                 (TraceRecord { at, event }, r.pos)
@@ -1356,68 +588,410 @@ macro_rules! packed_layout {
     };
 }
 
-packed_layout! {
-    0 => ElementSend { pe, replica, stream, elements, last_seq },
-    1 => ElementRecv { pe, replica, stream, accepted, stashed, duplicates },
-    2 => ElementDrop { machine, elements, reason },
-    3 => Ack { pe, replica, through_seq },
-    4 => CheckpointStart { pe, replica },
-    5 => CheckpointSent { pe, replica, elements, bytes },
-    6 => CheckpointStored { pe, replica },
-    7 => HeartbeatPing { machine, seq },
-    8 => HeartbeatPong { machine, seq, cleared_suspicion },
-    9 => HeartbeatMiss { machine, streak },
-    10 => BenchProbe { machine },
-    11 => BenchVerdict { machine, latency_ns, overloaded },
-    12 => FailureInject { machine, fail_stop },
-    13 => FailureDetect { machine, subjob, miss_streak },
-    14 => Recovery { subjob, phase },
-    15 => FailoverAborted { subjob, machine, reason },
-    16 => QueueHighWater { pe, replica, input, depth },
-    17 => MachineSnapshot { machine, cpu_load, background, run_queue },
-    18 => PeSnapshot { pe, replica, input_depth, output_backlog, processed_total },
-    19 => NetDrop { src, dst, bytes, chaos },
-    20 => NetDuplicate { src, dst, bytes },
-    21 => Retransmit { src, dst, tx, attempt },
-    22 => ChaosPhase { step, action, a, b },
-    23 => SloBreach { monitor, entered, observed, threshold, duration_ns },
-    24 => Anomaly { detector, machine, pe, onset, value },
-    25 => AuditMeta { subjobs, flat, lossless, quiescent },
-    26 => SubjobMeta { subjob, mode },
-    27 => SinkDeliver {
-        sink, stream, seq_start, seq_end, newly_accepted, duplicates, processed_through
-    },
-    28 => CheckpointCovered { pe, replica, stream, seq },
-    29 => AckSent { pe, replica, stream, seq },
-    30 => EpochChange { subjob, epoch, cause, primary_machine, primary_replica },
-    31 => StandbyProvision { subjob, machine, fresh, primary_domain, standby_domain },
-    32 => AuditViolation { invariant, subjob, entity, seq, detail },
-}
-
-/// Deterministic float formatting for the JSONL encoding: fixed six
-/// decimal places, so the same value always serialises identically and
-/// never in exponent notation.
-fn fmt_f64(x: f64) -> impl std::fmt::Display {
-    struct Fixed6(f64);
-    impl std::fmt::Display for Fixed6 {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            if self.0.is_finite() {
-                write!(f, "{:.6}", self.0)
-            } else {
-                // JSON has no Inf/NaN; clamp to a sentinel.
-                f.write_str("null")
-            }
-        }
+trace_events! {
+    /// One typed, sim-time-free trace event. The timestamp lives in the
+    /// enclosing [`TraceRecord`] so the event payload stays reusable.
+    ///
+    /// Field conventions: `machine` is a machine index, `pe` a processing
+    /// element id, `replica` is `0` for primary / `1` for secondary, `subjob`
+    /// a subjob index, and times are sim-time nanoseconds.
+    pub enum TraceEvent {
+        /// A data element (or batch) left an instance's output queue.
+        0 "element_send" data => ElementSend {
+            /// Sending PE id.
+            pe: u32,
+            /// Sending replica (0 primary, 1 secondary).
+            replica: u8,
+            /// Stream the elements belong to.
+            stream: u32,
+            /// Number of elements in the message.
+            elements: u32,
+            /// Highest sequence number in the batch.
+            last_seq: u64,
+        },
+        /// A data message was accepted by the receiving instance.
+        1 "element_recv" data => ElementRecv {
+            /// Receiving PE id.
+            pe: u32,
+            /// Receiving replica.
+            replica: u8,
+            /// Stream the elements belong to.
+            stream: u32,
+            /// Elements newly accepted for processing.
+            accepted: u32,
+            /// Elements stashed waiting for a sequence gap to fill.
+            stashed: u32,
+            /// Elements rejected as duplicates.
+            duplicates: u32,
+        },
+        /// A data-plane message was dropped instead of delivered.
+        2 "element_drop" control => ElementDrop {
+            /// Destination machine index.
+            machine: u32,
+            /// Elements lost with the message.
+            elements: u32,
+            /// Why the message was dropped.
+            reason: DropReason,
+        },
+        /// A downstream acknowledged element receipt back upstream.
+        3 "ack" data => Ack {
+            /// The PE whose output queue is being acknowledged.
+            pe: u32,
+            /// Replica of that PE.
+            replica: u8,
+            /// Acknowledged-through sequence number.
+            through_seq: u64,
+        },
+        /// A checkpoint began for one PE instance.
+        4 "checkpoint_start" control => CheckpointStart {
+            /// PE being checkpointed.
+            pe: u32,
+            /// Replica being checkpointed.
+            replica: u8,
+        },
+        /// A checkpoint message (state snapshot) was produced and sent.
+        5 "checkpoint_sent" control => CheckpointSent {
+            /// PE whose state was captured.
+            pe: u32,
+            /// Replica whose state was captured.
+            replica: u8,
+            /// Retained elements captured in the snapshot.
+            elements: u32,
+            /// Serialised size of the checkpoint message.
+            bytes: u64,
+        },
+        /// A checkpoint reached stable storage / the standby.
+        6 "checkpoint_stored" control => CheckpointStored {
+            /// PE whose checkpoint completed.
+            pe: u32,
+            /// Replica whose checkpoint completed.
+            replica: u8,
+        },
+        /// A heartbeat ping was sent to a monitored machine.
+        7 "heartbeat_ping" data => HeartbeatPing {
+            /// Monitored machine index.
+            machine: u32,
+            /// Ping sequence number.
+            seq: u64,
+        },
+        /// A heartbeat reply came back fresh (clears suspicion if any).
+        8 "heartbeat_pong" data => HeartbeatPong {
+            /// Replying machine index.
+            machine: u32,
+            /// Sequence number being answered.
+            seq: u64,
+            /// Whether this pong cleared an active suspicion.
+            cleared_suspicion: bool,
+        },
+        /// A heartbeat tick found outstanding unanswered pings.
+        9 "heartbeat_miss" control => HeartbeatMiss {
+            /// Monitored machine index.
+            machine: u32,
+            /// Consecutive misses so far.
+            streak: u32,
+        },
+        /// A benchmark detector probe task was submitted.
+        10 "bench_probe" control => BenchProbe {
+            /// Probed machine index.
+            machine: u32,
+        },
+        /// A benchmark detector probe completed and produced a verdict.
+        11 "bench_verdict" control => BenchVerdict {
+            /// Probed machine index.
+            machine: u32,
+            /// Measured probe latency in sim nanoseconds.
+            latency_ns: u64,
+            /// Whether the probe declared the machine overloaded.
+            overloaded: bool,
+        },
+        /// A failure (spike window or fail-stop) was injected by the harness.
+        12 "failure_inject" control => FailureInject {
+            /// Affected machine index.
+            machine: u32,
+            /// `true` for a permanent fail-stop, `false` for a load spike.
+            fail_stop: bool,
+        },
+        /// The control plane declared a machine failed/overloaded.
+        13 "failure_detect" control => FailureDetect {
+            /// Declared machine index.
+            machine: u32,
+            /// Affected subjob index.
+            subjob: u32,
+            /// Consecutive heartbeat misses at declaration time.
+            miss_streak: u32,
+        },
+        /// A recovery phase boundary on the control plane.
+        14 "recovery" control => Recovery {
+            /// Affected subjob index.
+            subjob: u32,
+            /// Which phase boundary was crossed.
+            phase: RecoveryPhase,
+        },
+        /// A failover attempt gave up without promoting: the subjob keeps its
+        /// (possibly failed) primary and has lost redundancy. Previously a
+        /// silent dead-end; now visible to health reports and `sps-inspect`.
+        15 "failover_aborted" control => FailoverAborted {
+            /// Affected subjob index.
+            subjob: u32,
+            /// The standby machine the ladder rejected (or `u32::MAX` when no
+            /// standby existed at all).
+            machine: u32,
+            /// Why the attempt was abandoned.
+            reason: AbortReason,
+        },
+        /// A queue reached a new high-water mark (only growth is reported).
+        16 "queue_high_water" control => QueueHighWater {
+            /// Owning PE id.
+            pe: u32,
+            /// Owning replica.
+            replica: u8,
+            /// `true` for the input queue, `false` for the output queue.
+            input: bool,
+            /// The new high-water depth in elements.
+            depth: u64,
+        },
+        /// A periodic telemetry snapshot of one machine.
+        17 "machine_snapshot" control => MachineSnapshot {
+            /// Machine index.
+            machine: u32,
+            /// Mean total utilisation over the last sample interval (0..=1+).
+            cpu_load: f64,
+            /// Background (injected) share at snapshot time.
+            background: f64,
+            /// Runnable simulated tasks at snapshot time.
+            run_queue: u32,
+        },
+        /// A periodic telemetry snapshot of one PE instance.
+        18 "pe_snapshot" control => PeSnapshot {
+            /// PE id.
+            pe: u32,
+            /// Replica.
+            replica: u8,
+            /// Pending input elements (accepted + stashed).
+            input_depth: u64,
+            /// Retained output elements (sent but unacknowledged).
+            output_backlog: u64,
+            /// Total elements processed so far.
+            processed_total: u64,
+        },
+        /// The network dropped a message (partition or chaos loss).
+        19 "net_drop" control => NetDrop {
+            /// Sending machine index.
+            src: u32,
+            /// Destination machine index.
+            dst: u32,
+            /// Wire size of the lost message.
+            bytes: u64,
+            /// `true` for chaos loss, `false` for a partition drop.
+            chaos: bool,
+        },
+        /// The network delivered a chaos-duplicated copy of a message.
+        20 "net_duplicate" control => NetDuplicate {
+            /// Sending machine index.
+            src: u32,
+            /// Destination machine index.
+            dst: u32,
+            /// Wire size of the duplicated message.
+            bytes: u64,
+        },
+        /// The reliable control plane retransmitted an unacknowledged message.
+        21 "retransmit" control => Retransmit {
+            /// Sending machine index.
+            src: u32,
+            /// Destination machine index.
+            dst: u32,
+            /// Reliable-transfer id being retried.
+            tx: u64,
+            /// Retry attempt number (1 = first retransmission).
+            attempt: u32,
+        },
+        /// A chaos-plan step was applied to the cluster.
+        22 "chaos_phase" control => ChaosPhase {
+            /// Index of the step within the plan.
+            step: u32,
+            /// What kind of action fired.
+            action: ChaosKind,
+            /// First machine involved (or `u32::MAX` when not applicable).
+            a: u32,
+            /// Second machine involved (or `u32::MAX` when not applicable).
+            b: u32,
+        },
+        /// An SLO monitor crossed its breach boundary (health engine).
+        23 "slo_breach" control => SloBreach {
+            /// Index of the monitor in the health engine's table (the health
+            /// report maps indices to monitor names).
+            monitor: u32,
+            /// `true` when the breach begins, `false` when it clears.
+            entered: bool,
+            /// The observed statistic at the crossing scrape.
+            observed: f64,
+            /// The spec's threshold.
+            threshold: f64,
+            /// Breach duration in sim nanoseconds (0 on enter).
+            duration_ns: u64,
+        },
+        /// An anomaly detector changed verdict (health engine).
+        24 "anomaly" control => Anomaly {
+            /// Which detector family fired.
+            detector: AnomalyKind,
+            /// Machine the verdict is about (or `u32::MAX` when global).
+            machine: u32,
+            /// PE the verdict is about (or `u32::MAX` when not PE-scoped).
+            pe: u32,
+            /// `true` at onset, `false` at clear.
+            onset: bool,
+            /// The detector's signal value at the transition.
+            value: f64,
+        },
+        /// Run-level audit metadata, emitted once at build time whenever the
+        /// tracer is enabled. Makes recorded dumps self-describing for the
+        /// offline auditor (`sps-inspect audit`).
+        25 "audit_meta" control => AuditMeta {
+            /// Number of subjobs in the job.
+            subjobs: u32,
+            /// `true` when the fault topology is flat (every machine its own
+            /// domain) — domain-disjointness is then vacuous and unaudited.
+            flat: bool,
+            /// The scenario expects every produced element to reach its sink
+            /// (reliable control plane and/or no unrecovered loss).
+            lossless: bool,
+            /// The scenario stops its sources and drains before the end of the
+            /// run, so end-of-run liveness checks (seq gaps, standby coverage)
+            /// are meaningful.
+            quiescent: bool,
+        },
+        /// Per-subjob audit metadata (HA mode), emitted after
+        /// [`AuditMeta`](Self::AuditMeta) at build time.
+        26 "subjob_meta" control => SubjobMeta {
+            /// Subjob index.
+            subjob: u32,
+            /// The subjob's HA mode.
+            mode: HaModeTag,
+        },
+        /// A data delivery arrived at a sink: the receiver-side exactly-once
+        /// ledger, aggregated per message (batch-aware via the range stamp).
+        27 "sink_deliver" control => SinkDeliver {
+            /// Sink index.
+            sink: u32,
+            /// Stream the delivery belongs to.
+            stream: u32,
+            /// Lowest sequence number in the delivery.
+            seq_start: u64,
+            /// Highest sequence number in the delivery.
+            seq_end: u64,
+            /// Elements newly accepted (including drained stash).
+            newly_accepted: u32,
+            /// Elements rejected as duplicates of already-processed positions.
+            duplicates: u32,
+            /// The sink's cumulative processed-through position afterwards.
+            processed_through: u64,
+        },
+        /// A stored checkpoint covers acknowledgments up to `seq` on one input
+        /// stream of a checkpoint-acked primary PE (§III-B: the positions
+        /// snapshotted with the checkpoint, released when the store confirms).
+        28 "checkpoint_covered" control => CheckpointCovered {
+            /// PE whose checkpoint stored.
+            pe: u32,
+            /// Replica of that PE.
+            replica: u8,
+            /// Input stream the covered position belongs to.
+            stream: u32,
+            /// Covered (ackable) sequence position.
+            seq: u64,
+        },
+        /// A checkpoint-acked primary sent a cumulative upstream ack. Legal
+        /// only at or below the last [`CheckpointCovered`](Self::CheckpointCovered)
+        /// position for the same (pe, replica, stream).
+        29 "ack_sent" control => AckSent {
+            /// Acking PE.
+            pe: u32,
+            /// Acking replica.
+            replica: u8,
+            /// Stream being acknowledged.
+            stream: u32,
+            /// Acknowledged-through sequence position.
+            seq: u64,
+        },
+        /// A subjob epoch bump: every role/life-cycle transition the stale-epoch
+        /// guard keys on, with the post-transition primary identity.
+        30 "epoch_change" control => EpochChange {
+            /// Affected subjob index.
+            subjob: u32,
+            /// The new epoch value.
+            epoch: u64,
+            /// Which transition bumped it.
+            cause: EpochCause,
+            /// Machine playing the primary role after the transition.
+            primary_machine: u32,
+            /// Replica slot playing the primary role after the transition.
+            primary_replica: u8,
+        },
+        /// The standby slot of a subjob was (re)assigned after a failover
+        /// transition — or left empty (`machine == u32::MAX`), which must be
+        /// accompanied by a [`FailoverAborted`](Self::FailoverAborted).
+        31 "standby_provision" control => StandbyProvision {
+            /// Affected subjob index.
+            subjob: u32,
+            /// The new standby machine, or `u32::MAX` when none remained.
+            machine: u32,
+            /// `true` when the machine was freshly taken from the spare pool
+            /// (domain-disjointness is then required on non-flat topologies).
+            fresh: bool,
+            /// Fault domain of the primary machine (`u32::MAX` when unknown).
+            primary_domain: u32,
+            /// Fault domain of the standby machine (`u32::MAX` when none).
+            standby_domain: u32,
+        },
+        /// The streaming auditor observed a protocol-invariant violation.
+        /// Field meaning depends on the invariant; the audit report renders
+        /// them (`entity` is a sink/PE/subjob/machine index, `seq` a sequence
+        /// number/epoch/phase code, `detail` the bound that was broken).
+        32 "audit_violation" control => AuditViolation {
+            /// Which invariant was broken.
+            invariant: AuditInvariant,
+            /// Affected subjob (`u32::MAX` when not subjob-scoped).
+            subjob: u32,
+            /// Invariant-specific entity id (`u32::MAX` when unused).
+            entity: u32,
+            /// Invariant-specific sequence/epoch/code.
+            seq: u64,
+            /// Invariant-specific bound or prior value.
+            detail: u64,
+        },
     }
-    Fixed6(x)
 }
 
-/// Test records that put every field of every variant through the values
-/// where its encoding changes width. Shared with the recorder's ring test.
+/// A timestamped trace event: what happened, and at which sim-time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceRecord {
+    /// Simulated time of the event.
+    pub at: SimTime,
+    /// The event payload.
+    pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// Encode as one JSON object (one JSONL line, without the newline).
+    ///
+    /// Keys are emitted in a fixed order (`t`, `kind`, then payload fields
+    /// in declaration order) so identical runs give byte-identical dumps.
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(96);
+        self.write_json(&mut s);
+        s
+    }
+}
+
+/// Upper bound on [`TraceRecord::encode`]'s output: the widest record is a
+/// `sink_deliver` whose time delta and seven integers all take their full
+/// LEB128 width (61 bytes).
+pub(crate) const MAX_ENCODED_LEN: usize = 64;
+
+/// The values [`TraceEvent::every_variant`] puts every field of every
+/// variant through: the ones where an encoding changes width. Shared with
+/// the recorder's ring test.
 #[cfg(test)]
 pub(crate) mod samples {
-    use super::*;
-
     const INTS: [u64; 8] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
     const FLOATS: [f64; 5] = [0.0, -0.0, 1e-9, f64::MAX, f64::MIN_POSITIVE];
     /// Time deltas: same instant, one tick, a typical gap, past `u32`.
@@ -1451,232 +1025,21 @@ pub(crate) mod samples {
             self.i += self.stride;
             self.i - self.stride
         }
-        fn u64(&mut self) -> u64 {
+        pub(crate) fn u64(&mut self) -> u64 {
             INTS[self.step() % INTS.len()]
         }
-        fn u32(&mut self) -> u32 {
-            self.u64().min(u64::from(u32::MAX)) as u32
-        }
-        fn u8(&mut self) -> u8 {
-            self.u64().min(u64::from(u8::MAX)) as u8
-        }
-        fn f64(&mut self) -> f64 {
+        pub(crate) fn f64(&mut self) -> f64 {
             FLOATS[self.step() % FLOATS.len()]
         }
-        fn bool(&mut self) -> bool {
+        pub(crate) fn bool(&mut self) -> bool {
             self.step() % 2 == 1
         }
-        fn pick<T: Copy>(&mut self, all: &[T]) -> T {
+        pub(crate) fn pick<T: Copy>(&mut self, all: &[T]) -> T {
             all[self.step() % all.len()]
         }
         pub(crate) fn gap(&mut self) -> u64 {
             GAPS_NS[self.step() % GAPS_NS.len()]
         }
-    }
-
-    /// The variant declared after `prev` (`None`: the first), filled from
-    /// `d`. The `match` is exhaustive on purpose: a new variant does not
-    /// compile until it has a place in this chain, and with it a sample.
-    fn next_event(prev: Option<TraceEvent>, d: &mut Draw) -> Option<TraceEvent> {
-        use TraceEvent as E;
-        Some(match prev {
-            None => E::ElementSend {
-                pe: d.u32(),
-                replica: d.u8(),
-                stream: d.u32(),
-                elements: d.u32(),
-                last_seq: d.u64(),
-            },
-            Some(E::ElementSend { .. }) => E::ElementRecv {
-                pe: d.u32(),
-                replica: d.u8(),
-                stream: d.u32(),
-                accepted: d.u32(),
-                stashed: d.u32(),
-                duplicates: d.u32(),
-            },
-            Some(E::ElementRecv { .. }) => E::ElementDrop {
-                machine: d.u32(),
-                elements: d.u32(),
-                reason: d.pick(DropReason::WIRE),
-            },
-            Some(E::ElementDrop { .. }) => E::Ack {
-                pe: d.u32(),
-                replica: d.u8(),
-                through_seq: d.u64(),
-            },
-            Some(E::Ack { .. }) => E::CheckpointStart {
-                pe: d.u32(),
-                replica: d.u8(),
-            },
-            Some(E::CheckpointStart { .. }) => E::CheckpointSent {
-                pe: d.u32(),
-                replica: d.u8(),
-                elements: d.u32(),
-                bytes: d.u64(),
-            },
-            Some(E::CheckpointSent { .. }) => E::CheckpointStored {
-                pe: d.u32(),
-                replica: d.u8(),
-            },
-            Some(E::CheckpointStored { .. }) => E::HeartbeatPing {
-                machine: d.u32(),
-                seq: d.u64(),
-            },
-            Some(E::HeartbeatPing { .. }) => E::HeartbeatPong {
-                machine: d.u32(),
-                seq: d.u64(),
-                cleared_suspicion: d.bool(),
-            },
-            Some(E::HeartbeatPong { .. }) => E::HeartbeatMiss {
-                machine: d.u32(),
-                streak: d.u32(),
-            },
-            Some(E::HeartbeatMiss { .. }) => E::BenchProbe { machine: d.u32() },
-            Some(E::BenchProbe { .. }) => E::BenchVerdict {
-                machine: d.u32(),
-                latency_ns: d.u64(),
-                overloaded: d.bool(),
-            },
-            Some(E::BenchVerdict { .. }) => E::FailureInject {
-                machine: d.u32(),
-                fail_stop: d.bool(),
-            },
-            Some(E::FailureInject { .. }) => E::FailureDetect {
-                machine: d.u32(),
-                subjob: d.u32(),
-                miss_streak: d.u32(),
-            },
-            Some(E::FailureDetect { .. }) => E::Recovery {
-                subjob: d.u32(),
-                phase: d.pick(RecoveryPhase::WIRE),
-            },
-            Some(E::Recovery { .. }) => E::FailoverAborted {
-                subjob: d.u32(),
-                machine: d.u32(),
-                reason: d.pick(AbortReason::WIRE),
-            },
-            Some(E::FailoverAborted { .. }) => E::QueueHighWater {
-                pe: d.u32(),
-                replica: d.u8(),
-                input: d.bool(),
-                depth: d.u64(),
-            },
-            Some(E::QueueHighWater { .. }) => E::MachineSnapshot {
-                machine: d.u32(),
-                cpu_load: d.f64(),
-                background: d.f64(),
-                run_queue: d.u32(),
-            },
-            Some(E::MachineSnapshot { .. }) => E::PeSnapshot {
-                pe: d.u32(),
-                replica: d.u8(),
-                input_depth: d.u64(),
-                output_backlog: d.u64(),
-                processed_total: d.u64(),
-            },
-            Some(E::PeSnapshot { .. }) => E::NetDrop {
-                src: d.u32(),
-                dst: d.u32(),
-                bytes: d.u64(),
-                chaos: d.bool(),
-            },
-            Some(E::NetDrop { .. }) => E::NetDuplicate {
-                src: d.u32(),
-                dst: d.u32(),
-                bytes: d.u64(),
-            },
-            Some(E::NetDuplicate { .. }) => E::Retransmit {
-                src: d.u32(),
-                dst: d.u32(),
-                tx: d.u64(),
-                attempt: d.u32(),
-            },
-            Some(E::Retransmit { .. }) => E::ChaosPhase {
-                step: d.u32(),
-                action: d.pick(ChaosKind::WIRE),
-                a: d.u32(),
-                b: d.u32(),
-            },
-            Some(E::ChaosPhase { .. }) => E::SloBreach {
-                monitor: d.u32(),
-                entered: d.bool(),
-                observed: d.f64(),
-                threshold: d.f64(),
-                duration_ns: d.u64(),
-            },
-            Some(E::SloBreach { .. }) => E::Anomaly {
-                detector: d.pick(AnomalyKind::WIRE),
-                machine: d.u32(),
-                pe: d.u32(),
-                onset: d.bool(),
-                value: d.f64(),
-            },
-            Some(E::Anomaly { .. }) => E::AuditMeta {
-                subjobs: d.u32(),
-                flat: d.bool(),
-                lossless: d.bool(),
-                quiescent: d.bool(),
-            },
-            Some(E::AuditMeta { .. }) => E::SubjobMeta {
-                subjob: d.u32(),
-                mode: d.pick(HaModeTag::WIRE),
-            },
-            Some(E::SubjobMeta { .. }) => E::SinkDeliver {
-                sink: d.u32(),
-                stream: d.u32(),
-                seq_start: d.u64(),
-                seq_end: d.u64(),
-                newly_accepted: d.u32(),
-                duplicates: d.u32(),
-                processed_through: d.u64(),
-            },
-            Some(E::SinkDeliver { .. }) => E::CheckpointCovered {
-                pe: d.u32(),
-                replica: d.u8(),
-                stream: d.u32(),
-                seq: d.u64(),
-            },
-            Some(E::CheckpointCovered { .. }) => E::AckSent {
-                pe: d.u32(),
-                replica: d.u8(),
-                stream: d.u32(),
-                seq: d.u64(),
-            },
-            Some(E::AckSent { .. }) => E::EpochChange {
-                subjob: d.u32(),
-                epoch: d.u64(),
-                cause: d.pick(EpochCause::WIRE),
-                primary_machine: d.u32(),
-                primary_replica: d.u8(),
-            },
-            Some(E::EpochChange { .. }) => E::StandbyProvision {
-                subjob: d.u32(),
-                machine: d.u32(),
-                fresh: d.bool(),
-                primary_domain: d.u32(),
-                standby_domain: d.u32(),
-            },
-            Some(E::StandbyProvision { .. }) => E::AuditViolation {
-                invariant: d.pick(AuditInvariant::WIRE),
-                subjob: d.u32(),
-                entity: d.u32(),
-                seq: d.u64(),
-                detail: d.u64(),
-            },
-            Some(E::AuditViolation { .. }) => return None,
-        })
-    }
-
-    /// One event of every variant, in declaration order.
-    pub(crate) fn every_variant(d: &mut Draw) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        let mut prev = None;
-        while let Some(event) = next_event(prev, d) {
-            all.push(event);
-            prev = Some(event);
-        }
-        all
     }
 }
 
@@ -1712,11 +1075,11 @@ mod tests {
     #[test]
     fn packed_encoding_round_trips_every_variant_at_every_width() {
         // 24 starting positions take every field through every entry of
-        // its list (the longest, `ChaosKind::WIRE`, has 11).
+        // its list (the longest, `ChaosKind::ALL`, has 11).
         for round in 0..24 {
             let mut draw = samples::Draw::rotating(round);
             let mut at = 0u64;
-            let records: Vec<TraceRecord> = samples::every_variant(&mut draw)
+            let records: Vec<TraceRecord> = TraceEvent::every_variant(&mut draw)
                 .into_iter()
                 .map(|event| {
                     at += draw.gap();
@@ -1733,7 +1096,7 @@ mod tests {
 
     #[test]
     fn widest_records_fit_the_declared_bound_and_time_may_run_backwards() {
-        let widest: Vec<TraceRecord> = samples::every_variant(&mut samples::Draw::widest())
+        let widest: Vec<TraceRecord> = TraceEvent::every_variant(&mut samples::Draw::widest())
             .into_iter()
             .zip([SimTime::MAX, SimTime::ZERO].into_iter().cycle())
             .map(|(event, at)| TraceRecord { at, event })
@@ -1797,20 +1160,101 @@ mod tests {
     }
 
     #[test]
-    fn phase_names_roundtrip() {
-        for p in [
-            RecoveryPhase::Detected,
-            RecoveryPhase::SwitchoverComplete,
-            RecoveryPhase::RollbackStarted,
-            RecoveryPhase::RollbackComplete,
-            RecoveryPhase::PsDeployed,
-            RecoveryPhase::PsConnected,
-            RecoveryPhase::Promoted,
-            RecoveryPhase::SecondaryReady,
-        ] {
-            assert_eq!(RecoveryPhase::parse(p.as_str()), Some(p));
+    fn every_enum_name_round_trips() {
+        macro_rules! names_round_trip {
+            ($($ty:ident),+) => {$(
+                for &v in $ty::ALL {
+                    assert_eq!($ty::parse(v.as_str()), Some(v));
+                }
+                assert_eq!($ty::parse("nope"), None);
+            )+};
         }
-        assert_eq!(RecoveryPhase::parse("nope"), None);
+        names_round_trip!(
+            DropReason,
+            ChaosKind,
+            AbortReason,
+            RecoveryPhase,
+            HaModeTag,
+            EpochCause,
+            AuditInvariant,
+            AnomalyKind
+        );
+        assert_eq!(RecoveryPhase::ALL.len(), 8);
+        assert_eq!(AuditInvariant::ALL.len(), 9);
+        assert_eq!(AnomalyKind::AuditViolations.as_str(), "audit_violations");
+    }
+
+    /// What an offline tool does with one dump line.
+    fn read(line: &str) -> Result<TraceRecord, String> {
+        TraceRecord::from_json(&jsonl::parse_flat_object(line)?)
+    }
+
+    #[test]
+    fn json_text_is_a_fix_point_of_reading_and_writing() {
+        for round in 0..24 {
+            let mut draw = samples::Draw::rotating(round);
+            for event in TraceEvent::every_variant(&mut draw) {
+                let at = SimTime::from_nanos(draw.u64());
+                let line = TraceRecord { at, event }.to_json();
+                let back = read(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                // The text survives, so every integer, flag and name did.
+                assert_eq!(back.to_json(), line);
+                // `back` holds each float at the six decimals it is written
+                // with, and such a record survives as a value.
+                assert_eq!(read(&line), Ok(back));
+            }
+        }
+        for &reason in AbortReason::ALL {
+            let aborted = TraceRecord {
+                at: SimTime::from_millis(2_000),
+                event: TraceEvent::FailoverAborted {
+                    subjob: 2,
+                    machine: u32::MAX,
+                    reason,
+                },
+            };
+            assert_eq!(read(&aborted.to_json()), Ok(aborted));
+        }
+        let nan = "{\"t\":0,\"kind\":\"anomaly\",\"detector\":\"backpressure\",\"machine\":1,\"pe\":4,\"onset\":true,\"value\":null}";
+        assert_eq!(read(nan).unwrap().to_json(), nan);
+    }
+
+    #[test]
+    fn reading_rejects_what_writing_cannot_have_written() {
+        let deliver = |sink: u64, seq_end: &str| {
+            format!(
+                "{{\"t\":1,\"kind\":\"sink_deliver\",\"sink\":{sink},\"stream\":9,\"seq_start\":17,\"seq_end\":{seq_end},\"newly_accepted\":4,\"duplicates\":0,\"processed_through\":20}}"
+            )
+        };
+        let two53 = 1u64 << 53;
+        for seq in [two53 - 1, two53 + 1, u64::MAX] {
+            let TraceEvent::SinkDeliver { seq_end, .. } =
+                read(&deliver(0, &seq.to_string())).unwrap().event
+            else {
+                panic!("not a sink_deliver");
+            };
+            assert_eq!(seq_end, seq);
+        }
+        let err = |line: &str| read(line).unwrap_err();
+        let e = err(&deliver(u64::from(u32::MAX) + 1, "20"));
+        assert!(e.contains("\"sink\"") && e.contains("u32"), "{e}");
+        let e = err(&deliver(0, "18446744073709551616"));
+        assert!(e.contains("\"seq_end\"") && e.contains("u64"), "{e}");
+        let e = err("{\"t\":1,\"kind\":\"ack\",\"pe\":1,\"replica\":256,\"through_seq\":3}");
+        assert!(e.contains("\"replica\"") && e.contains("u8"), "{e}");
+        let e = err("{\"t\":1,\"kind\":\"recovery\",\"subjob\":1,\"phase\":\"detcted\"}");
+        assert!(
+            e.contains("\"phase\"") && e.contains("RecoveryPhase"),
+            "{e}"
+        );
+        let e = err("{\"t\":1,\"kind\":\"recovery\",\"subjob\":1}");
+        assert!(e.contains("missing \"phase\""), "{e}");
+        let e = err("{\"t\":1,\"kind\":\"recovry\",\"subjob\":1,\"phase\":\"detected\"}");
+        assert!(e.contains("unknown \"kind\" \"recovry\""), "{e}");
+        let e = err("{\"kind\":\"bench_probe\",\"machine\":1}");
+        assert!(e.contains("missing \"t\""), "{e}");
+        let e = err("{\"t\":1,\"kind\":\"bench_probe\",\"machine\":true}");
+        assert!(e.contains("\"machine\"") && e.contains("u32"), "{e}");
     }
 
     #[test]
@@ -1961,35 +1405,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_enums_roundtrip() {
-        for inv in AuditInvariant::ALL {
-            assert_eq!(AuditInvariant::parse(inv.as_str()), Some(inv));
-        }
-        assert_eq!(AuditInvariant::parse("nope"), None);
-        for c in [
-            EpochCause::Init,
-            EpochCause::SwitchoverAbort,
-            EpochCause::Switchover,
-            EpochCause::PsDetect,
-            EpochCause::PsConnect,
-            EpochCause::Promote,
-            EpochCause::SpareRedeploy,
-            EpochCause::StandbyLost,
-        ] {
-            assert_eq!(EpochCause::parse(c.as_str()), Some(c));
-        }
-        for m in [
-            HaModeTag::None,
-            HaModeTag::Active,
-            HaModeTag::Passive,
-            HaModeTag::Hybrid,
-        ] {
-            assert_eq!(HaModeTag::parse(m.as_str()), Some(m));
-        }
-        assert_eq!(AnomalyKind::AuditViolations.as_str(), "audit_violations");
-    }
-
-    #[test]
     fn data_plane_classification() {
         let send = TraceEvent::ElementSend {
             pe: 0,
@@ -2004,5 +1419,20 @@ mod tests {
             phase: RecoveryPhase::Promoted,
         };
         assert!(!rec.is_data_plane());
+        let data: Vec<&str> = TraceEvent::KINDS
+            .iter()
+            .filter_map(|&(kind, data)| data.then_some(kind))
+            .collect();
+        assert_eq!(
+            data,
+            [
+                "element_send",
+                "element_recv",
+                "ack",
+                "heartbeat_ping",
+                "heartbeat_pong"
+            ]
+        );
+        assert_eq!(TraceEvent::KINDS.len(), 33);
     }
 }

@@ -6,7 +6,8 @@
 //! objects or arrays. This parser covers exactly that dialect, so the
 //! offline tools stay dependency-free. Lines that do not conform are an
 //! error, not a silent skip: `sps-inspect check` exists to catch format
-//! drift.
+//! drift. It lives beside the trace schema so that one crate owns both
+//! directions (`TraceRecord::to_json` / `TraceRecord::from_json`).
 
 /// One parsed scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,8 +16,10 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`; all our dumps stay within exact
-    /// `f64` integer range or are formatted floats).
+    /// An unsigned integer token that fits `u64`, kept exact: sequence
+    /// numbers, transfer ids and byte counts do not survive `f64` past 2^53.
+    Int(u64),
+    /// Any other JSON number (a formatted float, a negative or an exponent).
     Num(f64),
     /// A string (escapes `\"`, `\\`, `\n`, `\t`, `\uXXXX` handled).
     Str(String),
@@ -26,15 +29,19 @@ impl JsonValue {
     /// The value as `f64`, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as `u64`, if a non-negative integer.
+    /// The value as `u64`, if a non-negative integer. A number written as
+    /// a float (`5.0`, `1e3`) counts while `f64` still holds it exactly.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Int(n) => Some(*n),
+            JsonValue::Num(n) if (0.0..=EXACT).contains(n) && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -271,6 +278,9 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        if let Ok(n) = text.parse() {
+            return Ok(JsonValue::Int(n));
+        }
         let n: f64 = text
             .parse()
             .map_err(|_| self.err(&format!("bad number {text:?}")))?;
@@ -310,6 +320,23 @@ mod tests {
             parse_flat_object("{\"s\":\"a\\\"b\\\\c\\u0041\"}").unwrap()[0].1,
             JsonValue::Str("a\"b\\cA".into())
         );
+    }
+
+    #[test]
+    fn integer_tokens_stay_exact() {
+        let two53 = 1u64 << 53;
+        for n in [two53 - 1, two53, two53 + 1, u64::MAX] {
+            let obj = parse_flat_object(&format!("{{\"seq\":{n}}}")).unwrap();
+            assert_eq!(obj[0].1, JsonValue::Int(n));
+            assert_eq!(obj[0].1.as_u64(), Some(n));
+        }
+        // One past `u64::MAX` is a float, and too large a one to be a `u64`.
+        let obj = parse_flat_object("{\"seq\":18446744073709551616}").unwrap();
+        assert_eq!(obj[0].1.as_u64(), None);
+        assert_eq!(obj[0].1.as_f64(), Some(18446744073709551616.0));
+        let obj = parse_flat_object("{\"a\":5.0,\"b\":1e3,\"c\":-1,\"d\":0.5}").unwrap();
+        let ints: Vec<_> = obj.iter().map(|(_, v)| v.as_u64()).collect();
+        assert_eq!(ints, [Some(5), Some(1000), None, None]);
     }
 
     #[test]

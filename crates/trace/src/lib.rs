@@ -6,6 +6,9 @@
 //!   vocabulary: element send/receive/drop, acks, checkpoint lifecycle,
 //!   heartbeat and benchmark-probe activity, failure injection/detection,
 //!   recovery phases, queue high-water marks, and periodic snapshots;
+//! * [`jsonl`] — the flat-JSON reader for the workspace's own dumps; with
+//!   it [`TraceRecord::from_json`] inverts [`TraceRecord::to_json`] for
+//!   every kind, so offline tools rebuild typed records from a dump;
 //! * [`Tracer`] / [`TraceSink`] — the event bus. Zero sinks means the
 //!   data-plane hot path costs one branch; control-plane recovery phases
 //!   are always kept (they feed the recovery-time decomposition);
@@ -32,6 +35,7 @@
 
 pub(crate) mod critical_path;
 mod event;
+pub mod jsonl;
 mod lineage;
 mod recorder;
 mod series;

@@ -243,7 +243,7 @@ impl TraceSink for SharedRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::samples::{every_variant, Draw};
+    use crate::event::samples::Draw;
     use crate::event::TraceEvent;
     use sps_sim::SimRng;
 
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn packed_ring_matches_a_plain_deque_under_random_pushes() {
         let pool: Vec<TraceEvent> = (0..24)
-            .flat_map(|round| every_variant(&mut Draw::rotating(round)))
+            .flat_map(|round| TraceEvent::every_variant(&mut Draw::rotating(round)))
             .collect();
         // One more record than a chunk holds of this pool on average: head
         // and tail then sit in different chunks nearly all the time.

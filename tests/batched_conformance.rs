@@ -5,10 +5,12 @@
 //! attached. Each run must deliver exactly what its own sources produced,
 //! in order and once, and end with every subjob back to `Normal`.
 //!
-//! Batch invariance holds the batch sizes to each other: the same cell
-//! without failures, drained at `batch_size` 1, 16 and 64, accepts the same
-//! sequence at the sink and leaves every serving operator in the same
-//! state bit for bit.
+//! Three metamorphic relations hold runs to each other, each on the same
+//! cell drained after 3,200 elements, each on what the sink accepted in
+//! which order and on the bits of every serving operator's state: batch
+//! invariance (`batch_size` 1, 16 and 64), mode invariance (every subjob
+//! under None, Active, Passive or Hybrid) and failure-free equivalence (the
+//! mixed-mode cell through a spike and a fail-stop against itself without).
 
 use std::collections::BTreeMap;
 
@@ -21,16 +23,21 @@ use sps_audit::Auditor;
 const HYBRID_PRIMARY: MachineId = MachineId(0);
 const PASSIVE_PRIMARY: MachineId = MachineId(2);
 
-fn cell(batch_size: u32) -> HaSimulationBuilder {
+/// The cell before its subjobs are given their modes.
+fn bare_cell(batch_size: u32) -> HaSimulationBuilder {
     HaSimulation::builder(eval_chain_job())
-        .subjob_mode(SubjobId(0), HaMode::Hybrid)
-        .subjob_mode(SubjobId(1), HaMode::Active)
-        .subjob_mode(SubjobId(2), HaMode::Passive)
-        .subjob_mode(SubjobId(3), HaMode::Hybrid)
         .source_rate(1_000.0)
         .seed(2010)
         .log_sink_accepts(true)
         .tune(|c| c.batch_size = batch_size)
+}
+
+fn cell(batch_size: u32) -> HaSimulationBuilder {
+    bare_cell(batch_size)
+        .subjob_mode(SubjobId(0), HaMode::Hybrid)
+        .subjob_mode(SubjobId(1), HaMode::Active)
+        .subjob_mode(SubjobId(2), HaMode::Passive)
+        .subjob_mode(SubjobId(3), HaMode::Hybrid)
 }
 
 fn conformance_run(batch_size: u32) -> HaSimulation {
@@ -109,22 +116,38 @@ fn batch_64_run_is_exactly_once_and_settles() {
     assert_conformant(64);
 }
 
-/// What a failure-free, drained run of the cell leaves behind: the sink's
-/// `(stream, seq)` accept order and, per serving PE copy, the bits of its
-/// operator state. The Synthetic operator's `acc` folds every value the
-/// copy consumed, in order, so equal states mean equal payload sequences
-/// at every hop.
-type Outcome = (Vec<(StreamId, u64)>, Vec<(PeId, Replica, Vec<u64>)>);
+/// What a drained run of the cell leaves behind: the sink's `(stream,
+/// seq)` accept order and, per serving PE copy, whether it is the primary
+/// and the bits of its operator state. The Synthetic operator's `acc` folds
+/// every value the copy consumed, in order, so equal states mean equal
+/// payload sequences at every hop.
+type Outcome = (Vec<(StreamId, u64)>, Vec<(PeId, Replica, bool, Vec<u64>)>);
 
-fn failure_free_outcome(batch_size: u32) -> Outcome {
-    let mut sim = cell(batch_size).build();
+/// The serving primaries' states by PE, whichever replica slot serves.
+fn primaries(outcome: &Outcome) -> Vec<(PeId, &[u64])> {
+    let serving = outcome.1.iter().filter(|&&(_, _, primary, _)| primary);
+    serving.map(|(pe, _, _, state)| (*pe, &state[..])).collect()
+}
+
+/// Drains `cell` after 3,200 elements; with `faults`, through a 1 s CPU
+/// spike on the Hybrid primary at 0.5 s and a fail-stop of the Passive
+/// primary at 2 s.
+fn drained_outcome(cell: HaSimulationBuilder, faults: bool) -> Outcome {
+    let mut sim = cell.build();
+    if faults {
+        sim.inject_spike_windows(
+            HYBRID_PRIMARY,
+            &single_failure(SimTime::from_millis(500), SimDuration::from_secs(1)),
+        );
+        sim.fail_stop_at(PASSIVE_PRIMARY, SimTime::from_secs(2));
+    }
     // The first tick fires one gap (1 ms) in and a tick of `b` elements is
     // followed by a gap of `b` ms, so at 1, 16 and 64 alike exactly 3,200
     // elements are out by 3,200 ms and the next tick is due at 3,201 ms.
     sim.stop_sources_at(SimTime::from_micros(3_200_500));
     sim.run_for(SimDuration::from_secs(8));
     let world = sim.world();
-    assert_eq!(world.sources()[0].produced(), 3_200, "batch {batch_size}");
+    assert_eq!(world.sources()[0].produced(), 3_200);
 
     let accepts: Vec<(StreamId, u64)> = world.sinks()[0]
         .accept_log()
@@ -132,12 +155,14 @@ fn failure_free_outcome(batch_size: u32) -> Outcome {
         .iter()
         .map(|&(_, stream, seq)| (stream, seq))
         .collect();
+    assert_eq!(accepts.len(), 3_200, "drained, lossless");
     let mut states = Vec::new();
     for pe in (0..world.job().pe_count() as u32).map(PeId) {
         let sj = world.subjob(world.job().subjob_of(pe));
         for replica in Replica::BOTH {
-            // A Hybrid or Passive standby copy processes nothing.
-            if sj.mode != HaMode::Active && replica != sj.primary_replica {
+            let primary = replica == sj.primary_replica;
+            // Only an Active standby copy processes anything.
+            if sj.mode != HaMode::Active && !primary {
                 continue;
             }
             let state = world
@@ -145,7 +170,8 @@ fn failure_free_outcome(batch_size: u32) -> Outcome {
                 .expect("deployed")
                 .snapshot(SimTime::ZERO)
                 .operator_state;
-            states.push((pe, replica, state.0.iter().map(|w| w.to_bits()).collect()));
+            let bits = state.0.iter().map(|w| w.to_bits()).collect();
+            states.push((pe, replica, primary, bits));
         }
     }
     (accepts, states)
@@ -153,16 +179,42 @@ fn failure_free_outcome(batch_size: u32) -> Outcome {
 
 #[test]
 fn batch_sizes_agree_on_the_sink_sequence_and_every_operator_state() {
-    let unbatched = failure_free_outcome(1);
-    assert_eq!(unbatched.0.len(), 3_200, "drained, lossless");
+    let unbatched = drained_outcome(cell(1), false);
     assert_eq!(
         unbatched.1.len(),
         8 + 2,
         "eight primaries, two Active standbys"
     );
     for batch_size in [16, 64] {
-        let batched = failure_free_outcome(batch_size);
+        let batched = drained_outcome(cell(batch_size), false);
         assert_eq!(batched.0, unbatched.0, "batch {batch_size}: accept order");
         assert_eq!(batched.1, unbatched.1, "batch {batch_size}: operator state");
     }
+}
+
+#[test]
+fn ha_modes_agree_on_the_sink_sequence_and_every_primary_state() {
+    let unprotected = drained_outcome(bare_cell(1).mode(HaMode::None), false);
+    assert_eq!(unprotected.1.len(), 8, "eight lone copies");
+    for mode in [HaMode::Active, HaMode::Passive, HaMode::Hybrid] {
+        let protected = drained_outcome(bare_cell(1).mode(mode), false);
+        let serving = if mode == HaMode::Active { 16 } else { 8 };
+        assert_eq!(protected.1.len(), serving, "{mode:?} on every subjob");
+        assert_eq!(protected.0, unprotected.0, "{mode:?}: accept order");
+        assert_eq!(
+            primaries(&protected),
+            primaries(&unprotected),
+            "{mode:?}: operator state"
+        );
+    }
+}
+
+#[test]
+fn a_recovered_run_agrees_with_its_failure_free_run() {
+    let clean = drained_outcome(cell(1), false);
+    let recovered = drained_outcome(cell(1), true);
+    assert_eq!(recovered.0, clean.0, "accept order");
+    // Subjob 2's serving copy is the promoted one: same state, other slot.
+    assert_eq!(primaries(&recovered), primaries(&clean), "operator state");
+    assert_ne!(recovered.1, clean.1, "the fail-stop moved a primary");
 }
