@@ -26,7 +26,7 @@ pub struct FirstViolation {
     /// 1-based dump line after which the violation was derived (the last
     /// dump line for end-of-run liveness violations).
     pub line: usize,
-    /// Up to [`BACKTRACE_CAP`] prior dump lines that share an identity
+    /// Up to 12 (`BACKTRACE_CAP`) prior dump lines that share an identity
     /// (subjob / pe / sink / machine / transfer id) with the violation,
     /// oldest first — the lineage the checker walked to the verdict.
     pub backtrace: Vec<String>,

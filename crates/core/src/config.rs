@@ -35,11 +35,6 @@ impl HaMode {
         matches!(self, HaMode::Passive | HaMode::Hybrid)
     }
 
-    /// `true` if this mode deploys a secondary copy at job start.
-    pub fn predeploys_secondary(self) -> bool {
-        matches!(self, HaMode::Active | HaMode::Hybrid)
-    }
-
     /// `true` if this mode monitors the primary with heartbeats.
     pub fn monitors(self) -> bool {
         matches!(self, HaMode::Passive | HaMode::Hybrid)
@@ -155,17 +150,6 @@ pub struct HaConfig {
     pub durable_checkpoints: bool,
     /// Disk write latency when `durable_checkpoints` is set.
     pub disk_latency: SimDuration,
-    /// Telemetry snapshot period (per-machine load, per-PE queue depths).
-    /// The sampler only runs when a trace sink is installed. Must be
-    /// positive — a zero period would self-reschedule at the same instant
-    /// and loop the simulation forever, so `validate` rejects it.
-    pub trace_sample_interval: SimDuration,
-    /// Metrics-registry scrape period: how often the registry snapshots
-    /// every counter/gauge/histogram into its time-series. The scraper
-    /// only runs when metrics collection is enabled on the builder. Must
-    /// be positive, for the same self-rescheduling reason as
-    /// `trace_sample_interval`.
-    pub metrics_scrape_interval: SimDuration,
     /// Reliability hardening for lossy networks: wrap control-plane
     /// messages (checkpoint transfer, store acks, rollback state reads) in
     /// sequence-numbered envelopes with retransmission and receiver-side
@@ -179,7 +163,7 @@ pub struct HaConfig {
     /// Initial retransmission timeout for reliable control messages.
     pub rel_rto_initial: SimDuration,
     /// Retransmission backoff cap, shared by both planes through
-    /// [`HaConfig::rel_backoff`]: a reliable control message doubles its
+    /// `HaConfig::rel_backoff`: a reliable control message doubles its
     /// RTO per attempt up to this bound, and a data-plane connection that
     /// stays silent is rewound by the sweep at most this far apart.
     pub rel_rto_max: SimDuration,
@@ -208,10 +192,10 @@ pub struct HaConfig {
     #[doc(hidden)]
     pub test_break_sink_dedup: bool,
     /// Test-only fault hook: promotions skip re-provisioning a replacement
-    /// standby (and skip declaring the failover aborted), silently leaving
-    /// the subjob without redundancy. Exists so the auditor's mutation
-    /// canary can prove the `standby_coverage` check fires; never set
-    /// outside tests.
+    /// standby, and a re-provisioning left without a machine skips
+    /// declaring the failover aborted, silently leaving the subjob without
+    /// redundancy. Exists so the auditor's mutation canary can prove the
+    /// `standby_coverage` check fires; never set outside tests.
     #[doc(hidden)]
     pub test_skip_standby_reprovision: bool,
 }
@@ -239,8 +223,6 @@ impl Default for HaConfig {
             sched_latency: SchedLatency::default(),
             durable_checkpoints: false,
             disk_latency: SimDuration::from_millis(8),
-            trace_sample_interval: SimDuration::from_millis(100),
-            metrics_scrape_interval: SimDuration::from_millis(100),
             reliable_control: false,
             rel_rto_initial: SimDuration::from_millis(50),
             rel_rto_max: SimDuration::from_millis(800),
@@ -260,6 +242,18 @@ impl HaConfig {
         HaConfig {
             mode,
             ..HaConfig::default()
+        }
+    }
+
+    /// `true` if a subjob in `mode` keeps a deployed standby copy: always
+    /// under active standby, under the hybrid only with
+    /// [`HaConfig::hybrid_predeploy`]. Job start, every standby
+    /// re-provisioning and the redundancy gauge all ask this one question.
+    pub fn predeploys(&self, mode: HaMode) -> bool {
+        match mode {
+            HaMode::Active => true,
+            HaMode::Hybrid => self.hybrid_predeploy,
+            HaMode::None | HaMode::Passive => false,
         }
     }
 
@@ -305,16 +299,6 @@ impl HaConfig {
         assert!(self.ack_every_elements >= 1, "ack batch must be >= 1");
         assert!(self.batch_size >= 1, "data batch size must be >= 1");
         assert!(self.element_bytes >= 1, "element size must be >= 1 byte");
-        // A zero sampling cadence would reschedule at the current instant
-        // forever; name the offending field so the mistake is findable.
-        assert!(
-            !self.trace_sample_interval.is_zero(),
-            "trace_sample_interval must be positive"
-        );
-        assert!(
-            !self.metrics_scrape_interval.is_zero(),
-            "metrics_scrape_interval must be positive"
-        );
         if self.reliable_control {
             assert!(
                 !self.rel_rto_initial.is_zero(),
@@ -355,10 +339,17 @@ mod tests {
     #[test]
     fn mode_capability_matrix() {
         use HaMode::*;
-        assert!(!None.checkpoints() && !None.predeploys_secondary() && !None.monitors());
-        assert!(!Active.checkpoints() && Active.predeploys_secondary() && !Active.monitors());
-        assert!(Passive.checkpoints() && !Passive.predeploys_secondary() && Passive.monitors());
-        assert!(Hybrid.checkpoints() && Hybrid.predeploys_secondary() && Hybrid.monitors());
+        let c = HaConfig::default();
+        assert!(!None.checkpoints() && !c.predeploys(None) && !None.monitors());
+        assert!(!Active.checkpoints() && c.predeploys(Active) && !Active.monitors());
+        assert!(Passive.checkpoints() && !c.predeploys(Passive) && Passive.monitors());
+        assert!(Hybrid.checkpoints() && c.predeploys(Hybrid) && Hybrid.monitors());
+        // The §IV-B ablation drops only the hybrid's pre-deployed copy.
+        let ablated = HaConfig {
+            hybrid_predeploy: false,
+            ..HaConfig::default()
+        };
+        assert!(ablated.predeploys(Active) && !ablated.predeploys(Hybrid));
     }
 
     #[test]
@@ -397,26 +388,6 @@ mod tests {
         let c = HaConfig {
             reliable_control: true,
             rel_rto_max: SimDuration::from_millis(1),
-            ..HaConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "trace_sample_interval must be positive")]
-    fn validate_rejects_zero_trace_sample_interval() {
-        let c = HaConfig {
-            trace_sample_interval: SimDuration::ZERO,
-            ..HaConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "metrics_scrape_interval must be positive")]
-    fn validate_rejects_zero_metrics_scrape_interval() {
-        let c = HaConfig {
-            metrics_scrape_interval: SimDuration::ZERO,
             ..HaConfig::default()
         };
         c.validate();

@@ -909,10 +909,9 @@ impl HaWorld {
                 // whose own offer the sink accepted.
                 let metrics = &mut self.metrics;
                 let observe = |elem: &DataElement| {
-                    if let Some(m) = metrics.as_deref_mut() {
+                    if let Some(registry) = metrics.as_deref_mut() {
                         let e2e_ms = now.saturating_since(elem.created_at).as_millis_f64();
-                        m.registry
-                            .observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
+                        registry.observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
                     }
                 };
                 let accept = if self.cfg.test_break_sink_dedup {
@@ -1212,16 +1211,12 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
             Event::HeartbeatTick { monitor: m as u32 },
         );
     }
-    // The telemetry sampler runs only when a trace sink is installed, so
-    // untraced runs keep an identical event schedule.
-    if world.tracer.is_enabled() && !world.cfg.trace_sample_interval.is_zero() {
-        ctx.schedule_in(world.cfg.trace_sample_interval, Event::TraceSample);
-    }
-    // The metrics scraper runs only when metrics collection was enabled,
-    // so plain runs keep an identical event schedule. The scrape handler
-    // is strictly read-only, so even a scraping run perturbs nothing.
-    if world.metrics.is_some() {
-        ctx.schedule_in(world.cfg.metrics_scrape_interval, Event::MetricsScrape);
+    // The sampler runs only when something observes it — a trace sink or
+    // probe, or the metrics registry — so plain runs keep an identical
+    // event schedule. It is strictly read-only, so even a sampled run
+    // perturbs nothing.
+    if world.tracer.is_enabled() || world.metrics.is_some() {
+        ctx.schedule_in(crate::world::SAMPLE_INTERVAL, Event::Sample);
     }
     // The retransmission sweep exists only under the reliable layer, so
     // default runs keep an identical event schedule.

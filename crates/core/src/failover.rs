@@ -1,53 +1,156 @@
 //! Failure handling: heartbeat monitoring, the hybrid switch-over /
 //! rollback cycle, passive-standby migration, and fail-stop promotion.
+//!
+//! Every role-changing transition is built from the same five steps, in
+//! this order, each with exactly one function: retire the departing copy
+//! (`retire_copy`), bring the serving copy up (`bring_up`), swap the roles
+//! (`swap_roles`), advance the epoch (`advance_epoch`, the only place an
+//! epoch is bumped), and re-provision the standby (`provision_standby`).
 
 use std::sync::Arc;
 
 use sps_cluster::MachineId;
-use sps_engine::{Dest, InstanceId, PeCheckpoint, PeId, Producer, Replica, StreamId, SubjobId};
+use sps_engine::{
+    Dest, InstanceId, OutputQueue, PeCheckpoint, PeId, Producer, Replica, StreamId, SubjobId,
+};
 use sps_metrics::MsgClass;
-use sps_sim::Ctx;
+use sps_sim::{Ctx, SimTime};
 
 use sps_trace::{AbortReason, EpochCause, TraceEvent};
 
 use crate::config::HaMode;
 use crate::data_plane::find_conn;
 use crate::detect::{BenchAction, HbVerdict};
-use crate::message::Msg;
-use crate::world::{replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending};
+use crate::message::{Msg, ProducerAddr};
+use crate::world::{
+    pe_copy, replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending,
+};
 
 impl HaWorld {
-    fn log_event(&mut self, at: sps_sim::SimTime, subjob: SubjobId, kind: HaEventKind) {
+    fn log_event(&mut self, at: SimTime, subjob: SubjobId, kind: HaEventKind) {
         self.metric_inc(sps_metrics::Scope::global("recovery"), kind.as_str(), 1);
         self.tracer.emit_phase(at, subjob.0, kind);
     }
 
-    /// Audit tap: a subjob's recovery epoch just changed. Emits the new
-    /// epoch, its cause, and the (possibly reassigned) primary identity so
-    /// the protocol auditor can check epoch monotonicity and
-    /// at-most-one-active-primary per epoch.
-    fn emit_epoch_change(&mut self, at: sps_sim::SimTime, sj_id: SubjobId, cause: EpochCause) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let (epoch, machine, replica) = {
-            let sj = &self.subjobs[sj_id.0 as usize];
-            (
-                sj.epoch,
-                sj.primary_machine.0,
-                replica_code(sj.primary_replica),
-            )
+    // ---- the transition steps ----
+
+    /// Moves `sj_id` to `state` under a new recovery epoch and returns it.
+    /// The only place an epoch is bumped: events scheduled under the old
+    /// epoch go stale, and the audit record carrying the new epoch, its
+    /// cause and the (possibly reassigned) primary lets the protocol
+    /// auditor check epoch monotonicity and at-most-one-active-primary
+    /// per epoch.
+    fn advance_epoch(
+        &mut self,
+        at: SimTime,
+        sj_id: SubjobId,
+        state: SjState,
+        cause: EpochCause,
+    ) -> u64 {
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        sj.epoch += 1;
+        let epoch = sj.epoch;
+        let record = TraceEvent::EpochChange {
+            subjob: sj_id.0,
+            epoch,
+            cause,
+            primary_machine: sj.primary_machine.0,
+            primary_replica: replica_code(sj.primary_replica),
         };
-        self.tracer.emit(
-            at,
-            TraceEvent::EpochChange {
-                subjob: sj_id.0,
-                epoch,
-                cause,
-                primary_machine: machine,
-                primary_replica: replica,
-            },
-        );
+        self.set_sj_state(sj_id, state);
+        self.tracer.emit(at, record);
+        epoch
+    }
+
+    /// Retires `sj_id`'s `replica` copy: for every deployed PE, switches
+    /// its data path off, empties the slot, and bumps the slot's restore
+    /// epoch so the copy's in-flight CPU work is discarded.
+    fn retire_copy(&mut self, sj_id: SubjobId, replica: Replica) {
+        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
+        for pe in pes {
+            let slot = slot_of(pe, replica);
+            if self.instances[slot].is_some() {
+                self.deactivate_instance_io(pe, replica);
+                self.instances[slot] = None;
+                self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
+            }
+        }
+    }
+
+    /// Puts `replica`'s copies of `pes` into service: unsuspends them,
+    /// activates their data paths (retained elements replay both ways),
+    /// then starts their processing loops.
+    fn bring_up(&mut self, ctx: &mut Ctx<Event>, pes: &[PeId], replica: Replica) {
+        for &pe in pes {
+            if let Some(inst) = self.instances[slot_of(pe, replica)].as_mut() {
+                inst.set_suspended(false);
+            }
+        }
+        for &pe in pes {
+            self.activate_instance_io(ctx, pe, replica);
+        }
+        for &pe in pes {
+            self.try_start(ctx, slot_of(pe, replica));
+        }
+    }
+
+    /// Swaps `sj_id`'s primary and standby roles — replica and machine —
+    /// and returns the `(old, new)` primary machines. The vacated machine
+    /// holds the standby role until [`provision_standby`](Self::provision_standby)
+    /// assigns it.
+    fn swap_roles(&mut self, sj_id: SubjobId) -> (MachineId, MachineId) {
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        let old = sj.primary_machine;
+        let new = sj
+            .secondary_machine
+            .expect("a role swap needs a standby machine");
+        sj.primary_machine = new;
+        sj.secondary_machine = Some(old);
+        sj.primary_replica = sj.primary_replica.other();
+        (old, new)
+    }
+
+    /// Assigns `sj_id`'s standby role to `target` (`fresh` when it was just
+    /// taken from the spare pool) and restarts its heartbeat monitor, logs
+    /// `phase`, then either schedules a new standby copy on `target` — when
+    /// [`HaConfig::predeploys`](crate::HaConfig::predeploys) says the mode
+    /// keeps one — or, with no machine to be had, records the dead end.
+    fn provision_standby(
+        &mut self,
+        ctx: &mut Ctx<Event>,
+        sj_id: SubjobId,
+        target: Option<MachineId>,
+        fresh: bool,
+        phase: Option<HaEventKind>,
+    ) {
+        let now = ctx.now();
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        sj.secondary_machine = target;
+        let primary = sj.primary_machine;
+        self.emit_standby_provision(now, sj_id, target, fresh, Some(primary));
+        self.reset_monitor_of(sj_id);
+        if let Some(phase) = phase {
+            self.log_event(now, sj_id, phase);
+        }
+        let sj = &self.subjobs[sj_id.0 as usize];
+        match target {
+            Some(_) if self.cfg.predeploys(sj.mode) => ctx.schedule_in(
+                self.cfg.deploy_delay,
+                Event::SecondaryReady {
+                    subjob: sj_id.0,
+                    epoch: sj.epoch,
+                },
+            ),
+            Some(_) => {}
+            // The test-only break leaves redundancy silently unrestored —
+            // without even the aborted-failover dead-end marker — which is
+            // exactly the standby-coverage liveness violation the auditor
+            // exists to catch.
+            None if self.cfg.test_skip_standby_reprovision => {}
+            // Redundancy could not be restored: make the dead end
+            // observable.
+            None => self.abort_failover(ctx, sj_id, None, AbortReason::NoStandby),
+        }
     }
 
     /// Audit tap: a standby target was (re)assigned after a failover step.
@@ -59,7 +162,7 @@ impl HaWorld {
     /// when the pair shares a fault domain (rack or switch).
     fn emit_standby_provision(
         &mut self,
-        at: sps_sim::SimTime,
+        at: SimTime,
         sj_id: SubjobId,
         machine: Option<MachineId>,
         fresh: bool,
@@ -172,43 +275,38 @@ impl HaWorld {
             // rollback was in flight when the machine died), the next miss
             // retries it.
             if streak == self.cfg.failstop_miss_threshold {
-                self.monitors[m].declarations.push(ctx.now());
-                self.emit_failure_detect(ctx, suspect, sj_id, streak);
+                self.declare_failure(ctx.now(), m, suspect, streak);
             }
             self.promote(ctx, sj_id);
             return;
         }
-        match mode {
-            HaMode::Hybrid
-                if streak == self.cfg.hybrid_miss_threshold && state == SjState::Normal =>
-            {
-                self.monitors[m].declarations.push(ctx.now());
-                self.emit_failure_detect(ctx, suspect, sj_id, streak);
-                self.monitors[m].hb.mark_suspected();
+        let declares = state == SjState::Normal
+            && match mode {
+                HaMode::Hybrid => streak == self.cfg.hybrid_miss_threshold,
+                HaMode::Passive => streak == self.cfg.ps_miss_threshold,
+                HaMode::None | HaMode::Active => false,
+            };
+        if declares {
+            self.declare_failure(ctx.now(), m, suspect, streak);
+            self.monitors[m].hb.mark_suspected();
+            if mode == HaMode::Hybrid {
                 self.hybrid_switchover(ctx, sj_id);
-            }
-            HaMode::Passive if streak == self.cfg.ps_miss_threshold && state == SjState::Normal => {
-                self.monitors[m].declarations.push(ctx.now());
-                self.emit_failure_detect(ctx, suspect, sj_id, streak);
-                self.monitors[m].hb.mark_suspected();
+            } else {
                 self.ps_recover(ctx, sj_id);
             }
-            _ => {}
         }
     }
 
-    fn emit_failure_detect(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        machine: MachineId,
-        sj_id: SubjobId,
-        streak: u32,
-    ) {
+    /// Monitor `m` declares its subjob's primary `machine` failed after
+    /// `streak` consecutive misses.
+    fn declare_failure(&mut self, at: SimTime, m: usize, machine: MachineId, streak: u32) {
+        self.monitors[m].declarations.push(at);
+        let subjob = self.monitors[m].subjob.0;
         self.tracer.emit(
-            ctx.now(),
+            at,
             TraceEvent::FailureDetect {
                 machine: machine.0,
-                subjob: sj_id.0,
+                subjob,
                 miss_streak: streak,
             },
         );
@@ -245,9 +343,12 @@ impl HaWorld {
             // switch-over outright — "our hybrid method can afford false
             // alarms to certain extent".
             SjState::SwitchingOver => {
-                self.subjobs[sj_id.0 as usize].epoch += 1;
-                self.set_sj_state(sj_id, SjState::Normal);
-                self.emit_epoch_change(ctx.now(), sj_id, EpochCause::SwitchoverAbort);
+                self.advance_epoch(
+                    ctx.now(),
+                    sj_id,
+                    SjState::Normal,
+                    EpochCause::SwitchoverAbort,
+                );
             }
             SjState::SwitchedOver => {
                 if self.cfg.read_state_on_rollback {
@@ -363,11 +464,12 @@ impl HaWorld {
             self.abort_failover(ctx, sj_id, machine, reason);
             return;
         }
-        self.set_sj_state(sj_id, SjState::SwitchingOver);
-        let sj = &mut self.subjobs[sj_id.0 as usize];
-        sj.epoch += 1;
-        let epoch = sj.epoch;
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::Switchover);
+        let epoch = self.advance_epoch(
+            ctx.now(),
+            sj_id,
+            SjState::SwitchingOver,
+            EpochCause::Switchover,
+        );
         self.log_event(ctx.now(), sj_id, HaEventKind::Detected);
         // With pre-deployment, "we only need to reset the flag to resume
         // the processing loop" — a fraction of an on-demand deployment.
@@ -390,11 +492,8 @@ impl HaWorld {
     }
 
     pub(crate) fn on_switchover_complete(&mut self, ctx: &mut Ctx<Event>, subjob: u32, epoch: u64) {
-        {
-            let sj = &self.subjobs[subjob as usize];
-            if sj.is_stale(epoch) || sj.state != SjState::SwitchingOver {
-                return;
-            }
+        if !self.subjobs[subjob as usize].is_at(epoch, SjState::SwitchingOver) {
+            return;
         }
         let sj_id = SubjobId(subjob);
         let standby = self.subjobs[subjob as usize].primary_replica.other();
@@ -417,18 +516,8 @@ impl HaWorld {
         // Without early connections they were just established on demand
         // (the connect delay was already paid); make sure they exist.
         self.ensure_standby_connections(sj_id, standby);
-        for &pe in &pes {
-            if let Some(inst) = self.instances[slot_of(pe, standby)].as_mut() {
-                inst.set_suspended(false);
-            }
-        }
         // Early connections: "we just need to set that field to true".
-        for &pe in &pes {
-            self.activate_instance_io(ctx, pe, standby);
-        }
-        for &pe in &pes {
-            self.try_start(ctx, slot_of(pe, standby));
-        }
+        self.bring_up(ctx, &pes, standby);
         self.log_event(ctx.now(), sj_id, HaEventKind::SwitchoverComplete);
     }
 
@@ -522,13 +611,11 @@ impl HaWorld {
         epoch: u64,
         ckpts: Vec<Arc<PeCheckpoint>>,
     ) {
-        {
-            let sj = &self.subjobs[sj_id.0 as usize];
-            if sj.is_stale(epoch) || sj.state != SjState::RollingBack || sj.primary_machine != at {
-                return;
-            }
+        let sj = &self.subjobs[sj_id.0 as usize];
+        if !sj.is_at(epoch, SjState::RollingBack) || sj.primary_machine != at {
+            return;
         }
-        let primary = self.subjobs[sj_id.0 as usize].primary_replica;
+        let primary = sj.primary_replica;
         // "Read State on Rollback" is a fast-forward: adopt the secondary's
         // state only where it is ahead of the primary's own progress. A
         // marginally-degraded primary may have processed further than a
@@ -564,12 +651,7 @@ impl HaWorld {
             sj.pending = None;
         }
         self.set_sj_state(sj_id, SjState::Normal);
-        for &pe in &adopted {
-            self.activate_instance_io(ctx, pe, primary);
-        }
-        for &pe in &adopted {
-            self.try_start(ctx, slot_of(pe, primary));
-        }
+        self.bring_up(ctx, &adopted, primary);
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackComplete);
     }
 
@@ -580,11 +662,7 @@ impl HaWorld {
             self.abort_failover(ctx, sj_id, machine, reason);
             return;
         }
-        self.set_sj_state(sj_id, SjState::Deploying);
-        let sj = &mut self.subjobs[sj_id.0 as usize];
-        sj.epoch += 1;
-        let epoch = sj.epoch;
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::PsDetect);
+        let epoch = self.advance_epoch(ctx.now(), sj_id, SjState::Deploying, EpochCause::PsDetect);
         self.log_event(ctx.now(), sj_id, HaEventKind::Detected);
         ctx.schedule_in(
             self.cfg.deploy_delay,
@@ -596,11 +674,8 @@ impl HaWorld {
     }
 
     pub(crate) fn on_deploy_complete(&mut self, ctx: &mut Ctx<Event>, subjob: u32, epoch: u64) {
-        {
-            let sj = &self.subjobs[subjob as usize];
-            if sj.is_stale(epoch) || sj.state != SjState::Deploying {
-                return;
-            }
+        if !self.subjobs[subjob as usize].is_at(epoch, SjState::Deploying) {
+            return;
         }
         let sj_id = SubjobId(subjob);
         let standby = self.subjobs[subjob as usize].primary_replica.other();
@@ -617,61 +692,25 @@ impl HaWorld {
     }
 
     pub(crate) fn on_connect_complete(&mut self, ctx: &mut Ctx<Event>, subjob: u32, epoch: u64) {
-        {
-            let sj = &self.subjobs[subjob as usize];
-            if sj.is_stale(epoch) || sj.state != SjState::Connecting {
-                return;
-            }
+        if !self.subjobs[subjob as usize].is_at(epoch, SjState::Connecting) {
+            return;
         }
         let sj_id = SubjobId(subjob);
         let old_primary = self.subjobs[subjob as usize].primary_replica;
-        let new_primary = old_primary.other();
         let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-
-        // Retire the old copy: PS migrates, it does not roll back.
-        for &pe in &pes {
-            self.deactivate_instance_io(pe, old_primary);
-            let slot = slot_of(pe, old_primary);
-            self.instances[slot] = None;
-            self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
-        }
-
-        // Bring the new copy up.
-        for &pe in &pes {
-            let slot = slot_of(pe, new_primary);
-            if let Some(inst) = self.instances[slot].as_mut() {
-                inst.set_suspended(false);
-            }
-        }
-        for &pe in &pes {
-            self.activate_instance_io(ctx, pe, new_primary);
-        }
-        for &pe in &pes {
-            self.try_start(ctx, slot_of(pe, new_primary));
-        }
-
-        // Swap roles: the vacated machine becomes the checkpoint target
-        // for the next failure — but only when it is actually healthy. A
-        // migration away from a *dead* primary (fail-stop, or the
-        // promotion ladder's spare-redeploy fallback) must not point its
-        // checkpoints into a corpse or a faulted domain; take a safe
-        // spare instead.
-        let (old_machine, new_machine) = {
-            let sj = &mut self.subjobs[subjob as usize];
-            let old_machine = sj.primary_machine;
-            sj.primary_machine = sj.secondary_machine.expect("guarded");
-            sj.primary_replica = new_primary;
-            sj.epoch += 1;
-            sj.stored.clear();
-            sj.pe_ckpt_pausing.clear();
-            sj.pe_ckpt_inflight.clear();
-            sj.pending = None;
-            sj.snap_positions.clear();
-            sj.last_ckpt_at.clear();
-            (old_machine, sj.primary_machine)
-        };
-        self.set_sj_state(sj_id, SjState::Normal);
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::PsConnect);
+        // PS migrates, it does not roll back.
+        self.retire_copy(sj_id, old_primary);
+        self.bring_up(ctx, &pes, old_primary.other());
+        let (old_machine, new_machine) = self.swap_roles(sj_id);
+        let sj = &mut self.subjobs[subjob as usize];
+        sj.stored.clear();
+        sj.drop_checkpoint_progress();
+        self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::PsConnect);
+        // The vacated machine becomes the checkpoint target for the next
+        // failure — but only when it is actually healthy. A migration away
+        // from a *dead* primary (fail-stop, or the promotion ladder's
+        // spare-redeploy fallback) must not point its checkpoints into a
+        // corpse or a faulted domain; take a safe spare instead.
         let (target, fresh) = if self.cluster.machine(old_machine).is_up()
             && !self.domain_has_active_fault(old_machine)
         {
@@ -679,29 +718,7 @@ impl HaWorld {
         } else {
             (self.take_safe_spare(Some(new_machine)), true)
         };
-        self.subjobs[subjob as usize].secondary_machine = target;
-        self.emit_standby_provision(ctx.now(), sj_id, target, fresh, Some(new_machine));
-        self.reset_monitor_of(sj_id);
-        self.log_event(ctx.now(), sj_id, HaEventKind::PsConnected);
-        // A hybrid (or active-standby) subjob that migrated through this
-        // path needs its standby copy re-provisioned on the new target;
-        // plain passive standby only checkpoints there.
-        if target.is_some() {
-            let needs_deploy = match self.subjobs[subjob as usize].mode {
-                HaMode::Active => true,
-                HaMode::Hybrid => self.cfg.hybrid_predeploy,
-                _ => false,
-            };
-            if needs_deploy {
-                let epoch = self.subjobs[subjob as usize].epoch;
-                ctx.schedule_in(
-                    self.cfg.deploy_delay,
-                    Event::SecondaryReady { subjob, epoch },
-                );
-            }
-        } else {
-            self.abort_failover(ctx, sj_id, None, AbortReason::NoStandby);
-        }
+        self.provision_standby(ctx, sj_id, target, fresh, Some(HaEventKind::PsConnected));
     }
 
     // ---- fail-stop promotion (hybrid) ----
@@ -722,15 +739,9 @@ impl HaWorld {
             for &pe in &pes {
                 if let Some(inst) = self.instances[slot_of(pe, standby)].as_mut() {
                     inst.resume();
-                    inst.set_suspended(false);
                 }
             }
-            for &pe in &pes {
-                self.activate_instance_io(ctx, pe, standby);
-            }
-            for &pe in &pes {
-                self.try_start(ctx, slot_of(pe, standby));
-            }
+            self.bring_up(ctx, &pes, standby);
             self.subjobs[sj_id.0 as usize].pending = None;
             self.set_sj_state(sj_id, SjState::SwitchedOver);
         }
@@ -752,67 +763,21 @@ impl HaWorld {
             return;
         }
         let old_primary = self.subjobs[sj_id.0 as usize].primary_replica;
-        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-        for &pe in &pes {
-            self.deactivate_instance_io(pe, old_primary);
-            let slot = slot_of(pe, old_primary);
-            self.instances[slot] = None;
-            self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
-        }
-        let new_primary_machine = {
-            let sj = &mut self.subjobs[sj_id.0 as usize];
-            sj.primary_replica = old_primary.other();
-            sj.primary_machine = sj
-                .secondary_machine
-                .expect("standby existed to switch over");
-            sj.epoch += 1;
-            sj.stored.clear();
-            sj.pe_ckpt_pausing.clear();
-            sj.pe_ckpt_inflight.clear();
-            sj.pending = None;
-            sj.snap_positions.clear();
-            sj.last_ckpt_at.clear();
-            sj.primary_machine
-        };
-        self.set_sj_state(sj_id, SjState::Normal);
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::Promote);
+        self.retire_copy(sj_id, old_primary);
+        let (_, new_primary_machine) = self.swap_roles(sj_id);
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        sj.stored.clear();
+        sj.drop_checkpoint_progress();
+        self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::Promote);
         // Automatic standby re-provisioning: a fresh standby on a healthy
         // machine domain-disjoint from the new primary (with a flat
-        // topology this is exactly the spare `pop()` always took). The
-        // test-only break leaves redundancy silently unrestored — without
-        // even the aborted-failover dead-end marker — which is exactly the
-        // standby-coverage liveness violation the auditor exists to catch.
-        let new_secondary_machine = if self.cfg.test_skip_standby_reprovision {
+        // topology this is exactly the spare `pop()` always took).
+        let target = if self.cfg.test_skip_standby_reprovision {
             None
         } else {
             self.take_safe_spare(Some(new_primary_machine))
         };
-        self.subjobs[sj_id.0 as usize].secondary_machine = new_secondary_machine;
-        self.emit_standby_provision(
-            ctx.now(),
-            sj_id,
-            new_secondary_machine,
-            true,
-            Some(new_primary_machine),
-        );
-        self.reset_monitor_of(sj_id);
-        self.log_event(ctx.now(), sj_id, HaEventKind::Promoted);
-        match new_secondary_machine {
-            Some(_) => {
-                let epoch = self.subjobs[sj_id.0 as usize].epoch;
-                ctx.schedule_in(
-                    self.cfg.deploy_delay,
-                    Event::SecondaryReady {
-                        subjob: sj_id.0,
-                        epoch,
-                    },
-                );
-            }
-            None if self.cfg.test_skip_standby_reprovision => {}
-            // Promotion succeeded but redundancy could not be restored:
-            // make the dead-end observable.
-            None => self.abort_failover(ctx, sj_id, None, AbortReason::NoStandby),
-        }
+        self.provision_standby(ctx, sj_id, target, true, Some(HaEventKind::Promoted));
     }
 
     /// The spare-machine redeploy fallback of the promotion-safety ladder:
@@ -836,45 +801,32 @@ impl HaWorld {
         let Some(spare) = self.take_safe_spare(None) else {
             return; // the abort was already logged; the next miss retries
         };
-        let old_primary = self.subjobs[sj_id.0 as usize].primary_replica;
-        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
         // Retire both copies: the primary is dead, and whatever standby
         // copy exists was rejected by the ladder.
-        for replica in [old_primary, old_primary.other()] {
-            for &pe in &pes {
-                let slot = slot_of(pe, replica);
-                if self.instances[slot].is_some() {
-                    self.deactivate_instance_io(pe, replica);
-                    self.instances[slot] = None;
-                    self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
-                }
-            }
-        }
+        let old_primary = self.subjobs[sj_id.0 as usize].primary_replica;
+        self.retire_copy(sj_id, old_primary);
+        self.retire_copy(sj_id, old_primary.other());
         // Checkpoints stored in a dead standby's memory are gone; a live
         // (but domain-rejected) standby's store still seeds the redeploy.
         let store_lost = self.subjobs[sj_id.0 as usize]
             .secondary_machine
             .is_none_or(|m| !self.cluster.machine(m).is_up());
-        {
-            let sj = &mut self.subjobs[sj_id.0 as usize];
-            if store_lost {
-                sj.stored.clear();
-            }
-            sj.secondary_machine = Some(spare);
-            sj.epoch += 1;
-            sj.pending = None;
-            sj.pe_ckpt_pausing.clear();
-            sj.pe_ckpt_inflight.clear();
-            sj.snap_positions.clear();
-            sj.last_ckpt_at.clear();
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        if store_lost {
+            sj.stored.clear();
         }
-        self.set_sj_state(sj_id, SjState::Deploying);
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::SpareRedeploy);
+        sj.secondary_machine = Some(spare);
+        sj.drop_checkpoint_progress();
+        let epoch = self.advance_epoch(
+            ctx.now(),
+            sj_id,
+            SjState::Deploying,
+            EpochCause::SpareRedeploy,
+        );
         // No pair constraint yet: the dead primary is about to be replaced
         // by this very machine through the migration path.
         self.emit_standby_provision(ctx.now(), sj_id, Some(spare), true, None);
         self.metric_inc(sps_metrics::Scope::global("failover"), "spare_redeploy", 1);
-        let epoch = self.subjobs[sj_id.0 as usize].epoch;
         ctx.schedule_in(
             self.cfg.deploy_delay,
             Event::DeployComplete {
@@ -895,21 +847,12 @@ impl HaWorld {
         let idx = sj_id.0 as usize;
         let primary = self.subjobs[idx].primary_replica;
         let standby = primary.other();
-        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-        // Retire the dead standby copy.
-        for &pe in &pes {
-            let slot = slot_of(pe, standby);
-            if self.instances[slot].is_some() {
-                self.deactivate_instance_io(pe, standby);
-                self.instances[slot] = None;
-                self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
-            }
-        }
+        self.retire_copy(sj_id, standby);
         // Resume any primary PE paused for a checkpoint that can no
         // longer be stored — it would otherwise stall forever waiting on
         // the dead machine's acknowledgment.
         let mut resumed = Vec::new();
-        for &pe in &pes {
+        for &pe in self.job.subjob_pes(sj_id) {
             let slot = slot_of(pe, primary);
             if let Some(inst) = self.instances[slot].as_mut() {
                 if inst.is_pause_requested() {
@@ -921,53 +864,19 @@ impl HaWorld {
         for slot in resumed {
             self.try_start(ctx, slot);
         }
-        {
-            let sj = &mut self.subjobs[idx];
-            sj.stored.clear(); // lived in the dead machine's memory
-            sj.last_ckpt_at.clear();
-            sj.snap_positions.clear();
-            sj.pe_ckpt_pausing.clear();
-            sj.pe_ckpt_inflight.clear();
-            sj.pending = None;
-            sj.epoch += 1;
-        }
-        self.set_sj_state(sj_id, SjState::Normal);
-        self.emit_epoch_change(ctx.now(), sj_id, EpochCause::StandbyLost);
+        let sj = &mut self.subjobs[idx];
+        sj.stored.clear(); // lived in the dead machine's memory
+        sj.drop_checkpoint_progress();
+        self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::StandbyLost);
         self.metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
         let primary_machine = self.subjobs[idx].primary_machine;
         let spare = self.take_safe_spare(Some(primary_machine));
-        self.subjobs[idx].secondary_machine = spare;
-        self.emit_standby_provision(ctx.now(), sj_id, spare, true, Some(primary_machine));
-        self.reset_monitor_of(sj_id);
-        match spare {
-            Some(_) => {
-                let needs_deploy = match self.subjobs[idx].mode {
-                    HaMode::Active => true,
-                    HaMode::Hybrid => self.cfg.hybrid_predeploy,
-                    _ => false,
-                };
-                if needs_deploy {
-                    let epoch = self.subjobs[idx].epoch;
-                    ctx.schedule_in(
-                        self.cfg.deploy_delay,
-                        Event::SecondaryReady {
-                            subjob: sj_id.0,
-                            epoch,
-                        },
-                    );
-                }
-            }
-            // Redundancy permanently lost: make the dead-end observable.
-            None => self.abort_failover(ctx, sj_id, None, AbortReason::NoStandby),
-        }
+        self.provision_standby(ctx, sj_id, spare, true, None);
     }
 
     pub(crate) fn on_secondary_ready(&mut self, ctx: &mut Ctx<Event>, subjob: u32, epoch: u64) {
-        {
-            let sj = &self.subjobs[subjob as usize];
-            if sj.is_stale(epoch) || sj.state != SjState::Normal {
-                return;
-            }
+        if !self.subjobs[subjob as usize].is_at(epoch, SjState::Normal) {
+            return;
         }
         let sj_id = SubjobId(subjob);
         let standby = self.subjobs[subjob as usize].primary_replica.other();
@@ -981,12 +890,7 @@ impl HaWorld {
         self.deploy_standby_instances(sj_id, standby, sec_machine, suspended);
         if !suspended {
             let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-            for &pe in &pes {
-                self.activate_instance_io(ctx, pe, standby);
-            }
-            for &pe in &pes {
-                self.try_start(ctx, slot_of(pe, standby));
-            }
+            self.bring_up(ctx, &pes, standby);
         }
         self.log_event(ctx.now(), sj_id, HaEventKind::SecondaryReady);
     }
@@ -1115,22 +1019,9 @@ impl HaWorld {
         machine: MachineId,
         suspended: bool,
     ) {
-        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-        // 1. Create instances.
-        for &pe in &pes {
+        for &pe in self.job.subjob_pes(sj_id) {
             let slot = slot_of(pe, replica);
-            let out_streams: Vec<StreamId> = (0..self.job.out_ports(pe))
-                .map(|p| self.job.pe_stream(pe, p))
-                .collect();
-            let mut inst = sps_engine::PeInstance::new(
-                InstanceId { pe, replica },
-                self.job.pe(pe).operator.clone(),
-                self.job.in_ports(pe),
-                &out_streams,
-            );
-            for &(port, stream) in self.job.input_streams(pe) {
-                inst.register_input_stream(port, stream);
-            }
+            let mut inst = pe_copy(&self.job, pe, replica);
             if let Some(ckpt) = self.subjobs[sj_id.0 as usize].stored.get(&pe) {
                 inst.restore(ckpt);
             }
@@ -1150,25 +1041,15 @@ impl HaWorld {
         // Input-side connections from upstream producers (cross-subjob
         // and sources).
         for &pe in &pes {
-            for &(port, stream) in self.job.input_streams(pe) {
+            for (port, stream) in self.job.input_streams(pe).to_vec() {
                 let dest = Dest::Pe {
                     inst: InstanceId { pe, replica },
                     port,
                 };
-                for (p_kind, _machine) in self.producer_copies(stream, pe, replica) {
-                    match p_kind {
-                        ProducerCopy::Source(s) => {
-                            let q = self.sources[s].queue_mut();
-                            if find_conn(q, dest).is_none() {
-                                q.connect(dest, false, false);
-                            }
-                        }
-                        ProducerCopy::Slot(pslot, pport) => {
-                            if let Some(pinst) = self.instances[pslot].as_mut() {
-                                if find_conn(pinst.output(pport), dest).is_none() {
-                                    pinst.connect_output(pport, dest, false, false);
-                                }
-                            }
+                for addr in self.producer_copies(stream, pe, replica) {
+                    if let Some(q) = self.producer_queue_mut(addr) {
+                        if find_conn(q, dest).is_none() {
+                            q.connect(dest, false, false);
                         }
                     }
                 }
@@ -1241,51 +1122,27 @@ impl HaWorld {
                 inst: InstanceId { pe, replica },
                 port,
             };
-            let copies = self.producer_copies(stream, pe, replica);
-            for (p_kind, _machine) in copies {
-                match p_kind {
-                    ProducerCopy::Source(s) => {
-                        let replayed = {
-                            let q = self.sources[s].queue_mut();
-                            if let Some(conn) = find_conn(q, dest) {
-                                let old = q.connection(conn).next_to_send;
-                                let new = (position + 1).max(q.trimmed_through() + 1);
-                                q.set_acked(conn, position);
-                                q.set_next_to_send(conn, new);
-                                q.set_active(conn, true);
-                                q.set_counts_for_trim(conn, true);
-                                Some((q.stream().0, new, old))
-                            } else {
-                                None
-                            }
-                        };
-                        self.note_replay_retransmits(replayed);
-                        self.dispatch_source_outputs(ctx, s);
+            for addr in self.producer_copies(stream, pe, replica) {
+                let replayed = self.producer_queue_mut(addr).and_then(|q| {
+                    let conn = find_conn(q, dest)?;
+                    let old = q.connection(conn).next_to_send;
+                    let new = (position + 1).max(q.trimmed_through() + 1);
+                    q.set_acked(conn, position);
+                    q.set_next_to_send(conn, new);
+                    q.set_active(conn, true);
+                    q.set_counts_for_trim(conn, true);
+                    Some((q.stream().0, new, old))
+                });
+                let rewound = replayed.is_some();
+                self.note_replay_retransmits(replayed);
+                // A source always re-dispatches; an instance only when its
+                // connection was found.
+                match addr {
+                    ProducerAddr::Source(s) => self.dispatch_source_outputs(ctx, s.0 as usize),
+                    ProducerAddr::Instance(iid, _) if rewound => {
+                        self.dispatch_outputs(ctx, slot_of(iid.pe, iid.replica));
                     }
-                    ProducerCopy::Slot(pslot, pport) => {
-                        let replayed = match self.instances[pslot].as_mut() {
-                            Some(pinst) => {
-                                let q = pinst.output_mut(pport);
-                                if let Some(conn) = find_conn(q, dest) {
-                                    let old = q.connection(conn).next_to_send;
-                                    let new = (position + 1).max(q.trimmed_through() + 1);
-                                    q.set_acked(conn, position);
-                                    q.set_next_to_send(conn, new);
-                                    q.set_active(conn, true);
-                                    q.set_counts_for_trim(conn, true);
-                                    Some((q.stream().0, new, old))
-                                } else {
-                                    None
-                                }
-                            }
-                            None => None,
-                        };
-                        let flush = replayed.is_some();
-                        self.note_replay_retransmits(replayed);
-                        if flush {
-                            self.dispatch_outputs(ctx, pslot);
-                        }
-                    }
+                    ProducerAddr::Instance(..) => {}
                 }
             }
         }
@@ -1345,28 +1202,16 @@ impl HaWorld {
     /// Deactivates the data path of one instance copy (suspension,
     /// retirement, rollback).
     fn deactivate_instance_io(&mut self, pe: PeId, replica: Replica) {
-        for &(port, stream) in self.job.input_streams(pe) {
+        for (port, stream) in self.job.input_streams(pe).to_vec() {
             let dest = Dest::Pe {
                 inst: InstanceId { pe, replica },
                 port,
             };
-            for (p_kind, _machine) in self.producer_copies(stream, pe, replica) {
-                match p_kind {
-                    ProducerCopy::Source(s) => {
-                        let q = self.sources[s].queue_mut();
-                        if let Some(conn) = find_conn(q, dest) {
-                            q.set_active(conn, false);
-                            q.set_counts_for_trim(conn, false);
-                        }
-                    }
-                    ProducerCopy::Slot(pslot, pport) => {
-                        if let Some(pinst) = self.instances[pslot].as_mut() {
-                            let q = pinst.output_mut(pport);
-                            if let Some(conn) = find_conn(q, dest) {
-                                q.set_active(conn, false);
-                                q.set_counts_for_trim(conn, false);
-                            }
-                        }
+            for addr in self.producer_copies(stream, pe, replica) {
+                if let Some(q) = self.producer_queue_mut(addr) {
+                    if let Some(conn) = find_conn(q, dest) {
+                        q.set_active(conn, false);
+                        q.set_counts_for_trim(conn, false);
                     }
                 }
             }
@@ -1392,12 +1237,9 @@ impl HaWorld {
         stream: StreamId,
         consumer_pe: PeId,
         consumer_replica: Replica,
-    ) -> Vec<(ProducerCopy, MachineId)> {
+    ) -> Vec<ProducerAddr> {
         match self.job.producer(stream) {
-            Producer::Source(s) => vec![(
-                ProducerCopy::Source(s.0 as usize),
-                self.placement.sources[s.0 as usize],
-            )],
+            Producer::Source(s) => vec![ProducerAddr::Source(s)],
             Producer::Pe(ppe, pport) => {
                 let same_subjob = self.job.subjob_of(ppe) == self.job.subjob_of(consumer_pe);
                 Replica::BOTH
@@ -1405,23 +1247,26 @@ impl HaWorld {
                     .filter(|&r| !same_subjob || r == consumer_replica)
                     .filter(|&r| self.instances[slot_of(ppe, r)].is_some())
                     .map(|r| {
-                        let pslot = slot_of(ppe, r);
-                        (
-                            ProducerCopy::Slot(pslot, pport),
-                            self.instance_machine[pslot],
+                        ProducerAddr::Instance(
+                            InstanceId {
+                                pe: ppe,
+                                replica: r,
+                            },
+                            pport,
                         )
                     })
                     .collect()
             }
         }
     }
-}
 
-/// A physical producer copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProducerCopy {
-    /// A source (index into the world's source table).
-    Source(usize),
-    /// An instance slot plus its output port.
-    Slot(usize, usize),
+    /// The output queue a producer handle names, if that copy is deployed.
+    fn producer_queue_mut(&mut self, addr: ProducerAddr) -> Option<&mut OutputQueue<Dest>> {
+        match addr {
+            ProducerAddr::Source(s) => Some(self.sources[s.0 as usize].queue_mut()),
+            ProducerAddr::Instance(iid, port) => self.instances[slot_of(iid.pe, iid.replica)]
+                .as_mut()
+                .map(|inst| inst.output_mut(port)),
+        }
+    }
 }

@@ -233,9 +233,8 @@ impl HaSimulationBuilder {
     }
 
     /// Switches the sim-time metrics registry on: counters, gauges and
-    /// histograms are scraped every
-    /// [`HaConfig::metrics_scrape_interval`](crate::HaConfig) into a
-    /// deterministic time series (`metrics.jsonl` / `metrics.csv` under the
+    /// histograms are scraped every [`SAMPLE_INTERVAL`](crate::SAMPLE_INTERVAL)
+    /// of simulated time into a deterministic time series (`metrics.jsonl` / `metrics.csv` under the
     /// bench binaries' `--observe-out`). Like lineage, this is read-only
     /// observation.
     pub fn collect_metrics(mut self, on: bool) -> Self {

@@ -74,4 +74,5 @@ pub use sink::{SinkAccept, SinkRuntime};
 pub use source::{zipf_rank, PayloadGen, RateProfile, SourceRuntime};
 pub use world::{
     Event, HaEvent, HaEventKind, HaWorld, MonitorRt, Placement, SjState, SubjobHa, TaskTag,
+    SAMPLE_INTERVAL,
 };

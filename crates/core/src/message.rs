@@ -5,7 +5,8 @@ use std::sync::Arc;
 use sps_cluster::MachineId;
 use sps_engine::{DataBatch, DataElement, Dest, InstanceId, PeCheckpoint, SourceId, SubjobId};
 
-/// Addresses the owner of an output queue (for acknowledgments).
+/// Addresses the owner of an output queue: acknowledgments are sent to it,
+/// and the failover plumbing reaches a producer copy's queue through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProducerAddr {
     /// An external source's output queue.

@@ -18,7 +18,7 @@ use sps_engine::{
 use sps_metrics::MsgClass;
 use sps_metrics::MsgCounters;
 use sps_metrics::{Registry, Scope};
-use sps_sim::{Ctx, SimTime, TimerGen, TimerSlot, World};
+use sps_sim::{Ctx, SimDuration, SimTime, TimerGen, TimerSlot, World};
 use sps_trace::{ChaosKind, EpochCause, HaModeTag, LineageTable, TraceEvent, Tracer};
 
 use crate::config::{HaConfig, HaMode};
@@ -216,9 +216,10 @@ pub enum Event {
     },
     /// Stop all sources (experiment warm-down).
     StopSources,
-    /// The periodic telemetry sampler fired (only scheduled when a trace
-    /// sink is installed).
-    TraceSample,
+    /// The periodic read-only sampler fired, every [`SAMPLE_INTERVAL`]
+    /// (only scheduled when a trace sink or probe is installed, or metrics
+    /// collection is enabled): trace snapshots and registry gauges.
+    Sample,
     /// A deferred CPU-task submission (after an OS wake-up delay).
     SubmitTask {
         /// Machine index.
@@ -252,10 +253,6 @@ pub enum Event {
         /// Index into the plan's step list.
         step: u32,
     },
-    /// The periodic metrics-registry scrape fired (only scheduled when
-    /// metrics collection is enabled on the builder). Strictly read-only
-    /// over cluster/PE state, like [`Event::TraceSample`].
-    MetricsScrape,
 }
 
 impl Event {
@@ -276,13 +273,12 @@ impl Event {
             Event::FailStop { .. } => "fail_stop",
             Event::BenchSample { .. } => "bench_sample",
             Event::StopSources => "stop_sources",
-            Event::TraceSample => "trace_sample",
+            Event::Sample => "sample",
             Event::SubmitTask { .. } => "submit_task",
             Event::CheckpointPersisted { .. } => "checkpoint_persisted",
             Event::RelRetransmit { .. } => "rel_retransmit",
             Event::RetransmitSweep => "retransmit_sweep",
             Event::ChaosStep { .. } => "chaos_step",
-            Event::MetricsScrape => "metrics_scrape",
         }
     }
 }
@@ -471,6 +467,23 @@ impl SubjobHa {
     pub fn is_stale(&self, epoch: u64) -> bool {
         epoch != self.epoch
     }
+
+    /// `true` while the subjob is still in `state` under `epoch`: the guard
+    /// each delayed transition step checks before it acts.
+    pub(crate) fn is_at(&self, epoch: u64, state: SjState) -> bool {
+        !self.is_stale(epoch) && self.state == state
+    }
+
+    /// Forgets every checkpoint in progress and the per-PE checkpoint
+    /// history, as a role change or a lost standby must. The stored
+    /// checkpoints stay: whether they survived is the caller's call.
+    pub(crate) fn drop_checkpoint_progress(&mut self) {
+        self.last_ckpt_at.clear();
+        self.pe_ckpt_pausing.clear();
+        self.pe_ckpt_inflight.clear();
+        self.pending = None;
+        self.snap_positions.clear();
+    }
 }
 
 /// One in-flight reliable control transmission, kept by the sender until
@@ -557,10 +570,10 @@ pub struct HaWorld {
     /// The trace bus. Control-plane recovery phases are always logged
     /// here; data-plane events only flow when a sink is installed.
     pub(crate) tracer: Tracer,
-    /// Telemetry-sampler bookkeeping, per machine: `(last_sample_time,
+    /// The sampler's busy window, per machine: `(last_sample_time,
     /// busy_integral_at_last_sample)`. Strictly read-only with respect to
     /// the simulation (separate from `load_est`, which feeds scheduling).
-    pub(crate) trace_busy: Vec<(SimTime, f64)>,
+    pub(crate) sample_busy: Vec<(SimTime, f64)>,
     /// Last queue high-water marks emitted per instance slot:
     /// `(input, output)`; only growth produces a new trace event.
     pub(crate) trace_queue_hw: Vec<(u64, u64)>,
@@ -620,26 +633,17 @@ pub struct HaWorld {
     /// Causal tuple lineage, when enabled on the builder. Boxed so the
     /// disabled (default) case costs one pointer and one branch per hook.
     pub(crate) lineage: Option<Box<LineageTable>>,
-    /// Metrics registry + scrape bookkeeping, when enabled on the builder.
-    pub(crate) metrics: Option<Box<MetricsHub>>,
+    /// The metrics registry (scoped counters/gauges/histograms and their
+    /// scrape history), when enabled on the builder.
+    pub(crate) metrics: Option<Box<Registry>>,
     /// The online health engine, when enabled on the builder (requires
     /// metrics). Stepped after every registry scrape; strictly read-only
-    /// over the simulation, like the scraper itself.
+    /// over the simulation, like the sampler itself.
     pub(crate) health: Option<Box<sps_observe::HealthEngine>>,
 }
 
-/// Registry plus the scraper's private bookkeeping. Kept separate from
-/// `trace_busy`/`load_est` so the scraper shares no mutable state with the
-/// telemetry sampler or the scheduler — all three stay independently
-/// read-only over the simulation proper.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsHub {
-    /// The scoped counters/gauges/histograms and their scrape history.
-    pub(crate) registry: Registry,
-    /// Per machine: `(last_scrape_time, busy_integral_at_last_scrape)`,
-    /// for cpu-load gauges over the scrape window.
-    pub(crate) busy: Vec<(SimTime, f64)>,
-}
+/// The period of [`Event::Sample`], in simulated time.
+pub const SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 impl HaWorld {
     /// Builds a world: deploys instances per mode, wires every connection
@@ -688,34 +692,14 @@ impl HaWorld {
         for pe in job.pe_ids() {
             let sj = job.subjob_of(pe);
             let mode = modes[sj.0 as usize];
-            let out_streams: Vec<StreamId> = (0..job.out_ports(pe))
-                .map(|p| job.pe_stream(pe, p))
-                .collect();
-            let make = |replica| {
-                let mut inst = sps_engine::PeInstance::new(
-                    InstanceId { pe, replica },
-                    job.pe(pe).operator.clone(),
-                    job.in_ports(pe),
-                    &out_streams,
-                );
-                for &(port, stream) in job.input_streams(pe) {
-                    inst.register_input_stream(port, stream);
-                }
-                inst
-            };
             let pri_slot = slot_of(pe, Replica::Primary);
-            instances[pri_slot] = Some(make(Replica::Primary));
+            instances[pri_slot] = Some(pe_copy(&job, pe, Replica::Primary));
             instance_machine[pri_slot] = placement.primaries[sj.0 as usize];
-            let predeploys = match mode {
-                HaMode::Active => true,
-                HaMode::Hybrid => cfg.hybrid_predeploy,
-                _ => false,
-            };
-            if predeploys {
+            if cfg.predeploys(mode) {
                 let sec = placement.secondaries[sj.0 as usize]
                     .unwrap_or_else(|| panic!("{sj} mode {mode} needs a secondary machine"));
                 let sec_slot = slot_of(pe, Replica::Secondary);
-                let mut inst = make(Replica::Secondary);
+                let mut inst = pe_copy(&job, pe, Replica::Secondary);
                 // "we suspend this job immediately after its deployment".
                 inst.set_suspended(mode == HaMode::Hybrid);
                 instances[sec_slot] = Some(inst);
@@ -752,7 +736,7 @@ impl HaWorld {
             bench_detectors: Vec::new(),
             counters: MsgCounters::new(),
             tracer: Tracer::new(),
-            trace_busy: vec![(SimTime::ZERO, 0.0); cluster.len()],
+            sample_busy: vec![(SimTime::ZERO, 0.0); cluster.len()],
             trace_queue_hw: vec![(0, 0); n_pes * 2],
             injected_spikes: Vec::new(),
             injected_failstops: Vec::new(),
@@ -1120,11 +1104,7 @@ impl HaWorld {
 
     /// Switches metrics collection on (builder-time only).
     pub(crate) fn enable_metrics(&mut self) {
-        let machines = self.cluster.len();
-        self.metrics = Some(Box::new(MetricsHub {
-            registry: Registry::new(),
-            busy: vec![(SimTime::ZERO, 0.0); machines],
-        }));
+        self.metrics = Some(Box::new(Registry::new()));
     }
 
     /// The lineage table, when lineage tracking was enabled.
@@ -1134,7 +1114,7 @@ impl HaWorld {
 
     /// The metrics registry, when metrics collection was enabled.
     pub fn metrics(&self) -> Option<&Registry> {
-        self.metrics.as_deref().map(|m| &m.registry)
+        self.metrics.as_deref()
     }
 
     /// Switches the online health engine on (builder-time only; the
@@ -1155,8 +1135,8 @@ impl HaWorld {
     /// Adds `by` to a registry counter — one branch when metrics are off.
     #[inline]
     pub(crate) fn metric_inc(&mut self, scope: Scope, name: &'static str, by: u64) {
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.registry.inc(scope, name, by);
+        if let Some(registry) = self.metrics.as_deref_mut() {
+            registry.inc(scope, name, by);
         }
     }
 
@@ -1197,42 +1177,59 @@ impl HaWorld {
             .map_or("steady", |&(_, label)| label)
     }
 
-    // ---- periodic telemetry sampler ----
+    // ---- periodic read-only sampler ----
 
-    /// The sim-timer-driven snapshot sampler: per-machine CPU/background
-    /// load and per-PE queue depth/backlog, plus queue high-water growth.
-    /// Strictly read-only — it never advances machines, touches the
-    /// scheduling load estimate, or draws randomness, so an instrumented
-    /// run stays bit-identical to an uninstrumented one.
-    pub(crate) fn on_trace_sample(&mut self, ctx: &mut Ctx<Event>) {
-        ctx.schedule_in(self.cfg.trace_sample_interval, Event::TraceSample);
-        if !self.tracer.is_enabled() {
-            return;
-        }
+    /// The sim-timer-driven sampler. It reads each machine's busy window
+    /// once and feeds both observers: with a trace sink or probe installed,
+    /// per-machine load and per-PE queue snapshots plus queue high-water
+    /// growth; with metrics enabled, the registry gauges, one scrape and a
+    /// health-engine step. Strictly read-only — it never advances machines,
+    /// touches the scheduling load estimate, or draws randomness, so an
+    /// observed run stays bit-identical to a plain one.
+    pub(crate) fn on_sample(&mut self, ctx: &mut Ctx<Event>) {
+        ctx.schedule_in(SAMPLE_INTERVAL, Event::Sample);
         let now = ctx.now();
+        let tracing = self.tracer.is_enabled();
         for m in 0..self.cluster.len() {
             let machine = self.cluster.machine(MachineId(m as u32));
             // `busy_integral` is current as of the machine's last advance;
             // under steady traffic that lags by at most one task.
             let busy = machine.busy_integral();
-            let (last_t, last_busy) = self.trace_busy[m];
+            let (last_t, last_busy) = self.sample_busy[m];
             let dt = now.saturating_since(last_t).as_secs_f64();
             let cpu_load = if dt > 0.0 {
                 ((busy - last_busy) / dt).max(0.0)
             } else {
                 0.0
             };
-            self.trace_busy[m] = (now, busy);
-            self.tracer.emit(
-                now,
-                TraceEvent::MachineSnapshot {
-                    machine: m as u32,
-                    cpu_load,
-                    background: machine.background_share(),
-                    run_queue: machine.active_tasks() as u32,
-                },
-            );
+            self.sample_busy[m] = (now, busy);
+            if tracing {
+                self.tracer.emit(
+                    now,
+                    TraceEvent::MachineSnapshot {
+                        machine: m as u32,
+                        cpu_load,
+                        background: machine.background_share(),
+                        run_queue: machine.active_tasks() as u32,
+                    },
+                );
+            }
+            if let Some(registry) = self.metrics.as_deref_mut() {
+                let scope = Scope::machine("cluster", m as u32);
+                registry.set_gauge(scope, "cpu_load", cpu_load);
+                registry.set_gauge(scope, "background_share", machine.background_share());
+                registry.set_gauge(scope, "run_queue", machine.active_tasks() as f64);
+            }
         }
+        if tracing {
+            self.trace_pe_snapshots(now);
+        }
+        self.scrape(now);
+    }
+
+    /// The trace half of [`on_sample`](Self::on_sample): per-PE queue
+    /// snapshots plus queue high-water growth.
+    fn trace_pe_snapshots(&mut self, now: SimTime) {
         for slot in 0..self.instances.len() {
             let Some(inst) = self.instances[slot].as_ref() else {
                 continue;
@@ -1281,36 +1278,14 @@ impl HaWorld {
         }
     }
 
-    /// The sim-timer-driven metrics scrape: refreshes per-machine and
-    /// per-PE gauges, then snapshots every registered metric into the
-    /// registry's time-series. Strictly read-only over the simulation —
-    /// like [`on_trace_sample`](Self::on_trace_sample) it never advances
-    /// machines, touches the scheduling load estimate, or draws
-    /// randomness, so a scraping run stays bit-identical to a plain one.
-    pub(crate) fn on_metrics_scrape(&mut self, ctx: &mut Ctx<Event>) {
-        ctx.schedule_in(self.cfg.metrics_scrape_interval, Event::MetricsScrape);
-        let Some(mut hub) = self.metrics.take() else {
+    /// The metrics half of [`on_sample`](Self::on_sample), after the
+    /// machine gauges: per-PE and redundancy gauges, a snapshot of every
+    /// registered metric into the registry's time-series, then one
+    /// health-engine step over it.
+    fn scrape(&mut self, now: SimTime) {
+        let Some(registry) = self.metrics.as_deref_mut() else {
             return;
         };
-        let now = ctx.now();
-        for m in 0..self.cluster.len() {
-            let machine = self.cluster.machine(MachineId(m as u32));
-            let busy = machine.busy_integral();
-            let (last_t, last_busy) = hub.busy[m];
-            let dt = now.saturating_since(last_t).as_secs_f64();
-            let cpu_load = if dt > 0.0 {
-                ((busy - last_busy) / dt).max(0.0)
-            } else {
-                0.0
-            };
-            hub.busy[m] = (now, busy);
-            let scope = Scope::machine("cluster", m as u32);
-            hub.registry.set_gauge(scope, "cpu_load", cpu_load);
-            hub.registry
-                .set_gauge(scope, "background_share", machine.background_share());
-            hub.registry
-                .set_gauge(scope, "run_queue", machine.active_tasks() as f64);
-        }
         for slot in 0..self.instances.len() {
             let Some(inst) = self.instances[slot].as_ref() else {
                 continue;
@@ -1321,27 +1296,16 @@ impl HaWorld {
             // scopes identify (component, machine, pe), and an AS pair's
             // replicas live on different machines.
             let scope = Scope::pe("data_plane", machine.0, pe.0);
-            let suffix = if replica_code(replica) == 0 {
-                "primary"
-            } else {
-                "secondary"
+            let (depth, backlog) = match replica {
+                Replica::Primary => ("input_depth_primary", "output_backlog_primary"),
+                Replica::Secondary => ("input_depth_secondary", "output_backlog_secondary"),
             };
-            let name: &'static str = match suffix {
-                "primary" => "input_depth_primary",
-                _ => "input_depth_secondary",
-            };
-            hub.registry
-                .set_gauge(scope, name, inst.input_depth() as f64);
-            let backlog: &'static str = match suffix {
-                "primary" => "output_backlog_primary",
-                _ => "output_backlog_secondary",
-            };
-            hub.registry
-                .set_gauge(scope, backlog, inst.output_backlog() as f64);
+            registry.set_gauge(scope, depth, inst.input_depth() as f64);
+            registry.set_gauge(scope, backlog, inst.output_backlog() as f64);
         }
         for m in 0..self.cluster.len() {
             let machine = self.cluster.machine(MachineId(m as u32));
-            hub.registry.set_gauge(
+            registry.set_gauge(
                 Scope::machine("cluster", m as u32),
                 "run_queue_hw",
                 machine.run_queue_high_water() as f64,
@@ -1354,30 +1318,17 @@ impl HaWorld {
         // subjob stays "missing" until its replacement standby finishes
         // deploying.
         let mut standbys_missing = 0u64;
-        for (i, sj) in self.subjobs.iter().enumerate() {
-            if sj.mode == HaMode::None {
-                continue;
-            }
-            let predeploys = match sj.mode {
-                HaMode::Active => true,
-                HaMode::Hybrid => self.cfg.hybrid_predeploy,
-                _ => false,
-            };
+        for (sj_id, sj) in self.job.subjob_ids().zip(&self.subjobs) {
+            let standby = sj.primary_replica.other();
+            let deployed = |pe: &PeId| self.instances[slot_of(*pe, standby)].is_some();
             let live = sj.secondary_machine.is_some_and(|sec| {
                 self.cluster.machine(sec).is_up()
-                    && (!predeploys || {
-                        let standby = sj.primary_replica.other();
-                        self.job
-                            .pe_ids()
-                            .filter(|&pe| self.job.subjob_of(pe) == SubjobId(i as u32))
-                            .all(|pe| self.instances[slot_of(pe, standby)].is_some())
-                    })
+                    && (!self.cfg.predeploys(sj.mode)
+                        || self.job.subjob_pes(sj_id).iter().all(deployed))
             });
-            if !live {
-                standbys_missing += 1;
-            }
+            standbys_missing += u64::from(sj.mode != HaMode::None && !live);
         }
-        hub.registry.set_gauge(
+        registry.set_gauge(
             Scope::global("recovery"),
             "standbys_missing",
             standbys_missing as f64,
@@ -1391,18 +1342,16 @@ impl HaWorld {
             let mut sum = 0u64;
             for (name, count) in totals {
                 sum += count;
-                hub.registry
-                    .set_gauge(Scope::global("audit"), name, count as f64);
+                registry.set_gauge(Scope::global("audit"), name, count as f64);
             }
-            hub.registry
-                .set_gauge(Scope::global("audit"), "violations_total", sum as f64);
+            registry.set_gauge(Scope::global("audit"), "violations_total", sum as f64);
         }
-        hub.registry.scrape(now.as_nanos());
+        registry.scrape(now.as_nanos());
         // Step the health engine over the fresh snapshot. Still strictly
         // read-only: the engine sees the registry, the always-on phase log,
         // and the injection ground truth, and its verdicts go back out on
         // the trace bus (a no-op unless a sink is installed).
-        if let Some(mut engine) = self.health.take() {
+        if let Some(engine) = self.health.as_deref_mut() {
             let injects: Vec<(u32, u64)> = self
                 .injected_spikes
                 .iter()
@@ -1413,18 +1362,11 @@ impl HaWorld {
                         .map(|&(m, at)| (m.0, at.as_nanos())),
                 )
                 .collect();
-            let events = engine.on_scrape(
-                now.as_nanos(),
-                &hub.registry,
-                self.tracer.phases(),
-                &injects,
-            );
+            let events = engine.on_scrape(now.as_nanos(), registry, self.tracer.phases(), &injects);
             for event in events {
                 self.tracer.emit(now, event);
             }
-            self.health = Some(engine);
         }
-        self.metrics = Some(hub);
     }
 
     // ---- chaos plan ----
@@ -1565,6 +1507,25 @@ pub(crate) fn replica_code(replica: Replica) -> u8 {
     }
 }
 
+/// A fresh copy of `pe` as `replica`: the operator, the ports and the
+/// registered input streams, with empty queues. Job start and every later
+/// deployment build copies here.
+pub(crate) fn pe_copy(job: &Job, pe: PeId, replica: Replica) -> sps_engine::PeInstance {
+    let out_streams: Vec<StreamId> = (0..job.out_ports(pe))
+        .map(|p| job.pe_stream(pe, p))
+        .collect();
+    let mut inst = sps_engine::PeInstance::new(
+        InstanceId { pe, replica },
+        job.pe(pe).operator.clone(),
+        job.in_ports(pe),
+        &out_streams,
+    );
+    for &(port, stream) in job.input_streams(pe) {
+        inst.register_input_stream(port, stream);
+    }
+    inst
+}
+
 /// The instance-slot index of `(pe, replica)`.
 pub(crate) fn slot_of(pe: PeId, replica: Replica) -> usize {
     pe.0 as usize * 2
@@ -1611,7 +1572,7 @@ impl World for HaWorld {
             } => self.on_set_background(ctx, machine, component, share),
             Event::FailStop { machine } => self.on_fail_stop(ctx, machine),
             Event::BenchSample { det } => self.on_bench_sample(ctx, det),
-            Event::TraceSample => self.on_trace_sample(ctx),
+            Event::Sample => self.on_sample(ctx),
             Event::StopSources => {
                 for s in &mut self.sources {
                     s.stop();
@@ -1633,7 +1594,6 @@ impl World for HaWorld {
             Event::RelRetransmit { tx } => self.on_rel_retransmit(ctx, tx),
             Event::RetransmitSweep => self.on_retransmit_sweep(ctx),
             Event::ChaosStep { step } => self.on_chaos_step(ctx, step),
-            Event::MetricsScrape => self.on_metrics_scrape(ctx),
         }
     }
 }

@@ -420,7 +420,7 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest pending event.
     ///
     /// Takes `&mut self` because the answer may require flushing due
-    /// timer-wheel buckets into the heap (see [`EventQueue::front`]).
+    /// timer-wheel buckets into the heap (see `EventQueue::front`).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.front().map(|(_, t)| t)
     }

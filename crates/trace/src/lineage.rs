@@ -254,7 +254,7 @@ impl Column {
 /// The lineage table of one run. All mutation is first-writer-wins; see
 /// the module docs for why that is exactly right under replication.
 ///
-/// Storage is one [`Column`] per stream id, because the keys are dense on
+/// Storage is one `Column` per stream id, because the keys are dense on
 /// both axes: stream ids are the job's stream indices and every output
 /// queue stamps consecutive sequences. A key far from every other costs
 /// pointer slots in proportion to the distance, not rows.

@@ -10,7 +10,9 @@
 //! which order and on the bits of every serving operator's state: batch
 //! invariance (`batch_size` 1, 16 and 64), mode invariance (every subjob
 //! under None, Active, Passive or Hybrid) and failure-free equivalence (the
-//! mixed-mode cell through a spike and a fail-stop against itself without).
+//! mixed-mode cell against itself without failures, once through a spike
+//! and a Passive fail-stop, once through a Hybrid promotion and a lost
+//! standby).
 
 use std::collections::BTreeMap;
 
@@ -133,19 +135,32 @@ fn primaries(outcome: &Outcome) -> Vec<(PeId, &[u64])> {
 /// spike on the Hybrid primary at 0.5 s and a fail-stop of the Passive
 /// primary at 2 s.
 fn drained_outcome(cell: HaSimulationBuilder, faults: bool) -> Outcome {
+    let sim = drained(cell, |sim| {
+        if faults {
+            sim.inject_spike_windows(
+                HYBRID_PRIMARY,
+                &single_failure(SimTime::from_millis(500), SimDuration::from_secs(1)),
+            );
+            sim.fail_stop_at(PASSIVE_PRIMARY, SimTime::from_secs(2));
+        }
+    });
+    outcome(&sim)
+}
+
+/// Builds `cell`, lets `faults` schedule its failures, and drains it
+/// after 3,200 elements.
+fn drained(cell: HaSimulationBuilder, faults: impl FnOnce(&mut HaSimulation)) -> HaSimulation {
     let mut sim = cell.build();
-    if faults {
-        sim.inject_spike_windows(
-            HYBRID_PRIMARY,
-            &single_failure(SimTime::from_millis(500), SimDuration::from_secs(1)),
-        );
-        sim.fail_stop_at(PASSIVE_PRIMARY, SimTime::from_secs(2));
-    }
+    faults(&mut sim);
     // The first tick fires one gap (1 ms) in and a tick of `b` elements is
     // followed by a gap of `b` ms, so at 1, 16 and 64 alike exactly 3,200
     // elements are out by 3,200 ms and the next tick is due at 3,201 ms.
     sim.stop_sources_at(SimTime::from_micros(3_200_500));
     sim.run_for(SimDuration::from_secs(8));
+    sim
+}
+
+fn outcome(sim: &HaSimulation) -> Outcome {
     let world = sim.world();
     assert_eq!(world.sources()[0].produced(), 3_200);
 
@@ -217,4 +232,45 @@ fn a_recovered_run_agrees_with_its_failure_free_run() {
     // Subjob 2's serving copy is the promoted one: same state, other slot.
     assert_eq!(primaries(&recovered), primaries(&clean), "operator state");
     assert_ne!(recovered.1, clean.1, "the fail-stop moved a primary");
+}
+
+/// Relation (i) over the fail-stop paths: the Hybrid primary dies at 0.5 s
+/// (switch-over, promotion, a fresh standby from the spare pool), then
+/// subjob 3's standby machine at 1.5 s (its standby is re-provisioned onto
+/// the last spare). Every epoch bump along the way is traced.
+#[test]
+fn a_promoted_and_reprovisioned_run_agrees_with_its_failure_free_run() {
+    let failstop_cell = || cell(1).tune(|c| c.failstop_miss_threshold = 10);
+    let clean = outcome(&drained(failstop_cell(), |_| {}));
+    let recorder = SharedRecorder::default();
+    let sim = drained(
+        failstop_cell().trace_sink(Box::new(recorder.clone())),
+        |sim| {
+            sim.fail_stop_at(HYBRID_PRIMARY, SimTime::from_millis(500));
+            sim.fail_stop_at(MachineId(8), SimTime::from_millis(1_500));
+        },
+    );
+    let kinds: Vec<HaEventKind> = sim.world().ha_events().iter().map(|e| e.kind).collect();
+    let count = |kind| kinds.iter().filter(|&&k| k == kind).count();
+    assert_eq!(count(HaEventKind::Promoted), 1, "{kinds:?}");
+    assert_eq!(count(HaEventKind::SecondaryReady), 2, "{kinds:?}");
+
+    let recovered = outcome(&sim);
+    assert_eq!(recovered.0, clean.0, "accept order");
+    assert_eq!(primaries(&recovered), primaries(&clean), "operator state");
+
+    // Each subjob's epoch_change records count 0, 1, …, its final epoch.
+    let mut epochs: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    recorder.with(|r| {
+        for record in r.records() {
+            if let TraceEvent::EpochChange { subjob, epoch, .. } = record.event {
+                epochs.entry(subjob).or_default().push(epoch);
+            }
+        }
+    });
+    assert_eq!(epochs.len(), 4, "every subjob opens at epoch 0");
+    for (subjob, seen) in epochs {
+        let last = sim.world().subjob(SubjobId(subjob)).epoch;
+        assert_eq!(seen, (0..=last).collect::<Vec<_>>(), "subjob {subjob}");
+    }
 }

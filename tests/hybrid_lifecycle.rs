@@ -165,6 +165,51 @@ fn failstop_promotes_and_redeploys_standby() {
     assert!(standby.is_suspended());
 }
 
+/// Under the §IV-B "no pre-deployment" ablation a hybrid standby copy is
+/// deployed on demand at switch-over, never ahead of time — and the
+/// replacement standby a promotion provisions follows the same rule as the
+/// one provisioned at job start.
+#[test]
+fn promotion_keeps_no_standby_copy_without_predeploy() {
+    let mut sim = HaSimulation::builder(eval_chain_job())
+        .subjob_mode(SubjobId(0), HaMode::Hybrid)
+        .subjob_mode(SubjobId(1), HaMode::Active)
+        .subjob_mode(SubjobId(2), HaMode::Passive)
+        .subjob_mode(SubjobId(3), HaMode::Hybrid)
+        .source_rate(1_000.0)
+        .seed(2010)
+        .tune(|c| {
+            c.failstop_miss_threshold = 10;
+            c.hybrid_predeploy = false;
+        })
+        .build();
+    sim.fail_stop_at(MachineId(0), SimTime::from_millis(500));
+    sim.run_for(SimDuration::from_secs(4));
+    let world = sim.world();
+    let standby_deployed = |sj: SubjobId| -> Vec<bool> {
+        let standby = world.subjob(sj).primary_replica.other();
+        let pes = world.job().subjob_pes(sj);
+        pes.iter()
+            .map(|&pe| world.instance(pe, standby).is_some())
+            .collect()
+    };
+    let promoted = world
+        .ha_events()
+        .iter()
+        .any(|e| e.subjob == SubjobId(0) && e.kind == HaEventKind::Promoted);
+    assert!(promoted, "{:?}", world.ha_events());
+    assert_eq!(
+        standby_deployed(SubjobId(3)),
+        [false, false],
+        "at job start"
+    );
+    assert_eq!(
+        standby_deployed(SubjobId(0)),
+        [false, false],
+        "after the promotion"
+    );
+}
+
 #[test]
 fn ps_and_hybrid_share_detection_but_differ_in_reaction() {
     let run = |mode: HaMode| {

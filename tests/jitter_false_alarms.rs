@@ -38,9 +38,19 @@ fn false_alarms_are_rare_and_harmless_at_sixty_percent_load() {
     // comfortably longer than the 110 ms heartbeat interval: a stall only
     // converts into a missed heartbeat when a full ping deadline falls
     // inside it, so marginal (~120 ms) stalls convert by phase luck alone.
+    // The three ten-minute runs are independent: one thread each.
+    let seeds = [66, 90, 151];
+    let runs: Vec<(usize, u64, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = seeds
+            .iter()
+            .map(|&seed| s.spawn(move || run_ten_minutes(seed)))
+            .collect();
+        (handles.into_iter())
+            .map(|h| h.join().expect("a ten-minute run panicked"))
+            .collect()
+    });
     let mut total_fa = 0;
-    for seed in [66, 90, 151] {
-        let (fa, produced, accepted) = run_ten_minutes(seed);
+    for (seed, (fa, produced, accepted)) in seeds.into_iter().zip(runs) {
         total_fa += fa;
         // "our hybrid method can afford false alarms to certain extent,
         // because it can quickly roll back" — and loses nothing doing so.
