@@ -6,41 +6,38 @@
 //!    fail-stop promotion, chaos loss/duplication, reliable control) is
 //!    **clean**: zero violations under the strictest expectations, with a
 //!    seed-deterministic report;
-//! 2. the two test-only protocol mutations (`test_break_sink_dedup`,
-//!    `test_skip_standby_reprovision`) each produce a deterministic
-//!    violation — the auditor actually fires, it is not a rubber stamp;
+//! 2. two mutations of that clean run's trace — a sink delivery recorded
+//!    twice, and a promotion's standby re-provisioning struck out — each
+//!    replay to a violation of the invariant they break: the auditor
+//!    actually fires, it is not a rubber stamp;
 //! 3. the **offline** frontend (`sps_audit::replay_dump`, what
 //!    `sps-inspect audit` runs) reaches the same verdict as the online
 //!    probe, byte for byte, from the flight-recorder dump alone.
 
-use sps_audit::{replay_dump, Auditor};
+use sps_audit::{replay_dump, Auditor, FirstViolation};
 use sps_cluster::{ChaosPlan, FaultProfile, MachineId, SpikeWindow};
-use sps_ha::{HaConfig, HaMode, HaSimulation};
+use sps_ha::{HaMode, HaSimulation};
 use sps_sim::SimTime;
-use sps_trace::{jsonl, SharedRecorder, TraceRecord};
+use sps_trace::{jsonl, EpochCause, SharedRecorder, TraceEvent, TraceRecord};
 use sps_workloads::eval_chain_job;
 
 /// The observed-run scenario with the online auditor AND a flight
-/// recorder attached, plus a config mutation hook for the canaries.
-/// Returns `(online_report, online_violations, dump_jsonl)`.
+/// recorder attached. Returns `(online_report, online_violations,
+/// dump_jsonl)`.
 ///
 /// The recorder is control-plane-only: every audited event kind is
 /// control-plane, so the dump replays to the identical report while
 /// staying far below the ring capacity (no preamble eviction).
-fn audited_run(seed: u64, mutate: impl FnOnce(&mut HaConfig)) -> (String, u64, String) {
+fn audited_run(seed: u64) -> (String, u64, String) {
     let recorder = SharedRecorder::default().control_plane_only();
-    let run = audited_run_into(&recorder, seed, mutate);
+    let run = audited_run_into(&recorder, seed);
     let evicted = recorder.with(|r| r.evicted());
     assert_eq!(evicted, 0, "ring eviction would truncate the replay");
     run
 }
 
 /// [`audited_run`] traced into a recorder of the caller's choosing.
-fn audited_run_into(
-    recorder: &SharedRecorder,
-    seed: u64,
-    mutate: impl FnOnce(&mut HaConfig),
-) -> (String, u64, String) {
+fn audited_run_into(recorder: &SharedRecorder, seed: u64) -> (String, u64, String) {
     let chaos = ChaosPlan::default()
         .loss_window(
             SimTime::from_millis(2_500),
@@ -61,7 +58,6 @@ fn audited_run_into(
         .tune(|c| {
             c.failstop_miss_threshold = 15;
             c.reliable_control = true;
-            mutate(c);
         })
         .chaos(chaos)
         .trace_sink(Box::new(recorder.clone()))
@@ -95,7 +91,7 @@ fn audited_run_into(
 
 #[test]
 fn clean_run_passes_both_frontends_identically() {
-    let (report, violations, dump) = audited_run(2010, |_| {});
+    let (report, violations, dump) = audited_run(2010);
     assert_eq!(violations, 0, "{report}");
     assert!(report.contains("verdict: PASS"), "{report}");
 
@@ -115,7 +111,7 @@ fn clean_run_passes_both_frontends_identically() {
 #[test]
 fn a_wrapped_ring_is_refused_where_the_whole_trace_passes() {
     let small = SharedRecorder::with_capacity(4096);
-    let (report, violations, headless) = audited_run_into(&small, 2010, |_| {});
+    let (report, violations, headless) = audited_run_into(&small, 2010);
     assert_eq!(violations, 0, "{report}");
     assert!(
         small.with(|r| r.evicted()) > 0,
@@ -126,7 +122,7 @@ fn a_wrapped_ring_is_refused_where_the_whole_trace_passes() {
     assert!(err.contains("audit_meta"), "{err}");
 
     let whole = SharedRecorder::default();
-    let (same_report, _, dump) = audited_run_into(&whole, 2010, |_| {});
+    let (same_report, _, dump) = audited_run_into(&whole, 2010);
     assert_eq!(whole.with(|r| r.evicted()), 0);
     assert_eq!(same_report, report, "the recorder's size moves nothing");
     assert_eq!(
@@ -142,70 +138,96 @@ fn a_wrapped_ring_is_refused_where_the_whole_trace_passes() {
     }
 }
 
-#[test]
-fn broken_sink_dedup_is_caught_by_both_frontends() {
-    let (report, violations, dump) = audited_run(2010, |c| c.test_break_sink_dedup = true);
-    // The chaos duplication window re-delivers elements; with receiver
-    // dedup broken they are accepted twice, which the exactly-once rule
-    // must flag.
-    assert!(violations > 0, "canary did not fire:\n{report}");
+/// The clean run's dump, each line beside its typed record.
+fn typed_lines(dump: &str) -> Vec<(&str, TraceRecord)> {
+    dump.lines()
+        .map(|line| {
+            let record = jsonl::parse_flat_object(line)
+                .and_then(|obj| TraceRecord::from_json(&obj))
+                .expect("the clean dump reads back");
+            (line, record)
+        })
+        .collect()
+}
+
+/// Replays a mutated dump and checks it fails on `invariant` alone, with
+/// its first violation naming it.
+fn assert_replay_flags(mutated: &str, invariant: &str) -> FirstViolation {
+    let outcome = replay_dump(mutated).expect("the mutated dump replays");
+    let report = &outcome.report;
+    assert!(outcome.violations > 0, "canary did not fire:\n{report}");
     assert!(report.contains("verdict: FAIL"), "{report}");
     assert!(
-        report.contains("sink_exactly_once"),
-        "wrong invariant flagged:\n{report}"
+        report.contains(&format!("{invariant}: {}", outcome.violations)),
+        "another invariant flagged too:\n{report}"
     );
-
-    let outcome = replay_dump(&dump).expect("dump replays");
-    assert_eq!(outcome.violations, violations);
-    assert_eq!(
-        outcome.recorded_violations, violations,
-        "the online probe's violation records must be in the dump"
-    );
-    assert_eq!(
-        outcome.report, report,
-        "offline replay must reproduce the online report byte for byte"
-    );
+    assert_eq!(outcome.recorded_violations, 0, "the clean run had none");
     let first = outcome.first.expect("a first violation with context");
-    assert!(
-        first.rendered.contains("sink_exactly_once"),
-        "{}",
-        first.rendered
-    );
+    assert!(first.rendered.contains(invariant), "{}", first.rendered);
+    // The mutation is deterministic: replaying it again changes nothing.
+    assert_eq!(replay_dump(mutated).expect("replays").report, *report);
+    first
+}
+
+/// A sink delivery that accepted elements, recorded twice: the second copy
+/// accepts without advancing the position, the signature of a duplicate
+/// counted twice (receiver dedup bypassed).
+#[test]
+fn a_duplicated_sink_delivery_is_caught_on_replay() {
+    let (_, violations, dump) = audited_run(2010);
+    assert_eq!(violations, 0);
+    let lines = typed_lines(&dump);
+    let at = lines
+        .iter()
+        .position(|(_, r)| {
+            matches!(r.event, TraceEvent::SinkDeliver { newly_accepted, .. } if newly_accepted >= 1)
+        })
+        .expect("the run delivers");
+    let mut mutated = String::new();
+    for (i, (line, _)) in lines.iter().enumerate() {
+        let copies = if i == at { 2 } else { 1 };
+        for _ in 0..copies {
+            mutated.push_str(line);
+            mutated.push('\n');
+        }
+    }
+    let first = assert_replay_flags(&mutated, "sink_exactly_once");
     assert!(
         !first.backtrace.is_empty(),
         "first violation should come with a causal backtrace"
     );
-
-    // The canary is deterministic: same seed, same report.
-    let (again, _, _) = audited_run(2010, |c| c.test_break_sink_dedup = true);
-    assert_eq!(report, again);
 }
 
+/// The fail-stop promotes subjob 1's standby; with the re-provisioning
+/// that follows struck from the trace, the subjob ends the run neither
+/// covered by a standby nor declared a dead end.
 #[test]
-fn skipped_standby_reprovision_is_caught_by_both_frontends() {
-    let (report, violations, dump) = audited_run(2010, |c| c.test_skip_standby_reprovision = true);
-    // The fail-stop promotes the secondary; with re-provisioning skipped
-    // the subjob finishes the run without standby coverage.
-    assert!(violations > 0, "canary did not fire:\n{report}");
-    assert!(report.contains("verdict: FAIL"), "{report}");
-    assert!(
-        report.contains("standby_coverage"),
-        "wrong invariant flagged:\n{report}"
-    );
-
-    let outcome = replay_dump(&dump).expect("dump replays");
-    assert_eq!(outcome.violations, violations);
-    assert_eq!(
-        outcome.report, report,
-        "offline replay must reproduce the online report byte for byte"
-    );
-    let first = outcome.first.expect("a first violation with context");
-    assert!(
-        first.rendered.contains("standby_coverage"),
-        "{}",
-        first.rendered
-    );
-
-    let (again, _, _) = audited_run(2010, |c| c.test_skip_standby_reprovision = true);
-    assert_eq!(report, again);
+fn a_struck_standby_reprovision_is_caught_on_replay() {
+    let (_, violations, dump) = audited_run(2010);
+    assert_eq!(violations, 0);
+    let lines = typed_lines(&dump);
+    let (promote_at, promoted) = lines
+        .iter()
+        .enumerate()
+        .find_map(|(i, (_, r))| match r.event {
+            TraceEvent::EpochChange {
+                subjob,
+                cause: EpochCause::Promote,
+                ..
+            } => Some((i, subjob)),
+            _ => None,
+        })
+        .expect("the fail-stop promotes");
+    let struck = |i: usize, r: &TraceRecord| {
+        i > promote_at
+            && matches!(r.event, TraceEvent::StandbyProvision { subjob, .. } if subjob == promoted)
+    };
+    let mutated: String = lines
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, r))| !struck(*i, r))
+        .map(|(_, (line, _))| format!("{line}\n"))
+        .collect();
+    assert!(mutated.len() < dump.len(), "a re-provisioning was struck");
+    assert_replay_flags(&mutated, "standby_coverage");
 }

@@ -49,14 +49,6 @@ impl Default for SchedLatency {
 }
 
 impl SchedLatency {
-    /// A model with no latency at all (idealized scheduler).
-    pub fn none() -> Self {
-        SchedLatency {
-            base: SimDuration::ZERO,
-            ..SchedLatency::default()
-        }
-    }
-
     /// The median wake-up delay at the given machine load.
     pub fn median_at(&self, load: f64) -> SimDuration {
         let l = load.clamp(0.0, self.max_load);
@@ -108,14 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_load_and_none_model_are_free() {
+    fn zero_load_is_free() {
         let s = SchedLatency::default();
         assert_eq!(s.median_at(0.0), SimDuration::ZERO);
         let mut rng = SimRng::seed_from(1);
-        assert_eq!(
-            SchedLatency::none().sample(&mut rng, 0.95),
-            SimDuration::ZERO
-        );
+        assert_eq!(s.sample(&mut rng, 0.0), SimDuration::ZERO);
     }
 
     #[test]

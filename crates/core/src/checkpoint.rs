@@ -27,7 +27,7 @@ use sps_sim::Ctx;
 
 use sps_trace::TraceEvent;
 
-use crate::config::{CheckpointProtocol, HaMode};
+use crate::config::{CheckpointProtocol, HaMode, ELEMENT_BYTES};
 use crate::message::Msg;
 use crate::world::{replica_code, slot_of, Event, HaWorld, SjState, SubjobPending};
 
@@ -224,7 +224,7 @@ impl HaWorld {
                     pe: pe.0,
                     replica: replica_code(replica),
                     elements: ckpt.element_count() as u32,
-                    bytes: ckpt.byte_size(self.cfg.element_bytes),
+                    bytes: ckpt.byte_size(ELEMENT_BYTES),
                 },
             );
             let sj = &mut self.subjobs[sj_id.0 as usize];
@@ -287,57 +287,12 @@ impl HaWorld {
             self.subjobs[sj_id.0 as usize].stored.insert(pe, ckpt);
             pes.push(pe);
         }
-        if self.cfg.durable_checkpoints {
-            // §VII extension: persist before acknowledging.
-            ctx.schedule_in(
-                self.cfg.disk_latency,
-                Event::CheckpointPersisted {
-                    subjob: sj_id.0,
-                    epoch,
-                    pes,
-                },
-            );
-        } else {
-            self.send_reliable(
-                ctx,
-                at,
-                primary_machine,
-                Msg::CheckpointStored {
-                    subjob: sj_id,
-                    epoch,
-                    pes,
-                },
-                MsgClass::Control,
-                0,
-            );
-        }
-    }
-
-    /// Durable-checkpoint disk write finished.
-    pub(crate) fn on_checkpoint_persisted(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        subjob: u32,
-        epoch: u64,
-        pes: Vec<PeId>,
-    ) {
-        let sj = &self.subjobs[subjob as usize];
-        if sj.is_stale(epoch) {
-            return;
-        }
-        let Some(sec) = sj.secondary_machine else {
-            return;
-        };
-        let primary = sj.primary_machine;
-        if !self.cluster.machine(sec).is_up() {
-            return;
-        }
         self.send_reliable(
             ctx,
-            sec,
-            primary,
+            at,
+            primary_machine,
             Msg::CheckpointStored {
-                subjob: SubjobId(subjob),
+                subjob: sj_id,
                 epoch,
                 pes,
             },

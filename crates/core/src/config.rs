@@ -1,7 +1,6 @@
 //! HA configuration: standby modes, checkpoint protocols, detection and
 //! recovery parameters.
 
-use sps_cluster::SchedLatency;
 use sps_sim::SimDuration;
 
 /// The high-availability mode of one subjob (§V-A of the paper).
@@ -79,9 +78,55 @@ impl std::fmt::Display for CheckpointProtocol {
     }
 }
 
+/// Consecutive heartbeat misses before passive standby declares a failure
+/// (conventionally 3).
+pub(crate) const PS_MISS_THRESHOLD: u32 = 3;
+
+/// Consecutive heartbeat misses before the hybrid switches over: the paper
+/// triggers "after the first heartbeat miss" (§IV-A).
+pub(crate) const HYBRID_MISS_THRESHOLD: u32 = 1;
+
+/// Time to resume a pre-deployed suspended copy (hybrid switch-over; the
+/// paper reports this takes about 1/4 of on-demand deployment, §IV-B).
+pub(crate) const RESUME_DELAY: SimDuration = SimDuration::from_millis(50);
+
+/// Time to establish upstream/downstream connections on demand (PS); the
+/// hybrid's early connections avoid this ("a reduction of about 50%", §IV-B).
+pub(crate) const CONNECT_DELAY: SimDuration = SimDuration::from_millis(60);
+
+/// CPU seconds the primary spends producing one heartbeat reply: a tiny
+/// responder, so only scheduling latency under load can starve it.
+pub(crate) const HEARTBEAT_REPLY_DEMAND_SECS: f64 = 0.000_5;
+
+/// Under AS/NONE (no checkpoint-driven acks), a cumulative ack goes
+/// upstream every this many processed elements.
+pub(crate) const ACK_EVERY_ELEMENTS: u64 = 16;
+
+/// Wire size of one data element, in bytes.
+pub(crate) const ELEMENT_BYTES: u32 = 256;
+
+/// Initial retransmission timeout of a reliable control message; it doubles
+/// per attempt up to [`HaConfig::rel_rto_max`].
+pub(crate) const REL_RTO_INITIAL: SimDuration = SimDuration::from_millis(50);
+
+/// Retransmission attempts before a reliable message is abandoned (the
+/// periodic protocols re-drive any state it carried).
+pub(crate) const REL_MAX_RETRIES: u32 = 12;
+
+/// Period of the data-plane retransmit sweep under
+/// [`HaConfig::reliable_control`], and the base of its backoff: a
+/// connection with sent-but-unacknowledged elements and no progress over a
+/// full period has its send cursor rewound to the acknowledged position and
+/// the retained elements replayed (receivers deduplicate). While it stays
+/// silent the next rewinds follow the control plane's rule,
+/// `REL_SWEEP_INTERVAL · 2^attempt` apart, capped at
+/// [`HaConfig::rel_rto_max`].
+pub const REL_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
 /// Tunables of the HA layer. Defaults reproduce the paper's evaluation
 /// settings (checkpoint 500 ms, heartbeat 100 ms, PS declares at 3 misses,
-/// Hybrid acts on the first miss).
+/// Hybrid acts on the first miss); the calibrated cost constants beside it
+/// are fixed.
 #[derive(Debug, Clone)]
 pub struct HaConfig {
     /// Default standby mode for every subjob (overridable per subjob).
@@ -92,12 +137,6 @@ pub struct HaConfig {
     pub checkpoint_interval: SimDuration,
     /// Heartbeat ping period.
     pub heartbeat_interval: SimDuration,
-    /// Consecutive misses before passive standby declares a failure
-    /// (conventionally 3).
-    pub ps_miss_threshold: u32,
-    /// Consecutive misses before the hybrid switches over (the paper
-    /// triggers "after the first heartbeat miss").
-    pub hybrid_miss_threshold: u32,
     /// Consecutive misses before a fail-stop is declared and the secondary
     /// is promoted permanently. Must comfortably exceed the transient-
     /// failure duration distribution (the paper's Fig 3 shows spikes beyond
@@ -106,14 +145,6 @@ pub struct HaConfig {
     /// Time to deploy a subjob copy on demand (PS recovery, and hybrid's
     /// replacement-secondary instantiation).
     pub deploy_delay: SimDuration,
-    /// Time to resume a pre-deployed suspended copy (hybrid switch-over;
-    /// the paper reports this takes about 1/4 of on-demand deployment).
-    pub resume_delay: SimDuration,
-    /// Time to establish upstream/downstream connections on demand (PS);
-    /// the hybrid's early connections avoid this.
-    pub connect_delay: SimDuration,
-    /// CPU seconds the primary spends producing one heartbeat reply.
-    pub heartbeat_reply_demand_secs: f64,
     /// §IV-B optimization: keep a suspended secondary deployed from job
     /// start (`true`, the paper's design) instead of deploying it on demand
     /// at switch-over. Disabling reproduces the paper's "75% reduction"
@@ -128,9 +159,6 @@ pub struct HaConfig {
     /// newer state and jumps forward (`true`); without it the primary must
     /// chew through everything that arrived during the failure.
     pub read_state_on_rollback: bool,
-    /// Under AS/NONE (no checkpoint-driven acks), send a cumulative ack
-    /// upstream every this many processed elements.
-    pub ack_every_elements: u32,
     /// Data-plane batching factor: sources generate and PEs dequeue up to
     /// this many elements per tick, and the dispatch paths coalesce
     /// same-destination contiguous runs into one range-stamped
@@ -139,17 +167,6 @@ pub struct HaConfig {
     /// singleton [`Msg::Data`](crate::Msg::Data)); larger values trade
     /// per-element scheduling overhead for coarser event granularity.
     pub batch_size: u32,
-    /// Wire size of one data element.
-    pub element_bytes: u32,
-    /// OS scheduling (wake-up) latency applied to latency-sensitive tasks
-    /// (heartbeat replies, benchmark probes) as a function of machine load.
-    pub sched_latency: SchedLatency,
-    /// Extension (§VII): persist checkpoints to disk at the secondary
-    /// instead of memory, paying `disk_latency` per store, to survive the
-    /// loss of both machines.
-    pub durable_checkpoints: bool,
-    /// Disk write latency when `durable_checkpoints` is set.
-    pub disk_latency: SimDuration,
     /// Reliability hardening for lossy networks: wrap control-plane
     /// messages (checkpoint transfer, store acks, rollback state reads) in
     /// sequence-numbered envelopes with retransmission and receiver-side
@@ -160,44 +177,11 @@ pub struct HaConfig {
     /// periodic and self-correcting, and a lost pong is exactly the
     /// false-alarm the hybrid protocol is designed to absorb.
     pub reliable_control: bool,
-    /// Initial retransmission timeout for reliable control messages.
-    pub rel_rto_initial: SimDuration,
     /// Retransmission backoff cap, shared by both planes through
     /// `HaConfig::rel_backoff`: a reliable control message doubles its
     /// RTO per attempt up to this bound, and a data-plane connection that
     /// stays silent is rewound by the sweep at most this far apart.
     pub rel_rto_max: SimDuration,
-    /// Retransmission attempts before a reliable message is abandoned (the
-    /// periodic protocols re-drive any state it carried).
-    pub rel_max_retries: u32,
-    /// Period of the data-plane retransmit sweep, and the base of its
-    /// backoff: a connection with sent-but-unacknowledged elements and no
-    /// progress over a full period has its send cursor rewound to the
-    /// acknowledged position and the retained elements replayed (receivers
-    /// deduplicate). While it stays silent the next rewinds follow the
-    /// control plane's rule, `rel_sweep_interval · 2^attempt` apart,
-    /// capped at `rel_rto_max`.
-    pub rel_sweep_interval: SimDuration,
-    /// Checkpoint-recency rung of the promotion-safety ladder: a standby
-    /// whose newest stored checkpoint is older than this budget is judged
-    /// unhealthy and the failover is aborted (falling back to a spare
-    /// redeploy). `ZERO` (the default) disables the rung — promotion then
-    /// requires only a live, fault-free standby machine, exactly the
-    /// pre-ladder behavior.
-    pub standby_freshness_budget: SimDuration,
-    /// Test-only fault hook: sinks count duplicate deliveries as freshly
-    /// accepted instead of dropping them, breaking receiver-side
-    /// exactly-once. Exists so the protocol auditor's mutation canary can
-    /// prove the `sink_exactly_once` check fires; never set outside tests.
-    #[doc(hidden)]
-    pub test_break_sink_dedup: bool,
-    /// Test-only fault hook: promotions skip re-provisioning a replacement
-    /// standby, and a re-provisioning left without a machine skips
-    /// declaring the failover aborted, silently leaving the subjob without
-    /// redundancy. Exists so the auditor's mutation canary can prove the
-    /// `standby_coverage` check fires; never set outside tests.
-    #[doc(hidden)]
-    pub test_skip_standby_reprovision: bool,
 }
 
 impl Default for HaConfig {
@@ -207,30 +191,14 @@ impl Default for HaConfig {
             checkpoint_protocol: CheckpointProtocol::Sweeping,
             checkpoint_interval: SimDuration::from_millis(500),
             heartbeat_interval: SimDuration::from_millis(100),
-            ps_miss_threshold: 3,
-            hybrid_miss_threshold: 1,
             failstop_miss_threshold: 600,
             deploy_delay: SimDuration::from_millis(200),
-            resume_delay: SimDuration::from_millis(50),
-            connect_delay: SimDuration::from_millis(60),
-            heartbeat_reply_demand_secs: 0.000_5,
             hybrid_predeploy: true,
             hybrid_early_connections: true,
             read_state_on_rollback: true,
-            ack_every_elements: 16,
             batch_size: 1,
-            element_bytes: 256,
-            sched_latency: SchedLatency::default(),
-            durable_checkpoints: false,
-            disk_latency: SimDuration::from_millis(8),
             reliable_control: false,
-            rel_rto_initial: SimDuration::from_millis(50),
             rel_rto_max: SimDuration::from_millis(800),
-            rel_max_retries: 12,
-            rel_sweep_interval: SimDuration::from_millis(100),
-            standby_freshness_budget: SimDuration::ZERO,
-            test_break_sink_dedup: false,
-            test_skip_standby_reprovision: false,
         }
     }
 }
@@ -260,7 +228,7 @@ impl HaConfig {
     /// The retransmission backoff both reliable planes share: the wait
     /// after retransmission number `attempt` is `base · 2^attempt`, capped
     /// at [`HaConfig::rel_rto_max`]. The control plane's base is
-    /// `rel_rto_initial`, the data-plane sweep's is `rel_sweep_interval`.
+    /// [`REL_RTO_INITIAL`], the data-plane sweep's [`REL_SWEEP_INTERVAL`].
     pub(crate) fn rel_backoff(&self, base: SimDuration, attempt: u32) -> SimDuration {
         (base * (1u64 << attempt.min(16))).min(self.rel_rto_max)
     }
@@ -269,7 +237,7 @@ impl HaConfig {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive intervals or zero miss thresholds; catches
+    /// Panics on non-positive intervals or inverted thresholds; catches
     /// configuration mistakes early, before a long simulation run.
     pub fn validate(&self) {
         assert!(
@@ -281,40 +249,14 @@ impl HaConfig {
             "heartbeat interval must be positive"
         );
         assert!(
-            self.ps_miss_threshold >= 1,
-            "PS miss threshold must be >= 1"
-        );
-        assert!(
-            self.hybrid_miss_threshold >= 1,
-            "hybrid miss threshold must be >= 1"
-        );
-        assert!(
-            self.failstop_miss_threshold > self.ps_miss_threshold.max(self.hybrid_miss_threshold),
+            self.failstop_miss_threshold > PS_MISS_THRESHOLD.max(HYBRID_MISS_THRESHOLD),
             "fail-stop threshold must exceed the transient thresholds"
         );
-        assert!(
-            self.heartbeat_reply_demand_secs >= 0.0,
-            "heartbeat reply demand must be non-negative"
-        );
-        assert!(self.ack_every_elements >= 1, "ack batch must be >= 1");
         assert!(self.batch_size >= 1, "data batch size must be >= 1");
-        assert!(self.element_bytes >= 1, "element size must be >= 1 byte");
         if self.reliable_control {
             assert!(
-                !self.rel_rto_initial.is_zero(),
-                "reliable RTO must be positive"
-            );
-            assert!(
-                self.rel_rto_max >= self.rel_rto_initial,
+                self.rel_rto_max >= REL_RTO_INITIAL,
                 "reliable RTO cap must be >= the initial RTO"
-            );
-            assert!(
-                self.rel_max_retries >= 1,
-                "reliable delivery needs at least one retry"
-            );
-            assert!(
-                !self.rel_sweep_interval.is_zero(),
-                "retransmit sweep interval must be positive"
             );
         }
     }
@@ -330,10 +272,8 @@ mod tests {
         c.validate();
         assert_eq!(c.checkpoint_interval, SimDuration::from_millis(500));
         assert_eq!(c.heartbeat_interval, SimDuration::from_millis(100));
-        assert_eq!(c.ps_miss_threshold, 3);
-        assert_eq!(c.hybrid_miss_threshold, 1);
         // The 75 % redeployment reduction: resume is 1/4 of deploy.
-        assert!((c.resume_delay.as_secs_f64() / c.deploy_delay.as_secs_f64() - 0.25).abs() < 1e-9);
+        assert!((RESUME_DELAY.as_secs_f64() / c.deploy_delay.as_secs_f64() - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -397,6 +337,6 @@ mod tests {
     fn with_mode_sets_only_the_mode() {
         let c = HaConfig::with_mode(HaMode::Passive);
         assert_eq!(c.mode, HaMode::Passive);
-        assert_eq!(c.ps_miss_threshold, HaConfig::default().ps_miss_threshold);
+        assert_eq!(c.deploy_delay, HaConfig::default().deploy_delay);
     }
 }

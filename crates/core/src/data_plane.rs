@@ -1,12 +1,16 @@
 //! Data-plane handlers: source generation, CPU-task completion routing,
 //! element delivery, and acknowledgment processing.
 
-use sps_cluster::{LoadComponent, MachineId};
+use sps_cluster::{LoadComponent, MachineId, SchedLatency};
 use sps_engine::{ConnectionId, DataBatch, DataElement, Dest, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
 use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, LineageTable, TraceEvent};
 
+use crate::config::{
+    ACK_EVERY_ELEMENTS, HEARTBEAT_REPLY_DEMAND_SECS, REL_MAX_RETRIES, REL_RTO_INITIAL,
+    REL_SWEEP_INTERVAL,
+};
 use crate::message::{Msg, ProducerAddr};
 use crate::world::{replica_code, slot_of, unslot, Event, HaWorld, SjState, TaskTag};
 
@@ -30,7 +34,7 @@ impl HaWorld {
         class: MsgClass,
         elements: u64,
     ) {
-        let bytes = msg.wire_bytes(self.cfg.element_bytes);
+        let bytes = msg.wire_bytes();
         let delivery = self.cluster.network_mut().send(ctx.now(), src, dst, bytes);
         let Some(at) = delivery.time() else {
             // Partitioned links never reach the chaos draws, so any drop on
@@ -120,7 +124,7 @@ impl HaWorld {
             class,
             elements,
         );
-        ctx.schedule_in(self.cfg.rel_rto_initial, Event::RelRetransmit { tx });
+        ctx.schedule_in(REL_RTO_INITIAL, Event::RelRetransmit { tx });
     }
 
     /// A reliable message's retransmission timer fired: resend with
@@ -130,7 +134,7 @@ impl HaWorld {
         let Some(pending) = self.rel_inflight.get(&tx) else {
             return; // acknowledged (or already cancelled)
         };
-        let give_up = pending.attempt >= self.cfg.rel_max_retries
+        let give_up = pending.attempt >= REL_MAX_RETRIES
             || !self.cluster.machine(pending.src).is_up()
             || self.rel_payload_is_stale(&pending.msg);
         if give_up {
@@ -166,7 +170,7 @@ impl HaWorld {
             class,
             0,
         );
-        let rto = self.cfg.rel_backoff(self.cfg.rel_rto_initial, attempt);
+        let rto = self.cfg.rel_backoff(REL_RTO_INITIAL, attempt);
         ctx.schedule_in(rto, Event::RelRetransmit { tx });
     }
 
@@ -277,12 +281,9 @@ impl HaWorld {
         let load = self.estimate_load(ctx.now(), machine);
         let foreign = self.cluster.machine(machine).background_share();
         let foreign_frac = (foreign / load.max(foreign).max(1e-6)).clamp(0.0, 1.0);
-        let median = self.cfg.sched_latency.median_at(load).mul_f64(foreign_frac);
-        let delay = self
-            .cfg
-            .sched_latency
-            .clone()
-            .sample_with_median(ctx.rng(), median);
+        let sched = SchedLatency::default();
+        let median = sched.median_at(load).mul_f64(foreign_frac);
+        let delay = sched.sample_with_median(ctx.rng(), median);
         if delay.is_zero() {
             self.submit_task(ctx, machine, demand_secs, tag);
         } else {
@@ -633,7 +634,7 @@ impl HaWorld {
         if !checkpoint_acked {
             for _ in 0..batch_len {
                 self.ack_backlog[slot] += 1;
-                if self.ack_backlog[slot] >= self.cfg.ack_every_elements as u64 {
+                if self.ack_backlog[slot] >= ACK_EVERY_ELEMENTS {
                     self.ack_backlog[slot] = 0;
                     self.send_instance_acks(ctx, slot);
                 }
@@ -799,11 +800,10 @@ impl HaWorld {
                 seq,
             } => self.on_ack(ctx, to, addr, from, seq),
             Msg::Ping { monitor, seq } => {
-                let demand = self.cfg.heartbeat_reply_demand_secs;
                 self.submit_latency_sensitive(
                     ctx,
                     to,
-                    demand,
+                    HEARTBEAT_REPLY_DEMAND_SECS,
                     TaskTag::HeartbeatReply { monitor, seq },
                 );
             }
@@ -914,11 +914,7 @@ impl HaWorld {
                         registry.observe(Scope::global("sink"), "e2e_delay_ms", e2e_ms);
                     }
                 };
-                let accept = if self.cfg.test_break_sink_dedup {
-                    self.sinks[s].deliver_run_without_dedup(now, run, observe)
-                } else {
-                    self.sinks[s].deliver_run(now, run, observe)
-                };
+                let accept = self.sinks[s].deliver_run(now, run, observe);
                 let through = accept.processed_through;
                 if accept.newly_accepted > 0 {
                     self.metric_inc(
@@ -1120,7 +1116,7 @@ impl HaWorld {
     /// sequence number, so an early rewind costs bandwidth, never
     /// correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
-        ctx.schedule_in(self.cfg.rel_sweep_interval, Event::RetransmitSweep);
+        ctx.schedule_in(REL_SWEEP_INTERVAL, Event::RetransmitSweep);
         // One producer's connection observations at a time stage in the
         // world's scratch list, so the periodic sweep stops allocating once
         // the list is warm.
@@ -1220,8 +1216,8 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
     }
     // The retransmission sweep exists only under the reliable layer, so
     // default runs keep an identical event schedule.
-    if world.cfg.reliable_control && !world.cfg.rel_sweep_interval.is_zero() {
-        ctx.schedule_in(world.cfg.rel_sweep_interval, Event::RetransmitSweep);
+    if world.cfg.reliable_control {
+        ctx.schedule_in(REL_SWEEP_INTERVAL, Event::RetransmitSweep);
     }
     use crate::config::CheckpointProtocol;
     match world.cfg.checkpoint_protocol {

@@ -18,7 +18,9 @@ use sps_sim::{Ctx, SimTime};
 
 use sps_trace::{AbortReason, EpochCause, TraceEvent};
 
-use crate::config::HaMode;
+use crate::config::{
+    HaMode, CONNECT_DELAY, HYBRID_MISS_THRESHOLD, PS_MISS_THRESHOLD, RESUME_DELAY,
+};
 use crate::data_plane::find_conn;
 use crate::detect::{BenchAction, HbVerdict};
 use crate::message::{Msg, ProducerAddr};
@@ -142,11 +144,6 @@ impl HaWorld {
                 },
             ),
             Some(_) => {}
-            // The test-only break leaves redundancy silently unrestored —
-            // without even the aborted-failover dead-end marker — which is
-            // exactly the standby-coverage liveness violation the auditor
-            // exists to catch.
-            None if self.cfg.test_skip_standby_reprovision => {}
             // Redundancy could not be restored: make the dead end
             // observable.
             None => self.abort_failover(ctx, sj_id, None, AbortReason::NoStandby),
@@ -282,8 +279,8 @@ impl HaWorld {
         }
         let declares = state == SjState::Normal
             && match mode {
-                HaMode::Hybrid => streak == self.cfg.hybrid_miss_threshold,
-                HaMode::Passive => streak == self.cfg.ps_miss_threshold,
+                HaMode::Hybrid => streak == HYBRID_MISS_THRESHOLD,
+                HaMode::Passive => streak == PS_MISS_THRESHOLD,
                 HaMode::None | HaMode::Active => false,
             };
         if declares {
@@ -393,39 +390,21 @@ impl HaWorld {
     /// or the rejecting `(machine, reason)` pair:
     ///
     /// 1. a standby must exist at all ([`AbortReason::NoStandby`]);
-    /// 2. its machine must be up, and — when a freshness budget is
-    ///    configured — its newest checkpoint must be recent enough
-    ///    ([`AbortReason::StandbyUnhealthy`]);
+    /// 2. its machine must be up ([`AbortReason::StandbyUnhealthy`]);
     /// 3. its fault domain must have no active correlated fault
     ///    ([`AbortReason::DomainFault`]) — never promote into a rack that
     ///    is losing machines or behind a partitioned switch.
     ///
-    /// Under the flat topology with the default (zero) freshness budget
-    /// this reduces to the pre-ladder `secondary_machine.is_none()` check,
-    /// because the heartbeat monitor is hosted on the standby machine and
-    /// never fires while that machine is down.
-    fn ladder_reject(
-        &self,
-        sj_id: SubjobId,
-        now: sps_sim::SimTime,
-    ) -> Option<(Option<MachineId>, AbortReason)> {
-        let sj = &self.subjobs[sj_id.0 as usize];
-        let Some(sec) = sj.secondary_machine else {
+    /// Under the flat topology this reduces to the pre-ladder
+    /// `secondary_machine.is_none()` check, because the heartbeat monitor
+    /// is hosted on the standby machine and never fires while that machine
+    /// is down.
+    fn ladder_reject(&self, sj_id: SubjobId) -> Option<(Option<MachineId>, AbortReason)> {
+        let Some(sec) = self.subjobs[sj_id.0 as usize].secondary_machine else {
             return Some((None, AbortReason::NoStandby));
         };
         if !self.cluster.machine(sec).is_up() {
             return Some((Some(sec), AbortReason::StandbyUnhealthy));
-        }
-        let budget = self.cfg.standby_freshness_budget;
-        if !budget.is_zero() && sj.mode.checkpoints() {
-            let fresh = match sj.last_ckpt_at.values().max() {
-                Some(&at) => now.saturating_since(at) <= budget,
-                // Never checkpointed: allow the budget from job start.
-                None => now.as_nanos() <= budget.as_nanos(),
-            };
-            if !fresh {
-                return Some((Some(sec), AbortReason::StandbyUnhealthy));
-            }
         }
         if self.domain_has_active_fault(sec) {
             return Some((Some(sec), AbortReason::DomainFault));
@@ -458,7 +437,7 @@ impl HaWorld {
     // ---- hybrid switch-over ----
 
     fn hybrid_switchover(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId) {
-        if let Some((machine, reason)) = self.ladder_reject(sj_id, ctx.now()) {
+        if let Some((machine, reason)) = self.ladder_reject(sj_id) {
             // Standby lost/unsafe: cannot switch. The fail-stop path will
             // redeploy onto a spare if the primary is really dead.
             self.abort_failover(ctx, sj_id, machine, reason);
@@ -475,12 +454,12 @@ impl HaWorld {
         // the processing loop" — a fraction of an on-demand deployment.
         // Without the optimizations the respective costs come back.
         let mut delay = if self.cfg.hybrid_predeploy {
-            self.cfg.resume_delay
+            RESUME_DELAY
         } else {
             self.cfg.deploy_delay
         };
         if !self.cfg.hybrid_early_connections {
-            delay += self.cfg.connect_delay;
+            delay += CONNECT_DELAY;
         }
         ctx.schedule_in(
             delay,
@@ -658,7 +637,7 @@ impl HaWorld {
     // ---- passive-standby migration ----
 
     fn ps_recover(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId) {
-        if let Some((machine, reason)) = self.ladder_reject(sj_id, ctx.now()) {
+        if let Some((machine, reason)) = self.ladder_reject(sj_id) {
             self.abort_failover(ctx, sj_id, machine, reason);
             return;
         }
@@ -685,10 +664,7 @@ impl HaWorld {
         self.deploy_standby_instances(sj_id, standby, sec_machine, /*suspended:*/ true);
         self.set_sj_state(sj_id, SjState::Connecting);
         self.log_event(ctx.now(), sj_id, HaEventKind::PsDeployed);
-        ctx.schedule_in(
-            self.cfg.connect_delay,
-            Event::ConnectComplete { subjob, epoch },
-        );
+        ctx.schedule_in(CONNECT_DELAY, Event::ConnectComplete { subjob, epoch });
     }
 
     pub(crate) fn on_connect_complete(&mut self, ctx: &mut Ctx<Event>, subjob: u32, epoch: u64) {
@@ -757,7 +733,7 @@ impl HaWorld {
         }
         // The promotion-safety ladder: verify the standby really is a safe
         // place to anchor the subjob before making it the new primary.
-        if let Some((machine, reason)) = self.ladder_reject(sj_id, ctx.now()) {
+        if let Some((machine, reason)) = self.ladder_reject(sj_id) {
             self.abort_failover(ctx, sj_id, machine, reason);
             self.promote_fallback(ctx, sj_id);
             return;
@@ -772,11 +748,7 @@ impl HaWorld {
         // Automatic standby re-provisioning: a fresh standby on a healthy
         // machine domain-disjoint from the new primary (with a flat
         // topology this is exactly the spare `pop()` always took).
-        let target = if self.cfg.test_skip_standby_reprovision {
-            None
-        } else {
-            self.take_safe_spare(Some(new_primary_machine))
-        };
+        let target = self.take_safe_spare(Some(new_primary_machine));
         self.provision_standby(ctx, sj_id, target, true, Some(HaEventKind::Promoted));
     }
 

@@ -63,7 +63,7 @@ mod source;
 mod sweep;
 mod world;
 
-pub use config::{CheckpointProtocol, HaConfig, HaMode};
+pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_SWEEP_INTERVAL};
 pub use detect::{
     BenchAction, BenchmarkConfig, BenchmarkDetector, HbVerdict, HeartbeatMonitor, PredictorConfig,
     TrendPredictor,

@@ -5,6 +5,8 @@ use std::sync::Arc;
 use sps_cluster::MachineId;
 use sps_engine::{DataBatch, DataElement, Dest, InstanceId, PeCheckpoint, SourceId, SubjobId};
 
+use crate::config::ELEMENT_BYTES;
+
 /// Addresses the owner of an output queue: acknowledgments are sent to it,
 /// and the failover plumbing reaches a producer copy's queue through it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +127,8 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// Approximate wire size in bytes, given the configured element size.
-    pub fn wire_bytes(&self, element_bytes: u32) -> u64 {
+    /// Approximate wire size in bytes.
+    pub fn wire_bytes(&self) -> u64 {
         match self {
             Msg::Data { elem, .. } => elem.size_bytes as u64 + 32,
             // One header amortized over the run: the batching win on the wire.
@@ -134,14 +136,14 @@ impl Msg {
             Msg::Ack { .. } => 48,
             Msg::Checkpoint { ckpts, .. } | Msg::StateRead { ckpts, .. } => ckpts
                 .iter()
-                .map(|c| c.byte_size(element_bytes))
+                .map(|c| c.byte_size(ELEMENT_BYTES))
                 .sum::<u64>()
                 .max(64),
             Msg::CheckpointStored { pes, .. } => 32 + 8 * pes.len() as u64,
             Msg::Ping { .. } | Msg::Pong { .. } => 32,
             Msg::Control { .. } => 64,
             // Envelope: tx + sender header around the payload.
-            Msg::Reliable { inner, .. } => 16 + inner.wire_bytes(element_bytes),
+            Msg::Reliable { inner, .. } => 16 + inner.wire_bytes(),
             Msg::RelAck { .. } => 40,
         }
     }
@@ -167,8 +169,8 @@ mod tests {
             to: Dest::Sink(sps_engine::SinkId(0)),
             elem,
         };
-        assert_eq!(data.wire_bytes(256), 288);
-        assert_eq!(Msg::Ping { monitor: 0, seq: 1 }.wire_bytes(256), 32);
+        assert_eq!(data.wire_bytes(), 288);
+        assert_eq!(Msg::Ping { monitor: 0, seq: 1 }.wire_bytes(), 32);
 
         // A batch amortizes the 32-byte header over the whole run.
         let run: Vec<DataElement> = (1..=4).map(|seq| DataElement { seq, ..elem }).collect();
@@ -176,7 +178,7 @@ mod tests {
             to: Dest::Sink(sps_engine::SinkId(0)),
             batch: DataBatch::from_run(&run),
         };
-        assert_eq!(batched.wire_bytes(256), 4 * 256 + 32);
+        assert_eq!(batched.wire_bytes(), 4 * 256 + 32);
 
         let ckpt = PeCheckpoint {
             pe: PeId(0),
@@ -193,7 +195,7 @@ mod tests {
             ckpts: vec![Arc::new(ckpt)],
         };
         // 20 state elements * 256 bytes + 64 header.
-        assert_eq!(msg.wire_bytes(256), 20 * 256 + 64);
+        assert_eq!(msg.wire_bytes(), 20 * 256 + 64);
 
         // The reliable envelope adds a fixed header over the payload.
         let wrapped = Msg::Reliable {
@@ -201,7 +203,7 @@ mod tests {
             from: MachineId(1),
             inner: Box::new(msg),
         };
-        assert_eq!(wrapped.wire_bytes(256), 16 + 20 * 256 + 64);
-        assert_eq!(Msg::RelAck { tx: 7 }.wire_bytes(256), 40);
+        assert_eq!(wrapped.wire_bytes(), 16 + 20 * 256 + 64);
+        assert_eq!(Msg::RelAck { tx: 7 }.wire_bytes(), 40);
     }
 }

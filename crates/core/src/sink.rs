@@ -99,39 +99,6 @@ impl SinkRuntime {
         }
     }
 
-    /// Test-only broken delivery path (`HaConfig::test_break_sink_dedup`):
-    /// duplicates of already-processed positions are *counted as accepted*
-    /// instead of dropped, deliberately violating receiver exactly-once so
-    /// the protocol auditor's mutation canary has something to catch.
-    /// Stashed out-of-order arrivals are still not accepted.
-    #[doc(hidden)]
-    pub fn deliver_run_without_dedup(
-        &mut self,
-        now: SimTime,
-        run: &[DataElement],
-        mut on_accept: impl FnMut(&DataElement),
-    ) -> SinkAccept {
-        let mut total = SinkAccept::default();
-        for elem in run {
-            let one = self.deliver_run(now, std::slice::from_ref(elem), &mut on_accept);
-            total.newly_accepted += one.newly_accepted;
-            total.processed_through = one.processed_through;
-            if one.duplicates > 0 {
-                // Double-count the duplicate as a fresh accept: the position
-                // does not advance, which is exactly the signature the
-                // auditor flags.
-                self.accepted += 1;
-                self.latency.record(
-                    elem.created_at.as_secs_f64(),
-                    now.saturating_since(elem.created_at).as_nanos(),
-                );
-                on_accept(elem);
-                total.newly_accepted += 1;
-            }
-        }
-        total
-    }
-
     /// Total elements accepted (after deduplication).
     pub fn accepted(&self) -> u64 {
         self.accepted
@@ -232,23 +199,6 @@ mod tests {
             assert_eq!(s.latency().max_ms(), Some(ms), "{ns} ns");
             assert_eq!(s.latency_mut().quantile_ms(0.5), Some(ms), "{ns} ns");
         }
-    }
-
-    #[test]
-    fn broken_dedup_double_counts_and_records_the_duplicate() {
-        let mut s = SinkRuntime::new(SinkId(0), false);
-        s.register_stream(StreamId(5));
-        let mut seen = 0;
-        let first =
-            s.deliver_run_without_dedup(SimTime::from_millis(5), &[elem(1, 4)], |_| seen += 1);
-        assert_eq!((first.newly_accepted, first.duplicates), (1, 0));
-        let again =
-            s.deliver_run_without_dedup(SimTime::from_millis(9), &[elem(1, 4)], |_| seen += 1);
-        assert_eq!(again.newly_accepted, 1, "the duplicate counted as fresh");
-        assert_eq!(again.processed_through, 1, "the position did not advance");
-        assert_eq!((s.accepted(), seen), (2, 2));
-        assert_eq!(s.latency().count(), 2, "one sample per counted accept");
-        assert_eq!(s.latency().max_ms(), Some(5.0));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 use sps_engine::{Dest, OutputQueue, Payload, SourceId, StreamId};
 use sps_sim::{SimDuration, SimRng, SimTime};
 
+use crate::config::ELEMENT_BYTES;
+
 /// How a source paces element generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateProfile {
@@ -104,7 +106,6 @@ pub struct SourceRuntime {
     queue: OutputQueue<Dest>,
     profile: RateProfile,
     payload_gen: PayloadGen,
-    element_bytes: u32,
     produced: u64,
     running: bool,
     /// Bursty phase: `true` while in a burst.
@@ -121,7 +122,6 @@ impl SourceRuntime {
         stream: StreamId,
         profile: RateProfile,
         payload_gen: PayloadGen,
-        element_bytes: u32,
     ) -> Self {
         let price = match payload_gen {
             PayloadGen::Market { base_price, .. } => base_price,
@@ -132,7 +132,6 @@ impl SourceRuntime {
             queue: OutputQueue::new(stream),
             profile,
             payload_gen,
-            element_bytes,
             produced: 0,
             running: true,
             in_burst: false,
@@ -183,7 +182,7 @@ impl SourceRuntime {
             PayloadGen::Synthetic => Payload {
                 key: seq_hint % 64,
                 value: (seq_hint as f64 * 0.001).sin() * 100.0,
-                size_bytes: self.element_bytes,
+                size_bytes: ELEMENT_BYTES,
             },
             PayloadGen::Market {
                 base_price,
@@ -194,13 +193,13 @@ impl SourceRuntime {
                 Payload {
                     key: rng.uniform_u64(1, max_volume + 1),
                     value: self.price,
-                    size_bytes: self.element_bytes,
+                    size_bytes: ELEMENT_BYTES,
                 }
             }
             PayloadGen::Zipf { keys, exponent } => Payload {
                 key: zipf_rank(rng, keys, exponent),
                 value: (seq_hint as f64 * 0.001).sin() * 100.0,
-                size_bytes: self.element_bytes,
+                size_bytes: ELEMENT_BYTES,
             },
         };
         Some(self.queue.produce(payload, now))
@@ -241,13 +240,7 @@ mod tests {
     use super::*;
 
     fn src(profile: RateProfile) -> SourceRuntime {
-        SourceRuntime::new(
-            SourceId(0),
-            StreamId(0),
-            profile,
-            PayloadGen::Synthetic,
-            256,
-        )
+        SourceRuntime::new(SourceId(0), StreamId(0), profile, PayloadGen::Synthetic)
     }
 
     #[test]
@@ -365,7 +358,6 @@ mod tests {
                     keys: 1_000_000,
                     exponent: 1.05,
                 },
-                256,
             )
         };
         let (mut a, mut b) = (make(), make());
@@ -389,7 +381,6 @@ mod tests {
                 base_price: 50.0,
                 max_volume: 10,
             },
-            256,
         );
         let mut rng = SimRng::seed_from(3);
         for _ in 0..1_000 {

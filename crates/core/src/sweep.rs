@@ -4,7 +4,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use crate::config::HaConfig;
+use crate::config::{HaConfig, REL_SWEEP_INTERVAL};
 
 /// A swept connection: `(is_instance, source-or-slot, port, conn)`.
 pub(crate) type SweepKey = (bool, usize, usize, usize);
@@ -39,7 +39,7 @@ impl SweepLedger {
     /// sends it. So a stalled connection backs off the way a reliable
     /// control message does: its first no-progress sweep rewinds, and
     /// rewind number `attempt` is followed by a wait of
-    /// [`HaConfig::rel_backoff`]`(rel_sweep_interval, attempt)` — sweeps
+    /// [`HaConfig::rel_backoff`]`(`[`REL_SWEEP_INTERVAL`]`, attempt)` — sweeps
     /// 1, 2, 4, 8, 16, 24, … at the defaults. A moved pair, an emptied
     /// window, and a partitioned or dead destination each restart the
     /// sequence, so the first sweep after a heal rewinds at once.
@@ -74,9 +74,8 @@ impl SweepLedger {
             watch.skip -= 1;
             return false;
         }
-        let interval = cfg.rel_sweep_interval;
-        let wait = cfg.rel_backoff(interval, watch.rewinds);
-        watch.skip = ((wait.as_nanos() / interval.as_nanos()) as u32).saturating_sub(1);
+        let wait = cfg.rel_backoff(REL_SWEEP_INTERVAL, watch.rewinds);
+        watch.skip = ((wait.as_nanos() / REL_SWEEP_INTERVAL.as_nanos()) as u32).saturating_sub(1);
         watch.rewinds = watch.rewinds.saturating_add(1);
         true
     }

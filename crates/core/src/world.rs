@@ -229,16 +229,6 @@ pub enum Event {
         /// Encoded [`TaskTag`].
         tag: u64,
     },
-    /// A durable checkpoint finished its disk write at the secondary; the
-    /// store-acknowledgment can now be sent.
-    CheckpointPersisted {
-        /// Subjob index.
-        subjob: u32,
-        /// Epoch guard.
-        epoch: u64,
-        /// Which PEs were persisted.
-        pes: Vec<PeId>,
-    },
     /// A reliable control message's retransmission timer fired.
     RelRetransmit {
         /// The transmission id; a no-op if it was acked or cancelled.
@@ -275,7 +265,6 @@ impl Event {
             Event::StopSources => "stop_sources",
             Event::Sample => "sample",
             Event::SubmitTask { .. } => "submit_task",
-            Event::CheckpointPersisted { .. } => "checkpoint_persisted",
             Event::RelRetransmit { .. } => "rel_retransmit",
             Event::RetransmitSweep => "retransmit_sweep",
             Event::ChaosStep { .. } => "chaos_step",
@@ -716,7 +705,6 @@ impl HaWorld {
                     job.source_stream(SourceId(i as u32)),
                     profile,
                     payload,
-                    cfg.element_bytes,
                 )
             })
             .collect();
@@ -1587,9 +1575,6 @@ impl World for HaWorld {
                 if self.cluster.machine(m).is_up() {
                     self.submit_task(ctx, m, demand_secs, TaskTag::decode(tag));
                 }
-            }
-            Event::CheckpointPersisted { subjob, epoch, pes } => {
-                self.on_checkpoint_persisted(ctx, subjob, epoch, pes)
             }
             Event::RelRetransmit { tx } => self.on_rel_retransmit(ctx, tx),
             Event::RetransmitSweep => self.on_retransmit_sweep(ctx),

@@ -5,7 +5,7 @@
 
 use sps_cluster::{BurstLoss, ChaosPlan, DomainId, FaultProfile, FaultTopology, MachineId};
 use sps_engine::{Dest, Job, OperatorSpec, OutputQueue, PeId, Replica, SubjobId};
-use sps_ha::{HaEventKind, HaMode, HaSimulation, Placement, SjState};
+use sps_ha::{HaEventKind, HaMode, HaSimulation, Placement, SjState, REL_SWEEP_INTERVAL};
 use sps_metrics::Scope;
 use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, Telemetry};
@@ -736,10 +736,7 @@ fn a_stalled_connection_is_never_left_longer_than_the_rto_cap_under_loss() {
         .lineage(true)
         .build();
     sim.stop_sources_at(SimTime::from_secs(6));
-    let (sweep, rto_max) = {
-        let c = sim.world().config();
-        (c.rel_sweep_interval, c.rel_rto_max)
-    };
+    let (sweep, rto_max) = (REL_SWEEP_INTERVAL, sim.world().config().rel_rto_max);
 
     // Sampled midway between sweeps: per connection with elements in
     // flight, its cursors and rewind count as last seen, and when any of

@@ -254,3 +254,82 @@ fn back_to_back_failstops_exhaust_spares_gracefully() {
         "no loss across repeated promotions"
     );
 }
+
+#[test]
+fn a_standby_behind_a_partitioned_switch_aborts_the_switchover() {
+    use hybrid_ha::cluster::{ChaosPlan, FaultTopology, SwitchId};
+    use hybrid_ha::ha::SjState;
+    use hybrid_ha::trace::AbortReason;
+
+    // Six racks of four, one switch each. Subjob 1's standby (m8) sits
+    // alone behind switch 2; the other standbys share rack 1, and the
+    // source and sink sit on rack 5, which nothing faults.
+    let standby = MachineId(8);
+    let placement = Placement {
+        primaries: (0..4).map(MachineId).collect(),
+        secondaries: [4, 8, 5, 6].map(|m| Some(MachineId(m))).to_vec(),
+        sources: vec![MachineId(20)],
+        sinks: vec![MachineId(21)],
+        spares: [7].into_iter().chain(9..20).map(MachineId).collect(),
+    };
+    // The standby's switch is cut for exactly the second its primary is
+    // spiked: the first heartbeat miss declares, and the ladder must
+    // refuse to switch over into the partitioned domain.
+    let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(3));
+    let recorder = SharedRecorder::default().control_plane_only();
+    let mut sim = HaSimulation::builder(eval_chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(500.0)
+        .seed(61)
+        .tune(|c| c.reliable_control = true)
+        .placement(placement)
+        .topology(FaultTopology::grid(22, 4, 1))
+        .chaos(ChaosPlan::default().switch_partition_window(cut, heal, SwitchId(2)))
+        .trace_sink(Box::new(recorder.clone()))
+        .trace_probe(Box::new(sps_audit::Auditor::new()))
+        .audit_expectations(true, true)
+        .build();
+    sim.inject_spike_windows(SJ1_PRIMARY, &single_failure(cut, heal - cut));
+    sim.stop_sources_at(SimTime::from_secs(6));
+    sim.run_until(SimTime::from_secs(10));
+    sim.finish_probes();
+
+    let aborts: Vec<TraceRecord> = recorder.with(|r| {
+        r.records()
+            .filter(|rec| matches!(rec.event, TraceEvent::FailoverAborted { .. }))
+            .collect()
+    });
+    assert_eq!(aborts.len(), 1, "{aborts:?}");
+    let TraceEvent::FailoverAborted {
+        subjob,
+        machine,
+        reason,
+    } = aborts[0].event
+    else {
+        unreachable!("filtered above")
+    };
+    assert_eq!((subjob, machine), (1, standby.0));
+    assert_eq!(reason, AbortReason::DomainFault);
+    assert!(aborts[0].at > cut && aborts[0].at < heal);
+
+    let world = sim.world();
+    assert!(
+        world.ha_events().is_empty(),
+        "the refused switch-over left no recovery phase: {:?}",
+        world.ha_events()
+    );
+    let sj = world.subjob(SubjobId(1));
+    assert_eq!(sj.state, SjState::Normal, "back to Normal after the heal");
+    assert_eq!(sj.secondary_machine, Some(standby), "the standby is kept");
+    assert_eq!(
+        world.sinks()[0].accepted(),
+        world.sources()[0].produced(),
+        "exactly once across the refused failover"
+    );
+    assert_eq!(
+        sim.audit_violations(),
+        0,
+        "{}",
+        sim.audit_report().unwrap_or_default()
+    );
+}

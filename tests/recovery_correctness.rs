@@ -189,30 +189,3 @@ fn active_standby_masks_failures_without_detection() {
         report.sink_p99_delay_ms
     );
 }
-
-#[test]
-fn durable_checkpoints_also_recover() {
-    // §VII extension: persist checkpoints at the secondary with disk
-    // latency.
-    let mut sim = HaSimulation::builder(counting_job())
-        .mode(HaMode::None)
-        .subjob_mode(SubjobId(0), HaMode::Passive)
-        .source_rate(600.0)
-        .seed(41)
-        .tune(|c| c.durable_checkpoints = true)
-        .build();
-    sim.inject_spike_windows(
-        MachineId(0),
-        &[SpikeWindow {
-            start: SimTime::from_secs(2),
-            end: SimTime::from_secs(5),
-            share: 1.0,
-        }],
-    );
-    sim.stop_sources_at(SimTime::from_secs(8));
-    sim.run_for(SimDuration::from_secs(12));
-    assert_eq!(
-        sim.world().sinks()[0].accepted(),
-        sim.world().sources()[0].produced()
-    );
-}

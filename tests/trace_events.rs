@@ -187,7 +187,7 @@ fn hybrid_decomposes_into_detect_switchover_then_promotion() {
         "hybrid detection ≈ 1 × 100 ms heartbeat, got {:.1} ms",
         spans[0].millis()
     );
-    // Switch-over (resume of the pre-deployed secondary) ≈ resume_delay.
+    // Switch-over (resume of the pre-deployed secondary) ≈ the 50 ms resume delay.
     assert!(
         (spans[1].millis() - 50.0).abs() < 25.0,
         "switch-over ≈ 50 ms resume, got {:.1} ms",
