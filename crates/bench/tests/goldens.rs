@@ -9,7 +9,8 @@
 //!   runtime, so the plain goldens) and `=16`, fig06 at `=64`
 //!   (`CHUNK_CAP`, the size the benchmark's `batched_chain` runs);
 //! * fig04/06/11 with lineage on and `--observe-out`: observation perturbs
-//!   nothing, the five files appear, and the observed run audits clean;
+//!   nothing, the five files appear, their `health.jsonl` equals
+//!   `observed_health.jsonl`, and the observed run audits clean;
 //! * the two campaigns, plain and with the auditor riding every real cell
 //!   under `--observe-out`, and `bench_scale --quick`.
 //!
@@ -132,6 +133,15 @@ fn check(i: usize, r: &Row) -> Result<(), String> {
         match std::fs::metadata(tmp.join(f)) {
             Ok(m) if m.len() > 0 => {}
             other => return Err(format!("{what}: {f} missing or empty ({other:?})")),
+        }
+    }
+    if r.observe.contains(&"health.jsonl") {
+        let want = std::fs::read(golden_dir().join("observed_health.jsonl"))
+            .expect("observed_health.jsonl");
+        if std::fs::read(tmp.join("health.jsonl")).ok() != Some(want) {
+            return Err(format!(
+                "{what}: health.jsonl diverged from observed_health.jsonl"
+            ));
         }
     }
     if !r.observe.is_empty() {
