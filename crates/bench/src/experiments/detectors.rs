@@ -9,7 +9,7 @@
 
 use sps_cluster::{MachineId, SpikeWindow};
 use sps_engine::SubjobId;
-use sps_ha::{BenchmarkConfig, HaMode, HaSimulation, PayloadGen, PredictorConfig, RateProfile};
+use sps_ha::{HaMode, HaSimulation, PayloadGen, RateProfile};
 use sps_metrics::Table;
 use sps_sim::{SimDuration, SimTime};
 use sps_workloads::chain_job_with;
@@ -96,9 +96,8 @@ pub fn run_level(load: f64, spikes: usize, seed: u64) -> [DetectorScore; 3] {
         .seed(seed)
         .tune(|c| c.heartbeat_interval = SimDuration::from_millis(110))
         .build();
-    let det = sim.add_benchmark_detector(machine, BenchmarkConfig::default());
-    sim.world_mut()
-        .attach_predictor(det, PredictorConfig::default());
+    let det = sim.add_benchmark_detector(machine);
+    sim.world_mut().attach_predictor(det);
 
     let windows: Vec<SpikeWindow> = (0..spikes)
         .map(|i| {

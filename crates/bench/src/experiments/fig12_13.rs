@@ -11,7 +11,7 @@
 
 use sps_cluster::{MachineId, SpikeWindow};
 use sps_engine::SubjobId;
-use sps_ha::{BenchmarkConfig, HaMode, HaSimulation, PayloadGen, RateProfile};
+use sps_ha::{HaMode, HaSimulation, PayloadGen, RateProfile};
 use sps_metrics::Table;
 use sps_sim::{SimDuration, SimTime};
 use sps_workloads::chain_job_with;
@@ -85,7 +85,7 @@ pub fn run_level(load: f64, spikes: usize, seed: u64) -> DetectionPoint {
             c.heartbeat_interval = SimDuration::from_millis(110);
         })
         .build();
-    sim.add_benchmark_detector(machine, BenchmarkConfig::default());
+    sim.add_benchmark_detector(machine);
 
     // Periodic 5 s spikes, 15 s apart, with deterministic phase jitter.
     let windows: Vec<SpikeWindow> = (0..spikes)

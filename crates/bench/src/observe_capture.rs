@@ -20,7 +20,7 @@ use std::path::Path;
 
 use sps_audit::Auditor;
 use sps_cluster::{ChaosPlan, FaultProfile, MachineId, SpikeWindow};
-use sps_ha::{BenchmarkConfig, HaMode, HaSimulation};
+use sps_ha::{HaMode, HaSimulation};
 use sps_metrics::Registry;
 use sps_observe::{HealthConfig, HealthReport};
 use sps_sim::SimTime;
@@ -86,9 +86,9 @@ pub fn observed_run(seed: u64) -> Observed {
         .trace_probe(Box::new(Auditor::new()))
         .audit_expectations(true, true)
         .lineage(true)
-        .health(HealthConfig::default())
+        .health(HealthConfig)
         .build();
-    sim.add_benchmark_detector(MachineId(1), BenchmarkConfig::default());
+    sim.add_benchmark_detector(MachineId(1));
     sim.inject_spike_windows(
         MachineId(1),
         &[SpikeWindow {

@@ -25,7 +25,7 @@ fn recovery_run(seed: u64, health: bool) -> (HaSimulation, SharedRecorder) {
         .tune(|c| c.failstop_miss_threshold = 200)
         .trace_sink(Box::new(recorder.clone()));
     if health {
-        builder = builder.health(HealthConfig::default());
+        builder = builder.health(HealthConfig);
     }
     let mut sim = builder.build();
     let failure_at = SimTime::from_secs(3);
@@ -158,7 +158,7 @@ fn standby_rack_failure_opens_and_closes_a_redundancy_loss_span() {
         .placement(placement)
         .topology(FaultTopology::grid(22, 4, 1))
         .chaos(ChaosPlan::default().domain_fail_stop(rack_dies_at, DomainId(1)))
-        .health(HealthConfig::default())
+        .health(HealthConfig)
         .build();
     sim.stop_sources_at(SimTime::from_secs(4));
     sim.run_until(SimTime::from_secs(6));

@@ -124,34 +124,19 @@ impl Default for HeartbeatMonitor {
     }
 }
 
-/// Configuration for the benchmarking detector.
-#[derive(Debug, Clone)]
-pub struct BenchmarkConfig {
-    /// CPU-sample period ("fine granularities (e.g., 50 ms)").
-    pub sample_interval: SimDuration,
-    /// Load threshold `L_th` that triggers a benchmark run.
-    pub load_threshold: f64,
-    /// CPU seconds the standard element set takes on an idle machine (the
-    /// benchmark; the paper embeds "a standard set (e.g., 20 or so) of data
-    /// elements" — 20 × 0.3 ms).
-    pub baseline_secs: f64,
-    /// Declare when the measured run exceeds `baseline × P_th`.
-    pub slowdown_threshold: f64,
-    /// Minimum spacing between benchmark runs.
-    pub cooldown: SimDuration,
-}
-
-impl Default for BenchmarkConfig {
-    fn default() -> Self {
-        BenchmarkConfig {
-            sample_interval: SimDuration::from_millis(50),
-            load_threshold: 0.4,
-            baseline_secs: 0.006,
-            slowdown_threshold: 1.5,
-            cooldown: SimDuration::from_millis(500),
-        }
-    }
-}
+/// The benchmark detector's CPU-sample period ("fine granularities (e.g.,
+/// 50 ms)").
+pub(crate) const BENCH_SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// Load threshold `L_th` that triggers a benchmark run.
+const BENCH_LOAD_THRESHOLD: f64 = 0.4;
+/// CPU seconds the standard element set takes on an idle machine (the
+/// benchmark; the paper embeds "a standard set (e.g., 20 or so) of data
+/// elements" — 20 × 0.3 ms).
+const BENCH_BASELINE_SECS: f64 = 0.006;
+/// Declare when the measured run exceeds `baseline × P_th`.
+const BENCH_SLOWDOWN_THRESHOLD: f64 = 1.5;
+/// Minimum spacing between benchmark runs.
+const BENCH_COOLDOWN: SimDuration = SimDuration::from_millis(500);
 
 /// What the benchmark detector wants done next.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,44 +151,28 @@ pub enum BenchAction {
 }
 
 /// The benchmarking detector's state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchmarkDetector {
-    config: BenchmarkConfig,
     run_started_at: Option<SimTime>,
     last_run_at: Option<SimTime>,
     detections: u64,
 }
 
 impl BenchmarkDetector {
-    /// Creates a detector with the given configuration.
-    pub fn new(config: BenchmarkConfig) -> Self {
-        BenchmarkDetector {
-            config,
-            run_started_at: None,
-            last_run_at: None,
-            detections: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &BenchmarkConfig {
-        &self.config
-    }
-
     /// Feeds one CPU-load sample; may request a benchmark run.
     pub fn on_sample(&mut self, now: SimTime, load: f64) -> BenchAction {
-        if load < self.config.load_threshold || self.run_started_at.is_some() {
+        if load < BENCH_LOAD_THRESHOLD || self.run_started_at.is_some() {
             return BenchAction::Idle;
         }
         if let Some(last) = self.last_run_at {
-            if now.saturating_since(last) < self.config.cooldown {
+            if now.saturating_since(last) < BENCH_COOLDOWN {
                 return BenchAction::Idle;
             }
         }
         self.run_started_at = Some(now);
         self.last_run_at = Some(now);
         BenchAction::RunBenchmark {
-            demand_secs: self.config.baseline_secs,
+            demand_secs: BENCH_BASELINE_SECS,
         }
     }
 
@@ -215,7 +184,7 @@ impl BenchmarkDetector {
             .take()
             .expect("benchmark completion without a run in flight");
         let elapsed = now.saturating_since(started).as_secs_f64();
-        let declared = elapsed > self.config.baseline_secs * self.config.slowdown_threshold;
+        let declared = elapsed > BENCH_BASELINE_SECS * BENCH_SLOWDOWN_THRESHOLD;
         if declared {
             self.detections += 1;
         }
@@ -233,75 +202,48 @@ impl BenchmarkDetector {
     }
 }
 
-/// Configuration for the trend-based failure predictor.
-#[derive(Debug, Clone)]
-pub struct PredictorConfig {
-    /// Number of recent samples in the regression window.
-    pub window: usize,
-    /// How far ahead the load trend is extrapolated.
-    pub horizon: SimDuration,
-    /// Declare when the projected load reaches this level.
-    pub threshold: f64,
-    /// Ignore projections unless the current load already exceeds this.
-    pub floor: f64,
-    /// Minimum spacing between declarations.
-    pub cooldown: SimDuration,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig {
-            window: 8,
-            horizon: SimDuration::from_millis(400),
-            threshold: 0.95,
-            floor: 0.5,
-            cooldown: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Number of recent load samples in the predictor's regression window.
+const PREDICTOR_WINDOW: usize = 8;
+/// How far ahead the predictor extrapolates the load trend.
+const PREDICTOR_HORIZON: SimDuration = SimDuration::from_millis(400);
+/// The predictor declares when the projected load reaches this level.
+const PREDICTOR_THRESHOLD: f64 = 0.95;
+/// The predictor ignores projections unless the current load already
+/// exceeds this.
+const PREDICTOR_FLOOR: f64 = 0.5;
+/// Minimum spacing between predictor declarations.
+const PREDICTOR_COOLDOWN: SimDuration = SimDuration::from_secs(2);
 
 /// A failure *predictor* in the spirit of Gu et al. \[10\] (§IV-A: the hybrid
 /// "can readily take advantage" of prediction-based detection): it fits a
 /// linear trend to recent CPU-load samples and declares when the
 /// extrapolated load crosses the unavailability threshold — potentially
 /// *before* the machine is fully saturated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrendPredictor {
-    config: PredictorConfig,
     samples: std::collections::VecDeque<(f64, f64)>,
     last_declared: Option<SimTime>,
     declarations: u64,
 }
 
 impl TrendPredictor {
-    /// Creates a predictor with the given configuration.
-    pub fn new(config: PredictorConfig) -> Self {
-        assert!(config.window >= 2, "regression needs at least two samples");
-        TrendPredictor {
-            config,
-            samples: std::collections::VecDeque::new(),
-            last_declared: None,
-            declarations: 0,
-        }
-    }
-
     /// Feeds one load sample; returns `true` when a failure is declared.
     pub fn on_sample(&mut self, now: SimTime, load: f64) -> bool {
         let t = now.as_secs_f64();
         self.samples.push_back((t, load));
-        while self.samples.len() > self.config.window {
+        while self.samples.len() > PREDICTOR_WINDOW {
             self.samples.pop_front();
         }
-        if self.samples.len() < self.config.window || load < self.config.floor {
+        if self.samples.len() < PREDICTOR_WINDOW || load < PREDICTOR_FLOOR {
             return false;
         }
         if let Some(last) = self.last_declared {
-            if now.saturating_since(last) < self.config.cooldown {
+            if now.saturating_since(last) < PREDICTOR_COOLDOWN {
                 return false;
             }
         }
-        let projected = self.project(t + self.config.horizon.as_secs_f64());
-        if projected >= self.config.threshold {
+        let projected = self.project(t + PREDICTOR_HORIZON.as_secs_f64());
+        if projected >= PREDICTOR_THRESHOLD {
             self.last_declared = Some(now);
             self.declarations += 1;
             true
@@ -396,7 +338,7 @@ mod tests {
 
     #[test]
     fn benchmark_triggers_above_threshold_only() {
-        let mut d = BenchmarkDetector::new(BenchmarkConfig::default());
+        let mut d = BenchmarkDetector::default();
         assert_eq!(d.on_sample(SimTime::ZERO, 0.3), BenchAction::Idle);
         match d.on_sample(SimTime::ZERO, 0.7) {
             BenchAction::RunBenchmark { demand_secs } => {
@@ -414,7 +356,7 @@ mod tests {
 
     #[test]
     fn benchmark_declares_on_slowdown() {
-        let mut d = BenchmarkDetector::new(BenchmarkConfig::default());
+        let mut d = BenchmarkDetector::default();
         d.on_sample(SimTime::ZERO, 0.8);
         // Finished in 6 ms: exactly baseline — no declaration.
         assert!(!d.on_benchmark_done(SimTime::from_millis(6)));
@@ -427,7 +369,7 @@ mod tests {
 
     #[test]
     fn predictor_declares_on_rising_trend() {
-        let mut p = TrendPredictor::new(PredictorConfig::default());
+        let mut p = TrendPredictor::default();
         let mut declared_at = None;
         // Load ramps 0.5 -> 1.0 over 800 ms, sampled every 50 ms.
         for k in 0..16u64 {
@@ -446,12 +388,12 @@ mod tests {
 
     #[test]
     fn predictor_is_quiet_on_flat_and_low_loads() {
-        let mut p = TrendPredictor::new(PredictorConfig::default());
+        let mut p = TrendPredictor::default();
         for k in 0..100u64 {
             let t = SimTime::from_millis(k * 50);
             assert!(!p.on_sample(t, 0.6), "flat 60% load must not declare");
         }
-        let mut p = TrendPredictor::new(PredictorConfig::default());
+        let mut p = TrendPredictor::default();
         for k in 0..100u64 {
             // Rising but below the floor.
             let t = SimTime::from_millis(k * 50);
@@ -461,7 +403,7 @@ mod tests {
 
     #[test]
     fn predictor_respects_cooldown() {
-        let mut p = TrendPredictor::new(PredictorConfig::default());
+        let mut p = TrendPredictor::default();
         let mut count = 0;
         for k in 0..60u64 {
             let t = SimTime::from_millis(k * 50);
@@ -476,7 +418,7 @@ mod tests {
 
     #[test]
     fn benchmark_respects_cooldown() {
-        let mut d = BenchmarkDetector::new(BenchmarkConfig::default());
+        let mut d = BenchmarkDetector::default();
         d.on_sample(SimTime::ZERO, 0.8);
         d.on_benchmark_done(SimTime::from_millis(6));
         assert_eq!(

@@ -13,7 +13,7 @@ use sps_trace::{TraceProbe, TraceSink};
 
 use crate::config::{HaConfig, HaMode};
 use crate::data_plane::schedule_initial_events;
-use crate::detect::BenchmarkConfig;
+use crate::detect::BENCH_SAMPLE_INTERVAL;
 use crate::source::{PayloadGen, RateProfile};
 use crate::world::{Event, HaEventKind, HaWorld, Placement};
 
@@ -49,7 +49,7 @@ pub struct HaSimulationBuilder {
     chaos: Option<ChaosPlan>,
     lineage: bool,
     collect_metrics: bool,
-    health: Option<sps_observe::HealthConfig>,
+    health: bool,
 }
 
 impl fmt::Debug for HaSimulationBuilder {
@@ -64,7 +64,7 @@ impl fmt::Debug for HaSimulationBuilder {
             .field("chaos", &self.chaos.as_ref().map(|p| p.steps().len()))
             .field("lineage", &self.lineage)
             .field("collect_metrics", &self.collect_metrics)
-            .field("health", &self.health.is_some())
+            .field("health", &self.health)
             .finish_non_exhaustive()
     }
 }
@@ -97,7 +97,7 @@ impl HaSimulationBuilder {
             chaos: None,
             lineage: false,
             collect_metrics: false,
-            health: None,
+            health: false,
         }
     }
 
@@ -245,13 +245,12 @@ impl HaSimulationBuilder {
     /// Switches the online health engine on: SLO monitors, anomaly
     /// detectors, and recovery-budget tracking stepped at every metrics
     /// scrape (so this implies [`collect_metrics`](Self::collect_metrics)).
-    /// A `checkpoint_stall_budget_ns` of `0` is resolved to 4x the
-    /// checkpoint interval at build time. Like lineage and metrics, the
-    /// engine is read-only observation: enabling it never changes the
-    /// event schedule.
-    pub fn health(mut self, cfg: sps_observe::HealthConfig) -> Self {
-        cfg.validate();
-        self.health = Some(cfg);
+    /// [`HealthConfig`](sps_observe::HealthConfig) carries no settings;
+    /// the checkpoint-stall budget is 4x the checkpoint interval. Like
+    /// lineage and metrics, the engine is read-only observation: enabling
+    /// it never changes the event schedule.
+    pub fn health(mut self, _: sps_observe::HealthConfig) -> Self {
+        self.health = true;
         self.collect_metrics = true;
         self
     }
@@ -307,15 +306,8 @@ impl HaSimulationBuilder {
         if self.collect_metrics {
             world.enable_metrics();
         }
-        if let Some(mut health_cfg) = self.health {
-            if health_cfg.checkpoint_stall_budget_ns == 0 {
-                // Derive the stall budget from the HA config: one sweep is
-                // due every checkpoint interval, so 4 missed intervals is a
-                // stall under any scheduling jitter the model produces.
-                health_cfg.checkpoint_stall_budget_ns =
-                    world.config().checkpoint_interval.as_nanos() * 4;
-            }
-            world.enable_health(health_cfg);
+        if self.health {
+            world.enable_health();
         }
         let mut sim = Simulation::new(world, self.seed);
         let (world, ctx) = sim.parts_mut();
@@ -488,10 +480,10 @@ impl HaSimulation {
     }
 
     /// Installs a benchmark detector on a machine and starts its sampling.
-    pub fn add_benchmark_detector(&mut self, machine: MachineId, config: BenchmarkConfig) -> u32 {
-        let interval = config.sample_interval;
-        let det = self.sim.world_mut().add_benchmark_detector(machine, config);
-        self.sim.schedule_in(interval, Event::BenchSample { det });
+    pub fn add_benchmark_detector(&mut self, machine: MachineId) -> u32 {
+        let det = self.sim.world_mut().add_benchmark_detector(machine);
+        self.sim
+            .schedule_in(BENCH_SAMPLE_INTERVAL, Event::BenchSample { det });
         det
     }
 

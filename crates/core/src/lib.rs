@@ -64,10 +64,7 @@ mod sweep;
 mod world;
 
 pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_SWEEP_INTERVAL};
-pub use detect::{
-    BenchAction, BenchmarkConfig, BenchmarkDetector, HbVerdict, HeartbeatMonitor, PredictorConfig,
-    TrendPredictor,
-};
+pub use detect::{BenchAction, BenchmarkDetector, HbVerdict, HeartbeatMonitor, TrendPredictor};
 pub use harness::{HaSimulation, HaSimulationBuilder, RunReport};
 pub use message::{Msg, ProducerAddr};
 pub use sink::{SinkAccept, SinkRuntime};

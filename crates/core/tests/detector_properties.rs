@@ -1,7 +1,7 @@
 //! Randomized property tests for the detector state machines, driven by
 //! seeded [`SimRng`] loops.
 
-use sps_ha::{HbVerdict, HeartbeatMonitor, PredictorConfig, TrendPredictor};
+use sps_ha::{HbVerdict, HeartbeatMonitor, TrendPredictor};
 use sps_sim::{SimRng, SimTime};
 
 /// The miss streak equals the number of ticks since the last timely reply,
@@ -74,7 +74,7 @@ fn predictor_quiet_below_floor() {
     let mut rng = SimRng::seed_from(0xF100);
     for _case in 0..32 {
         let n = rng.uniform_u64(1, 300);
-        let mut p = TrendPredictor::new(PredictorConfig::default());
+        let mut p = TrendPredictor::default();
         for i in 0..n {
             let load = rng.uniform(0.0, 0.49);
             let declared = p.on_sample(SimTime::from_millis(i * 50), load);
@@ -84,20 +84,14 @@ fn predictor_quiet_below_floor() {
     }
 }
 
-/// A saturated stream always eventually declares (within the window plus
-/// one sample).
+/// A saturated stream declares as soon as the 8-sample regression window
+/// fills, and not before.
 #[test]
 fn predictor_declares_on_saturation() {
-    for window in 2usize..16 {
-        let config = PredictorConfig {
-            window,
-            ..PredictorConfig::default()
-        };
-        let mut p = TrendPredictor::new(config);
-        let mut declared = false;
-        for i in 0..window + 2 {
-            declared |= p.on_sample(SimTime::from_millis(i as u64 * 50), 1.0);
-        }
-        assert!(declared, "flat saturation projects to >= threshold");
-    }
+    let mut p = TrendPredictor::default();
+    let declared: Vec<bool> = (0..10u64)
+        .map(|i| p.on_sample(SimTime::from_millis(i * 50), 1.0))
+        .collect();
+    let first = declared.iter().position(|&d| d);
+    assert_eq!(first, Some(7), "flat saturation projects to >= threshold");
 }

@@ -7,15 +7,33 @@
 //! verdict clears only after the exit condition holds for `exit_count`
 //! consecutive scrapes. Enter and exit thresholds are separated (the
 //! hysteresis band), so a signal dithering around one level cannot flap
-//! the verdict.
+//! the verdict. Every threshold is a named constant of this module.
 
 use std::collections::BTreeMap;
 
 use sps_metrics::Registry;
 
+use crate::window::SlidingCounter;
+
+/// Backpressure onset: summed input-queue depth (elements) of one PE that
+/// must be reached *and* non-decreasing to arm the detector.
+const BACKPRESSURE_ENTER_DEPTH: f64 = 64.0;
+/// Backpressure clear: a depth at or below this is a quiet scrape.
+const BACKPRESSURE_EXIT_DEPTH: f64 = 16.0;
+/// Consecutive qualifying scrapes before backpressure fires, and
+/// consecutive quiet scrapes before it clears.
+const BACKPRESSURE_STREAK: u32 = 3;
+/// Window of the heartbeat suspect/refute churn signal.
+const FLAKY_WINDOW_NS: u64 = 1_000_000_000;
+/// Churn events (misses + cleared suspicions) per window at which a
+/// machine's heartbeat is declared flaky.
+const FLAKY_ENTER_CHURN: f64 = 4.0;
+/// Consecutive churn-free scrapes before flakiness clears.
+const FLAKY_EXIT_COUNT: u32 = 3;
+
 /// A verdict transition reported by a detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnomalyTransition {
+pub(crate) struct AnomalyTransition {
     /// `true` at onset, `false` at clear.
     pub onset: bool,
     /// The signal value at the transition.
@@ -24,25 +42,23 @@ pub struct AnomalyTransition {
 
 /// Generic two-threshold hysteresis over a scalar signal.
 #[derive(Debug, Clone)]
-pub struct Hysteresis {
+pub(crate) struct Hysteresis {
     /// Signal at or above this arms/advances the onset counter.
-    pub enter: f64,
-    /// Signal at or below this advances the clear counter (must not
-    /// exceed `enter`; the gap is the hysteresis band).
-    pub exit: f64,
+    enter: f64,
+    /// Signal at or below this advances the clear counter (at most
+    /// `enter`; the gap is the hysteresis band).
+    exit: f64,
     /// Consecutive qualifying scrapes before onset fires.
-    pub enter_count: u32,
+    enter_count: u32,
     /// Consecutive qualifying scrapes before the verdict clears.
-    pub exit_count: u32,
+    exit_count: u32,
     active: bool,
     streak: u32,
 }
 
 impl Hysteresis {
-    /// A new inactive state machine. Panics when the band is inverted.
+    /// A new inactive state machine.
     pub fn new(enter: f64, exit: f64, enter_count: u32, exit_count: u32) -> Self {
-        assert!(exit <= enter, "hysteresis band inverted: exit > enter");
-        assert!(enter_count >= 1 && exit_count >= 1, "counts must be >= 1");
         Hysteresis {
             enter,
             exit,
@@ -108,29 +124,13 @@ pub struct AnomalySpan {
 /// Backpressure onset: per `(machine, pe)`, input-queue depth that is both
 /// above the enter threshold and non-decreasing for `enter_count`
 /// consecutive scrapes. Clears when the depth falls to the exit threshold.
-#[derive(Debug, Clone)]
-pub struct BackpressureDetector {
-    enter_depth: f64,
-    exit_depth: f64,
-    enter_count: u32,
-    exit_count: u32,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BackpressureDetector {
     /// Per-(machine, pe): (state machine, previous depth).
     states: BTreeMap<(u32, u32), (Hysteresis, f64)>,
 }
 
 impl BackpressureDetector {
-    /// A detector with the given depth band and streak requirements.
-    pub fn new(enter_depth: f64, exit_depth: f64, enter_count: u32, exit_count: u32) -> Self {
-        assert!(exit_depth <= enter_depth, "backpressure band inverted");
-        BackpressureDetector {
-            enter_depth,
-            exit_depth,
-            enter_count,
-            exit_count,
-            states: BTreeMap::new(),
-        }
-    }
-
     /// Scans the per-PE input-depth gauges; returns per-key transitions in
     /// deterministic (machine, pe) order.
     pub fn step(&mut self, registry: &Registry) -> Vec<((u32, u32), AnomalyTransition)> {
@@ -150,10 +150,10 @@ impl BackpressureDetector {
             let (hyst, prev) = self.states.entry(key).or_insert_with(|| {
                 (
                     Hysteresis::new(
-                        self.enter_depth,
-                        self.exit_depth,
-                        self.enter_count,
-                        self.exit_count,
+                        BACKPRESSURE_ENTER_DEPTH,
+                        BACKPRESSURE_EXIT_DEPTH,
+                        BACKPRESSURE_STREAK,
+                        BACKPRESSURE_STREAK,
                     ),
                     0.0,
                 )
@@ -162,7 +162,7 @@ impl BackpressureDetector {
             // onset, so a shrinking depth feeds the state machine as a
             // below-band sample while inactive.
             let effective = if !hyst.active() && depth < *prev {
-                self.exit_depth.min(depth)
+                BACKPRESSURE_EXIT_DEPTH.min(depth)
             } else {
                 depth
             };
@@ -185,7 +185,7 @@ impl BackpressureDetector {
 /// growing for longer than the sweep budget while checkpointing had
 /// already begun; clears on the next stored checkpoint.
 #[derive(Debug, Clone)]
-pub struct CheckpointStallDetector {
+pub(crate) struct CheckpointStallDetector {
     budget_ns: u64,
     last_value: u64,
     last_progress_ns: u64,
@@ -195,7 +195,6 @@ pub struct CheckpointStallDetector {
 impl CheckpointStallDetector {
     /// A detector with the given stall budget (nanoseconds).
     pub fn new(budget_ns: u64) -> Self {
-        assert!(budget_ns > 0, "stall budget must be positive");
         CheckpointStallDetector {
             budget_ns,
             last_value: 0,
@@ -246,21 +245,11 @@ impl CheckpointStallDetector {
 /// verdict flips on the first degraded scrape and clears on the first
 /// fully-covered one.
 #[derive(Debug, Clone, Default)]
-pub struct RedundancyLossDetector {
+pub(crate) struct RedundancyLossDetector {
     active: bool,
 }
 
 impl RedundancyLossDetector {
-    /// A new inactive detector.
-    pub fn new() -> Self {
-        RedundancyLossDetector::default()
-    }
-
-    /// Whether standby coverage is currently degraded.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
     /// Feeds one scrape; the signal value is the number of subjobs without
     /// a live standby.
     pub fn step(&mut self, registry: &Registry) -> Option<AnomalyTransition> {
@@ -294,16 +283,11 @@ impl RedundancyLossDetector {
 /// transient signal, so the verdict never clears; later increases only
 /// raise the reported total.
 #[derive(Debug, Clone, Default)]
-pub struct AuditViolationsDetector {
+pub(crate) struct AuditViolationsDetector {
     seen: f64,
 }
 
 impl AuditViolationsDetector {
-    /// A new detector that has seen no violations.
-    pub fn new() -> Self {
-        AuditViolationsDetector::default()
-    }
-
     /// The violation total at the last scrape.
     pub fn total(&self) -> f64 {
         self.seen
@@ -333,35 +317,13 @@ impl AuditViolationsDetector {
 /// Heartbeat flakiness: per machine, suspect/refute churn (misses plus
 /// cleared suspicions per window) above the enter rate. Hysteresis keeps
 /// a single isolated miss from flagging the machine.
-#[derive(Debug, Clone)]
-pub struct HeartbeatFlakyDetector {
-    window_ns: u64,
-    enter_churn: f64,
-    exit_count: u32,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HeartbeatFlakyDetector {
     /// Per machine: (state machine, miss window, cleared window).
-    states: BTreeMap<
-        u32,
-        (
-            Hysteresis,
-            crate::window::SlidingCounter,
-            crate::window::SlidingCounter,
-        ),
-    >,
+    states: BTreeMap<u32, (Hysteresis, SlidingCounter, SlidingCounter)>,
 }
 
 impl HeartbeatFlakyDetector {
-    /// A detector over the given churn window; onset at `enter_churn`
-    /// events per window, clear after `exit_count` quiet scrapes.
-    pub fn new(window_ns: u64, enter_churn: f64, exit_count: u32) -> Self {
-        assert!(window_ns > 0 && enter_churn > 0.0, "flaky config invalid");
-        HeartbeatFlakyDetector {
-            window_ns,
-            enter_churn,
-            exit_count,
-            states: BTreeMap::new(),
-        }
-    }
-
     /// Scans the heartbeat miss/cleared counters; transitions in machine
     /// order.
     pub fn step(&mut self, now_ns: u64, registry: &Registry) -> Vec<(u32, AnomalyTransition)> {
@@ -383,10 +345,10 @@ impl HeartbeatFlakyDetector {
             let (hyst, miss_w, clear_w) = self.states.entry(m).or_insert_with(|| {
                 (
                     // Enter at the churn threshold after one scrape; clear
-                    // only at fully-quiet windows, `exit_count` in a row.
-                    Hysteresis::new(self.enter_churn, 0.0, 1, self.exit_count),
-                    crate::window::SlidingCounter::new(self.window_ns),
-                    crate::window::SlidingCounter::new(self.window_ns),
+                    // only at fully-quiet windows, several in a row.
+                    Hysteresis::new(FLAKY_ENTER_CHURN, 0.0, 1, FLAKY_EXIT_COUNT),
+                    SlidingCounter::new(FLAKY_WINDOW_NS),
+                    SlidingCounter::new(FLAKY_WINDOW_NS),
                 )
             });
             miss_w.push(now_ns, misses);
@@ -422,28 +384,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "band inverted")]
-    fn hysteresis_rejects_inverted_band() {
-        let _ = Hysteresis::new(1.0, 2.0, 1, 1);
-    }
-
-    #[test]
     fn backpressure_needs_growth_and_depth() {
-        let mut d = BackpressureDetector::new(50.0, 10.0, 2, 2);
+        let mut d = BackpressureDetector::default();
         let scope = Scope::pe("data_plane", 1, 4);
         let feed = |d: &mut BackpressureDetector, depth: f64| {
             let mut r = Registry::new();
             r.set_gauge(scope, "input_depth_primary", depth);
             d.step(&r)
         };
-        assert!(feed(&mut d, 60.0).is_empty(), "one high scrape only");
-        let t = feed(&mut d, 80.0);
-        assert_eq!(t.len(), 1, "two growing high scrapes fire");
+        assert!(feed(&mut d, 70.0).is_empty(), "one high scrape only");
+        assert!(feed(&mut d, 80.0).is_empty(), "two high scrapes only");
+        let t = feed(&mut d, 90.0);
+        assert_eq!(t.len(), 1, "three growing high scrapes fire");
         assert!(t[0].1.onset);
         assert_eq!(t[0].0, (1, 4));
-        // Drains back down: clears after two low scrapes.
+        assert_eq!(t[0].1.value, 90.0);
+        // Drains back down: clears after three low scrapes.
         assert!(feed(&mut d, 9.0).is_empty());
-        let t = feed(&mut d, 5.0);
+        assert!(feed(&mut d, 5.0).is_empty());
+        let t = feed(&mut d, 3.0);
         assert_eq!(t.len(), 1);
         assert!(!t[0].1.onset);
         // High but *shrinking* depth never fires.
@@ -470,7 +429,7 @@ mod tests {
 
     #[test]
     fn redundancy_loss_flips_on_first_degraded_scrape() {
-        let mut d = RedundancyLossDetector::new();
+        let mut d = RedundancyLossDetector::default();
         let scope = Scope::global("recovery");
         let mut r = Registry::new();
         assert!(d.step(&r).is_none(), "gauge absent: covered");
@@ -478,30 +437,33 @@ mod tests {
         assert!(d.step(&r).is_none(), "zero missing: covered");
         r.set_gauge(scope, "standbys_missing", 2.0);
         let t = d.step(&r).expect("onset on first degraded scrape");
-        assert!(t.onset && d.active());
+        assert!(t.onset);
         assert!((t.value - 2.0).abs() < 1e-12);
         assert!(d.step(&r).is_none(), "still degraded: no re-fire");
         r.set_gauge(scope, "standbys_missing", 0.0);
         let t = d.step(&r).expect("clear on first covered scrape");
-        assert!(!t.onset && !d.active());
+        assert!(!t.onset);
     }
 
     #[test]
     fn heartbeat_flakiness_tracks_churn_per_machine() {
-        let mut d = HeartbeatFlakyDetector::new(1_000_000_000, 3.0, 2);
+        let mut d = HeartbeatFlakyDetector::default();
         let m1 = Scope::machine("heartbeat", 1);
         let mut r = Registry::new();
         r.inc(m1, "misses", 1);
         assert!(d.step(100_000_000, &r).is_empty(), "one miss: below band");
         r.inc(m1, "misses", 1);
         r.inc(m1, "suspicion_cleared", 1);
-        let t = d.step(200_000_000, &r);
-        assert_eq!(t.len(), 1, "churn of 3 in window fires");
+        assert!(d.step(200_000_000, &r).is_empty(), "churn of 3: below band");
+        r.inc(m1, "misses", 1);
+        let t = d.step(300_000_000, &r);
+        assert_eq!(t.len(), 1, "churn of 4 in window fires");
         assert!(t[0].1.onset);
         assert_eq!(t[0].0, 1);
-        // Quiet for two scrapes past the window: clears.
-        assert!(d.step(1_300_000_000, &r).is_empty());
-        let t = d.step(1_400_000_000, &r);
+        // Quiet for three scrapes past the window: clears.
+        assert!(d.step(1_400_000_000, &r).is_empty());
+        assert!(d.step(1_500_000_000, &r).is_empty());
+        let t = d.step(1_600_000_000, &r);
         assert_eq!(t.len(), 1);
         assert!(!t[0].1.onset);
     }

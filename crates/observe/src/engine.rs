@@ -12,129 +12,92 @@
 use std::collections::BTreeMap;
 
 use sps_metrics::Registry;
+use sps_sim::SimDuration;
 use sps_trace::{AnomalyKind, PhaseRecord, RecoveryPhase, TraceEvent};
 
 use crate::anomaly::{
-    AnomalySpan, AuditViolationsDetector, BackpressureDetector, CheckpointStallDetector,
-    HeartbeatFlakyDetector, RedundancyLossDetector,
+    AnomalySpan, AnomalyTransition, AuditViolationsDetector, BackpressureDetector,
+    CheckpointStallDetector, HeartbeatFlakyDetector, RedundancyLossDetector,
 };
 use crate::report::HealthReport;
 use crate::slo::{BreachSpan, SloCmp, SloMonitor, SloSpec, SloStat};
 use crate::window::TumblingCounter;
 
 /// Name of the built-in recovery-cycle monitor (phase-log driven; always
-/// installed as the last monitor).
+/// the last monitor).
 pub const RECOVERY_MONITOR: &str = "recovery_cycle_total";
 
-/// The default declarative SLO set: end-to-end tail latency, throughput
-/// drop vs. trailing baseline, and duplicate-delivery rate.
-pub fn default_slos() -> Vec<SloSpec> {
-    [
-        "e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s",
-        "throughput_drop: sink/accepted{rate_drop_pct} < 50 over 2s",
-        "dup_rate: data_plane/duplicates{rate} <= 500 over 5s",
-    ]
-    .iter()
-    .map(|s| SloSpec::parse(s).expect("default SLO specs parse"))
-    .collect()
-}
+/// Budget for one full recovery cycle (failure inject → terminal phase),
+/// in milliseconds; a cycle exceeding it records a breach span on
+/// [`RECOVERY_MONITOR`] and a `recovery_budget_burn` anomaly.
+const RECOVERY_BUDGET_MS: f64 = 200.0;
 
-/// Configuration of the health engine. [`validate`](Self::validate) is
-/// called by the simulation builder before wiring the engine in.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Declarative SLO monitors (see [`SloSpec::parse`] for the grammar).
-    pub slos: Vec<SloSpec>,
-    /// Budget for one full recovery cycle (failure inject → terminal
-    /// phase), in milliseconds; cycles exceeding it record a breach span
-    /// on the built-in [`RECOVERY_MONITOR`].
-    pub recovery_budget_ms: f64,
-    /// Tumbling-window width for the per-scope counter rate series.
-    pub series_window_ns: u64,
-    /// Backpressure onset: input-queue depth (elements) that must be
-    /// reached *and* non-decreasing to arm the detector.
-    pub backpressure_enter_depth: f64,
-    /// Backpressure clear: depth at or below this is a quiet scrape.
-    pub backpressure_exit_depth: f64,
-    /// Consecutive qualifying scrapes before backpressure onset fires.
-    pub backpressure_enter_count: u32,
-    /// Consecutive quiet scrapes before backpressure clears.
-    pub backpressure_exit_count: u32,
-    /// Checkpoint-stall budget in nanoseconds; `0` means "derive from the
-    /// HA config" (the builder substitutes 4x the checkpoint interval).
-    pub checkpoint_stall_budget_ns: u64,
-    /// Window for the heartbeat suspect/refute churn signal.
-    pub flaky_window_ns: u64,
-    /// Churn events (misses + cleared suspicions) per window at which a
-    /// machine's heartbeat is declared flaky.
-    pub flaky_enter_churn: f64,
-    /// Consecutive churn-free scrapes before flakiness clears.
-    pub flaky_exit_count: u32,
-}
+/// Tumbling-window width of the per-scope counter rate series.
+const SERIES_WINDOW_NS: u64 = 1_000_000_000;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            slos: default_slos(),
-            recovery_budget_ms: 200.0,
-            series_window_ns: 1_000_000_000,
-            backpressure_enter_depth: 64.0,
-            backpressure_exit_depth: 16.0,
-            backpressure_enter_count: 3,
-            backpressure_exit_count: 3,
-            checkpoint_stall_budget_ns: 0,
-            flaky_window_ns: 1_000_000_000,
-            flaky_enter_churn: 4.0,
-            flaky_exit_count: 3,
-        }
-    }
-}
+/// Checkpoint intervals without a stored checkpoint before the stall
+/// detector fires: one sweep is due every interval, so four missed
+/// intervals is a stall under any scheduling jitter the model produces.
+const STALL_INTERVALS: u64 = 4;
 
-impl HealthConfig {
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inverted hysteresis bands, non-positive windows/budgets,
-    /// or duplicate monitor names — before a long run, like
-    /// `HaConfig::validate`.
-    pub fn validate(&self) {
-        assert!(
-            self.recovery_budget_ms > 0.0,
-            "recovery budget must be positive"
-        );
-        assert!(self.series_window_ns > 0, "series window must be positive");
-        assert!(
-            self.backpressure_exit_depth <= self.backpressure_enter_depth,
-            "backpressure hysteresis band inverted"
-        );
-        assert!(
-            self.backpressure_enter_count >= 1 && self.backpressure_exit_count >= 1,
-            "backpressure streak counts must be >= 1"
-        );
-        assert!(
-            self.flaky_window_ns > 0 && self.flaky_enter_churn > 0.0 && self.flaky_exit_count >= 1,
-            "heartbeat flakiness config invalid"
-        );
-        let mut names: Vec<&str> = self.slos.iter().map(|s| s.name.as_str()).collect();
-        names.push(RECOVERY_MONITOR);
-        names.sort_unstable();
-        for w in names.windows(2) {
-            assert!(w[0] != w[1], "duplicate SLO monitor name: {}", w[0]);
-        }
-        for s in &self.slos {
-            assert!(s.window_ns > 0, "SLO window must be positive: {}", s.name);
-            assert!(
-                s.threshold.is_finite(),
-                "SLO threshold must be finite: {}",
-                s.name
-            );
-        }
-    }
-}
+/// The monitor set: end-to-end tail latency, throughput drop vs. its
+/// trailing baseline, duplicate-delivery rate, and — last — the built-in
+/// recovery monitor, whose spans are measured from the phase log (anchor →
+/// terminal phase), not from windowed samples.
+const MONITORS: [SloSpec; 4] = [
+    SloSpec {
+        name: "e2e_p99",
+        component: "sink",
+        metric: "e2e_delay_ms",
+        stat: SloStat::P99,
+        cmp: SloCmp::Lt,
+        threshold: 250.0,
+        window_ns: 5_000_000_000,
+    },
+    SloSpec {
+        name: "throughput_drop",
+        component: "sink",
+        metric: "accepted",
+        stat: SloStat::RateDropPct,
+        cmp: SloCmp::Lt,
+        threshold: 50.0,
+        window_ns: 2_000_000_000,
+    },
+    SloSpec {
+        name: "dup_rate",
+        component: "data_plane",
+        metric: "duplicates",
+        stat: SloStat::Rate,
+        cmp: SloCmp::Le,
+        threshold: 500.0,
+        window_ns: 5_000_000_000,
+    },
+    SloSpec {
+        name: RECOVERY_MONITOR,
+        component: "recovery",
+        metric: "cycle_total_ms",
+        stat: SloStat::Value,
+        cmp: SloCmp::Lt,
+        threshold: RECOVERY_BUDGET_MS,
+        window_ns: 1,
+    },
+];
+
+/// Index of the recovery monitor in [`MONITORS`].
+const RECOVERY: usize = MONITORS.len() - 1;
+
+/// Switches the health engine on (`HaSimulationBuilder::health`). It
+/// carries no settings: the monitor set and every detector threshold are
+/// constants of this crate, and the checkpoint-stall budget follows the
+/// run's checkpoint interval.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HealthConfig;
 
 /// Key of one per-scope tumbling series: `(component, machine, pe, name)`.
-pub type SeriesKey = (String, Option<u32>, Option<u32>, &'static str);
+pub(crate) type SeriesKey = (String, Option<u32>, Option<u32>, &'static str);
+
+/// The `(machine, pe)` scope of a cluster-wide anomaly.
+const GLOBAL: (Option<u32>, Option<u32>) = (None, None);
 
 /// An open recovery cycle being tracked from the phase log.
 #[derive(Debug, Clone, Copy)]
@@ -144,13 +107,72 @@ struct OpenCycle {
     burn_onset: bool,
 }
 
+/// The recorded anomaly spans, in onset order, and the one path by which
+/// every detector opens or closes a span and reports it on the trace bus.
+#[derive(Debug, Default)]
+struct AnomalyLog {
+    spans: Vec<AnomalySpan>,
+}
+
+impl AnomalyLog {
+    /// Opens (onset) or closes the span of `detector` at `(machine, pe)` at
+    /// `at_ns`, and pushes the matching trace event; an absent scope is
+    /// `u32::MAX` on the bus.
+    fn record(
+        &mut self,
+        events: &mut Vec<TraceEvent>,
+        detector: AnomalyKind,
+        (machine, pe): (Option<u32>, Option<u32>),
+        at_ns: u64,
+        t: AnomalyTransition,
+    ) {
+        if t.onset {
+            self.spans.push(AnomalySpan {
+                detector,
+                machine,
+                pe,
+                start_ns: at_ns,
+                end_ns: None,
+                peak: t.value,
+            });
+        } else if let Some(span) = self.open_span(detector, machine, pe) {
+            span.end_ns = Some(at_ns);
+            span.peak = span.peak.max(t.value);
+        }
+        events.push(TraceEvent::Anomaly {
+            detector,
+            machine: machine.unwrap_or(u32::MAX),
+            pe: pe.unwrap_or(u32::MAX),
+            onset: t.onset,
+            value: t.value,
+        });
+    }
+
+    /// Raises the peak of the open span of `detector` at `machine` (a
+    /// detector without a PE scope).
+    fn raise_peak(&mut self, detector: AnomalyKind, machine: Option<u32>, value: f64) {
+        if let Some(span) = self.open_span(detector, machine, None) {
+            span.peak = span.peak.max(value);
+        }
+    }
+
+    fn open_span(
+        &mut self,
+        detector: AnomalyKind,
+        machine: Option<u32>,
+        pe: Option<u32>,
+    ) -> Option<&mut AnomalySpan> {
+        self.spans.iter_mut().rev().find(|s| {
+            s.detector == detector && s.machine == machine && s.pe == pe && s.end_ns.is_none()
+        })
+    }
+}
+
 /// The engine: monitors, detectors, series, and their recorded verdicts.
 #[derive(Debug)]
 pub struct HealthEngine {
-    cfg: HealthConfig,
-    /// Declarative monitors plus the built-in recovery monitor (last).
+    /// One monitor per [`MONITORS`] row, in the same order.
     monitors: Vec<SloMonitor>,
-    recovery_monitor: usize,
     backpressure: BackpressureDetector,
     ckpt_stall: CheckpointStallDetector,
     redundancy: RedundancyLossDetector,
@@ -159,59 +181,31 @@ pub struct HealthEngine {
     /// Per-subjob open recovery cycle.
     cycles: BTreeMap<u32, OpenCycle>,
     phases_consumed: usize,
-    anomaly_spans: Vec<AnomalySpan>,
+    anomalies: AnomalyLog,
     series: BTreeMap<SeriesKey, TumblingCounter>,
     scrapes: u64,
     last_scrape_ns: u64,
 }
 
 impl HealthEngine {
-    /// Builds an engine from a validated config. The checkpoint-stall
-    /// budget must already be resolved (non-zero) — the simulation builder
-    /// substitutes 4x the checkpoint interval for the `0` default.
-    pub fn new(cfg: HealthConfig) -> Self {
-        cfg.validate();
-        assert!(
-            cfg.checkpoint_stall_budget_ns > 0,
-            "checkpoint stall budget must be resolved before engine construction"
-        );
-        let mut monitors: Vec<SloMonitor> = cfg.slos.iter().cloned().map(SloMonitor::new).collect();
-        // The built-in recovery monitor: spans are measured from the phase
-        // log (anchor → terminal phase), not from windowed samples.
-        monitors.push(SloMonitor::new(SloSpec {
-            name: RECOVERY_MONITOR.to_string(),
-            component: "recovery".to_string(),
-            metric: "cycle_total_ms".to_string(),
-            stat: SloStat::Value,
-            cmp: SloCmp::Lt,
-            threshold: cfg.recovery_budget_ms,
-            window_ns: 1,
-        }));
-        let recovery_monitor = monitors.len() - 1;
+    /// Builds an engine for a run that checkpoints every
+    /// `checkpoint_interval`; the stall budget is four intervals.
+    pub fn new(checkpoint_interval: SimDuration) -> Self {
         HealthEngine {
-            backpressure: BackpressureDetector::new(
-                cfg.backpressure_enter_depth,
-                cfg.backpressure_exit_depth,
-                cfg.backpressure_enter_count,
-                cfg.backpressure_exit_count,
+            monitors: MONITORS.into_iter().map(SloMonitor::new).collect(),
+            backpressure: BackpressureDetector::default(),
+            ckpt_stall: CheckpointStallDetector::new(
+                checkpoint_interval.as_nanos() * STALL_INTERVALS,
             ),
-            ckpt_stall: CheckpointStallDetector::new(cfg.checkpoint_stall_budget_ns),
-            redundancy: RedundancyLossDetector::new(),
-            audit: AuditViolationsDetector::new(),
-            flaky: HeartbeatFlakyDetector::new(
-                cfg.flaky_window_ns,
-                cfg.flaky_enter_churn,
-                cfg.flaky_exit_count,
-            ),
-            monitors,
-            recovery_monitor,
+            redundancy: RedundancyLossDetector::default(),
+            flaky: HeartbeatFlakyDetector::default(),
+            audit: AuditViolationsDetector::default(),
             cycles: BTreeMap::new(),
             phases_consumed: 0,
-            anomaly_spans: Vec::new(),
+            anomalies: AnomalyLog::default(),
             series: BTreeMap::new(),
             scrapes: 0,
             last_scrape_ns: 0,
-            cfg,
         }
     }
 
@@ -231,11 +225,8 @@ impl HealthEngine {
         self.last_scrape_ns = now_ns;
         let mut events = Vec::new();
 
-        // Layer 2: declarative SLO monitors.
-        for (i, m) in self.monitors.iter_mut().enumerate() {
-            if i == self.recovery_monitor {
-                continue;
-            }
+        // Layer 2: the windowed SLO monitors (all but the recovery one).
+        for (i, m) in self.monitors[..RECOVERY].iter_mut().enumerate() {
             if let Some(t) = m.evaluate(now_ns, registry) {
                 events.push(TraceEvent::SloBreach {
                     monitor: i as u32,
@@ -251,7 +242,8 @@ impl HealthEngine {
         // detection (anchored to the latest inject at or before it, the
         // same convention as the recovery critical paths), close at the
         // terminal phase. Span times are phase-accurate; the breach events
-        // fire at this scrape.
+        // fire at this scrape. The budget-burn span's machine scope holds
+        // the subjob index.
         for &p in &phases[self.phases_consumed..] {
             let t = p.at.as_nanos();
             match p.phase {
@@ -275,43 +267,31 @@ impl HealthEngine {
                     if let Some(cycle) = self.cycles.remove(&p.subjob) {
                         let total_ms = (t.saturating_sub(cycle.anchor_ns)) as f64 / 1e6;
                         if cycle.burn_onset {
-                            self.close_anomaly(
-                                AnomalyKind::RecoveryBudgetBurn,
-                                Some(p.subjob),
-                                None,
-                                t,
-                                total_ms,
-                            );
-                            events.push(TraceEvent::Anomaly {
-                                detector: AnomalyKind::RecoveryBudgetBurn,
-                                machine: p.subjob,
-                                pe: u32::MAX,
+                            let clear = AnomalyTransition {
                                 onset: false,
                                 value: total_ms,
-                            });
+                            };
+                            let scope = (Some(p.subjob), None);
+                            let kind = AnomalyKind::RecoveryBudgetBurn;
+                            self.anomalies.record(&mut events, kind, scope, t, clear);
                         }
-                        if total_ms >= self.cfg.recovery_budget_ms {
-                            let i = self.recovery_monitor;
-                            self.monitors[i].push_span(BreachSpan {
+                        if total_ms >= RECOVERY_BUDGET_MS {
+                            self.monitors[RECOVERY].push_span(BreachSpan {
                                 start_ns: cycle.anchor_ns,
                                 end_ns: Some(t),
                                 worst: total_ms,
                             });
-                            let threshold = self.cfg.recovery_budget_ms;
-                            events.push(TraceEvent::SloBreach {
-                                monitor: i as u32,
-                                entered: true,
-                                observed: total_ms,
-                                threshold,
-                                duration_ns: 0,
-                            });
-                            events.push(TraceEvent::SloBreach {
-                                monitor: i as u32,
-                                entered: false,
-                                observed: total_ms,
-                                threshold,
-                                duration_ns: t.saturating_sub(cycle.anchor_ns),
-                            });
+                            for (entered, duration_ns) in
+                                [(true, 0), (false, t.saturating_sub(cycle.anchor_ns))]
+                            {
+                                events.push(TraceEvent::SloBreach {
+                                    monitor: RECOVERY as u32,
+                                    entered,
+                                    observed: total_ms,
+                                    threshold: RECOVERY_BUDGET_MS,
+                                    duration_ns,
+                                });
+                            }
                         }
                     }
                 }
@@ -321,168 +301,49 @@ impl HealthEngine {
         self.phases_consumed = phases.len();
 
         // Layer 3a: recovery-budget burn — live while a cycle is in flight.
-        let budget_ns = (self.cfg.recovery_budget_ms * 1e6) as u64;
-        let mut burn_events = Vec::new();
+        let budget_ns = (RECOVERY_BUDGET_MS * 1e6) as u64;
         for (&subjob, cycle) in self.cycles.iter_mut() {
             let burn = now_ns.saturating_sub(cycle.anchor_ns);
-            if !cycle.burn_onset && burn > budget_ns {
+            let burn_ms = burn as f64 / 1e6;
+            let kind = AnomalyKind::RecoveryBudgetBurn;
+            if cycle.burn_onset {
+                self.anomalies.raise_peak(kind, Some(subjob), burn_ms);
+            } else if burn > budget_ns {
                 cycle.burn_onset = true;
-                let burn_ms = burn as f64 / 1e6;
-                self.anomaly_spans.push(AnomalySpan {
-                    detector: AnomalyKind::RecoveryBudgetBurn,
-                    machine: Some(subjob),
-                    pe: None,
-                    start_ns: cycle.anchor_ns,
-                    end_ns: None,
-                    peak: burn_ms,
-                });
-                burn_events.push(TraceEvent::Anomaly {
-                    detector: AnomalyKind::RecoveryBudgetBurn,
-                    machine: subjob,
-                    pe: u32::MAX,
+                let onset = AnomalyTransition {
                     onset: true,
                     value: burn_ms,
-                });
-            } else if cycle.burn_onset {
-                // Keep the open span's peak current.
-                let burn_ms = burn as f64 / 1e6;
-                if let Some(span) = self.anomaly_spans.iter_mut().rev().find(|s| {
-                    s.detector == AnomalyKind::RecoveryBudgetBurn
-                        && s.machine == Some(subjob)
-                        && s.end_ns.is_none()
-                }) {
-                    span.peak = span.peak.max(burn_ms);
-                }
+                };
+                let scope = (Some(subjob), None);
+                self.anomalies
+                    .record(&mut events, kind, scope, cycle.anchor_ns, onset);
             }
         }
-        events.extend(burn_events);
 
         // Layer 3b: the windowed-signal detectors.
+        let log = &mut self.anomalies;
         for ((machine, pe), t) in self.backpressure.step(registry) {
-            if t.onset {
-                self.anomaly_spans.push(AnomalySpan {
-                    detector: AnomalyKind::Backpressure,
-                    machine: Some(machine),
-                    pe: Some(pe),
-                    start_ns: now_ns,
-                    end_ns: None,
-                    peak: t.value,
-                });
-            } else {
-                self.close_anomaly(
-                    AnomalyKind::Backpressure,
-                    Some(machine),
-                    Some(pe),
-                    now_ns,
-                    t.value,
-                );
-            }
-            events.push(TraceEvent::Anomaly {
-                detector: AnomalyKind::Backpressure,
-                machine,
-                pe,
-                onset: t.onset,
-                value: t.value,
-            });
+            let scope = (Some(machine), Some(pe));
+            log.record(&mut events, AnomalyKind::Backpressure, scope, now_ns, t);
         }
         if let Some(t) = self.ckpt_stall.step(now_ns, registry) {
-            if t.onset {
-                self.anomaly_spans.push(AnomalySpan {
-                    detector: AnomalyKind::CheckpointStall,
-                    machine: None,
-                    pe: None,
-                    start_ns: now_ns,
-                    end_ns: None,
-                    peak: t.value,
-                });
-            } else {
-                self.close_anomaly(AnomalyKind::CheckpointStall, None, None, now_ns, t.value);
-            }
-            events.push(TraceEvent::Anomaly {
-                detector: AnomalyKind::CheckpointStall,
-                machine: u32::MAX,
-                pe: u32::MAX,
-                onset: t.onset,
-                value: t.value,
-            });
+            log.record(&mut events, AnomalyKind::CheckpointStall, GLOBAL, now_ns, t);
         }
         if let Some(t) = self.redundancy.step(registry) {
-            if t.onset {
-                self.anomaly_spans.push(AnomalySpan {
-                    detector: AnomalyKind::RedundancyLoss,
-                    machine: None,
-                    pe: None,
-                    start_ns: now_ns,
-                    end_ns: None,
-                    peak: t.value,
-                });
-            } else {
-                self.close_anomaly(AnomalyKind::RedundancyLoss, None, None, now_ns, t.value);
-            }
-            events.push(TraceEvent::Anomaly {
-                detector: AnomalyKind::RedundancyLoss,
-                machine: u32::MAX,
-                pe: u32::MAX,
-                onset: t.onset,
-                value: t.value,
-            });
+            log.record(&mut events, AnomalyKind::RedundancyLoss, GLOBAL, now_ns, t);
         }
         for (machine, t) in self.flaky.step(now_ns, registry) {
-            if t.onset {
-                self.anomaly_spans.push(AnomalySpan {
-                    detector: AnomalyKind::HeartbeatFlaky,
-                    machine: Some(machine),
-                    pe: None,
-                    start_ns: now_ns,
-                    end_ns: None,
-                    peak: t.value,
-                });
-            } else {
-                self.close_anomaly(
-                    AnomalyKind::HeartbeatFlaky,
-                    Some(machine),
-                    None,
-                    now_ns,
-                    t.value,
-                );
-            }
-            events.push(TraceEvent::Anomaly {
-                detector: AnomalyKind::HeartbeatFlaky,
-                machine,
-                pe: u32::MAX,
-                onset: t.onset,
-                value: t.value,
-            });
+            let scope = (Some(machine), None);
+            log.record(&mut events, AnomalyKind::HeartbeatFlaky, scope, now_ns, t);
         }
 
         // Layer 3c: protocol-audit verdict. The auditor's gauge is
         // monotone, so this span opens once and never closes; later
         // violations only raise the open span's peak.
         if let Some(t) = self.audit.step(registry) {
-            self.anomaly_spans.push(AnomalySpan {
-                detector: AnomalyKind::AuditViolations,
-                machine: None,
-                pe: None,
-                start_ns: now_ns,
-                end_ns: None,
-                peak: t.value,
-            });
-            events.push(TraceEvent::Anomaly {
-                detector: AnomalyKind::AuditViolations,
-                machine: u32::MAX,
-                pe: u32::MAX,
-                onset: true,
-                value: t.value,
-            });
+            log.record(&mut events, AnomalyKind::AuditViolations, GLOBAL, now_ns, t);
         } else if self.audit.total() > 0.0 {
-            if let Some(span) = self
-                .anomaly_spans
-                .iter_mut()
-                .rev()
-                .find(|s| s.detector == AnomalyKind::AuditViolations && s.end_ns.is_none())
-            {
-                span.peak = span.peak.max(self.audit.total());
-            }
+            log.raise_peak(AnomalyKind::AuditViolations, None, self.audit.total());
         }
 
         // Layer 1: tumbling per-scope counter rate series.
@@ -490,53 +351,27 @@ impl HealthEngine {
             let key = (scope.component.to_string(), scope.machine, scope.pe, name);
             self.series
                 .entry(key)
-                .or_insert_with(|| TumblingCounter::new(self.cfg.series_window_ns))
+                .or_insert_with(|| TumblingCounter::new(SERIES_WINDOW_NS))
                 .push(now_ns, v);
         }
 
         events
     }
 
-    fn close_anomaly(
-        &mut self,
-        detector: AnomalyKind,
-        machine: Option<u32>,
-        pe: Option<u32>,
-        end_ns: u64,
-        value: f64,
-    ) {
-        if let Some(span) = self.anomaly_spans.iter_mut().rev().find(|s| {
-            s.detector == detector && s.machine == machine && s.pe == pe && s.end_ns.is_none()
-        }) {
-            span.end_ns = Some(end_ns);
-            span.peak = span.peak.max(value);
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
-    /// The monitors (declarative first, built-in recovery monitor last),
-    /// with their breach spans.
+    /// The monitors (windowed first, built-in recovery monitor last), with
+    /// their breach spans.
     pub fn monitors(&self) -> &[SloMonitor] {
         &self.monitors
     }
 
     /// Recorded anomaly spans, in onset order.
-    pub fn anomaly_spans(&self) -> &[AnomalySpan] {
-        &self.anomaly_spans
+    pub(crate) fn anomaly_spans(&self) -> &[AnomalySpan] {
+        &self.anomalies.spans
     }
 
     /// Scrapes consumed so far.
-    pub fn scrape_count(&self) -> u64 {
+    pub(crate) fn scrape_count(&self) -> u64 {
         self.scrapes
-    }
-
-    /// Breach spans of the built-in recovery monitor.
-    pub fn recovery_breaches(&self) -> &[BreachSpan] {
-        self.monitors[self.recovery_monitor].spans()
     }
 
     /// Assembles the deterministic end-of-run health report.
@@ -546,7 +381,7 @@ impl HealthEngine {
 
     /// The tumbling series, in deterministic key order:
     /// `(component, machine, pe, name)` → series.
-    pub fn series(&self) -> impl Iterator<Item = (&SeriesKey, &TumblingCounter)> {
+    pub(crate) fn series(&self) -> impl Iterator<Item = (&SeriesKey, &TumblingCounter)> {
         self.series.iter()
     }
 }
@@ -557,47 +392,23 @@ mod tests {
     use sps_metrics::Scope;
     use sps_sim::SimTime;
 
-    fn resolved(mut cfg: HealthConfig) -> HealthConfig {
-        if cfg.checkpoint_stall_budget_ns == 0 {
-            cfg.checkpoint_stall_budget_ns = 2_000_000_000;
-        }
-        cfg
+    /// An engine whose stall budget is 2 s (4 x 500 ms).
+    fn engine() -> HealthEngine {
+        HealthEngine::new(SimDuration::from_millis(500))
     }
 
     #[test]
-    fn default_config_validates_and_builds() {
-        let cfg = resolved(HealthConfig::default());
-        cfg.validate();
-        let engine = HealthEngine::new(cfg);
-        // Declarative monitors plus the built-in recovery monitor.
-        assert_eq!(engine.monitors().len(), default_slos().len() + 1);
-        assert_eq!(
-            engine.monitors().last().unwrap().spec.name,
-            RECOVERY_MONITOR
-        );
+    fn monitor_names_are_unique_and_recovery_is_last() {
+        let engine = engine();
+        let mut names: Vec<&str> = engine.monitors().iter().map(|m| m.spec.name).collect();
+        assert_eq!(names.last(), Some(&RECOVERY_MONITOR));
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), MONITORS.len());
     }
-
-    #[test]
-    #[should_panic(expected = "duplicate SLO monitor name")]
-    fn validate_rejects_duplicate_names() {
-        let mut cfg = HealthConfig::default();
-        cfg.slos.push(cfg.slos[0].clone());
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "recovery budget")]
-    fn validate_rejects_zero_budget() {
-        let cfg = HealthConfig {
-            recovery_budget_ms: 0.0,
-            ..HealthConfig::default()
-        };
-        cfg.validate();
-    }
-
     #[test]
     fn recovery_cycle_breach_telescopes_to_phase_log() {
-        let mut engine = HealthEngine::new(resolved(HealthConfig::default()));
+        let mut engine = engine();
         let registry = Registry::new();
         let ms = SimTime::from_millis;
         let phases = vec![
@@ -643,7 +454,7 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::SloBreach { .. }))
             .collect();
         assert_eq!(breaches.len(), 2, "enter+exit: {ev:?}");
-        let spans = engine.recovery_breaches();
+        let spans = engine.monitors()[RECOVERY].spans();
         assert_eq!(spans.len(), 1);
         let span = spans[0];
         assert_eq!(span.start_ns, ms(3_000).as_nanos(), "anchored at inject");
@@ -655,7 +466,7 @@ mod tests {
 
     #[test]
     fn fast_recovery_records_no_breach() {
-        let mut engine = HealthEngine::new(resolved(HealthConfig::default()));
+        let mut engine = engine();
         let registry = Registry::new();
         let ms = SimTime::from_millis;
         let phases = vec![
@@ -678,13 +489,12 @@ mod tests {
         let injects = vec![(0u32, ms(990).as_nanos())];
         let ev = engine.on_scrape(ms(1_100).as_nanos(), &registry, &phases, &injects);
         assert!(ev.is_empty(), "90ms cycle under a 200ms budget: {ev:?}");
-        assert!(engine.recovery_breaches().is_empty());
+        assert!(engine.monitors()[RECOVERY].spans().is_empty());
     }
 
     #[test]
     fn scrape_emits_monitor_indices_that_map_to_names() {
-        let cfg = resolved(HealthConfig::default());
-        let mut engine = HealthEngine::new(cfg);
+        let mut engine = engine();
         let mut r = Registry::new();
         // Blow the e2e p99 monitor (threshold 250ms).
         for _ in 0..100 {
@@ -703,7 +513,7 @@ mod tests {
 
     #[test]
     fn series_accumulate_per_scope_windows() {
-        let mut engine = HealthEngine::new(resolved(HealthConfig::default()));
+        let mut engine = engine();
         let mut r = Registry::new();
         let s = Scope::global("sink");
         for i in 1..=5u64 {
@@ -715,7 +525,7 @@ mod tests {
         let (key, tc) = series[0];
         assert_eq!(key.0, "sink");
         assert_eq!(key.3, "accepted");
-        assert!(!tc.windows().is_empty());
+        assert!(tc.window_count() > 0);
         assert!(tc.mean_rate() > 0.0);
     }
 }

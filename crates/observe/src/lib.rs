@@ -4,18 +4,16 @@
 //! scrapes and the `sps-trace` phase log) into decision-grade health
 //! state, entirely in sim time:
 //!
-//! * [`SlidingCounter`] / [`SlidingHistogram`] / [`TumblingCounter`] —
-//!   streaming windowed aggregators over cumulative registry snapshots:
-//!   rates, deltas, and log-linear quantiles per scope;
-//! * [`SloSpec`] / [`SloMonitor`] — declarative service-level objectives
-//!   (`e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s`) evaluated
-//!   deterministically at every scrape, with breach spans and
+//! * streaming windowed aggregators over cumulative registry snapshots:
+//!   sliding rates and log-linear quantiles, tumbling per-scope series;
+//! * [`SloSpec`] / [`SloMonitor`] — a fixed set of service-level
+//!   objectives (`e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s`)
+//!   evaluated deterministically at every scrape, with breach spans and
 //!   [`sps_trace::TraceEvent::SloBreach`] transitions;
-//! * anomaly detectors ([`BackpressureDetector`],
-//!   [`CheckpointStallDetector`], [`HeartbeatFlakyDetector`],
-//!   [`RedundancyLossDetector`]) — small [`Hysteresis`] state machines
-//!   stable under G–E burst noise, plus a deliberately binary
-//!   standby-coverage verdict;
+//! * anomaly detectors (backpressure, checkpoint stall, heartbeat
+//!   flakiness, redundancy loss, audit violations) — small hysteresis
+//!   state machines stable under G–E burst noise, plus deliberately binary
+//!   standby-coverage and audit verdicts, all with constant thresholds;
 //! * [`HealthEngine`] — the per-run composition: SLO monitors, detectors,
 //!   recovery-cycle budget tracking, and per-scope rate series, snapshotted
 //!   into a deterministic JSONL [`HealthReport`];
@@ -44,11 +42,7 @@ mod window;
 
 pub use sps_trace::jsonl;
 
-pub use anomaly::{
-    AnomalySpan, AnomalyTransition, AuditViolationsDetector, BackpressureDetector,
-    CheckpointStallDetector, HeartbeatFlakyDetector, Hysteresis, RedundancyLossDetector,
-};
-pub use engine::{default_slos, HealthConfig, HealthEngine, RECOVERY_MONITOR};
+pub use anomaly::AnomalySpan;
+pub use engine::{HealthConfig, HealthEngine, RECOVERY_MONITOR};
 pub use report::{HealthReport, MonitorSummary};
-pub use slo::{BreachSpan, SloCmp, SloMonitor, SloSpec, SloStat, SloTransition, BASELINE_WINDOWS};
-pub use window::{SlidingCounter, SlidingHistogram, TumbleWindow, TumblingCounter};
+pub use slo::{BreachSpan, SloCmp, SloMonitor, SloSpec, SloStat};

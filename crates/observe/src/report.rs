@@ -17,13 +17,11 @@ pub struct MonitorSummary {
     /// Monitor index (matches `TraceEvent::SloBreach::monitor`).
     pub monitor: u32,
     /// Monitor name.
-    pub name: String,
-    /// The spec in grammar form.
+    pub name: &'static str,
+    /// The spec as [`SloSpec::display`](crate::SloSpec::display) renders it.
     pub spec: String,
     /// Recorded breach spans.
     pub spans: Vec<BreachSpan>,
-    /// `true` when larger observed values are worse for this monitor.
-    pub larger_is_worse: bool,
 }
 
 /// The assembled report (see module docs for the line vocabulary).
@@ -48,17 +46,16 @@ pub type SeriesRow = (String, Option<u32>, Option<u32>, String, usize, f64, f64)
 
 impl HealthReport {
     /// Snapshots an engine into a report.
-    pub fn from_engine(engine: &HealthEngine, end_ns: u64) -> HealthReport {
+    pub(crate) fn from_engine(engine: &HealthEngine, end_ns: u64) -> HealthReport {
         let monitors = engine
             .monitors()
             .iter()
             .enumerate()
             .map(|(i, m)| MonitorSummary {
                 monitor: i as u32,
-                name: m.spec.name.clone(),
+                name: m.spec.name,
                 spec: m.spec.display(),
                 spans: m.spans().to_vec(),
-                larger_is_worse: m.spec.cmp.larger_is_worse(),
             })
             .collect();
         let series = engine
@@ -69,7 +66,7 @@ impl HealthReport {
                     *machine,
                     *pe,
                     name.to_string(),
-                    tc.windows().len(),
+                    tc.window_count(),
                     tc.mean_rate(),
                     tc.max_rate(),
                 )
@@ -103,17 +100,7 @@ impl HealthReport {
         );
         for m in &self.monitors {
             let breach_ns: u64 = m.spans.iter().map(|sp| sp.duration_ns(self.end_ns)).sum();
-            let worst = m
-                .spans
-                .iter()
-                .map(|sp| sp.worst)
-                .fold(None, |acc: Option<f64>, w| {
-                    Some(match acc {
-                        None => w,
-                        Some(a) if m.larger_is_worse => a.max(w),
-                        Some(a) => a.min(w),
-                    })
-                });
+            let worst = m.spans.iter().map(|sp| sp.worst).reduce(f64::max);
             let _ = writeln!(
                 s,
                 "{{\"kind\":\"slo\",\"monitor\":{},\"name\":\"{}\",\"spec\":\"{}\",\"breaches\":{},\"breach_ns\":{},\"worst\":{}}}",
@@ -167,11 +154,6 @@ impl HealthReport {
         }
         s
     }
-
-    /// Writes the JSONL encoding to a writer.
-    pub fn export(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(self.to_jsonl_string().as_bytes())
-    }
 }
 
 fn opt_u32(v: Option<u32>) -> String {
@@ -193,17 +175,13 @@ fn fmt_f64(x: f64) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::engine::{HealthConfig, HealthEngine};
+    use crate::engine::HealthEngine;
     use sps_metrics::{Registry, Scope};
-    use sps_sim::SimTime;
+    use sps_sim::{SimDuration, SimTime};
     use sps_trace::{PhaseRecord, RecoveryPhase};
 
     fn engine_with_breach() -> HealthEngine {
-        let cfg = HealthConfig {
-            checkpoint_stall_budget_ns: 2_000_000_000,
-            ..HealthConfig::default()
-        };
-        let mut engine = HealthEngine::new(cfg);
+        let mut engine = HealthEngine::new(SimDuration::from_millis(500));
         let mut r = Registry::new();
         r.inc(Scope::global("sink"), "accepted", 10);
         let ms = SimTime::from_millis;

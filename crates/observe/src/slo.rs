@@ -1,49 +1,30 @@
-//! Declarative SLO monitors: a tiny spec grammar, deterministic per-scrape
-//! evaluation against the metrics registry, and breach span bookkeeping.
+//! SLO monitors: deterministic per-scrape evaluation of a fixed spec
+//! against the metrics registry, and breach span bookkeeping.
 //!
-//! Grammar (one spec per string):
-//!
-//! ```text
-//! [name:] component/metric{stat} OP threshold [over DURATION]
-//! ```
-//!
-//! * `component/metric` — registry identity; all scopes of the component
-//!   recording the metric are aggregated (counters sum, gauges take the
-//!   max, histograms merge bucket-wise).
-//! * `stat` — `value` (gauge or cumulative counter), `delta` / `rate`
-//!   (counter growth over the window), `p50`/`p95`/`p99`/`mean` (windowed
-//!   histogram statistics), or `rate_drop_pct` (percent drop of the
-//!   windowed rate vs. a trailing baseline 4x the window).
-//! * `OP` — `<`, `<=`, `>`, `>=`; the spec states the *healthy* relation,
-//!   so a breach is the relation failing.
-//! * `DURATION` — integer with `ns`/`us`/`ms`/`s` suffix; default `5s`.
-//!
-//! Example: `e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s`.
+//! A spec names a registry metric (`component/metric`; all scopes of the
+//! component recording it are aggregated — counters sum, gauges take the
+//! max, histograms merge bucket-wise), the statistic to evaluate, the
+//! *healthy* relation to a threshold, and a trailing window. A breach is
+//! the relation failing. The engine's monitor set is a constant table; a
+//! spec renders as `e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s` in the
+//! health report.
 
 use sps_metrics::Registry;
 
 use crate::window::{SlidingCounter, SlidingHistogram};
 
 /// Baseline span multiplier for `rate_drop_pct` (baseline = 4x window).
-pub const BASELINE_WINDOWS: u64 = 4;
+const BASELINE_WINDOWS: u64 = 4;
 
 /// Which statistic of the aggregated metric a spec evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloStat {
     /// The aggregated instantaneous value (gauge max, or counter sum).
     Value,
-    /// Counter growth over the window.
-    Delta,
     /// Counter growth rate over the window, per second.
     Rate,
-    /// Windowed histogram median.
-    P50,
-    /// Windowed histogram 95th percentile.
-    P95,
     /// Windowed histogram 99th percentile.
     P99,
-    /// Windowed histogram mean.
-    Mean,
     /// Percent drop of the windowed rate vs. the trailing baseline rate
     /// (0 when the baseline is still empty or the rate did not drop).
     RateDropPct,
@@ -53,42 +34,21 @@ impl SloStat {
     fn as_str(self) -> &'static str {
         match self {
             SloStat::Value => "value",
-            SloStat::Delta => "delta",
             SloStat::Rate => "rate",
-            SloStat::P50 => "p50",
-            SloStat::P95 => "p95",
             SloStat::P99 => "p99",
-            SloStat::Mean => "mean",
             SloStat::RateDropPct => "rate_drop_pct",
         }
     }
-
-    fn parse(s: &str) -> Option<SloStat> {
-        Some(match s {
-            "value" => SloStat::Value,
-            "delta" => SloStat::Delta,
-            "rate" => SloStat::Rate,
-            "p50" => SloStat::P50,
-            "p95" => SloStat::P95,
-            "p99" => SloStat::P99,
-            "mean" => SloStat::Mean,
-            "rate_drop_pct" => SloStat::RateDropPct,
-            _ => return None,
-        })
-    }
 }
 
-/// The healthy comparison of observed statistic against threshold.
+/// The healthy comparison of observed statistic against threshold; larger
+/// observed values are always the worse ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloCmp {
     /// Healthy while `observed < threshold`.
     Lt,
     /// Healthy while `observed <= threshold`.
     Le,
-    /// Healthy while `observed > threshold`.
-    Gt,
-    /// Healthy while `observed >= threshold`.
-    Ge,
 }
 
 impl SloCmp {
@@ -96,36 +56,27 @@ impl SloCmp {
         match self {
             SloCmp::Lt => "<",
             SloCmp::Le => "<=",
-            SloCmp::Gt => ">",
-            SloCmp::Ge => ">=",
         }
     }
 
     /// Whether `observed` satisfies the healthy relation.
-    pub fn healthy(self, observed: f64, threshold: f64) -> bool {
+    pub(crate) fn healthy(self, observed: f64, threshold: f64) -> bool {
         match self {
             SloCmp::Lt => observed < threshold,
             SloCmp::Le => observed <= threshold,
-            SloCmp::Gt => observed > threshold,
-            SloCmp::Ge => observed >= threshold,
         }
-    }
-
-    /// `true` when larger observed values are worse under this relation.
-    pub fn larger_is_worse(self) -> bool {
-        matches!(self, SloCmp::Lt | SloCmp::Le)
     }
 }
 
-/// One parsed SLO spec.
-#[derive(Debug, Clone, PartialEq)]
+/// One SLO spec.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Monitor name (unique within one engine; reports key on it).
-    pub name: String,
+    pub name: &'static str,
     /// Registry component the metric belongs to.
-    pub component: String,
+    pub component: &'static str,
     /// Metric name within the component.
-    pub metric: String,
+    pub metric: &'static str,
     /// Statistic to evaluate.
     pub stat: SloStat,
     /// Healthy relation.
@@ -137,75 +88,7 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// Parses one spec string (see the module docs for the grammar).
-    pub fn parse(text: &str) -> Result<SloSpec, String> {
-        let err = |m: &str| format!("bad SLO spec {text:?}: {m}");
-        let text = text.trim();
-        // Optional leading "name:" label — split on the first ':' only if
-        // it comes before the metric expression.
-        let (name, rest) = match text.split_once(':') {
-            Some((n, r)) if !n.contains('/') && !n.contains('{') => {
-                (Some(n.trim().to_string()), r.trim())
-            }
-            _ => (None, text),
-        };
-        let mut tokens = rest.split_whitespace();
-        let expr = tokens.next().ok_or_else(|| err("missing metric"))?;
-        let op = tokens.next().ok_or_else(|| err("missing comparison"))?;
-        let threshold: f64 = tokens
-            .next()
-            .ok_or_else(|| err("missing threshold"))?
-            .parse()
-            .map_err(|_| err("threshold is not a number"))?;
-        let window_ns = match (tokens.next(), tokens.next()) {
-            (Some("over"), Some(d)) => parse_duration_ns(d).ok_or_else(|| err("bad duration"))?,
-            (None, _) => 5_000_000_000,
-            _ => return Err(err("trailing tokens (expected `over DURATION`)")),
-        };
-        if tokens.next().is_some() {
-            return Err(err("trailing tokens after duration"));
-        }
-        // component/metric{stat}
-        let (path, stat) = match expr.split_once('{') {
-            Some((p, s)) => {
-                let s = s.strip_suffix('}').ok_or_else(|| err("unclosed `{`"))?;
-                (p, SloStat::parse(s).ok_or_else(|| err("unknown stat"))?)
-            }
-            None => (expr, SloStat::Value),
-        };
-        let (component, metric) = path
-            .split_once('/')
-            .ok_or_else(|| err("metric must be component/name"))?;
-        if component.is_empty() || metric.is_empty() {
-            return Err(err("empty component or metric"));
-        }
-        let cmp = match op {
-            "<" => SloCmp::Lt,
-            "<=" => SloCmp::Le,
-            ">" => SloCmp::Gt,
-            ">=" => SloCmp::Ge,
-            _ => return Err(err("comparison must be one of < <= > >=")),
-        };
-        if window_ns == 0 {
-            return Err(err("window must be positive"));
-        }
-        if !threshold.is_finite() {
-            return Err(err("threshold must be finite"));
-        }
-        let name = name.unwrap_or_else(|| format!("{component}_{metric}_{}", stat.as_str()));
-        Ok(SloSpec {
-            name,
-            component: component.to_string(),
-            metric: metric.to_string(),
-            stat,
-            cmp,
-            threshold,
-            window_ns,
-        })
-    }
-
-    /// Renders the spec back in the grammar (used in reports; `parse` of
-    /// the result round-trips).
+    /// Renders the spec as the `spec` field of the health report.
     pub fn display(&self) -> String {
         format!(
             "{}: {}/{}{{{}}} {} {} over {}",
@@ -218,22 +101,6 @@ impl SloSpec {
             fmt_duration_ns(self.window_ns),
         )
     }
-}
-
-fn parse_duration_ns(s: &str) -> Option<u64> {
-    // Longest suffix first so "ms" is not eaten by "s".
-    for (suffix, mult) in [
-        ("ns", 1),
-        ("us", 1_000),
-        ("ms", 1_000_000),
-        ("s", 1_000_000_000),
-    ] {
-        if let Some(num) = s.strip_suffix(suffix) {
-            let n: u64 = num.parse().ok()?;
-            return Some(n * mult);
-        }
-    }
-    None
 }
 
 fn fmt_duration_ns(ns: u64) -> String {
@@ -263,7 +130,7 @@ pub struct BreachSpan {
     pub start_ns: u64,
     /// When it cleared; `None` while still open.
     pub end_ns: Option<u64>,
-    /// Worst observed value while breaching (per the spec's direction).
+    /// Largest observed value while breaching.
     pub worst: f64,
 }
 
@@ -276,7 +143,7 @@ impl BreachSpan {
 
 /// A breach-boundary crossing reported by [`SloMonitor::evaluate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloTransition {
+pub(crate) struct SloTransition {
     /// `true` on breach enter, `false` on exit.
     pub entered: bool,
     /// Observed statistic at the crossing.
@@ -298,7 +165,7 @@ pub struct SloMonitor {
 
 impl SloMonitor {
     /// A monitor with empty windows.
-    pub fn new(spec: SloSpec) -> Self {
+    pub(crate) fn new(spec: SloSpec) -> Self {
         let w = spec.window_ns;
         SloMonitor {
             counter: SlidingCounter::new(w),
@@ -311,18 +178,13 @@ impl SloMonitor {
 
     /// Evaluates the spec against the registry at one scrape instant.
     /// Returns a transition when the breach boundary was crossed.
-    pub fn evaluate(&mut self, now_ns: u64, registry: &Registry) -> Option<SloTransition> {
+    pub(crate) fn evaluate(&mut self, now_ns: u64, registry: &Registry) -> Option<SloTransition> {
         let observed = self.observe(now_ns, registry)?;
         let healthy = self.spec.cmp.healthy(observed, self.spec.threshold);
         let breaching = self.spans.last().is_some_and(|s| s.end_ns.is_none());
         if breaching {
             let span = self.spans.last_mut().expect("open span");
-            // Track the worst value seen while the breach is open.
-            if self.spec.cmp.larger_is_worse() {
-                span.worst = span.worst.max(observed);
-            } else {
-                span.worst = span.worst.min(observed);
-            }
+            span.worst = span.worst.max(observed);
             if healthy {
                 span.end_ns = Some(now_ns);
                 return Some(SloTransition {
@@ -348,43 +210,35 @@ impl SloMonitor {
 
     /// Computes the observed statistic, feeding the windows. `None` when
     /// the metric has produced no data yet (no breach can be declared on
-    /// silence — absence-of-data SLOs are modelled as `delta >= n`).
+    /// silence).
     fn observe(&mut self, now_ns: u64, registry: &Registry) -> Option<f64> {
         let spec = &self.spec;
         match spec.stat {
             SloStat::Value => {
-                if let Some(g) = registry.gauge_max(&spec.component, &spec.metric) {
+                if let Some(g) = registry.gauge_max(spec.component, spec.metric) {
                     return Some(g);
                 }
-                let sum: u64 = counter_sum(registry, &spec.component, &spec.metric)?;
+                let sum: u64 = counter_sum(registry, spec.component, spec.metric)?;
                 Some(sum as f64)
             }
-            SloStat::Delta | SloStat::Rate | SloStat::RateDropPct => {
-                let sum = counter_sum(registry, &spec.component, &spec.metric)?;
+            SloStat::Rate | SloStat::RateDropPct => {
+                let sum = counter_sum(registry, spec.component, spec.metric)?;
                 self.counter.push(now_ns, sum);
                 self.baseline.push(now_ns, sum);
-                match spec.stat {
-                    SloStat::Delta => Some(self.counter.delta() as f64),
-                    SloStat::Rate => Some(self.counter.rate_per_sec()),
-                    _ => {
-                        let base = self.baseline.rate_per_sec();
-                        if base <= 0.0 {
-                            return Some(0.0);
-                        }
-                        let drop = (base - self.counter.rate_per_sec()) / base * 100.0;
-                        Some(drop.max(0.0))
-                    }
+                if spec.stat == SloStat::Rate {
+                    return Some(self.counter.rate_per_sec());
                 }
+                let base = self.baseline.rate_per_sec();
+                if base <= 0.0 {
+                    return Some(0.0);
+                }
+                let drop = (base - self.counter.rate_per_sec()) / base * 100.0;
+                Some(drop.max(0.0))
             }
-            SloStat::P50 | SloStat::P95 | SloStat::P99 | SloStat::Mean => {
-                let merged = registry.merged_histogram(&spec.component, &spec.metric)?;
+            SloStat::P99 => {
+                let merged = registry.merged_histogram(spec.component, spec.metric)?;
                 self.histogram.push(now_ns, merged);
-                match spec.stat {
-                    SloStat::P50 => self.histogram.quantile(0.50),
-                    SloStat::P95 => self.histogram.quantile(0.95),
-                    SloStat::P99 => self.histogram.quantile(0.99),
-                    _ => self.histogram.mean(),
-                }
+                self.histogram.quantile(0.99)
             }
         }
     }
@@ -418,52 +272,35 @@ mod tests {
     use super::*;
     use sps_metrics::Scope;
 
-    #[test]
-    fn grammar_parses_and_roundtrips() {
-        let s = SloSpec::parse("e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s").unwrap();
-        assert_eq!(s.name, "e2e_p99");
-        assert_eq!(s.component, "sink");
-        assert_eq!(s.metric, "e2e_delay_ms");
-        assert_eq!(s.stat, SloStat::P99);
-        assert_eq!(s.cmp, SloCmp::Lt);
-        assert_eq!(s.threshold, 250.0);
-        assert_eq!(s.window_ns, 5_000_000_000);
-        let rendered = s.display();
-        assert_eq!(SloSpec::parse(&rendered).unwrap(), s);
-
-        // Defaults: stat=value, window=5s, generated name.
-        let s = SloSpec::parse("cluster/run_queue >= 0").unwrap();
-        assert_eq!(s.stat, SloStat::Value);
-        assert_eq!(s.window_ns, 5_000_000_000);
-        assert_eq!(s.name, "cluster_run_queue_value");
-
-        let s = SloSpec::parse("drop: sink/accepted{rate_drop_pct} < 50 over 2s").unwrap();
-        assert_eq!(s.stat, SloStat::RateDropPct);
-        assert_eq!(s.window_ns, 2_000_000_000);
-    }
-
-    #[test]
-    fn grammar_rejects_malformed_specs() {
-        for bad in [
-            "",
-            "sink/e2e{p99}",
-            "sink/e2e{p99} ~ 250",
-            "sinke2e{p99} < 250",
-            "sink/e2e{p99} < 250 over",
-            "sink/e2e{p99} < 250 over 5parsecs",
-            "sink/e2e{p99} < 250 over 0s",
-            "sink/e2e{nope} < 250",
-            "sink/e2e{p99 < 250",
-            "sink/e2e{p99} < wide",
-        ] {
-            assert!(SloSpec::parse(bad).is_err(), "accepted: {bad:?}");
+    fn spec(name: &'static str, metric: &'static str, stat: SloStat, threshold: f64) -> SloSpec {
+        SloSpec {
+            name,
+            component: "sink",
+            metric,
+            stat,
+            cmp: SloCmp::Lt,
+            threshold,
+            window_ns: 1_000_000_000,
         }
     }
 
     #[test]
+    fn display_renders_the_report_spec() {
+        let mut s = spec("e2e_p99", "e2e_delay_ms", SloStat::P99, 250.0);
+        s.window_ns = 5_000_000_000;
+        assert_eq!(s.display(), "e2e_p99: sink/e2e_delay_ms{p99} < 250 over 5s");
+        s.cmp = SloCmp::Le;
+        s.threshold = 0.5;
+        s.window_ns = 1;
+        assert_eq!(
+            s.display(),
+            "e2e_p99: sink/e2e_delay_ms{p99} <= 0.5 over 1ns"
+        );
+    }
+
+    #[test]
     fn monitor_tracks_breach_enter_exit_and_worst() {
-        let spec = SloSpec::parse("lat: sink/e2e_delay_ms{p99} < 100 over 1s").unwrap();
-        let mut m = SloMonitor::new(spec);
+        let mut m = SloMonitor::new(spec("lat", "e2e_delay_ms", SloStat::P99, 100.0));
         let mut r = Registry::new();
         let sink = Scope::global("sink");
         r.observe(sink, "e2e_delay_ms", 10.0);
@@ -494,8 +331,7 @@ mod tests {
 
     #[test]
     fn rate_drop_breaches_when_throughput_collapses() {
-        let spec = SloSpec::parse("tp: sink/accepted{rate_drop_pct} < 50 over 1s").unwrap();
-        let mut m = SloMonitor::new(spec);
+        let mut m = SloMonitor::new(spec("tp", "accepted", SloStat::RateDropPct, 50.0));
         let mut r = Registry::new();
         let sink = Scope::global("sink");
         // 1000/s for 4 seconds.
@@ -514,8 +350,7 @@ mod tests {
 
     #[test]
     fn silence_is_not_a_breach() {
-        let spec = SloSpec::parse("lat: sink/e2e_delay_ms{p99} < 1 over 1s").unwrap();
-        let mut m = SloMonitor::new(spec);
+        let mut m = SloMonitor::new(spec("lat", "e2e_delay_ms", SloStat::P99, 1.0));
         let r = Registry::new();
         assert!(m.evaluate(1_000_000_000, &r).is_none());
         assert!(m.spans().is_empty());

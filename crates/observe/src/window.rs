@@ -15,15 +15,14 @@ use sps_metrics::LogLinearHistogram;
 /// samples spanning the trailing `window_ns` and answers delta/rate
 /// queries against the oldest retained sample.
 #[derive(Debug, Clone)]
-pub struct SlidingCounter {
+pub(crate) struct SlidingCounter {
     window_ns: u64,
     samples: VecDeque<(u64, u64)>,
 }
 
 impl SlidingCounter {
-    /// An empty window of the given span (nanoseconds, must be positive).
+    /// An empty window of the given span (nanoseconds).
     pub fn new(window_ns: u64) -> Self {
-        assert!(window_ns > 0, "window must be positive");
         SlidingCounter {
             window_ns,
             samples: VecDeque::new(),
@@ -65,25 +64,19 @@ impl SlidingCounter {
             _ => 0.0,
         }
     }
-
-    /// The newest sampled value.
-    pub fn latest(&self) -> u64 {
-        self.samples.back().map(|&(_, v)| v).unwrap_or(0)
-    }
 }
 
 /// A sliding window over a cumulative histogram: retains full snapshots
 /// and answers windowed quantiles by bucket-diffing newest against oldest.
 #[derive(Debug, Clone)]
-pub struct SlidingHistogram {
+pub(crate) struct SlidingHistogram {
     window_ns: u64,
     samples: VecDeque<(u64, LogLinearHistogram)>,
 }
 
 impl SlidingHistogram {
-    /// An empty window of the given span (nanoseconds, must be positive).
+    /// An empty window of the given span (nanoseconds).
     pub fn new(window_ns: u64) -> Self {
-        assert!(window_ns > 0, "window must be positive");
         SlidingHistogram {
             window_ns,
             samples: VecDeque::new(),
@@ -106,14 +99,6 @@ impl SlidingHistogram {
         }
     }
 
-    /// Observations recorded within the window.
-    pub fn count_delta(&self) -> u64 {
-        match (self.samples.front(), self.samples.back()) {
-            (Some((_, first)), Some((_, last))) => last.count().saturating_sub(first.count()),
-            _ => 0,
-        }
-    }
-
     /// Quantile of the observations recorded within the window (bucket
     /// floor, same ~12.5% resolution as the underlying histogram). `None`
     /// when the window recorded nothing.
@@ -127,55 +112,30 @@ impl SlidingHistogram {
         }
         Some(last.quantile_between(first, q))
     }
-
-    /// Mean of the observations recorded within the window.
-    pub fn mean(&self) -> Option<f64> {
-        let (first, last) = match (self.samples.front(), self.samples.back()) {
-            (Some((_, f)), Some((_, l))) => (f, l),
-            _ => return None,
-        };
-        let d = last.delta_since(first);
-        if d.count() == 0 {
-            None
-        } else {
-            Some(d.mean())
-        }
-    }
-}
-
-/// One completed tumbling window of a counter series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TumbleWindow {
-    /// Window end, sim nanoseconds (start is `end - width`).
-    pub end_ns: u64,
-    /// Counter growth across the window.
-    pub delta: u64,
-    /// Growth rate in units per second.
-    pub rate_per_sec: f64,
 }
 
 /// A tumbling (fixed-boundary, non-overlapping) window series over a
 /// cumulative counter: windows close at multiples of the width, and each
-/// closed window records its delta and rate.
+/// closed window records its growth rate.
 #[derive(Debug, Clone)]
-pub struct TumblingCounter {
+pub(crate) struct TumblingCounter {
     width_ns: u64,
     /// Cumulative value at the last closed boundary.
     boundary_value: u64,
     /// The next boundary to close (0 until the first push).
     next_boundary_ns: u64,
-    windows: Vec<TumbleWindow>,
+    /// Growth rate (units per second) of each closed window, oldest first.
+    rates: Vec<f64>,
 }
 
 impl TumblingCounter {
-    /// An empty series with the given window width (nanoseconds, positive).
+    /// An empty series with the given window width (nanoseconds).
     pub fn new(width_ns: u64) -> Self {
-        assert!(width_ns > 0, "window width must be positive");
         TumblingCounter {
             width_ns,
             boundary_value: 0,
             next_boundary_ns: 0,
-            windows: Vec::new(),
+            rates: Vec::new(),
         }
     }
 
@@ -192,35 +152,28 @@ impl TumblingCounter {
         }
         while t_ns >= self.next_boundary_ns {
             let delta = value.saturating_sub(self.boundary_value);
-            self.windows.push(TumbleWindow {
-                end_ns: self.next_boundary_ns,
-                delta,
-                rate_per_sec: delta as f64 / (self.width_ns as f64 / 1e9),
-            });
+            self.rates.push(delta as f64 / (self.width_ns as f64 / 1e9));
             self.boundary_value = value;
             self.next_boundary_ns += self.width_ns;
         }
     }
 
-    /// The closed windows, oldest first.
-    pub fn windows(&self) -> &[TumbleWindow] {
-        &self.windows
+    /// Number of closed windows.
+    pub fn window_count(&self) -> usize {
+        self.rates.len()
     }
 
     /// Mean per-window rate across all closed windows (0 when none).
     pub fn mean_rate(&self) -> f64 {
-        if self.windows.is_empty() {
+        if self.rates.is_empty() {
             return 0.0;
         }
-        self.windows.iter().map(|w| w.rate_per_sec).sum::<f64>() / self.windows.len() as f64
+        self.rates.iter().sum::<f64>() / self.rates.len() as f64
     }
 
     /// Peak per-window rate across all closed windows (0 when none).
     pub fn max_rate(&self) -> f64 {
-        self.windows
-            .iter()
-            .map(|w| w.rate_per_sec)
-            .fold(0.0, f64::max)
+        self.rates.iter().copied().fold(0.0, f64::max)
     }
 }
 
@@ -239,7 +192,6 @@ mod tests {
         // before the start and must be retained.
         assert_eq!(w.delta(), 10);
         assert!(w.rate_per_sec() > 0.0);
-        assert_eq!(w.latest(), 15);
     }
 
     #[test]
@@ -263,10 +215,8 @@ mod tests {
             cumulative.observe(v);
         }
         w.push(900, cumulative.clone());
-        assert_eq!(w.count_delta(), 3);
         // Only the recent large values are in the window.
-        assert!(w.quantile(0.5).unwrap() > 100.0);
-        assert!(w.mean().unwrap() > 100.0);
+        assert!(w.quantile(0.01).unwrap() > 100.0);
         // New small observations land in a later window; the old large
         // ones slide out once a newer at-or-before-start sample exists.
         for v in [1.0, 1.0] {
@@ -274,11 +224,9 @@ mod tests {
         }
         w.push(2_500, cumulative.clone());
         w.push(2_600, cumulative.clone());
-        assert_eq!(w.count_delta(), 2);
-        assert!(w.quantile(0.5).unwrap() < 2.0);
+        assert!(w.quantile(0.99).unwrap() < 2.0);
         // A quiet stretch leaves the window empty: no quantile.
         w.push(5_000, cumulative);
-        assert_eq!(w.count_delta(), 0);
         assert!(w.quantile(0.5).is_none(), "empty window has no quantile");
     }
 
@@ -289,12 +237,10 @@ mod tests {
         t.push(1_100, 10); // closes the [_, 1000] window
         t.push(2_050, 30); // closes [1000, 2000]
         t.push(3_001, 30); // closes [2000, 3000]
-        let w = t.windows();
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0].end_ns, 1_000);
-        assert_eq!(w[0].delta, 10);
-        assert_eq!(w[1].delta, 20);
-        assert_eq!(w[2].delta, 0);
-        assert!(t.max_rate() >= t.mean_rate());
+                           // Deltas 10, 20, 0 over 1 µs windows.
+        assert_eq!(t.rates, [1e7, 2e7, 0.0]);
+        assert_eq!(t.window_count(), 3);
+        assert_eq!(t.max_rate(), 2e7);
+        assert_eq!(t.mean_rate(), 1e7);
     }
 }

@@ -77,8 +77,8 @@ pub mod prelude {
         SourceId, SubjobId,
     };
     pub use sps_ha::{
-        BenchmarkConfig, CheckpointProtocol, HaConfig, HaEventKind, HaMode, HaSimulation,
-        PayloadGen, Placement, RateProfile, RunReport,
+        CheckpointProtocol, HaConfig, HaEventKind, HaMode, HaSimulation, PayloadGen, Placement,
+        RateProfile, RunReport,
     };
     pub use sps_metrics::{Cdf, MsgClass, OnlineStats, RecoveryKind, Table};
     pub use sps_sim::{SimDuration, SimRng, SimTime};

@@ -34,40 +34,18 @@ fn run_ten_minutes(seed: u64) -> (usize, u64, u64) {
 
 #[test]
 fn false_alarms_are_rare_and_harmless_at_sixty_percent_load() {
-    // Seeds chosen so the Pareto duration draws include at least one stall
-    // comfortably longer than the 110 ms heartbeat interval: a stall only
-    // converts into a missed heartbeat when a full ping deadline falls
-    // inside it, so marginal (~120 ms) stalls convert by phase luck alone.
-    // The three ten-minute runs are independent: one thread each.
-    let seeds = [66, 90, 151];
-    let runs: Vec<(usize, u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = seeds
-            .iter()
-            .map(|&seed| s.spawn(move || run_ten_minutes(seed)))
-            .collect();
-        (handles.into_iter())
-            .map(|h| h.join().expect("a ten-minute run panicked"))
-            .collect()
-    });
-    let mut total_fa = 0;
-    for (seed, (fa, produced, accepted)) in seeds.into_iter().zip(runs) {
-        total_fa += fa;
-        // "our hybrid method can afford false alarms to certain extent,
-        // because it can quickly roll back" — and loses nothing doing so.
-        assert_eq!(
-            accepted, produced,
-            "false alarms must be harmless (seed {seed})"
-        );
-        assert!(
-            fa <= 6,
-            "paper: ~1 false alarm per 11 min at 60% CPU; got {fa} in 10 min (seed {seed})"
-        );
-    }
-    // The mechanism exists: across 30 simulated minutes at least one
-    // jitter-induced false alarm fires.
+    // Seed 151's Pareto duration draws include stalls comfortably longer
+    // than the 110 ms heartbeat interval; its ten minutes show two false
+    // alarms. (A stall only converts into a missed heartbeat when a full
+    // ping deadline falls inside it.) The three-seed, 30-minute aggregate
+    // is `crates/core/tests/jitter_false_alarms.rs`.
+    let (fa, produced, accepted) = run_ten_minutes(151);
+    // "our hybrid method can afford false alarms to certain extent,
+    // because it can quickly roll back" — and loses nothing doing so.
+    assert_eq!(accepted, produced, "false alarms must be harmless");
     assert!(
-        (1..=12).contains(&total_fa),
-        "expected a handful of false alarms across 30 min, got {total_fa}"
+        (1..=6).contains(&fa),
+        "paper: ~1 false alarm per 11 min at 60% CPU; got {fa} in 10 min"
     );
 }
 
