@@ -11,15 +11,12 @@
 //! reports). Status goes to stderr; stdout is unchanged.
 
 use sps_audit::Auditor;
-use sps_bench::common::{Experiment, RunOpts};
+use sps_bench::common::{campaign_cell, Experiment, RunOpts};
 use sps_bench::observe_capture::write_campaign;
-use sps_cluster::{BurstLoss, ChaosPlan, FaultProfile, MachineId};
 use sps_engine::SubjobId;
-use sps_ha::{HaEventKind, HaMode, HaSimulation};
+use sps_ha::HaEventKind;
 use sps_metrics::Table;
-use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, Telemetry};
-use sps_workloads::eval_chain_job;
 
 struct CampaignRun {
     produced: u64,
@@ -41,48 +38,24 @@ struct CampaignRun {
 }
 
 fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
-    // The zero-loss baseline gets a clean network (no burst chain either).
-    let weather = if loss > 0.0 {
-        FaultProfile::loss(loss).with_burst(BurstLoss {
-            good_to_bad: 0.01,
-            bad_to_good: 0.2,
-            bad_loss_prob: 0.6,
-        })
-    } else {
-        FaultProfile::default()
-    };
-    let plan = ChaosPlan::default()
-        .loss_window(SimTime::from_millis(500), SimTime::from_secs(6), weather)
-        .correlated_fail_stop(SimTime::from_secs(3), &[MachineId(1), MachineId(3)]);
     // Control-plane-only keeps the JSONL dump small enough to byte-diff
     // in CI while retaining every fault, chaos, and recovery record.
     let recorder = SharedRecorder::default().control_plane_only();
-    let mut builder = HaSimulation::builder(eval_chain_job())
-        .mode(HaMode::Hybrid)
-        .source_rate(500.0)
-        .seed(seed)
-        .tune(|c| {
-            c.reliable_control = true;
-            c.failstop_miss_threshold = 20;
-        })
-        .chaos(plan)
-        .trace_sink(Box::new(recorder.clone()))
-        // The run promises losslessness and quiescence — the table's own
-        // exactly_once/quiescent columns assert the same. Declared
-        // unconditionally so the JSONL preamble (and hence an offline
-        // `sps-inspect audit` of the dump) is identical with and without
-        // `--observe-out`.
-        .audit_expectations(true, true);
-    if audit {
-        // The auditor rides this cell's real trace bus: a strictly
-        // read-only probe, so the sweep stays byte-identical with and
-        // without it.
-        builder = builder.trace_probe(Box::new(Auditor::new()));
-    }
-    let mut sim = builder.build();
-    sim.stop_sources_at(SimTime::from_secs(10));
-    sim.run_for(SimDuration::from_secs(16));
-    sim.finish_probes();
+    // The cell declares its audit expectations unconditionally, so the
+    // JSONL preamble (and hence an offline `sps-inspect audit` of the
+    // dump) is identical with and without `--observe-out`; the table's own
+    // exactly_once/quiescent columns assert the same promises.
+    let sim = campaign_cell(loss, seed, |builder| {
+        let builder = builder.trace_sink(Box::new(recorder.clone()));
+        if audit {
+            // The auditor rides this cell's real trace bus: a strictly
+            // read-only probe, so the sweep stays byte-identical with and
+            // without it.
+            builder.trace_probe(Box::new(Auditor::new()))
+        } else {
+            builder
+        }
+    });
 
     let mut telemetry = Telemetry::new();
     recorder.with(|r| telemetry.ingest_all(r.records()));

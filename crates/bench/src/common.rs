@@ -2,7 +2,11 @@
 
 use std::path::PathBuf;
 
+use sps_cluster::{BurstLoss, ChaosPlan, FaultProfile, MachineId};
+use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder};
 use sps_metrics::Table;
+use sps_sim::{SimDuration, SimTime};
+use sps_workloads::eval_chain_job;
 
 use crate::runner::Runner;
 
@@ -199,6 +203,45 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
+}
+
+/// Runs one `chaos_campaign` cell, lossless and quiescent by promise: the
+/// all-Hybrid evaluation chain at 500 el/s, reliable control, bursty `loss`
+/// from 0.5 s to 6 s, machines 1 and 3 fail-stop at 3 s, sources stop at
+/// 10 s, 16 s run. `attach` adds the caller's trace sinks and probes.
+pub fn campaign_cell(
+    loss: f64,
+    seed: u64,
+    attach: impl FnOnce(HaSimulationBuilder) -> HaSimulationBuilder,
+) -> HaSimulation {
+    // The zero-loss baseline gets a clean network (no burst chain either).
+    let weather = if loss > 0.0 {
+        FaultProfile::loss(loss).with_burst(BurstLoss {
+            good_to_bad: 0.01,
+            bad_to_good: 0.2,
+            bad_loss_prob: 0.6,
+        })
+    } else {
+        FaultProfile::default()
+    };
+    let plan = ChaosPlan::default()
+        .loss_window(SimTime::from_millis(500), SimTime::from_secs(6), weather)
+        .correlated_fail_stop(SimTime::from_secs(3), &[MachineId(1), MachineId(3)]);
+    let builder = HaSimulation::builder(eval_chain_job())
+        .mode(HaMode::Hybrid)
+        .source_rate(500.0)
+        .seed(seed)
+        .tune(|c| {
+            c.reliable_control = true;
+            c.failstop_miss_threshold = 20;
+        })
+        .chaos(plan)
+        .audit_expectations(true, true);
+    let mut sim = attach(builder).build();
+    sim.stop_sources_at(SimTime::from_secs(10));
+    sim.run_for(SimDuration::from_secs(16));
+    sim.finish_probes();
+    sim
 }
 
 /// Formats a float with 2 decimals.

@@ -2,7 +2,7 @@
 //! element delivery, and acknowledgment processing.
 
 use sps_cluster::{LoadComponent, MachineId, SchedLatency};
-use sps_engine::{ConnectionId, DataBatch, DataElement, Dest, Replica, StreamId};
+use sps_engine::{ConnectionId, DataBatch, DataElement, Dest, OutputQueue, Replica, StreamId};
 use sps_metrics::{MsgClass, Scope};
 use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, LineageTable, TraceEvent};
@@ -1055,55 +1055,64 @@ impl HaWorld {
 
     // ---- data-plane retransmission sweep ----
 
-    /// Walks one producer's staged connection observations — source `idx`,
-    /// or the instance in slot `idx` — and rewinds every connection the
+    /// Walks one producer's connections — source `idx`, or the instance in
+    /// slot `idx` — and rewinds every connection the
     /// [`SweepLedger`](crate::sweep::SweepLedger) finds due to its first
     /// unacknowledged retained element. Returns whether a cursor moved,
     /// i.e. whether the producer has something to re-dispatch.
-    fn sweep_rewind(
-        &mut self,
-        is_instance: bool,
-        idx: usize,
-        src: MachineId,
-        obs: &[(usize, usize, Dest, bool, u64, u64)],
-    ) -> bool {
+    fn sweep_rewind(&mut self, is_instance: bool, idx: usize, src: MachineId) -> bool {
+        let ports = if is_instance {
+            self.instances[idx].as_ref().expect("swept").output_ports()
+        } else {
+            1
+        };
         let mut rewound = false;
-        for &(port, ci, dest, active, acked, next) in obs {
-            let window = (active && next > acked + 1).then_some((acked, next));
-            let reachable = window.is_some() && {
-                let dst = self.dest_machine(dest);
-                self.cluster.machine(dst).is_up()
-                    && !self.cluster.network().is_partitioned(src, dst)
-            };
-            let key = (is_instance, idx, port, ci);
-            if !self
-                .rel_sweep_prev
-                .observe(&self.cfg, key, window, reachable)
-            {
-                continue;
-            }
-            let q = if is_instance {
-                let inst = self.instances[idx].as_mut().expect("swept");
-                inst.output_mut(port)
-            } else {
-                self.sources[idx].queue_mut()
-            };
-            let target = (acked + 1).max(q.trimmed_through() + 1);
-            if target < next {
-                let stream = q.stream().0;
-                q.set_next_to_send(ConnectionId(ci), target);
-                rewound = true;
-                if let Some(lin) = self.lineage.as_deref_mut() {
-                    // Every element the cursor rewound over is about to
-                    // be transmitted again — one contiguous range. Under
-                    // batching the resend itself may split on the acked
-                    // boundary, but the rewind covers the full run.
-                    lin.mark_retransmit_range(stream, target, next - 1);
+        for port in 0..ports {
+            for ci in 0..self.swept_queue(is_instance, idx, port).connections().len() {
+                let conn = ConnectionId(ci);
+                let q = self.swept_queue(is_instance, idx, port);
+                let (stream, c) = (q.stream().0, q.connection(conn));
+                let (dest, acked, next) = (c.dest, c.acked, c.next_to_send);
+                let window = (c.active && next > acked + 1).then_some((acked, next));
+                let reachable = window.is_some() && {
+                    let dst = self.dest_machine(dest);
+                    self.cluster.machine(dst).is_up()
+                        && !self.cluster.network().is_partitioned(src, dst)
+                };
+                let key = (is_instance, idx, port, ci);
+                if !self
+                    .rel_sweep_prev
+                    .observe(&self.cfg, key, window, reachable)
+                {
+                    continue;
                 }
-                self.metric_inc(Scope::global("reliable"), "data_retransmits", next - target);
+                let resent = if is_instance {
+                    let inst = self.instances[idx].as_mut().expect("swept");
+                    inst.output_mut(port).rewind(conn)
+                } else {
+                    self.sources[idx].queue_mut().rewind(conn)
+                };
+                if resent.is_empty() {
+                    continue;
+                }
+                rewound = true;
+                let n = resent.end - resent.start;
+                self.metric_inc(Scope::global("reliable"), "data_retransmits", n);
+                // One contiguous range, even where a batched resend splits
+                // on the acked boundary.
+                self.note_replay_retransmits(stream, resent);
             }
         }
         rewound
+    }
+
+    /// Output `port` of the producer [`HaWorld::sweep_rewind`] walks.
+    fn swept_queue(&self, is_instance: bool, idx: usize, port: usize) -> &OutputQueue<Dest> {
+        if is_instance {
+            self.instances[idx].as_ref().expect("swept").output(port)
+        } else {
+            self.sources[idx].queue()
+        }
     }
 
     /// Periodic data-plane retransmission sweep (scheduled only when
@@ -1117,46 +1126,21 @@ impl HaWorld {
     /// correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(REL_SWEEP_INTERVAL, Event::RetransmitSweep);
-        // One producer's connection observations at a time stage in the
-        // world's scratch list, so the periodic sweep stops allocating once
-        // the list is warm.
-        let mut obs = std::mem::take(&mut self.sweep_scratch);
         for s in 0..self.sources.len() {
             let machine = self.placement.sources[s];
-            if !self.cluster.machine(machine).is_up() {
-                continue;
-            }
-            let q = self.sources[s].queue();
-            obs.clear();
-            obs.extend((0..q.connections().len()).map(|ci| {
-                let c = q.connection(ConnectionId(ci));
-                (0usize, ci, c.dest, c.active, c.acked, c.next_to_send)
-            }));
-            if self.sweep_rewind(false, s, machine, &obs) {
+            if self.cluster.machine(machine).is_up() && self.sweep_rewind(false, s, machine) {
                 self.dispatch_source_outputs(ctx, s);
             }
         }
         for slot in 0..self.instances.len() {
             let machine = self.instance_machine[slot];
-            let Some(inst) = self.instances[slot].as_ref() else {
-                continue;
-            };
-            if !self.cluster.machine(machine).is_up() {
-                continue;
-            }
-            obs.clear();
-            obs.extend((0..inst.output_ports()).flat_map(|port| {
-                let q = inst.output(port);
-                (0..q.connections().len()).map(move |ci| {
-                    let c = q.connection(ConnectionId(ci));
-                    (port, ci, c.dest, c.active, c.acked, c.next_to_send)
-                })
-            }));
-            if self.sweep_rewind(true, slot, machine, &obs) {
+            if self.instances[slot].is_some()
+                && self.cluster.machine(machine).is_up()
+                && self.sweep_rewind(true, slot, machine)
+            {
                 self.dispatch_outputs(ctx, slot);
             }
         }
-        self.sweep_scratch = obs;
     }
 }
 

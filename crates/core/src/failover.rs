@@ -7,6 +7,7 @@
 //! (`swap_roles`), advance the epoch (`advance_epoch`, the only place an
 //! epoch is bumped), and re-provision the standby (`provision_standby`).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sps_cluster::MachineId;
@@ -1059,7 +1060,7 @@ impl HaWorld {
                     for dest in dests {
                         if let Some(inst) = self.instances[slot].as_mut() {
                             if find_conn(inst.output(port), dest).is_none() {
-                                inst.connect_output(port, dest, false, false);
+                                inst.connect_output(port, dest, false);
                             }
                         }
                     }
@@ -1093,18 +1094,14 @@ impl HaWorld {
                 port,
             };
             for addr in self.producer_copies(stream, pe, replica) {
-                let replayed = self.producer_queue_mut(addr).and_then(|q| {
+                let resumed = self.producer_queue_mut(addr).and_then(|q| {
                     let conn = find_conn(q, dest)?;
-                    let old = q.connection(conn).next_to_send;
-                    let new = (position + 1).max(q.trimmed_through() + 1);
-                    q.set_acked(conn, position);
-                    q.set_next_to_send(conn, new);
-                    q.set_active(conn, true);
-                    q.set_counts_for_trim(conn, true);
-                    Some((q.stream().0, new, old))
+                    Some((q.stream().0, q.resume(conn, position)))
                 });
-                let rewound = replayed.is_some();
-                self.note_replay_retransmits(replayed);
+                let rewound = resumed.is_some();
+                if let Some((stream, resent)) = resumed {
+                    self.note_replay_retransmits(stream, resent);
+                }
                 // A source always re-dispatches; an instance only when its
                 // connection was found.
                 match addr {
@@ -1134,38 +1131,27 @@ impl HaWorld {
                     inst.output(port).connection(conn).dest
                 };
                 let serving = self.dest_is_serving(dest);
-                let replayed = {
-                    let inst = self.instances[slot].as_mut().expect("checked");
-                    let q = inst.output_mut(port);
-                    q.set_active(conn, serving);
-                    q.set_counts_for_trim(conn, serving);
-                    if serving {
-                        let old = q.connection(conn).next_to_send;
-                        let from = q.trimmed_through() + 1;
-                        q.set_next_to_send(conn, from);
-                        Some((q.stream().0, from, old))
-                    } else {
-                        None
-                    }
-                };
-                self.note_replay_retransmits(replayed);
+                let inst = self.instances[slot].as_mut().expect("checked");
+                let q = inst.output_mut(port);
+                if !serving {
+                    q.suspend(conn);
+                    continue;
+                }
+                let (stream, resent) = (q.stream().0, q.replay(conn));
+                self.note_replay_retransmits(stream, resent);
             }
         }
         self.dispatch_outputs(ctx, slot);
     }
 
-    /// Records replayed elements in the lineage table: when a recovery rewind
-    /// moved a connection cursor from `old` back to `new`, every element in
-    /// `[new, old)` is about to be transmitted a second time.
-    fn note_replay_retransmits(&mut self, replayed: Option<(u32, u64, u64)>) {
-        let Some((stream, new, old)) = replayed else {
-            return;
-        };
-        if new >= old {
+    /// Records replayed elements in the lineage table: every element of
+    /// `stream` in `resent` is about to be transmitted a second time.
+    pub(crate) fn note_replay_retransmits(&mut self, stream: u32, resent: Range<u64>) {
+        if resent.is_empty() {
             return;
         }
         if let Some(lin) = self.lineage.as_deref_mut() {
-            lin.mark_retransmit_range(stream, new, old - 1);
+            lin.mark_retransmit_range(stream, resent.start, resent.end - 1);
         }
     }
 
@@ -1180,8 +1166,7 @@ impl HaWorld {
             for addr in self.producer_copies(stream, pe, replica) {
                 if let Some(q) = self.producer_queue_mut(addr) {
                     if let Some(conn) = find_conn(q, dest) {
-                        q.set_active(conn, false);
-                        q.set_counts_for_trim(conn, false);
+                        q.suspend(conn);
                     }
                 }
             }
@@ -1190,9 +1175,7 @@ impl HaWorld {
         if let Some(inst) = self.instances[slot].as_mut() {
             for port in 0..inst.output_ports() {
                 for ci in 0..inst.output(port).connections().len() {
-                    let conn = sps_engine::ConnectionId(ci);
-                    inst.output_mut(port).set_active(conn, false);
-                    inst.output_mut(port).set_counts_for_trim(conn, false);
+                    inst.output_mut(port).suspend(sps_engine::ConnectionId(ci));
                 }
             }
         }

@@ -613,10 +613,6 @@ pub struct HaWorld {
     /// batched run stops allocating per message. It holds at most as many
     /// buffers as batches were ever in flight at once.
     pub(crate) batch_bufs: Vec<Vec<sps_engine::DataElement>>,
-    /// Reusable buffer for the retransmit sweep: the connection
-    /// observations `(port, conn, dest, active, acked, next_to_send)` of
-    /// the producer being swept, emptied before the next one.
-    pub(crate) sweep_scratch: Vec<(usize, usize, sps_engine::Dest, bool, u64, u64)>,
     /// Causal tuple lineage, when enabled on the builder. Boxed so the
     /// disabled (default) case costs one pointer and one branch per hook.
     pub(crate) lineage: Option<Box<LineageTable>>,
@@ -740,7 +736,6 @@ impl HaWorld {
             task_scratch: Vec::new(),
             session_scratch: sps_engine::OutputSession::new(cfg.batch_size),
             batch_bufs: Vec::new(),
-            sweep_scratch: Vec::new(),
             lineage: None,
             metrics: None,
             health: None,
@@ -876,7 +871,7 @@ impl HaWorld {
                     self.instances[p_slot]
                         .as_mut()
                         .expect("checked above")
-                        .connect_output(port, dest, active, active);
+                        .connect_output(port, dest, active);
                 }
             }
         }

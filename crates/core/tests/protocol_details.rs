@@ -23,7 +23,7 @@ fn wiring_active_standby_has_two_by_two_cross_subjob_connections() {
         let inst = world.instance(PeId(1), replica).expect("AS deploys both");
         let conns = inst.output(0).connections();
         assert_eq!(conns.len(), 2, "{replica}: cross-subjob fan-out");
-        assert!(conns.iter().all(|c| c.active && c.counts_for_trim));
+        assert!(conns.iter().all(|c| c.active));
     }
     // Intra-subjob pipes stay replica-local: pe0 -> pe1 has one conn each.
     for replica in Replica::BOTH {
@@ -46,10 +46,7 @@ fn wiring_hybrid_early_connections_exist_but_are_inactive() {
     let conns = pe1.output(0).connections();
     assert_eq!(conns.len(), 2);
     let active = conns.iter().filter(|c| c.active).count();
-    let inactive = conns
-        .iter()
-        .filter(|c| !c.active && !c.counts_for_trim)
-        .count();
+    let inactive = conns.iter().filter(|c| !c.active).count();
     assert_eq!(
         (active, inactive),
         (1, 1),

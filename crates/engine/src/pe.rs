@@ -221,16 +221,11 @@ impl PeInstance {
         self.inputs[port].register_stream(stream);
     }
 
-    /// Connects output `port` to `dest`.
-    pub fn connect_output(
-        &mut self,
-        port: usize,
-        dest: Dest,
-        active: bool,
-        counts_for_trim: bool,
-    ) -> ConnectionId {
+    /// Connects output `port` to `dest`; an active connection also gates
+    /// trimming.
+    pub fn connect_output(&mut self, port: usize, dest: Dest, active: bool) -> ConnectionId {
         self.mark_sendable(port);
-        self.outputs[port].connect(dest, active, counts_for_trim)
+        self.outputs[port].connect(dest, active, active)
     }
 
     /// The output queue on `port`.
@@ -674,7 +669,7 @@ mod tests {
             &[StreamId(10)],
         );
         inst.register_input_stream(0, StreamId(1));
-        inst.connect_output(0, Dest::Sink(SinkId(0)), true, true);
+        inst.connect_output(0, Dest::Sink(SinkId(0)), true);
         inst
     }
 

@@ -16,11 +16,17 @@
 //! Connections carry the hybrid method's `is_active` flag: an early-created
 //! connection to a suspended secondary exists but transmits nothing until
 //! switch-over flips the flag (§IV-B). Inactive connections are also
-//! excluded from trimming (`counts_for_trim == false`): the suspended
-//! secondary's position advances via checkpoints, which by protocol order
-//! always run ahead of the acknowledgments that drive trimming.
+//! excluded from trimming: the suspended secondary's position advances via
+//! checkpoints, which by protocol order always run ahead of the
+//! acknowledgments that drive trimming.
+//!
+//! A caller moves a connection in one call — [`OutputQueue::resume`],
+//! [`OutputQueue::replay`], [`OutputQueue::suspend`] or
+//! [`OutputQueue::rewind`] — that sets its ack, flag, trim and cursor
+//! together, so no call order can trim away what it is about to resend.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use sps_sim::SimTime;
 
@@ -39,10 +45,9 @@ pub struct ConnectionId(pub usize);
 pub struct Connection<D> {
     /// Where elements on this connection are delivered.
     pub dest: D,
-    /// The paper's `isActive` field: inactive connections transmit nothing.
+    /// The paper's `isActive` field: inactive connections transmit nothing,
+    /// and their acknowledgments do not gate trimming.
     pub active: bool,
-    /// Whether this consumer's acknowledgments gate trimming.
-    pub counts_for_trim: bool,
     /// Sequence number of the next element to transmit.
     pub next_to_send: u64,
     /// Highest cumulatively acknowledged sequence number (0 = none).
@@ -107,13 +112,17 @@ impl<D> OutputQueue<D> {
         self.stream
     }
 
-    /// Adds a connection joining at the current head of the stream.
+    /// Adds a connection joining at the current head of the stream;
+    /// `counts_for_trim` must equal `active`.
     pub fn connect(&mut self, dest: D, active: bool, counts_for_trim: bool) -> ConnectionId {
+        assert_eq!(
+            counts_for_trim, active,
+            "a connection counts for trimming exactly while it is active"
+        );
         let id = ConnectionId(self.connections.len());
         self.connections.push(Connection {
             dest,
             active,
-            counts_for_trim,
             next_to_send: self.next_seq,
             acked: self.trimmed,
         });
@@ -207,7 +216,7 @@ impl<D> OutputQueue<D> {
         let floor = self
             .connections
             .iter()
-            .filter(|c| c.counts_for_trim)
+            .filter(|c| c.active)
             .map(|c| c.acked)
             .min()
             .unwrap_or(self.trimmed);
@@ -226,38 +235,45 @@ impl<D> OutputQueue<D> {
         removed
     }
 
-    /// Flips the paper's `isActive` flag on a connection.
-    pub fn set_active(&mut self, conn: ConnectionId, active: bool) {
-        self.connections[conn.0].active = active;
+    /// A consumer restored at `after` takes `conn` over: it acks `after` and
+    /// turns active *before* the trim, so the trim stops at `after`; the
+    /// cursor moves past both. Returns the sequences sent again.
+    pub fn resume(&mut self, conn: ConnectionId, after: u64) -> Range<u64> {
+        let c = &mut self.connections[conn.0];
+        c.acked = after;
+        c.active = true;
+        self.trim_to_floor();
+        self.move_cursor(conn, (after + 1).max(self.trimmed + 1))
     }
 
-    /// Sets whether a connection's acknowledgments gate trimming.
-    pub fn set_counts_for_trim(&mut self, conn: ConnectionId, counts: bool) {
-        self.connections[conn.0].counts_for_trim = counts;
+    /// Turns `conn` active and resends everything retained after the trim.
+    /// Returns the sequences sent again.
+    pub fn replay(&mut self, conn: ConnectionId) -> Range<u64> {
+        self.connections[conn.0].active = true;
+        self.trim_to_floor();
+        self.move_cursor(conn, self.trimmed + 1)
+    }
+
+    /// Turns `conn` inactive: it sends nothing and stops gating the trim.
+    pub fn suspend(&mut self, conn: ConnectionId) {
+        self.connections[conn.0].active = false;
         self.trim_to_floor();
     }
 
-    /// Rewinds or advances a connection's send cursor (used when activating
-    /// a standby that must be fed from its restored position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the position has already been trimmed away — recovery would
-    /// be impossible, which is exactly the bug retention prevents.
-    pub fn set_next_to_send(&mut self, conn: ConnectionId, seq: u64) {
-        assert!(
-            seq > self.trimmed,
-            "cannot send from {seq}: trimmed through {}",
-            self.trimmed
-        );
-        self.connections[conn.0].next_to_send = seq;
+    /// Moves `conn`'s cursor back (never forward) to its first
+    /// unacknowledged retained element. Returns the sequences sent again.
+    pub fn rewind(&mut self, conn: ConnectionId) -> Range<u64> {
+        let c = &self.connections[conn.0];
+        let to = c.next_to_send.min((c.acked + 1).max(self.trimmed + 1));
+        self.move_cursor(conn, to)
     }
 
-    /// Overwrites a connection's acknowledged position (used when the set of
-    /// active consumers changes during switch-over/rollback).
-    pub fn set_acked(&mut self, conn: ConnectionId, seq: u64) {
-        self.connections[conn.0].acked = seq;
-        self.trim_to_floor();
+    /// Points `conn`'s cursor at `to` and returns the range it moved back
+    /// over.
+    fn move_cursor(&mut self, conn: ConnectionId, to: u64) -> Range<u64> {
+        let c = &mut self.connections[conn.0];
+        let from = std::mem::replace(&mut c.next_to_send, to);
+        to..from.max(to)
     }
 
     /// The connection table.
@@ -307,8 +323,8 @@ impl<D> OutputQueue<D> {
     }
 
     /// Restores queue contents from a snapshot, preserving the connection
-    /// table. The runtime must re-point each connection's cursors afterwards
-    /// (see [`OutputQueue::set_next_to_send`]).
+    /// table and clamping each cursor into the restored range. The trim
+    /// floor is the snapshot's even where live acks are past it.
     ///
     /// # Panics
     ///
@@ -686,7 +702,7 @@ mod tests {
         let c = q.connect("standby", false, false);
         q.produce(payload(1.0), SimTime::ZERO);
         assert!(q.drain_sendable(c).is_empty());
-        q.set_active(c, true);
+        assert!(q.replay(c).is_empty(), "nothing was sent before");
         assert_eq!(q.drain_sendable(c).len(), 1);
     }
 
@@ -730,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn set_next_to_send_replays_retained_elements() {
+    fn rewind_resends_everything_after_the_ack() {
         let mut q = mk_queue();
         let c = q.connect("down", true, true);
         for i in 0..5 {
@@ -738,8 +754,8 @@ mod tests {
         }
         q.drain_sendable(c);
         q.register_ack(c, 2);
-        // Recovery: replay everything after the ack.
-        q.set_next_to_send(c, 3);
+        assert_eq!(q.rewind(c), 3..6);
+        assert!(q.rewind(c).is_empty(), "already at the first unacked");
         let replay = q.drain_sendable(c);
         assert_eq!(
             replay.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -748,13 +764,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trimmed")]
-    fn cannot_rewind_into_trimmed_region() {
+    fn resume_counts_for_trim_before_it_trims() {
         let mut q = mk_queue();
-        let c = q.connect("down", true, true);
-        q.produce(payload(1.0), SimTime::ZERO);
-        q.register_ack(c, 1);
-        q.set_next_to_send(c, 1);
+        let primary = q.connect("primary", true, true);
+        let standby = q.connect("standby", false, false);
+        for i in 0..10 {
+            q.produce(payload(i as f64), SimTime::ZERO);
+        }
+        let snap = q.snapshot();
+        q.register_ack(primary, 8);
+        // The restored queue sits below the floor the primary's ack set.
+        q.restore(&snap);
+        assert_eq!(q.trimmed_through(), 0);
+        q.resume(standby, 4);
+        assert_eq!(q.trimmed_through(), 4, "the standby holds the floor at 4");
+        let resent = q.drain_sendable(standby);
+        assert_eq!(
+            resent.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            (5..=10).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn suspend_stops_sending_and_releases_the_trim() {
+        let mut q = mk_queue();
+        let a = q.connect("a", true, true);
+        let b = q.connect("b", true, true);
+        for i in 0..4 {
+            q.produce(payload(i as f64), SimTime::ZERO);
+        }
+        q.register_ack(a, 3);
+        assert_eq!(q.trimmed_through(), 0, "b has acked nothing");
+        q.suspend(b);
+        assert_eq!(q.trimmed_through(), 3);
+        assert!(q.drain_sendable(b).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly while it is active")]
+    fn connect_rejects_a_trim_flag_unlike_active() {
+        mk_queue().connect("late", true, false);
     }
 
     #[test]
@@ -790,7 +839,7 @@ mod tests {
     fn connect_after_production_joins_at_head() {
         let mut q = mk_queue();
         q.produce(payload(1.0), SimTime::ZERO);
-        let late = q.connect("late", true, false);
+        let late = q.connect("late", true, true);
         assert!(q.drain_sendable(late).is_empty(), "joins at current head");
         q.produce(payload(2.0), SimTime::ZERO);
         assert_eq!(q.drain_sendable(late).len(), 1);

@@ -299,8 +299,9 @@ fn output_session_coalescing_matches_naive_reference() {
     }
 }
 
-/// Sendable-port set: under random interleavings of produce, connection
-/// activation, cursor rewinds, acks, late connections, restore, and
+/// Sendable-port set: under random interleavings of produce, the four
+/// connection transitions (resume, replay, suspend, rewind), acks, late
+/// connections, restore, and
 /// dispatches that skip some connections (partitioned links), draining
 /// only the ports in the set yields exactly the `(port, conn, seqs)`
 /// sequence a scan of every port yields — the set never hides a sendable
@@ -327,8 +328,8 @@ fn sendable_set_drain_matches_full_port_scan() {
         inst.register_input_stream(0, StreamId(0));
         for port in 0..PORTS {
             // A serving consumer plus an early (inactive) standby link.
-            inst.connect_output(port, Dest::Sink(SinkId(0)), true, true);
-            inst.connect_output(port, Dest::Sink(SinkId(1)), false, true);
+            inst.connect_output(port, Dest::Sink(SinkId(0)), true);
+            inst.connect_output(port, Dest::Sink(SinkId(1)), false);
         }
         inst
     };
@@ -378,10 +379,7 @@ fn sendable_set_drain_matches_full_port_scan() {
             let port = rng.uniform_u64(0, PORTS as u64) as usize;
             let conns = set.output(port).connections().len();
             let conn = ConnectionId(rng.uniform_u64(0, conns as u64) as usize);
-            let (trimmed, head) = {
-                let q = set.output(port);
-                (q.trimmed_through(), q.next_seq())
-            };
+            let head = set.output(port).next_seq();
             match rng.uniform_u64(0, 10) {
                 0..=3 => {
                     for _ in 0..rng.uniform_u64(1, 6) {
@@ -395,16 +393,33 @@ fn sendable_set_drain_matches_full_port_scan() {
                     }
                 }
                 4 => {
-                    let active = rng.chance(0.6);
-                    for inst in [&mut set, &mut scan] {
-                        inst.output_mut(port).set_active(conn, active);
-                    }
+                    let replay = rng.chance(0.6);
+                    let [a, b] = [&mut set, &mut scan].map(|inst| {
+                        let q = inst.output_mut(port);
+                        if replay {
+                            q.replay(conn)
+                        } else {
+                            q.suspend(conn);
+                            0..0
+                        }
+                    });
+                    assert_eq!(a, b, "case {case} step {step}: replay ranges");
                 }
                 5 => {
-                    let seq = rng.uniform_u64(trimmed + 1, head + 1);
-                    for inst in [&mut set, &mut scan] {
-                        inst.output_mut(port).set_next_to_send(conn, seq);
-                    }
+                    let resume_after = rng.chance(0.5).then(|| rng.uniform_u64(0, head));
+                    let [a, b] = [&mut set, &mut scan].map(|inst| {
+                        let q = inst.output_mut(port);
+                        match resume_after {
+                            Some(after) => q.resume(conn, after),
+                            None => q.rewind(conn),
+                        }
+                    });
+                    assert_eq!(a, b, "case {case} step {step}: resend ranges");
+                    let trimmed = set.output(port).trimmed_through();
+                    assert!(
+                        a.is_empty() || a.start > trimmed,
+                        "resend from a trimmed seq"
+                    );
                 }
                 6 => {
                     // Acknowledge only what this connection has sent, so
@@ -418,7 +433,7 @@ fn sendable_set_drain_matches_full_port_scan() {
                 7 if conns < 4 => {
                     let active = rng.chance(0.5);
                     for inst in [&mut set, &mut scan] {
-                        inst.connect_output(port, Dest::Sink(SinkId(9)), active, false);
+                        inst.connect_output(port, Dest::Sink(SinkId(9)), active);
                     }
                 }
                 8 => {
@@ -769,7 +784,7 @@ fn batch_completion_matches_the_elementwise_pe() {
         }
         for port in 0..out_ports {
             let sink = Dest::Sink(SinkId(port as u32));
-            batched.connect_output(port, sink, true, true);
+            batched.connect_output(port, sink, true);
             single.outputs[port].connect(sink, true, true);
         }
         // Wiring put every port into the sendable set; start from empty.

@@ -132,3 +132,61 @@ fn wrong_mode_vector_is_rejected() {
         false,
     );
 }
+
+/// Figure 5's worst cell: subjobs 1–3 share one secondary machine, and
+/// failures occupy 30 % of each primary's time. Two recoveries overlap on
+/// the shared machine: while subjob 2 runs switched over there, subjob 3
+/// switches over and asks subjob 2's active copy to resend from subjob 3's
+/// restored position. That copy's queue came back from a checkpoint below
+/// its live trim floor, so the standby's connection must gate the trim
+/// before anything trims on the serving connection's ack; when it did not,
+/// the trim jumped past the resume point and the run panicked at 2.35 s.
+#[test]
+fn overlapping_recoveries_on_a_shared_secondary_stay_exactly_once() {
+    let seed = 2015;
+    let shared = [1u32, 2, 3];
+    let job = eval_chain_job();
+    let placement = multiplexed_placement(&job, &shared);
+    let primaries: Vec<MachineId> = shared
+        .iter()
+        .map(|&sj| placement.primaries[sj as usize])
+        .collect();
+    let mut builder = HaSimulation::builder(job)
+        .mode(HaMode::None)
+        .placement(placement)
+        .source_rate(1_000.0)
+        .seed(seed)
+        .trace_probe(Box::new(sps_audit::Auditor::new()))
+        .audit_expectations(true, true);
+    for &sj in &shared {
+        builder = builder.subjob_mode(SubjobId(sj), HaMode::Hybrid);
+    }
+    let mut sim = builder.build();
+    let horizon = SimTime::from_secs(10);
+    for (i, &m) in primaries.iter().enumerate() {
+        // Figure 5's failure load and per-primary RNG stream.
+        let mut rng = SimRng::seed_from(seed ^ (0xF105 + i as u64 * 7919));
+        let load = failure_load(
+            0.30,
+            SimDuration::from_secs(5),
+            marginal_spike_share(0.6),
+            horizon,
+            &mut rng,
+        );
+        sim.inject_spike_windows(m, &load);
+    }
+    sim.stop_sources_at(horizon);
+    sim.run_until(SimTime::from_secs(40));
+    sim.finish_probes();
+
+    assert_eq!(
+        sim.audit_violations(),
+        0,
+        "{}",
+        sim.audit_report().unwrap_or_default()
+    );
+    let world = sim.world();
+    let produced = world.sources()[0].produced();
+    assert_eq!(produced, 9_999, "the source ran for 10 s at 1,000 el/s");
+    assert_eq!(world.sinks()[0].accepted(), produced, "drained, lossless");
+}
