@@ -28,6 +28,7 @@ pub use cluster_study::{
 };
 pub use scenarios::{
     chain_job_with, eval_chain_job, failure_load, financial_job, marginal_spike_share,
-    multiplexed_placement, primary_machine_of, single_failure, traffic_job, tree_job,
+    mixed_fanout_job, multiplexed_placement, primary_machine_of, single_failure, traffic_job,
+    tree_job,
 };
 pub use zipf::{sharded_job, sharded_placement, ZipfKeys};

@@ -149,6 +149,48 @@ pub fn tree_job() -> Job {
     b.build().expect("tree topology is valid")
 }
 
+/// A fan-out whose one stream feeds a PE in another subjob and a PE in
+/// its own: source → split → {remote, local} → two sinks, with split and
+/// local in subjob 0 and remote alone in subjob 1. The split's output
+/// queue holds both kinds of link — a cross-subjob edge to every copy of
+/// remote and a same-replica pipe to local — and lists the cross-subjob
+/// consumer first. Both branches have selectivity 1.
+pub fn mixed_fanout_job() -> Job {
+    let mut b = JobBuilder::new("mixed-fanout");
+    let src = b.add_source("src");
+    let remote_out = b.add_sink("remote-out");
+    let local_out = b.add_sink("local-out");
+    let split = b.add_pe(
+        "split",
+        OperatorSpec::Map {
+            scale: 1.0,
+            offset: 0.0,
+            demand_secs: 0.000_2,
+        },
+    );
+    let remote = b.add_pe(
+        "remote-count",
+        OperatorSpec::Counter {
+            demand_secs: 0.000_2,
+        },
+    );
+    let local = b.add_pe(
+        "local-map",
+        OperatorSpec::Map {
+            scale: 2.0,
+            offset: 0.0,
+            demand_secs: 0.000_2,
+        },
+    );
+    b.connect_source(src, split, 0);
+    b.connect(split, 0, remote, 0);
+    b.connect(split, 0, local, 0);
+    b.connect_sink(remote, 0, remote_out);
+    b.connect_sink(local, 0, local_out);
+    b.subjobs(vec![vec![split, local], vec![remote]]);
+    b.build().expect("mixed fan-out topology is valid")
+}
+
 /// The Fig 5 placement: the given subjobs share one secondary machine
 /// ("allow multiple primary machines to share one secondary machine").
 pub fn multiplexed_placement(job: &Job, shared_subjobs: &[u32]) -> Placement {

@@ -87,7 +87,7 @@ pub mod prelude {
         TraceRecord, TraceSink,
     };
     pub use sps_workloads::{
-        eval_chain_job, failure_load, financial_job, marginal_spike_share, multiplexed_placement,
-        single_failure, traffic_job, tree_job,
+        eval_chain_job, failure_load, financial_job, marginal_spike_share, mixed_fanout_job,
+        multiplexed_placement, single_failure, traffic_job, tree_job,
     };
 }
