@@ -61,6 +61,7 @@ mod message;
 mod sink;
 mod source;
 mod sweep;
+mod wiring;
 mod world;
 
 pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_SWEEP_INTERVAL};

@@ -5,9 +5,11 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::config::{HaConfig, REL_SWEEP_INTERVAL};
+use crate::message::ProducerAddr;
 
-/// A swept connection: `(is_instance, source-or-slot, port, conn)`.
-pub(crate) type SweepKey = (bool, usize, usize, usize);
+/// A swept connection: the producer copy's output queue and the
+/// connection's index in it.
+pub(crate) type SweepKey = (ProducerAddr, usize);
 
 /// One connection, as the previous sweep left it.
 #[derive(Debug, Clone, Copy)]
@@ -84,9 +86,19 @@ impl SweepLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sps_engine::{InstanceId, PeId, Replica, SourceId};
     use sps_sim::SimDuration;
 
-    const KEY: SweepKey = (true, 3, 0, 1);
+    const KEY: SweepKey = (
+        ProducerAddr::Instance(
+            InstanceId {
+                pe: PeId(1),
+                replica: Replica::Secondary,
+            },
+            0,
+        ),
+        1,
+    );
 
     /// Looks at a reachable connection frozen at `pair` on `n` sweeps in a
     /// row and returns the ones that rewound it, counted from 0.
@@ -125,7 +137,7 @@ mod tests {
         }
         assert_eq!(rewinds(&mut ledger, &cfg, (6, 9), 7), [0, 1, 3]);
         // Another connection's history is its own.
-        let other = (false, 0, 0, 0);
+        let other = (ProducerAddr::Source(SourceId(0)), 0);
         assert!(!ledger.observe(&cfg, other, Some((6, 9)), true));
         assert!(ledger.observe(&cfg, other, Some((6, 9)), true));
     }

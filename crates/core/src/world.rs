@@ -12,8 +12,7 @@ use sps_cluster::{
     ChaosAction, ChaosStep, Cluster, FaultTopology, LoadComponent, MachineId, NetworkConfig,
 };
 use sps_engine::{
-    Consumer, Dest, InstanceId, Job, PeCheckpoint, PeId, Producer, Replica, SinkId, SourceId,
-    StreamId, SubjobId,
+    Dest, InstanceId, Job, PeCheckpoint, PeId, Replica, SinkId, SourceId, StreamId, SubjobId,
 };
 use sps_metrics::MsgClass;
 use sps_metrics::MsgCounters;
@@ -780,101 +779,6 @@ impl HaWorld {
 
         world.wire_all();
         world
-    }
-
-    /// Wires every stream's physical connections.
-    ///
-    /// Cross-subjob edges (and source edges) connect every deployed
-    /// producer copy to every deployed consumer copy — in active standby
-    /// that is the 2×2 pattern behind the paper's 4× traffic. Intra-subjob
-    /// edges are local pipes: same replica only. A connection starts active
-    /// (and trim-relevant) only when both endpoints are serving; the hybrid
-    /// secondary's connections are the paper's *early connections*, created
-    /// here with `is_active == false`.
-    fn wire_all(&mut self) {
-        for s in 0..self.job.stream_count() {
-            let stream = StreamId(s as u32);
-            let producer = self.job.producer(stream);
-            let consumers: Vec<Consumer> = self.job.consumers(stream).to_vec();
-            for consumer in consumers {
-                match consumer {
-                    Consumer::Pe(cpe, port) => {
-                        let same_subjob = match producer {
-                            Producer::Pe(ppe, _) => {
-                                self.job.subjob_of(ppe) == self.job.subjob_of(cpe)
-                            }
-                            Producer::Source(_) => false,
-                        };
-                        for c_rep in Replica::BOTH {
-                            let c_slot = slot_of(cpe, c_rep);
-                            if self.instances[c_slot].is_none() {
-                                continue;
-                            }
-                            // Without the early-connection optimization,
-                            // links touching a suspended standby are made
-                            // on demand at switch-over instead.
-                            if !self.cfg.hybrid_early_connections && !self.slot_is_serving(c_slot) {
-                                continue;
-                            }
-                            let dest = Dest::Pe {
-                                inst: InstanceId {
-                                    pe: cpe,
-                                    replica: c_rep,
-                                },
-                                port,
-                            };
-                            let replica_filter = same_subjob.then_some(c_rep);
-                            self.wire_producer_to(producer, dest, replica_filter);
-                        }
-                    }
-                    Consumer::Sink(sink) => {
-                        self.sinks[sink.0 as usize].register_stream(stream);
-                        self.wire_producer_to(producer, Dest::Sink(sink), None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Creates connections from the physical copies of `producer` to
-    /// `dest`; `replica_filter` restricts to one producer replica for
-    /// intra-subjob pipes.
-    fn wire_producer_to(
-        &mut self,
-        producer: Producer,
-        dest: Dest,
-        replica_filter: Option<Replica>,
-    ) {
-        let consumer_serving = self.dest_is_serving(dest);
-        match producer {
-            Producer::Source(src) => {
-                // Sources are single-copy and always serving.
-                let active = consumer_serving;
-                self.sources[src.0 as usize]
-                    .queue_mut()
-                    .connect(dest, active, active);
-            }
-            Producer::Pe(pe, port) => {
-                for p_rep in Replica::BOTH {
-                    if replica_filter.is_some_and(|only| only != p_rep) {
-                        continue;
-                    }
-                    let p_slot = slot_of(pe, p_rep);
-                    if self.instances[p_slot].is_none() {
-                        continue;
-                    }
-                    if !self.cfg.hybrid_early_connections && !self.slot_is_serving(p_slot) {
-                        continue;
-                    }
-                    let producer_serving = self.slot_is_serving(p_slot);
-                    let active = producer_serving && consumer_serving;
-                    self.instances[p_slot]
-                        .as_mut()
-                        .expect("checked above")
-                        .connect_output(port, dest, active);
-                }
-            }
-        }
     }
 
     /// `true` if the instance in `slot` exists and is not suspended.

@@ -169,6 +169,49 @@ fn tree_with_two_sources_under_active_standby() {
     }
 }
 
+/// The mixed fan-out (one stream feeding a PE in its own subjob and a PE
+/// in another) recovers losslessly when the standby's links are made on
+/// demand: without early connections, without pre-deployment, and under
+/// passive standby, where the split's standby is deployed at recovery.
+#[test]
+fn mixed_fanout_recovers_losslessly_with_on_demand_links() {
+    type Edit = fn(&mut HaConfig);
+    let edits: [(&str, HaMode, Edit); 3] = [
+        ("no early connections", HaMode::Hybrid, |c| {
+            c.hybrid_early_connections = false
+        }),
+        ("no predeploy", HaMode::Hybrid, |c| {
+            c.hybrid_predeploy = false
+        }),
+        ("passive standby", HaMode::Passive, |_| {}),
+    ];
+    for (name, mode, edit) in edits {
+        let mut sim = HaSimulation::builder(mixed_fanout_job())
+            .mode(mode)
+            .tune(edit)
+            .source_rate(800.0)
+            .seed(66)
+            .build();
+        // Subjob 0 (split + local) is on machine 0 under the default
+        // placement.
+        sim.inject_spike_windows(
+            MachineId(0),
+            &single_failure(SimTime::from_secs(2), SimDuration::from_secs(2)),
+        );
+        sim.stop_sources_at(SimTime::from_secs(6));
+        sim.run_for(SimDuration::from_secs(12));
+        let (produced, remote, local) = produced_and_sunk(&sim);
+        assert!(produced > 4_000, "{name}: {produced} produced");
+        assert_eq!(remote, produced, "{name}: cross-subjob branch lossless");
+        assert_eq!(local, produced, "{name}: same-subjob branch lossless");
+        let recovered = |kind| sim.world().ha_events().iter().any(|e| e.kind == kind);
+        assert!(
+            recovered(HaEventKind::SwitchoverComplete) || recovered(HaEventKind::PsConnected),
+            "{name}: the split's standby took over"
+        );
+    }
+}
+
 /// A 64-way key-partitioned job (router + one subjob per shard) on an
 /// 83-machine grid, multiplexed two-deep: a switch partition cuts twelve
 /// machines — the primaries of 24 shards — off the router for a second,
