@@ -28,6 +28,7 @@
 //! | `retransmit_reflag` | `retransmit` | a reliable-transfer retry attempt number failed to increase (flagged twice) |
 //! | `standby_coverage` | end of run | a failover consumed a standby and the run ended with the subjob neither re-provisioned nor its dead-end declared |
 //! | `domain_disjoint` | `standby_provision` | a fresh standby landed in the primary's fault domain on a non-flat topology |
+//! | `stream_complete` | `stream_final` | a lossless, quiescent run ended with a stream's serving consumers short of what its producers produced |
 //!
 //! The auditor is strictly read-only observation: it sees copies of records
 //! and cannot touch the event schedule, so installing it never perturbs a
@@ -513,6 +514,27 @@ impl TraceProbe for Auditor {
                 let entry = self.tx_attempts.entry(tx).or_insert(0);
                 *entry = (*entry).max(attempt);
             }
+            TraceEvent::StreamFinal {
+                stream,
+                last_seq,
+                processed,
+            } => {
+                let meta = self.meta.unwrap_or_default();
+                if meta.lossless && meta.quiescent && processed < last_seq {
+                    // The run promised every element through and a drained
+                    // end state, yet a stream stopped short: its consumers
+                    // wait on elements no producer will send again.
+                    self.flag(
+                        at,
+                        AuditInvariant::StreamComplete,
+                        u32::MAX,
+                        stream,
+                        processed,
+                        last_seq,
+                        out,
+                    );
+                }
+            }
             // Everything else — data-plane traffic, checkpoint lifecycle,
             // heartbeats, health verdicts, and (on replay) previously
             // recorded audit violations — is not an audited kind. Skipping
@@ -708,6 +730,32 @@ mod tests {
         let lossy = [meta(true, false, true), deliver(1, 5, 1, 1)];
         let (a, _) = run(&lossy);
         assert_eq!(a.total(), 0);
+    }
+
+    #[test]
+    fn a_stream_short_of_its_producers_is_flagged_on_lossless_quiescent_runs() {
+        let last = |processed| {
+            rec(
+                9,
+                TraceEvent::StreamFinal {
+                    stream: 2,
+                    last_seq: 4_999,
+                    processed,
+                },
+            )
+        };
+        let (a, out) = run(&[meta(true, true, true), last(178)]);
+        assert_eq!(count_of(&a, AuditInvariant::StreamComplete), 1);
+        assert_eq!(a.violations()[0].entity, 2);
+        assert_eq!(out.len(), 1);
+        // Caught up (or ahead, where a restored producer restarted lower).
+        let (a, _) = run(&[meta(true, true, true), last(4_999)]);
+        assert_eq!(a.total(), 0);
+        // A lossy or still-running run promises nothing.
+        for (lossless, quiescent) in [(false, true), (true, false)] {
+            let (a, _) = run(&[meta(true, lossless, quiescent), last(178)]);
+            assert_eq!(a.total(), 0);
+        }
     }
 
     #[test]

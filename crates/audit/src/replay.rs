@@ -27,7 +27,7 @@ pub struct FirstViolation {
     /// dump line for end-of-run liveness violations).
     pub line: usize,
     /// Up to 12 (`BACKTRACE_CAP`) prior dump lines that share an identity
-    /// (subjob / pe / sink / machine / transfer id) with the violation,
+    /// (subjob / pe / sink / stream / machine / transfer id) with the violation,
     /// oldest first — the lineage the checker walked to the verdict.
     pub backtrace: Vec<String>,
 }
@@ -56,6 +56,7 @@ fn identity_keys(v: &Violation) -> Vec<(&'static str, u64)> {
             keys.push(("sink", v.entity as u64));
         }
         AuditInvariant::CkptAckOrder => keys.push(("pe", v.entity as u64)),
+        AuditInvariant::StreamComplete => keys.push(("stream", v.entity as u64)),
         AuditInvariant::RetransmitReflag => keys.push(("tx", v.seq)),
         AuditInvariant::DomainDisjoint => {
             keys.push(("subjob", v.subjob as u64));

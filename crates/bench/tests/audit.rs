@@ -6,10 +6,11 @@
 //!    fail-stop promotion, chaos loss/duplication, reliable control) is
 //!    **clean**: zero violations under the strictest expectations, with a
 //!    seed-deterministic report;
-//! 2. two mutations of that clean run's trace — a sink delivery recorded
-//!    twice, and a promotion's standby re-provisioning struck out — each
-//!    replay to a violation of the invariant they break: the auditor
-//!    actually fires, it is not a rubber stamp;
+//! 2. three mutations of that clean run's trace — a sink delivery recorded
+//!    twice, a promotion's standby re-provisioning struck out, and a
+//!    stream's final record claiming one element more than its consumers
+//!    processed — each replay to a violation of the invariant they break:
+//!    the auditor actually fires, it is not a rubber stamp;
 //! 3. the **offline** frontend (`sps_audit::replay_dump`, what
 //!    `sps-inspect audit` runs) reaches the same verdict as the online
 //!    probe, byte for byte, from the flight-recorder dump alone.
@@ -230,4 +231,49 @@ fn a_struck_standby_reprovision_is_caught_on_replay() {
         .collect();
     assert!(mutated.len() < dump.len(), "a re-provisioning was struck");
     assert_replay_flags(&mutated, "standby_coverage");
+}
+
+/// The last `stream_final` record with its `last_seq` raised by one: the
+/// stream's consumers now end short of what its producers made, the
+/// signature of a wedged stream.
+#[test]
+fn a_stream_left_short_is_caught_on_replay() {
+    let (_, violations, dump) = audited_run(2010);
+    assert_eq!(violations, 0);
+    let lines = typed_lines(&dump);
+    let last = lines
+        .iter()
+        .rposition(|(_, r)| matches!(r.event, TraceEvent::StreamFinal { .. }))
+        .expect("the run ends with one stream_final record per stream");
+    let mutated: String = lines
+        .iter()
+        .enumerate()
+        .map(|(i, (line, r))| match r.event {
+            TraceEvent::StreamFinal {
+                stream,
+                last_seq,
+                processed,
+            } if i == last => {
+                let raised = TraceEvent::StreamFinal {
+                    stream,
+                    last_seq: last_seq + 1,
+                    processed,
+                };
+                format!(
+                    "{}\n",
+                    TraceRecord {
+                        at: r.at,
+                        event: raised
+                    }
+                    .to_json()
+                )
+            }
+            _ => format!("{line}\n"),
+        })
+        .collect();
+    let first = assert_replay_flags(&mutated, "stream_complete");
+    assert!(
+        !first.backtrace.is_empty(),
+        "first violation should come with the stream's history"
+    );
 }

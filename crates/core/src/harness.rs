@@ -487,12 +487,17 @@ impl HaSimulation {
         det
     }
 
-    /// Runs every installed trace probe's end-of-run checks (liveness
-    /// invariants such as sink gap-freedom and standby coverage), fanning
-    /// any final violation records out to the trace sinks. Call once,
-    /// after the run is complete and before reading the audit report.
+    /// Emits one `stream_final` record per stream (how far its producers
+    /// got and its consumers followed), then runs every installed trace
+    /// probe's end-of-run checks (liveness invariants such as stream
+    /// completeness, sink gap-freedom and standby coverage), fanning any
+    /// final violation records out to the trace sinks. Call once, after
+    /// the run is complete and before reading the audit report.
     pub fn finish_probes(&mut self) {
-        self.sim.world_mut().tracer_mut().finish_probes();
+        let now = self.sim.now();
+        let world = self.sim.world_mut();
+        world.emit_stream_finals(now);
+        world.tracer_mut().finish_probes();
     }
 
     /// The concatenated deterministic reports of every installed trace

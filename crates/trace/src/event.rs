@@ -404,6 +404,9 @@ trace_enum! {
         /// A freshly provisioned standby landed in the primary's fault domain
         /// on a non-flat topology.
         DomainDisjoint = "domain_disjoint",
+        /// At the end of a quiescent lossless run, the serving consumers of a
+        /// stream had not processed everything its producers produced.
+        StreamComplete = "stream_complete",
     }
 }
 
@@ -958,6 +961,18 @@ trace_events! {
             /// Invariant-specific bound or prior value.
             detail: u64,
         },
+        /// One stream at the end of a run, emitted just before the probes
+        /// finish: how far its producers got and how far its consumers
+        /// followed.
+        33 "stream_final" control => StreamFinal {
+            /// Stream index.
+            stream: u32,
+            /// Highest sequence number any deployed producer copy produced.
+            last_seq: u64,
+            /// Lowest processed-through position over the serving consumer
+            /// copies.
+            processed: u64,
+        },
     }
 }
 
@@ -1089,7 +1104,7 @@ mod tests {
                     }
                 })
                 .collect();
-            assert_eq!(records.len(), 33);
+            assert_eq!(records.len(), 34);
             assert_round_trips(&records);
         }
     }
@@ -1180,7 +1195,7 @@ mod tests {
             AnomalyKind
         );
         assert_eq!(RecoveryPhase::ALL.len(), 8);
-        assert_eq!(AuditInvariant::ALL.len(), 9);
+        assert_eq!(AuditInvariant::ALL.len(), 10);
         assert_eq!(AnomalyKind::AuditViolations.as_str(), "audit_violations");
     }
 
@@ -1433,6 +1448,6 @@ mod tests {
                 "heartbeat_pong"
             ]
         );
-        assert_eq!(TraceEvent::KINDS.len(), 33);
+        assert_eq!(TraceEvent::KINDS.len(), 34);
     }
 }
