@@ -194,6 +194,24 @@ mod tests {
     }
 
     #[test]
+    fn score_matches_declarations_to_windows() {
+        let spikes = vec![SpikeWindow {
+            start: SimTime::from_secs(10),
+            end: SimTime::from_secs(15),
+            share: 1.0,
+        }];
+        let declarations = vec![
+            SimTime::from_secs(11),       // hit
+            SimTime::from_secs(20),       // false alarm
+            SimTime::from_millis(15_100), // within tolerance: still the spike
+        ];
+        let s = score(&declarations, &spikes, SimDuration::from_millis(1_000));
+        assert_eq!(s.detection, 1.0);
+        assert_eq!(s.false_alarm, 1.0 / 3.0);
+        assert_eq!(s.mean_delay_ms, 1_000.0);
+    }
+
+    #[test]
     fn score_handles_empty_declarations() {
         let spikes = vec![SpikeWindow {
             start: SimTime::from_secs(1),

@@ -106,7 +106,7 @@ impl HaWorld {
     pub(crate) fn begin_pe_checkpoint(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, pe: PeId) {
         let replica = self.subjobs[sj_id.0 as usize].primary_replica;
         let slot = slot_of(pe, replica);
-        let quiescent = match self.instances[slot].as_mut() {
+        let quiescent = match self.slots[slot].copy_mut() {
             Some(inst) => inst.request_pause(),
             None => return,
         };
@@ -142,7 +142,7 @@ impl HaWorld {
         let mut waiting = std::collections::BTreeSet::new();
         for &pe in &pes {
             let slot = slot_of(pe, replica);
-            if let Some(inst) = self.instances[slot].as_mut() {
+            if let Some(inst) = self.slots[slot].copy_mut() {
                 if !inst.request_pause() {
                     waiting.insert(pe);
                 }
@@ -212,7 +212,7 @@ impl HaWorld {
         let mut elements = 0u64;
         for &pe in pes {
             let slot = slot_of(pe, replica);
-            let Some(inst) = self.instances[slot].as_mut() else {
+            let Some(inst) = self.slots[slot].copy_mut() else {
                 continue;
             };
             let ckpt = inst.snapshot(ctx.now());
@@ -277,11 +277,10 @@ impl HaWorld {
             // Refresh the suspended hybrid copy's memory directly.
             if hybrid {
                 let slot = slot_of(pe, standby_replica);
-                if let Some(inst) = self.instances[slot].as_mut() {
-                    if inst.is_suspended() {
-                        inst.restore(&ckpt);
-                        self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
-                    }
+                let record = &mut self.slots[slot];
+                if let Some(inst) = record.copy_mut().filter(|i| i.is_suspended()) {
+                    inst.restore(&ckpt);
+                    record.restart();
                 }
             }
             self.subjobs[sj_id.0 as usize].stored.insert(pe, ckpt);
@@ -336,7 +335,7 @@ impl HaWorld {
             else {
                 continue;
             };
-            let from_machine = self.instance_machine[slot_of(pe, replica)];
+            let from_machine = self.slots[slot_of(pe, replica)].machine();
             for (port, streams) in positions.into_iter().enumerate() {
                 let from = sps_engine::Dest::Pe {
                     inst: sps_engine::InstanceId { pe, replica },

@@ -304,14 +304,14 @@ impl HaWorld {
     /// Starts the next batch of up to `batch_size` elements on an instance
     /// if its loop can run (a single element at the default batch size 1).
     pub(crate) fn try_start(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
-        let machine = self.instance_machine[slot];
+        let machine = self.slots[slot].machine();
         if !self.cluster.machine(machine).is_up() {
             return;
         }
-        let epoch = self.inst_epoch[slot];
+        let epoch = self.slots[slot].epoch();
         let batch = self.cfg.batch_size;
-        let work = match self.instances[slot]
-            .as_mut()
+        let work = match self.slots[slot]
+            .copy_mut()
             .and_then(|i| i.start_next_batch(batch))
         {
             Some(w) => w,
@@ -321,11 +321,7 @@ impl HaWorld {
             // The batch only starts on an empty in-flight set, so every
             // in-flight element was started just now.
             let now = ctx.now();
-            for e in self.instances[slot]
-                .as_ref()
-                .expect("started")
-                .inflight_elems()
-            {
+            for e in self.slots[slot].copy().expect("started").inflight_elems() {
                 lin.note_proc_start((e.stream.0, e.seq), now);
             }
         }
@@ -341,7 +337,7 @@ impl HaWorld {
 
     pub(crate) fn on_source_tick(&mut self, ctx: &mut Ctx<Event>, source: u32, gen: TimerGen) {
         let s = source as usize;
-        if !self.source_timers[s].fire(gen) {
+        if !self.sources[s].timer.fire(gen) {
             return;
         }
         if !self.sources[s].is_running() {
@@ -356,7 +352,7 @@ impl HaWorld {
         }
         self.dispatch_source_outputs(ctx, s);
         let gap = self.sources[s].next_gap(ctx.now(), ctx.rng()) * self.cfg.batch_size as u64;
-        let g = self.source_timers[s].arm();
+        let g = self.sources[s].timer.arm();
         ctx.schedule_in(gap, Event::SourceTick { source, gen: g });
     }
 
@@ -425,13 +421,12 @@ impl HaWorld {
         self.conn_scratch = conns;
     }
 
-    /// Transmits the drained spans through the world's [`OutputSession`]:
-    /// each span is given as one run, and same-destination contiguous runs
-    /// coalesce into one range-stamped message per delivery, capped at
-    /// `batch_size`. At batch size 1 every run is a singleton, so the
-    /// transmission sequence is exactly the unbatched one.
-    ///
-    /// [`OutputSession`]: sps_engine::OutputSession
+    /// Transmits the drained spans, each cut into runs of at most
+    /// `batch_size` elements. A span is one connection's drain — one
+    /// stream, consecutive sequence numbers — and no two connections of
+    /// one dispatch continue each other's run, so no run spans two spans.
+    /// At batch size 1 every run is a singleton: exactly the unbatched
+    /// transmission sequence.
     fn transmit_spans(
         &mut self,
         ctx: &mut Ctx<Event>,
@@ -440,19 +435,23 @@ impl HaWorld {
         elems: &[DataElement],
         spans: &[(Dest, usize, usize)],
     ) {
-        let mut session = std::mem::take(&mut self.session_scratch);
+        debug_assert!(
+            spans.windows(2).all(|w| {
+                let ((d0, _, end), (d1, start, _)) = (w[0], w[1]);
+                let (last, first) = (elems[end - 1], elems[start]);
+                !(d0 == d1 && last.stream == first.stream && last.seq + 1 == first.seq)
+            }),
+            "a dispatch drained two spans that form one run"
+        );
+        let batch = self.cfg.batch_size as usize;
         for &(dest, start, end) in spans {
-            session.give_run(dest, &elems[start..end]);
+            for run in elems[start..end].chunks(batch) {
+                self.send_run(ctx, src_machine, produced_by_secondary, dest, run);
+            }
         }
-        for i in 0..session.run_count() {
-            let (dest, run) = session.run(i);
-            self.send_run(ctx, src_machine, produced_by_secondary, dest, run);
-        }
-        session.clear();
-        self.session_scratch = session;
     }
 
-    /// Transmits one coalesced run — a singleton as [`Msg::Data`], two or
+    /// Transmits one run — a singleton as [`Msg::Data`], two or
     /// more elements as one range-stamped [`Msg::DataBatch`] in a buffer
     /// from the free list — classifying redundant copies and accounting
     /// the hybrid's switch-over overhead (elements still sent to the
@@ -503,8 +502,8 @@ impl HaWorld {
     /// send, so the cost follows the ports written, not the ports owned.
     pub(crate) fn dispatch_outputs(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
         let (pe, replica) = unslot(slot);
-        let src_machine = self.instance_machine[slot];
-        let Some(inst) = self.instances[slot].as_mut() else {
+        let src_machine = self.slots[slot].machine();
+        let Some(inst) = self.slots[slot].copy_mut() else {
             return;
         };
         debug_assert!(
@@ -519,7 +518,7 @@ impl HaWorld {
         for &(port, ci, dest) in &conns {
             let dst = self.dest_machine(dest);
             let partitioned = self.cluster.network().is_partitioned(src_machine, dst);
-            let inst = self.instances[slot].as_mut().expect("checked");
+            let inst = self.slots[slot].copy_mut().expect("checked");
             if partitioned {
                 // Stalled-TCP semantics across partitions: keep the cursor,
                 // and keep the port in the set so the backlog flows on heal.
@@ -588,15 +587,9 @@ impl HaWorld {
     }
 
     fn on_pe_work_done(&mut self, ctx: &mut Ctx<Event>, slot: usize, epoch: u32) {
-        if self.inst_epoch[slot] != epoch || self.instances[slot].is_none() {
+        let record = &self.slots[slot];
+        if record.epoch() != epoch || !record.copy().is_some_and(|i| i.has_inflight()) {
             return; // stale completion from before a restore/redeploy
-        }
-        if !self.instances[slot]
-            .as_ref()
-            .expect("checked")
-            .has_inflight()
-        {
-            return;
         }
         let (pe, replica) = unslot(slot);
         // One CPU task completes the whole in-flight batch (a single
@@ -605,24 +598,21 @@ impl HaWorld {
         // lineage links each to the input that produced it as it is stamped.
         let now = ctx.now();
         let mut lineage = self.lineage.as_deref_mut();
-        let batch_len = self.instances[slot]
-            .as_mut()
-            .expect("checked")
-            .finish_batch(
-                &mut self.emit_scratch,
-                &mut self.dispatch_scratch,
-                |parent, _, child| {
-                    if let Some(lin) = lineage.as_deref_mut() {
-                        lin.record_hop(
-                            (parent.stream.0, parent.seq),
-                            (child.stream.0, child.seq),
-                            pe.0,
-                            replica_code(replica),
-                            now,
-                        );
-                    }
-                },
-            );
+        let batch_len = self.slots[slot].copy_mut().expect("checked").finish_batch(
+            &mut self.emit_scratch,
+            &mut self.dispatch_scratch,
+            |parent, _, child| {
+                if let Some(lin) = lineage.as_deref_mut() {
+                    lin.record_hop(
+                        (parent.stream.0, parent.seq),
+                        (child.stream.0, child.seq),
+                        pe.0,
+                        replica_code(replica),
+                        now,
+                    );
+                }
+            },
+        );
         self.dispatch_outputs(ctx, slot);
 
         // Acknowledgment policy: the primary-role copy of a checkpointing
@@ -636,18 +626,17 @@ impl HaWorld {
         let checkpoint_acked = sj.mode.checkpoints() && replica == sj.primary_replica;
         if !checkpoint_acked {
             for _ in 0..batch_len {
-                self.ack_backlog[slot] += 1;
-                if self.ack_backlog[slot] >= ACK_EVERY_ELEMENTS {
-                    self.ack_backlog[slot] = 0;
+                let backlog = &mut self.slots[slot].ack_backlog;
+                *backlog += 1;
+                if *backlog >= ACK_EVERY_ELEMENTS {
+                    *backlog = 0;
                     self.send_instance_acks(ctx, slot);
                 }
             }
         }
 
         // Checkpoint pause handshake: the paused PE just quiesced.
-        let quiesced = self.instances[slot]
-            .as_ref()
-            .is_some_and(|i| i.is_quiescent());
+        let quiesced = self.slots[slot].copy().is_some_and(|i| i.is_quiescent());
         if quiesced {
             self.on_pe_quiesced(ctx, sj_id, pe, replica);
         }
@@ -659,9 +648,9 @@ impl HaWorld {
     /// current processed positions.
     pub(crate) fn send_instance_acks(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
         let (pe, replica) = unslot(slot);
-        let from_machine = self.instance_machine[slot];
+        let from_machine = self.slots[slot].machine();
         let mut positions = std::mem::take(&mut self.ack_scratch);
-        match self.instances[slot].as_ref() {
+        match self.slots[slot].copy() {
             Some(inst) => {
                 for port in 0..inst.input_ports() {
                     positions.extend(
@@ -754,7 +743,7 @@ impl HaWorld {
                     if self.slot_is_serving(slot_of(pe, r)) {
                         out[n] = Some((
                             ProducerAddr::Instance(sps_engine::InstanceId { pe, replica: r }, port),
-                            self.instance_machine[slot_of(pe, r)],
+                            self.slots[slot_of(pe, r)].machine(),
                         ));
                         n += 1;
                     }
@@ -843,7 +832,8 @@ impl HaWorld {
         match dest {
             Dest::Pe { inst, port } => {
                 let slot = slot_of(inst.pe, inst.replica);
-                if self.instances[slot].is_none() || self.instance_machine[slot] != at {
+                let record = &self.slots[slot];
+                if record.copy().is_none() || record.machine() != at {
                     // Stale delivery to a departed instance.
                     self.tracer.emit(
                         now,
@@ -860,8 +850,8 @@ impl HaWorld {
                     // out-of-order arrivals no-op via first-writer-wins.
                     lin.note_recv_range(stream.0, first.seq, last.seq, now);
                 }
-                let offer = self.instances[slot]
-                    .as_mut()
+                let offer = self.slots[slot]
+                    .copy_mut()
                     .expect("checked")
                     .offer_run(port, run);
                 self.tracer.emit_data(now, || TraceEvent::ElementRecv {
@@ -988,8 +978,8 @@ impl HaWorld {
             }
             ProducerAddr::Instance(iid, port) => {
                 // An ack sends nothing: it leaves the sendable set alone.
-                let inst = self.instances[slot_of(iid.pe, iid.replica)]
-                    .as_mut()
+                let inst = self.slots[slot_of(iid.pe, iid.replica)]
+                    .copy_mut()
                     .expect("located above");
                 if inst.register_ack(port, conn, seq) > 0 {
                     // "For each PE, checkpoints happen immediately after its
@@ -1113,7 +1103,7 @@ impl HaWorld {
                 self.dispatch_source_outputs(ctx, s);
             }
         }
-        for slot in 0..self.instances.len() {
+        for slot in 0..self.slots.len() {
             let (pe, replica) = unslot(slot);
             let mut rewound = false;
             for port in 0..self.job.out_ports(pe) {
@@ -1151,7 +1141,7 @@ fn note_spans_sent(
 pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
     for s in 0..world.sources.len() {
         let gap = world.sources[s].next_gap(ctx.now(), ctx.rng());
-        let gen = world.source_timers[s].arm();
+        let gen = world.sources[s].timer.arm();
         ctx.schedule_in(
             gap,
             Event::SourceTick {

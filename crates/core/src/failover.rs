@@ -4,8 +4,9 @@
 //! Every role-changing transition is built from the same five steps, in
 //! this order, each with exactly one function: retire the departing copy
 //! (`retire_copy`), bring the serving copy up (`bring_up`), swap the roles
-//! (`swap_roles`), advance the epoch (`advance_epoch`, the only place an
-//! epoch is bumped), and re-provision the standby (`provision_standby`).
+//! (`swap_roles`), advance the epoch (`advance_epoch`, the only place a
+//! subjob's epoch is bumped), and re-provision the standby
+//! (`provision_standby`).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -23,9 +24,7 @@ use crate::config::{
 use crate::detect::{BenchAction, HbVerdict, BENCH_SAMPLE_INTERVAL};
 use crate::message::{Msg, ProducerAddr};
 use crate::wiring::find_conn;
-use crate::world::{
-    pe_copy, replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending,
-};
+use crate::world::{replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending};
 
 impl HaWorld {
     fn log_event(&mut self, at: SimTime, subjob: SubjobId, kind: HaEventKind) {
@@ -36,11 +35,11 @@ impl HaWorld {
     // ---- the transition steps ----
 
     /// Moves `sj_id` to `state` under a new recovery epoch and returns it.
-    /// The only place an epoch is bumped: events scheduled under the old
-    /// epoch go stale, and the audit record carrying the new epoch, its
-    /// cause and the (possibly reassigned) primary lets the protocol
-    /// auditor check epoch monotonicity and at-most-one-active-primary
-    /// per epoch.
+    /// The only place a subjob's epoch is bumped: events scheduled under
+    /// the old epoch go stale, and the audit record carrying the new
+    /// epoch, its cause and the (possibly reassigned) primary lets the
+    /// protocol auditor check epoch monotonicity and
+    /// at-most-one-active-primary per epoch.
     fn advance_epoch(
         &mut self,
         at: SimTime,
@@ -64,16 +63,15 @@ impl HaWorld {
     }
 
     /// Retires `sj_id`'s `replica` copy: for every deployed PE, switches
-    /// its data path off, empties the slot, and bumps the slot's restore
-    /// epoch so the copy's in-flight CPU work is discarded.
+    /// its data path off and retires the slot, which voids the copy's
+    /// in-flight CPU work.
     fn retire_copy(&mut self, sj_id: SubjobId, replica: Replica) {
         let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
         for pe in pes {
             let slot = slot_of(pe, replica);
-            if self.instances[slot].is_some() {
+            if self.slots[slot].copy().is_some() {
                 self.deactivate_instance_io(pe, replica);
-                self.instances[slot] = None;
-                self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
+                self.slots[slot].retire();
             }
         }
     }
@@ -83,7 +81,7 @@ impl HaWorld {
     /// then starts their processing loops.
     fn bring_up(&mut self, ctx: &mut Ctx<Event>, pes: &[PeId], replica: Replica) {
         for &pe in pes {
-            if let Some(inst) = self.instances[slot_of(pe, replica)].as_mut() {
+            if let Some(inst) = self.slots[slot_of(pe, replica)].copy_mut() {
                 inst.set_suspended(false);
             }
         }
@@ -365,12 +363,12 @@ impl HaWorld {
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackStarted);
         let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
         for &pe in &pes {
-            let slot = slot_of(pe, standby);
-            if let Some(inst) = self.instances[slot].as_mut() {
+            let record = &mut self.slots[slot_of(pe, standby)];
+            if let Some(inst) = record.copy_mut() {
                 inst.abort_inflight();
                 inst.resume();
                 inst.set_suspended(true);
-                self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
+                record.restart();
             }
         }
         for &pe in &pes {
@@ -483,7 +481,7 @@ impl HaWorld {
         // switching over to nothing.
         if pes
             .iter()
-            .any(|&pe| self.instances[slot_of(pe, standby)].is_none())
+            .any(|&pe| self.slots[slot_of(pe, standby)].copy().is_none())
         {
             let machine = self.subjobs[subjob as usize]
                 .secondary_machine
@@ -508,7 +506,7 @@ impl HaWorld {
         // consistently.
         let mut waiting = std::collections::BTreeSet::new();
         for &pe in self.job.subjob_pes(sj_id) {
-            if let Some(inst) = self.instances[slot_of(pe, standby)].as_mut() {
+            if let Some(inst) = self.slots[slot_of(pe, standby)].copy_mut() {
                 if !inst.request_pause() {
                     waiting.insert(pe);
                 }
@@ -543,8 +541,7 @@ impl HaWorld {
         let mut ckpts = Vec::with_capacity(pes.len());
         let mut elements = 0u64;
         for &pe in &pes {
-            let slot = slot_of(pe, standby);
-            let Some(inst) = self.instances[slot].as_mut() else {
+            let Some(inst) = self.slots[slot_of(pe, standby)].copy_mut() else {
                 continue;
             };
             let snap = inst.snapshot_with_backlog(ctx.now());
@@ -600,8 +597,8 @@ impl HaWorld {
         // PE backward would redo work on a busy machine for nothing.
         let mut adopted = Vec::new();
         for ckpt in &ckpts {
-            let slot = slot_of(ckpt.pe, primary);
-            let Some(inst) = self.instances[slot].as_mut() else {
+            let record = &mut self.slots[slot_of(ckpt.pe, primary)];
+            let Some(inst) = record.copy_mut() else {
                 continue;
             };
             let current: u64 = (0..inst.input_ports())
@@ -617,7 +614,7 @@ impl HaWorld {
             if snapshot > current {
                 inst.restore(ckpt);
                 inst.resume(); // clear any stale checkpoint pause
-                self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
+                record.restart();
                 adopted.push(ckpt.pe);
             }
         }
@@ -711,7 +708,7 @@ impl HaWorld {
             let standby = self.subjobs[sj_id.0 as usize].primary_replica.other();
             let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
             for &pe in &pes {
-                if let Some(inst) = self.instances[slot_of(pe, standby)].as_mut() {
+                if let Some(inst) = self.slots[slot_of(pe, standby)].copy_mut() {
                     inst.resume();
                 }
             }
@@ -824,7 +821,7 @@ impl HaWorld {
         let mut resumed = Vec::new();
         for &pe in self.job.subjob_pes(sj_id) {
             let slot = slot_of(pe, primary);
-            if let Some(inst) = self.instances[slot].as_mut() {
+            if let Some(inst) = self.slots[slot].copy_mut() {
                 if inst.is_pause_requested() {
                     inst.resume();
                     resumed.push(slot);
@@ -879,9 +876,9 @@ impl HaWorld {
         );
         self.cluster.machine_mut(m).fail(ctx.now());
         self.rearm_machine(ctx, m);
-        for slot in 0..self.instances.len() {
-            if self.instance_machine[slot] == m {
-                if let Some(inst) = self.instances[slot].as_mut() {
+        for record in &mut self.slots {
+            if record.machine() == m {
+                if let Some(inst) = record.copy_mut() {
                     inst.abort_inflight();
                 }
             }
@@ -988,16 +985,8 @@ impl HaWorld {
         machine: MachineId,
         suspended: bool,
     ) {
-        for &pe in self.job.subjob_pes(sj_id) {
-            let slot = slot_of(pe, replica);
-            let mut inst = pe_copy(&self.job, pe, replica);
-            if let Some(ckpt) = self.subjobs[sj_id.0 as usize].stored.get(&pe) {
-                inst.restore(ckpt);
-            }
-            inst.set_suspended(suspended);
-            self.instances[slot] = Some(inst);
-            self.instance_machine[slot] = machine;
-            self.inst_epoch[slot] = self.inst_epoch[slot].wrapping_add(1);
+        for pe in self.job.subjob_pes(sj_id).to_vec() {
+            self.deploy_copy(pe, replica, machine, suspended);
         }
         self.ensure_standby_connections(sj_id, replica);
     }
@@ -1007,7 +996,7 @@ impl HaWorld {
     /// output connections replay retained elements to serving consumers.
     fn activate_instance_io(&mut self, ctx: &mut Ctx<Event>, pe: PeId, replica: Replica) {
         let slot = slot_of(pe, replica);
-        if self.instances[slot].is_none() {
+        if self.slots[slot].copy().is_none() {
             return;
         }
         // Inputs: point each feeding connection at the instance's restored
@@ -1015,7 +1004,7 @@ impl HaWorld {
         // (Copied: the loop dispatches through `&mut self`.)
         for (port, stream) in self.job.input_streams(pe).to_vec() {
             let position = {
-                let inst = self.instances[slot].as_ref().expect("checked");
+                let inst = self.slots[slot].copy().expect("checked");
                 inst.input_positions(port)
                     .into_iter()
                     .find(|(s, _)| *s == stream)
@@ -1091,7 +1080,7 @@ impl HaWorld {
             }
         }
         let slot = slot_of(pe, replica);
-        if let Some(inst) = self.instances[slot].as_mut() {
+        if let Some(inst) = self.slots[slot].copy_mut() {
             for port in 0..inst.output_ports() {
                 for ci in 0..inst.output(port).connections().len() {
                     inst.output_mut(port).suspend(ConnectionId(ci));

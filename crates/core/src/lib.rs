@@ -59,6 +59,7 @@ mod failover;
 mod harness;
 mod message;
 mod sink;
+mod slot;
 mod source;
 mod sweep;
 mod wiring;

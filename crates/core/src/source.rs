@@ -6,7 +6,7 @@
 //! retransmission" in §V-B's recovery decomposition).
 
 use sps_engine::{Dest, OutputQueue, Payload, SourceId, StreamId};
-use sps_sim::{SimDuration, SimRng, SimTime};
+use sps_sim::{SimDuration, SimRng, SimTime, TimerSlot};
 
 use crate::config::ELEMENT_BYTES;
 
@@ -113,6 +113,9 @@ pub struct SourceRuntime {
     phase_ends_at: SimTime,
     /// Market state for [`PayloadGen::Market`].
     price: f64,
+    /// The tick timer: only the latest armed [`crate::Event::SourceTick`]
+    /// fires.
+    pub(crate) timer: TimerSlot,
 }
 
 impl SourceRuntime {
@@ -137,6 +140,7 @@ impl SourceRuntime {
             in_burst: false,
             phase_ends_at: SimTime::ZERO,
             price,
+            timer: TimerSlot::new(),
         }
     }
 

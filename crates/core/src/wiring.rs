@@ -36,7 +36,7 @@ impl HaWorld {
                         Producer::Source(_) => false,
                     };
                     for replica in Replica::BOTH {
-                        if self.instances[slot_of(pe, replica)].is_some() {
+                        if self.slots[slot_of(pe, replica)].copy().is_some() {
                             let dest = Dest::Pe {
                                 inst: InstanceId { pe, replica },
                                 port,
@@ -64,7 +64,7 @@ impl HaWorld {
             Producer::Pe(pe, port) => {
                 for replica in Replica::BOTH {
                     if pipe.is_none_or(|only| only == replica)
-                        && self.instances[slot_of(pe, replica)].is_some()
+                        && self.slots[slot_of(pe, replica)].copy().is_some()
                     {
                         let addr = ProducerAddr::Instance(InstanceId { pe, replica }, port);
                         links.push((addr, dest));
@@ -179,8 +179,8 @@ impl HaWorld {
     fn processed_through(&self, stream: StreamId, dest: Dest) -> u64 {
         match dest {
             Dest::Sink(sink) => self.sinks[sink.0 as usize].processed_through(stream),
-            Dest::Pe { inst, port } => self.instances[slot_of(inst.pe, inst.replica)]
-                .as_ref()
+            Dest::Pe { inst, port } => self.slots[slot_of(inst.pe, inst.replica)]
+                .copy()
                 .and_then(|i| i.input(port).positions_iter().find(|&(s, _)| s == stream))
                 .map_or(0, |(_, seq)| seq),
         }
@@ -200,10 +200,8 @@ impl HaWorld {
         match addr {
             ProducerAddr::Source(s) => Some(self.placement.sources[s.0 as usize]),
             ProducerAddr::Instance(iid, _) => {
-                let slot = slot_of(iid.pe, iid.replica);
-                self.instances[slot]
-                    .is_some()
-                    .then(|| self.instance_machine[slot])
+                let record = &self.slots[slot_of(iid.pe, iid.replica)];
+                record.copy().is_some().then(|| record.machine())
             }
         }
     }
@@ -212,8 +210,8 @@ impl HaWorld {
     pub(crate) fn producer_queue(&self, addr: ProducerAddr) -> Option<&OutputQueue<Dest>> {
         match addr {
             ProducerAddr::Source(s) => Some(self.sources[s.0 as usize].queue()),
-            ProducerAddr::Instance(iid, port) => self.instances[slot_of(iid.pe, iid.replica)]
-                .as_ref()
+            ProducerAddr::Instance(iid, port) => self.slots[slot_of(iid.pe, iid.replica)]
+                .copy()
                 .map(|inst| inst.output(port)),
         }
     }
@@ -227,8 +225,8 @@ impl HaWorld {
     ) -> Option<&mut OutputQueue<Dest>> {
         match addr {
             ProducerAddr::Source(s) => Some(self.sources[s.0 as usize].queue_mut()),
-            ProducerAddr::Instance(iid, port) => self.instances[slot_of(iid.pe, iid.replica)]
-                .as_mut()
+            ProducerAddr::Instance(iid, port) => self.slots[slot_of(iid.pe, iid.replica)]
+                .copy_mut()
                 .map(|inst| inst.output_mut(port)),
         }
     }

@@ -24,6 +24,7 @@ use crate::config::{HaConfig, HaMode};
 use crate::detect::{BenchmarkDetector, HeartbeatMonitor, TrendPredictor};
 use crate::message::Msg;
 use crate::sink::SinkRuntime;
+use crate::slot::Slot;
 use crate::source::{PayloadGen, RateProfile, SourceRuntime};
 use crate::sweep::SweepLedger;
 
@@ -529,20 +530,12 @@ pub struct HaWorld {
     pub(crate) placement: Placement,
     pub(crate) cluster: Cluster,
     pub(crate) machine_timers: Vec<TimerSlot>,
-    /// Instance slots: index = `pe * 2 + replica` (0 = primary slot).
-    pub(crate) instances: Vec<Option<sps_engine::PeInstance>>,
-    /// Machine hosting each instance slot.
-    pub(crate) instance_machine: Vec<MachineId>,
-    /// Restore epoch per slot; stale CPU-task completions are discarded.
-    pub(crate) inst_epoch: Vec<u32>,
-    /// Per-slot processed-element counters driving batched acknowledgments
-    /// from non-checkpointing instances.
-    pub(crate) ack_backlog: Vec<u64>,
+    /// One record per PE copy: index = `pe * 2 + replica` (0 = primary).
+    pub(crate) slots: Vec<Slot>,
     /// Per-machine rolling utilization estimates (for scheduling-latency
     /// sampling): `(last_time, last_busy_integral, estimate)`.
     pub(crate) load_est: Vec<(SimTime, f64, f64)>,
     pub(crate) sources: Vec<SourceRuntime>,
-    pub(crate) source_timers: Vec<TimerSlot>,
     pub(crate) sinks: Vec<SinkRuntime>,
     pub(crate) subjobs: Vec<SubjobHa>,
     /// How many subjobs are in each [`SjState`], indexed by the state's
@@ -602,11 +595,6 @@ pub struct HaWorld {
     /// Reusable buffer for machine ticks: the tasks that just completed on
     /// the ticking machine, emptied before return.
     pub(crate) task_scratch: Vec<sps_cluster::FinishedTask>,
-    /// Reusable same-tick coalescing session for the dispatch paths:
-    /// accumulates same-destination contiguous runs up to `batch_size`
-    /// elements, emptied before return. At batch size 1 every run is a
-    /// singleton, reproducing the unbatched transmission sequence exactly.
-    pub(crate) session_scratch: sps_engine::OutputSession<sps_engine::Dest>,
     /// Free list of [`sps_engine::DataBatch`] element buffers: a sender
     /// takes one to build a batch, the receiver hands it back, so a steady
     /// batched run stops allocating per message. It holds at most as many
@@ -666,28 +654,6 @@ impl HaWorld {
             n_pes * 2,
             modes.iter().filter(|mode| mode.monitors()).count(),
         );
-        let mut instances: Vec<Option<sps_engine::PeInstance>> =
-            (0..n_pes * 2).map(|_| None).collect();
-        let mut instance_machine = vec![MachineId(0); n_pes * 2];
-
-        // Deploy instances.
-        for pe in job.pe_ids() {
-            let sj = job.subjob_of(pe);
-            let mode = modes[sj.0 as usize];
-            let pri_slot = slot_of(pe, Replica::Primary);
-            instances[pri_slot] = Some(pe_copy(&job, pe, Replica::Primary));
-            instance_machine[pri_slot] = placement.primaries[sj.0 as usize];
-            if cfg.predeploys(mode) {
-                let sec = placement.secondaries[sj.0 as usize]
-                    .unwrap_or_else(|| panic!("{sj} mode {mode} needs a secondary machine"));
-                let sec_slot = slot_of(pe, Replica::Secondary);
-                let mut inst = pe_copy(&job, pe, Replica::Secondary);
-                // "we suspend this job immediately after its deployment".
-                inst.set_suspended(mode == HaMode::Hybrid);
-                instances[sec_slot] = Some(inst);
-                instance_machine[sec_slot] = sec;
-            }
-        }
 
         // Sources and sinks.
         let sources: Vec<SourceRuntime> = (0..job.source_count())
@@ -706,11 +672,9 @@ impl HaWorld {
             .collect();
 
         let mut world = HaWorld {
-            inst_epoch: vec![0; n_pes * 2],
-            ack_backlog: vec![0; n_pes * 2],
+            slots: (0..n_pes * 2).map(|_| Slot::empty()).collect(),
             load_est: vec![(SimTime::ZERO, 0.0, 0.0); cluster.len()],
             machine_timers: (0..cluster.len()).map(|_| TimerSlot::new()).collect(),
-            source_timers: (0..sources.len()).map(|_| TimerSlot::new()).collect(),
             subjobs: Vec::new(),
             sj_state_counts: [0; SjState::COUNT],
             monitors: Vec::new(),
@@ -733,7 +697,6 @@ impl HaWorld {
             conn_scratch: Vec::new(),
             ack_scratch: Vec::new(),
             task_scratch: Vec::new(),
-            session_scratch: sps_engine::OutputSession::new(cfg.batch_size),
             batch_bufs: Vec::new(),
             lineage: None,
             metrics: None,
@@ -741,8 +704,6 @@ impl HaWorld {
             cfg,
             placement,
             cluster,
-            instances,
-            instance_machine,
             sources,
             sinks,
             job,
@@ -777,15 +738,58 @@ impl HaWorld {
 
         world.sj_state_counts[SjState::Normal as usize] = world.subjobs.len() as u32;
 
+        // Deploy instances.
+        for pe in (0..n_pes as u32).map(PeId) {
+            let sj = world.job.subjob_of(pe);
+            let mode = modes[sj.0 as usize];
+            let primary = world.placement.primaries[sj.0 as usize];
+            world.deploy_copy(pe, Replica::Primary, primary, false);
+            if world.cfg.predeploys(mode) {
+                let sec = world.placement.secondaries[sj.0 as usize]
+                    .unwrap_or_else(|| panic!("{sj} mode {mode} needs a secondary machine"));
+                // "we suspend this job immediately after its deployment".
+                world.deploy_copy(pe, Replica::Secondary, sec, mode == HaMode::Hybrid);
+            }
+        }
         world.wire_all();
         world
     }
 
     /// `true` if the instance in `slot` exists and is not suspended.
     pub(crate) fn slot_is_serving(&self, slot: usize) -> bool {
-        self.instances[slot]
-            .as_ref()
+        self.slots[slot]
+            .copy()
             .is_some_and(|inst| !inst.is_suspended())
+    }
+
+    /// Deploys a fresh copy of `pe` as `replica` on `machine`, restored
+    /// from the subjob's stored checkpoint when it has one. Job start and
+    /// every later deployment come through here.
+    pub(crate) fn deploy_copy(
+        &mut self,
+        pe: PeId,
+        replica: Replica,
+        machine: MachineId,
+        suspended: bool,
+    ) {
+        let job = &self.job;
+        let out_streams: Vec<StreamId> = (0..job.out_ports(pe))
+            .map(|p| job.pe_stream(pe, p))
+            .collect();
+        let mut inst = sps_engine::PeInstance::new(
+            InstanceId { pe, replica },
+            job.pe(pe).operator.clone(),
+            job.in_ports(pe),
+            &out_streams,
+        );
+        for &(port, stream) in job.input_streams(pe) {
+            inst.register_input_stream(port, stream);
+        }
+        if let Some(ckpt) = self.subjobs[job.subjob_of(pe).0 as usize].stored.get(&pe) {
+            inst.restore(ckpt);
+        }
+        inst.set_suspended(suspended);
+        self.slots[slot_of(pe, replica)].deploy(inst, machine);
     }
 
     /// `true` if the destination is currently a serving consumer.
@@ -799,7 +803,7 @@ impl HaWorld {
     /// The machine hosting a destination.
     pub(crate) fn dest_machine(&self, dest: Dest) -> MachineId {
         match dest {
-            Dest::Pe { inst, .. } => self.instance_machine[slot_of(inst.pe, inst.replica)],
+            Dest::Pe { inst, .. } => self.slots[slot_of(inst.pe, inst.replica)].machine(),
             Dest::Sink(s) => self.placement.sinks[s.0 as usize],
         }
     }
@@ -967,7 +971,7 @@ impl HaWorld {
 
     /// One PE instance, if deployed.
     pub fn instance(&self, pe: PeId, replica: Replica) -> Option<&sps_engine::PeInstance> {
-        self.instances[slot_of(pe, replica)].as_ref()
+        self.slots[slot_of(pe, replica)].copy()
     }
 
     // ---- lineage + metrics (optional observation layers) ----
@@ -1109,8 +1113,8 @@ impl HaWorld {
     /// The trace half of [`on_sample`](Self::on_sample): per-PE queue
     /// snapshots plus queue high-water growth.
     fn trace_pe_snapshots(&mut self, now: SimTime) {
-        for slot in 0..self.instances.len() {
-            let Some(inst) = self.instances[slot].as_ref() else {
+        for slot in 0..self.slots.len() {
+            let Some(inst) = self.slots[slot].copy() else {
                 continue;
             };
             let (pe, replica) = unslot(slot);
@@ -1165,12 +1169,12 @@ impl HaWorld {
         let Some(registry) = self.metrics.as_deref_mut() else {
             return;
         };
-        for slot in 0..self.instances.len() {
-            let Some(inst) = self.instances[slot].as_ref() else {
+        for (slot, record) in self.slots.iter().enumerate() {
+            let Some(inst) = record.copy() else {
                 continue;
             };
             let (pe, replica) = unslot(slot);
-            let machine = self.instance_machine[slot];
+            let machine = record.machine();
             // Replica is part of the scope name-space via the metric name:
             // scopes identify (component, machine, pe), and an AS pair's
             // replicas live on different machines.
@@ -1199,7 +1203,7 @@ impl HaWorld {
         let mut standbys_missing = 0u64;
         for (sj_id, sj) in self.job.subjob_ids().zip(&self.subjobs) {
             let standby = sj.primary_replica.other();
-            let deployed = |pe: &PeId| self.instances[slot_of(*pe, standby)].is_some();
+            let deployed = |pe: &PeId| self.slots[slot_of(*pe, standby)].copy().is_some();
             let live = sj.secondary_machine.is_some_and(|sec| {
                 self.cluster.machine(sec).is_up()
                     && (!self.cfg.predeploys(sj.mode)
@@ -1384,25 +1388,6 @@ pub(crate) fn replica_code(replica: Replica) -> u8 {
         Replica::Primary => 0,
         Replica::Secondary => 1,
     }
-}
-
-/// A fresh copy of `pe` as `replica`: the operator, the ports and the
-/// registered input streams, with empty queues. Job start and every later
-/// deployment build copies here.
-pub(crate) fn pe_copy(job: &Job, pe: PeId, replica: Replica) -> sps_engine::PeInstance {
-    let out_streams: Vec<StreamId> = (0..job.out_ports(pe))
-        .map(|p| job.pe_stream(pe, p))
-        .collect();
-    let mut inst = sps_engine::PeInstance::new(
-        InstanceId { pe, replica },
-        job.pe(pe).operator.clone(),
-        job.in_ports(pe),
-        &out_streams,
-    );
-    for &(port, stream) in job.input_streams(pe) {
-        inst.register_input_stream(port, stream);
-    }
-    inst
 }
 
 /// The instance-slot index of `(pe, replica)`.

@@ -212,6 +212,53 @@ fn mixed_fanout_recovers_losslessly_with_on_demand_links() {
     }
 }
 
+/// Where the loss-free wedge shows (ROADMAP items 1(a) and 2(c)): the
+/// mixed fan-out under passive standby and the reliable layer, with subjob
+/// 0's primary spiked while subjob 1's primary fail-stops. Subjob 1's
+/// migrated copy resumes stream 1 from a split queue already trimmed past
+/// its restored position, so the remote sink ends 1,000 short and stays
+/// there — no message is lost, and the auditor's `stream_complete` is the
+/// only invariant that sees it. This test pins the wedge as it is; the fix
+/// must flip it (both sinks at `produced`, no violation) and delete it.
+#[test]
+fn known_loss_free_wedge_on_the_mixed_fanout() {
+    use hybrid_ha::workloads::primary_machine_of;
+    use sps_audit::Auditor;
+
+    /// Produced, the sinks' accepted counts, and the one violation line.
+    const KNOWN_LOSS_FREE_WEDGE: (u64, [u64; 2], &str) = (
+        2_399,
+        [1_399, 2_399],
+        "stream_complete subjob=4294967295 entity=1 seq=1256 detail=2399",
+    );
+    let job = mixed_fanout_job();
+    let mut sim = HaSimulation::builder(job.clone())
+        .mode(HaMode::Passive)
+        .tune(|c| c.reliable_control = true)
+        .source_rate(400.0)
+        .seed(2010)
+        .trace_probe(Box::new(Auditor::new()))
+        .audit_expectations(true, true)
+        .build();
+    sim.inject_spike_windows(
+        primary_machine_of(&job, 0),
+        &single_failure(SimTime::from_secs(2), SimDuration::from_secs(2)),
+    );
+    sim.fail_stop_at(primary_machine_of(&job, 1), SimTime::from_millis(3_500));
+    sim.stop_sources_at(SimTime::from_secs(6));
+    sim.run_until(SimTime::from_secs(40));
+    sim.finish_probes();
+
+    let (produced, remote, local) = produced_and_sunk(&sim);
+    let report = sim.audit_report().unwrap_or_default();
+    let (want_produced, want_sinks, want_violation) = KNOWN_LOSS_FREE_WEDGE;
+    assert_eq!(produced, want_produced);
+    assert_eq!([remote, local], want_sinks, "the remote sink stays short");
+    assert_eq!(sim.audit_violations(), 1, "{report}");
+    assert!(report.contains("  stream_complete: 1\n"), "{report}");
+    assert!(report.contains(want_violation), "{report}");
+}
+
 /// A 64-way key-partitioned job (router + one subjob per shard) on an
 /// 83-machine grid, multiplexed two-deep: a switch partition cuts twelve
 /// machines — the primaries of 24 shards — off the router for a second,
