@@ -115,7 +115,7 @@ pub fn run_level(load: f64, spikes: usize, seed: u64) -> [DetectorScore; 3] {
     let tolerance = SimDuration::from_millis(1_000);
     let world = sim.world();
     [
-        score(&world.monitors()[0].declarations, &windows, tolerance),
+        score(&world.subjob(SubjobId(1)).declarations, &windows, tolerance),
         score(
             &world.bench_detectors()[0].declarations,
             &windows,

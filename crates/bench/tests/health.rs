@@ -150,11 +150,7 @@ fn standby_rack_failure_opens_and_closes_a_redundancy_loss_span() {
         .mode(HaMode::Hybrid)
         .source_rate(1_000.0)
         .seed(2010)
-        .tune(|c| {
-            c.reliable_control = true;
-            // Stretched so several scrapes land inside the degraded window.
-            c.deploy_delay = SimDuration::from_millis(600);
-        })
+        .tune(|c| c.reliable_control = true)
         .placement(placement)
         .topology(FaultTopology::grid(22, 4, 1))
         .chaos(ChaosPlan::default().domain_fail_stop(rack_dies_at, DomainId(1)))

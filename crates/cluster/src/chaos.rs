@@ -8,7 +8,7 @@
 //! Gilbert–Elliott loss, delay jitter and hence reordering, duplication,
 //! and slow-link delay inflation). A [`ChaosPlan`] is a declarative list of
 //! timed [`ChaosAction`]s — loss windows, flapping links, one-way
-//! partitions, correlated fail-stops, gray degradation — that a harness
+//! partitions, correlated fail-stops — that a harness
 //! replays against the cluster. Everything is pure data here; the
 //! [`Network`](crate::Network) consumes profiles and the simulation world
 //! applies scheduled actions.
@@ -196,13 +196,6 @@ pub enum ChaosAction {
         /// The machine to crash.
         machine: MachineId,
     },
-    /// Gray failure: degrades a machine's CPU capacity without crashing it.
-    GrayDegrade {
-        /// The machine to degrade.
-        machine: MachineId,
-        /// New capacity (1.0 = healthy full speed).
-        capacity: f64,
-    },
     /// Correlated domain failure: fail-stops every machine in a rack at
     /// once (the harness expands the rack to its member machines from the
     /// cluster's [`FaultTopology`](crate::FaultTopology)).
@@ -248,9 +241,6 @@ impl ChaosAction {
             ChaosAction::Partition { a, b } => format!("partition {a}<->{b}"),
             ChaosAction::Heal { a, b } => format!("heal {a}<->{b}"),
             ChaosAction::FailStop { machine } => format!("fail_stop {machine}"),
-            ChaosAction::GrayDegrade { machine, capacity } => {
-                format!("gray_degrade {machine} cap={capacity}")
-            }
             ChaosAction::FailDomain { rack } => format!("fail_domain {rack}"),
             ChaosAction::PartitionSwitch { switch } => format!("partition_switch {switch}"),
             ChaosAction::HealSwitch { switch } => format!("heal_switch {switch}"),
@@ -446,26 +436,6 @@ impl ChaosPlan {
             .step(until, ChaosAction::HealSwitch { switch })
     }
 
-    /// Gray-degrades a machine's capacity from `from` until `until`, then
-    /// restores full capacity.
-    pub fn gray_window(
-        self,
-        from: SimTime,
-        until: SimTime,
-        machine: MachineId,
-        capacity: f64,
-    ) -> Self {
-        assert!(from <= until, "gray window ends before it starts");
-        self.step(from, ChaosAction::GrayDegrade { machine, capacity })
-            .step(
-                until,
-                ChaosAction::GrayDegrade {
-                    machine,
-                    capacity: 1.0,
-                },
-            )
-    }
-
     /// The steps in insertion order.
     pub fn steps(&self) -> &[ChaosStep] {
         &self.steps
@@ -628,10 +598,6 @@ mod tests {
             ChaosAction::Partition {
                 a: MachineId(0),
                 b: MachineId(1),
-            },
-            ChaosAction::GrayDegrade {
-                machine: MachineId(2),
-                capacity: 0.25,
             },
             ChaosAction::FailDomain { rack: DomainId(2) },
             ChaosAction::PartitionSwitch {

@@ -6,7 +6,8 @@ use crate::domain::FaultTopology;
 use crate::machine::{Machine, MachineId};
 use crate::network::{Network, NetworkConfig};
 
-/// A set of machines connected by one switched network.
+/// A set of machines connected by one switched network. `T` is the
+/// machines' task tag (see [`Machine`]).
 ///
 /// ```
 /// use sps_cluster::{Cluster, NetworkConfig};
@@ -20,13 +21,13 @@ use crate::network::{Network, NetworkConfig};
 /// assert_eq!(cluster.len(), 2);
 /// ```
 #[derive(Debug)]
-pub struct Cluster {
-    machines: Vec<Machine>,
+pub struct Cluster<T = u64> {
+    machines: Vec<Machine<T>>,
     network: Network,
     topology: FaultTopology,
 }
 
-impl Cluster {
+impl<T: Copy> Cluster<T> {
     /// Creates an empty cluster with the given network configuration.
     pub fn new(network: NetworkConfig) -> Self {
         Cluster {
@@ -66,7 +67,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this cluster.
-    pub fn machine(&self, id: MachineId) -> &Machine {
+    pub fn machine(&self, id: MachineId) -> &Machine<T> {
         &self.machines[id.0 as usize]
     }
 
@@ -75,12 +76,12 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `id` does not belong to this cluster.
-    pub fn machine_mut(&mut self, id: MachineId) -> &mut Machine {
+    pub fn machine_mut(&mut self, id: MachineId) -> &mut Machine<T> {
         &mut self.machines[id.0 as usize]
     }
 
     /// All machines, in id order.
-    pub fn machines(&self) -> &[Machine] {
+    pub fn machines(&self) -> &[Machine<T>] {
         &self.machines
     }
 
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn ids_are_dense_and_stable() {
-        let mut c = Cluster::new(NetworkConfig::default());
+        let mut c: Cluster = Cluster::new(NetworkConfig::default());
         let ids = c.add_machines(5);
         assert_eq!(ids, (0..5).map(MachineId).collect::<Vec<_>>());
         assert_eq!(c.ids().collect::<Vec<_>>(), ids);
@@ -157,7 +158,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn unknown_machine_panics() {
-        let c = Cluster::new(NetworkConfig::default());
+        let c: Cluster = Cluster::new(NetworkConfig::default());
         let _ = c.machine(MachineId(0));
     }
 }

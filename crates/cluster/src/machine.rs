@@ -60,22 +60,23 @@ impl LoadComponent {
 
 /// A finished CPU task, as returned by [`Machine::collect_finished`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FinishedTask {
+pub struct FinishedTask<T = u64> {
     /// The task's identifier.
     pub id: TaskId,
     /// The owner-supplied routing tag given at submission.
-    pub tag: u64,
+    pub tag: T,
 }
 
 #[derive(Debug, Clone)]
-struct ActiveTask {
+struct ActiveTask<T> {
     id: TaskId,
-    tag: u64,
+    tag: T,
     /// Remaining work in seconds of full-capacity CPU.
     remaining: f64,
 }
 
-/// A simulated machine with a processor-sharing CPU.
+/// A simulated machine with a processor-sharing CPU. `T` is the tag an
+/// owner attaches to each task to tell, when it finishes, what it was.
 ///
 /// ```
 /// use sps_cluster::{LoadComponent, Machine, MachineId};
@@ -94,12 +95,10 @@ struct ActiveTask {
 /// assert_eq!(finished[0].tag, 7);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Machine {
+pub struct Machine<T = u64> {
     id: MachineId,
-    capacity: f64,
-    min_app_share: f64,
     background: [f64; LoadComponent::COUNT],
-    tasks: Vec<ActiveTask>,
+    tasks: Vec<ActiveTask<T>>,
     last_advance: SimTime,
     next_task_id: u64,
     up: bool,
@@ -109,18 +108,16 @@ pub struct Machine {
     run_queue_hw: usize,
 }
 
-impl Machine {
-    /// Default floor on the application's CPU share, so work always makes
-    /// *some* progress even under a 100 % background spike (matching a real
-    /// OS scheduler, which never fully starves a runnable process).
-    pub const DEFAULT_MIN_APP_SHARE: f64 = 1e-3;
+/// Floor on the application's CPU share, so work always makes *some*
+/// progress even under a 100 % background spike (matching a real OS
+/// scheduler, which never fully starves a runnable process).
+const MIN_APP_SHARE: f64 = 1e-3;
 
-    /// Creates an idle, healthy machine with capacity 1.0.
+impl<T: Copy> Machine<T> {
+    /// Creates an idle, healthy machine.
     pub fn new(id: MachineId) -> Self {
         Machine {
             id,
-            capacity: 1.0,
-            min_app_share: Self::DEFAULT_MIN_APP_SHARE,
             background: [0.0; LoadComponent::COUNT],
             tasks: Vec::new(),
             last_advance: SimTime::ZERO,
@@ -185,8 +182,7 @@ impl Machine {
 
     /// The effective full-machine rate available to application tasks.
     fn app_rate(&self) -> f64 {
-        let free = (1.0 - self.background_share()).max(self.min_app_share);
-        self.capacity * free
+        (1.0 - self.background_share()).max(MIN_APP_SHARE)
     }
 
     /// Advances internal state to `now`, progressing all active tasks.
@@ -226,7 +222,7 @@ impl Machine {
             progressed += step;
         }
         self.work_done += progressed;
-        self.busy_integral += (bg + self.app_rate() / self.capacity).min(1.0) * dt * self.capacity;
+        self.busy_integral += (bg + self.app_rate()).min(1.0) * dt;
     }
 
     /// Submits `work_secs` seconds of CPU work with an owner-defined `tag`.
@@ -238,7 +234,7 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `work_secs` is negative or NaN.
-    pub fn submit(&mut self, now: SimTime, work_secs: f64, tag: u64) -> Option<TaskId> {
+    pub fn submit(&mut self, now: SimTime, work_secs: f64, tag: T) -> Option<TaskId> {
         assert!(
             work_secs >= 0.0 && work_secs.is_finite(),
             "task work must be finite and non-negative, got {work_secs}"
@@ -289,7 +285,7 @@ impl Machine {
     ///
     /// Call after [`Machine::advance`] at a completion instant. Completion
     /// order among simultaneous finishers follows submission order.
-    pub fn collect_finished(&mut self) -> Vec<FinishedTask> {
+    pub fn collect_finished(&mut self) -> Vec<FinishedTask<T>> {
         let mut finished = Vec::new();
         self.collect_finished_into(&mut finished);
         finished
@@ -297,7 +293,7 @@ impl Machine {
 
     /// Like [`Machine::collect_finished`], appending into a caller-owned
     /// buffer so the per-completion hot path can reuse one allocation.
-    pub fn collect_finished_into(&mut self, finished: &mut Vec<FinishedTask>) {
+    pub fn collect_finished_into(&mut self, finished: &mut Vec<FinishedTask<T>>) {
         // One nanosecond of full-speed CPU: absorbs the rounding of
         // completion instants to integer nanoseconds.
         const EPS: f64 = 1e-9;
@@ -328,51 +324,6 @@ impl Machine {
     pub fn restart(&mut self, now: SimTime) {
         self.advance(now);
         self.up = true;
-    }
-
-    /// Gray failure: advances to `now`, then degrades (or restores) the CPU
-    /// capacity while the machine keeps running. Unlike a fail-stop the
-    /// machine still answers heartbeats — just slowly — which is the
-    /// hard-to-detect regime chaos campaigns exercise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not positive and finite.
-    pub fn degrade(&mut self, now: SimTime, capacity: f64) {
-        self.advance(now);
-        self.set_capacity(capacity);
-    }
-
-    /// The current CPU capacity (1.0 = healthy).
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Overrides the CPU capacity (default 1.0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not positive and finite.
-    pub fn set_capacity(&mut self, capacity: f64) {
-        assert!(
-            capacity > 0.0 && capacity.is_finite(),
-            "capacity must be positive, got {capacity}"
-        );
-        self.capacity = capacity;
-    }
-
-    /// Overrides the minimum application share (default
-    /// [`Machine::DEFAULT_MIN_APP_SHARE`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < share <= 1`.
-    pub fn set_min_app_share(&mut self, share: f64) {
-        assert!(
-            share > 0.0 && share <= 1.0,
-            "min app share must be in (0, 1], got {share}"
-        );
-        self.min_app_share = share;
     }
 }
 
@@ -454,7 +405,7 @@ mod tests {
 
     #[test]
     fn components_accumulate_and_saturate() {
-        let mut m = Machine::new(MachineId(1));
+        let mut m: Machine = Machine::new(MachineId(1));
         m.set_background(ms(0), LoadComponent::Spike, 0.7);
         m.set_background(ms(0), LoadComponent::CoLocated, 0.6);
         assert!((m.background_share() - 1.0).abs() < 1e-12);

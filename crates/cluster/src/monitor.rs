@@ -30,7 +30,7 @@ impl CpuMonitor {
     /// advanced to `now`.
     ///
     /// Returns a value in `[0, 1]`; an empty interval yields 0.
-    pub fn sample(&mut self, machine: &Machine, now: SimTime) -> f64 {
+    pub fn sample<T: Copy>(&mut self, machine: &Machine<T>, now: SimTime) -> f64 {
         let busy = machine.busy_integral();
         let prev_time = self.last_time.unwrap_or(SimTime::ZERO);
         let dt = now.saturating_since(prev_time).as_secs_f64();
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn monitor_reports_interval_utilization() {
-        let mut m = Machine::new(MachineId(0));
+        let mut m: Machine = Machine::new(MachineId(0));
         let mut mon = CpuMonitor::new();
         m.set_background(SimTime::ZERO, LoadComponent::CoLocated, 0.6);
         m.advance(s(1));
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn monitor_handles_zero_dt() {
-        let m = Machine::new(MachineId(0));
+        let m: Machine = Machine::new(MachineId(0));
         let mut mon = CpuMonitor::new();
         assert_eq!(mon.sample(&m, SimTime::ZERO), 0.0);
         assert_eq!(mon.sample(&m, SimTime::ZERO), 0.0);

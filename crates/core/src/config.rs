@@ -90,6 +90,10 @@ pub(crate) const HYBRID_MISS_THRESHOLD: u32 = 1;
 /// paper reports this takes about 1/4 of on-demand deployment, §IV-B).
 pub(crate) const RESUME_DELAY: SimDuration = SimDuration::from_millis(50);
 
+/// Time to deploy a subjob copy on demand (PS recovery, and the hybrid's
+/// replacement-secondary instantiation).
+pub(crate) const DEPLOY_DELAY: SimDuration = SimDuration::from_millis(200);
+
 /// Time to establish upstream/downstream connections on demand (PS); the
 /// hybrid's early connections avoid this ("a reduction of about 50%", §IV-B).
 pub(crate) const CONNECT_DELAY: SimDuration = SimDuration::from_millis(60);
@@ -106,7 +110,7 @@ pub(crate) const ACK_EVERY_ELEMENTS: u64 = 16;
 pub(crate) const ELEMENT_BYTES: u32 = 256;
 
 /// Initial retransmission timeout of a reliable control message; it doubles
-/// per attempt up to [`HaConfig::rel_rto_max`].
+/// per attempt up to [`REL_RTO_MAX`].
 pub(crate) const REL_RTO_INITIAL: SimDuration = SimDuration::from_millis(50);
 
 /// Retransmission attempts before a reliable message is abandoned (the
@@ -119,9 +123,22 @@ pub(crate) const REL_MAX_RETRIES: u32 = 12;
 /// full period has its send cursor rewound to the acknowledged position and
 /// the retained elements replayed (receivers deduplicate). While it stays
 /// silent the next rewinds follow the control plane's rule,
-/// `REL_SWEEP_INTERVAL · 2^attempt` apart, capped at
-/// [`HaConfig::rel_rto_max`].
+/// `REL_SWEEP_INTERVAL · 2^attempt` apart, capped at [`REL_RTO_MAX`].
 pub const REL_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Retransmission backoff cap, shared by both planes: a reliable control
+/// message doubles its RTO per attempt up to this bound, and a data-plane
+/// connection that stays silent is rewound by the sweep at most this far
+/// apart.
+pub const REL_RTO_MAX: SimDuration = SimDuration::from_millis(800);
+
+/// The retransmission backoff both reliable planes share: the wait after
+/// retransmission number `attempt` is `base · 2^attempt`, capped at
+/// [`REL_RTO_MAX`]. The control plane's base is [`REL_RTO_INITIAL`], the
+/// data-plane sweep's [`REL_SWEEP_INTERVAL`].
+pub(crate) fn rel_backoff(base: SimDuration, attempt: u32) -> SimDuration {
+    (base * (1u64 << attempt.min(16))).min(REL_RTO_MAX)
+}
 
 /// Tunables of the HA layer. Defaults reproduce the paper's evaluation
 /// settings (checkpoint 500 ms, heartbeat 100 ms, PS declares at 3 misses,
@@ -142,9 +159,6 @@ pub struct HaConfig {
     /// failure duration distribution (the paper's Fig 3 shows spikes beyond
     /// 20 s), or long spikes are misclassified as machine deaths.
     pub failstop_miss_threshold: u32,
-    /// Time to deploy a subjob copy on demand (PS recovery, and hybrid's
-    /// replacement-secondary instantiation).
-    pub deploy_delay: SimDuration,
     /// §IV-B optimization: keep a suspended secondary deployed from job
     /// start (`true`, the paper's design) instead of deploying it on demand
     /// at switch-over. Disabling reproduces the paper's "75% reduction"
@@ -177,11 +191,6 @@ pub struct HaConfig {
     /// periodic and self-correcting, and a lost pong is exactly the
     /// false-alarm the hybrid protocol is designed to absorb.
     pub reliable_control: bool,
-    /// Retransmission backoff cap, shared by both planes through
-    /// `HaConfig::rel_backoff`: a reliable control message doubles its
-    /// RTO per attempt up to this bound, and a data-plane connection that
-    /// stays silent is rewound by the sweep at most this far apart.
-    pub rel_rto_max: SimDuration,
 }
 
 impl Default for HaConfig {
@@ -192,13 +201,11 @@ impl Default for HaConfig {
             checkpoint_interval: SimDuration::from_millis(500),
             heartbeat_interval: SimDuration::from_millis(100),
             failstop_miss_threshold: 600,
-            deploy_delay: SimDuration::from_millis(200),
             hybrid_predeploy: true,
             hybrid_early_connections: true,
             read_state_on_rollback: true,
             batch_size: 1,
             reliable_control: false,
-            rel_rto_max: SimDuration::from_millis(800),
         }
     }
 }
@@ -225,14 +232,6 @@ impl HaConfig {
         }
     }
 
-    /// The retransmission backoff both reliable planes share: the wait
-    /// after retransmission number `attempt` is `base · 2^attempt`, capped
-    /// at [`HaConfig::rel_rto_max`]. The control plane's base is
-    /// [`REL_RTO_INITIAL`], the data-plane sweep's [`REL_SWEEP_INTERVAL`].
-    pub(crate) fn rel_backoff(&self, base: SimDuration, attempt: u32) -> SimDuration {
-        (base * (1u64 << attempt.min(16))).min(self.rel_rto_max)
-    }
-
     /// Validates parameter sanity.
     ///
     /// # Panics
@@ -253,12 +252,6 @@ impl HaConfig {
             "fail-stop threshold must exceed the transient thresholds"
         );
         assert!(self.batch_size >= 1, "data batch size must be >= 1");
-        if self.reliable_control {
-            assert!(
-                self.rel_rto_max >= REL_RTO_INITIAL,
-                "reliable RTO cap must be >= the initial RTO"
-            );
-        }
     }
 }
 
@@ -273,7 +266,7 @@ mod tests {
         assert_eq!(c.checkpoint_interval, SimDuration::from_millis(500));
         assert_eq!(c.heartbeat_interval, SimDuration::from_millis(100));
         // The 75 % redeployment reduction: resume is 1/4 of deploy.
-        assert!((RESUME_DELAY.as_secs_f64() / c.deploy_delay.as_secs_f64() - 0.25).abs() < 1e-9);
+        assert!((RESUME_DELAY.as_secs_f64() / DEPLOY_DELAY.as_secs_f64() - 0.25).abs() < 1e-9);
     }
 
     #[test]
@@ -323,20 +316,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RTO cap")]
-    fn validate_rejects_inverted_rto_bounds() {
-        let c = HaConfig {
-            reliable_control: true,
-            rel_rto_max: SimDuration::from_millis(1),
-            ..HaConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
     fn with_mode_sets_only_the_mode() {
         let c = HaConfig::with_mode(HaMode::Passive);
         assert_eq!(c.mode, HaMode::Passive);
-        assert_eq!(c.deploy_delay, HaConfig::default().deploy_delay);
+        assert_eq!(
+            c.checkpoint_interval,
+            HaConfig::default().checkpoint_interval
+        );
     }
 }

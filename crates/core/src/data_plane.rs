@@ -3,14 +3,14 @@
 
 use sps_cluster::{LoadComponent, MachineId, SchedLatency};
 use sps_engine::{
-    ConnectionId, DataBatch, DataElement, Dest, InstanceId, Replica, SourceId, StreamId,
+    ConnectionId, DataBatch, DataElement, Dest, InstanceId, Replica, SourceId, StreamId, SubjobId,
 };
 use sps_metrics::{MsgClass, Scope};
 use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, LineageTable, TraceEvent};
 
 use crate::config::{
-    ACK_EVERY_ELEMENTS, HEARTBEAT_REPLY_DEMAND_SECS, REL_MAX_RETRIES, REL_RTO_INITIAL,
+    rel_backoff, ACK_EVERY_ELEMENTS, HEARTBEAT_REPLY_DEMAND_SECS, REL_MAX_RETRIES, REL_RTO_INITIAL,
     REL_SWEEP_INTERVAL,
 };
 use crate::message::{Msg, ProducerAddr};
@@ -173,7 +173,7 @@ impl HaWorld {
             class,
             0,
         );
-        let rto = self.cfg.rel_backoff(REL_RTO_INITIAL, attempt);
+        let rto = rel_backoff(REL_RTO_INITIAL, attempt);
         ctx.schedule_in(rto, Event::RelRetransmit { tx });
     }
 
@@ -235,10 +235,10 @@ impl HaWorld {
         demand_secs: f64,
         tag: TaskTag,
     ) {
-        let submitted =
-            self.cluster
-                .machine_mut(machine)
-                .submit(ctx.now(), demand_secs, tag.encode());
+        let submitted = self
+            .cluster
+            .machine_mut(machine)
+            .submit(ctx.now(), demand_secs, tag);
         if submitted.is_some() {
             self.rearm_machine(ctx, machine);
         }
@@ -295,7 +295,7 @@ impl HaWorld {
                 Event::SubmitTask {
                     machine: machine.0,
                     demand_secs,
-                    tag: tag.encode(),
+                    tag,
                 },
             );
         }
@@ -573,10 +573,10 @@ impl HaWorld {
             .machine_mut(m)
             .collect_finished_into(&mut finished);
         for task in &finished {
-            match TaskTag::decode(task.tag) {
+            match task.tag {
                 TaskTag::PeWork { slot, epoch } => self.on_pe_work_done(ctx, slot, epoch),
-                TaskTag::HeartbeatReply { monitor, seq } => {
-                    self.on_heartbeat_reply_done(ctx, m, monitor, seq)
+                TaskTag::HeartbeatReply { subjob, seq } => {
+                    self.on_heartbeat_reply_done(ctx, m, subjob, seq)
                 }
                 TaskTag::Benchmark { det } => self.on_benchmark_done(ctx, det),
             }
@@ -791,15 +791,15 @@ impl HaWorld {
                 from,
                 seq,
             } => self.on_ack(ctx, to, addr, from, seq),
-            Msg::Ping { monitor, seq } => {
+            Msg::Ping { subjob, seq } => {
                 self.submit_latency_sensitive(
                     ctx,
                     to,
                     HEARTBEAT_REPLY_DEMAND_SECS,
-                    TaskTag::HeartbeatReply { monitor, seq },
+                    TaskTag::HeartbeatReply { subjob, seq },
                 );
             }
-            Msg::Pong { monitor, seq } => self.on_pong(ctx, monitor, seq),
+            Msg::Pong { subjob, seq } => self.on_pong(ctx, subjob, seq),
             Msg::Checkpoint {
                 subjob,
                 epoch,
@@ -994,22 +994,17 @@ impl HaWorld {
         &mut self,
         ctx: &mut Ctx<Event>,
         at: MachineId,
-        monitor: u32,
+        subjob: SubjobId,
         seq: u64,
     ) {
-        let m = monitor as usize;
-        if m >= self.monitors.len() {
-            return;
-        }
-        let sj = &self.subjobs[self.monitors[m].subjob.0 as usize];
-        let Some(monitor_machine) = sj.secondary_machine else {
+        let Some(monitor_machine) = self.subjobs[subjob.0 as usize].secondary_machine else {
             return;
         };
         self.send_msg(
             ctx,
             at,
             monitor_machine,
-            Msg::Pong { monitor, seq },
+            Msg::Pong { subjob, seq },
             MsgClass::Heartbeat,
             0,
         );
@@ -1067,10 +1062,7 @@ impl HaWorld {
                 self.cluster.machine(dst).is_up()
                     && !self.cluster.network().is_partitioned(src, dst)
             };
-            if !self
-                .rel_sweep_prev
-                .observe(&self.cfg, (addr, ci), window, reachable)
-            {
+            if !self.rel_sweep_prev.observe((addr, ci), window, reachable) {
                 continue;
             }
             let resent = self.producer_queue_mut(addr).expect("swept").rewind(conn);
@@ -1150,11 +1142,15 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
             },
         );
     }
-    for m in 0..world.monitors.len() {
-        ctx.schedule_in(
-            world.cfg.heartbeat_interval,
-            Event::HeartbeatTick { monitor: m as u32 },
-        );
+    for (subjob, sj) in world.subjobs.iter().enumerate() {
+        if sj.hb.is_some() {
+            ctx.schedule_in(
+                world.cfg.heartbeat_interval,
+                Event::HeartbeatTick {
+                    subjob: subjob as u32,
+                },
+            );
+        }
     }
     // The sampler runs only when something observes it — a trace sink or
     // probe, or the metrics registry — so plain runs keep an identical

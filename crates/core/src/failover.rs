@@ -19,9 +19,9 @@ use sps_sim::{Ctx, SimTime};
 use sps_trace::{AbortReason, EpochCause, TraceEvent};
 
 use crate::config::{
-    HaMode, CONNECT_DELAY, HYBRID_MISS_THRESHOLD, PS_MISS_THRESHOLD, RESUME_DELAY,
+    HaMode, CONNECT_DELAY, DEPLOY_DELAY, HYBRID_MISS_THRESHOLD, PS_MISS_THRESHOLD, RESUME_DELAY,
 };
-use crate::detect::{BenchAction, HbVerdict, BENCH_SAMPLE_INTERVAL};
+use crate::detect::{BenchAction, HbVerdict, HeartbeatMonitor, BENCH_SAMPLE_INTERVAL};
 use crate::message::{Msg, ProducerAddr};
 use crate::wiring::find_conn;
 use crate::world::{replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending};
@@ -127,14 +127,16 @@ impl HaWorld {
         sj.secondary_machine = target;
         let primary = sj.primary_machine;
         self.emit_standby_provision(now, sj_id, target, fresh, Some(primary));
-        self.reset_monitor_of(sj_id);
+        if let Some(hb) = &mut self.subjobs[sj_id.0 as usize].hb {
+            *hb = HeartbeatMonitor::new();
+        }
         if let Some(phase) = phase {
             self.log_event(now, sj_id, phase);
         }
         let sj = &self.subjobs[sj_id.0 as usize];
         match target {
             Some(_) if self.cfg.predeploys(sj.mode) => ctx.schedule_in(
-                self.cfg.deploy_delay,
+                DEPLOY_DELAY,
                 Event::SecondaryReady {
                     subjob: sj_id.0,
                     epoch: sj.epoch,
@@ -196,14 +198,11 @@ impl HaWorld {
 
     // ---- heartbeat ----
 
-    pub(crate) fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<Event>, monitor: u32) {
+    pub(crate) fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<Event>, subjob: u32) {
         // Periodic forever: reschedule first.
-        ctx.schedule_in(
-            self.cfg.heartbeat_interval,
-            Event::HeartbeatTick { monitor },
-        );
-        let m = monitor as usize;
-        let sj_idx = self.monitors[m].subjob.0 as usize;
+        ctx.schedule_in(self.cfg.heartbeat_interval, Event::HeartbeatTick { subjob });
+        let sj_id = SubjobId(subjob);
+        let sj_idx = subjob as usize;
         let (mon_machine, target_machine) = {
             let sj = &self.subjobs[sj_idx];
             let Some(sec) = sj.secondary_machine else {
@@ -214,9 +213,13 @@ impl HaWorld {
         if !self.cluster.machine(mon_machine).is_up() {
             return;
         }
-        let (seq, verdict) = self.monitors[m].hb.tick();
+        let (seq, verdict) = self.subjobs[sj_idx]
+            .hb
+            .as_mut()
+            .expect("heartbeat ticks run only for monitored subjobs")
+            .tick();
         if let HbVerdict::Missed { streak } = verdict {
-            self.on_misses(ctx, monitor, streak);
+            self.on_misses(ctx, sj_id, streak);
         }
         // Keep pinging even while suspected: the reply is the hybrid's
         // rollback trigger.
@@ -237,15 +240,13 @@ impl HaWorld {
             ctx,
             mon_machine,
             target_machine,
-            Msg::Ping { monitor, seq },
+            Msg::Ping { subjob: sj_id, seq },
             MsgClass::Heartbeat,
             0,
         );
     }
 
-    fn on_misses(&mut self, ctx: &mut Ctx<Event>, monitor: u32, streak: u32) {
-        let m = monitor as usize;
-        let sj_id = self.monitors[m].subjob;
+    fn on_misses(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, streak: u32) {
         let sj_idx = sj_id.0 as usize;
         let mode = self.subjobs[sj_idx].mode;
         let state = self.subjobs[sj_idx].state;
@@ -268,7 +269,7 @@ impl HaWorld {
             // rollback was in flight when the machine died), the next miss
             // retries it.
             if streak == self.cfg.failstop_miss_threshold {
-                self.declare_failure(ctx.now(), m, suspect, streak);
+                self.declare_failure(ctx.now(), sj_id, suspect, streak);
             }
             self.promote(ctx, sj_id);
             return;
@@ -280,8 +281,10 @@ impl HaWorld {
                 HaMode::None | HaMode::Active => false,
             };
         if declares {
-            self.declare_failure(ctx.now(), m, suspect, streak);
-            self.monitors[m].hb.mark_suspected();
+            self.declare_failure(ctx.now(), sj_id, suspect, streak);
+            if let Some(hb) = &mut self.subjobs[sj_idx].hb {
+                hb.mark_suspected();
+            }
             if mode == HaMode::Hybrid {
                 self.hybrid_switchover(ctx, sj_id);
             } else {
@@ -290,28 +293,28 @@ impl HaWorld {
         }
     }
 
-    /// Monitor `m` declares its subjob's primary `machine` failed after
+    /// `sj_id`'s monitor declares its primary `machine` failed after
     /// `streak` consecutive misses.
-    fn declare_failure(&mut self, at: SimTime, m: usize, machine: MachineId, streak: u32) {
-        self.monitors[m].declarations.push(at);
-        let subjob = self.monitors[m].subjob.0;
+    fn declare_failure(&mut self, at: SimTime, sj_id: SubjobId, machine: MachineId, streak: u32) {
+        self.subjobs[sj_id.0 as usize].declarations.push(at);
         self.tracer.emit(
             at,
             TraceEvent::FailureDetect {
                 machine: machine.0,
-                subjob,
+                subjob: sj_id.0,
                 miss_streak: streak,
             },
         );
     }
 
-    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<Event>, monitor: u32, seq: u64) {
-        let m = monitor as usize;
-        if m >= self.monitors.len() {
-            return;
-        }
-        let fresh_recovery = self.monitors[m].hb.pong(seq);
-        let ponger = self.subjobs[self.monitors[m].subjob.0 as usize].primary_machine;
+    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, seq: u64) {
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        let fresh_recovery = sj
+            .hb
+            .as_mut()
+            .expect("only a monitored subjob's pings are answered")
+            .pong(seq);
+        let ponger = sj.primary_machine;
         self.tracer
             .emit_data(ctx.now(), || TraceEvent::HeartbeatPong {
                 machine: ponger.0,
@@ -326,7 +329,6 @@ impl HaWorld {
             "suspicion_cleared",
             1,
         );
-        let sj_id = self.monitors[m].subjob;
         let sj = &self.subjobs[sj_id.0 as usize];
         if sj.mode != HaMode::Hybrid {
             return; // PS commits to its migration; no rollback.
@@ -452,7 +454,7 @@ impl HaWorld {
         let mut delay = if self.cfg.hybrid_predeploy {
             RESUME_DELAY
         } else {
-            self.cfg.deploy_delay
+            DEPLOY_DELAY
         };
         if !self.cfg.hybrid_early_connections {
             delay += CONNECT_DELAY;
@@ -639,7 +641,7 @@ impl HaWorld {
         let epoch = self.advance_epoch(ctx.now(), sj_id, SjState::Deploying, EpochCause::PsDetect);
         self.log_event(ctx.now(), sj_id, HaEventKind::Detected);
         ctx.schedule_in(
-            self.cfg.deploy_delay,
+            DEPLOY_DELAY,
             Event::DeployComplete {
                 subjob: sj_id.0,
                 epoch,
@@ -795,7 +797,7 @@ impl HaWorld {
         self.emit_standby_provision(ctx.now(), sj_id, Some(spare), true, None);
         self.metric_inc(sps_metrics::Scope::global("failover"), "spare_redeploy", 1);
         ctx.schedule_in(
-            self.cfg.deploy_delay,
+            DEPLOY_DELAY,
             Event::DeployComplete {
                 subjob: sj_id.0,
                 epoch,
@@ -966,14 +968,6 @@ impl HaWorld {
     }
 
     // ---- connection/instances plumbing shared by the transitions ----
-
-    fn reset_monitor_of(&mut self, sj_id: SubjobId) {
-        for m in &mut self.monitors {
-            if m.subjob == sj_id {
-                m.hb = crate::detect::HeartbeatMonitor::new();
-            }
-        }
-    }
 
     /// Deploys standby instances of a subjob's PEs on `machine` (PS
     /// recovery, or a replacement secondary after promotion), restoring from

@@ -455,19 +455,6 @@ impl HaSimulation {
         }
     }
 
-    /// Schedules a co-located-application load on a machine (the Fig 1
-    /// scenario).
-    pub fn set_colocated_load(&mut self, machine: MachineId, at: SimTime, share: f64) {
-        self.sim.schedule_at(
-            at,
-            Event::SetBackground {
-                machine: machine.0,
-                component: LoadComponent::CoLocated,
-                share,
-            },
-        );
-    }
-
     /// Schedules a machine fail-stop.
     pub fn fail_stop_at(&mut self, machine: MachineId, at: SimTime) {
         self.sim

@@ -65,13 +65,12 @@ mod sweep;
 mod wiring;
 mod world;
 
-pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_SWEEP_INTERVAL};
+pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_RTO_MAX, REL_SWEEP_INTERVAL};
 pub use detect::{BenchAction, BenchmarkDetector, HbVerdict, HeartbeatMonitor, TrendPredictor};
 pub use harness::{HaSimulation, HaSimulationBuilder, RunReport};
 pub use message::{Msg, ProducerAddr};
 pub use sink::{SinkAccept, SinkRuntime};
 pub use source::{zipf_rank, PayloadGen, RateProfile, SourceRuntime};
 pub use world::{
-    Event, HaEvent, HaEventKind, HaWorld, MonitorRt, Placement, SjState, SubjobHa, TaskTag,
-    SAMPLE_INTERVAL,
+    Event, HaEvent, HaEventKind, HaWorld, Placement, SjState, SubjobHa, TaskTag, SAMPLE_INTERVAL,
 };

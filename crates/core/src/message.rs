@@ -78,15 +78,15 @@ pub enum Msg {
     },
     /// Heartbeat ping, monitor → monitored machine.
     Ping {
-        /// The monitor index.
-        monitor: u32,
+        /// The monitored subjob.
+        subjob: SubjobId,
         /// Ping sequence number.
         seq: u64,
     },
     /// Heartbeat reply, monitored machine → monitor.
     Pong {
-        /// The monitor index.
-        monitor: u32,
+        /// The monitored subjob.
+        subjob: SubjobId,
         /// Echoed ping sequence number.
         seq: u64,
     },
@@ -164,7 +164,14 @@ mod tests {
             elem,
         };
         assert_eq!(data.wire_bytes(), 288);
-        assert_eq!(Msg::Ping { monitor: 0, seq: 1 }.wire_bytes(), 32);
+        assert_eq!(
+            Msg::Ping {
+                subjob: SubjobId(0),
+                seq: 1
+            }
+            .wire_bytes(),
+            32
+        );
 
         // A batch amortizes the 32-byte header over the whole run.
         let run: Vec<DataElement> = (1..=4).map(|seq| DataElement { seq, ..elem }).collect();

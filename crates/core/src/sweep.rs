@@ -4,7 +4,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use crate::config::{HaConfig, REL_SWEEP_INTERVAL};
+use crate::config::{rel_backoff, REL_SWEEP_INTERVAL};
 use crate::message::ProducerAddr;
 
 /// A swept connection: the producer copy's output queue and the
@@ -41,13 +41,12 @@ impl SweepLedger {
     /// sends it. So a stalled connection backs off the way a reliable
     /// control message does: its first no-progress sweep rewinds, and
     /// rewind number `attempt` is followed by a wait of
-    /// [`HaConfig::rel_backoff`]`(`[`REL_SWEEP_INTERVAL`]`, attempt)` — sweeps
+    /// [`rel_backoff`]`(`[`REL_SWEEP_INTERVAL`]`, attempt)` — sweeps
     /// 1, 2, 4, 8, 16, 24, … at the defaults. A moved pair, an emptied
     /// window, and a partitioned or dead destination each restart the
     /// sequence, so the first sweep after a heal rewinds at once.
     pub(crate) fn observe(
         &mut self,
-        cfg: &HaConfig,
         key: SweepKey,
         window: Option<(u64, u64)>,
         reachable: bool,
@@ -76,7 +75,7 @@ impl SweepLedger {
             watch.skip -= 1;
             return false;
         }
-        let wait = cfg.rel_backoff(REL_SWEEP_INTERVAL, watch.rewinds);
+        let wait = rel_backoff(REL_SWEEP_INTERVAL, watch.rewinds);
         watch.skip = ((wait.as_nanos() / REL_SWEEP_INTERVAL.as_nanos()) as u32).saturating_sub(1);
         watch.rewinds = watch.rewinds.saturating_add(1);
         true
@@ -87,7 +86,6 @@ impl SweepLedger {
 mod tests {
     use super::*;
     use sps_engine::{InstanceId, PeId, Replica, SourceId};
-    use sps_sim::SimDuration;
 
     const KEY: SweepKey = (
         ProducerAddr::Instance(
@@ -102,58 +100,43 @@ mod tests {
 
     /// Looks at a reachable connection frozen at `pair` on `n` sweeps in a
     /// row and returns the ones that rewound it, counted from 0.
-    fn rewinds(ledger: &mut SweepLedger, cfg: &HaConfig, pair: (u64, u64), n: u32) -> Vec<u32> {
+    fn rewinds(ledger: &mut SweepLedger, pair: (u64, u64), n: u32) -> Vec<u32> {
         (0..n)
-            .filter(|_| ledger.observe(cfg, KEY, Some(pair), true))
+            .filter(|_| ledger.observe(KEY, Some(pair), true))
             .collect()
     }
 
     #[test]
     fn a_frozen_connection_backs_off_to_the_rto_cap() {
-        let (cfg, mut ledger) = (HaConfig::default(), SweepLedger::default());
+        let mut ledger = SweepLedger::default();
         // Sweep 0 only takes note of the pair, so sweep n is the n-th
         // without progress.
         assert_eq!(
-            rewinds(&mut ledger, &cfg, (5, 9), 42),
+            rewinds(&mut ledger, (5, 9), 42),
             [1, 2, 4, 8, 16, 24, 32, 40]
         );
     }
 
     #[test]
     fn progress_an_emptied_window_and_an_unreachable_destination_each_restart_it() {
-        let (cfg, mut ledger) = (HaConfig::default(), SweepLedger::default());
-        assert_eq!(rewinds(&mut ledger, &cfg, (5, 9), 7), [1, 2, 4]);
+        let mut ledger = SweepLedger::default();
+        assert_eq!(rewinds(&mut ledger, (5, 9), 7), [1, 2, 4]);
         // An ack moved the pair: sweep 0 sees a new one.
-        assert_eq!(rewinds(&mut ledger, &cfg, (6, 9), 7), [1, 2, 4]);
+        assert_eq!(rewinds(&mut ledger, (6, 9), 7), [1, 2, 4]);
         // The window emptied: the connection is forgotten.
-        assert!(!ledger.observe(&cfg, KEY, None, true));
+        assert!(!ledger.observe(KEY, None, true));
         assert!(ledger.watched.is_empty());
-        assert_eq!(rewinds(&mut ledger, &cfg, (6, 9), 7), [1, 2, 4]);
+        assert_eq!(rewinds(&mut ledger, (6, 9), 7), [1, 2, 4]);
         // No rewind into a partition or at a dead machine however long it
         // lasts; the pair is noted meanwhile, so the first sweep after the
         // heal rewinds.
         for _ in 0..7 {
-            assert!(!ledger.observe(&cfg, KEY, Some((6, 9)), false));
+            assert!(!ledger.observe(KEY, Some((6, 9)), false));
         }
-        assert_eq!(rewinds(&mut ledger, &cfg, (6, 9), 7), [0, 1, 3]);
+        assert_eq!(rewinds(&mut ledger, (6, 9), 7), [0, 1, 3]);
         // Another connection's history is its own.
         let other = (ProducerAddr::Source(SourceId(0)), 0);
-        assert!(!ledger.observe(&cfg, other, Some((6, 9)), true));
-        assert!(ledger.observe(&cfg, other, Some((6, 9)), true));
-    }
-
-    #[test]
-    fn the_gaps_are_the_shared_backoff_in_sweeps() {
-        let mut cfg = HaConfig {
-            rel_rto_max: SimDuration::from_millis(300),
-            ..HaConfig::default()
-        };
-        // 100, 200, then 400 capped to 300 ms: gaps of 1, 2, 3, 3 sweeps.
-        let mut ledger = SweepLedger::default();
-        assert_eq!(rewinds(&mut ledger, &cfg, (1, 4), 12), [1, 2, 4, 7, 10]);
-        // A cap below the sweep interval cannot wait less than one sweep.
-        cfg.rel_rto_max = SimDuration::from_millis(50);
-        let mut ledger = SweepLedger::default();
-        assert_eq!(rewinds(&mut ledger, &cfg, (1, 4), 5), [1, 2, 3, 4]);
+        assert!(!ledger.observe(other, Some((6, 9)), true));
+        assert!(ledger.observe(other, Some((6, 9)), true));
     }
 }

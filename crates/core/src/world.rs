@@ -154,10 +154,10 @@ pub enum Event {
         /// The message.
         msg: Msg,
     },
-    /// A monitor's heartbeat period elapsed.
+    /// A monitored subjob's heartbeat period elapsed.
     HeartbeatTick {
-        /// Monitor index.
-        monitor: u32,
+        /// Subjob index.
+        subjob: u32,
     },
     /// A synchronous (pe = `None`) or individual (pe = `Some`) checkpoint
     /// timer fired.
@@ -226,8 +226,8 @@ pub enum Event {
         machine: u32,
         /// CPU demand in seconds.
         demand_secs: f64,
-        /// Encoded [`TaskTag`].
-        tag: u64,
+        /// What the task is.
+        tag: TaskTag,
     },
     /// A reliable control message's retransmission timer fired.
     RelRetransmit {
@@ -286,8 +286,8 @@ pub enum TaskTag {
     },
     /// Producing a heartbeat reply.
     HeartbeatReply {
-        /// Monitor index.
-        monitor: u32,
+        /// The monitored subjob.
+        subjob: SubjobId,
         /// Ping sequence number.
         seq: u64,
     },
@@ -296,65 +296,6 @@ pub enum TaskTag {
         /// Detector index.
         det: u32,
     },
-}
-
-impl TaskTag {
-    /// Instance slots the `PeWork` layout can address: the slot sits in
-    /// the 24 bits under the epoch.
-    pub(crate) const MAX_SLOTS: usize = 1 << 24;
-    /// Heartbeat monitors the `HeartbeatReply` layout can address: the
-    /// monitor index sits in the 16 bits under the task kind.
-    pub(crate) const MAX_MONITORS: usize = 1 << 16;
-
-    /// Rejects a world whose instance slots or monitors would not fit the
-    /// tag's bit fields; [`TaskTag::encode`] does not mask them, so an
-    /// index past either limit would corrupt the epoch or the task kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots > MAX_SLOTS` or `monitors > MAX_MONITORS`.
-    pub(crate) fn assert_addressable(slots: usize, monitors: usize) {
-        assert!(
-            slots <= Self::MAX_SLOTS,
-            "too many PE instance slots for a task tag: {slots} > {}",
-            Self::MAX_SLOTS
-        );
-        assert!(
-            monitors <= Self::MAX_MONITORS,
-            "too many monitored subjobs for a task tag: {monitors} > {}",
-            Self::MAX_MONITORS
-        );
-    }
-
-    /// Packs the tag into the machine's `u64` task tag. [`HaWorld::new`]
-    /// accepts only worlds whose slot and monitor indices fit their fields.
-    pub fn encode(self) -> u64 {
-        match self {
-            TaskTag::PeWork { slot, epoch } => ((epoch as u64) << 24) | slot as u64,
-            TaskTag::HeartbeatReply { monitor, seq } => {
-                (1 << 56) | ((monitor as u64) << 40) | (seq & 0xFF_FFFF_FFFF)
-            }
-            TaskTag::Benchmark { det } => (2 << 56) | det as u64,
-        }
-    }
-
-    /// Unpacks a machine task tag.
-    pub fn decode(raw: u64) -> TaskTag {
-        match raw >> 56 {
-            0 => TaskTag::PeWork {
-                slot: (raw & 0xFF_FFFF) as usize,
-                epoch: ((raw >> 24) & 0xFFFF_FFFF) as u32,
-            },
-            1 => TaskTag::HeartbeatReply {
-                monitor: ((raw >> 40) & 0xFFFF) as u32,
-                seq: raw & 0xFF_FFFF_FFFF,
-            },
-            2 => TaskTag::Benchmark {
-                det: (raw & 0xFFFF_FFFF) as u32,
-            },
-            k => unreachable!("unknown task kind {k}"),
-        }
-    }
 }
 
 /// The life-cycle state of a subjob's HA machinery.
@@ -448,6 +389,11 @@ pub struct SubjobHa {
     /// Elements sent to the suspected primary while switched over plus
     /// state read back on rollback (Fig 10's overhead metric).
     pub switch_overhead_elements: u64,
+    /// The standby's heartbeat monitor of the primary; `None` for modes
+    /// that do not monitor ([`HaMode::monitors`]).
+    pub hb: Option<HeartbeatMonitor>,
+    /// When the monitor declared the primary failed (any threshold).
+    pub declarations: Vec<SimTime>,
 }
 
 impl SubjobHa {
@@ -491,17 +437,6 @@ pub(crate) struct RelPending {
     pub attempt: u32,
 }
 
-/// One heartbeat monitor (per monitored subjob).
-#[derive(Debug)]
-pub struct MonitorRt {
-    /// The subjob this monitor protects.
-    pub subjob: SubjobId,
-    /// Detector state.
-    pub hb: HeartbeatMonitor,
-    /// Declarations made (any threshold).
-    pub declarations: Vec<SimTime>,
-}
-
 /// A benchmark detector deployed on one machine (detection experiments),
 /// optionally paired with a trend predictor fed by the same sample stream.
 #[derive(Debug)]
@@ -528,7 +463,7 @@ pub struct HaWorld {
     pub(crate) cfg: HaConfig,
     pub(crate) job: Job,
     pub(crate) placement: Placement,
-    pub(crate) cluster: Cluster,
+    pub(crate) cluster: Cluster<TaskTag>,
     pub(crate) machine_timers: Vec<TimerSlot>,
     /// One record per PE copy: index = `pe * 2 + replica` (0 = primary).
     pub(crate) slots: Vec<Slot>,
@@ -542,8 +477,6 @@ pub struct HaWorld {
     /// discriminant and kept by [`HaWorld::set_sj_state`], so
     /// [`HaWorld::protocol_phase`] need not scan the subjobs.
     pub(crate) sj_state_counts: [u32; SjState::COUNT],
-    /// Per-subjob mode overrides applied at construction.
-    pub(crate) monitors: Vec<MonitorRt>,
     pub(crate) bench_detectors: Vec<BenchRt>,
     pub(crate) counters: MsgCounters,
     /// The trace bus. Control-plane recovery phases are always logged
@@ -594,7 +527,7 @@ pub struct HaWorld {
     pub(crate) ack_scratch: Vec<(usize, sps_engine::StreamId, u64)>,
     /// Reusable buffer for machine ticks: the tasks that just completed on
     /// the ticking machine, emptied before return.
-    pub(crate) task_scratch: Vec<sps_cluster::FinishedTask>,
+    pub(crate) task_scratch: Vec<sps_cluster::FinishedTask<TaskTag>>,
     /// Free list of [`sps_engine::DataBatch`] element buffers: a sender
     /// takes one to build a batch, the receiver hands it back, so a steady
     /// batched run stops allocating per message. It holds at most as many
@@ -622,8 +555,7 @@ impl HaWorld {
     /// # Panics
     ///
     /// Panics on inconsistent placement (missing secondary for an HA mode
-    /// that needs one), invalid configuration, or a job with more instance
-    /// slots (2²⁴) or monitored subjobs (2¹⁶) than a [`TaskTag`] can address.
+    /// that needs one) or invalid configuration.
     pub fn new(
         job: Job,
         cfg: HaConfig,
@@ -650,10 +582,6 @@ impl HaWorld {
         cluster.add_machines(placement.machine_count());
 
         let n_pes = job.pe_count();
-        TaskTag::assert_addressable(
-            n_pes * 2,
-            modes.iter().filter(|mode| mode.monitors()).count(),
-        );
 
         // Sources and sinks.
         let sources: Vec<SourceRuntime> = (0..job.source_count())
@@ -677,7 +605,6 @@ impl HaWorld {
             machine_timers: (0..cluster.len()).map(|_| TimerSlot::new()).collect(),
             subjobs: Vec::new(),
             sj_state_counts: [0; SjState::COUNT],
-            monitors: Vec::new(),
             bench_detectors: Vec::new(),
             counters: MsgCounters::new(),
             tracer: Tracer::new(),
@@ -726,14 +653,9 @@ impl HaWorld {
                 snap_positions: BTreeMap::new(),
                 stored: BTreeMap::new(),
                 switch_overhead_elements: 0,
+                hb: mode.monitors().then(HeartbeatMonitor::new),
+                declarations: Vec::new(),
             });
-            if mode.monitors() {
-                world.monitors.push(MonitorRt {
-                    subjob: sj,
-                    hb: HeartbeatMonitor::new(),
-                    declarations: Vec::new(),
-                });
-            }
         }
 
         world.sj_state_counts[SjState::Normal as usize] = world.subjobs.len() as u32;
@@ -949,23 +871,18 @@ impl HaWorld {
         &self.subjobs[sj.0 as usize]
     }
 
-    /// Heartbeat monitors.
-    pub fn monitors(&self) -> &[MonitorRt] {
-        &self.monitors
-    }
-
     /// Benchmark detectors.
     pub fn bench_detectors(&self) -> &[BenchRt] {
         &self.bench_detectors
     }
 
     /// The cluster (machines + network).
-    pub fn cluster(&self) -> &Cluster {
+    pub fn cluster(&self) -> &Cluster<TaskTag> {
         &self.cluster
     }
 
     /// The cluster, exclusively (fault-injection: partitions, capacities).
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
+    pub fn cluster_mut(&mut self) -> &mut Cluster<TaskTag> {
         &mut self.cluster
     }
 
@@ -1272,7 +1189,6 @@ impl HaWorld {
             ChaosAction::Partition { a, b } => (ChaosKind::Partition, a.0, b.0),
             ChaosAction::Heal { a, b } => (ChaosKind::Heal, a.0, b.0),
             ChaosAction::FailStop { machine } => (ChaosKind::FailStop, machine.0, NONE),
-            ChaosAction::GrayDegrade { machine, .. } => (ChaosKind::GrayDegrade, machine.0, NONE),
             ChaosAction::FailDomain { rack } => (ChaosKind::FailDomain, rack.0, NONE),
             ChaosAction::PartitionSwitch { switch } => (ChaosKind::PartitionSwitch, switch.0, NONE),
             ChaosAction::HealSwitch { switch } => (ChaosKind::HealSwitch, switch.0, NONE),
@@ -1305,12 +1221,6 @@ impl HaWorld {
                 self.cluster.network_mut().set_partitioned(a, b, false);
             }
             ChaosAction::FailStop { machine } => self.on_fail_stop(ctx, machine.0),
-            ChaosAction::GrayDegrade { machine, capacity } => {
-                self.cluster
-                    .machine_mut(machine)
-                    .degrade(ctx.now(), capacity);
-                self.rearm_machine(ctx, machine);
-            }
             ChaosAction::FailDomain { rack } => {
                 // Correlated fail-stop: every live machine in the rack dies
                 // at once (power-rail loss). Expansion happens here, at
@@ -1419,7 +1329,7 @@ impl World for HaWorld {
             Event::SourceTick { source, gen } => self.on_source_tick(ctx, source, gen),
             Event::MachineTick { machine, gen } => self.on_machine_tick(ctx, machine, gen),
             Event::Deliver { to, msg } => self.on_deliver(ctx, to, msg),
-            Event::HeartbeatTick { monitor } => self.on_heartbeat_tick(ctx, monitor),
+            Event::HeartbeatTick { subjob } => self.on_heartbeat_tick(ctx, subjob),
             Event::CheckpointTimer { subjob, pe } => self.on_checkpoint_timer(ctx, subjob, pe),
             Event::SwitchoverComplete { subjob, epoch } => {
                 self.on_switchover_complete(ctx, subjob, epoch)
@@ -1449,7 +1359,7 @@ impl World for HaWorld {
             } => {
                 let m = MachineId(machine);
                 if self.cluster.machine(m).is_up() {
-                    self.submit_task(ctx, m, demand_secs, TaskTag::decode(tag));
+                    self.submit_task(ctx, m, demand_secs, tag);
                 }
             }
             Event::RelRetransmit { tx } => self.on_rel_retransmit(ctx, tx),
@@ -1479,49 +1389,6 @@ mod tests {
         assert_eq!(slot_of(PeId(0), Replica::Primary), 0);
         assert_eq!(slot_of(PeId(0), Replica::Secondary), 1);
         assert_eq!(slot_of(PeId(1), Replica::Primary), 2);
-    }
-
-    #[test]
-    fn task_tags_round_trip_at_the_field_boundaries() {
-        let tags = [
-            TaskTag::PeWork { slot: 0, epoch: 0 },
-            TaskTag::PeWork {
-                slot: TaskTag::MAX_SLOTS - 1,
-                epoch: u32::MAX,
-            },
-            TaskTag::HeartbeatReply { monitor: 0, seq: 0 },
-            TaskTag::HeartbeatReply {
-                monitor: TaskTag::MAX_MONITORS as u32 - 1,
-                seq: 0xFF_FFFF_FFFF,
-            },
-            TaskTag::Benchmark { det: u32::MAX },
-        ];
-        for tag in tags {
-            assert_eq!(TaskTag::decode(tag.encode()), tag);
-        }
-        // One past either limit spills into the neighbouring field, which
-        // is why worlds that large are rejected up front.
-        let spilled = TaskTag::PeWork {
-            slot: TaskTag::MAX_SLOTS,
-            epoch: 0,
-        };
-        assert_eq!(
-            TaskTag::decode(spilled.encode()),
-            TaskTag::PeWork { slot: 0, epoch: 1 }
-        );
-        TaskTag::assert_addressable(TaskTag::MAX_SLOTS, TaskTag::MAX_MONITORS);
-    }
-
-    #[test]
-    #[should_panic(expected = "too many PE instance slots")]
-    fn one_slot_too_many_is_rejected() {
-        TaskTag::assert_addressable(TaskTag::MAX_SLOTS + 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "too many monitored subjobs")]
-    fn one_monitor_too_many_is_rejected() {
-        TaskTag::assert_addressable(0, TaskTag::MAX_MONITORS + 1);
     }
 
     #[test]
@@ -1598,6 +1465,8 @@ mod tests {
             snap_positions: BTreeMap::new(),
             stored: BTreeMap::new(),
             switch_overhead_elements: 0,
+            hb: Some(HeartbeatMonitor::new()),
+            declarations: Vec::new(),
         };
         assert!(!sj.is_stale(3));
         assert!(sj.is_stale(2));

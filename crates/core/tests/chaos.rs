@@ -5,7 +5,9 @@
 
 use sps_cluster::{BurstLoss, ChaosPlan, DomainId, FaultProfile, FaultTopology, MachineId};
 use sps_engine::{Dest, Job, OperatorSpec, OutputQueue, PeId, Replica, SubjobId};
-use sps_ha::{HaEventKind, HaMode, HaSimulation, Placement, SjState, REL_SWEEP_INTERVAL};
+use sps_ha::{
+    HaEventKind, HaMode, HaSimulation, Placement, SjState, REL_RTO_MAX, REL_SWEEP_INTERVAL,
+};
 use sps_metrics::Scope;
 use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, Telemetry};
@@ -714,7 +716,7 @@ fn a_quiet_unacknowledged_tail_is_resent_with_backoff_not_every_sweep() {
 /// Backing off must not turn into giving up: under the campaign's 2 %
 /// bursty loss — where a retransmission can itself be lost — a connection
 /// that sits at one `(acked, next_to_send)` pair with elements in flight is
-/// rewound again within `rel_rto_max` plus one sweep, every time, and the
+/// rewound again within `REL_RTO_MAX` plus one sweep, every time, and the
 /// run still ends exactly-once. The sources stop inside the loss window so
 /// that the frozen tails sit under loss for six seconds. A rewind is read
 /// off the lineage count of the connection's newest in-flight element;
@@ -736,7 +738,7 @@ fn a_stalled_connection_is_never_left_longer_than_the_rto_cap_under_loss() {
         .lineage(true)
         .build();
     sim.stop_sources_at(SimTime::from_secs(6));
-    let (sweep, rto_max) = (REL_SWEEP_INTERVAL, sim.world().config().rel_rto_max);
+    let (sweep, rto_max) = (REL_SWEEP_INTERVAL, REL_RTO_MAX);
 
     // Sampled midway between sweeps: per connection with elements in
     // flight, its cursors and rewind count as last seen, and when any of

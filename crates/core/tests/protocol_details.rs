@@ -3,7 +3,7 @@
 
 use sps_cluster::{MachineId, SpikeWindow};
 use sps_engine::{Job, OperatorSpec, PeId, Replica, SubjobId};
-use sps_ha::{HaMode, HaSimulation, SjState, TaskTag};
+use sps_ha::{HaMode, HaSimulation, SjState};
 use sps_sim::{SimDuration, SimTime};
 
 fn job() -> Job {
@@ -230,25 +230,4 @@ fn heartbeat_traffic_is_counted_but_not_as_elements() {
         0,
         "heartbeats carry no element units"
     );
-}
-
-/// TaskTag encoding round-trips for the full field ranges.
-#[test]
-fn task_tag_round_trip() {
-    let mut rng = sps_sim::SimRng::seed_from(0x7A97);
-    for _case in 0..512 {
-        let slot = rng.uniform_u64(0, 1 << 24) as usize;
-        let epoch = rng.uniform_u64(0, 1 << 16) as u32;
-        let monitor = rng.uniform_u64(0, 1 << 16) as u32;
-        let seq = rng.uniform_u64(0, 1 << 40);
-        let det = rng.uniform_u64(0, 1 << 16) as u32;
-        let tags = [
-            TaskTag::PeWork { slot, epoch },
-            TaskTag::HeartbeatReply { monitor, seq },
-            TaskTag::Benchmark { det },
-        ];
-        for tag in tags {
-            assert_eq!(TaskTag::decode(tag.encode()), tag);
-        }
-    }
 }

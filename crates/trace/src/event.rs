@@ -280,8 +280,6 @@ trace_enum! {
         Heal = "heal",
         /// A machine was fail-stopped.
         FailStop = "fail_stop",
-        /// A machine's CPU capacity was gray-degraded (or restored).
-        GrayDegrade = "gray_degrade",
         /// Every machine in one rack fault domain was fail-stopped at once.
         FailDomain = "fail_domain",
         /// Every machine behind one switch was partitioned from the rest.
@@ -1090,7 +1088,8 @@ mod tests {
     #[test]
     fn packed_encoding_round_trips_every_variant_at_every_width() {
         // 24 starting positions take every field through every entry of
-        // its list (the longest, `ChaosKind::ALL`, has 11).
+        // its list (the longest, `ChaosKind::ALL` and `AuditInvariant::ALL`,
+        // have 10).
         for round in 0..24 {
             let mut draw = samples::Draw::rotating(round);
             let mut at = 0u64;
