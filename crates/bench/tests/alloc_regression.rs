@@ -9,12 +9,13 @@
 
 #![cfg(feature = "bench")]
 
+use sps_cluster::FaultTopology;
 use sps_engine::{OutputQueue, Payload, StreamId, SubjobId};
 use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder};
 use sps_sim::counting_alloc::{self, CountingAllocator};
 use sps_sim::{SimDuration, SimTime};
 use sps_trace::{SharedRecorder, TraceRecord, TraceSink};
-use sps_workloads::chain_job_with;
+use sps_workloads::{chain_job_with, sharded_job, sharded_placement};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -265,6 +266,37 @@ fn fig06_live_heap_grows_only_by_the_sink_latency_column() {
         "beside the latency column, live heap moved {rest_growth} bytes \
          between {T} and {} sim-s: something else grows with history",
         4 * T
+    );
+}
+
+/// The heartbeat round and its pong fan-out allocate nothing. A 64-shard
+/// job on 40 machines puts about three Hybrid subjobs on each (primary,
+/// standby) pair; once the sources stop and the pipeline drains, the
+/// heartbeat is all that runs: one round event per interval, and per pair
+/// one ping, one reply task and one pong fanned out to every member.
+#[test]
+fn heartbeat_rounds_on_shared_pairs_are_allocation_free() {
+    let job = sharded_job(64, 2e-5, 64);
+    let topology = FaultTopology::grid(40, 10, 2);
+    let placement = sharded_placement(&job, 40, &topology);
+    let mut sim = HaSimulation::builder(job)
+        .topology(topology)
+        .placement(placement)
+        .source_rate(2_000.0)
+        .seed(2010)
+        .build();
+    sim.stop_sources_at(SimTime::from_secs(2));
+    sim.run_until(SimTime::from_secs(4)); // drained; pair lists warm
+    let (e0, a0) = (sim.events_processed(), counting_alloc::allocations());
+    sim.run_until(SimTime::from_secs(9));
+    let events = sim.events_processed() - e0;
+    let allocs = counting_alloc::allocations() - a0;
+    // 50 rounds, each one event plus a ping, a reply task and a pong for
+    // each of the 20 pairs the 65 subjobs share.
+    assert_eq!(events, 50 * (1 + 3 * 20), "one ping per pair and round");
+    assert_eq!(
+        allocs, 0,
+        "heartbeat-only window of {events} events made {allocs} heap allocations"
     );
 }
 

@@ -575,8 +575,8 @@ impl HaWorld {
         for task in &finished {
             match task.tag {
                 TaskTag::PeWork { slot, epoch } => self.on_pe_work_done(ctx, slot, epoch),
-                TaskTag::HeartbeatReply { subjob, seq } => {
-                    self.on_heartbeat_reply_done(ctx, m, subjob, seq)
+                TaskTag::HeartbeatReply { subjob, seq, round } => {
+                    self.on_heartbeat_reply_done(ctx, m, subjob, seq, round)
                 }
                 TaskTag::Benchmark { det } => self.on_benchmark_done(ctx, det),
             }
@@ -791,15 +791,15 @@ impl HaWorld {
                 from,
                 seq,
             } => self.on_ack(ctx, to, addr, from, seq),
-            Msg::Ping { subjob, seq } => {
+            Msg::Ping { subjob, seq, round } => {
                 self.submit_latency_sensitive(
                     ctx,
                     to,
                     HEARTBEAT_REPLY_DEMAND_SECS,
-                    TaskTag::HeartbeatReply { subjob, seq },
+                    TaskTag::HeartbeatReply { subjob, seq, round },
                 );
             }
-            Msg::Pong { subjob, seq } => self.on_pong(ctx, subjob, seq),
+            Msg::Pong { subjob, seq, round } => self.on_pong(ctx, subjob, seq, round),
             Msg::Checkpoint {
                 subjob,
                 epoch,
@@ -990,12 +990,16 @@ impl HaWorld {
         }
     }
 
+    /// A heartbeat reply is ready: the pong goes to the machine that is
+    /// `subjob`'s standby now, which is the pinging machine unless the roles
+    /// moved since the ping left.
     fn on_heartbeat_reply_done(
         &mut self,
         ctx: &mut Ctx<Event>,
         at: MachineId,
         subjob: SubjobId,
         seq: u64,
+        round: u64,
     ) {
         let Some(monitor_machine) = self.subjobs[subjob.0 as usize].secondary_machine else {
             return;
@@ -1004,7 +1008,7 @@ impl HaWorld {
             ctx,
             at,
             monitor_machine,
-            Msg::Pong { subjob, seq },
+            Msg::Pong { subjob, seq, round },
             MsgClass::Heartbeat,
             0,
         );
@@ -1129,7 +1133,7 @@ fn note_spans_sent(
 }
 
 /// Schedules the initial events of a freshly built world: source ticks,
-/// heartbeat ticks, and (for timer-driven protocols) checkpoint timers.
+/// the heartbeat round, and (for timer-driven protocols) checkpoint timers.
 pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
     for s in 0..world.sources.len() {
         let gap = world.sources[s].next_gap(ctx.now(), ctx.rng());
@@ -1142,15 +1146,10 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
             },
         );
     }
-    for (subjob, sj) in world.subjobs.iter().enumerate() {
-        if sj.hb.is_some() {
-            ctx.schedule_in(
-                world.cfg.heartbeat_interval,
-                Event::HeartbeatTick {
-                    subjob: subjob as u32,
-                },
-            );
-        }
+    // One round walks every monitored subjob; a job with none schedules
+    // no round at all.
+    if world.subjobs.iter().any(|sj| sj.hb.is_some()) {
+        ctx.schedule_in(world.cfg.heartbeat_interval, Event::HeartbeatTick);
     }
     // The sampler runs only when something observes it — a trace sink or
     // probe, or the metrics registry — so plain runs keep an identical

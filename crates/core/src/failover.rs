@@ -198,11 +198,23 @@ impl HaWorld {
 
     // ---- heartbeat ----
 
-    pub(crate) fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<Event>, subjob: u32) {
+    /// One heartbeat round (DESIGN §14): every monitored subjob, in index
+    /// order, ticks its own monitor and acts on its misses, and each
+    /// (monitor, primary) machine pair gets one ping, sent for the first
+    /// subjob of the pair the round meets.
+    pub(crate) fn on_heartbeat_round(&mut self, ctx: &mut Ctx<Event>) {
         // Periodic forever: reschedule first.
-        ctx.schedule_in(self.cfg.heartbeat_interval, Event::HeartbeatTick { subjob });
-        let sj_id = SubjobId(subjob);
-        let sj_idx = subjob as usize;
+        ctx.schedule_in(self.cfg.heartbeat_interval, Event::HeartbeatTick);
+        let round = self.hb_pairs.begin_round();
+        for sj_idx in 0..self.subjobs.len() {
+            if self.subjobs[sj_idx].hb.is_some() {
+                self.heartbeat_subjob(ctx, SubjobId(sj_idx as u32), round);
+            }
+        }
+    }
+
+    fn heartbeat_subjob(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, round: u64) {
+        let sj_idx = sj_id.0 as usize;
         let (mon_machine, target_machine) = {
             let sj = &self.subjobs[sj_idx];
             let Some(sec) = sj.secondary_machine else {
@@ -216,8 +228,8 @@ impl HaWorld {
         let (seq, verdict) = self.subjobs[sj_idx]
             .hb
             .as_mut()
-            .expect("heartbeat ticks run only for monitored subjobs")
-            .tick();
+            .expect("heartbeat rounds tick only monitored subjobs")
+            .tick(round);
         if let HbVerdict::Missed { streak } = verdict {
             self.on_misses(ctx, sj_id, streak);
         }
@@ -231,6 +243,12 @@ impl HaWorld {
                 None => (mon_machine, target_machine),
             }
         };
+        if !self
+            .hb_pairs
+            .join(sj_id.0, mon_machine.0, target_machine.0, seq)
+        {
+            return; // the pair's ping is already out; its pong fans out here
+        }
         self.tracer
             .emit_data(ctx.now(), || TraceEvent::HeartbeatPing {
                 machine: target_machine.0,
@@ -240,7 +258,11 @@ impl HaWorld {
             ctx,
             mon_machine,
             target_machine,
-            Msg::Ping { subjob: sj_id, seq },
+            Msg::Ping {
+                subjob: sj_id,
+                seq,
+                round,
+            },
             MsgClass::Heartbeat,
             0,
         );
@@ -307,13 +329,25 @@ impl HaWorld {
         );
     }
 
-    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, seq: u64) {
+    /// The pong for the ping `leader` sent as `seq` in `round`: credited to
+    /// the leader, then, in subjob order, to every other member of the pair
+    /// that ping stood for, each under its own sequence number.
+    pub(crate) fn on_pong(&mut self, ctx: &mut Ctx<Event>, leader: SubjobId, seq: u64, round: u64) {
+        self.member_pong(ctx, leader, round, seq);
+        let mut member = leader.0;
+        while let Some((next, seq)) = self.hb_pairs.next_member(member, round) {
+            self.member_pong(ctx, SubjobId(next), round, seq);
+            member = next;
+        }
+    }
+
+    fn member_pong(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, round: u64, seq: u64) {
         let sj = &mut self.subjobs[sj_id.0 as usize];
         let fresh_recovery = sj
             .hb
             .as_mut()
             .expect("only a monitored subjob's pings are answered")
-            .pong(seq);
+            .pong(round, seq);
         let ponger = sj.primary_machine;
         self.tracer
             .emit_data(ctx.now(), || TraceEvent::HeartbeatPong {

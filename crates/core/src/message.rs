@@ -76,19 +76,26 @@ pub enum Msg {
         /// Which PEs were stored.
         pes: Vec<sps_engine::PeId>,
     },
-    /// Heartbeat ping, monitor → monitored machine.
+    /// Heartbeat ping, monitor → monitored machine: one per (monitor,
+    /// monitored) machine pair and heartbeat round, sent for the pair's
+    /// first subjob in that round.
     Ping {
-        /// The monitored subjob.
+        /// The pair's first subjob this round.
         subjob: SubjobId,
-        /// Ping sequence number.
+        /// That subjob's ping sequence number.
         seq: u64,
+        /// The heartbeat round; it names the pair's other members.
+        round: u64,
     },
-    /// Heartbeat reply, monitored machine → monitor.
+    /// Heartbeat reply, monitored machine → monitor; fanned out to every
+    /// subjob of the pair.
     Pong {
-        /// The monitored subjob.
+        /// Echoed: the pair's first subjob.
         subjob: SubjobId,
         /// Echoed ping sequence number.
         seq: u64,
+        /// Echoed heartbeat round.
+        round: u64,
     },
     /// Hybrid rollback: the suspended secondary's state read back by the
     /// recovering primary ("Read State on Rollback", §IV-B).
@@ -167,7 +174,8 @@ mod tests {
         assert_eq!(
             Msg::Ping {
                 subjob: SubjobId(0),
-                seq: 1
+                seq: 1,
+                round: 1,
             }
             .wire_bytes(),
             32

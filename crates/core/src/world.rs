@@ -21,7 +21,7 @@ use sps_sim::{Ctx, SimDuration, SimTime, TimerGen, TimerSlot, World};
 use sps_trace::{ChaosKind, EpochCause, HaModeTag, LineageTable, TraceEvent, Tracer};
 
 use crate::config::{HaConfig, HaMode};
-use crate::detect::{BenchmarkDetector, HeartbeatMonitor, TrendPredictor};
+use crate::detect::{BenchmarkDetector, HeartbeatMonitor, PairRounds, TrendPredictor};
 use crate::message::Msg;
 use crate::sink::SinkRuntime;
 use crate::slot::Slot;
@@ -154,11 +154,9 @@ pub enum Event {
         /// The message.
         msg: Msg,
     },
-    /// A monitored subjob's heartbeat period elapsed.
-    HeartbeatTick {
-        /// Subjob index.
-        subjob: u32,
-    },
+    /// The heartbeat period elapsed: run one round over every monitored
+    /// subjob.
+    HeartbeatTick,
     /// A synchronous (pe = `None`) or individual (pe = `Some`) checkpoint
     /// timer fired.
     CheckpointTimer {
@@ -253,7 +251,7 @@ impl Event {
             Event::SourceTick { .. } => "source_tick",
             Event::MachineTick { .. } => "machine_tick",
             Event::Deliver { .. } => "deliver",
-            Event::HeartbeatTick { .. } => "heartbeat_tick",
+            Event::HeartbeatTick => "heartbeat_tick",
             Event::CheckpointTimer { .. } => "checkpoint_timer",
             Event::SwitchoverComplete { .. } => "switchover_complete",
             Event::DeployComplete { .. } => "deploy_complete",
@@ -284,12 +282,14 @@ pub enum TaskTag {
         /// Slot restore epoch at submission time.
         epoch: u32,
     },
-    /// Producing a heartbeat reply.
+    /// Producing a heartbeat reply; carries what the pong echoes.
     HeartbeatReply {
-        /// The monitored subjob.
+        /// The pinged pair's first subjob.
         subjob: SubjobId,
         /// Ping sequence number.
         seq: u64,
+        /// Heartbeat round.
+        round: u64,
     },
     /// A benchmark-detector standard-set run.
     Benchmark {
@@ -528,6 +528,9 @@ pub struct HaWorld {
     /// Reusable buffer for machine ticks: the tasks that just completed on
     /// the ticking machine, emptied before return.
     pub(crate) task_scratch: Vec<sps_cluster::FinishedTask<TaskTag>>,
+    /// The heartbeat round's machine pairs and the member lists its pongs
+    /// fan out to.
+    pub(crate) hb_pairs: PairRounds,
     /// Free list of [`sps_engine::DataBatch`] element buffers: a sender
     /// takes one to build a batch, the receiver hands it back, so a steady
     /// batched run stops allocating per message. It holds at most as many
@@ -624,6 +627,7 @@ impl HaWorld {
             conn_scratch: Vec::new(),
             ack_scratch: Vec::new(),
             task_scratch: Vec::new(),
+            hb_pairs: PairRounds::new(job.subjob_count(), cluster.len()),
             batch_bufs: Vec::new(),
             lineage: None,
             metrics: None,
@@ -1329,7 +1333,7 @@ impl World for HaWorld {
             Event::SourceTick { source, gen } => self.on_source_tick(ctx, source, gen),
             Event::MachineTick { machine, gen } => self.on_machine_tick(ctx, machine, gen),
             Event::Deliver { to, msg } => self.on_deliver(ctx, to, msg),
-            Event::HeartbeatTick { subjob } => self.on_heartbeat_tick(ctx, subjob),
+            Event::HeartbeatTick => self.on_heartbeat_round(ctx),
             Event::CheckpointTimer { subjob, pe } => self.on_checkpoint_timer(ctx, subjob, pe),
             Event::SwitchoverComplete { subjob, epoch } => {
                 self.on_switchover_complete(ctx, subjob, epoch)

@@ -15,7 +15,9 @@ fn miss_streak_counts_unanswered_ticks() {
         let mut m = HeartbeatMonitor::new();
         let mut expected_streak = 0u32;
         for (i, &answered) in replies.iter().enumerate() {
-            let (seq, verdict) = m.tick();
+            // A monitor that pings every round from round 1 sends round
+            // `r` as sequence number `r`.
+            let (seq, verdict) = m.tick(i as u64 + 1);
             assert_eq!(seq, i as u64 + 1, "sequence numbers are dense");
             if i == 0 {
                 assert_eq!(verdict, HbVerdict::Ok, "nothing outstanding yet");
@@ -26,7 +28,7 @@ fn miss_streak_counts_unanswered_ticks() {
                 }
             }
             if answered {
-                m.pong(seq);
+                m.pong(seq, seq);
                 expected_streak = 0;
             } else {
                 expected_streak += 1;
@@ -45,24 +47,28 @@ fn suspicion_clears_only_on_fresh_evidence() {
         let gap = rng.uniform_u64(3, 50);
         let mut m = HeartbeatMonitor::new();
         let mut pre_seqs = Vec::new();
-        for _ in 0..pre_ticks {
-            pre_seqs.push(m.tick().0);
+        for round in 1..=pre_ticks {
+            pre_seqs.push(m.tick(round).0);
         }
         m.mark_suspected();
         // Some more pings go out while suspected.
         let mut post_seqs = Vec::new();
-        for _ in 0..gap {
-            post_seqs.push(m.tick().0);
+        for round in pre_ticks + 1..=pre_ticks + gap {
+            post_seqs.push(m.tick(round).0);
         }
         // Every pre-suspicion pong is rejected.
         for &s in &pre_seqs {
-            assert!(!m.pong(s), "pre-suspicion pong must not clear");
+            assert!(!m.pong(s, s), "pre-suspicion pong must not clear");
             assert!(m.is_suspected());
         }
         // An old post-suspicion pong (answered seconds late) is rejected...
-        assert!(!m.pong(post_seqs[0]), "stale post-suspicion pong");
+        assert!(
+            !m.pong(post_seqs[0], post_seqs[0]),
+            "stale post-suspicion pong"
+        );
         // ...but a reply to one of the latest two pings clears it.
-        assert!(m.pong(*post_seqs.last().unwrap()));
+        let last = *post_seqs.last().unwrap();
+        assert!(m.pong(last, last));
         assert!(!m.is_suspected());
     }
 }

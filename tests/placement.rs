@@ -190,3 +190,107 @@ fn overlapping_recoveries_on_a_shared_secondary_stay_exactly_once() {
     assert_eq!(produced, 9_999, "the source ran for 10 s at 1,000 el/s");
     assert_eq!(world.sinks()[0].accepted(), produced, "drained, lossless");
 }
+
+/// The evaluation chain with subjobs 1 and 2 on one (primary, standby)
+/// machine pair, both Hybrid; subjobs 0 and 3 run unprotected. Returns the
+/// simulation, audited, and the shared primary.
+fn shared_pair_sim(seed: u64, tune: fn(&mut HaConfig)) -> (HaSimulation, MachineId) {
+    let job = eval_chain_job();
+    let mut placement = Placement::default_for(&job);
+    placement.primaries[2] = placement.primaries[1];
+    placement.secondaries[2] = placement.secondaries[1];
+    let primary = placement.primaries[1];
+    let sim = HaSimulation::builder(job)
+        .mode(HaMode::None)
+        .subjob_mode(SubjobId(1), HaMode::Hybrid)
+        .subjob_mode(SubjobId(2), HaMode::Hybrid)
+        .placement(placement)
+        .source_rate(500.0)
+        .seed(seed)
+        .tune(tune)
+        .trace_probe(Box::new(sps_audit::Auditor::new()))
+        .audit_expectations(true, true)
+        .build();
+    (sim, primary)
+}
+
+/// Drains the run and checks the sink got every element exactly once.
+fn assert_exactly_once(sim: &mut HaSimulation, what: &str) {
+    sim.finish_probes();
+    assert_eq!(
+        sim.audit_violations(),
+        0,
+        "{what}: {}",
+        sim.audit_report().unwrap_or_default()
+    );
+    let world = sim.world();
+    assert_eq!(
+        world.sinks()[0].accepted(),
+        world.sources()[0].produced(),
+        "{what}: drained, lossless"
+    );
+}
+
+/// `kind`'s log entries per subjob.
+fn ha_event_count(sim: &HaSimulation, subjob: u32, kind: HaEventKind) -> usize {
+    sim.world()
+        .ha_events()
+        .iter()
+        .filter(|e| e.subjob == SubjobId(subjob) && e.kind == kind)
+        .count()
+}
+
+#[test]
+fn a_shared_machine_pair_costs_one_ping_and_one_pong_per_round() {
+    let (mut sim, _) = shared_pair_sim(91, |_| {});
+    // Rounds at 0.1 s, 0.2 s, …, 5.0 s; the last round's pong may still be
+    // on the wire.
+    sim.run_for(SimDuration::from_millis(5_050));
+    let msgs = sim.world().counters().messages(MsgClass::Heartbeat);
+    assert_eq!(msgs, 2 * 50, "one ping and one pong per round for the pair");
+    for sj in [1, 2] {
+        assert_eq!(ha_event_count(&sim, sj, HaEventKind::Detected), 0);
+    }
+}
+
+#[test]
+fn a_spike_on_a_shared_primary_switches_over_and_rolls_back_both_subjobs() {
+    let (mut sim, primary) = shared_pair_sim(92, |_| {});
+    sim.inject_spike_windows(
+        primary,
+        &single_failure(SimTime::from_secs(2), SimDuration::from_secs(2)),
+    );
+    sim.stop_sources_at(SimTime::from_secs(7));
+    sim.run_for(SimDuration::from_secs(12));
+    for sj in [1, 2] {
+        for kind in [
+            HaEventKind::SwitchoverComplete,
+            HaEventKind::RollbackComplete,
+        ] {
+            assert_eq!(
+                ha_event_count(&sim, sj, kind),
+                1,
+                "subjob {sj} {kind:?}: {:?}",
+                sim.world().ha_events()
+            );
+        }
+    }
+    assert_exactly_once(&mut sim, "spike");
+}
+
+#[test]
+fn a_failstop_of_a_shared_primary_promotes_both_subjobs() {
+    let (mut sim, primary) = shared_pair_sim(93, |c| c.failstop_miss_threshold = 12);
+    sim.fail_stop_at(primary, SimTime::from_secs(2));
+    sim.stop_sources_at(SimTime::from_secs(7));
+    sim.run_for(SimDuration::from_secs(12));
+    for sj in [1, 2] {
+        assert_eq!(
+            ha_event_count(&sim, sj, HaEventKind::Promoted),
+            1,
+            "subjob {sj}: {:?}",
+            sim.world().ha_events()
+        );
+    }
+    assert_exactly_once(&mut sim, "fail-stop");
+}
