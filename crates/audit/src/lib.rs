@@ -30,6 +30,13 @@
 //! | `domain_disjoint` | `standby_provision` | a fresh standby landed in the primary's fault domain on a non-flat topology |
 //! | `stream_complete` | `stream_final` | a lossless, quiescent run ended with a stream's serving consumers short of what its producers produced |
 //!
+//! `ckpt_ack_order` sees only the acks the simulator taps. Online,
+//! `ack_sent` is emitted only by the store-ack handler, straight after the
+//! `checkpoint_covered` with the same `(pe, replica, stream, seq)`, so it
+//! cannot fire on a live run, only on an edited dump (a trace mutation of
+//! the kind the replay canaries make). Processing-time acks and the
+//! reliable layer's duplicate re-acks carry no `ack_sent`.
+//!
 //! The auditor is strictly read-only observation: it sees copies of records
 //! and cannot touch the event schedule, so installing it never perturbs a
 //! run (`crates/bench/tests/goldens.rs` byte-compares campaign output with

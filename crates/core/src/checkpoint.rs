@@ -23,13 +23,13 @@ use std::sync::Arc;
 use sps_cluster::MachineId;
 use sps_engine::{PeCheckpoint, PeId, Replica, SubjobId};
 use sps_metrics::MsgClass;
-use sps_sim::Ctx;
+use sps_sim::{Ctx, SimTime};
 
 use sps_trace::TraceEvent;
 
 use crate::config::{CheckpointProtocol, HaMode, ELEMENT_BYTES};
 use crate::message::Msg;
-use crate::world::{replica_code, slot_of, Event, HaWorld, SjState, SubjobPending};
+use crate::world::{replica_code, slot_of, CkptProgress, Event, HaWorld, SjState, SubjobPending};
 
 impl HaWorld {
     /// Sweeping trigger: called whenever an instance's output queue was
@@ -40,33 +40,34 @@ impl HaWorld {
         pe: PeId,
         replica: Replica,
     ) {
-        if self.cfg.checkpoint_protocol != CheckpointProtocol::Sweeping {
-            return;
-        }
-        let sj_id = self.job.subjob_of(pe);
-        let sj = &self.subjobs[sj_id.0 as usize];
-        if !self.checkpoint_preconditions(sj_id, pe, replica) {
-            return;
-        }
-        let due = sj
-            .last_ckpt_at
-            .get(&pe)
-            .is_none_or(|&at| ctx.now().saturating_since(at) >= self.cfg.checkpoint_interval);
-        if due {
-            self.begin_pe_checkpoint(ctx, sj_id, pe);
+        let sj = &self.subjobs[self.job.subjob_of(pe).0 as usize];
+        let due = |at: SimTime| ctx.now().saturating_since(at) >= self.cfg.checkpoint_interval;
+        if self.cfg.checkpoint_protocol == CheckpointProtocol::Sweeping
+            && self.checkpoint_preconditions(pe, replica)
+            && sj.ckpt(pe).last_at.is_none_or(due)
+        {
+            self.begin_pe_checkpoint(ctx, pe);
         }
     }
 
+    /// `true` when `replica` of `pe` acknowledges its inputs only once a
+    /// stored checkpoint covers them (§III-B ordering): the primary-role
+    /// copy of a checkpointing subjob. Every other copy (NONE, AS copies,
+    /// the hybrid secondary while switched over) acknowledges on
+    /// processing.
+    pub(crate) fn acks_on_checkpoint(&self, pe: PeId, replica: Replica) -> bool {
+        let sj = &self.subjobs[self.job.subjob_of(pe).0 as usize];
+        sj.mode.checkpoints() && replica == sj.primary_replica
+    }
+
     /// Common guards for starting any checkpoint of `pe`'s primary copy.
-    fn checkpoint_preconditions(&self, sj_id: SubjobId, pe: PeId, replica: Replica) -> bool {
-        let sj = &self.subjobs[sj_id.0 as usize];
-        sj.mode.checkpoints()
-            && replica == sj.primary_replica
+    fn checkpoint_preconditions(&self, pe: PeId, replica: Replica) -> bool {
+        let sj = &self.subjobs[self.job.subjob_of(pe).0 as usize];
+        self.acks_on_checkpoint(pe, replica)
             && sj.secondary_machine.is_some()
             && matches!(sj.state, SjState::Normal | SjState::SwitchedOver)
             && sj.pending.is_none()
-            && !sj.pe_ckpt_pausing.contains(&pe)
-            && !sj.pe_ckpt_inflight.contains(&pe)
+            && sj.ckpt(pe).progress == CkptProgress::Idle
             && self.cluster.machine(sj.primary_machine).is_up()
     }
 
@@ -83,27 +84,20 @@ impl HaWorld {
             self.cfg.checkpoint_interval,
             Event::CheckpointTimer { subjob, pe },
         );
-        let sj_id = SubjobId(subjob);
-        let sj = &self.subjobs[subjob as usize];
-        if !sj.mode.checkpoints() || sj.secondary_machine.is_none() {
-            return;
-        }
         match pe {
             Some(pe) => {
-                if self.checkpoint_preconditions(
-                    sj_id,
-                    pe,
-                    self.subjobs[subjob as usize].primary_replica,
-                ) {
-                    self.begin_pe_checkpoint(ctx, sj_id, pe);
+                let replica = self.subjobs[subjob as usize].primary_replica;
+                if self.checkpoint_preconditions(pe, replica) {
+                    self.begin_pe_checkpoint(ctx, pe);
                 }
             }
-            None => self.begin_sync_checkpoint(ctx, sj_id),
+            None => self.begin_sync_checkpoint(ctx, SubjobId(subjob)),
         }
     }
 
     /// Starts a single-PE checkpoint: pause, then snapshot when quiescent.
-    pub(crate) fn begin_pe_checkpoint(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId, pe: PeId) {
+    fn begin_pe_checkpoint(&mut self, ctx: &mut Ctx<Event>, pe: PeId) {
+        let sj_id = self.job.subjob_of(pe);
         let replica = self.subjobs[sj_id.0 as usize].primary_replica;
         let slot = slot_of(pe, replica);
         let quiescent = match self.slots[slot].copy_mut() {
@@ -120,31 +114,28 @@ impl HaWorld {
         if quiescent {
             self.snapshot_and_send(ctx, sj_id, &[pe]);
         } else {
-            self.subjobs[sj_id.0 as usize].pe_ckpt_pausing.insert(pe);
+            self.subjobs[sj_id.0 as usize].ckpt_mut(pe).progress = CkptProgress::Pausing;
         }
     }
 
-    /// Starts a synchronous whole-subjob checkpoint: pause everything.
+    /// Starts a synchronous whole-subjob checkpoint when every PE may
+    /// start one: pause everything.
     fn begin_sync_checkpoint(&mut self, ctx: &mut Ctx<Event>, sj_id: SubjobId) {
-        {
-            let sj = &self.subjobs[sj_id.0 as usize];
-            if sj.pending.is_some()
-                || !matches!(sj.state, SjState::Normal | SjState::SwitchedOver)
-                || !self.cluster.machine(sj.primary_machine).is_up()
-                || !sj.pe_ckpt_pausing.is_empty()
-                || !sj.pe_ckpt_inflight.is_empty()
-            {
-                return;
-            }
-        }
         let replica = self.subjobs[sj_id.0 as usize].primary_replica;
-        let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
-        let mut waiting = std::collections::BTreeSet::new();
+        let pes = self.job.subjob_pes(sj_id);
+        if !pes
+            .iter()
+            .all(|&pe| self.checkpoint_preconditions(pe, replica))
+        {
+            return;
+        }
+        let pes = pes.to_vec();
+        let mut waiting = Vec::new();
         for &pe in &pes {
             let slot = slot_of(pe, replica);
             if let Some(inst) = self.slots[slot].copy_mut() {
                 if !inst.request_pause() {
-                    waiting.insert(pe);
+                    waiting.push(pe);
                 }
                 self.tracer.emit(
                     ctx.now(),
@@ -164,23 +155,19 @@ impl HaWorld {
     }
 
     /// A paused PE finished its in-flight element (`ackPEPause`).
-    pub(crate) fn on_pe_quiesced(
-        &mut self,
-        ctx: &mut Ctx<Event>,
-        sj_id: SubjobId,
-        pe: PeId,
-        replica: Replica,
-    ) {
+    pub(crate) fn on_pe_quiesced(&mut self, ctx: &mut Ctx<Event>, pe: PeId, replica: Replica) {
+        let sj_id = self.job.subjob_of(pe);
         let sj = &mut self.subjobs[sj_id.0 as usize];
         // Per-PE checkpoint pause (sweeping/individual).
-        if replica == sj.primary_replica && sj.pe_ckpt_pausing.remove(&pe) {
+        if replica == sj.primary_replica && sj.ckpt(pe).progress == CkptProgress::Pausing {
+            sj.ckpt_mut(pe).progress = CkptProgress::Idle;
             self.snapshot_and_send(ctx, sj_id, &[pe]);
             return;
         }
         // Multi-PE pauses.
         match &mut sj.pending {
             Some(SubjobPending::SyncCheckpoint { waiting }) if replica == sj.primary_replica => {
-                waiting.remove(&pe);
+                waiting.retain(|&w| w != pe);
                 if waiting.is_empty() {
                     sj.pending = None;
                     let pes: Vec<PeId> = self.job.subjob_pes(sj_id).to_vec();
@@ -188,7 +175,7 @@ impl HaWorld {
                 }
             }
             Some(SubjobPending::RollbackRead { waiting }) if replica != sj.primary_replica => {
-                waiting.remove(&pe);
+                waiting.retain(|&w| w != pe);
                 if waiting.is_empty() {
                     sj.pending = None;
                     self.do_rollback_read(ctx, sj_id);
@@ -227,10 +214,10 @@ impl HaWorld {
                     bytes: ckpt.byte_size(ELEMENT_BYTES),
                 },
             );
-            let sj = &mut self.subjobs[sj_id.0 as usize];
-            sj.last_ckpt_at.insert(pe, ctx.now());
-            sj.snap_positions.insert(pe, ckpt.input_positions.clone());
-            sj.pe_ckpt_inflight.insert(pe);
+            let rec = self.subjobs[sj_id.0 as usize].ckpt_mut(pe);
+            rec.last_at = Some(ctx.now());
+            rec.ack_positions.clone_from(&ckpt.input_positions);
+            rec.progress = CkptProgress::InFlight;
             ckpts.push(Arc::new(ckpt));
         }
         for &pe in pes {
@@ -283,7 +270,7 @@ impl HaWorld {
                     record.restart();
                 }
             }
-            self.subjobs[sj_id.0 as usize].stored.insert(pe, ckpt);
+            self.subjobs[sj_id.0 as usize].ckpt_mut(pe).stored = Some(ckpt);
             pes.push(pe);
         }
         self.send_reliable(
@@ -311,15 +298,21 @@ impl HaWorld {
         epoch: u64,
         pes: Vec<PeId>,
     ) {
-        {
-            let sj = &self.subjobs[sj_id.0 as usize];
-            if sj.is_stale(epoch) || sj.primary_machine != at {
-                return;
-            }
+        let sj = &self.subjobs[sj_id.0 as usize];
+        if sj.is_stale(epoch) || sj.primary_machine != at {
+            return;
         }
-        let replica = self.subjobs[sj_id.0 as usize].primary_replica;
+        let replica = sj.primary_replica;
         for pe in pes {
-            self.subjobs[sj_id.0 as usize].pe_ckpt_inflight.remove(&pe);
+            // Only a snapshot in flight completes: a PE already pausing for
+            // its next checkpoint stays so, or it would never snapshot again.
+            let rec = self.subjobs[sj_id.0 as usize].ckpt_mut(pe);
+            if rec.progress == CkptProgress::InFlight {
+                rec.progress = CkptProgress::Idle;
+            }
+            // Lent for the loop and handed back below, so the next snapshot
+            // reuses its buffers.
+            let positions = std::mem::take(&mut rec.ack_positions);
             self.tracer.emit(
                 ctx.now(),
                 TraceEvent::CheckpointStored {
@@ -328,38 +321,39 @@ impl HaWorld {
                 },
             );
             self.metric_inc(sps_metrics::Scope::global("checkpoint"), "stored", 1);
-            let Some(positions) = self.subjobs[sj_id.0 as usize]
-                .snap_positions
-                .get(&pe)
-                .cloned()
-            else {
-                continue;
-            };
             let from_machine = self.slots[slot_of(pe, replica)].machine();
-            for (port, streams) in positions.into_iter().enumerate() {
+            for (port, streams) in positions.iter().enumerate() {
                 let from = sps_engine::Dest::Pe {
                     inst: sps_engine::InstanceId { pe, replica },
                     port,
                 };
-                for (stream, seq) in streams {
+                for &(stream, seq) in streams {
                     // Audit tap: the stored checkpoint covers this input
-                    // position, which is what licenses the upstream ack
-                    // about to be sent (§III-B ordering). Emitted *before*
-                    // the ack so the auditor sees coverage first.
+                    // position, which licenses the upstream ack that
+                    // follows (§III-B ordering); coverage is emitted first.
                     if self.tracer.is_enabled() && seq > 0 {
-                        self.tracer.emit(
-                            ctx.now(),
-                            TraceEvent::CheckpointCovered {
-                                pe: pe.0,
-                                replica: replica_code(replica),
-                                stream: stream.0,
-                                seq,
-                            },
-                        );
+                        let (pe, replica, stream) = (pe.0, replica_code(replica), stream.0);
+                        let covered = TraceEvent::CheckpointCovered {
+                            pe,
+                            replica,
+                            stream,
+                            seq,
+                        };
+                        self.tracer.emit(ctx.now(), covered);
+                        let ack = TraceEvent::AckSent {
+                            pe,
+                            replica,
+                            stream,
+                            seq,
+                        };
+                        self.tracer.emit(ctx.now(), ack);
                     }
                     self.send_acks_for_stream(ctx, from_machine, from, stream, seq);
                 }
             }
+            let rec = self.subjobs[sj_id.0 as usize].ckpt_mut(pe);
+            debug_assert!(rec.ack_positions.is_empty(), "no snapshot while lent");
+            rec.ack_positions = positions;
         }
     }
 }

@@ -615,16 +615,11 @@ impl HaWorld {
         );
         self.dispatch_outputs(ctx, slot);
 
-        // Acknowledgment policy: the primary-role copy of a checkpointing
-        // subjob acknowledges via the checkpoint protocol (§III-B ordering);
-        // everyone else (NONE, AS copies, the hybrid secondary while
-        // switched over) sends batched acknowledgments on processing.
-        // Backlog accounting is per element, so a batch crosses the ack
-        // threshold exactly where singleton completions would.
-        let sj_id = self.job.subjob_of(pe);
-        let sj = &self.subjobs[sj_id.0 as usize];
-        let checkpoint_acked = sj.mode.checkpoints() && replica == sj.primary_replica;
-        if !checkpoint_acked {
+        // Copies that do not ack on checkpoints send batched acks on
+        // processing. Backlog accounting is per element, so a batch
+        // crosses the ack threshold exactly where singleton completions
+        // would.
+        if !self.acks_on_checkpoint(pe, replica) {
             for _ in 0..batch_len {
                 let backlog = &mut self.slots[slot].ack_backlog;
                 *backlog += 1;
@@ -638,7 +633,7 @@ impl HaWorld {
         // Checkpoint pause handshake: the paused PE just quiesced.
         let quiesced = self.slots[slot].copy().is_some_and(|i| i.is_quiescent());
         if quiesced {
-            self.on_pe_quiesced(ctx, sj_id, pe, replica);
+            self.on_pe_quiesced(ctx, pe, replica);
         }
 
         self.try_start(ctx, slot);
@@ -687,26 +682,6 @@ impl HaWorld {
     ) {
         if seq == 0 {
             return; // nothing processed yet
-        }
-        if self.tracer.is_enabled() {
-            // Audit tap: a checkpoint-acked primary may only acknowledge
-            // positions a stored checkpoint covers (§III-B ordering). Only
-            // those acks are interesting to the auditor; batched
-            // processing-time acks from everyone else are unconstrained.
-            if let Dest::Pe { inst, .. } = from {
-                let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-                if sj.mode.checkpoints() && inst.replica == sj.primary_replica {
-                    self.tracer.emit(
-                        ctx.now(),
-                        TraceEvent::AckSent {
-                            pe: inst.pe.0,
-                            replica: replica_code(inst.replica),
-                            stream: stream.0,
-                            seq,
-                        },
-                    );
-                }
-            }
         }
         for (addr, machine) in self.ack_targets(stream).into_iter().flatten() {
             self.send_msg(
@@ -883,11 +858,9 @@ impl HaWorld {
                     // acks cover every duplicate in it. Checkpoint-acked
                     // primaries must not — their acks may only follow
                     // stored checkpoints (§III-B ordering).
-                    if self.cfg.reliable_control {
-                        let sj = &self.subjobs[self.job.subjob_of(inst.pe).0 as usize];
-                        if !(sj.mode.checkpoints() && inst.replica == sj.primary_replica) {
-                            self.send_instance_acks(ctx, slot);
-                        }
+                    if self.cfg.reliable_control && !self.acks_on_checkpoint(inst.pe, inst.replica)
+                    {
+                        self.send_instance_acks(ctx, slot);
                     }
                 }
                 self.try_start(ctx, slot);

@@ -24,7 +24,9 @@ use crate::config::{
 use crate::detect::{BenchAction, HbVerdict, HeartbeatMonitor, BENCH_SAMPLE_INTERVAL};
 use crate::message::{Msg, ProducerAddr};
 use crate::wiring::find_conn;
-use crate::world::{replica_code, slot_of, Event, HaEventKind, HaWorld, SjState, SubjobPending};
+use crate::world::{
+    replica_code, slot_of, CkptProgress, Event, HaEventKind, HaWorld, SjState, SubjobPending,
+};
 
 impl HaWorld {
     fn log_event(&mut self, at: SimTime, subjob: SubjobId, kind: HaEventKind) {
@@ -540,11 +542,11 @@ impl HaWorld {
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackStarted);
         // Pause the live secondary's PEs so their state can be read
         // consistently.
-        let mut waiting = std::collections::BTreeSet::new();
+        let mut waiting = Vec::new();
         for &pe in self.job.subjob_pes(sj_id) {
             if let Some(inst) = self.slots[slot_of(pe, standby)].copy_mut() {
                 if !inst.request_pause() {
-                    waiting.insert(pe);
+                    waiting.push(pe);
                 }
             }
         }
@@ -595,7 +597,7 @@ impl HaWorld {
         // The read-back state is also the freshest stored state (a shared
         // pointer — the message and the store reference one snapshot).
         for ckpt in &ckpts {
-            sj.stored.insert(ckpt.pe, Arc::clone(ckpt));
+            sj.ckpt_mut(ckpt.pe).stored = Some(Arc::clone(ckpt));
         }
         self.send_reliable(
             ctx,
@@ -654,12 +656,11 @@ impl HaWorld {
                 adopted.push(ckpt.pe);
             }
         }
-        {
-            let sj = &mut self.subjobs[sj_id.0 as usize];
-            sj.pe_ckpt_pausing.clear();
-            sj.pe_ckpt_inflight.clear();
-            sj.pending = None;
+        let sj = &mut self.subjobs[sj_id.0 as usize];
+        for (_, rec) in &mut sj.ckpts {
+            rec.progress = CkptProgress::Idle;
         }
+        sj.pending = None;
         self.set_sj_state(sj_id, SjState::Normal);
         self.bring_up(ctx, &adopted, primary);
         self.log_event(ctx.now(), sj_id, HaEventKind::RollbackComplete);
@@ -709,9 +710,7 @@ impl HaWorld {
         self.retire_copy(sj_id, old_primary);
         self.bring_up(ctx, &pes, old_primary.other());
         let (old_machine, new_machine) = self.swap_roles(sj_id);
-        let sj = &mut self.subjobs[subjob as usize];
-        sj.stored.clear();
-        sj.drop_checkpoint_progress();
+        self.subjobs[subjob as usize].drop_checkpoint_progress(true);
         self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::PsConnect);
         // The vacated machine becomes the checkpoint target for the next
         // failure — but only when it is actually healthy. A migration away
@@ -772,9 +771,7 @@ impl HaWorld {
         let old_primary = self.subjobs[sj_id.0 as usize].primary_replica;
         self.retire_copy(sj_id, old_primary);
         let (_, new_primary_machine) = self.swap_roles(sj_id);
-        let sj = &mut self.subjobs[sj_id.0 as usize];
-        sj.stored.clear();
-        sj.drop_checkpoint_progress();
+        self.subjobs[sj_id.0 as usize].drop_checkpoint_progress(true);
         self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::Promote);
         // Automatic standby re-provisioning: a fresh standby on a healthy
         // machine domain-disjoint from the new primary (with a flat
@@ -815,11 +812,8 @@ impl HaWorld {
             .secondary_machine
             .is_none_or(|m| !self.cluster.machine(m).is_up());
         let sj = &mut self.subjobs[sj_id.0 as usize];
-        if store_lost {
-            sj.stored.clear();
-        }
         sj.secondary_machine = Some(spare);
-        sj.drop_checkpoint_progress();
+        sj.drop_checkpoint_progress(store_lost);
         let epoch = self.advance_epoch(
             ctx.now(),
             sj_id,
@@ -867,9 +861,8 @@ impl HaWorld {
         for slot in resumed {
             self.try_start(ctx, slot);
         }
-        let sj = &mut self.subjobs[idx];
-        sj.stored.clear(); // lived in the dead machine's memory
-        sj.drop_checkpoint_progress();
+        // The stored checkpoints lived in the dead machine's memory.
+        self.subjobs[idx].drop_checkpoint_progress(true);
         self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::StandbyLost);
         self.metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
         let primary_machine = self.subjobs[idx].primary_machine;

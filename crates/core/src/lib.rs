@@ -72,5 +72,6 @@ pub use message::{Msg, ProducerAddr};
 pub use sink::{SinkAccept, SinkRuntime};
 pub use source::{zipf_rank, PayloadGen, RateProfile, SourceRuntime};
 pub use world::{
-    Event, HaEvent, HaEventKind, HaWorld, Placement, SjState, SubjobHa, TaskTag, SAMPLE_INTERVAL,
+    CkptProgress, Event, HaEvent, HaEventKind, HaWorld, PeCkpt, Placement, SjState, SubjobHa,
+    TaskTag, SAMPLE_INTERVAL,
 };

@@ -326,13 +326,13 @@ pub enum SubjobPending {
     /// Synchronous checkpoint: waiting for all PEs to pause.
     SyncCheckpoint {
         /// PEs not yet quiescent.
-        waiting: BTreeSet<PeId>,
+        waiting: Vec<PeId>,
     },
     /// Hybrid rollback: waiting for the live secondary's PEs to pause
     /// before reading their state back.
     RollbackRead {
         /// PEs not yet quiescent.
-        waiting: BTreeSet<PeId>,
+        waiting: Vec<PeId>,
     },
 }
 
@@ -371,21 +371,11 @@ pub struct SubjobHa {
     /// Bumped at every transition; in-flight events carry the epoch they
     /// were scheduled under and are dropped if stale.
     pub epoch: u64,
-    /// Last checkpoint time per PE (throttles the sweeping protocol).
-    pub last_ckpt_at: BTreeMap<PeId, SimTime>,
-    /// PEs currently pausing for a per-PE checkpoint.
-    pub pe_ckpt_pausing: BTreeSet<PeId>,
-    /// PEs with a checkpoint sent but not yet stored.
-    pub pe_ckpt_inflight: BTreeSet<PeId>,
     /// A pending multi-PE quiesce (synchronous checkpoint or rollback).
     pub pending: Option<SubjobPending>,
-    /// Input positions cached at snapshot time, per PE: the acks to send
-    /// once the checkpoint is stored.
-    pub snap_positions: BTreeMap<PeId, Vec<Vec<(StreamId, u64)>>>,
-    /// Checkpoints stored on the secondary machine ("in memory", §IV-B).
-    /// Shared with the message that carried them — storing is a pointer
-    /// move, not a copy of the element batches.
-    pub stored: BTreeMap<PeId, Arc<PeCheckpoint>>,
+    /// One checkpoint record per PE of the subjob, sorted by PE id; read
+    /// through [`SubjobHa::ckpt`].
+    pub(crate) ckpts: Vec<(PeId, PeCkpt)>,
     /// Elements sent to the suspected primary while switched over plus
     /// state read back on rollback (Fig 10's overhead metric).
     pub switch_overhead_elements: u64,
@@ -409,16 +399,65 @@ impl SubjobHa {
         !self.is_stale(epoch) && self.state == state
     }
 
-    /// Forgets every checkpoint in progress and the per-PE checkpoint
-    /// history, as a role change or a lost standby must. The stored
-    /// checkpoints stay: whether they survived is the caller's call.
-    pub(crate) fn drop_checkpoint_progress(&mut self) {
-        self.last_ckpt_at.clear();
-        self.pe_ckpt_pausing.clear();
-        self.pe_ckpt_inflight.clear();
-        self.pending = None;
-        self.snap_positions.clear();
+    /// The checkpoint record of `pe`, which must belong to this subjob.
+    pub fn ckpt(&self, pe: PeId) -> &PeCkpt {
+        &self.ckpts[self.ckpt_index(pe)].1
     }
+
+    pub(crate) fn ckpt_mut(&mut self, pe: PeId) -> &mut PeCkpt {
+        let i = self.ckpt_index(pe);
+        &mut self.ckpts[i].1
+    }
+
+    fn ckpt_index(&self, pe: PeId) -> usize {
+        let found = self.ckpts.binary_search_by_key(&pe, |&(id, _)| id);
+        found.expect("a PE of this subjob")
+    }
+
+    /// Forgets every checkpoint in progress and the per-PE checkpoint
+    /// history, as a role change or a lost standby must; the stored
+    /// checkpoints go too when `store_lost` (they lived in a machine that
+    /// is gone or no longer the standby).
+    pub(crate) fn drop_checkpoint_progress(&mut self, store_lost: bool) {
+        self.pending = None;
+        for (_, rec) in &mut self.ckpts {
+            let stored = rec.stored.take().filter(|_| !store_lost);
+            *rec = PeCkpt {
+                stored,
+                ..PeCkpt::default()
+            };
+        }
+    }
+}
+
+/// Where a PE's primary-role copy is in its checkpoint cycle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum CkptProgress {
+    /// No checkpoint of the PE under way.
+    #[default]
+    Idle,
+    /// Paused for a per-PE checkpoint, waiting to quiesce.
+    Pausing,
+    /// Snapshot sent to the secondary; its store-ack has not come back.
+    InFlight,
+}
+
+/// One PE's checkpoint record: the state of the §III-B rule that an
+/// upstream keeps an element until a stored checkpoint of its consumer
+/// covers it.
+#[derive(Debug, Default)]
+pub struct PeCkpt {
+    /// When the PE was last snapshotted (throttles the sweeping protocol).
+    pub last_at: Option<SimTime>,
+    /// Where the PE is in its checkpoint cycle.
+    pub progress: CkptProgress,
+    /// Input positions of the last snapshot sent: the acks to send once
+    /// it is stored.
+    pub ack_positions: Vec<Vec<(StreamId, u64)>>,
+    /// The restore point: the checkpoint stored on the secondary machine
+    /// ("in memory", §IV-B). Shared with the message that carried it, so
+    /// storing is a pointer move, not a copy of the element batches.
+    pub stored: Option<Arc<PeCheckpoint>>,
 }
 
 /// One in-flight reliable control transmission, kept by the sender until
@@ -643,6 +682,9 @@ impl HaWorld {
         // Subjob HA state.
         for sj in world.job.subjob_ids() {
             let mode = modes[sj.0 as usize];
+            let pes = world.job.subjob_pes(sj);
+            let mut ckpts: Vec<_> = pes.iter().map(|&pe| (pe, PeCkpt::default())).collect();
+            ckpts.sort_unstable_by_key(|&(pe, _)| pe);
             world.subjobs.push(SubjobHa {
                 mode,
                 primary_machine: world.placement.primaries[sj.0 as usize],
@@ -650,12 +692,8 @@ impl HaWorld {
                 primary_replica: Replica::Primary,
                 state: SjState::Normal,
                 epoch: 0,
-                last_ckpt_at: BTreeMap::new(),
-                pe_ckpt_pausing: BTreeSet::new(),
-                pe_ckpt_inflight: BTreeSet::new(),
                 pending: None,
-                snap_positions: BTreeMap::new(),
-                stored: BTreeMap::new(),
+                ckpts,
                 switch_overhead_elements: 0,
                 hb: mode.monitors().then(HeartbeatMonitor::new),
                 declarations: Vec::new(),
@@ -711,7 +749,7 @@ impl HaWorld {
         for &(port, stream) in job.input_streams(pe) {
             inst.register_input_stream(port, stream);
         }
-        if let Some(ckpt) = self.subjobs[job.subjob_of(pe).0 as usize].stored.get(&pe) {
+        if let Some(ckpt) = &self.subjobs[job.subjob_of(pe).0 as usize].ckpt(pe).stored {
             inst.restore(ckpt);
         }
         inst.set_suspended(suspended);
@@ -1462,12 +1500,8 @@ mod tests {
             primary_replica: Replica::Primary,
             state: SjState::Normal,
             epoch: 3,
-            last_ckpt_at: BTreeMap::new(),
-            pe_ckpt_pausing: BTreeSet::new(),
-            pe_ckpt_inflight: BTreeSet::new(),
             pending: None,
-            snap_positions: BTreeMap::new(),
-            stored: BTreeMap::new(),
+            ckpts: Vec::new(),
             switch_overhead_elements: 0,
             hb: Some(HeartbeatMonitor::new()),
             declarations: Vec::new(),

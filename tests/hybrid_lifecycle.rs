@@ -100,7 +100,10 @@ fn secondary_is_refreshed_in_memory_while_suspended() {
     // Subjob 1 = PEs 2 and 3; the suspended secondary's restored counter
     // state tracks the primary via checkpoint refreshes.
     let sj = world.subjob(SubjobId(1));
-    assert!(!sj.stored.is_empty(), "checkpoints stored at the secondary");
+    assert!(
+        sj.ckpt(PeId(2)).stored.is_some(),
+        "checkpoints stored at the secondary"
+    );
     let sec = world
         .instance(PeId(2), Replica::Secondary)
         .expect("pre-deployed");
