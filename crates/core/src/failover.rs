@@ -1026,11 +1026,7 @@ impl HaWorld {
         for (port, stream) in self.job.input_streams(pe).to_vec() {
             let position = {
                 let inst = self.slots[slot].copy().expect("checked");
-                inst.input_positions(port)
-                    .into_iter()
-                    .find(|(s, _)| *s == stream)
-                    .map(|(_, p)| p)
-                    .unwrap_or(0)
+                inst.input(port).processed(stream).unwrap_or(0)
             };
             let dest = Dest::Pe {
                 inst: InstanceId { pe, replica },

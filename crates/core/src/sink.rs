@@ -109,13 +109,7 @@ impl SinkRuntime {
     /// this position, safe to re-acknowledge) from stashed out-of-order
     /// arrivals.
     pub fn processed_through(&self, stream: StreamId) -> u64 {
-        // Borrowing walk: this runs per rejected element on the delivery
-        // path, where duplicate-heavy recovery windows must not allocate.
-        self.input
-            .positions_iter()
-            .find(|&(s, _)| s == stream)
-            .map(|(_, seq)| seq)
-            .unwrap_or(0)
+        self.input.processed(stream).unwrap_or(0)
     }
 
     /// Duplicates dropped (active-standby redundancy, retransmissions).

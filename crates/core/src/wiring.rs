@@ -181,8 +181,8 @@ impl HaWorld {
             Dest::Sink(sink) => self.sinks[sink.0 as usize].processed_through(stream),
             Dest::Pe { inst, port } => self.slots[slot_of(inst.pe, inst.replica)]
                 .copy()
-                .and_then(|i| i.input(port).positions_iter().find(|&(s, _)| s == stream))
-                .map_or(0, |(_, seq)| seq),
+                .and_then(|i| i.input(port).processed(stream))
+                .unwrap_or(0),
         }
     }
 

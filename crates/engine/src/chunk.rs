@@ -18,6 +18,13 @@
 //! as the next tail chunk, so a steady-state produce/trim cycle allocates
 //! nothing once warm.
 //!
+//! A drained deque holds nothing. When a pop empties the deque inside its
+//! last chunk, that chunk restarts in place (emptied, skip counter back to
+//! 0) if uniquely owned; if a snapshot shares it, it leaves the spine and
+//! the snapshot keeps it. So later pushes never land behind dead elements,
+//! and never copy a dead prefix out of a shared chunk. A clone of an empty
+//! deque is an empty deque: snapshotting an idle queue allocates nothing.
+//!
 //! Most deques of a wide job are cold: a shard's queues hold a handful of
 //! elements and never fill one chunk. So a chunk's *allocation* follows its
 //! content while it is the deque's only chunk — it starts empty and grows
@@ -70,6 +77,11 @@ pub struct ChunkedDeque {
 
 impl Clone for ChunkedDeque {
     fn clone(&self) -> Self {
+        // An empty deque holds nothing worth sharing: its snapshot is empty
+        // and allocation-free.
+        if self.len == 0 {
+            return ChunkedDeque::new();
+        }
         // Chunk pointers only; the spare is a private allocation cache and
         // deliberately not shared (sharing it would defeat recycling on both
         // sides).
@@ -194,6 +206,22 @@ impl ChunkedDeque {
                     self.spare = Some(drained);
                 }
             }
+        }
+        if n > 0 && self.len == 0 {
+            // Only dead elements are left: restart the chunk when it is
+            // ours, or leave it to the snapshot that shares it, so no push
+            // appends behind them or copies them.
+            debug_assert!(
+                self.chunks.len() <= 1,
+                "only the last chunk can be part-read"
+            );
+            if let Some(last) = self.chunks.front_mut() {
+                match Arc::get_mut(last) {
+                    Some(chunk) => chunk.elems.clear(),
+                    None => self.chunks.clear(),
+                }
+            }
+            self.front_skip = 0;
         }
         n
     }
@@ -465,6 +493,55 @@ mod tests {
                 assert_eq!(tail_capacity(&dq), expect, "fill {fill}");
             }
         }
+    }
+
+    /// A cold queue that never holds more than one element keeps one
+    /// minimal chunk: a drained deque restarts its chunk in place, so later
+    /// pushes do not append behind dead elements.
+    #[test]
+    fn a_drained_lone_chunk_restarts_in_place() {
+        let mut dq = ChunkedDeque::new();
+        dq.push_back(elem(0));
+        let buffer = dq.chunks[0].elems.as_ptr();
+        for s in 0..1_000 {
+            assert_eq!(dq.pop_front().map(|e| e.seq), Some(s));
+            dq.push_back(elem(s + 1));
+            assert_eq!((dq.chunks.len(), dq.front_skip), (1, 0));
+            assert_eq!(tail_capacity(&dq), 4, "cycle {s}");
+        }
+        assert_eq!(dq.chunks[0].elems.as_ptr(), buffer, "same allocation");
+    }
+
+    #[test]
+    fn a_clone_of_an_empty_deque_holds_no_chunk() {
+        let mut dq: ChunkedDeque = (0..3).map(elem).collect();
+        dq.drop_front(3);
+        assert_eq!(dq.chunks.len(), 1, "the live deque keeps its chunk");
+        let snap = dq.clone();
+        assert!(snap.is_empty());
+        assert!(snap.chunks.is_empty() && snap.spare.is_none());
+        assert!(ChunkedDeque::new().clone().chunks.is_empty());
+    }
+
+    /// Draining a deque whose chunk a snapshot shares hands the chunk to
+    /// the snapshot alone: the snapshot reads unchanged, and the next push
+    /// starts a fresh chunk at index 0 instead of copying the dead prefix.
+    #[test]
+    fn draining_a_shared_chunk_leaves_it_to_the_snapshot() {
+        let mut dq: ChunkedDeque = (0..5).map(elem).collect();
+        let snap = dq.clone();
+        assert_eq!(dq.drop_front(5), 5);
+        assert!(
+            dq.chunks.is_empty(),
+            "a shared drained chunk leaves the spine"
+        );
+        dq.push_back(elem(5));
+        assert_eq!((dq.chunks.len(), dq.front_skip), (1, 0));
+        assert_eq!(dq.chunks[0].elems.len(), 1, "no dead prefix copied");
+        assert_eq!(tail_capacity(&dq), 4);
+        assert!(!Arc::ptr_eq(&dq.chunks[0], &snap.chunks[0]));
+        assert!(snap.iter().map(|e| e.seq).eq(0..5), "snapshot unchanged");
+        assert!(dq.iter().map(|e| e.seq).eq(5..6));
     }
 
     /// Once a chunk has drained into the spare, a produce/trim cycle moves

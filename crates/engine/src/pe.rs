@@ -106,8 +106,9 @@ pub struct PeCheckpoint {
     pub outputs: Vec<OutputQueueState>,
     /// Processed positions per input port.
     pub input_positions: Vec<Vec<(StreamId, u64)>>,
-    /// Accepted-but-unprocessed input elements per port. Empty for periodic
-    /// checkpoints (§III-B excludes input queues); populated only by the
+    /// Accepted-but-unprocessed input elements per port. An empty `Vec`
+    /// (no entry per port) for periodic checkpoints (§III-B excludes input
+    /// queues); one deque per input port, filled only by the
     /// hybrid rollback's read-state operation, which transfers the
     /// secondary's backlog so the primary "can jump to the latest state
     /// directly" (§IV-B). Captured as chunk pointers, not element copies.
@@ -521,7 +522,8 @@ impl PeInstance {
         self.pause_requested
     }
 
-    /// Snapshots internal state, output queues, and input positions.
+    /// Snapshots internal state, output queues, and input positions; the
+    /// input backlog stays empty (see [`PeInstance::snapshot_with_backlog`]).
     ///
     /// # Panics
     ///
@@ -540,7 +542,7 @@ impl PeInstance {
             state_elements: self.operator.state_size_elements(),
             outputs: self.outputs.iter().map(OutputQueue::snapshot).collect(),
             input_positions: self.inputs.iter().map(InputQueue::positions).collect(),
-            input_backlog: vec![ChunkedDeque::new(); self.inputs.len()],
+            input_backlog: Vec::new(),
             taken_at: now,
         }
     }

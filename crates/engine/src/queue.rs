@@ -472,6 +472,13 @@ impl InputQueue {
         }
     }
 
+    /// The processed-through position of `stream`, if this queue consumes
+    /// it: one table lookup, where [`InputQueue::positions_iter`] walks
+    /// every stream.
+    pub fn processed(&self, stream: StreamId) -> Option<u64> {
+        self.find(stream).map(|idx| self.cursors[idx].processed)
+    }
+
     /// Index of a registered `stream` in `cursors`.
     fn cursor_index(&self, stream: StreamId) -> usize {
         self.find(stream)
@@ -890,6 +897,9 @@ mod tests {
         let e = q.take_next().unwrap();
         q.mark_processed(e.stream, e.seq);
         assert_eq!(q.positions(), vec![(StreamId(1), 1)]);
+        assert_eq!(q.processed(StreamId(1)), Some(1));
+        assert_eq!(q.processed(StreamId(0)), None, "below the window");
+        assert_eq!(q.processed(StreamId(2)), None, "past the window");
     }
 
     #[test]
