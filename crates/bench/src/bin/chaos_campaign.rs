@@ -16,7 +16,7 @@ use sps_bench::observe_capture::write_campaign;
 use sps_engine::SubjobId;
 use sps_ha::HaEventKind;
 use sps_metrics::Table;
-use sps_trace::{SharedRecorder, Telemetry};
+use sps_trace::{SharedRecorder, TraceEvent};
 
 struct CampaignRun {
     produced: u64,
@@ -57,8 +57,14 @@ fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
         }
     });
 
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
+    let (chaos_drops, retransmits) = recorder.with(|r| {
+        r.records()
+            .fold((0, 0), |(drops, retx), rec| match rec.event {
+                TraceEvent::NetDrop { chaos: true, .. } => (drops + 1, retx),
+                TraceEvent::Retransmit { .. } => (drops, retx + 1),
+                _ => (drops, retx),
+            })
+    });
     let world = sim.world();
     let promotions = world
         .ha_events()
@@ -76,8 +82,8 @@ fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
         produced: world.sources()[0].produced(),
         accepted: world.sinks()[0].accepted(),
         sink_duplicates: world.sinks()[0].duplicates_dropped(),
-        chaos_drops: telemetry.chaos_net_drops(),
-        retransmits: telemetry.retransmits(),
+        chaos_drops,
+        retransmits,
         promotions,
         all_normal,
         trace_jsonl,

@@ -9,21 +9,18 @@
 
 use sps_metrics::Table;
 use sps_sim::{SimDuration, SimRng};
-use sps_workloads::{run_weather_app, ClusterStudy, ClusterStudyConfig, WeatherAppConfig};
+use sps_workloads::{run_weather_app, ClusterStudy, WEATHER_LOADED_FROM};
 
 use crate::common::{f2, f3, mean, Experiment, Scale};
 use crate::runner::Runner;
 
 /// Fig 1: weather-app processing time per machine.
 pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
-    let config = WeatherAppConfig {
-        tasks_per_machine: scale.pick(50, 10),
-        ..WeatherAppConfig::default()
-    };
+    let tasks_per_machine = scale.pick(50, 10);
     let run = runner
         .map(vec![seed], |s| {
             let mut rng = SimRng::seed_from(s);
-            run_weather_app(&config, &mut rng)
+            run_weather_app(tasks_per_machine, &mut rng)
         })
         .pop()
         .expect("one cell submitted");
@@ -36,7 +33,7 @@ pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
         table.row(vec![
             m.to_string(),
             f3(*t),
-            if *m >= config.loaded_from {
+            if *m >= WEATHER_LOADED_FROM {
                 "yes"
             } else {
                 "no"
@@ -47,13 +44,13 @@ pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
     let clean: Vec<f64> = run
         .rows
         .iter()
-        .filter(|(m, _)| *m < config.loaded_from)
+        .filter(|(m, _)| *m < WEATHER_LOADED_FROM)
         .map(|(_, t)| *t)
         .collect();
     let loaded: Vec<f64> = run
         .rows
         .iter()
-        .filter(|(m, _)| *m >= config.loaded_from)
+        .filter(|(m, _)| *m >= WEATHER_LOADED_FROM)
         .map(|(_, t)| *t)
         .collect();
     let ratio = mean(&loaded) / mean(&clean);
@@ -75,15 +72,12 @@ pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
 }
 
 fn study(scale: Scale, seed: u64) -> ClusterStudy {
-    let config = ClusterStudyConfig {
-        duration: scale.pick(
-            SimDuration::from_secs(24 * 3600),
-            SimDuration::from_secs(2 * 3600),
-        ),
-        ..ClusterStudyConfig::default()
-    };
+    let duration = scale.pick(
+        SimDuration::from_secs(24 * 3600),
+        SimDuration::from_secs(2 * 3600),
+    );
     let mut rng = SimRng::seed_from(seed);
-    ClusterStudy::run(&config, &mut rng)
+    ClusterStudy::run(duration, &mut rng)
 }
 
 /// Fig 2: CDF of per-machine mean inter-failure time.

@@ -10,7 +10,9 @@
 //!   (`CHUNK_CAP`, the size the benchmark's `batched_chain` runs);
 //! * fig04/06/11 with lineage on and `--observe-out`: observation perturbs
 //!   nothing, the five files appear, their `health.jsonl` equals
-//!   `observed_health.jsonl`, and the observed run audits clean;
+//!   `observed_health.jsonl`, the line count and FNV-1a digest of their
+//!   `trace.jsonl` and `metrics.jsonl` equal `observed_digests.txt`, and
+//!   the observed run audits clean;
 //! * the two campaigns, plain and with the auditor riding every real cell
 //!   under `--observe-out`, and `bench_scale --quick`.
 //!
@@ -143,6 +145,20 @@ fn check(i: usize, r: &Row) -> Result<(), String> {
                 "{what}: health.jsonl diverged from observed_health.jsonl"
             ));
         }
+        let want = std::fs::read_to_string(golden_dir().join("observed_digests.txt"))
+            .expect("observed_digests.txt");
+        let got: String = ["trace.jsonl", "metrics.jsonl"]
+            .iter()
+            .map(|f| {
+                let bytes = std::fs::read(tmp.join(f)).expect("checked above");
+                format!("{f} {}\n", digest(&bytes))
+            })
+            .collect();
+        if got != want {
+            return Err(format!(
+                "{what}: observed digests diverged from observed_digests.txt:\n{got}"
+            ));
+        }
     }
     if !r.observe.is_empty() {
         // One report for `figures`, one per real cell for the campaigns:
@@ -158,6 +174,15 @@ fn check(i: usize, r: &Row) -> Result<(), String> {
     }
     let _ = std::fs::remove_dir_all(&tmp);
     Ok(())
+}
+
+/// `lines=<n> fnv1a=<hex>` of a file's bytes.
+fn digest(bytes: &[u8]) -> String {
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
+    format!("lines={lines} fnv1a={hash:016x}")
 }
 
 #[test]

@@ -10,7 +10,7 @@ use sps_cluster::{ChaosPlan, DomainId, FaultTopology, MachineId};
 use sps_ha::{HaMode, HaSimulation, Placement};
 use sps_observe::{HealthConfig, RECOVERY_MONITOR};
 use sps_sim::{SimDuration, SimTime};
-use sps_trace::{AnomalyKind, SharedRecorder, Telemetry};
+use sps_trace::{recovery_critical_paths, recovery_spans, AnomalyKind, SharedRecorder, TraceEvent};
 use sps_workloads::{chain_job_with, eval_chain_job, single_failure};
 
 /// The Fig 9/10 `run_cycle` scenario (every subjob hybrid, one 5 s
@@ -35,6 +35,16 @@ fn recovery_run(seed: u64, health: bool) -> (HaSimulation, SharedRecorder) {
     (sim, recorder)
 }
 
+/// The failure-injection times the trace records, in order.
+fn inject_times(recorder: &SharedRecorder) -> Vec<SimTime> {
+    recorder.with(|r| {
+        r.records()
+            .filter(|rec| matches!(rec.event, TraceEvent::FailureInject { .. }))
+            .map(|rec| rec.at)
+            .collect()
+    })
+}
+
 #[test]
 fn recovery_breach_span_telescopes_to_phase_log() {
     let (sim, recorder) = recovery_run(2010, true);
@@ -57,9 +67,9 @@ fn recovery_breach_span_telescopes_to_phase_log() {
     // per-cycle recovery decomposition: both anchor each cycle at the
     // failure injection that triggered it and close at the terminal
     // recovery phase, so the totals agree exactly.
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
-    let paths = telemetry.recovery_critical_paths();
+    let phases = sim.world().tracer().phases();
+    let injects = inject_times(&recorder);
+    let paths = recovery_critical_paths(phases, &injects);
     assert_eq!(
         spans.len(),
         paths.len(),
@@ -77,8 +87,7 @@ fn recovery_breach_span_telescopes_to_phase_log() {
 
     // The per-cycle recovery spans from the phase log telescope to the
     // same total: their per-phase segments partition each cycle.
-    let span_total_ms: f64 = telemetry
-        .recovery_spans()
+    let span_total_ms: f64 = recovery_spans(phases, injects[0])
         .iter()
         .map(|s| s.end.saturating_since(s.start).as_millis_f64())
         .sum();

@@ -7,7 +7,7 @@
 use sps_cluster::MachineId;
 use sps_ha::{HaMode, HaSimulation};
 use sps_sim::{SimDuration, SimTime};
-use sps_trace::{SharedRecorder, Telemetry};
+use sps_trace::{recovery_critical_paths, SharedRecorder, TraceEvent};
 use sps_workloads::{chain_job_with, single_failure};
 
 /// The Fig 9/10 `run_cycle` scenario with lineage and a trace recorder
@@ -30,13 +30,20 @@ fn recovery_run(seed: u64) -> (HaSimulation, SharedRecorder) {
     (sim, recorder)
 }
 
+/// The failure-injection times the trace records, in order.
+fn inject_times(recorder: &SharedRecorder) -> Vec<SimTime> {
+    recorder.with(|r| {
+        r.records()
+            .filter(|rec| matches!(rec.event, TraceEvent::FailureInject { .. }))
+            .map(|rec| rec.at)
+            .collect()
+    })
+}
+
 #[test]
 fn critical_path_decomposes_recovery_spans() {
-    let (_sim, recorder) = recovery_run(2010);
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
-
-    let paths = telemetry.recovery_critical_paths();
+    let (sim, recorder) = recovery_run(2010);
+    let paths = recovery_critical_paths(sim.world().tracer().phases(), &inject_times(&recorder));
     assert!(
         !paths.is_empty(),
         "hybrid recovery produced no critical path"

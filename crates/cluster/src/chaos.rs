@@ -5,8 +5,8 @@
 //! transient unavailability — so validating the AS/PS/Hybrid protocols
 //! requires a network that can misbehave on demand. A [`FaultProfile`]
 //! describes how one directed link misbehaves (independent loss, bursty
-//! Gilbert–Elliott loss, delay jitter and hence reordering, duplication,
-//! and slow-link delay inflation). A [`ChaosPlan`] is a declarative list of
+//! Gilbert–Elliott loss, delay jitter and hence reordering, and
+//! duplication). A [`ChaosPlan`] is a declarative list of
 //! timed [`ChaosAction`]s — loss windows, flapping links, one-way
 //! partitions, correlated fail-stops — that a harness
 //! replays against the cluster. Everything is pure data here; the
@@ -59,9 +59,8 @@ impl BurstLoss {
 ///
 /// A profile combines independent per-message loss, an optional
 /// Gilbert–Elliott burst chain, uniform delay jitter (which reorders
-/// messages relative to FIFO serialization order), duplication, and a
-/// delay-inflation factor modelling a slow (gray-failed) link. The default
-/// profile is a no-op.
+/// messages relative to FIFO serialization order) and duplication. The
+/// default profile is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Independent per-message loss probability.
@@ -73,8 +72,6 @@ pub struct FaultProfile {
     pub jitter: SimDuration,
     /// Probability that a delivered message arrives twice.
     pub duplicate_prob: f64,
-    /// Multiplier on serialization + propagation delay (gray/slow link).
-    pub delay_factor: f64,
 }
 
 impl Default for FaultProfile {
@@ -84,7 +81,6 @@ impl Default for FaultProfile {
             burst: None,
             jitter: SimDuration::ZERO,
             duplicate_prob: 0.0,
-            delay_factor: 1.0,
         }
     }
 }
@@ -123,12 +119,6 @@ impl FaultProfile {
         self
     }
 
-    /// Multiplies all delay components by `factor` (slow link).
-    pub fn with_delay_factor(mut self, factor: f64) -> Self {
-        self.delay_factor = factor;
-        self
-    }
-
     /// Panics if any parameter is out of range.
     pub fn validate(&self) {
         assert!(
@@ -140,11 +130,6 @@ impl FaultProfile {
             (0.0..=1.0).contains(&self.duplicate_prob),
             "duplicate_prob must be a probability, got {}",
             self.duplicate_prob
-        );
-        assert!(
-            self.delay_factor >= 1.0 && self.delay_factor.is_finite(),
-            "delay_factor must be >= 1, got {}",
-            self.delay_factor
         );
         if let Some(b) = &self.burst {
             b.validate();
@@ -224,8 +209,8 @@ impl ChaosAction {
         match self {
             ChaosAction::LinkFaults { src, dst, profile } => {
                 format!(
-                    "link_faults {src}->{dst} loss={} dup={} delay_x{}",
-                    profile.loss_prob, profile.duplicate_prob, profile.delay_factor
+                    "link_faults {src}->{dst} loss={} dup={}",
+                    profile.loss_prob, profile.duplicate_prob
                 )
             }
             ChaosAction::ClearLinkFaults { src, dst } => {
@@ -456,7 +441,6 @@ mod tests {
         let p = FaultProfile::default();
         assert_eq!(p.loss_prob, 0.0);
         assert_eq!(p.duplicate_prob, 0.0);
-        assert_eq!(p.delay_factor, 1.0);
         assert!(p.burst.is_none());
         p.validate();
     }
@@ -466,7 +450,6 @@ mod tests {
         let p = FaultProfile::loss(0.05)
             .with_jitter(SimDuration::from_micros(500))
             .with_duplication(0.01)
-            .with_delay_factor(3.0)
             .with_burst(BurstLoss {
                 good_to_bad: 0.01,
                 bad_to_good: 0.2,
@@ -481,12 +464,6 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn invalid_loss_prob_rejected() {
         FaultProfile::loss(1.5).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "delay_factor")]
-    fn sub_unity_delay_factor_rejected() {
-        FaultProfile::default().with_delay_factor(0.5).validate();
     }
 
     #[test]

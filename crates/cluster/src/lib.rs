@@ -6,8 +6,9 @@
 //!
 //! * [`SpikeProfile`] — transient-failure load spikes (regular or Poisson
 //!   arrivals, duty-cycle parameterization as in §V-B);
-//! * [`JitterProfile`] — rare OS stalls, the source of heartbeat false
-//!   alarms;
+//! * [`jitter_stalls`] — rare OS stalls, the source of heartbeat false
+//!   alarms, and [`sched`] — the load-dependent wake-up latency that
+//!   starves heartbeat replies;
 //! * [`CpuMonitor`] / [`SpikeTracker`] — the 0.25 s utilization sampling and
 //!   95 %-threshold spike delineation from the paper's measurement study.
 //!
@@ -39,14 +40,13 @@ mod load;
 mod machine;
 mod monitor;
 mod network;
-mod sched;
+pub mod sched;
 
 pub use chaos::{BurstLoss, ChaosAction, ChaosPlan, ChaosStep, FaultProfile};
 pub use cluster::Cluster;
 pub use domain::{DomainId, FaultTopology, SwitchId};
-pub use jitter::JitterProfile;
+pub use jitter::jitter_stalls;
 pub use load::{total_failure_time, Dist, SpikeProfile, SpikeWindow};
 pub use machine::{FinishedTask, LoadComponent, Machine, MachineId, TaskId};
 pub use monitor::{mean_duration, mean_inter_failure_time, CpuMonitor, SpikeEpisode, SpikeTracker};
 pub use network::{Delivery, Network, NetworkConfig};
-pub use sched::SchedLatency;

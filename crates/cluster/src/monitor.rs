@@ -63,37 +63,24 @@ impl SpikeEpisode {
 
 /// Segments a utilization sample stream into spike episodes using the
 /// paper's 95 % threshold rule.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpikeTracker {
-    threshold: f64,
     in_spike_since: Option<SimTime>,
     episodes: Vec<SpikeEpisode>,
 }
 
 impl SpikeTracker {
     /// The paper's delineation threshold (95 % CPU).
-    pub const DEFAULT_THRESHOLD: f64 = 0.95;
+    pub const THRESHOLD: f64 = 0.95;
 
-    /// Creates a tracker with the given threshold in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn new(threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold must be in [0, 1], got {threshold}"
-        );
-        SpikeTracker {
-            threshold,
-            in_spike_since: None,
-            episodes: Vec::new(),
-        }
+    /// Creates a tracker with no episode observed.
+    pub fn new() -> Self {
+        SpikeTracker::default()
     }
 
     /// Feeds one sample; returns the episode if this sample closed one.
     pub fn feed(&mut self, at: SimTime, utilization: f64) -> Option<SpikeEpisode> {
-        match (self.in_spike_since, utilization >= self.threshold) {
+        match (self.in_spike_since, utilization >= Self::THRESHOLD) {
             (None, true) => {
                 self.in_spike_since = Some(at);
                 None
@@ -179,7 +166,7 @@ mod tests {
 
     #[test]
     fn tracker_segments_episodes() {
-        let mut t = SpikeTracker::new(0.95);
+        let mut t = SpikeTracker::new();
         assert_eq!(t.feed(s(0), 0.5), None);
         assert_eq!(t.feed(s(1), 0.97), None);
         assert!(t.in_spike());
@@ -193,7 +180,7 @@ mod tests {
 
     #[test]
     fn finish_closes_open_episode() {
-        let mut t = SpikeTracker::new(0.95);
+        let mut t = SpikeTracker::new();
         t.feed(s(5), 1.0);
         let eps = t.finish(s(9));
         assert_eq!(eps.len(), 1);
@@ -202,7 +189,7 @@ mod tests {
 
     #[test]
     fn boundary_sample_counts_as_spike() {
-        let mut t = SpikeTracker::new(0.95);
+        let mut t = SpikeTracker::new();
         t.feed(s(0), 0.95);
         assert!(t.in_spike());
     }

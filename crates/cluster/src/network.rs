@@ -37,7 +37,7 @@
 //!
 //! A [`FaultProfile`] installed on a directed link (or as the network-wide
 //! default) adds probabilistic loss, Gilbert–Elliott loss bursts, delivery
-//! jitter (reordering), duplication, and delay inflation. All draws come
+//! jitter (reordering) and duplication. All draws come
 //! from a dedicated chaos RNG stream and happen **only** for sends covered
 //! by a profile, so runs without chaos consume no randomness and stay
 //! bit-identical to pre-chaos builds.
@@ -283,11 +283,8 @@ impl Network {
         if src == dst {
             return Delivery::At(now + self.config.loopback_latency);
         }
-        let delay_factor = profile.map_or(1.0, |p| p.delay_factor);
-        let ser = SimDuration::from_secs_f64(
-            bytes as f64 / self.config.bandwidth_bytes_per_sec * delay_factor,
-        );
-        let latency = SimDuration::from_secs_f64(self.config.latency.as_secs_f64() * delay_factor);
+        let ser = SimDuration::from_secs_f64(bytes as f64 / self.config.bandwidth_bytes_per_sec);
+        let latency = self.config.latency;
         let key = link_key(src, dst);
         let busy = self.link_busy.get(&key).copied().unwrap_or(SimTime::ZERO);
         let start = if busy > now { busy } else { now };
@@ -849,19 +846,6 @@ mod tests {
         }
         assert_eq!(n.messages_duplicated(), 1);
         assert_eq!(n.messages_dropped(), 0);
-    }
-
-    #[test]
-    fn delay_factor_inflates_delivery() {
-        let mut n = net();
-        n.set_link_faults(
-            MachineId(0),
-            MachineId(1),
-            FaultProfile::default().with_delay_factor(10.0),
-        );
-        let d = n.send(SimTime::ZERO, MachineId(0), MachineId(1), 1_000);
-        // (1 ms serialization + 0.1 ms latency) x 10.
-        assert_eq!(d, Delivery::At(SimTime::from_micros(11_000)));
     }
 
     #[test]

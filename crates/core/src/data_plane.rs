@@ -1,7 +1,7 @@
 //! Data-plane handlers: source generation, CPU-task completion routing,
 //! element delivery, and acknowledgment processing.
 
-use sps_cluster::{LoadComponent, MachineId, SchedLatency};
+use sps_cluster::{sched, LoadComponent, MachineId};
 use sps_engine::{
     ConnectionId, DataBatch, DataElement, Dest, InstanceId, Replica, SourceId, StreamId, SubjobId,
 };
@@ -284,9 +284,8 @@ impl HaWorld {
         let load = self.estimate_load(ctx.now(), machine);
         let foreign = self.cluster.machine(machine).background_share();
         let foreign_frac = (foreign / load.max(foreign).max(1e-6)).clamp(0.0, 1.0);
-        let sched = SchedLatency::default();
-        let median = sched.median_at(load).mul_f64(foreign_frac);
-        let delay = sched.sample_with_median(ctx.rng(), median);
+        let median = sched::median_at(load).mul_f64(foreign_frac);
+        let delay = sched::sample_with_median(ctx.rng(), median);
         if delay.is_zero() {
             self.submit_task(ctx, machine, demand_secs, tag);
         } else {

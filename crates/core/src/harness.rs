@@ -3,9 +3,7 @@
 
 use std::fmt;
 
-use sps_cluster::{
-    ChaosPlan, FaultTopology, JitterProfile, LoadComponent, MachineId, NetworkConfig, SpikeWindow,
-};
+use sps_cluster::{jitter_stalls, ChaosPlan, FaultTopology, LoadComponent, MachineId, SpikeWindow};
 use sps_engine::{Job, SubjobId};
 use sps_metrics::{MsgCounters, RecoveryKind, RecoveryTimeline};
 use sps_sim::{SimDuration, SimTime, Simulation};
@@ -39,7 +37,6 @@ pub struct HaSimulationBuilder {
     placement: Option<Placement>,
     topology: Option<FaultTopology>,
     source_profiles: Vec<(RateProfile, PayloadGen)>,
-    network: NetworkConfig,
     seed: u64,
     log_sink_accepts: bool,
     trace_sinks: Vec<Box<dyn TraceSink>>,
@@ -87,7 +84,6 @@ impl HaSimulationBuilder {
             cfg: HaConfig::default(),
             placement: None,
             topology: None,
-            network: NetworkConfig::default(),
             seed: 0,
             log_sink_accepts: false,
             trace_sinks: Vec::new(),
@@ -111,12 +107,6 @@ impl HaSimulationBuilder {
     /// single subjob).
     pub fn subjob_mode(mut self, subjob: SubjobId, mode: HaMode) -> Self {
         self.modes[subjob.0 as usize] = Some(mode);
-        self
-    }
-
-    /// Replaces the whole configuration.
-    pub fn config(mut self, cfg: HaConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -163,12 +153,6 @@ impl HaSimulationBuilder {
     /// Seeds the simulation RNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the network model.
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.network = network;
         self
     }
 
@@ -284,7 +268,6 @@ impl HaSimulationBuilder {
             modes,
             placement,
             self.source_profiles,
-            self.network,
             self.log_sink_accepts,
         );
         if let Some(topology) = self.topology {
@@ -422,19 +405,10 @@ impl HaSimulation {
     /// Schedules OS-jitter stalls on a machine over `[now, horizon)`
     /// assuming the given ambient load (not recorded as ground truth — these
     /// are the false-alarm source).
-    pub fn inject_jitter(
-        &mut self,
-        machine: MachineId,
-        profile: &JitterProfile,
-        horizon: SimTime,
-        ambient_load: f64,
-    ) {
-        let windows = {
-            let (world, ctx) = self.sim.parts_mut();
-            let mut rng = ctx.rng().fork(0x7177_0000 + machine.0 as u64);
-            let _ = world;
-            profile.generate(&mut rng, horizon, ambient_load)
-        };
+    pub fn inject_jitter(&mut self, machine: MachineId, horizon: SimTime, ambient_load: f64) {
+        let (_, ctx) = self.sim.parts_mut();
+        let mut rng = ctx.rng().fork(0x7177_0000 + machine.0 as u64);
+        let windows = jitter_stalls(&mut rng, horizon, ambient_load);
         for w in windows {
             self.sim.schedule_at(
                 w.start,

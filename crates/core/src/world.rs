@@ -604,7 +604,6 @@ impl HaWorld {
         modes: Vec<HaMode>,
         placement: Placement,
         source_profiles: Vec<(RateProfile, PayloadGen)>,
-        network: NetworkConfig,
         log_sink_accepts: bool,
     ) -> Self {
         cfg.validate();
@@ -620,7 +619,7 @@ impl HaWorld {
             "one rate profile per source"
         );
 
-        let mut cluster = Cluster::new(network);
+        let mut cluster = Cluster::new(NetworkConfig::default());
         cluster.add_machines(placement.machine_count());
 
         let n_pes = job.pe_count();
@@ -1021,13 +1020,14 @@ impl HaWorld {
 
     // ---- periodic read-only sampler ----
 
-    /// The sim-timer-driven sampler. It reads each machine's busy window
-    /// once and feeds both observers: with a trace sink or probe installed,
-    /// per-machine load and per-PE queue snapshots plus queue high-water
-    /// growth; with metrics enabled, the registry gauges, one scrape and a
-    /// health-engine step. Strictly read-only — it never advances machines,
-    /// touches the scheduling load estimate, or draws randomness, so an
-    /// observed run stays bit-identical to a plain one.
+    /// The sim-timer-driven sampler. It walks every machine once and then
+    /// every PE copy once, and feeds both observers in the same pass: with a
+    /// trace sink or probe installed, per-machine load and per-PE queue
+    /// snapshots plus queue high-water growth; with metrics enabled, the
+    /// machine and PE gauges, then one scrape and a health-engine step.
+    /// Strictly read-only — it never advances machines, touches the
+    /// scheduling load estimate, or draws randomness, so an observed run
+    /// stays bit-identical to a plain one.
     pub(crate) fn on_sample(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(SAMPLE_INTERVAL, Event::Sample);
         let now = ctx.now();
@@ -1061,98 +1061,79 @@ impl HaWorld {
                 registry.set_gauge(scope, "cpu_load", cpu_load);
                 registry.set_gauge(scope, "background_share", machine.background_share());
                 registry.set_gauge(scope, "run_queue", machine.active_tasks() as f64);
+                registry.set_gauge(scope, "run_queue_hw", machine.run_queue_high_water() as f64);
             }
         }
-        if tracing {
-            self.trace_pe_snapshots(now);
-        }
-        self.scrape(now);
-    }
-
-    /// The trace half of [`on_sample`](Self::on_sample): per-PE queue
-    /// snapshots plus queue high-water growth.
-    fn trace_pe_snapshots(&mut self, now: SimTime) {
-        for slot in 0..self.slots.len() {
-            let Some(inst) = self.slots[slot].copy() else {
-                continue;
-            };
-            let (pe, replica) = unslot(slot);
-            let rep = replica_code(replica);
-            let input_depth = inst.input_depth();
-            let output_backlog = inst.output_backlog();
-            let in_hw = inst.input_high_water();
-            let out_hw = inst.output_high_water();
-            let processed_total = inst.processed_total();
-            self.tracer.emit(
-                now,
-                TraceEvent::PeSnapshot {
-                    pe: pe.0,
-                    replica: rep,
-                    input_depth,
-                    output_backlog,
-                    processed_total,
-                },
-            );
-            let (prev_in, prev_out) = self.trace_queue_hw[slot];
-            if in_hw > prev_in {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::QueueHighWater {
-                        pe: pe.0,
-                        replica: rep,
-                        input: true,
-                        depth: in_hw,
-                    },
-                );
-            }
-            if out_hw > prev_out {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::QueueHighWater {
-                        pe: pe.0,
-                        replica: rep,
-                        input: false,
-                        depth: out_hw,
-                    },
-                );
-            }
-            self.trace_queue_hw[slot] = (in_hw.max(prev_in), out_hw.max(prev_out));
-        }
-    }
-
-    /// The metrics half of [`on_sample`](Self::on_sample), after the
-    /// machine gauges: per-PE and redundancy gauges, a snapshot of every
-    /// registered metric into the registry's time-series, then one
-    /// health-engine step over it.
-    fn scrape(&mut self, now: SimTime) {
-        let Some(registry) = self.metrics.as_deref_mut() else {
-            return;
-        };
         for (slot, record) in self.slots.iter().enumerate() {
             let Some(inst) = record.copy() else {
                 continue;
             };
             let (pe, replica) = unslot(slot);
-            let machine = record.machine();
-            // Replica is part of the scope name-space via the metric name:
-            // scopes identify (component, machine, pe), and an AS pair's
-            // replicas live on different machines.
-            let scope = Scope::pe("data_plane", machine.0, pe.0);
-            let (depth, backlog) = match replica {
-                Replica::Primary => ("input_depth_primary", "output_backlog_primary"),
-                Replica::Secondary => ("input_depth_secondary", "output_backlog_secondary"),
-            };
-            registry.set_gauge(scope, depth, inst.input_depth() as f64);
-            registry.set_gauge(scope, backlog, inst.output_backlog() as f64);
+            let input_depth = inst.input_depth();
+            let output_backlog = inst.output_backlog();
+            if tracing {
+                let rep = replica_code(replica);
+                let in_hw = inst.input_high_water();
+                let out_hw = inst.output_high_water();
+                self.tracer.emit(
+                    now,
+                    TraceEvent::PeSnapshot {
+                        pe: pe.0,
+                        replica: rep,
+                        input_depth,
+                        output_backlog,
+                        processed_total: inst.processed_total(),
+                    },
+                );
+                let (prev_in, prev_out) = self.trace_queue_hw[slot];
+                if in_hw > prev_in {
+                    self.tracer.emit(
+                        now,
+                        TraceEvent::QueueHighWater {
+                            pe: pe.0,
+                            replica: rep,
+                            input: true,
+                            depth: in_hw,
+                        },
+                    );
+                }
+                if out_hw > prev_out {
+                    self.tracer.emit(
+                        now,
+                        TraceEvent::QueueHighWater {
+                            pe: pe.0,
+                            replica: rep,
+                            input: false,
+                            depth: out_hw,
+                        },
+                    );
+                }
+                self.trace_queue_hw[slot] = (in_hw.max(prev_in), out_hw.max(prev_out));
+            }
+            if let Some(registry) = self.metrics.as_deref_mut() {
+                // Replica is part of the scope name-space via the metric
+                // name: scopes identify (component, machine, pe), and an AS
+                // pair's replicas live on different machines.
+                let scope = Scope::pe("data_plane", record.machine().0, pe.0);
+                let (depth, backlog) = match replica {
+                    Replica::Primary => ("input_depth_primary", "output_backlog_primary"),
+                    Replica::Secondary => ("input_depth_secondary", "output_backlog_secondary"),
+                };
+                registry.set_gauge(scope, depth, input_depth as f64);
+                registry.set_gauge(scope, backlog, output_backlog as f64);
+            }
         }
-        for m in 0..self.cluster.len() {
-            let machine = self.cluster.machine(MachineId(m as u32));
-            registry.set_gauge(
-                Scope::machine("cluster", m as u32),
-                "run_queue_hw",
-                machine.run_queue_high_water() as f64,
-            );
-        }
+        self.scrape(now);
+    }
+
+    /// The rest of the metrics side of [`on_sample`](Self::on_sample),
+    /// after the machine and PE gauges: the redundancy and audit gauges, a
+    /// snapshot of every registered metric into the registry's
+    /// time-series, then one health-engine step over it.
+    fn scrape(&mut self, now: SimTime) {
+        let Some(registry) = self.metrics.as_deref_mut() else {
+            return;
+        };
         // Redundancy gauge for the health layer: how many subjobs currently
         // lack a live standby. A standby is live when a secondary machine
         // is assigned and up and, for modes that pre-deploy secondary

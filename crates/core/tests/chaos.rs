@@ -10,7 +10,7 @@ use sps_ha::{
 };
 use sps_metrics::Scope;
 use sps_sim::{SimDuration, SimTime};
-use sps_trace::{SharedRecorder, Telemetry};
+use sps_trace::{SharedRecorder, TraceEvent};
 
 fn chain_job() -> Job {
     Job::chain("eval", &OperatorSpec::synthetic_default(), 8, 4)
@@ -285,7 +285,7 @@ fn empty_chaos_plan_is_a_no_op() {
 }
 
 /// The trace layer observes the chaos: net drops, retransmissions, and the
-/// plan's own steps all land in telemetry.
+/// plan's own steps all land in the recorded trace.
 #[test]
 fn telemetry_sees_drops_retransmits_and_steps() {
     let recorder = SharedRecorder::default();
@@ -305,17 +305,32 @@ fn telemetry_sees_drops_retransmits_and_steps() {
     sim.stop_sources_at(SimTime::from_secs(5));
     sim.run_for(SimDuration::from_secs(8));
 
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
-    assert!(telemetry.chaos_net_drops() > 0, "5% loss drops something");
-    assert!(telemetry.net_duplicates() > 0, "2% duplication fires");
+    let count = |f: fn(&TraceEvent) -> bool| {
+        recorder.with(|r| r.records().filter(|rec| f(&rec.event)).count())
+    };
     assert!(
-        telemetry.retransmits() > 0,
+        count(|e| matches!(e, TraceEvent::NetDrop { chaos: true, .. })) > 0,
+        "5% loss drops something"
+    );
+    assert!(
+        count(|e| matches!(e, TraceEvent::NetDuplicate { .. })) > 0,
+        "2% duplication fires"
+    );
+    assert!(
+        count(|e| matches!(e, TraceEvent::Retransmit { .. })) > 0,
         "lost checkpoint traffic is retransmitted"
     );
+    let chaos_steps: Vec<(SimTime, &str)> = recorder.with(|r| {
+        r.records()
+            .filter_map(|rec| match rec.event {
+                TraceEvent::ChaosPhase { action, .. } => Some((rec.at, action.as_str())),
+                _ => None,
+            })
+            .collect()
+    });
     assert_eq!(
-        telemetry.chaos_steps(),
-        &[
+        chaos_steps,
+        [
             (SimTime::from_millis(500), "default_faults"),
             (SimTime::from_secs(4), "clear_default_faults"),
         ],

@@ -4,7 +4,7 @@
 //! them because rollback is cheap. The root suite's
 //! `tests/jitter_false_alarms.rs` runs one of these seeds.
 
-use sps_cluster::{JitterProfile, MachineId};
+use sps_cluster::MachineId;
 use sps_engine::{Job, OperatorSpec, SubjobId};
 use sps_ha::{HaEventKind, HaMode, HaSimulation};
 use sps_sim::{SimDuration, SimTime};
@@ -21,7 +21,7 @@ fn run_ten_minutes(seed: u64) -> (usize, u64, u64) {
     let horizon = SimTime::from_secs(600);
     // OS jitter on the primary at its ~60% ambient load; NO real spikes, so
     // every declaration is a false alarm.
-    sim.inject_jitter(MachineId(1), &JitterProfile::default(), horizon, 0.6);
+    sim.inject_jitter(MachineId(1), horizon, 0.6);
     sim.stop_sources_at(horizon);
     sim.run_until(horizon + SimDuration::from_secs(5));
     let world = sim.world();

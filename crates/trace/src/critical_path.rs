@@ -13,8 +13,8 @@
 use sps_sim::SimTime;
 
 use crate::event::RecoveryPhase;
-use crate::series::recovery_spans;
 use crate::sink::PhaseRecord;
+use crate::spans::recovery_spans;
 
 /// One attributed edge on a recovery critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

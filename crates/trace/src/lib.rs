@@ -15,8 +15,7 @@
 //! * [`FlightRecorder`] / [`SharedRecorder`] — a bounded ring of the most
 //!   recent records with JSONL export (`trace.jsonl` under the bench
 //!   bins' `--observe-out`);
-//! * [`Telemetry`] / [`recovery_spans`] — distilling records into
-//!   per-machine load and per-PE queue-depth time-series and per-subjob
+//! * [`recovery_spans`] — the phase log ([`Tracer::phases`]) as per-subjob
 //!   recovery spans (folded by `(subjob, cycle, phase)` identity);
 //! * [`LineageTable`] — causal tuple lineage: per logical element
 //!   `(stream, seq)`, the producing PE, parent element, and emit / send /
@@ -26,9 +25,10 @@
 //!   recovery cycle, the labelled dependency chain (detection →
 //!   switch-over → promotion → state read → …) with per-edge attribution.
 //!
-//! The crate depends only on `sps-sim` (for [`sps_sim::SimTime`]) and
-//! `sps-metrics` (for CDFs over telemetry series); the engine and cluster
-//! layers stay trace-agnostic and are sampled from above.
+//! The crate depends only on `sps-sim` (for [`sps_sim::SimTime`]); the
+//! engine and cluster layers stay trace-agnostic and are sampled from
+//! above. Counting records of one kind is a filter over
+//! [`FlightRecorder::records`], not a second store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -38,8 +38,8 @@ mod event;
 pub mod jsonl;
 mod lineage;
 mod recorder;
-mod series;
 mod sink;
+mod spans;
 
 pub use critical_path::{
     longest_critical_path, recovery_critical_paths, CriticalPathEdge, RecoveryCriticalPath,
@@ -50,5 +50,5 @@ pub use event::{
 };
 pub use lineage::{ElementKey, HopTiming, LineageTable, TupleRecord, SOURCE_PE};
 pub use recorder::{FlightRecorder, SharedRecorder, DEFAULT_CAPACITY};
-pub use series::{recovery_spans, RecoverySpan, Telemetry};
 pub use sink::{PhaseRecord, TraceProbe, TraceSink, Tracer};
+pub use spans::{recovery_spans, RecoverySpan};

@@ -24,51 +24,24 @@ use sps_cluster::{
 use sps_metrics::Cdf;
 use sps_sim::{SimDuration, SimRng, SimTime};
 
-/// Configuration of the synthetic cluster study.
-#[derive(Debug, Clone)]
-pub struct ClusterStudyConfig {
-    /// Number of machines sampled (83 in the paper).
-    pub machines: usize,
-    /// Observation length (24 h in the paper).
-    pub duration: SimDuration,
-    /// Sampling period (0.25 s in the paper).
-    pub sample_interval: SimDuration,
-    /// Spike-delineation threshold (95 % in the paper).
-    pub threshold: f64,
-    /// Median of the per-machine mean inter-spike gap (seconds).
-    pub median_gap_secs: f64,
-    /// Log-normal sigma of the per-machine mean gap.
-    pub gap_sigma: f64,
-    /// Median of the per-machine mean spike duration (seconds).
-    pub median_duration_secs: f64,
-    /// Log-normal sigma of the per-machine mean duration.
-    pub duration_sigma: f64,
-    /// Baseline (non-spike) machine load.
-    pub ambient_load: f64,
-}
-
-impl Default for ClusterStudyConfig {
-    /// Calibrated to the paper's reported fractions (see module docs).
-    fn default() -> Self {
-        ClusterStudyConfig {
-            machines: 83,
-            duration: SimDuration::from_secs(24 * 3600),
-            sample_interval: SimDuration::from_millis(250),
-            threshold: 0.95,
-            // Calibrated so ~75-80% of machines spike at least once per
-            // 60 s: the observed inter-failure time is gap + duration, and
-            // the heavy-tailed durations push it up, so the gap median sits
-            // well below 60 s.
-            median_gap_secs: 16.0,
-            gap_sigma: 0.85,
-            // P(mean dur < 10 s) ≈ 0.70, P(> 20 s) ≈ 0.20:
-            // median ≈ 3.2 s, sigma ≈ 2.18.
-            median_duration_secs: 3.2,
-            duration_sigma: 2.18,
-            ambient_load: 0.35,
-        }
-    }
-}
+/// Number of machines sampled (83 in the paper).
+const STUDY_MACHINES: usize = 83;
+/// Sampling period (0.25 s in the paper).
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// Median of the per-machine mean inter-spike gap (seconds). Calibrated so
+/// ~75-80% of machines spike at least once per 60 s: the observed
+/// inter-failure time is gap + duration, and the heavy-tailed durations push
+/// it up, so the gap median sits well below 60 s.
+const MEDIAN_GAP_SECS: f64 = 16.0;
+/// Log-normal sigma of the per-machine mean gap.
+const GAP_SIGMA: f64 = 0.85;
+/// Median of the per-machine mean spike duration (seconds). P(mean dur <
+/// 10 s) ≈ 0.70, P(> 20 s) ≈ 0.20: median ≈ 3.2 s, sigma ≈ 2.18.
+const MEDIAN_DURATION_SECS: f64 = 3.2;
+/// Log-normal sigma of the per-machine mean duration.
+const DURATION_SIGMA: f64 = 2.18;
+/// Baseline (non-spike) machine load.
+const AMBIENT_LOAD: f64 = 0.35;
 
 /// Per-machine study output.
 #[derive(Debug, Clone)]
@@ -92,16 +65,18 @@ pub struct ClusterStudy {
 
 impl ClusterStudy {
     /// Runs the study: generates per-machine spike schedules, produces the
-    /// sample stream the paper's estimator would see, and segments it.
-    pub fn run(config: &ClusterStudyConfig, rng: &mut SimRng) -> ClusterStudy {
-        let horizon = SimTime::ZERO + config.duration;
-        let mut machines = Vec::with_capacity(config.machines);
-        for i in 0..config.machines {
+    /// sample stream the paper's estimator would see over `duration` (24 h
+    /// in the paper) on the paper's 83 machines, and segments it with
+    /// the paper's 95 % threshold sampled every 0.25 s.
+    pub fn run(duration: SimDuration, rng: &mut SimRng) -> ClusterStudy {
+        let horizon = SimTime::ZERO + duration;
+        let mut machines = Vec::with_capacity(STUDY_MACHINES);
+        for i in 0..STUDY_MACHINES {
             let mut mrng = rng.fork(0xC1_0000 + i as u64);
             // Heterogeneous per-machine spike statistics.
-            let mean_gap = mrng.log_normal(config.median_gap_secs.ln(), config.gap_sigma);
+            let mean_gap = mrng.log_normal(MEDIAN_GAP_SECS.ln(), GAP_SIGMA);
             let mean_dur = mrng
-                .log_normal(config.median_duration_secs.ln(), config.duration_sigma)
+                .log_normal(MEDIAN_DURATION_SECS.ln(), DURATION_SIGMA)
                 .clamp(0.5, 600.0);
             let profile = SpikeProfile {
                 off_time: sps_cluster::Dist::Exp { mean: mean_gap },
@@ -112,8 +87,8 @@ impl ClusterStudy {
             let windows = profile.generate(&mut mrng, horizon);
 
             // Run the paper's estimator: threshold the sampled utilization.
-            let mut tracker = SpikeTracker::new(config.threshold);
-            let step = config.sample_interval;
+            let mut tracker = SpikeTracker::new();
+            let step = SAMPLE_INTERVAL;
             let mut t = SimTime::ZERO;
             let mut w = 0usize;
             while t < horizon {
@@ -132,8 +107,7 @@ impl ClusterStudy {
                     }
                     k += 1;
                 }
-                let util = (config.ambient_load
-                    + spike_secs / step.as_secs_f64() * (1.0 - config.ambient_load))
+                let util = (AMBIENT_LOAD + spike_secs / step.as_secs_f64() * (1.0 - AMBIENT_LOAD))
                     .min(1.0);
                 t = next;
                 tracker.feed(t, util);
@@ -172,38 +146,21 @@ impl ClusterStudy {
     }
 }
 
-/// Configuration of the Fig 1 scenario: a parallel application on machines
-/// some of which are shared with other users.
-#[derive(Debug, Clone)]
-pub struct WeatherAppConfig {
-    /// Machine indices running the app (paper: 41..=61).
-    pub first_machine: u32,
-    /// Number of machines.
-    pub machines: u32,
-    /// Machines from this index (inclusive) upward carry co-located load
-    /// (paper: 55..=61).
-    pub loaded_from: u32,
-    /// Per-task CPU demand in seconds (paper: ≈ 0.58 s on idle machines).
-    pub task_demand_secs: f64,
-    /// Mean co-located load share on the loaded machines (≈ 0.36 gives the
-    /// paper's 0.58 s → 0.9 s slowdown).
-    pub colocated_share: f64,
-    /// Tasks measured per machine.
-    pub tasks_per_machine: u32,
-}
+// The Fig 1 scenario: a parallel application on machines some of which are
+// shared with other users.
 
-impl Default for WeatherAppConfig {
-    fn default() -> Self {
-        WeatherAppConfig {
-            first_machine: 41,
-            machines: 21,
-            loaded_from: 55,
-            task_demand_secs: 0.58,
-            colocated_share: 0.356,
-            tasks_per_machine: 50,
-        }
-    }
-}
+/// First of the machines running the app (paper: 41..=61).
+const WEATHER_FIRST_MACHINE: u32 = 41;
+/// Number of machines running the app.
+const WEATHER_MACHINES: u32 = 21;
+/// Machines from this index (inclusive) upward carry co-located load
+/// (paper: 55..=61).
+pub const WEATHER_LOADED_FROM: u32 = 55;
+/// Per-task CPU demand in seconds (paper: ≈ 0.58 s on idle machines).
+const WEATHER_TASK_DEMAND_SECS: f64 = 0.58;
+/// Mean co-located load share on the loaded machines (≈ 0.36 gives the
+/// paper's 0.58 s → 0.9 s slowdown).
+const WEATHER_COLOCATED_SHARE: f64 = 0.356;
 
 /// Fig 1 output: per-machine mean processing time.
 #[derive(Debug, Clone)]
@@ -214,23 +171,24 @@ pub struct WeatherAppRun {
 
 /// Runs the Fig 1 scenario on real [`Machine`] models: each machine executes
 /// the app's tasks back-to-back while carrying its co-located load (with a
-/// little noise), and the mean per-task wall time is reported.
-pub fn run_weather_app(config: &WeatherAppConfig, rng: &mut SimRng) -> WeatherAppRun {
+/// little noise), and the mean over `tasks_per_machine` tasks of the per-task
+/// wall time is reported.
+pub fn run_weather_app(tasks_per_machine: u32, rng: &mut SimRng) -> WeatherAppRun {
     let mut rows = Vec::new();
-    for i in 0..config.machines {
-        let idx = config.first_machine + i;
+    for i in 0..WEATHER_MACHINES {
+        let idx = WEATHER_FIRST_MACHINE + i;
         let mut m = Machine::new(MachineId(idx));
-        let loaded = idx >= config.loaded_from;
+        let loaded = idx >= WEATHER_LOADED_FROM;
         let mut clock = SimTime::ZERO;
         let mut total = 0.0;
-        for t in 0..config.tasks_per_machine {
+        for t in 0..tasks_per_machine {
             let share = if loaded {
-                (config.colocated_share + rng.normal(0.0, 0.02)).clamp(0.0, 0.9)
+                (WEATHER_COLOCATED_SHARE + rng.normal(0.0, 0.02)).clamp(0.0, 0.9)
             } else {
                 (rng.normal(0.01, 0.01)).clamp(0.0, 0.05)
             };
             m.set_background(clock, LoadComponent::CoLocated, share);
-            let demand = config.task_demand_secs * rng.normal_at_least(1.0, 0.01, 0.9);
+            let demand = WEATHER_TASK_DEMAND_SECS * rng.normal_at_least(1.0, 0.01, 0.9);
             m.submit(clock, demand, t as u64);
             let done = m.next_completion().expect("task active");
             m.advance(done);
@@ -238,7 +196,7 @@ pub fn run_weather_app(config: &WeatherAppConfig, rng: &mut SimRng) -> WeatherAp
             total += done.saturating_since(clock).as_secs_f64();
             clock = done;
         }
-        rows.push((idx, total / config.tasks_per_machine as f64));
+        rows.push((idx, total / tasks_per_machine as f64));
     }
     WeatherAppRun { rows }
 }
@@ -257,21 +215,18 @@ pub fn sampled_utilization(machine: &mut Machine, from: SimTime, to: SimTime) ->
 mod tests {
     use super::*;
 
+    /// The paper's 83 machines over 2 h: about the statistical mass of
+    /// 40 machines over 4 h.
     fn small_study() -> ClusterStudy {
-        let config = ClusterStudyConfig {
-            machines: 40,
-            duration: SimDuration::from_secs(4 * 3600),
-            ..ClusterStudyConfig::default()
-        };
         let mut rng = SimRng::seed_from(2010);
-        ClusterStudy::run(&config, &mut rng)
+        ClusterStudy::run(SimDuration::from_secs(2 * 3600), &mut rng)
     }
 
     #[test]
     fn all_machines_exhibit_spikes() {
         let study = small_study();
         // The paper: "All 83 machines exhibited transient unavailability."
-        assert_eq!(study.machines_with_spikes(), 40);
+        assert_eq!(study.machines_with_spikes(), STUDY_MACHINES);
     }
 
     #[test]
@@ -304,7 +259,7 @@ mod tests {
     #[test]
     fn weather_app_slowdown_on_shared_machines() {
         let mut rng = SimRng::seed_from(41);
-        let run = run_weather_app(&WeatherAppConfig::default(), &mut rng);
+        let run = run_weather_app(50, &mut rng);
         assert_eq!(run.rows.len(), 21);
         let clean: Vec<f64> = run
             .rows
@@ -329,14 +284,9 @@ mod tests {
 
     #[test]
     fn study_is_deterministic_per_seed() {
-        let config = ClusterStudyConfig {
-            machines: 5,
-            duration: SimDuration::from_secs(600),
-            ..ClusterStudyConfig::default()
-        };
         let run = |seed| {
             let mut rng = SimRng::seed_from(seed);
-            ClusterStudy::run(&config, &mut rng)
+            ClusterStudy::run(SimDuration::from_secs(600), &mut rng)
                 .machines
                 .iter()
                 .map(|m| m.episodes)

@@ -11,13 +11,13 @@
 //! ```
 
 use hybrid_ha::prelude::*;
-use hybrid_ha::workloads::{run_weather_app, ClusterStudy, ClusterStudyConfig, WeatherAppConfig};
+use hybrid_ha::workloads::{run_weather_app, ClusterStudy};
 
 fn main() {
     let mut rng = SimRng::seed_from(2010);
 
     // Figure 1: the weather-forecast app on shared machines.
-    let weather = run_weather_app(&WeatherAppConfig::default(), &mut rng);
+    let weather = run_weather_app(50, &mut rng);
     println!("weather app, mean processing time per machine (machines 55+ are shared):");
     for (machine, secs) in &weather.rows {
         let bar = "#".repeat((secs * 40.0) as usize);
@@ -26,11 +26,7 @@ fn main() {
 
     // Figures 2-3: one simulated hour across 83 machines (pass a longer
     // duration for the full 24 h study).
-    let config = ClusterStudyConfig {
-        duration: SimDuration::from_secs(3_600),
-        ..ClusterStudyConfig::default()
-    };
-    let study = ClusterStudy::run(&config, &mut rng);
+    let study = ClusterStudy::run(SimDuration::from_secs(3_600), &mut rng);
     println!();
     println!(
         "{} of {} machines exhibited transient unavailability in one hour",

@@ -22,7 +22,7 @@
 //! | [`cluster`] | `sps-cluster` | machines (processor sharing, load spikes, jitter, wake-up latency), LAN |
 //! | [`engine`] | `sps-engine` | elements, operators, retaining/deduplicating queues, PEs, jobs |
 //! | [`metrics`] | `sps-metrics` | stats, CDFs, message counters, recovery decomposition |
-//! | [`trace`] | `sps-trace` | typed sim-time event bus, flight recorder, telemetry series |
+//! | [`trace`] | `sps-trace` | typed sim-time event bus, flight recorder, recovery spans |
 //! | [`ha`] | `sps-ha` | **the paper's contribution**: NONE/AS/PS/Hybrid, sweeping checkpointing, detectors, switch-over/rollback/promotion |
 //! | [`workloads`] | `sps-workloads` | evaluation job, example pipelines, failure loads, cluster study |
 //!
@@ -70,7 +70,7 @@ pub use sps_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use sps_cluster::{
-        Dist, JitterProfile, LoadComponent, MachineId, NetworkConfig, SpikeProfile, SpikeWindow,
+        Dist, LoadComponent, MachineId, NetworkConfig, SpikeProfile, SpikeWindow,
     };
     pub use sps_engine::{
         AggKind, Job, JobBuilder, Operator, OperatorFactory, OperatorSpec, PeId, Replica, SinkId,
@@ -83,8 +83,8 @@ pub mod prelude {
     pub use sps_metrics::{Cdf, MsgClass, OnlineStats, RecoveryKind, Table};
     pub use sps_sim::{SimDuration, SimRng, SimTime};
     pub use sps_trace::{
-        FlightRecorder, RecoveryPhase, RecoverySpan, SharedRecorder, Telemetry, TraceEvent,
-        TraceRecord, TraceSink,
+        FlightRecorder, RecoveryPhase, RecoverySpan, SharedRecorder, TraceEvent, TraceRecord,
+        TraceSink,
     };
     pub use sps_workloads::{
         eval_chain_job, failure_load, financial_job, marginal_spike_share, mixed_fanout_job,

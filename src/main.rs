@@ -9,7 +9,7 @@
 //! ```
 
 use hybrid_ha::prelude::*;
-use hybrid_ha::workloads::{ClusterStudy, ClusterStudyConfig};
+use hybrid_ha::workloads::ClusterStudy;
 
 /// A parsed failure window (`start:len`, seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,12 +220,8 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    let config = ClusterStudyConfig {
-        duration: SimDuration::from_secs(hours * 3600),
-        ..ClusterStudyConfig::default()
-    };
     let mut rng = SimRng::seed_from(seed);
-    let study = ClusterStudy::run(&config, &mut rng);
+    let study = ClusterStudy::run(SimDuration::from_secs(hours * 3600), &mut rng);
     let mut inter = study.inter_failure_cdf();
     let mut dur = study.duration_cdf();
     println!(

@@ -128,7 +128,6 @@ fn wrong_mode_vector_is_rejected() {
             RateProfile::Constant { per_sec: 100.0 },
             PayloadGen::Synthetic,
         )],
-        NetworkConfig::default(),
         false,
     );
 }

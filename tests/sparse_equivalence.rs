@@ -91,11 +91,8 @@ impl DenseNet {
         if src == dst {
             return Delivery::At(now + self.config.loopback_latency);
         }
-        let delay_factor = profile.map_or(1.0, |p| p.delay_factor);
-        let ser = SimDuration::from_secs_f64(
-            bytes as f64 / self.config.bandwidth_bytes_per_sec * delay_factor,
-        );
-        let latency = SimDuration::from_secs_f64(self.config.latency.as_secs_f64() * delay_factor);
+        let ser = SimDuration::from_secs_f64(bytes as f64 / self.config.bandwidth_bytes_per_sec);
+        let latency = self.config.latency;
         let busy = &mut self.link_busy[src.0 as usize * self.stride + dst.0 as usize];
         let start = if *busy > now { *busy } else { now };
         let done_serializing = start + ser;
@@ -263,9 +260,6 @@ fn random_profile(rng: &mut SimRng) -> FaultProfile {
     }
     if rng.chance(0.3) {
         p = p.with_duplication(rng.uniform(0.0, 0.3));
-    }
-    if rng.chance(0.3) {
-        p = p.with_delay_factor(rng.uniform(1.0, 8.0));
     }
     p
 }

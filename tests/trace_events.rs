@@ -2,6 +2,7 @@
 //! recovery-span decomposition, and read-only (non-perturbing) sampling.
 
 use hybrid_ha::prelude::*;
+use hybrid_ha::trace::recovery_spans;
 
 /// The eval chain with subjob 1 Hybrid and a one-second spike on its
 /// primary's machine, traced into `sinks`; not yet run.
@@ -87,8 +88,8 @@ fn tracing_does_not_perturb_the_simulation() {
     assert_eq!(run(false), run(true));
 }
 
-/// One fail-stop under the given mode; returns the recovery spans observed
-/// by a telemetry fold over the trace.
+/// One fail-stop under the given mode; returns the recovery spans of the
+/// phase log, anchored at the fail-stop the trace records.
 fn failstop_spans(mode: HaMode) -> Vec<RecoverySpan> {
     let recorder = SharedRecorder::default();
     let job = eval_chain_job();
@@ -103,14 +104,22 @@ fn failstop_spans(mode: HaMode) -> Vec<RecoverySpan> {
     sim.fail_stop_at(MachineId(1), SimTime::from_secs(2));
     sim.stop_sources_at(SimTime::from_secs(6));
     sim.run_until(SimTime::from_secs(8));
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
+    let injects: Vec<(SimTime, u32, bool)> = recorder.with(|r| {
+        r.records()
+            .filter_map(|rec| match rec.event {
+                TraceEvent::FailureInject { machine, fail_stop } => {
+                    Some((rec.at, machine, fail_stop))
+                }
+                _ => None,
+            })
+            .collect()
+    });
     assert_eq!(
-        telemetry.injects(),
-        &[(SimTime::from_secs(2), 1, true)],
+        injects,
+        [(SimTime::from_secs(2), 1, true)],
         "exactly the injected fail-stop is recorded as ground truth"
     );
-    telemetry.recovery_spans()
+    recovery_spans(sim.world().tracer().phases(), injects[0].0)
 }
 
 fn assert_chained_and_monotone(spans: &[RecoverySpan]) {
@@ -207,28 +216,36 @@ fn queue_snapshots_cover_every_deployed_instance() {
         .build();
     sim.stop_sources_at(SimTime::from_secs(2));
     sim.run_until(SimTime::from_secs(3));
-    let mut telemetry = Telemetry::new();
-    recorder.with(|r| telemetry.ingest_all(r.records()));
+    let mut instances = std::collections::BTreeSet::new();
+    let mut loads = Vec::new();
+    recorder.with(|r| {
+        for rec in r.records() {
+            match rec.event {
+                TraceEvent::PeSnapshot { pe, replica, .. } => {
+                    instances.insert((pe, replica));
+                }
+                TraceEvent::MachineSnapshot { cpu_load, .. } => loads.push(cpu_load),
+                _ => {}
+            }
+        }
+    });
     // All 8 chain PEs are hybrid-protected: primary (0) and secondary (1)
     // instances must both appear in the periodic PE snapshots.
     for pe in 0..8u32 {
         for replica in [0u8, 1] {
             assert!(
-                !telemetry.pe_queue_series(pe, replica).is_empty(),
+                instances.contains(&(pe, replica)),
                 "no snapshots for pe {pe} replica {replica}"
             );
         }
     }
-    // Machine load series exist and stay in [0, 1].
-    let machines: Vec<u32> = telemetry.machines().collect();
-    assert!(!machines.is_empty());
-    for m in machines {
-        for &(_, load) in telemetry.machine_load_series(m) {
-            assert!(
-                (0.0..=1.0 + 1e-9).contains(&load),
-                "load {load} out of range"
-            );
-        }
+    // Machine load samples exist and stay in [0, 1].
+    assert!(!loads.is_empty());
+    for load in loads {
+        assert!(
+            (0.0..=1.0 + 1e-9).contains(&load),
+            "load {load} out of range"
+        );
     }
 }
 
