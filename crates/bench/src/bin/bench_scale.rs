@@ -6,13 +6,14 @@
 //! a fixed simulated span, and the harness records:
 //!
 //! * **deterministic, world-derived values** — elements produced/accepted,
-//!   DES events, peak logical queue weight, active network links, sparse
-//!   network bytes, and the dense-matrix equivalent those machines would
-//!   have needed — printed to **stdout**, which is byte-identical across
-//!   `--jobs` values and repeat runs;
+//!   DES events, peak logical queue weight, active network links and
+//!   sparse network bytes — printed to **stdout**, which is byte-identical
+//!   across `--jobs` values and repeat runs;
 //! * **host-dependent values** — wall-clock, events/second, peak live heap
-//!   (with `--features bench` at `--jobs 1`), and peak RSS — written only
-//!   to the JSON report (`BENCH_scale.json`, or `--out <path>`).
+//!   (with `--features bench` at `--jobs 1`), peak RSS, and the
+//!   dense-matrix bytes those machines would have needed (a `size_of` sum
+//!   that moves with struct layout, not with behaviour) — written only to
+//!   the JSON report (`BENCH_scale.json`, or `--out <path>`).
 //!
 //! A final pair of runs compares recovery of the *hot* shard (the one
 //! owning Zipf rank 1) against a *cold* shard under the same skew: the
@@ -252,7 +253,7 @@ fn main() {
     println!("== bench_scale — sharded scale-out curve ==");
     println!();
     println!(
-        "{:>8} {:>7} {:>8} {:>9} {:>9} {:>11} {:>10} {:>13} {:>15}",
+        "{:>8} {:>7} {:>8} {:>9} {:>9} {:>11} {:>10} {:>13}",
         "machines",
         "shards",
         "subjobs",
@@ -260,12 +261,11 @@ fn main() {
         "accepted",
         "peak_queue",
         "net_links",
-        "net_bytes",
-        "dense_net_bytes"
+        "net_bytes"
     );
     for c in &results {
         println!(
-            "{:>8} {:>7} {:>8} {:>9} {:>9} {:>11} {:>10} {:>13} {:>15}",
+            "{:>8} {:>7} {:>8} {:>9} {:>9} {:>11} {:>10} {:>13}",
             c.machines,
             c.shards,
             c.subjobs,
@@ -273,8 +273,7 @@ fn main() {
             c.accepted,
             c.peak_queue_weight,
             c.net_active_links,
-            c.net_sparse_bytes,
-            c.dense_net_bytes
+            c.net_sparse_bytes
         );
         eprintln!(
             "  {}x{}: {:.0} ms, {} events{}",

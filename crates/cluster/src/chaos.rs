@@ -202,37 +202,6 @@ pub enum ChaosAction {
     },
 }
 
-impl ChaosAction {
-    /// A short stable token describing the action, for trace records.
-    /// Contains no characters that need JSON escaping.
-    pub fn label(&self) -> String {
-        match self {
-            ChaosAction::LinkFaults { src, dst, profile } => {
-                format!(
-                    "link_faults {src}->{dst} loss={} dup={}",
-                    profile.loss_prob, profile.duplicate_prob
-                )
-            }
-            ChaosAction::ClearLinkFaults { src, dst } => {
-                format!("clear_link_faults {src}->{dst}")
-            }
-            ChaosAction::DefaultFaults { profile: Some(p) } => {
-                format!(
-                    "default_faults loss={} dup={}",
-                    p.loss_prob, p.duplicate_prob
-                )
-            }
-            ChaosAction::DefaultFaults { profile: None } => "clear_default_faults".to_string(),
-            ChaosAction::Partition { a, b } => format!("partition {a}<->{b}"),
-            ChaosAction::Heal { a, b } => format!("heal {a}<->{b}"),
-            ChaosAction::FailStop { machine } => format!("fail_stop {machine}"),
-            ChaosAction::FailDomain { rack } => format!("fail_domain {rack}"),
-            ChaosAction::PartitionSwitch { switch } => format!("partition_switch {switch}"),
-            ChaosAction::HealSwitch { switch } => format!("heal_switch {switch}"),
-        }
-    }
-}
-
 /// One timed step of a [`ChaosPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosStep {
@@ -561,32 +530,5 @@ mod tests {
         let plan = ChaosPlan::new().correlated_fail_stop(at, &[MachineId(1), MachineId(6)]);
         assert_eq!(plan.steps().len(), 2);
         assert!(plan.steps().iter().all(|s| s.at == at));
-    }
-
-    #[test]
-    fn labels_are_json_safe() {
-        let actions = [
-            ChaosAction::LinkFaults {
-                src: MachineId(0),
-                dst: MachineId(1),
-                profile: FaultProfile::loss(0.5),
-            },
-            ChaosAction::DefaultFaults { profile: None },
-            ChaosAction::Partition {
-                a: MachineId(0),
-                b: MachineId(1),
-            },
-            ChaosAction::FailDomain { rack: DomainId(2) },
-            ChaosAction::PartitionSwitch {
-                switch: SwitchId(1),
-            },
-            ChaosAction::HealSwitch {
-                switch: SwitchId(1),
-            },
-        ];
-        for a in actions {
-            let label = a.label();
-            assert!(!label.contains('"') && !label.contains('\\'), "{label}");
-        }
     }
 }

@@ -102,16 +102,6 @@ impl SpikeTracker {
         }
         self.episodes
     }
-
-    /// The episodes closed so far.
-    pub fn episodes(&self) -> &[SpikeEpisode] {
-        &self.episodes
-    }
-
-    /// `true` while a spike episode is open.
-    pub fn in_spike(&self) -> bool {
-        self.in_spike_since.is_some()
-    }
 }
 
 /// The mean time between spike starts, or `None` with fewer than 2 episodes.
@@ -169,19 +159,20 @@ mod tests {
         let mut t = SpikeTracker::new();
         assert_eq!(t.feed(s(0), 0.5), None);
         assert_eq!(t.feed(s(1), 0.97), None);
-        assert!(t.in_spike());
         assert_eq!(t.feed(s(2), 0.99), None);
         let ep = t.feed(s(3), 0.4).expect("episode closes");
         assert_eq!(ep.start, s(1));
         assert_eq!(ep.end, s(3));
         assert_eq!(ep.duration(), SimDuration::from_secs(2));
-        assert!(!t.in_spike());
+        // Closed: a quiet sample closes nothing, and finish adds nothing.
+        assert_eq!(t.feed(s(4), 0.1), None);
+        assert_eq!(t.finish(s(9)), vec![ep]);
     }
 
     #[test]
     fn finish_closes_open_episode() {
         let mut t = SpikeTracker::new();
-        t.feed(s(5), 1.0);
+        assert_eq!(t.feed(s(5), 1.0), None);
         let eps = t.finish(s(9));
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].duration(), SimDuration::from_secs(4));
@@ -190,8 +181,14 @@ mod tests {
     #[test]
     fn boundary_sample_counts_as_spike() {
         let mut t = SpikeTracker::new();
-        t.feed(s(0), 0.95);
-        assert!(t.in_spike());
+        assert_eq!(t.feed(s(0), 0.95), None);
+        assert_eq!(
+            t.feed(s(1), 0.949),
+            Some(SpikeEpisode {
+                start: s(0),
+                end: s(1)
+            })
+        );
     }
 
     #[test]

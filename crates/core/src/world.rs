@@ -83,26 +83,36 @@ impl Placement {
     /// subjob's standby domain-disjointly.
     pub fn domain_aware_for(job: &Job, topology: &FaultTopology) -> Placement {
         let base = Placement::default_for(job);
-        let mut used: BTreeSet<u32> = base
+        let machines = topology.machines();
+        let mut used = vec![false; machines];
+        for m in base
             .primaries
             .iter()
-            .chain(base.sources.iter())
-            .chain(base.sinks.iter())
-            .map(|m| m.0)
-            .collect();
-        let machines = topology.machines() as u32;
+            .chain(&base.sources)
+            .chain(&base.sinks)
+        {
+            if let Some(u) = used.get_mut(m.0 as usize) {
+                *u = true;
+            }
+        }
+        // Every machine below `free` is used, so each search starts there
+        // and a used prefix is walked once, not once per subjob.
+        let mut free = 0;
         let mut secondaries = Vec::with_capacity(base.primaries.len());
         for &primary in &base.primaries {
-            let pick = (0..machines)
-                .find(|&m| !used.contains(&m) && topology.domain_disjoint(primary, MachineId(m)))
+            while free < machines && used[free] {
+                free += 1;
+            }
+            let pick = (free..machines)
+                .find(|&m| !used[m] && topology.domain_disjoint(primary, MachineId(m as u32)))
                 .unwrap_or_else(|| {
                     panic!("no unused machine is domain-disjoint from primary {primary:?}")
                 });
-            used.insert(pick);
-            secondaries.push(Some(MachineId(pick)));
+            used[pick] = true;
+            secondaries.push(Some(MachineId(pick as u32)));
         }
-        let spares = (0..machines)
-            .filter(|m| !used.contains(m))
+        let spares = (0..machines as u32)
+            .filter(|&m| !used[m as usize])
             .map(MachineId)
             .collect();
         Placement {
@@ -1463,6 +1473,146 @@ mod tests {
         }
         assert_eq!(p.machine_count(), 16);
         assert!(!p.spares.is_empty());
+    }
+
+    /// Naive first-fit: for each subjob, scan every machine from 0 for the
+    /// first unused one domain-disjoint from its primary. This is the scan
+    /// `domain_aware_for` used to run, with a `Vec<bool>` in place of its
+    /// `BTreeSet` so that debug builds stay quick.
+    fn reference_domain_aware(job: &Job, topology: &FaultTopology) -> Placement {
+        let base = Placement::default_for(job);
+        let machines = topology.machines();
+        let mut used = vec![false; machines];
+        for m in base
+            .primaries
+            .iter()
+            .chain(&base.sources)
+            .chain(&base.sinks)
+        {
+            if let Some(u) = used.get_mut(m.0 as usize) {
+                *u = true;
+            }
+        }
+        let mut secondaries = Vec::new();
+        for &primary in &base.primaries {
+            let pick = (0..machines)
+                .find(|&m| !used[m] && topology.domain_disjoint(primary, MachineId(m as u32)))
+                .unwrap_or_else(|| {
+                    panic!("no unused machine is domain-disjoint from primary {primary:?}")
+                });
+            used[pick] = true;
+            secondaries.push(Some(MachineId(pick as u32)));
+        }
+        Placement {
+            spares: (0..machines as u32)
+                .filter(|&m| !used[m as usize])
+                .map(MachineId)
+                .collect(),
+            secondaries,
+            ..base
+        }
+    }
+
+    /// A chain of `subjobs` one-PE subjobs whose tail feeds `sinks` sinks.
+    fn wide_job(subjobs: usize, sinks: usize) -> Job {
+        let mut b = sps_engine::JobBuilder::new("wide");
+        let src = b.add_source("src");
+        let pes: Vec<PeId> = (0..subjobs)
+            .map(|i| b.add_pe(format!("pe{i}"), OperatorSpec::synthetic_default()))
+            .collect();
+        b.connect_source(src, pes[0], 0);
+        for pair in pes.windows(2) {
+            b.connect(pair[0], 0, pair[1], 0);
+        }
+        for i in 0..sinks {
+            let sink = b.add_sink(format!("sink{i}"));
+            b.connect_sink(pes[subjobs - 1], 0, sink);
+        }
+        b.subjobs(pes.iter().map(|&pe| vec![pe]).collect());
+        b.build().expect("valid chain")
+    }
+
+    /// The placement, or the panic message it died with.
+    fn placed(f: impl FnOnce() -> Placement) -> Result<Placement, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    #[test]
+    fn domain_aware_placement_agrees_with_naive_first_fit() {
+        let mut rng = sps_sim::SimRng::seed_from(0x91AC);
+        let (mut fits, mut panics) = (0, 0);
+        for case in 0..48 {
+            let machines = rng.uniform_u64(10, 6_001) as usize;
+            let topology = match rng.uniform_u64(0, 4) {
+                0 => FaultTopology::flat(machines),
+                // One switch over everything: nothing is domain-disjoint.
+                1 => FaultTopology::grid(machines, 1 + machines / 3, 3),
+                _ => FaultTopology::grid(
+                    machines,
+                    *rng.pick(&[1, 2, 4, 5, 20]),
+                    *rng.pick(&[1, 2, 3, 5]),
+                ),
+            };
+            // Mostly a job the budget can hold; now and then one it cannot.
+            let cap = if rng.chance(0.15) {
+                2_049
+            } else {
+                (machines - 3) / 2
+            };
+            let subjobs = rng.uniform_u64(1, cap.clamp(1, 2_049) as u64 + 1) as usize;
+            let job = wide_job(subjobs, 1 + rng.uniform_u64(0, 3) as usize);
+            let want = placed(|| reference_domain_aware(&job, &topology));
+            let got = placed(|| Placement::domain_aware_for(&job, &topology));
+            match (want, got) {
+                (Ok(w), Ok(g)) => {
+                    assert_eq!(g.primaries, w.primaries, "case {case}");
+                    assert_eq!(g.secondaries, w.secondaries, "case {case}");
+                    assert_eq!(g.sources, w.sources, "case {case}");
+                    assert_eq!(g.sinks, w.sinks, "case {case}");
+                    assert_eq!(g.spares, w.spares, "case {case}");
+                    fits += 1;
+                }
+                (Err(w), Err(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    panics += 1;
+                }
+                (w, g) => panic!("case {case}: reference {:?}, change {:?}", w.err(), g.err()),
+            }
+        }
+        assert!(
+            fits >= 25 && panics >= 5,
+            "{fits} placed, {panics} panicked"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no unused machine is domain-disjoint")]
+    fn domain_aware_placement_panics_with_too_few_machines() {
+        // Four subjobs and a sink leave three of eight machines free.
+        Placement::domain_aware_for(&job(), &FaultTopology::flat(8));
+    }
+
+    /// `bench_scale`'s widest cell: 2,049 subjobs on 5,000 machines, 20 per
+    /// rack and 5 racks per switch. FNV-1a over every secondary then every
+    /// spare.
+    #[test]
+    fn wide_domain_aware_placement_digest() {
+        let job = Job::sharded("wide", &OperatorSpec::synthetic_default(), 2_048, 1e-6);
+        let p = Placement::domain_aware_for(&job, &FaultTopology::grid(5_000, 20, 5));
+        let ids = p.secondaries.iter().flatten().chain(&p.spares);
+        let digest = ids.fold(0xcbf2_9ce4_8422_2325u64, |h, m| {
+            m.0.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!((p.secondaries.len(), p.spares.len()), (2_049, 901));
+        assert_eq!(digest, 0x5405_b2b2_0185_9ef4, "digest {digest:#018x}");
     }
 
     #[test]

@@ -202,6 +202,21 @@ impl JobBuilder {
         self.subjobs = subjobs;
     }
 
+    /// `(side, pe, port)` for every port an edge names; side 0 is a PE's
+    /// inputs, side 1 its outputs.
+    fn port_refs(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.edges.iter().flat_map(|e| {
+            let (input, output) = match *e {
+                RawEdge::SourceToPe(_, to, port) => (Some((to, port)), None),
+                RawEdge::PeToPe(from, fp, to, tp) => (Some((to, tp)), Some((from, fp))),
+                RawEdge::PeToSink(from, fp, _) => (None, Some((from, fp))),
+            };
+            let input = input.map(|(pe, port)| (0, pe.0 as usize, port));
+            let output = output.map(|(pe, port)| (1, pe.0 as usize, port));
+            input.into_iter().chain(output)
+        })
+    }
+
     /// Validates and freezes the topology.
     ///
     /// # Errors
@@ -227,47 +242,49 @@ impl JobBuilder {
             }
         }
 
-        // Port shapes.
-        let mut in_ports = vec![0usize; n];
-        let mut out_ports = vec![0usize; n];
-        let mut in_seen: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut out_seen: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            match *e {
-                RawEdge::SourceToPe(_, to, port) => {
-                    in_ports[to.0 as usize] = in_ports[to.0 as usize].max(port + 1);
-                    in_seen[to.0 as usize].push(port);
-                }
-                RawEdge::PeToPe(from, fp, to, tp) => {
-                    out_ports[from.0 as usize] = out_ports[from.0 as usize].max(fp + 1);
-                    out_seen[from.0 as usize].push(fp);
-                    in_ports[to.0 as usize] = in_ports[to.0 as usize].max(tp + 1);
-                    in_seen[to.0 as usize].push(tp);
-                }
-                RawEdge::PeToSink(from, fp, _) => {
-                    out_ports[from.0 as usize] = out_ports[from.0 as usize].max(fp + 1);
-                    out_seen[from.0 as usize].push(fp);
+        // Port shapes, per side (`[inputs, outputs]`) and PE. A side's ports
+        // are contiguous from zero when its distinct ports number its
+        // highest port + 1. A side whose highest port is not below its edge
+        // count cannot be, and gets no room in the one mark buffer, so a
+        // stray huge port index allocates nothing.
+        let mut ports = [vec![0usize; n], vec![0usize; n]];
+        let mut edges = [vec![0usize; n], vec![0usize; n]];
+        for (side, pe, port) in self.port_refs() {
+            // Saturating: port `usize::MAX` is a gap like any huge port.
+            ports[side][pe] = ports[side][pe].max(port.saturating_add(1));
+            edges[side][pe] += 1;
+        }
+        let fits = |side: usize, pe: usize| ports[side][pe] <= edges[side][pe];
+        let mut base = [vec![0usize; n], vec![0usize; n]];
+        let mut room = 0;
+        for side in 0..2 {
+            for pe in 0..n {
+                base[side][pe] = room;
+                if fits(side, pe) {
+                    room += ports[side][pe];
                 }
             }
         }
-        for pe in 0..n {
-            for (count, seen) in [(in_ports[pe], &in_seen[pe]), (out_ports[pe], &out_seen[pe])] {
-                for p in 0..count {
-                    if !seen.contains(&p) {
-                        return Err(BuildJobError::NonContiguousPorts(PeId(pe as u32)));
-                    }
-                }
+        let mut marked = vec![false; room];
+        let mut distinct = [vec![0usize; n], vec![0usize; n]];
+        for (side, pe, port) in self.port_refs() {
+            if fits(side, pe) && !std::mem::replace(&mut marked[base[side][pe] + port], true) {
+                distinct[side][pe] += 1;
             }
-            if in_ports[pe] == 0 {
+        }
+        for pe in 0..n {
+            if (0..2).any(|side| distinct[side][pe] != ports[side][pe]) {
+                return Err(BuildJobError::NonContiguousPorts(PeId(pe as u32)));
+            }
+            if ports[0][pe] == 0 {
                 return Err(BuildJobError::DisconnectedInput(PeId(pe as u32), 0));
             }
-            // Every PE needs at least one output port so its work is
-            // observable; PEs feeding nothing keep port count 0 and are
-            // caught here.
-            if out_ports[pe] == 0 {
-                out_ports[pe] = 1;
-                out_seen[pe].push(0);
-            }
+        }
+        let [in_ports, mut out_ports] = ports;
+        // Every PE needs at least one output port so its work is
+        // observable; PEs feeding nothing get one.
+        for count in &mut out_ports {
+            *count = (*count).max(1);
         }
 
         // Partition check.
@@ -286,25 +303,37 @@ impl JobBuilder {
             }
         }
 
-        // Cycle check (Kahn's algorithm over PE→PE edges).
+        // Cycle check: Kahn's algorithm over PE→PE edges. Successors sit in
+        // one flat array, counting-sorted by producer: those of `u` are
+        // `succ[first[u]..first[u + 1]]`.
+        let pe_edges = || {
+            self.edges.iter().filter_map(|e| match *e {
+                RawEdge::PeToPe(from, _, to, _) => Some((from.0 as usize, to.0 as usize)),
+                _ => None,
+            })
+        };
         let mut indeg = vec![0usize; n];
-        for e in &self.edges {
-            if let RawEdge::PeToPe(_, _, to, _) = e {
-                indeg[to.0 as usize] += 1;
-            }
+        let mut first = vec![0usize; n + 1];
+        for (from, to) in pe_edges() {
+            first[from] += 1;
+            indeg[to] += 1;
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        for u in 1..=n {
+            first[u] += first[u - 1];
+        }
+        let mut succ = vec![0usize; first[n]];
+        for (from, to) in pe_edges() {
+            first[from] -= 1;
+            succ[first[from]] = to;
+        }
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut visited = 0;
-        while let Some(u) = queue.pop() {
+        while let Some(u) = ready.pop() {
             visited += 1;
-            for e in &self.edges {
-                if let RawEdge::PeToPe(from, _, to, _) = e {
-                    if from.0 as usize == u {
-                        indeg[to.0 as usize] -= 1;
-                        if indeg[to.0 as usize] == 0 {
-                            queue.push(to.0 as usize);
-                        }
-                    }
+            for &v in &succ[first[u]..first[u + 1]] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    ready.push(v);
                 }
             }
         }
@@ -773,6 +802,20 @@ mod tests {
         assert_eq!(b.build().unwrap_err(), BuildJobError::NonContiguousPorts(j));
     }
 
+    #[test]
+    fn build_rejects_huge_ports_without_allocating_for_them() {
+        for port in [64, 1 << 40, usize::MAX] {
+            let mut b = JobBuilder::new("x");
+            let s = b.add_source("s");
+            let a = b.add_pe("a", counter());
+            let sink = b.add_sink("out");
+            b.connect_source(s, a, 0);
+            b.connect_sink(a, port, sink);
+            b.subjobs(vec![vec![a]]);
+            assert_eq!(b.build().unwrap_err(), BuildJobError::NonContiguousPorts(a));
+        }
+    }
+
     /// `a -> pe` with `pe` running `spec`; what `build` says.
     fn build_with(spec: OperatorSpec) -> (PeId, Result<Job, BuildJobError>) {
         let mut b = JobBuilder::new("x");
@@ -873,6 +916,253 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn chain_panics_on_indivisible_split() {
         Job::chain("x", &counter(), 7, 4);
+    }
+
+    /// The validation `build` ran before it went linear: ports checked
+    /// with a `contains` scan per port, Kahn's algorithm rescanning every
+    /// edge per popped PE. On success, the `(in_ports, out_ports)` it
+    /// derived.
+    fn reference_validate(b: &JobBuilder) -> Result<(Vec<usize>, Vec<usize>), BuildJobError> {
+        let n = b.pes.len();
+        if n == 0 {
+            return Err(BuildJobError::NoPes);
+        }
+        if b.sources.is_empty() {
+            return Err(BuildJobError::NoSources);
+        }
+        for (pe, spec) in b.pes.iter().enumerate() {
+            if let Some(parameter) = spec.operator.invalid_parameter() {
+                return Err(BuildJobError::BadOperatorParameter(
+                    PeId(pe as u32),
+                    parameter,
+                ));
+            }
+        }
+        let mut in_ports = vec![0usize; n];
+        let mut out_ports = vec![0usize; n];
+        let mut in_seen: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut out_seen: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for e in &b.edges {
+            match *e {
+                RawEdge::SourceToPe(_, to, port) => {
+                    in_ports[to.0 as usize] = in_ports[to.0 as usize].max(port + 1);
+                    in_seen[to.0 as usize].push(port);
+                }
+                RawEdge::PeToPe(from, fp, to, tp) => {
+                    out_ports[from.0 as usize] = out_ports[from.0 as usize].max(fp + 1);
+                    out_seen[from.0 as usize].push(fp);
+                    in_ports[to.0 as usize] = in_ports[to.0 as usize].max(tp + 1);
+                    in_seen[to.0 as usize].push(tp);
+                }
+                RawEdge::PeToSink(from, fp, _) => {
+                    out_ports[from.0 as usize] = out_ports[from.0 as usize].max(fp + 1);
+                    out_seen[from.0 as usize].push(fp);
+                }
+            }
+        }
+        for pe in 0..n {
+            for (count, seen) in [(in_ports[pe], &in_seen[pe]), (out_ports[pe], &out_seen[pe])] {
+                for p in 0..count {
+                    if !seen.contains(&p) {
+                        return Err(BuildJobError::NonContiguousPorts(PeId(pe as u32)));
+                    }
+                }
+            }
+            if in_ports[pe] == 0 {
+                return Err(BuildJobError::DisconnectedInput(PeId(pe as u32), 0));
+            }
+            if out_ports[pe] == 0 {
+                out_ports[pe] = 1;
+            }
+        }
+        let mut membership = vec![0u32; n];
+        for subjob in &b.subjobs {
+            for pe in subjob {
+                if pe.0 as usize >= n {
+                    return Err(BuildJobError::UnknownPeInPartition(pe.0));
+                }
+                membership[pe.0 as usize] += 1;
+            }
+        }
+        for (pe, &count) in membership.iter().enumerate() {
+            if count != 1 {
+                return Err(BuildJobError::BadPartition(PeId(pe as u32)));
+            }
+        }
+        let mut indeg = vec![0usize; n];
+        for e in &b.edges {
+            if let RawEdge::PeToPe(_, _, to, _) = e {
+                indeg[to.0 as usize] += 1;
+            }
+        }
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut visited = 0;
+        while let Some(u) = queue.pop() {
+            visited += 1;
+            for e in &b.edges {
+                if let RawEdge::PeToPe(from, _, to, _) = e {
+                    if from.0 as usize == u {
+                        indeg[to.0 as usize] -= 1;
+                        if indeg[to.0 as usize] == 0 {
+                            queue.push(to.0 as usize);
+                        }
+                    }
+                }
+            }
+        }
+        if visited != n {
+            return Err(BuildJobError::Cyclic);
+        }
+        Ok((in_ports, out_ports))
+    }
+
+    /// A random topology: a DAG with contiguous ports, then, each with a
+    /// small chance, the flaws `build` must report — no PEs or sources, an
+    /// invalid operator, a PE with no input, a port gap, a huge port
+    /// index, a back edge or self-loop, a PE missing from, repeated in or
+    /// unknown to the partition.
+    fn random_builder(rng: &mut sps_sim::SimRng) -> JobBuilder {
+        let flaw = |rng: &mut sps_sim::SimRng| rng.chance(0.06);
+        let below = |rng: &mut sps_sim::SimRng, n: usize| rng.uniform_u64(0, n as u64) as usize;
+        let mut b = JobBuilder::new("random");
+        let n = if rng.chance(0.02) {
+            0
+        } else {
+            1 + below(rng, 12)
+        };
+        let sources: Vec<SourceId> = (0..if flaw(rng) { 0 } else { 1 + below(rng, 3) })
+            .map(|i| b.add_source(format!("src{i}")))
+            .collect();
+        let sinks: Vec<SinkId> = (0..1 + below(rng, 2))
+            .map(|i| b.add_sink(format!("sink{i}")))
+            .collect();
+        let pes: Vec<PeId> = (0..n)
+            .map(|i| {
+                let demand_secs = if rng.chance(0.005) { f64::NAN } else { 1e-4 };
+                b.add_pe(format!("pe{i}"), OperatorSpec::Counter { demand_secs })
+            })
+            .collect();
+        let huge =
+            |rng: &mut sps_sim::SimRng| *rng.pick(&[1usize << 40, u32::MAX as usize, 1 << 20, 64]);
+        // Next free input and output port per PE, so ports stay contiguous
+        // unless a flaw skips or inflates one.
+        let mut next_in = vec![0usize; n];
+        let mut next_out = vec![0usize; n];
+        let out_port = |rng: &mut sps_sim::SimRng, next_out: &mut Vec<usize>, pe: usize| {
+            if rng.chance(0.005) {
+                return huge(rng);
+            }
+            if next_out[pe] > 0 && rng.chance(0.3) {
+                return below(rng, next_out[pe]);
+            }
+            next_out[pe] += 1 + usize::from(rng.chance(0.005));
+            next_out[pe] - 1
+        };
+        let in_port = |rng: &mut sps_sim::SimRng, next_in: &mut Vec<usize>, pe: usize| {
+            if rng.chance(0.005) {
+                return huge(rng);
+            }
+            next_in[pe] += 1 + usize::from(rng.chance(0.005));
+            next_in[pe] - 1
+        };
+        for to in 0..n {
+            if rng.chance(0.015) {
+                continue;
+            }
+            for _ in 0..1 + below(rng, 3) {
+                let port = in_port(rng, &mut next_in, to);
+                if sources.is_empty() {
+                    // `build` stops at `NoSources` before reading edges.
+                    continue;
+                }
+                if to == 0 || rng.chance(0.3) {
+                    b.connect_source(*rng.pick(&sources), pes[to], port);
+                } else {
+                    let from = below(rng, to);
+                    let fp = out_port(rng, &mut next_out, from);
+                    b.connect(pes[from], fp, pes[to], port);
+                }
+            }
+        }
+        if n > 0 {
+            for _ in 0..below(rng, 3) {
+                if rng.chance(0.1) {
+                    // A back edge or self-loop: from at or after `to`.
+                    let to = below(rng, n);
+                    let from = to + below(rng, n - to);
+                    let fp = out_port(rng, &mut next_out, from);
+                    let tp = in_port(rng, &mut next_in, to);
+                    b.connect(pes[from], fp, pes[to], tp);
+                }
+            }
+        }
+        for from in 0..n {
+            if next_out[from] == 0 || rng.chance(0.3) {
+                let fp = out_port(rng, &mut next_out, from);
+                b.connect_sink(pes[from], fp, *rng.pick(&sinks));
+            }
+        }
+        let mut subjobs: Vec<Vec<PeId>> = Vec::new();
+        for &pe in &pes {
+            if rng.chance(0.01) {
+                continue;
+            }
+            match subjobs.last_mut() {
+                Some(last) if rng.chance(0.5) => last.push(pe),
+                _ => subjobs.push(vec![pe]),
+            }
+            if rng.chance(0.01) {
+                subjobs.push(vec![pe]);
+            }
+        }
+        if flaw(rng) {
+            let unknown = PeId((n + below(rng, 3)) as u32);
+            match subjobs.last_mut() {
+                Some(last) => last.push(unknown),
+                None => subjobs.push(vec![unknown]),
+            }
+        }
+        b.subjobs(subjobs);
+        b
+    }
+
+    #[test]
+    fn build_agrees_with_the_reference_validation_on_random_graphs() {
+        let mut rng = sps_sim::SimRng::seed_from(0x10B5);
+        let mut outcomes = std::collections::BTreeMap::<&str, usize>::new();
+        for case in 0..3_000 {
+            let b = random_builder(&mut rng);
+            let want = reference_validate(&b);
+            let got = b.build();
+            let outcome = match (&want, &got) {
+                (Ok((in_ports, out_ports)), Ok(job)) => {
+                    for pe in job.pe_ids() {
+                        assert_eq!(job.in_ports(pe), in_ports[pe.0 as usize], "case {case}");
+                        assert_eq!(job.out_ports(pe), out_ports[pe.0 as usize], "case {case}");
+                    }
+                    "Ok"
+                }
+                (Err(w), Err(g)) => {
+                    assert_eq!(g, w, "case {case}");
+                    match w {
+                        BuildJobError::NoPes => "NoPes",
+                        BuildJobError::NoSources => "NoSources",
+                        BuildJobError::DisconnectedInput(..) => "DisconnectedInput",
+                        BuildJobError::BadPartition(_) => "BadPartition",
+                        BuildJobError::UnknownPeInPartition(_) => "UnknownPeInPartition",
+                        BuildJobError::Cyclic => "Cyclic",
+                        BuildJobError::NonContiguousPorts(_) => "NonContiguousPorts",
+                        BuildJobError::BadOperatorParameter(..) => "BadOperatorParameter",
+                    }
+                }
+                _ => panic!("case {case}: reference {want:?}, build {:?}", got.err()),
+            };
+            *outcomes.entry(outcome).or_default() += 1;
+        }
+        // Every outcome occurs, and valid jobs are not a rarity.
+        assert_eq!(outcomes.len(), 9, "{outcomes:?}");
+        assert!(outcomes["Ok"] >= 500, "{outcomes:?}");
+        assert!(outcomes["Cyclic"] >= 50, "{outcomes:?}");
     }
 
     #[test]

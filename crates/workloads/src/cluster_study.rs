@@ -18,8 +18,8 @@
 //! and ~20 % exceed 20 s.
 
 use sps_cluster::{
-    mean_duration, mean_inter_failure_time, CpuMonitor, LoadComponent, Machine, MachineId,
-    SpikeProfile, SpikeTracker,
+    mean_duration, mean_inter_failure_time, LoadComponent, Machine, MachineId, SpikeProfile,
+    SpikeTracker,
 };
 use sps_metrics::Cdf;
 use sps_sim::{SimDuration, SimRng, SimTime};
@@ -199,16 +199,6 @@ pub fn run_weather_app(tasks_per_machine: u32, rng: &mut SimRng) -> WeatherAppRu
         rows.push((idx, total / tasks_per_machine as f64));
     }
     WeatherAppRun { rows }
-}
-
-/// Sanity monitor reuse: measure a machine's utilization over a window
-/// (exported for the detection experiments).
-pub fn sampled_utilization(machine: &mut Machine, from: SimTime, to: SimTime) -> f64 {
-    machine.advance(from);
-    let mut monitor = CpuMonitor::new();
-    monitor.sample(machine, from);
-    machine.advance(to);
-    monitor.sample(machine, to)
 }
 
 #[cfg(test)]

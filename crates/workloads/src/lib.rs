@@ -26,8 +26,7 @@ mod scenarios;
 mod zipf;
 
 pub use cluster_study::{
-    run_weather_app, sampled_utilization, ClusterStudy, MachineStudy, WeatherAppRun,
-    WEATHER_LOADED_FROM,
+    run_weather_app, ClusterStudy, MachineStudy, WeatherAppRun, WEATHER_LOADED_FROM,
 };
 pub use scenarios::{
     chain_job_with, eval_chain_job, failure_load, financial_job, marginal_spike_share,
