@@ -10,7 +10,10 @@
 #![cfg(feature = "bench")]
 
 use sps_cluster::FaultTopology;
-use sps_engine::{OutputQueue, Payload, StreamId, SubjobId};
+use sps_engine::{
+    DataElement, Dest, Emitter, InstanceId, OperatorSpec, OutputQueue, Payload, PeId, PeInstance,
+    Replica, SinkId, StreamId, SubjobId,
+};
 use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder, RateProfile};
 use sps_sim::counting_alloc::{self, CountingAllocator};
 use sps_sim::{SimDuration, SimTime};
@@ -370,5 +373,74 @@ fn checkpoint_capture_allocations_are_depth_independent() {
     assert_eq!(
         shallow, deep,
         "capture allocations must not scale with queue depth"
+    );
+}
+
+/// A router checkpoint follows its traffic, not its width: after a full
+/// capture of a 2,048-port router whose ports hold elements, a capture
+/// onto it with at most 64 moved ports allocates under 16 KiB. A capture
+/// that listed every port would allocate 2,048 port states (160 KiB)
+/// before it copied anything.
+#[test]
+fn a_router_capture_allocates_for_the_ports_that_moved() {
+    const PORTS: usize = 2_048;
+    let streams: Vec<StreamId> = (0..PORTS as u32).map(|p| StreamId(1 + p)).collect();
+    let mut router = PeInstance::new(
+        InstanceId {
+            pe: PeId(0),
+            replica: Replica::Primary,
+        },
+        OperatorSpec::ShardRouter {
+            shards: PORTS as u32,
+            demand_secs: 1e-6,
+        },
+        1,
+        &streams,
+    );
+    router.register_input_stream(0, StreamId(0));
+    for port in 0..PORTS {
+        router.connect_output(port, Dest::Sink(SinkId(0)), true);
+    }
+    let mut seq = 0u64;
+    let mut feed = |router: &mut PeInstance, n: u64| {
+        for _ in 0..n {
+            seq += 1;
+            let key = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            router.offer(
+                0,
+                DataElement {
+                    stream: StreamId(0),
+                    seq,
+                    created_at: SimTime::ZERO,
+                    key,
+                    value: 0.0,
+                    size_bytes: 256,
+                },
+            );
+            router.start_next_batch(1).expect("just offered");
+            router.finish_batch(&mut Emitter::default(), &mut Vec::new(), |_, _, _| {});
+        }
+    };
+    feed(&mut router, 4_000);
+    let full = router.snapshot(1, None);
+    assert_eq!(full.outputs.len(), PORTS);
+    feed(&mut router, 64);
+    let (a0, b0) = (
+        counting_alloc::allocations(),
+        counting_alloc::allocated_bytes(),
+    );
+    let delta = std::hint::black_box(router.snapshot(2, Some(full.stamp)));
+    let bytes = counting_alloc::allocated_bytes() - b0;
+    let allocs = counting_alloc::allocations() - a0;
+    assert!(
+        !delta.is_full() && delta.outputs.len() <= 64,
+        "{}",
+        delta.outputs.len()
+    );
+    assert_eq!(delta.element_count(), full.element_count() + 64);
+    assert!(
+        bytes < 16 * 1024,
+        "a capture of {} moved ports allocated {bytes} bytes in {allocs} allocations",
+        delta.outputs.len()
     );
 }

@@ -285,11 +285,13 @@ impl Network {
         }
         let ser = SimDuration::from_secs_f64(bytes as f64 / self.config.bandwidth_bytes_per_sec);
         let latency = self.config.latency;
-        let key = link_key(src, dst);
-        let busy = self.link_busy.get(&key).copied().unwrap_or(SimTime::ZERO);
-        let start = if busy > now { busy } else { now };
+        let busy = self
+            .link_busy
+            .entry(link_key(src, dst))
+            .or_insert(SimTime::ZERO);
+        let start = if *busy > now { *busy } else { now };
         let done_serializing = start + ser;
-        self.link_busy.insert(key, done_serializing);
+        *busy = done_serializing;
         let mut arrival = done_serializing + latency;
         if let Some(p) = profile {
             if p.jitter > SimDuration::ZERO {

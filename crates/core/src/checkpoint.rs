@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use sps_cluster::MachineId;
-use sps_engine::{PeCheckpoint, PeId, Replica, SubjobId};
+use sps_engine::{PeCheckpoint, PeId, PeInstance, Replica, SubjobId};
 use sps_metrics::MsgClass;
 use sps_sim::{Ctx, SimTime};
 
@@ -202,7 +202,14 @@ impl HaWorld {
             let Some(inst) = self.slots[slot].copy_mut() else {
                 continue;
             };
-            let ckpt = inst.snapshot(ctx.now());
+            // A delta onto the restore point when one is sure to be there
+            // when the capture lands; the copy cuts it only if the point
+            // is its basis.
+            let sj = &mut self.subjobs[sj_id.0 as usize];
+            let settled = sj.settled;
+            let rec = sj.ckpt_mut(pe);
+            let onto = rec.stored.as_ref().filter(|_| settled).map(|s| s.stamp);
+            let ckpt = inst.snapshot(rec.next_stamp(), onto);
             inst.resume();
             elements += ckpt.element_count();
             self.tracer.emit(
@@ -243,6 +250,9 @@ impl HaWorld {
     /// A checkpoint message reached the secondary machine: store it in
     /// memory ("`store_job_state` ... overwrite the old state with the new
     /// one"), refresh the pre-deployed suspended copy, and acknowledge.
+    /// A delta updates the restore point in place, and the suspended copy
+    /// too when it holds the delta's base; a suspended copy out of step is
+    /// restored from the updated point.
     pub(crate) fn on_checkpoint_arrival(
         &mut self,
         ctx: &mut Ctx<Event>,
@@ -262,15 +272,26 @@ impl HaWorld {
         for ckpt in ckpts {
             let pe = ckpt.pe;
             // Refresh the suspended hybrid copy's memory directly.
-            if hybrid {
-                let slot = slot_of(pe, standby_replica);
-                let record = &mut self.slots[slot];
-                if let Some(inst) = record.copy_mut().filter(|i| i.is_suspended()) {
-                    inst.restore(&ckpt);
-                    record.restart();
-                }
+            let record = &mut self.slots[slot_of(pe, standby_replica)];
+            let refresh = hybrid && record.copy().is_some_and(PeInstance::is_suspended);
+            let in_step = refresh && record.copy().is_some_and(|i| i.follows(&ckpt));
+            if in_step {
+                record.copy_mut().expect("checked").restore(&ckpt);
             }
-            self.subjobs[sj_id.0 as usize].ckpt_mut(pe).stored = Some(ckpt);
+            let stored = self.subjobs[sj_id.0 as usize].ckpt_mut(pe).store(ckpt);
+            if refresh {
+                if !in_step {
+                    record.copy_mut().expect("checked").restore(stored);
+                }
+                record.restart();
+            }
+            debug_assert!(
+                Replica::BOTH.iter().all(|&r| {
+                    let copy = self.slots[slot_of(pe, r)].copy();
+                    copy.is_none_or(|i| i.holds_outside_moved(stored))
+                }),
+                "{pe}: a copy on the restore point's basis differs from it outside its moved set"
+            );
             pes.push(pe);
         }
         self.send_reliable(

@@ -1041,7 +1041,9 @@ impl HaWorld {
             if !self.rel_sweep_prev.observe((addr, ci), window, reachable) {
                 continue;
             }
-            let resent = self.producer_queue_mut(addr).expect("swept").rewind(conn);
+            let resent = self
+                .with_producer_queue(addr, |q| q.rewind(conn))
+                .expect("swept");
             if resent.is_empty() {
                 continue;
             }

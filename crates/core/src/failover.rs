@@ -60,6 +60,7 @@ impl HaWorld {
             primary_replica: replica_code(sj.primary_replica),
         };
         self.set_sj_state(sj_id, state);
+        self.subjobs[sj_id.0 as usize].settled = state == SjState::Normal;
         self.tracer.emit(at, record);
         epoch
     }
@@ -582,7 +583,8 @@ impl HaWorld {
             let Some(inst) = self.slots[slot_of(pe, standby)].copy_mut() else {
                 continue;
             };
-            let snap = inst.snapshot_with_backlog(ctx.now());
+            let stamp = self.subjobs[sj_id.0 as usize].ckpt_mut(pe).next_stamp();
+            let snap = inst.snapshot_with_backlog(stamp);
             inst.resume();
             inst.set_suspended(true);
             elements += snap.element_count();
@@ -1033,17 +1035,21 @@ impl HaWorld {
                 port,
             };
             for addr in self.producer_copies(stream, dest) {
-                let q = self.producer_queue_mut(addr).expect("linked");
-                let conn = find_conn(q, dest);
-                if let Some(conn) = conn {
-                    let (stream, resent) = (q.stream().0, q.resume(conn, position));
+                let resumed = self
+                    .with_producer_queue(addr, |q| {
+                        let conn = find_conn(q, dest)?;
+                        Some((q.stream().0, q.resume(conn, position)))
+                    })
+                    .expect("linked");
+                let found = resumed.is_some();
+                if let Some((stream, resent)) = resumed {
                     self.note_replay_retransmits(stream, resent);
                 }
                 // A source always re-dispatches; an instance only when its
                 // connection was found.
                 match addr {
                     ProducerAddr::Source(s) => self.dispatch_source_outputs(ctx, s.0 as usize),
-                    ProducerAddr::Instance(iid, _) if conn.is_some() => {
+                    ProducerAddr::Instance(iid, _) if found => {
                         self.dispatch_outputs(ctx, slot_of(iid.pe, iid.replica));
                     }
                     ProducerAddr::Instance(..) => {}
@@ -1057,13 +1063,15 @@ impl HaWorld {
             let q = self.producer_queue(addr).expect("checked");
             let dests: Vec<Dest> = q.connections().iter().map(|c| c.dest).collect();
             for (ci, dest) in dests.into_iter().enumerate() {
-                let serving = self.dest_is_serving(dest);
-                let q = self.producer_queue_mut(addr).expect("checked");
-                if serving {
-                    let (stream, resent) = (q.stream().0, q.replay(ConnectionId(ci)));
+                let conn = ConnectionId(ci);
+                if self.dest_is_serving(dest) {
+                    let (stream, resent) = self
+                        .with_producer_queue(addr, |q| (q.stream().0, q.replay(conn)))
+                        .expect("checked");
                     self.note_replay_retransmits(stream, resent);
                 } else {
-                    q.suspend(ConnectionId(ci));
+                    self.with_producer_queue(addr, |q| q.suspend(conn))
+                        .expect("checked");
                 }
             }
         }
@@ -1090,17 +1098,19 @@ impl HaWorld {
                 port,
             };
             for addr in self.producer_copies(stream, dest) {
-                let q = self.producer_queue_mut(addr).expect("linked");
-                if let Some(conn) = find_conn(q, dest) {
-                    q.suspend(conn);
-                }
+                self.with_producer_queue(addr, |q| {
+                    if let Some(conn) = find_conn(q, dest) {
+                        q.suspend(conn);
+                    }
+                })
+                .expect("linked");
             }
         }
         let slot = slot_of(pe, replica);
         if let Some(inst) = self.slots[slot].copy_mut() {
             for port in 0..inst.output_ports() {
                 for ci in 0..inst.output(port).connections().len() {
-                    inst.output_mut(port).suspend(ConnectionId(ci));
+                    inst.with_output(port, |q| q.suspend(ConnectionId(ci)));
                 }
             }
         }

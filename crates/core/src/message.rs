@@ -192,11 +192,12 @@ mod tests {
         let ckpt = PeCheckpoint {
             pe: PeId(0),
             operator_state: Default::default(),
-            state_elements: 20,
+            elements: 20,
             outputs: vec![],
             input_positions: vec![],
             input_backlog: vec![],
-            taken_at: SimTime::ZERO,
+            stamp: 1,
+            base: None,
         };
         let msg = Msg::Checkpoint {
             subjob: SubjobId(0),

@@ -90,9 +90,8 @@ impl HaWorld {
             for (addr, dest) in self.links(stream) {
                 let active = self.producer_is_serving(addr) && self.dest_is_serving(dest);
                 if active || self.cfg.hybrid_early_connections {
-                    self.producer_queue_mut(addr)
-                        .expect("linked copies are deployed")
-                        .connect(dest, active, active);
+                    self.with_producer_queue(addr, |q| q.connect(dest, active, active))
+                        .expect("linked copies are deployed");
                 }
             }
         }
@@ -123,12 +122,12 @@ impl HaWorld {
             }
         }
         for (addr, dest) in wanted {
-            let q = self
-                .producer_queue_mut(addr)
-                .expect("linked copies are deployed");
-            if find_conn(q, dest).is_none() {
-                q.connect(dest, false, false);
-            }
+            self.with_producer_queue(addr, |q| {
+                if find_conn(q, dest).is_none() {
+                    q.connect(dest, false, false);
+                }
+            })
+            .expect("linked copies are deployed");
         }
     }
 
@@ -216,18 +215,20 @@ impl HaWorld {
         }
     }
 
-    /// The output queue a producer handle names, exclusively, if that copy
-    /// is deployed. An instance's port joins its sendable set, since the
-    /// caller may activate or rewind a connection.
-    pub(crate) fn producer_queue_mut(
+    /// Runs `f` on the output queue a producer handle names, exclusively,
+    /// if that copy is deployed. An instance's port joins its sendable set,
+    /// since `f` may activate or rewind a connection, and its moved set if
+    /// `f` trims the queue.
+    pub(crate) fn with_producer_queue<R>(
         &mut self,
         addr: ProducerAddr,
-    ) -> Option<&mut OutputQueue<Dest>> {
+        f: impl FnOnce(&mut OutputQueue<Dest>) -> R,
+    ) -> Option<R> {
         match addr {
-            ProducerAddr::Source(s) => Some(self.sources[s.0 as usize].queue_mut()),
+            ProducerAddr::Source(s) => Some(f(self.sources[s.0 as usize].queue_mut())),
             ProducerAddr::Instance(iid, port) => self.slots[slot_of(iid.pe, iid.replica)]
                 .copy_mut()
-                .map(|inst| inst.output_mut(port)),
+                .map(|inst| inst.with_output(port, f)),
         }
     }
 }

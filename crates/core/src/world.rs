@@ -381,6 +381,14 @@ pub struct SubjobHa {
     /// Bumped at every transition; in-flight events carry the epoch they
     /// were scheduled under and are dropped if stale.
     pub epoch: u64,
+    /// `true` while the subjob has been [`SjState::Normal`] for its whole
+    /// epoch. Then each PE's checkpoints are cut one at a time, each after
+    /// the previous one was stored, so none can land out of order and a
+    /// capture may be a delta onto the restore point. A rollback returns to
+    /// `Normal` without a new epoch while a checkpoint cut when switched
+    /// over may still be in flight; until the next epoch, captures are
+    /// full.
+    pub(crate) settled: bool,
     /// A pending multi-PE quiesce (synchronous checkpoint or rollback).
     pub pending: Option<SubjobPending>,
     /// One checkpoint record per PE of the subjob, sorted by PE id; read
@@ -427,13 +435,14 @@ impl SubjobHa {
     /// Forgets every checkpoint in progress and the per-PE checkpoint
     /// history, as a role change or a lost standby must; the stored
     /// checkpoints go too when `store_lost` (they lived in a machine that
-    /// is gone or no longer the standby).
+    /// is gone or no longer the standby). Stamps are never reused.
     pub(crate) fn drop_checkpoint_progress(&mut self, store_lost: bool) {
         self.pending = None;
         for (_, rec) in &mut self.ckpts {
             let stored = rec.stored.take().filter(|_| !store_lost);
             *rec = PeCkpt {
                 stored,
+                stamps: rec.stamps,
                 ..PeCkpt::default()
             };
         }
@@ -465,9 +474,41 @@ pub struct PeCkpt {
     /// it is stored.
     pub ack_positions: Vec<Vec<(StreamId, u64)>>,
     /// The restore point: the checkpoint stored on the secondary machine
-    /// ("in memory", §IV-B). Shared with the message that carried it, so
-    /// storing is a pointer move, not a copy of the element batches.
+    /// ("in memory", §IV-B), always full. A full checkpoint is stored by
+    /// pointer, shared with the message that carried it; a delta is
+    /// applied in place.
     pub stored: Option<Arc<PeCheckpoint>>,
+    /// Stamps handed out to the PE's captures so far.
+    stamps: u32,
+}
+
+impl PeCkpt {
+    /// A stamp no earlier capture of this PE carries.
+    pub(crate) fn next_stamp(&mut self) -> u32 {
+        self.stamps += 1;
+        self.stamps
+    }
+
+    /// Stores `ckpt` as the restore point and returns the updated point.
+    /// A full checkpoint replaces it; a delta is applied in place at the
+    /// cost of the ports it lists (a duplicate applies as a no-op).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ckpt` is a delta and the restore point is neither its
+    /// base nor `ckpt` itself.
+    pub(crate) fn store(&mut self, ckpt: Arc<PeCheckpoint>) -> &PeCheckpoint {
+        match &mut self.stored {
+            Some(point) if !ckpt.is_full() => {
+                Arc::make_mut(point).apply(Arc::unwrap_or_clone(ckpt));
+            }
+            stored => {
+                assert!(ckpt.is_full(), "a delta needs a restore point to land on");
+                *stored = Some(ckpt);
+            }
+        }
+        self.stored.as_deref().expect("just stored")
+    }
 }
 
 /// One in-flight reliable control transmission, kept by the sender until
@@ -701,6 +742,7 @@ impl HaWorld {
                 primary_replica: Replica::Primary,
                 state: SjState::Normal,
                 epoch: 0,
+                settled: true,
                 pending: None,
                 ckpts,
                 switch_overhead_elements: 0,
@@ -992,12 +1034,14 @@ impl HaWorld {
     }
 
     /// Moves a subjob to `state`. Every life-cycle transition goes through
-    /// here so the per-state counts stay exact.
+    /// here so the per-state counts stay exact; leaving `Normal` unsettles
+    /// the subjob until its next epoch ([`SubjobHa::settled`]).
     pub(crate) fn set_sj_state(&mut self, sj: SubjobId, state: SjState) {
-        let slot = &mut self.subjobs[sj.0 as usize].state;
-        self.sj_state_counts[*slot as usize] -= 1;
+        let sj = &mut self.subjobs[sj.0 as usize];
+        self.sj_state_counts[sj.state as usize] -= 1;
         self.sj_state_counts[state as usize] += 1;
-        *slot = state;
+        sj.settled &= state == SjState::Normal;
+        sj.state = state;
     }
 
     /// A coarse label of what the recovery protocol is doing right now:
@@ -1631,6 +1675,7 @@ mod tests {
             primary_replica: Replica::Primary,
             state: SjState::Normal,
             epoch: 3,
+            settled: true,
             pending: None,
             ckpts: Vec::new(),
             switch_overhead_elements: 0,

@@ -80,6 +80,12 @@ pub enum BuildJobError {
     /// A PE's built-in operator has the named parameter negative or not
     /// finite.
     BadOperatorParameter(PeId, &'static str),
+    /// An edge names a PE the job never added.
+    UnknownPe(PeId),
+    /// An edge names a source the job never added.
+    UnknownSource(SourceId),
+    /// An edge names a sink the job never added.
+    UnknownSink(SinkId),
 }
 
 impl fmt::Display for BuildJobError {
@@ -106,6 +112,9 @@ impl fmt::Display for BuildJobError {
                     "operator of {pe}: {parameter} must be finite and not negative"
                 )
             }
+            BuildJobError::UnknownPe(pe) => write!(f, "an edge names unknown {pe}"),
+            BuildJobError::UnknownSource(s) => write!(f, "an edge names unknown source {}", s.0),
+            BuildJobError::UnknownSink(s) => write!(f, "an edge names unknown {s}"),
         }
     }
 }
@@ -202,6 +211,22 @@ impl JobBuilder {
         self.subjobs = subjobs;
     }
 
+    /// The first PE, source or sink an edge names that the job never
+    /// added.
+    fn unknown_endpoint(&self) -> Option<BuildJobError> {
+        let pe =
+            |pe: PeId| (pe.0 as usize >= self.pes.len()).then_some(BuildJobError::UnknownPe(pe));
+        self.edges.iter().find_map(|e| match *e {
+            RawEdge::SourceToPe(src, to, _) => (src.0 as usize >= self.sources.len())
+                .then_some(BuildJobError::UnknownSource(src))
+                .or_else(|| pe(to)),
+            RawEdge::PeToPe(from, _, to, _) => pe(from).or_else(|| pe(to)),
+            RawEdge::PeToSink(from, _, sink) => pe(from).or_else(|| {
+                (sink.0 as usize >= self.sinks.len()).then_some(BuildJobError::UnknownSink(sink))
+            }),
+        })
+    }
+
     /// `(side, pe, port)` for every port an edge names; side 0 is a PE's
     /// inputs, side 1 its outputs.
     fn port_refs(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
@@ -222,9 +247,9 @@ impl JobBuilder {
     /// # Errors
     ///
     /// Returns a [`BuildJobError`] describing the first structural problem
-    /// found (missing PEs/sources, an operator parameter no run could
-    /// survive, disconnected inputs, bad partition, cycles, non-contiguous
-    /// ports).
+    /// found (missing PEs/sources, an edge naming an endpoint never added,
+    /// an operator parameter no run could survive, disconnected inputs,
+    /// bad partition, cycles, non-contiguous ports).
     pub fn build(self) -> Result<Job, BuildJobError> {
         let n = self.pes.len();
         if n == 0 {
@@ -232,6 +257,9 @@ impl JobBuilder {
         }
         if self.sources.is_empty() {
             return Err(BuildJobError::NoSources);
+        }
+        if let Some(unknown) = self.unknown_endpoint() {
+            return Err(unknown);
         }
         for (pe, spec) in self.pes.iter().enumerate() {
             if let Some(parameter) = spec.operator.invalid_parameter() {
@@ -930,6 +958,22 @@ mod tests {
         if b.sources.is_empty() {
             return Err(BuildJobError::NoSources);
         }
+        for e in &b.edges {
+            let (pes, source, sink) = match *e {
+                RawEdge::SourceToPe(src, to, _) => (vec![to], Some(src), None),
+                RawEdge::PeToPe(from, _, to, _) => (vec![from, to], None, None),
+                RawEdge::PeToSink(from, _, sink) => (vec![from], None, Some(sink)),
+            };
+            if let Some(src) = source.filter(|s| s.0 as usize >= b.sources.len()) {
+                return Err(BuildJobError::UnknownSource(src));
+            }
+            if let Some(&pe) = pes.iter().find(|pe| pe.0 as usize >= n) {
+                return Err(BuildJobError::UnknownPe(pe));
+            }
+            if let Some(sink) = sink.filter(|s| s.0 as usize >= b.sinks.len()) {
+                return Err(BuildJobError::UnknownSink(sink));
+            }
+        }
         for (pe, spec) in b.pes.iter().enumerate() {
             if let Some(parameter) = spec.operator.invalid_parameter() {
                 return Err(BuildJobError::BadOperatorParameter(
@@ -1019,8 +1063,9 @@ mod tests {
     /// A random topology: a DAG with contiguous ports, then, each with a
     /// small chance, the flaws `build` must report — no PEs or sources, an
     /// invalid operator, a PE with no input, a port gap, a huge port
-    /// index, a back edge or self-loop, a PE missing from, repeated in or
-    /// unknown to the partition.
+    /// index, a back edge or self-loop, an edge naming a PE, source or sink
+    /// never added, a PE missing from, repeated in or unknown to the
+    /// partition.
     fn random_builder(rng: &mut sps_sim::SimRng) -> JobBuilder {
         let flaw = |rng: &mut sps_sim::SimRng| rng.chance(0.06);
         let below = |rng: &mut sps_sim::SimRng, n: usize| rng.uniform_u64(0, n as u64) as usize;
@@ -1102,6 +1147,17 @@ mod tests {
                 b.connect_sink(pes[from], fp, *rng.pick(&sinks));
             }
         }
+        if n > 0 && flaw(rng) {
+            // An edge naming an endpoint one to three past the last added.
+            let past = |rng: &mut sps_sim::SimRng, len: usize| (len + below(rng, 3)) as u32;
+            let pe = PeId(below(rng, n) as u32);
+            match below(rng, 4) {
+                0 => b.connect_source(SourceId(past(rng, sources.len())), pe, 0),
+                1 => b.connect(PeId(past(rng, n)), 0, pe, 0),
+                2 => b.connect(pe, 0, PeId(past(rng, n)), 0),
+                _ => b.connect_sink(pe, 0, SinkId(past(rng, sinks.len()))),
+            }
+        }
         let mut subjobs: Vec<Vec<PeId>> = Vec::new();
         for &pe in &pes {
             if rng.chance(0.01) {
@@ -1153,6 +1209,9 @@ mod tests {
                         BuildJobError::Cyclic => "Cyclic",
                         BuildJobError::NonContiguousPorts(_) => "NonContiguousPorts",
                         BuildJobError::BadOperatorParameter(..) => "BadOperatorParameter",
+                        BuildJobError::UnknownPe(_) => "UnknownPe",
+                        BuildJobError::UnknownSource(_) => "UnknownSource",
+                        BuildJobError::UnknownSink(_) => "UnknownSink",
                     }
                 }
                 _ => panic!("case {case}: reference {want:?}, build {:?}", got.err()),
@@ -1160,9 +1219,40 @@ mod tests {
             *outcomes.entry(outcome).or_default() += 1;
         }
         // Every outcome occurs, and valid jobs are not a rarity.
-        assert_eq!(outcomes.len(), 9, "{outcomes:?}");
+        assert_eq!(outcomes.len(), 12, "{outcomes:?}");
         assert!(outcomes["Ok"] >= 500, "{outcomes:?}");
         assert!(outcomes["Cyclic"] >= 50, "{outcomes:?}");
+    }
+
+    #[test]
+    fn an_edge_to_an_endpoint_never_added_is_rejected() {
+        let one = || {
+            let mut b = JobBuilder::new("one");
+            let src = b.add_source("src");
+            let sink = b.add_sink("sink");
+            let a = b.add_pe("a", counter());
+            b.connect_source(src, a, 0);
+            b.connect_sink(a, 0, sink);
+            b.subjobs(vec![vec![a]]);
+            (b, a)
+        };
+        let (mut b, a) = one();
+        b.connect(a, 0, PeId(9), 0);
+        assert_eq!(b.build().err(), Some(BuildJobError::UnknownPe(PeId(9))));
+        // Stream 1 is `a`'s own output: an unknown source must not be read
+        // as a stream id.
+        let (mut b, a) = one();
+        b.connect_source(SourceId(1), a, 1);
+        assert_eq!(
+            b.build().err(),
+            Some(BuildJobError::UnknownSource(SourceId(1)))
+        );
+        let (mut b, a) = one();
+        b.connect_sink(a, 0, SinkId(1));
+        assert_eq!(b.build().err(), Some(BuildJobError::UnknownSink(SinkId(1))));
+        assert!(BuildJobError::UnknownSink(SinkId(1))
+            .to_string()
+            .contains("sink1"));
     }
 
     #[test]

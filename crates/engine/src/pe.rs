@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use sps_sim::SimTime;
-
 use crate::chunk::ChunkedDeque;
 use crate::element::{DataElement, PeId, StreamId};
 use crate::operator::{Emitter, Operator, OperatorSpec, OperatorState};
@@ -94,16 +92,29 @@ pub enum Dest {
 /// *positions* (not data) needed to resume consistently. Matches §III-B:
 /// "a checkpoint message includes the internal states and output queues, but
 /// not input queues, of a PE".
+///
+/// A checkpoint lists the output ports it carries. A *full* one
+/// (`base == None`) lists every port, ascending. A *delta* lists only the
+/// ports whose queue moved since the capture named by `base`, and is
+/// applied onto that capture: [`PeCheckpoint::apply`] onto a restore point,
+/// [`PeInstance::restore`] onto a copy that holds it. Both kinds are one
+/// type with one apply path; a full checkpoint is a delta that lists every
+/// port. Either kind reports the whole checkpoint in
+/// [`PeCheckpoint::element_count`], so the simulated message costs what a
+/// full checkpoint costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeCheckpoint {
     /// The logical PE this checkpoint belongs to.
     pub pe: PeId,
     /// Operator internal state.
     pub operator_state: OperatorState,
-    /// Internal-state size in element units (checkpoint cost accounting).
-    pub state_elements: u64,
-    /// Output-queue snapshots, one per port.
-    pub outputs: Vec<OutputQueueState>,
+    /// Checkpoint cost accounting: the internal-state size in element
+    /// units plus the retained output elements over *every* port of the
+    /// copy at capture, listed or not.
+    pub elements: u64,
+    /// `(output port, queue snapshot)` for each listed port, ascending by
+    /// port: every port of a full checkpoint, the moved ones of a delta.
+    pub outputs: Vec<(usize, OutputQueueState)>,
     /// Processed positions per input port.
     pub input_positions: Vec<Vec<(StreamId, u64)>>,
     /// Accepted-but-unprocessed input elements per port. An empty `Vec`
@@ -113,21 +124,20 @@ pub struct PeCheckpoint {
     /// secondary's backlog so the primary "can jump to the latest state
     /// directly" (§IV-B). Captured as chunk pointers, not element copies.
     pub input_backlog: Vec<ChunkedDeque>,
-    /// When the snapshot was taken.
-    pub taken_at: SimTime,
+    /// Names this capture; the caller hands out a distinct stamp per
+    /// capture of a PE.
+    pub stamp: u32,
+    /// The capture a delta was cut from; `None` for a full checkpoint.
+    pub base: Option<u32>,
 }
 
 impl PeCheckpoint {
     /// Elements this checkpoint contributes to a checkpoint message:
-    /// retained output-queue elements, transferred input backlog, and the
-    /// internal state in element units.
+    /// retained output-queue elements over every port, transferred input
+    /// backlog, and the internal state in element units. A delta counts
+    /// the same as the full checkpoint it stands for.
     pub fn element_count(&self) -> u64 {
-        self.state_elements
-            + self
-                .outputs
-                .iter()
-                .map(OutputQueueState::element_count)
-                .sum::<u64>()
+        self.elements
             + self
                 .input_backlog
                 .iter()
@@ -138,6 +148,52 @@ impl PeCheckpoint {
     /// Approximate wire size of the checkpoint message.
     pub fn byte_size(&self, bytes_per_element: u32) -> u64 {
         self.element_count() * bytes_per_element as u64 + 64
+    }
+
+    /// `true` for a checkpoint that lists every output port.
+    pub fn is_full(&self) -> bool {
+        self.base.is_none()
+    }
+
+    /// Brings this full checkpoint (a restore point) up to `ckpt`: a full
+    /// `ckpt` replaces it, a delta replaces the ports it lists and
+    /// everything but the output queues. Costs O(listed ports); the
+    /// replaced port states are dropped here. Applying the same delta twice
+    /// leaves what applying it once left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this checkpoint is a delta, belongs to another PE, or is
+    /// neither `ckpt`'s base nor `ckpt` itself.
+    pub fn apply(&mut self, ckpt: PeCheckpoint) {
+        assert!(self.is_full(), "a restore point lists every port");
+        assert_eq!(
+            ckpt.pe, self.pe,
+            "checkpoint of {} applied to {}",
+            ckpt.pe, self.pe
+        );
+        let Some(base) = ckpt.base else {
+            *self = ckpt;
+            return;
+        };
+        assert!(
+            self.stamp == base || self.stamp == ckpt.stamp,
+            "{}: delta {} cut from {} applied onto {}",
+            self.pe,
+            ckpt.stamp,
+            base,
+            self.stamp
+        );
+        for (port, state) in ckpt.outputs {
+            let entry = &mut self.outputs[port];
+            debug_assert_eq!(entry.0, port, "a full listing is indexed by port");
+            entry.1 = state;
+        }
+        self.operator_state = ckpt.operator_state;
+        self.elements = ckpt.elements;
+        self.input_positions = ckpt.input_positions;
+        self.input_backlog = ckpt.input_backlog;
+        self.stamp = ckpt.stamp;
     }
 }
 
@@ -170,14 +226,30 @@ pub struct PeInstance {
     /// index)`. A single-input instance leaves it empty — its whole batch
     /// is one run of port 0 — so only fan-in instances allocate it.
     port_runs: Vec<(usize, usize)>,
-    next_input_port: usize,
+    next_input_port: u32,
     processed_total: u64,
-    /// The sendable-port set: bit `p` of word `p / 64` is set for every
-    /// output port holding an element that some active connection has not
-    /// yet sent (it may also be set for a clean port — draining one is a
-    /// no-op). The runtime dispatches only these ports, so a wide router
-    /// pays for the ports it wrote, not the ports it has.
-    sendable: Vec<u64>,
+    /// Two port sets, bit `p` of word `p / 64` each: the sendable set in
+    /// the first half, the moved set in the second.
+    ///
+    /// The sendable set holds every output port with an element that some
+    /// active connection has not yet sent (it may also hold a clean port —
+    /// draining one is a no-op). The runtime dispatches only these ports,
+    /// so a wide router pays for the ports it wrote, not the ports it has.
+    ///
+    /// The moved set holds every output port whose `(next_seq, trimmed)`
+    /// changed since the copy last took or received a checkpoint (it may
+    /// also hold a port that did not move). Outside it, every queue holds
+    /// what the checkpoint named by `basis` lists for it, so a delta onto
+    /// `basis` lists these ports and nothing else: a wide router's
+    /// checkpoint costs the ports that moved, not the ports it has.
+    sets: Box<[u64]>,
+    /// The checkpoint this copy's queues match outside the moved set:
+    /// the copy's last capture, or the last checkpoint restored into it.
+    /// `None` for a fresh copy.
+    basis: Option<u32>,
+    /// Retained output elements summed over every port, kept exactly at
+    /// each change so a delta can report the whole checkpoint's size.
+    retained: u64,
 }
 
 impl PeInstance {
@@ -201,7 +273,9 @@ impl PeInstance {
             port_runs: Vec::new(),
             next_input_port: 0,
             processed_total: 0,
-            sendable: vec![0; out_streams.len().div_ceil(64)],
+            sets: vec![0; 2 * out_streams.len().div_ceil(64)].into_boxed_slice(),
+            basis: None,
+            retained: 0,
         }
     }
 
@@ -234,11 +308,23 @@ impl PeInstance {
         &self.outputs[port]
     }
 
-    /// The output queue on `port`, exclusively. The caller may activate a
-    /// connection or rewind its cursor, so the port joins the sendable set.
-    pub fn output_mut(&mut self, port: usize) -> &mut OutputQueue<Dest> {
+    /// Runs `f` on the output queue on `port`, exclusively. `f` may
+    /// activate a connection or rewind its cursor, so the port joins the
+    /// sendable set; if it trims the queue, the port joins the moved set.
+    pub fn with_output<R>(
+        &mut self,
+        port: usize,
+        f: impl FnOnce(&mut OutputQueue<Dest>) -> R,
+    ) -> R {
         self.mark_sendable(port);
-        &mut self.outputs[port]
+        let q = &mut self.outputs[port];
+        let (head, floor, len) = (q.next_seq(), q.trimmed_through(), q.retained_len());
+        let r = f(q);
+        if (q.next_seq(), q.trimmed_through()) != (head, floor) {
+            self.retained = self.retained - len as u64 + q.retained_len() as u64;
+            set_bit(halves(&mut self.sets).1, port);
+        }
+        r
     }
 
     // ---- sendable-port set ----
@@ -247,7 +333,7 @@ impl PeInstance {
     /// whose backlog it had to leave behind (a partitioned link keeps its
     /// send cursor); every engine-side mutation marks on its own.
     pub fn mark_sendable(&mut self, port: usize) {
-        self.sendable[port / 64] |= 1 << (port % 64);
+        set_bit(halves(&mut self.sets).0, port);
     }
 
     /// Empties the sendable set, appending `(port, connection, dest)` for
@@ -255,21 +341,17 @@ impl PeInstance {
     /// port, then ascending connection, the order a scan of all ports
     /// visits them in.
     pub fn take_sendable_conns(&mut self, out: &mut Vec<(usize, ConnectionId, Dest)>) {
-        for (w, word) in self.sendable.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let port = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let conns = self.outputs[port].connections();
-                out.extend(
-                    conns
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.active)
-                        .map(|(ci, c)| (port, ConnectionId(ci), c.dest)),
-                );
-            }
-        }
+        let outputs = &self.outputs;
+        take_bits(halves(&mut self.sets).0, |port| {
+            let conns = outputs[port].connections();
+            out.extend(
+                conns
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.active)
+                    .map(|(ci, c)| (port, ConnectionId(ci), c.dest)),
+            );
+        });
     }
 
     /// Drains the elements `conn` of `port` has not yet sent into `out`
@@ -288,9 +370,50 @@ impl PeInstance {
     /// active connection has not yet sent is in the set.
     pub fn sendable_set_is_complete(&self) -> bool {
         self.outputs.iter().enumerate().all(|(port, q)| {
-            self.sendable[port / 64] & (1 << (port % 64)) != 0
+            has_bit(self.sendable(), port)
                 || (0..q.connections().len()).all(|ci| !q.has_unsent(ConnectionId(ci)))
         })
+    }
+
+    fn sendable(&self) -> &[u64] {
+        &self.sets[..self.sets.len() / 2]
+    }
+
+    fn moved(&self) -> &[u64] {
+        &self.sets[self.sets.len() / 2..]
+    }
+
+    // ---- moved-port set ----
+
+    /// `true` if restoring `ckpt` leaves this copy as a restore of the
+    /// whole checkpoint `ckpt` stands for would: `ckpt` is full, or it is a
+    /// delta cut from the checkpoint this copy holds (or `ckpt` itself,
+    /// applied before) and no port of the copy moved since.
+    pub fn follows(&self, ckpt: &PeCheckpoint) -> bool {
+        ckpt.is_full()
+            || ((ckpt.base == self.basis || Some(ckpt.stamp) == self.basis)
+                && self.moved().iter().all(|&w| w == 0))
+    }
+
+    /// The moved set's invariant: the running retained count is the sum
+    /// over every port, and when `ckpt` is the checkpoint this copy's
+    /// queues match (its basis, see [`PeInstance::snapshot`]), `ckpt` is
+    /// full and every output port outside the moved set holds the state
+    /// `ckpt` lists for it. O(ports + elements), for debug assertions and
+    /// tests.
+    pub fn holds_outside_moved(&self, ckpt: &PeCheckpoint) -> bool {
+        let counted: u64 = self.outputs.iter().map(|q| q.retained_len() as u64).sum();
+        let matches =
+            || {
+                ckpt.is_full()
+                    && ckpt.outputs.len() == self.outputs.len()
+                    && self.outputs.iter().zip(&ckpt.outputs).enumerate().all(
+                        |(port, (q, (p, s)))| {
+                            *p == port && (has_bit(self.moved(), port) || q.snapshot() == *s)
+                        },
+                    )
+            };
+        counted == self.retained && (self.basis != Some(ckpt.stamp) || matches())
     }
 
     /// Number of output ports.
@@ -344,9 +467,9 @@ impl PeInstance {
             let ports = self.inputs.len();
             'fill: while self.inflight.len() < max as usize {
                 for i in 0..ports {
-                    let port = (self.next_input_port + i) % ports;
+                    let port = (self.next_input_port as usize + i) % ports;
                     if let Some(elem) = self.inputs[port].take_next() {
-                        self.next_input_port = (port + 1) % ports;
+                        self.next_input_port = ((port + 1) % ports) as u32;
                         self.inflight.push(elem);
                         match self.port_runs.last_mut() {
                             Some((last, end)) if *last == port => *end += 1,
@@ -416,7 +539,13 @@ impl PeInstance {
         for (parent, outputs) in self.inflight.iter().zip(emitter.per_input()) {
             for &(out_port, payload) in outputs {
                 if out_port != staged_port {
-                    retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
+                    retain_staged(
+                        &mut self.outputs,
+                        halves(&mut self.sets),
+                        &mut self.retained,
+                        staged_port,
+                        staged,
+                    );
                     staged_port = out_port;
                 }
                 let child = self.outputs[out_port].stamp(payload, parent.created_at);
@@ -424,7 +553,13 @@ impl PeInstance {
                 staged.push(child);
             }
         }
-        retain_staged(&mut self.outputs, &mut self.sendable, staged_port, staged);
+        retain_staged(
+            &mut self.outputs,
+            halves(&mut self.sets),
+            &mut self.retained,
+            staged_port,
+            staged,
+        );
         emitter.clear();
         self.processed_total += n as u64;
         self.inflight.clear();
@@ -464,7 +599,7 @@ impl PeInstance {
 
     /// Retained (unacknowledged) output elements summed over all ports.
     pub fn output_backlog(&self) -> u64 {
-        self.outputs.iter().map(|q| q.retained_len() as u64).sum()
+        self.retained
     }
 
     /// Largest pending-input depth ever observed on any port.
@@ -483,6 +618,11 @@ impl PeInstance {
             .map(|q| q.high_water() as u64)
             .max()
             .unwrap_or(0)
+    }
+
+    /// The operator's internal state, as a checkpoint would capture it.
+    pub fn operator_state(&self) -> OperatorState {
+        self.operator.snapshot()
     }
 
     // ---- suspension (hybrid standby) ----
@@ -522,40 +662,60 @@ impl PeInstance {
         self.pause_requested
     }
 
-    /// Snapshots internal state, output queues, and input positions; the
-    /// input backlog stays empty (see [`PeInstance::snapshot_with_backlog`]).
+    /// Captures internal state, output queues, and input positions as the
+    /// checkpoint `stamp`; the input backlog stays empty (see
+    /// [`PeInstance::snapshot_with_backlog`]).
+    ///
+    /// The capture is a delta onto `onto` when `onto` names this copy's
+    /// basis — the caller passes the restore point's stamp only when a
+    /// delta will be applied onto exactly that checkpoint — and full
+    /// otherwise. Either way it lists the ports of the moved set, a full
+    /// capture after setting every bit, and leaves the set empty with
+    /// `stamp` as the new basis. O(listed ports).
     ///
     /// # Panics
     ///
     /// Panics if an element is in flight — the pause protocol must complete
     /// first, exactly like the paper's `pause(controller)` /
     /// `ackPEPause()` handshake.
-    pub fn snapshot(&self, now: SimTime) -> PeCheckpoint {
+    pub fn snapshot(&mut self, stamp: u32, onto: Option<u32>) -> PeCheckpoint {
         assert!(
             self.inflight.is_empty(),
             "cannot snapshot {} mid-element; pause first",
             self.id
         );
+        let base = onto.filter(|_| onto == self.basis);
+        if base.is_none() {
+            fill_bits(halves(&mut self.sets).1, self.outputs.len());
+        }
+        let listed = self.moved().iter().map(|w| w.count_ones() as usize).sum();
+        let mut outputs = Vec::with_capacity(listed);
+        let queues = &self.outputs;
+        take_bits(halves(&mut self.sets).1, |port| {
+            outputs.push((port, queues[port].snapshot()))
+        });
+        self.basis = Some(stamp);
         PeCheckpoint {
             pe: self.id.pe,
             operator_state: self.operator.snapshot(),
-            state_elements: self.operator.state_size_elements(),
-            outputs: self.outputs.iter().map(OutputQueue::snapshot).collect(),
+            elements: self.operator.state_size_elements() + self.retained,
+            outputs,
             input_positions: self.inputs.iter().map(InputQueue::positions).collect(),
             input_backlog: Vec::new(),
-            taken_at: now,
+            stamp,
+            base,
         }
     }
 
-    /// Like [`PeInstance::snapshot`] but carrying the input backlog, for the
+    /// A full [`PeInstance::snapshot`] carrying the input backlog, for the
     /// hybrid rollback's read-state operation.
     ///
     /// # Panics
     ///
     /// Panics if an element is in flight (pause first): the backlog is only
     /// contiguous when the PE is quiescent.
-    pub fn snapshot_with_backlog(&self, now: SimTime) -> PeCheckpoint {
-        let mut ckpt = self.snapshot(now);
+    pub fn snapshot_with_backlog(&mut self, stamp: u32) -> PeCheckpoint {
+        let mut ckpt = self.snapshot(stamp, None);
         ckpt.input_backlog = self
             .inputs
             .iter()
@@ -565,21 +725,35 @@ impl PeInstance {
     }
 
     /// Restores this instance from a checkpoint: rebuilds the operator from
-    /// the spec, restores its state, restores output queues, and resets
-    /// input positions (pending input data is discarded; upstream retention
-    /// will retransmit it).
+    /// the spec, restores its state, restores the output queues the
+    /// checkpoint lists, and resets input positions (pending input data is
+    /// discarded; upstream retention will retransmit it). The checkpoint
+    /// becomes the copy's basis and its ports leave the moved set, so a
+    /// full checkpoint leaves the set empty.
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint belongs to a different logical PE or has a
-    /// different port shape.
+    /// Panics if the checkpoint belongs to a different logical PE, has a
+    /// different port shape, or is a delta cut from a checkpoint other than
+    /// the one this copy holds.
     pub fn restore(&mut self, ckpt: &PeCheckpoint) {
         assert_eq!(
             ckpt.pe, self.id.pe,
             "checkpoint of {} restored into {}",
             ckpt.pe, self.id.pe
         );
-        assert_eq!(ckpt.outputs.len(), self.outputs.len(), "output port shape");
+        if ckpt.is_full() {
+            assert_eq!(ckpt.outputs.len(), self.outputs.len(), "output port shape");
+        } else {
+            assert!(
+                ckpt.base == self.basis || Some(ckpt.stamp) == self.basis,
+                "{}: delta {} cut from {:?} restored onto {:?}",
+                self.id,
+                ckpt.stamp,
+                ckpt.base,
+                self.basis
+            );
+        }
         assert_eq!(
             ckpt.input_positions.len(),
             self.inputs.len(),
@@ -587,13 +761,18 @@ impl PeInstance {
         );
         self.operator = self.spec.build();
         self.operator.restore(&ckpt.operator_state);
-        for (q, s) in self.outputs.iter_mut().zip(&ckpt.outputs) {
-            q.restore(s);
+        for (port, state) in &ckpt.outputs {
+            let q = &mut self.outputs[*port];
+            self.retained -= q.retained_len() as u64;
+            q.restore(state);
+            self.retained += q.retained_len() as u64;
+            // A restored queue holds elements no cursor has been pointed at
+            // yet, and now matches the checkpoint.
+            let (sendable, moved) = halves(&mut self.sets);
+            set_bit(sendable, *port);
+            clear_bit(moved, *port);
         }
-        // Restored queues hold elements no cursor has been pointed at yet.
-        for port in 0..self.outputs.len() {
-            self.mark_sendable(port);
-        }
+        self.basis = Some(ckpt.stamp);
         for (q, positions) in self.inputs.iter_mut().zip(&ckpt.input_positions) {
             q.restore(positions);
         }
@@ -614,22 +793,71 @@ impl PeInstance {
     /// Registers a cumulative ack on an output connection; returns elements
     /// trimmed.
     pub fn register_ack(&mut self, port: usize, conn: ConnectionId, seq: u64) -> usize {
-        self.outputs[port].register_ack(conn, seq)
+        let trimmed = self.outputs[port].register_ack(conn, seq);
+        if trimmed > 0 {
+            self.retained -= trimmed as u64;
+            set_bit(halves(&mut self.sets).1, port);
+        }
+        trimmed
     }
 }
 
 /// Retains the staged outputs of `port` as one run and puts the port into
-/// the sendable set.
+/// the sendable and moved sets.
 fn retain_staged(
     outputs: &mut [OutputQueue<Dest>],
-    sendable: &mut [u64],
+    (sendable, moved): (&mut [u64], &mut [u64]),
+    retained: &mut u64,
     port: usize,
     staged: &mut Vec<DataElement>,
 ) {
     if !staged.is_empty() {
         outputs[port].retain_run(staged);
-        sendable[port / 64] |= 1 << (port % 64);
+        *retained += staged.len() as u64;
+        set_bit(sendable, port);
+        set_bit(moved, port);
         staged.clear();
+    }
+}
+
+/// A copy's two port sets: (sendable, moved).
+fn halves(sets: &mut [u64]) -> (&mut [u64], &mut [u64]) {
+    let words = sets.len() / 2;
+    sets.split_at_mut(words)
+}
+
+/// Sets bit `i` of a port set.
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Clears bit `i` of a port set.
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
+
+/// `true` if bit `i` of a port set is set.
+fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+/// Sets the bits of ports `0..n`.
+fn fill_bits(words: &mut [u64], n: usize) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let below = n.saturating_sub(w * 64).min(64);
+        *word = if below == 64 { !0 } else { (1 << below) - 1 };
+    }
+}
+
+/// Empties a port set, calling `f` for each port that was in it,
+/// ascending.
+fn take_bits(words: &mut [u64], mut f: impl FnMut(usize)) {
+    for (w, word) in words.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -637,6 +865,7 @@ fn retain_staged(
 mod tests {
     use super::*;
     use crate::element::Payload;
+    use sps_sim::SimTime;
 
     fn elem(stream: u32, seq: u64, value: f64) -> DataElement {
         DataElement {
@@ -728,7 +957,7 @@ mod tests {
         let mut inst = counter_instance();
         inst.offer(0, elem(1, 1, 1.0));
         inst.start_next_batch(1).unwrap();
-        inst.snapshot(SimTime::ZERO);
+        inst.snapshot(1, None);
     }
 
     #[test]
@@ -741,7 +970,7 @@ mod tests {
             a.start_next_batch(1).unwrap();
             finish(&mut a);
         }
-        let ckpt = a.snapshot(SimTime::from_millis(9));
+        let ckpt = a.snapshot(1, None);
         assert_eq!(ckpt.input_positions[0], vec![(StreamId(1), 3)]);
         assert_eq!(
             ckpt.element_count(),
@@ -862,7 +1091,7 @@ mod tests {
         inst.offer(0, elem(1, 1, 1.0));
         inst.start_next_batch(1).unwrap();
         finish(&mut inst);
-        let ckpt = inst.snapshot(SimTime::ZERO);
+        let ckpt = inst.snapshot(1, None);
         assert_eq!(ckpt.byte_size(256), ckpt.element_count() * 256 + 64);
     }
 

@@ -79,10 +79,9 @@ pub struct OutputQueueState {
     pub stream: StreamId,
     /// Next sequence number to assign.
     pub next_seq: u64,
-    /// Trim floor at snapshot time.
-    pub trimmed: u64,
-    /// The retained elements, sharing chunks with the live queue at capture
-    /// time (copy-on-write keeps this frozen while the queue moves on).
+    /// The retained elements, sequences `trimmed() + 1 .. next_seq`,
+    /// sharing chunks with the live queue at capture time (copy-on-write
+    /// keeps this frozen while the queue moves on).
     pub retained: ChunkedDeque,
 }
 
@@ -90,6 +89,12 @@ impl OutputQueueState {
     /// Number of elements this state contributes to a checkpoint message.
     pub fn element_count(&self) -> u64 {
         self.retained.len() as u64
+    }
+
+    /// Trim floor at snapshot time: the retained elements are the
+    /// contiguous run just below `next_seq`.
+    pub fn trimmed(&self) -> u64 {
+        self.next_seq - 1 - self.retained.len() as u64
     }
 }
 
@@ -317,7 +322,6 @@ impl<D> OutputQueue<D> {
         OutputQueueState {
             stream: self.stream,
             next_seq: self.next_seq,
-            trimmed: self.trimmed,
             retained: self.retained.clone(),
         }
     }
@@ -336,7 +340,7 @@ impl<D> OutputQueue<D> {
             state.stream, self.stream
         );
         self.next_seq = state.next_seq;
-        self.trimmed = state.trimmed;
+        self.trimmed = state.trimmed();
         self.retained = state.retained.clone();
         for c in &mut self.connections {
             c.next_to_send = c.next_to_send.clamp(self.trimmed + 1, self.next_seq);
@@ -824,7 +828,7 @@ mod tests {
         let snap = q.snapshot();
         assert_eq!(snap.element_count(), 3);
         assert_eq!(snap.next_seq, 5);
-        assert_eq!(snap.trimmed, 1);
+        assert_eq!(snap.trimmed(), 1);
 
         let mut fresh: OutputQueue<&'static str> = OutputQueue::new(StreamId(1));
         fresh.connect("down", true, true);

@@ -152,7 +152,7 @@ fn restore_then_replay_equals_straight_run() {
         // Prefix, checkpoint, restore, replay (with overlapping duplicates).
         let mut primary = build();
         let mut got = run(&mut primary, 1..=cut);
-        let ckpt = primary.snapshot(SimTime::ZERO);
+        let ckpt = primary.snapshot(1, None);
         let mut recovered = build();
         recovered.restore(&ckpt);
         // Retransmission overlaps: resend from 1 (all dups below cut).
@@ -226,7 +226,7 @@ fn replicas_are_equivalent_through_the_runtime() {
         }
     }
     assert_eq!(out_a, out_b);
-    assert_eq!(a.snapshot(SimTime::ZERO), b.snapshot(SimTime::ZERO));
+    assert_eq!(a.snapshot(1, None), b.snapshot(1, None));
 }
 
 /// Coalescing: for random dispatch interleavings (destinations, streams,
@@ -359,7 +359,7 @@ fn sendable_set_drain_matches_full_port_scan() {
                 if !inst.output(port).connection(ConnectionId(ci)).active || skipped(port, ci) {
                     continue;
                 }
-                let out = inst.output_mut(port).drain_sendable(ConnectionId(ci));
+                let out = inst.with_output(port, |q| q.drain_sendable(ConnectionId(ci)));
                 if !out.is_empty() {
                     sent.push((port, ci, out.iter().map(|e| e.seq).collect()));
                 }
@@ -372,7 +372,7 @@ fn sendable_set_drain_matches_full_port_scan() {
     for case in 0..24 {
         let (mut set, mut scan) = (build(), build());
         let mut next_in = 1u64;
-        let mut ckpt = set.snapshot(SimTime::ZERO);
+        let mut ckpt = set.snapshot(1, None);
         let mut total_sent = 0usize;
         for step in 0..rng.uniform_u64(50, 400) {
             // The same mutation on both instances.
@@ -395,24 +395,24 @@ fn sendable_set_drain_matches_full_port_scan() {
                 4 => {
                     let replay = rng.chance(0.6);
                     let [a, b] = [&mut set, &mut scan].map(|inst| {
-                        let q = inst.output_mut(port);
-                        if replay {
-                            q.replay(conn)
-                        } else {
-                            q.suspend(conn);
-                            0..0
-                        }
+                        inst.with_output(port, |q| {
+                            if replay {
+                                q.replay(conn)
+                            } else {
+                                q.suspend(conn);
+                                0..0
+                            }
+                        })
                     });
                     assert_eq!(a, b, "case {case} step {step}: replay ranges");
                 }
                 5 => {
                     let resume_after = rng.chance(0.5).then(|| rng.uniform_u64(0, head));
                     let [a, b] = [&mut set, &mut scan].map(|inst| {
-                        let q = inst.output_mut(port);
-                        match resume_after {
+                        inst.with_output(port, |q| match resume_after {
                             Some(after) => q.resume(conn, after),
                             None => q.rewind(conn),
-                        }
+                        })
                     });
                     assert_eq!(a, b, "case {case} step {step}: resend ranges");
                     let trimmed = set.output(port).trimmed_through();
@@ -438,7 +438,7 @@ fn sendable_set_drain_matches_full_port_scan() {
                 }
                 8 => {
                     if rng.chance(0.4) {
-                        ckpt = set.snapshot(SimTime::ZERO);
+                        ckpt = set.snapshot(step as u32 + 2, None);
                     } else {
                         if rng.chance(0.5) {
                             // Redeploy: the checkpoint lands in fresh copies
@@ -479,6 +479,196 @@ fn sendable_set_drain_matches_full_port_scan() {
         );
         assert_eq!(via_set(&mut set, &|_, _| false), Sent::new(), "drained");
     }
+}
+
+/// A 130-port router (three bitset words, the last one partial) fed from
+/// stream 0, with a serving sink and an early (inactive) standby link per
+/// port.
+fn router(ports: usize) -> PeInstance {
+    let streams: Vec<StreamId> = (0..ports as u32).map(|p| StreamId(100 + p)).collect();
+    let mut inst = PeInstance::new(
+        InstanceId {
+            pe: PeId(0),
+            replica: Replica::Primary,
+        },
+        OperatorSpec::ShardRouter {
+            shards: ports as u32,
+            demand_secs: 1e-6,
+        },
+        1,
+        &streams,
+    );
+    inst.register_input_stream(0, StreamId(0));
+    for port in 0..ports {
+        inst.connect_output(port, Dest::Sink(SinkId(0)), true);
+        inst.connect_output(port, Dest::Sink(SinkId(1)), false);
+    }
+    inst
+}
+
+/// Asserts that two copies hold the same queues, cursors, unsent
+/// connections, operator state and input positions, port by port.
+fn assert_same_copy(a: &PeInstance, b: &PeInstance, what: &str) {
+    assert_eq!(a.operator_state(), b.operator_state(), "{what}: operator");
+    assert_eq!(a.input_positions(0), b.input_positions(0), "{what}: inputs");
+    for port in 0..a.output_ports() {
+        let (qa, qb) = (a.output(port), b.output(port));
+        assert_eq!(qa.snapshot(), qb.snapshot(), "{what}: port {port} queue");
+        assert_eq!(
+            qa.trimmed_through(),
+            qb.trimmed_through(),
+            "{what}: port {port}"
+        );
+        let conns = |q: &OutputQueue<Dest>| -> Vec<(Dest, bool, u64, u64, bool)> {
+            (0..q.connections().len())
+                .map(|ci| {
+                    let c = q.connection(ConnectionId(ci));
+                    let unsent = q.has_unsent(ConnectionId(ci));
+                    (c.dest, c.active, c.next_to_send, c.acked, unsent)
+                })
+                .collect()
+        };
+        assert_eq!(conns(qa), conns(qb), "{what}: port {port} cursors");
+    }
+    assert_eq!(a.output_backlog(), b.output_backlog(), "{what}: retained");
+    assert!(a.sendable_set_is_complete(), "{what}: sendable set");
+    assert!(b.sendable_set_is_complete(), "{what}: sendable set");
+}
+
+/// Delta checkpoints: under random interleavings of produce, acks,
+/// connection moves (activate, suspend, resume, rewind), sends, late
+/// connections and rollbacks on a 130-port router, every capture applied
+/// to a copy restored from the previous capture leaves it, port by port,
+/// where a full restore of the updated restore point leaves a copy with
+/// the same history; the updated restore point equals a full capture of
+/// the same state; and the running retained count equals the sum over
+/// ports. Captures are also lost (the next one must be full) and
+/// duplicated (applying twice is applying once).
+#[test]
+fn delta_checkpoints_match_full_restores() {
+    const PORTS: usize = 130;
+    let mut rng = SimRng::seed_from(0xDE17A);
+    let (mut deltas, mut fulls) = (0, 0);
+    for case in 0..24 {
+        // `live` takes deltas; `mirror` sees the same operations and
+        // takes full captures; `follower` and `reference` are standbys
+        // fed the delta and the updated restore point.
+        let (mut live, mut mirror) = (router(PORTS), router(PORTS));
+        let mut stamp = 1;
+        let mut point = live.snapshot(stamp, None);
+        mirror.snapshot(stamp, None);
+        let (mut follower, mut reference) = (router(PORTS), router(PORTS));
+        follower.restore(&point);
+        reference.restore(&point);
+        let mut next_in = 1u64;
+        for step in 0..rng.uniform_u64(50, 300) {
+            let what = format!("case {case} step {step}");
+            let port = rng.uniform_u64(0, PORTS as u64) as usize;
+            let conns = live.output(port).connections().len();
+            let conn = ConnectionId(rng.uniform_u64(0, conns as u64) as usize);
+            let head = live.output(port).next_seq();
+            match rng.uniform_u64(0, 13) {
+                0..=3 => {
+                    for _ in 0..rng.uniform_u64(1, 8) {
+                        let mut e = elem(0, next_in, 0.0);
+                        e.key = rng.next_u64();
+                        next_in += 1;
+                        for inst in [&mut live, &mut mirror] {
+                            inst.offer(0, e);
+                            process_next(inst).expect("just offered");
+                        }
+                    }
+                }
+                4 => {
+                    let replay = rng.chance(0.6);
+                    for inst in [&mut live, &mut mirror] {
+                        inst.with_output(port, |q| {
+                            if replay {
+                                q.replay(conn);
+                            } else {
+                                q.suspend(conn);
+                            }
+                        });
+                    }
+                }
+                5 => {
+                    let after = rng.chance(0.5).then(|| rng.uniform_u64(0, head));
+                    for inst in [&mut live, &mut mirror] {
+                        inst.with_output(port, |q| match after {
+                            Some(after) => q.resume(conn, after),
+                            None => q.rewind(conn),
+                        });
+                    }
+                }
+                6 | 7 => {
+                    // Send on a port that holds elements, then acknowledge
+                    // up to what the connection has sent, so the ack may
+                    // trim.
+                    let held: Vec<usize> = (0..PORTS)
+                        .filter(|&p| live.output(p).retained_len() > 0)
+                        .collect();
+                    let port = held.get(rng.uniform_u64(0, held.len().max(1) as u64) as usize);
+                    let Some(&port) = port else { continue };
+                    let conn = ConnectionId(rng.uniform_u64(0, 2) as usize);
+                    for inst in [&mut live, &mut mirror] {
+                        inst.with_output(port, |q| q.drain_sendable(conn));
+                    }
+                    let sent_through = live.output(port).connection(conn).next_to_send - 1;
+                    let seq = rng.uniform_u64(0, sent_through + 1);
+                    for inst in [&mut live, &mut mirror] {
+                        inst.register_ack(port, conn, seq);
+                    }
+                }
+                8 if conns < 4 => {
+                    let active = rng.chance(0.5);
+                    for inst in [&mut live, &mut mirror, &mut follower, &mut reference] {
+                        inst.connect_output(port, Dest::Sink(SinkId(9)), active);
+                    }
+                }
+                9 | 10 => {
+                    stamp += 1;
+                    let ckpt = live.snapshot(stamp, Some(point.stamp));
+                    let full = mirror.snapshot(stamp, None);
+                    if ckpt.is_full() {
+                        fulls += 1;
+                    } else {
+                        deltas += 1;
+                    }
+                    assert!(ckpt.outputs.windows(2).all(|w| w[0].0 < w[1].0));
+                    assert_eq!(ckpt.element_count(), full.element_count(), "{what}");
+                    if rng.chance(0.15) {
+                        continue; // lost: the next capture must be full
+                    }
+                    let times = if rng.chance(0.15) { 2 } else { 1 };
+                    for _ in 0..times {
+                        assert!(follower.follows(&ckpt), "{what}: follower out of step");
+                        follower.restore(&ckpt);
+                        point.apply(ckpt.clone());
+                    }
+                    assert_eq!(point, full, "{what}: restore point != full capture");
+                    reference.restore(&point);
+                    assert_same_copy(&follower, &reference, &what);
+                    assert!(live.holds_outside_moved(&point), "{what}: live");
+                }
+                11 if rng.chance(0.5) => {
+                    // Roll the live copy back to the restore point.
+                    for inst in [&mut live, &mut mirror] {
+                        inst.restore(&point);
+                    }
+                    next_in = live.input_positions(0)[0].1 + 1;
+                }
+                _ => {}
+            }
+            let counted: u64 = (0..PORTS)
+                .map(|p| live.output(p).retained_len() as u64)
+                .sum();
+            assert_eq!(live.output_backlog(), counted, "{what}: running count");
+        }
+    }
+    assert!(
+        deltas > 5 * fulls && fulls > 0,
+        "mostly deltas, and some full: {deltas} deltas, {fulls} full"
+    );
 }
 
 /// Run lengths that sit on, beside and well past a chunk edge.
@@ -855,7 +1045,7 @@ fn batch_completion_matches_the_elementwise_pe() {
             }
             assert!(single.start_next().is_none(), "case {case}");
             assert_eq!(batched.processed_total(), single.processed_total);
-            let ckpt = batched.snapshot(SimTime::ZERO);
+            let ckpt = batched.snapshot(1, None);
             assert_eq!(
                 ckpt.operator_state,
                 single.operator.snapshot(),
@@ -871,7 +1061,7 @@ fn batch_completion_matches_the_elementwise_pe() {
             for port in 0..out_ports {
                 assert_eq!(
                     ckpt.outputs[port],
-                    single.outputs[port].snapshot(),
+                    (port, single.outputs[port].snapshot()),
                     "case {case}"
                 );
                 assert_eq!(

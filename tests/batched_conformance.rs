@@ -183,8 +183,7 @@ fn outcome(sim: &HaSimulation) -> Outcome {
             let state = world
                 .instance(pe, replica)
                 .expect("deployed")
-                .snapshot(SimTime::ZERO)
-                .operator_state;
+                .operator_state();
             let bits = state.0.iter().map(|w| w.to_bits()).collect();
             states.push((pe, replica, primary, bits));
         }

@@ -273,3 +273,62 @@ fn switch_overhead_tracks_rate_times_duration() {
         "roughly rate x duration: {low}"
     );
 }
+
+/// A 64-shard job, every subjob Hybrid. The router's primary machine
+/// suffers a transient spike (switch-over, then a rollback that reads the
+/// state back) and later fail-stops (promotion, then a replacement
+/// standby). Between these its 64-port checkpoints are deltas whenever
+/// the subjob is settled, full otherwise. In a debug build every
+/// checkpoint arrival asserts that each copy on the restore point's basis
+/// matches the point outside its moved set; the run must also stay
+/// lossless.
+#[test]
+fn wide_router_checkpoints_survive_switch_over_rollback_and_promotion() {
+    use hybrid_ha::workloads::ZipfKeys;
+
+    let job = Job::sharded("wide", &OperatorSpec::synthetic_default(), 64, 1e-5);
+    let mut sim = HaSimulation::builder(job)
+        .mode(HaMode::Hybrid)
+        .source_profile(
+            0,
+            RateProfile::Constant { per_sec: 2_000.0 },
+            ZipfKeys::new(100_000, 1.05).payload_gen(),
+        )
+        .tune(|c| c.failstop_miss_threshold = 15)
+        .seed(7)
+        .build();
+    let router = sim.world().subjob(SubjobId(0)).primary_machine;
+    sim.inject_spike_windows(
+        router,
+        &single_failure(SimTime::from_secs(2), SimDuration::from_millis(800)),
+    );
+    sim.fail_stop_at(router, SimTime::from_secs(6));
+    sim.stop_sources_at(SimTime::from_secs(10));
+    sim.run_for(SimDuration::from_secs(14));
+    let kinds: Vec<HaEventKind> = sim
+        .world()
+        .ha_events()
+        .iter()
+        .filter(|e| e.subjob == SubjobId(0))
+        .map(|e| e.kind)
+        .collect();
+    for kind in [
+        HaEventKind::SwitchoverComplete,
+        HaEventKind::RollbackComplete,
+        HaEventKind::Promoted,
+        HaEventKind::SecondaryReady,
+    ] {
+        assert!(kinds.contains(&kind), "{kind:?} missing from {kinds:?}");
+    }
+    let sj = sim.world().subjob(SubjobId(0));
+    assert_eq!(sj.primary_replica, Replica::Secondary, "roles swapped");
+    assert!(
+        sj.ckpt(PeId(0)).stored.is_some(),
+        "the new standby holds a checkpoint"
+    );
+    assert_eq!(
+        sim.world().sinks()[0].accepted(),
+        sim.world().sources()[0].produced(),
+        "lossless"
+    );
+}
