@@ -1,7 +1,5 @@
 //! A container tying machines and the network together.
 
-use sps_sim::SimTime;
-
 use crate::domain::FaultTopology;
 use crate::machine::{Machine, MachineId};
 use crate::network::{Network, NetworkConfig};
@@ -115,13 +113,6 @@ impl<T: Copy> Cluster<T> {
         &mut self.network
     }
 
-    /// Advances every machine to `now` (e.g., before a global snapshot).
-    pub fn advance_all(&mut self, now: SimTime) {
-        for m in &mut self.machines {
-            m.advance(now);
-        }
-    }
-
     /// Iterates over machine ids.
     pub fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
         (0..self.machines.len() as u32).map(MachineId)
@@ -131,7 +122,6 @@ impl<T: Copy> Cluster<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sps_sim::SimTime;
 
     #[test]
     fn ids_are_dense_and_stable() {
@@ -140,19 +130,6 @@ mod tests {
         assert_eq!(ids, (0..5).map(MachineId).collect::<Vec<_>>());
         assert_eq!(c.ids().collect::<Vec<_>>(), ids);
         assert_eq!(c.machine(MachineId(3)).id(), MachineId(3));
-    }
-
-    #[test]
-    fn advance_all_touches_every_machine() {
-        let mut c = Cluster::new(NetworkConfig::default());
-        c.add_machines(3);
-        for id in c.ids().collect::<Vec<_>>() {
-            c.machine_mut(id).submit(SimTime::ZERO, 10.0, 0);
-        }
-        c.advance_all(SimTime::from_secs(1));
-        for m in c.machines() {
-            assert!((m.work_done() - 1.0).abs() < 1e-9);
-        }
     }
 
     #[test]

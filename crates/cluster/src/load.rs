@@ -27,20 +27,6 @@ pub enum Dist {
         /// Exclusive upper bound.
         hi: f64,
     },
-    /// Pareto with minimum `scale` and tail index `shape` (heavy tails).
-    Pareto {
-        /// Minimum value.
-        scale: f64,
-        /// Tail index; smaller is heavier.
-        shape: f64,
-    },
-    /// Log-normal parameterized by the underlying normal's `mu`, `sigma`.
-    LogNormal {
-        /// Mean of the underlying normal.
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
 }
 
 impl Dist {
@@ -50,25 +36,6 @@ impl Dist {
             Dist::Fixed(v) => v,
             Dist::Exp { mean } => rng.exp(mean),
             Dist::Uniform { lo, hi } => rng.uniform(lo, hi),
-            Dist::Pareto { scale, shape } => rng.pareto(scale, shape),
-            Dist::LogNormal { mu, sigma } => rng.log_normal(mu, sigma),
-        }
-    }
-
-    /// The distribution's mean, where finite.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            Dist::Fixed(v) => v,
-            Dist::Exp { mean } => mean,
-            Dist::Uniform { lo, hi } => (lo + hi) / 2.0,
-            Dist::Pareto { scale, shape } => {
-                if shape > 1.0 {
-                    scale * shape / (shape - 1.0)
-                } else {
-                    f64::INFINITY
-                }
-            }
-            Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
         }
     }
 }
@@ -154,14 +121,6 @@ impl SpikeProfile {
         }
     }
 
-    /// The long-run fraction of time under failure implied by the profile
-    /// means.
-    pub fn expected_fraction(&self) -> f64 {
-        let on = self.duration.mean();
-        let off = self.off_time.mean();
-        on / (on + off)
-    }
-
     /// Generates the spike schedule for `[0, horizon)`.
     ///
     /// Spikes never overlap; a spike crossing the horizon is truncated.
@@ -209,35 +168,17 @@ mod tests {
     }
 
     #[test]
-    fn dist_means_are_consistent_with_samples() {
+    fn dist_samples_average_to_the_mean() {
         let mut r = rng();
         for dist in [
             Dist::Fixed(3.0),
             Dist::Exp { mean: 3.0 },
             Dist::Uniform { lo: 2.0, hi: 4.0 },
-            Dist::Pareto {
-                scale: 1.0,
-                shape: 4.0,
-            },
         ] {
             let n = 30_000;
             let emp: f64 = (0..n).map(|_| dist.sample(&mut r)).sum::<f64>() / n as f64;
-            let want = dist.mean();
-            assert!(
-                (emp - want).abs() / want < 0.1,
-                "{dist:?}: empirical {emp} vs analytic {want}"
-            );
+            assert!((emp - 3.0).abs() / 3.0 < 0.1, "{dist:?}: empirical {emp}");
         }
-    }
-
-    #[test]
-    fn pareto_below_unit_shape_has_infinite_mean() {
-        assert!(Dist::Pareto {
-            scale: 1.0,
-            shape: 0.9
-        }
-        .mean()
-        .is_infinite());
     }
 
     #[test]
@@ -256,7 +197,6 @@ mod tests {
     #[test]
     fn duty_cycle_hits_target_fraction() {
         let profile = SpikeProfile::duty_cycle(0.3, SimDuration::from_secs(5));
-        assert!((profile.expected_fraction() - 0.3).abs() < 1e-12);
         let horizon = SimTime::from_secs(20_000);
         let windows = profile.generate(&mut rng(), horizon);
         let on = total_failure_time(&windows).as_secs_f64();

@@ -145,11 +145,6 @@ impl<T: Copy> Machine<T> {
         self.background.iter().sum::<f64>().min(1.0)
     }
 
-    /// The share contributed by one background component.
-    pub fn background_component(&self, component: LoadComponent) -> f64 {
-        self.background[component.index()]
-    }
-
     /// Number of currently active CPU tasks.
     pub fn active_tasks(&self) -> usize {
         self.tasks.len()
@@ -409,7 +404,6 @@ mod tests {
         m.set_background(ms(0), LoadComponent::Spike, 0.7);
         m.set_background(ms(0), LoadComponent::CoLocated, 0.6);
         assert!((m.background_share() - 1.0).abs() < 1e-12);
-        assert!((m.background_component(LoadComponent::Spike) - 0.7).abs() < 1e-12);
     }
 
     #[test]

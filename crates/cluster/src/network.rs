@@ -49,8 +49,7 @@
 //! * [`Network::messages_dropped`] / [`Network::bytes_dropped`] count the
 //!   offered traffic that was **lost** (partition or chaos);
 //!   [`Network::chaos_dropped`] is the chaos-only portion.
-//! * Delivered traffic is therefore `sent - dropped`
-//!   ([`Network::messages_delivered`] / [`Network::bytes_delivered`]).
+//! * Delivered traffic is therefore `sent - dropped`.
 //! * A duplicated message counts once in `messages_sent` and once in
 //!   [`Network::messages_duplicated`]; the extra copy is bookkept by the
 //!   receiver, not here.
@@ -496,11 +495,6 @@ impl Network {
         self.messages_duplicated
     }
 
-    /// Messages actually delivered (`sent - dropped`).
-    pub fn messages_delivered(&self) -> u64 {
-        self.messages_sent - self.messages_dropped
-    }
-
     /// Total payload bytes offered to the network (delivered or not).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
@@ -509,11 +503,6 @@ impl Network {
     /// Payload bytes lost to partitions or chaos faults.
     pub fn bytes_dropped(&self) -> u64 {
         self.bytes_dropped
-    }
-
-    /// Payload bytes actually delivered (`sent - dropped`).
-    pub fn bytes_delivered(&self) -> u64 {
-        self.bytes_sent - self.bytes_dropped
     }
 
     /// The network configuration.
@@ -613,8 +602,6 @@ mod tests {
         assert_eq!(n.bytes_sent(), 700);
         assert_eq!(n.messages_dropped(), 1);
         assert_eq!(n.bytes_dropped(), 400);
-        assert_eq!(n.messages_delivered(), 2);
-        assert_eq!(n.bytes_delivered(), 300);
     }
 
     #[test]

@@ -129,24 +129,13 @@ fn spike_schedules_are_well_formed() {
     }
 }
 
-/// Distribution samples are non-negative and Pareto respects its scale.
+/// Distribution samples are non-negative.
 #[test]
 fn dist_support() {
     let mut outer = SimRng::seed_from(0xD15B);
     for _case in 0..32 {
         let mut rng = SimRng::seed_from(outer.next_u64());
-        for d in [
-            Dist::Exp { mean: 1.0 },
-            Dist::Uniform { lo: 0.5, hi: 2.0 },
-            Dist::Pareto {
-                scale: 0.25,
-                shape: 1.5,
-            },
-            Dist::LogNormal {
-                mu: 0.0,
-                sigma: 1.0,
-            },
-        ] {
+        for d in [Dist::Exp { mean: 1.0 }, Dist::Uniform { lo: 0.5, hi: 2.0 }] {
             for _ in 0..16 {
                 assert!(d.sample(&mut rng) >= 0.0);
             }

@@ -341,7 +341,8 @@ impl HaWorld {
                     replica: replica_code(replica),
                 },
             );
-            self.metric_inc(sps_metrics::Scope::global("checkpoint"), "stored", 1);
+            self.observers
+                .metric_inc(sps_metrics::Scope::global("checkpoint"), "stored", 1);
             let from_machine = self.slots[slot_of(pe, replica)].machine();
             for (port, streams) in positions.iter().enumerate() {
                 let from = sps_engine::Dest::Pe {

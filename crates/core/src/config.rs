@@ -109,37 +109,6 @@ pub(crate) const ACK_EVERY_ELEMENTS: u64 = 16;
 /// Wire size of one data element, in bytes.
 pub(crate) const ELEMENT_BYTES: u32 = 256;
 
-/// Initial retransmission timeout of a reliable control message; it doubles
-/// per attempt up to [`REL_RTO_MAX`].
-pub(crate) const REL_RTO_INITIAL: SimDuration = SimDuration::from_millis(50);
-
-/// Retransmission attempts before a reliable message is abandoned (the
-/// periodic protocols re-drive any state it carried).
-pub(crate) const REL_MAX_RETRIES: u32 = 12;
-
-/// Period of the data-plane retransmit sweep under
-/// [`HaConfig::reliable_control`], and the base of its backoff: a
-/// connection with sent-but-unacknowledged elements and no progress over a
-/// full period has its send cursor rewound to the acknowledged position and
-/// the retained elements replayed (receivers deduplicate). While it stays
-/// silent the next rewinds follow the control plane's rule,
-/// `REL_SWEEP_INTERVAL · 2^attempt` apart, capped at [`REL_RTO_MAX`].
-pub const REL_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(100);
-
-/// Retransmission backoff cap, shared by both planes: a reliable control
-/// message doubles its RTO per attempt up to this bound, and a data-plane
-/// connection that stays silent is rewound by the sweep at most this far
-/// apart.
-pub const REL_RTO_MAX: SimDuration = SimDuration::from_millis(800);
-
-/// The retransmission backoff both reliable planes share: the wait after
-/// retransmission number `attempt` is `base · 2^attempt`, capped at
-/// [`REL_RTO_MAX`]. The control plane's base is [`REL_RTO_INITIAL`], the
-/// data-plane sweep's [`REL_SWEEP_INTERVAL`].
-pub(crate) fn rel_backoff(base: SimDuration, attempt: u32) -> SimDuration {
-    (base * (1u64 << attempt.min(16))).min(REL_RTO_MAX)
-}
-
 /// Tunables of the HA layer. Defaults reproduce the paper's evaluation
 /// settings (checkpoint 500 ms, heartbeat 100 ms, PS declares at 3 misses,
 /// Hybrid acts on the first miss); the calibrated cost constants beside it
@@ -211,15 +180,6 @@ impl Default for HaConfig {
 }
 
 impl HaConfig {
-    /// A config with the given mode and all other parameters at the paper's
-    /// defaults.
-    pub fn with_mode(mode: HaMode) -> Self {
-        HaConfig {
-            mode,
-            ..HaConfig::default()
-        }
-    }
-
     /// `true` if a subjob in `mode` keeps a deployed standby copy: always
     /// under active standby, under the hybrid only with
     /// [`HaConfig::hybrid_predeploy`]. Job start, every standby
@@ -313,15 +273,5 @@ mod tests {
             ..HaConfig::default()
         };
         on.validate();
-    }
-
-    #[test]
-    fn with_mode_sets_only_the_mode() {
-        let c = HaConfig::with_mode(HaMode::Passive);
-        assert_eq!(c.mode, HaMode::Passive);
-        assert_eq!(
-            c.checkpoint_interval,
-            HaConfig::default().checkpoint_interval
-        );
     }
 }

@@ -9,13 +9,11 @@ use sps_metrics::{MsgClass, Scope};
 use sps_sim::{Ctx, SimTime, TimerGen};
 use sps_trace::{DropReason, LineageTable, TraceEvent};
 
-use crate::config::{
-    rel_backoff, ACK_EVERY_ELEMENTS, HEARTBEAT_REPLY_DEMAND_SECS, REL_MAX_RETRIES, REL_RTO_INITIAL,
-    REL_SWEEP_INTERVAL,
-};
+use crate::config::{ACK_EVERY_ELEMENTS, HEARTBEAT_REPLY_DEMAND_SECS};
 use crate::message::{Msg, ProducerAddr};
+use crate::reliable::REL_SWEEP_INTERVAL;
 use crate::wiring::find_conn;
-use crate::world::{replica_code, slot_of, unslot, Event, HaWorld, SjState, TaskTag};
+use crate::world::{replica_code, slot_of, unslot, Event, HaWorld, SjState, SubjobHa, TaskTag};
 
 /// The `pe` field of trace events emitted for a source (sources have no
 /// PE id).
@@ -87,8 +85,8 @@ impl HaWorld {
     }
 
     /// Sends a control-plane message under the reliable layer when it is
-    /// enabled: assigns a transmission id, records it in flight, and arms
-    /// the retransmission timer. Loopback sends (and runs without
+    /// enabled: opens a transmission and arms its retransmission timer.
+    /// Loopback sends (and runs without
     /// [`crate::HaConfig::reliable_control`]) bypass the envelope.
     pub(crate) fn send_reliable(
         &mut self,
@@ -103,18 +101,7 @@ impl HaWorld {
             self.send_msg(ctx, src, dst, msg, class, elements);
             return;
         }
-        let tx = self.rel_next_tx;
-        self.rel_next_tx += 1;
-        self.rel_inflight.insert(
-            tx,
-            crate::world::RelPending {
-                src,
-                dst,
-                msg: msg.clone(),
-                class,
-                attempt: 0,
-            },
-        );
+        let (tx, rto) = self.reliable.open(src, dst, &msg, class);
         self.send_msg(
             ctx,
             src,
@@ -127,67 +114,37 @@ impl HaWorld {
             class,
             elements,
         );
-        ctx.schedule_in(REL_RTO_INITIAL, Event::RelRetransmit { tx });
+        ctx.schedule_in(rto, Event::RelRetransmit { tx });
     }
 
-    /// A reliable message's retransmission timer fired: resend with
-    /// exponential backoff unless it was acknowledged, its sender died, its
-    /// payload went stale, or the retry budget ran out.
+    /// A reliable message's retransmission timer fired: resend it if the
+    /// reliable layer says so.
     pub(crate) fn on_rel_retransmit(&mut self, ctx: &mut Ctx<Event>, tx: u64) {
-        let Some(pending) = self.rel_inflight.get(&tx) else {
-            return; // acknowledged (or already cancelled)
-        };
-        let give_up = pending.attempt >= REL_MAX_RETRIES
-            || !self.cluster.machine(pending.src).is_up()
-            || self.rel_payload_is_stale(&pending.msg);
-        if give_up {
-            self.rel_inflight.remove(&tx);
+        let (cluster, subjobs) = (&self.cluster, &self.subjobs);
+        let up = |m: MachineId| cluster.machine(m).is_up();
+        let stale = |msg: &Msg| payload_is_stale(subjobs, msg);
+        let Some((p, rto)) = self.reliable.on_timer(tx, up, stale) else {
             return;
-        }
-        let (src, dst, msg, class, attempt) = {
-            let p = self.rel_inflight.get_mut(&tx).expect("checked above");
-            p.attempt += 1;
-            (p.src, p.dst, p.msg.clone(), p.class, p.attempt)
         };
         self.tracer.emit(
             ctx.now(),
             TraceEvent::Retransmit {
-                src: src.0,
-                dst: dst.0,
+                src: p.src.0,
+                dst: p.dst.0,
                 tx,
-                attempt,
+                attempt: p.attempt,
             },
         );
         // Retransmissions carry no *new* elements: the overhead metric
         // counts each logical transfer once (the network byte counters
         // still see every attempt).
-        self.send_msg(
-            ctx,
-            src,
-            dst,
-            Msg::Reliable {
-                tx,
-                from: src,
-                inner: Box::new(msg),
-            },
-            class,
-            0,
-        );
-        let rto = rel_backoff(REL_RTO_INITIAL, attempt);
+        let msg = Msg::Reliable {
+            tx,
+            from: p.src,
+            inner: Box::new(p.msg),
+        };
+        self.send_msg(ctx, p.src, p.dst, msg, p.class, 0);
         ctx.schedule_in(rto, Event::RelRetransmit { tx });
-    }
-
-    /// `true` when a reliable payload's epoch guard says the protocol moved
-    /// on (a role change makes retransmitting it pointless).
-    fn rel_payload_is_stale(&self, msg: &Msg) -> bool {
-        match msg {
-            Msg::Checkpoint { subjob, epoch, .. }
-            | Msg::CheckpointStored { subjob, epoch, .. }
-            | Msg::StateRead { subjob, epoch, .. } => {
-                self.subjobs[subjob.0 as usize].is_stale(*epoch)
-            }
-            _ => false,
-        }
     }
 
     /// A reliable envelope arrived: always (re-)acknowledge — the previous
@@ -202,10 +159,9 @@ impl HaWorld {
         inner: Msg,
     ) {
         self.send_msg(ctx, to, from, Msg::RelAck { tx }, MsgClass::Ack, 0);
-        if !self.rel_seen.insert(tx) {
-            return; // retransmission or chaos duplicate of a processed tx
+        if self.reliable.first_arrival(tx) {
+            self.on_deliver(ctx, to, inner);
         }
-        self.on_deliver(ctx, to, inner);
     }
 
     /// Re-arms a machine's completion timer after any change to its task
@@ -316,7 +272,7 @@ impl HaWorld {
             Some(w) => w,
             None => return,
         };
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.observers.lineage_mut() {
             // The batch only starts on an empty in-flight set, so every
             // in-flight element was started just now.
             let now = ctx.now();
@@ -401,7 +357,7 @@ impl HaWorld {
                 }
             }
         }
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.observers.lineage_mut() {
             // Roots enter the lineage here: a source element's emission is
             // its creation, its first drain is its first transmission.
             // Re-drains after a rewind and the AS second connection both
@@ -480,7 +436,7 @@ impl HaWorld {
                 sj.switch_overhead_elements += n;
             }
         }
-        self.metric_inc(
+        self.observers.metric_inc(
             Scope::machine("data_plane", src_machine.0),
             "elements_sent",
             n,
@@ -542,7 +498,7 @@ impl HaWorld {
                 spans.push((dest, start, elems.len()));
             }
         }
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.observers.lineage_mut() {
             // Hop records were created when the producing element finished;
             // checkpoint-restored elements with no record no-op here.
             note_spans_sent(lin, &elems, &spans, ctx.now());
@@ -596,7 +552,7 @@ impl HaWorld {
         // output queues and are dispatched by draining connections below;
         // lineage links each to the input that produced it as it is stamped.
         let now = ctx.now();
-        let mut lineage = self.lineage.as_deref_mut();
+        let mut lineage = self.observers.lineage_mut();
         let batch_len = self.slots[slot].copy_mut().expect("checked").finish_batch(
             &mut self.emit_scratch,
             &mut self.dispatch_scratch,
@@ -788,9 +744,7 @@ impl HaWorld {
                 ckpts,
             } => self.on_state_read(ctx, to, subjob, epoch, ckpts),
             Msg::Reliable { tx, from, inner } => self.on_reliable(ctx, to, from, tx, *inner),
-            Msg::RelAck { tx } => {
-                self.rel_inflight.remove(&tx);
-            }
+            Msg::RelAck { tx } => self.reliable.on_ack(tx),
         }
     }
 
@@ -819,7 +773,7 @@ impl HaWorld {
                     );
                     return;
                 }
-                if let Some(lin) = self.lineage.as_deref_mut() {
+                if let Some(lin) = self.observers.lineage_mut() {
                     // First arrival of any copy — duplicates and stashed
                     // out-of-order arrivals no-op via first-writer-wins.
                     lin.note_recv_range(stream.0, first.seq, last.seq, now);
@@ -837,7 +791,7 @@ impl HaWorld {
                     duplicates: offer.duplicates as u32,
                 });
                 if offer.duplicates > 0 {
-                    self.metric_inc(
+                    self.observers.metric_inc(
                         Scope::machine("data_plane", at.0),
                         "duplicates",
                         offer.duplicates as u64,
@@ -866,12 +820,12 @@ impl HaWorld {
             }
             Dest::Sink(sink) => {
                 let s = sink.0 as usize;
-                if let Some(lin) = self.lineage.as_deref_mut() {
+                if let Some(lin) = self.observers.lineage_mut() {
                     lin.note_recv_range(stream.0, first.seq, last.seq, now);
                 }
                 // The end-to-end delay is observed per element of the run
                 // whose own offer the sink accepted.
-                let metrics = &mut self.metrics;
+                let mut metrics = self.observers.metrics_mut();
                 let observe = |elem: &DataElement| {
                     if let Some(registry) = metrics.as_deref_mut() {
                         let e2e_ms = now.saturating_since(elem.created_at).as_millis_f64();
@@ -881,12 +835,12 @@ impl HaWorld {
                 let accept = self.sinks[s].deliver_run(now, run, observe);
                 let through = accept.processed_through;
                 if accept.newly_accepted > 0 {
-                    self.metric_inc(
+                    self.observers.metric_inc(
                         Scope::global("sink"),
                         "accepted",
                         accept.newly_accepted as u64,
                     );
-                    if let Some(lin) = self.lineage.as_deref_mut() {
+                    if let Some(lin) = self.observers.lineage_mut() {
                         // `processed_through` is cumulative: it covers the
                         // run plus any stashed elements the gap-fill just
                         // released, each recorded delivered exactly once.
@@ -1013,9 +967,9 @@ impl HaWorld {
 
     /// Walks the connections of one producer copy's output queue — if the
     /// copy is deployed and its machine up — and rewinds every connection
-    /// the [`SweepLedger`](crate::sweep::SweepLedger) finds due to its first
-    /// unacknowledged retained element. Returns whether a cursor moved,
-    /// i.e. whether the producer has something to re-dispatch.
+    /// the reliable layer finds due to its first unacknowledged retained
+    /// element. Returns whether a cursor moved, i.e. whether the producer
+    /// has something to re-dispatch.
     fn sweep_rewind(&mut self, addr: ProducerAddr) -> bool {
         let up = |m: &MachineId| self.cluster.machine(*m).is_up();
         let Some(src) = self.producer_machine(addr).filter(up) else {
@@ -1038,7 +992,7 @@ impl HaWorld {
                 self.cluster.machine(dst).is_up()
                     && !self.cluster.network().is_partitioned(src, dst)
             };
-            if !self.rel_sweep_prev.observe((addr, ci), window, reachable) {
+            if !self.reliable.sweep_due((addr, ci), window, reachable) {
                 continue;
             }
             let resent = self
@@ -1049,7 +1003,8 @@ impl HaWorld {
             }
             rewound = true;
             let n = resent.end - resent.start;
-            self.metric_inc(Scope::global("reliable"), "data_retransmits", n);
+            self.observers
+                .metric_inc(Scope::global("reliable"), "data_retransmits", n);
             // One contiguous range, even where a batched resend splits
             // on the acked boundary.
             self.note_replay_retransmits(stream, resent);
@@ -1063,9 +1018,9 @@ impl HaWorld {
     /// (or whose acks were lost); a connection that made no progress over
     /// a full sweep interval rewinds to its first unacknowledged element
     /// and re-dispatches, then backs off while it stays silent (the rule
-    /// is [`crate::sweep::SweepLedger::observe`]). Receivers deduplicate by
-    /// sequence number, so an early rewind costs bandwidth, never
-    /// correctness.
+    /// is the reliable layer's `SweepLedger::observe`). Receivers
+    /// deduplicate by sequence number, so an early rewind costs bandwidth,
+    /// never correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(REL_SWEEP_INTERVAL, Event::RetransmitSweep);
         for s in 0..self.sources.len() {
@@ -1084,6 +1039,17 @@ impl HaWorld {
                 self.dispatch_outputs(ctx, slot);
             }
         }
+    }
+}
+
+/// `true` when a reliable payload's epoch guard says the protocol moved on
+/// (a role change makes retransmitting it pointless).
+fn payload_is_stale(subjobs: &[SubjobHa], msg: &Msg) -> bool {
+    match msg {
+        Msg::Checkpoint { subjob, epoch, .. }
+        | Msg::CheckpointStored { subjob, epoch, .. }
+        | Msg::StateRead { subjob, epoch, .. } => subjobs[subjob.0 as usize].is_stale(*epoch),
+        _ => false,
     }
 }
 
@@ -1129,8 +1095,8 @@ pub fn schedule_initial_events(world: &mut HaWorld, ctx: &mut Ctx<Event>) {
     // probe, or the metrics registry — so plain runs keep an identical
     // event schedule. It is strictly read-only, so even a sampled run
     // perturbs nothing.
-    if world.tracer.is_enabled() || world.metrics.is_some() {
-        ctx.schedule_in(crate::world::SAMPLE_INTERVAL, Event::Sample);
+    if world.observers.samples() {
+        ctx.schedule_in(crate::SAMPLE_INTERVAL, Event::Sample);
     }
     // The retransmission sweep exists only under the reliable layer, so
     // default runs keep an identical event schedule.

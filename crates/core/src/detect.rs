@@ -301,11 +301,6 @@ impl BenchmarkDetector {
         declared
     }
 
-    /// `true` while a benchmark run is in flight.
-    pub fn run_in_flight(&self) -> bool {
-        self.run_started_at.is_some()
-    }
-
     /// Total declarations made.
     pub fn detections(&self) -> u64 {
         self.detections
@@ -543,7 +538,6 @@ mod tests {
             }
             other => panic!("expected a run, got {other:?}"),
         }
-        assert!(d.run_in_flight());
         // While in flight, further samples do nothing.
         assert_eq!(
             d.on_sample(SimTime::from_millis(10), 0.9),

@@ -30,7 +30,8 @@ use crate::world::{
 
 impl HaWorld {
     fn log_event(&mut self, at: SimTime, subjob: SubjobId, kind: HaEventKind) {
-        self.metric_inc(sps_metrics::Scope::global("recovery"), kind.as_str(), 1);
+        self.observers
+            .metric_inc(sps_metrics::Scope::global("recovery"), kind.as_str(), 1);
         self.tracer.emit_phase(at, subjob.0, kind);
     }
 
@@ -283,7 +284,7 @@ impl HaWorld {
                 streak,
             },
         );
-        self.metric_inc(
+        self.observers.metric_inc(
             sps_metrics::Scope::machine("heartbeat", suspect.0),
             "misses",
             1,
@@ -361,7 +362,7 @@ impl HaWorld {
         if !fresh_recovery {
             return;
         }
-        self.metric_inc(
+        self.observers.metric_inc(
             sps_metrics::Scope::machine("heartbeat", ponger.0),
             "suspicion_cleared",
             1,
@@ -458,7 +459,8 @@ impl HaWorld {
         machine: Option<MachineId>,
         reason: AbortReason,
     ) {
-        self.metric_inc(sps_metrics::Scope::global("failover"), "aborted", 1);
+        self.observers
+            .metric_inc(sps_metrics::Scope::global("failover"), "aborted", 1);
         self.tracer.emit(
             ctx.now(),
             TraceEvent::FailoverAborted {
@@ -825,7 +827,8 @@ impl HaWorld {
         // No pair constraint yet: the dead primary is about to be replaced
         // by this very machine through the migration path.
         self.emit_standby_provision(ctx.now(), sj_id, Some(spare), true, None);
-        self.metric_inc(sps_metrics::Scope::global("failover"), "spare_redeploy", 1);
+        self.observers
+            .metric_inc(sps_metrics::Scope::global("failover"), "spare_redeploy", 1);
         ctx.schedule_in(
             DEPLOY_DELAY,
             Event::DeployComplete {
@@ -866,7 +869,8 @@ impl HaWorld {
         // The stored checkpoints lived in the dead machine's memory.
         self.subjobs[idx].drop_checkpoint_progress(true);
         self.advance_epoch(ctx.now(), sj_id, SjState::Normal, EpochCause::StandbyLost);
-        self.metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
+        self.observers
+            .metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
         let primary_machine = self.subjobs[idx].primary_machine;
         let spare = self.take_safe_spare(Some(primary_machine));
         self.provision_standby(ctx, sj_id, spare, true, None);
@@ -897,7 +901,7 @@ impl HaWorld {
 
     pub(crate) fn on_fail_stop(&mut self, ctx: &mut Ctx<Event>, machine: u32) {
         let m = MachineId(machine);
-        self.injected_failstops.push((m, ctx.now()));
+        self.observers.note_injection(m, ctx.now());
         self.tracer.emit(
             ctx.now(),
             TraceEvent::FailureInject {
@@ -1084,7 +1088,7 @@ impl HaWorld {
         if resent.is_empty() {
             return;
         }
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.observers.lineage_mut() {
             lin.mark_retransmit_range(stream, resent.start, resent.end - 1);
         }
     }

@@ -12,6 +12,7 @@ use sps_trace::{TraceProbe, TraceSink};
 use crate::config::{HaConfig, HaMode};
 use crate::data_plane::schedule_initial_events;
 use crate::detect::BENCH_SAMPLE_INTERVAL;
+use crate::observers::Observers;
 use crate::source::{PayloadGen, RateProfile};
 use crate::world::{Event, HaEventKind, HaWorld, Placement};
 
@@ -235,7 +236,6 @@ impl HaSimulationBuilder {
     /// it never changes the event schedule.
     pub fn health(mut self, _: sps_observe::HealthConfig) -> Self {
         self.health = true;
-        self.collect_metrics = true;
         self
     }
 
@@ -283,15 +283,12 @@ impl HaSimulationBuilder {
         // every trace so auditors can replay from the first record.
         world.emit_audit_preamble(self.audit_lossless, self.audit_quiescent);
         let env_lineage = std::env::var("SPS_LINEAGE").is_ok_and(|v| v == "1");
-        if self.lineage || env_lineage {
-            world.enable_lineage();
-        }
-        if self.collect_metrics {
-            world.enable_metrics();
-        }
-        if self.health {
-            world.enable_health();
-        }
+        world.observers = Observers::new(
+            &world,
+            self.lineage || env_lineage,
+            self.collect_metrics,
+            self.health,
+        );
         let mut sim = Simulation::new(world, self.seed);
         let (world, ctx) = sim.parts_mut();
         schedule_initial_events(world, ctx);
@@ -397,8 +394,8 @@ impl HaSimulation {
             );
             self.sim
                 .world_mut()
-                .injected_spikes
-                .push((machine, w.start, w.end));
+                .observers
+                .note_injection(machine, w.start);
         }
     }
 

@@ -58,20 +58,23 @@ mod detect;
 mod failover;
 mod harness;
 mod message;
+mod observers;
+mod reliable;
 mod sink;
 mod slot;
 mod source;
-mod sweep;
 mod wiring;
 mod world;
 
-pub use config::{CheckpointProtocol, HaConfig, HaMode, REL_RTO_MAX, REL_SWEEP_INTERVAL};
+pub use config::{CheckpointProtocol, HaConfig, HaMode};
 pub use detect::{BenchAction, BenchmarkDetector, HbVerdict, HeartbeatMonitor, TrendPredictor};
 pub use harness::{HaSimulation, HaSimulationBuilder, RunReport};
 pub use message::{Msg, ProducerAddr};
+pub use observers::SAMPLE_INTERVAL;
+pub use reliable::{REL_RTO_MAX, REL_SWEEP_INTERVAL};
 pub use sink::{SinkAccept, SinkRuntime};
 pub use source::{zipf_rank, PayloadGen, RateProfile, SourceRuntime};
 pub use world::{
     CkptProgress, Event, HaEvent, HaEventKind, HaWorld, PeCkpt, Placement, SjState, SubjobHa,
-    TaskTag, SAMPLE_INTERVAL,
+    TaskTag,
 };

@@ -5,7 +5,7 @@
 //! and construction/wiring; the protocol handlers live in sibling modules
 //! (`data_plane`, `checkpoint`, `failover`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sps_cluster::{
@@ -14,19 +14,18 @@ use sps_cluster::{
 use sps_engine::{
     Dest, InstanceId, Job, PeCheckpoint, PeId, Replica, SinkId, SourceId, StreamId, SubjobId,
 };
-use sps_metrics::MsgClass;
-use sps_metrics::MsgCounters;
-use sps_metrics::{Registry, Scope};
-use sps_sim::{Ctx, SimDuration, SimTime, TimerGen, TimerSlot, World};
+use sps_metrics::{MsgCounters, Registry};
+use sps_sim::{Ctx, SimTime, TimerGen, TimerSlot, World};
 use sps_trace::{ChaosKind, EpochCause, HaModeTag, LineageTable, TraceEvent, Tracer};
 
 use crate::config::{HaConfig, HaMode};
 use crate::detect::{BenchmarkDetector, HeartbeatMonitor, PairRounds, TrendPredictor};
 use crate::message::Msg;
+use crate::observers::{Observers, SAMPLE_INTERVAL};
+use crate::reliable::Reliable;
 use crate::sink::SinkRuntime;
 use crate::slot::Slot;
 use crate::source::{PayloadGen, RateProfile, SourceRuntime};
-use crate::sweep::SweepLedger;
 
 /// Where subjobs, sources, sinks, and standbys are placed.
 #[derive(Debug, Clone)]
@@ -427,6 +426,11 @@ impl SubjobHa {
         &mut self.ckpts[i].1
     }
 
+    /// The PEs of the subjob, by id.
+    pub(crate) fn pes(&self) -> impl Iterator<Item = PeId> + '_ {
+        self.ckpts.iter().map(|&(pe, _)| pe)
+    }
+
     fn ckpt_index(&self, pe: PeId) -> usize {
         let found = self.ckpts.binary_search_by_key(&pe, |&(id, _)| id);
         found.expect("a PE of this subjob")
@@ -511,22 +515,6 @@ impl PeCkpt {
     }
 }
 
-/// One in-flight reliable control transmission, kept by the sender until
-/// acknowledged, cancelled (stale epoch, dead sender), or abandoned.
-#[derive(Debug, Clone)]
-pub(crate) struct RelPending {
-    /// Sending machine.
-    pub src: MachineId,
-    /// Destination machine.
-    pub dst: MachineId,
-    /// The wrapped payload, re-sent verbatim on each attempt.
-    pub msg: Msg,
-    /// Overhead class of the payload (for per-class byte accounting).
-    pub class: MsgClass,
-    /// Retransmissions performed so far.
-    pub attempt: u32,
-}
-
 /// A benchmark detector deployed on one machine (detection experiments),
 /// optionally paired with a trend predictor fed by the same sample stream.
 #[derive(Debug)]
@@ -572,33 +560,17 @@ pub struct HaWorld {
     /// The trace bus. Control-plane recovery phases are always logged
     /// here; data-plane events only flow when a sink is installed.
     pub(crate) tracer: Tracer,
-    /// The sampler's busy window, per machine: `(last_sample_time,
-    /// busy_integral_at_last_sample)`. Strictly read-only with respect to
-    /// the simulation (separate from `load_est`, which feeds scheduling).
-    pub(crate) sample_busy: Vec<(SimTime, f64)>,
-    /// Last queue high-water marks emitted per instance slot:
-    /// `(input, output)`; only growth produces a new trace event.
-    pub(crate) trace_queue_hw: Vec<(u64, u64)>,
-    /// Ground-truth failure windows injected per machine.
-    pub(crate) injected_spikes: Vec<(MachineId, SimTime, SimTime)>,
-    /// Ground-truth fail-stop instants injected per machine.
-    pub(crate) injected_failstops: Vec<(MachineId, SimTime)>,
+    /// Lineage, metrics, health and the sampler: read-only observation,
+    /// each layer off unless the builder switched it on.
+    pub(crate) observers: Observers,
     /// The installed chaos plan's steps; [`Event::ChaosStep`] indexes here.
     pub(crate) chaos_steps: Vec<ChaosStep>,
     /// Switches currently partitioned by a chaos [`ChaosAction::PartitionSwitch`]
     /// step; machines behind them count as having an active domain fault.
     pub(crate) partitioned_switches: BTreeSet<u32>,
-    /// Next reliable transmission id.
-    pub(crate) rel_next_tx: u64,
-    /// In-flight reliable control messages, by transmission id.
-    pub(crate) rel_inflight: BTreeMap<u64, RelPending>,
-    /// Transmission ids already processed at their receiver (dedup for
-    /// retransmissions and chaos duplication). Ids are globally unique, so
-    /// one set covers every machine.
-    pub(crate) rel_seen: BTreeSet<u64>,
-    /// What the retransmit sweep saw of every connection at the previous
-    /// sweep, and how far each stalled one is into its backoff.
-    pub(crate) rel_sweep_prev: SweepLedger,
+    /// The reliable transport under [`HaConfig::reliable_control`]:
+    /// control-plane transmissions and the data-plane sweep's ledger.
+    pub(crate) reliable: Reliable,
     /// Reusable buffer for the dispatch hot path: elements drained from a
     /// hop's output connections, emptied before return.
     pub(crate) dispatch_scratch: Vec<sps_engine::DataElement>,
@@ -626,20 +598,7 @@ pub struct HaWorld {
     /// batched run stops allocating per message. It holds at most as many
     /// buffers as batches were ever in flight at once.
     pub(crate) batch_bufs: Vec<Vec<sps_engine::DataElement>>,
-    /// Causal tuple lineage, when enabled on the builder. Boxed so the
-    /// disabled (default) case costs one pointer and one branch per hook.
-    pub(crate) lineage: Option<Box<LineageTable>>,
-    /// The metrics registry (scoped counters/gauges/histograms and their
-    /// scrape history), when enabled on the builder.
-    pub(crate) metrics: Option<Box<Registry>>,
-    /// The online health engine, when enabled on the builder (requires
-    /// metrics). Stepped after every registry scrape; strictly read-only
-    /// over the simulation, like the sampler itself.
-    pub(crate) health: Option<Box<sps_observe::HealthEngine>>,
 }
-
-/// The period of [`Event::Sample`], in simulated time.
-pub const SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 impl HaWorld {
     /// Builds a world: deploys instances per mode, wires every connection
@@ -700,16 +659,10 @@ impl HaWorld {
             bench_detectors: Vec::new(),
             counters: MsgCounters::new(),
             tracer: Tracer::new(),
-            sample_busy: vec![(SimTime::ZERO, 0.0); cluster.len()],
-            trace_queue_hw: vec![(0, 0); n_pes * 2],
-            injected_spikes: Vec::new(),
-            injected_failstops: Vec::new(),
+            observers: Observers::default(),
             chaos_steps: Vec::new(),
             partitioned_switches: BTreeSet::new(),
-            rel_next_tx: 0,
-            rel_inflight: BTreeMap::new(),
-            rel_seen: BTreeSet::new(),
-            rel_sweep_prev: SweepLedger::default(),
+            reliable: Reliable::default(),
             dispatch_scratch: Vec::new(),
             emit_scratch: sps_engine::Emitter::default(),
             span_scratch: Vec::new(),
@@ -718,9 +671,6 @@ impl HaWorld {
             task_scratch: Vec::new(),
             hb_pairs: PairRounds::new(job.subjob_count(), cluster.len()),
             batch_bufs: Vec::new(),
-            lineage: None,
-            metrics: None,
-            health: None,
             cfg,
             placement,
             cluster,
@@ -984,53 +934,21 @@ impl HaWorld {
         self.slots[slot_of(pe, replica)].copy()
     }
 
-    // ---- lineage + metrics (optional observation layers) ----
-
-    /// Switches causal tuple lineage on (builder-time only).
-    pub(crate) fn enable_lineage(&mut self) {
-        // One column per stream up front, so recording never grows the vector.
-        self.lineage = Some(Box::new(LineageTable::with_streams(
-            self.job.stream_count(),
-        )));
-    }
-
-    /// Switches metrics collection on (builder-time only).
-    pub(crate) fn enable_metrics(&mut self) {
-        self.metrics = Some(Box::new(Registry::new()));
-    }
+    // ---- observation layers ----
 
     /// The lineage table, when lineage tracking was enabled.
     pub fn lineage(&self) -> Option<&LineageTable> {
-        self.lineage.as_deref()
+        self.observers.lineage()
     }
 
     /// The metrics registry, when metrics collection was enabled.
     pub fn metrics(&self) -> Option<&Registry> {
-        self.metrics.as_deref()
-    }
-
-    /// Switches the online health engine on (builder-time only; the
-    /// builder has already enabled metrics).
-    pub(crate) fn enable_health(&mut self) {
-        assert!(
-            self.metrics.is_some(),
-            "health engine requires metrics collection"
-        );
-        let engine = sps_observe::HealthEngine::new(self.cfg.checkpoint_interval);
-        self.health = Some(Box::new(engine));
+        self.observers.metrics()
     }
 
     /// The health engine, when enabled.
     pub fn health(&self) -> Option<&sps_observe::HealthEngine> {
-        self.health.as_deref()
-    }
-
-    /// Adds `by` to a registry counter — one branch when metrics are off.
-    #[inline]
-    pub(crate) fn metric_inc(&mut self, scope: Scope, name: &'static str, by: u64) {
-        if let Some(registry) = self.metrics.as_deref_mut() {
-            registry.inc(scope, name, by);
-        }
+        self.observers.health()
     }
 
     /// Moves a subjob to `state`. Every life-cycle transition goes through
@@ -1070,180 +988,6 @@ impl HaWorld {
             .iter()
             .find(|(state, _)| self.sj_state_counts[*state as usize] > 0)
             .map_or("steady", |&(_, label)| label)
-    }
-
-    // ---- periodic read-only sampler ----
-
-    /// The sim-timer-driven sampler. It walks every machine once and then
-    /// every PE copy once, and feeds both observers in the same pass: with a
-    /// trace sink or probe installed, per-machine load and per-PE queue
-    /// snapshots plus queue high-water growth; with metrics enabled, the
-    /// machine and PE gauges, then one scrape and a health-engine step.
-    /// Strictly read-only — it never advances machines, touches the
-    /// scheduling load estimate, or draws randomness, so an observed run
-    /// stays bit-identical to a plain one.
-    pub(crate) fn on_sample(&mut self, ctx: &mut Ctx<Event>) {
-        ctx.schedule_in(SAMPLE_INTERVAL, Event::Sample);
-        let now = ctx.now();
-        let tracing = self.tracer.is_enabled();
-        for m in 0..self.cluster.len() {
-            let machine = self.cluster.machine(MachineId(m as u32));
-            // `busy_integral` is current as of the machine's last advance;
-            // under steady traffic that lags by at most one task.
-            let busy = machine.busy_integral();
-            let (last_t, last_busy) = self.sample_busy[m];
-            let dt = now.saturating_since(last_t).as_secs_f64();
-            let cpu_load = if dt > 0.0 {
-                ((busy - last_busy) / dt).max(0.0)
-            } else {
-                0.0
-            };
-            self.sample_busy[m] = (now, busy);
-            if tracing {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::MachineSnapshot {
-                        machine: m as u32,
-                        cpu_load,
-                        background: machine.background_share(),
-                        run_queue: machine.active_tasks() as u32,
-                    },
-                );
-            }
-            if let Some(registry) = self.metrics.as_deref_mut() {
-                let scope = Scope::machine("cluster", m as u32);
-                registry.set_gauge(scope, "cpu_load", cpu_load);
-                registry.set_gauge(scope, "background_share", machine.background_share());
-                registry.set_gauge(scope, "run_queue", machine.active_tasks() as f64);
-                registry.set_gauge(scope, "run_queue_hw", machine.run_queue_high_water() as f64);
-            }
-        }
-        for (slot, record) in self.slots.iter().enumerate() {
-            let Some(inst) = record.copy() else {
-                continue;
-            };
-            let (pe, replica) = unslot(slot);
-            let input_depth = inst.input_depth();
-            let output_backlog = inst.output_backlog();
-            if tracing {
-                let rep = replica_code(replica);
-                let in_hw = inst.input_high_water();
-                let out_hw = inst.output_high_water();
-                self.tracer.emit(
-                    now,
-                    TraceEvent::PeSnapshot {
-                        pe: pe.0,
-                        replica: rep,
-                        input_depth,
-                        output_backlog,
-                        processed_total: inst.processed_total(),
-                    },
-                );
-                let (prev_in, prev_out) = self.trace_queue_hw[slot];
-                if in_hw > prev_in {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::QueueHighWater {
-                            pe: pe.0,
-                            replica: rep,
-                            input: true,
-                            depth: in_hw,
-                        },
-                    );
-                }
-                if out_hw > prev_out {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::QueueHighWater {
-                            pe: pe.0,
-                            replica: rep,
-                            input: false,
-                            depth: out_hw,
-                        },
-                    );
-                }
-                self.trace_queue_hw[slot] = (in_hw.max(prev_in), out_hw.max(prev_out));
-            }
-            if let Some(registry) = self.metrics.as_deref_mut() {
-                // Replica is part of the scope name-space via the metric
-                // name: scopes identify (component, machine, pe), and an AS
-                // pair's replicas live on different machines.
-                let scope = Scope::pe("data_plane", record.machine().0, pe.0);
-                let (depth, backlog) = match replica {
-                    Replica::Primary => ("input_depth_primary", "output_backlog_primary"),
-                    Replica::Secondary => ("input_depth_secondary", "output_backlog_secondary"),
-                };
-                registry.set_gauge(scope, depth, input_depth as f64);
-                registry.set_gauge(scope, backlog, output_backlog as f64);
-            }
-        }
-        self.scrape(now);
-    }
-
-    /// The rest of the metrics side of [`on_sample`](Self::on_sample),
-    /// after the machine and PE gauges: the redundancy and audit gauges, a
-    /// snapshot of every registered metric into the registry's
-    /// time-series, then one health-engine step over it.
-    fn scrape(&mut self, now: SimTime) {
-        let Some(registry) = self.metrics.as_deref_mut() else {
-            return;
-        };
-        // Redundancy gauge for the health layer: how many subjobs currently
-        // lack a live standby. A standby is live when a secondary machine
-        // is assigned and up and, for modes that pre-deploy secondary
-        // copies, the copies are actually in place — a freshly promoted
-        // subjob stays "missing" until its replacement standby finishes
-        // deploying.
-        let mut standbys_missing = 0u64;
-        for (sj_id, sj) in self.job.subjob_ids().zip(&self.subjobs) {
-            let standby = sj.primary_replica.other();
-            let deployed = |pe: &PeId| self.slots[slot_of(*pe, standby)].copy().is_some();
-            let live = sj.secondary_machine.is_some_and(|sec| {
-                self.cluster.machine(sec).is_up()
-                    && (!self.cfg.predeploys(sj.mode)
-                        || self.job.subjob_pes(sj_id).iter().all(deployed))
-            });
-            standbys_missing += u64::from(sj.mode != HaMode::None && !live);
-        }
-        registry.set_gauge(
-            Scope::global("recovery"),
-            "standbys_missing",
-            standbys_missing as f64,
-        );
-        // Audit gauges: per-invariant violation totals from any installed
-        // protocol-auditor probes (all zero on a healthy run). The health
-        // engine watches `audit/violations_total`.
-        if self.tracer.has_probes() {
-            let mut totals = Vec::new();
-            self.tracer.probe_totals(&mut totals);
-            let mut sum = 0u64;
-            for (name, count) in totals {
-                sum += count;
-                registry.set_gauge(Scope::global("audit"), name, count as f64);
-            }
-            registry.set_gauge(Scope::global("audit"), "violations_total", sum as f64);
-        }
-        registry.scrape(now.as_nanos());
-        // Step the health engine over the fresh snapshot. Still strictly
-        // read-only: the engine sees the registry, the always-on phase log,
-        // and the injection ground truth, and its verdicts go back out on
-        // the trace bus (a no-op unless a sink is installed).
-        if let Some(engine) = self.health.as_deref_mut() {
-            let injects: Vec<(u32, u64)> = self
-                .injected_spikes
-                .iter()
-                .map(|&(m, start, _)| (m.0, start.as_nanos()))
-                .chain(
-                    self.injected_failstops
-                        .iter()
-                        .map(|&(m, at)| (m.0, at.as_nanos())),
-                )
-                .collect();
-            let events = engine.on_scrape(now.as_nanos(), registry, self.tracer.phases(), &injects);
-            for event in events {
-                self.tracer.emit(now, event);
-            }
-        }
     }
 
     // ---- chaos plan ----
@@ -1423,7 +1167,17 @@ impl World for HaWorld {
             } => self.on_set_background(ctx, machine, component, share),
             Event::FailStop { machine } => self.on_fail_stop(ctx, machine),
             Event::BenchSample { det } => self.on_bench_sample(ctx, det),
-            Event::Sample => self.on_sample(ctx),
+            Event::Sample => {
+                ctx.schedule_in(SAMPLE_INTERVAL, Event::Sample);
+                self.observers.sample(
+                    ctx.now(),
+                    &self.cluster,
+                    &self.slots,
+                    &self.subjobs,
+                    &self.cfg,
+                    &mut self.tracer,
+                );
+            }
             Event::StopSources => {
                 for s in &mut self.sources {
                     s.stop();

@@ -117,12 +117,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// A sorted copy of the samples.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
-    }
 }
 
 impl FromIterator<f64> for Cdf {
@@ -195,7 +189,6 @@ mod tests {
         c.record(1.0);
         c.record(9.0);
         assert_eq!(c.median(), Some(5.0));
-        assert_eq!(c.sorted_samples(), &[1.0, 5.0, 9.0]);
     }
 
     #[test]

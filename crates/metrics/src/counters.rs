@@ -118,11 +118,6 @@ impl MsgCounters {
             .sum()
     }
 
-    /// Total messages across all classes.
-    pub fn total_messages(&self) -> u64 {
-        self.messages.iter().sum()
-    }
-
     /// Element overhead relative to a baseline run, as a ratio:
     /// `(self − base) / base`. Returns `None` when the baseline is zero.
     pub fn overhead_vs(&self, base: &MsgCounters) -> Option<f64> {
@@ -186,7 +181,6 @@ mod tests {
         assert_eq!(c.messages(MsgClass::Data), 2);
         assert_eq!(c.elements(MsgClass::Data), 15);
         assert_eq!(c.messages(MsgClass::Ack), 1);
-        assert_eq!(c.total_messages(), 3);
     }
 
     #[test]

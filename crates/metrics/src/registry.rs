@@ -157,12 +157,6 @@ impl LogLinearHistogram {
         Self::bucket_floor(self.buckets.len().saturating_sub(1))
     }
 
-    /// Raw per-bucket observation counts (index 0 is the underflow bucket).
-    /// Windowed consumers diff these between cumulative snapshots.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Folds another histogram into this one (bucket-wise sum). Used to
     /// aggregate the same metric across scopes before windowed queries.
     pub fn merge(&mut self, other: &LogLinearHistogram) {

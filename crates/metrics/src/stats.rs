@@ -87,15 +87,6 @@ impl OnlineStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divides by `n − 1`), or 0 with fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Smallest sample, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -180,7 +171,6 @@ mod tests {
         let s: OnlineStats = [3.5].into_iter().collect();
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
     }
@@ -190,7 +180,6 @@ mod tests {
         let s: OnlineStats = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
         assert_eq!(s.mean(), 2.5);
         assert!((s.population_variance() - 1.25).abs() < 1e-12);
-        assert!((s.sample_variance() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.sum(), 10.0);
     }
 

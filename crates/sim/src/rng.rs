@@ -158,7 +158,7 @@ impl SimRng {
     }
 
     /// A standard-normal variate (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1: f64 = 1.0 - self.unit(); // (0, 1]
         let u2: f64 = self.unit();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

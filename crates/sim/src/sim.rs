@@ -118,11 +118,6 @@ impl<E> Ctx<E> {
         self.processed
     }
 
-    /// Number of events currently pending.
-    pub fn events_pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// High-water mark of the pending queue's logical weight (elements,
     /// not heap entries: a batched delivery counts its batch length), so
     /// the figure is comparable across batch sizes.
@@ -295,11 +290,6 @@ impl<W: World> Simulation<W> {
         self.ctx.processed
     }
 
-    /// `true` once the world has called [`Ctx::stop`].
-    pub fn is_stopped(&self) -> bool {
-        self.ctx.stopped
-    }
-
     /// Consumes the simulation and returns the final world state.
     pub fn into_world(self) -> W {
         self.world
@@ -375,7 +365,6 @@ mod tests {
         }
         sim.run_to_completion();
         assert_eq!(sim.world().seen.len(), 2);
-        assert!(sim.is_stopped());
         assert!(!sim.step(), "stopped simulations do not step");
     }
 

@@ -71,11 +71,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 /// `x.round() as u64` for `0 <= x < 2^64`, without the out-of-line libm
@@ -132,15 +127,6 @@ impl SimDuration {
         } else {
             SimDuration(round_to_u64(nanos))
         }
-    }
-
-    /// Creates a span from fractional milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `millis` is negative or NaN.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
     }
 
     /// Whole nanoseconds in the span.
@@ -325,7 +311,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_secs(1));
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]
@@ -333,7 +318,6 @@ mod tests {
         let d = SimDuration::from_secs_f64(0.123_456_789);
         assert_eq!(d.as_nanos(), 123_456_789);
         assert!((d.as_secs_f64() - 0.123_456_789).abs() < 1e-12);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
     }
 
     /// The inlined rounding against the `f64::round` it replaced: halfway

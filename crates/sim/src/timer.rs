@@ -67,11 +67,6 @@ impl TimerSlot {
             false
         }
     }
-
-    /// `true` while a firing is outstanding.
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
 }
 
 #[cfg(test)]
@@ -79,18 +74,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fresh_slot_is_disarmed() {
-        let slot = TimerSlot::new();
-        assert!(!slot.is_armed());
-    }
-
-    #[test]
     fn arm_then_fire_consumes() {
         let mut slot = TimerSlot::new();
         let tok = slot.arm();
-        assert!(slot.is_armed());
+        assert!(slot.is_current(tok));
         assert!(slot.fire(tok));
-        assert!(!slot.is_armed());
+        assert!(!slot.is_current(tok));
         assert!(!slot.fire(tok), "double fire must be rejected");
     }
 

@@ -126,13 +126,6 @@ impl Tracer {
         !self.sinks.is_empty() || !self.probes.is_empty()
     }
 
-    /// Whether any installed sink wants data-plane events. Components may
-    /// consult this to skip expensive bookkeeping that only feeds tracing.
-    #[inline]
-    pub fn data_plane_enabled(&self) -> bool {
-        self.any_data
-    }
-
     /// Emit a control-plane event to all interested sinks and probes.
     pub fn emit(&mut self, at: SimTime, event: TraceEvent) {
         if self.sinks.is_empty() && self.probes.is_empty() {
@@ -283,7 +276,15 @@ mod tests {
             seen: Vec::new(),
         }));
         assert!(t.is_enabled());
-        assert!(!t.data_plane_enabled());
+        t.emit_data(SimTime::ZERO, || {
+            built = true;
+            TraceEvent::Ack {
+                pe: 0,
+                replica: 0,
+                through_seq: 1,
+            }
+        });
+        assert!(!built, "payload must not be built for control-only sinks");
     }
 
     struct Deriving {
@@ -332,7 +333,11 @@ mod tests {
         // not the data plane (default wants_data_plane = false).
         assert!(t.is_enabled());
         assert!(t.has_probes());
-        assert!(!t.data_plane_enabled());
+        t.emit_data(SimTime::ZERO, || TraceEvent::Ack {
+            pe: 0,
+            replica: 0,
+            through_seq: 1,
+        });
         t.emit(
             SimTime::from_millis(1),
             TraceEvent::FailureInject {
@@ -366,7 +371,6 @@ mod tests {
             data: true,
             seen: Vec::new(),
         }));
-        assert!(t.data_plane_enabled());
         t.emit_data(SimTime::ZERO, || TraceEvent::HeartbeatPing {
             machine: 0,
             seq: 1,
