@@ -10,17 +10,20 @@
 //! timed [`ChaosAction`]s — loss windows, flapping links, one-way
 //! partitions, correlated fail-stops — that a harness
 //! replays against the cluster. Everything is pure data here; the
-//! [`Network`](crate::Network) consumes profiles and the simulation world
-//! applies scheduled actions.
+//! [`Network`](crate::Network) consumes profiles and the
+//! [`Cluster`](crate::Cluster) applies scheduled actions, handing the
+//! machines a fail-stop takes down back to its owner.
 //!
 //! Determinism: all randomness is drawn from the network's dedicated chaos
 //! RNG stream, and **only** for sends that an active profile covers. A run
 //! with no profiles installed draws nothing and is bit-identical to a run
 //! on a build without chaos at all.
 
+use std::fmt;
+
 use sps_sim::{SimDuration, SimTime};
 
-use crate::domain::{DomainId, SwitchId};
+use crate::domain::{DomainId, FaultTopology, SwitchId};
 use crate::machine::MachineId;
 
 /// Parameters of the two-state Gilbert–Elliott burst-loss chain.
@@ -182,14 +185,14 @@ pub enum ChaosAction {
         machine: MachineId,
     },
     /// Correlated domain failure: fail-stops every machine in a rack at
-    /// once (the harness expands the rack to its member machines from the
-    /// cluster's [`FaultTopology`](crate::FaultTopology)).
+    /// once (the cluster expands the rack to its member machines from its
+    /// [`FaultTopology`]).
     FailDomain {
         /// The rack whose machines all crash.
         rack: DomainId,
     },
     /// Partitions every machine behind a switch from the rest of the
-    /// cluster (both directions; the harness expands membership from the
+    /// cluster (both directions; the cluster expands membership from its
     /// topology).
     PartitionSwitch {
         /// The switch that goes dark.
@@ -376,8 +379,8 @@ impl ChaosPlan {
     }
 
     /// Correlated *domain* failure: fail-stops every machine in `rack` at
-    /// `at`. The rack expands to its member machines when the harness
-    /// applies the step against the cluster's topology.
+    /// `at`. The rack expands to its member machines when the cluster
+    /// applies the step against its topology.
     pub fn domain_fail_stop(self, at: SimTime, rack: DomainId) -> Self {
         self.step(at, ChaosAction::FailDomain { rack })
     }
@@ -399,7 +402,73 @@ impl ChaosPlan {
     pub fn is_empty(&self) -> bool {
         self.steps.is_empty()
     }
+
+    /// Checks that every step names only machines, racks and switches of
+    /// `topology`; the first step that does not is the error.
+    pub fn check(&self, topology: &FaultTopology) -> Result<(), ChaosPlanError> {
+        let machine_ok = |m: MachineId| (m.0 as usize) < topology.machines();
+        for (step, s) in self.steps.iter().enumerate() {
+            let unknown = match s.action {
+                ChaosAction::LinkFaults { src: a, dst: b, .. }
+                | ChaosAction::ClearLinkFaults { src: a, dst: b }
+                | ChaosAction::Partition { a, b }
+                | ChaosAction::Heal { a, b } => [a, b]
+                    .into_iter()
+                    .find(|&m| !machine_ok(m))
+                    .map(ChaosTarget::Machine),
+                ChaosAction::FailStop { machine } => {
+                    (!machine_ok(machine)).then_some(ChaosTarget::Machine(machine))
+                }
+                ChaosAction::FailDomain { rack } => {
+                    ((rack.0 as usize) >= topology.rack_count()).then_some(ChaosTarget::Rack(rack))
+                }
+                ChaosAction::PartitionSwitch { switch } | ChaosAction::HealSwitch { switch } => {
+                    ((switch.0 as usize) >= topology.switch_count())
+                        .then_some(ChaosTarget::Switch(switch))
+                }
+                ChaosAction::DefaultFaults { .. } => None,
+            };
+            if let Some(target) = unknown {
+                return Err(ChaosPlanError { step, target });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// A machine, rack or switch a chaos step names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosTarget {
+    /// A machine.
+    Machine(MachineId),
+    /// A rack.
+    Rack(DomainId),
+    /// A switch.
+    Switch(SwitchId),
+}
+
+/// A chaos plan step names something the cluster's topology lacks
+/// ([`ChaosPlan::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChaosPlanError {
+    /// Index of the offending step in [`ChaosPlan::steps`].
+    pub step: usize,
+    /// What it names that does not exist.
+    pub target: ChaosTarget,
+}
+
+impl fmt::Display for ChaosPlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (kind, id) = match self.target {
+            ChaosTarget::Machine(m) => ("machine", m.to_string()),
+            ChaosTarget::Rack(r) => ("rack", r.to_string()),
+            ChaosTarget::Switch(s) => ("switch", s.to_string()),
+        };
+        write!(f, "chaos step {} names unknown {kind} {id}", self.step)
+    }
+}
+
+impl std::error::Error for ChaosPlanError {}
 
 #[cfg(test)]
 mod tests {
@@ -522,6 +591,41 @@ mod tests {
                 switch: SwitchId(0)
             }
         ));
+    }
+
+    #[test]
+    fn check_names_the_first_step_outside_the_topology() {
+        // 8 machines, racks r0..r3, switches s0..s1.
+        let topo = FaultTopology::grid(8, 2, 2);
+        let t = SimTime::from_secs(1);
+        let ok = ChaosPlan::new()
+            .link_window(t, t, MachineId(0), MachineId(7), FaultProfile::loss(0.1))
+            .partition_window(t, t, MachineId(7), MachineId(3))
+            .domain_fail_stop(t, DomainId(3))
+            .switch_partition_window(t, t, SwitchId(1))
+            .correlated_fail_stop(t, &[MachineId(7)])
+            .loss_window(t, t, FaultProfile::loss(0.1));
+        assert_eq!(ok.check(&topo), Ok(()));
+        let bad = |plan: ChaosPlan| plan.check(&topo).unwrap_err();
+        let err = bad(ok.clone().domain_fail_stop(t, DomainId(4)));
+        assert_eq!((err.step, err.target), (12, ChaosTarget::Rack(DomainId(4))));
+        assert_eq!(err.to_string(), "chaos step 12 names unknown rack r4");
+        let err = bad(ChaosPlan::new().switch_partition_window(t, t, SwitchId(2)));
+        assert_eq!(
+            (err.step, err.target),
+            (0, ChaosTarget::Switch(SwitchId(2)))
+        );
+        let err = bad(ChaosPlan::new().one_way_partition(t, t, MachineId(1), MachineId(8)));
+        assert_eq!(
+            (err.step, err.target),
+            (0, ChaosTarget::Machine(MachineId(8)))
+        );
+        let err = bad(ok
+            .clone()
+            .partition_window(t, t, MachineId(9), MachineId(0)));
+        assert_eq!(err.target, ChaosTarget::Machine(MachineId(9)));
+        let err = bad(ChaosPlan::new().correlated_fail_stop(t, &[MachineId(2), MachineId(8)]));
+        assert_eq!(err.to_string(), "chaos step 1 names unknown machine m8");
     }
 
     #[test]

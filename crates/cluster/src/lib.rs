@@ -14,7 +14,10 @@
 //!
 //! All components are *passive* state machines: the simulation world (in
 //! `sps-ha`) advances them to the current virtual time and schedules its own
-//! wake-up events from values like [`Machine::next_completion`]. That keeps
+//! wake-up events from values like [`Machine::arm_completion`]. The
+//! [`Cluster`] also keeps the books of its faults — dark switches, the
+//! installed [`ChaosPlan`], the spare pool — and answers which machines a
+//! chaos step takes down or may host a new standby. That keeps
 //! this crate independent of any particular event alphabet and trivially
 //! testable.
 //!
@@ -42,7 +45,9 @@ mod monitor;
 mod network;
 pub mod sched;
 
-pub use chaos::{BurstLoss, ChaosAction, ChaosPlan, ChaosStep, FaultProfile};
+pub use chaos::{
+    BurstLoss, ChaosAction, ChaosPlan, ChaosPlanError, ChaosStep, ChaosTarget, FaultProfile,
+};
 pub use cluster::Cluster;
 pub use domain::{DomainId, FaultTopology, SwitchId};
 pub use jitter::jitter_stalls;

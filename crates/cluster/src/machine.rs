@@ -10,13 +10,14 @@
 //!
 //! The machine is a passive state machine: the owner advances it to the
 //! current simulated time before reading or mutating it, and schedules its
-//! own wake-up event at [`Machine::next_completion`]. Background load is the
+//! own wake-up event where [`Machine::arm_completion`] says, under the
+//! token that call hands out. Background load is the
 //! sum of named *components* (spikes, OS jitter, co-located apps) so that
 //! experiments can track ground truth per source.
 
 use std::fmt;
 
-use sps_sim::{SimDuration, SimTime};
+use sps_sim::{SimDuration, SimTime, TimerGen, TimerSlot};
 
 /// Identifies a machine within a [`Cluster`](crate::Cluster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,6 +107,10 @@ pub struct Machine<T = u64> {
     work_done: f64,
     tasks_completed: u64,
     run_queue_hw: usize,
+    /// Only the latest armed completion tick fires.
+    completion: TimerSlot,
+    /// The utilization estimate: `(when, busy integral then, estimate)`.
+    load_est: (SimTime, f64, f64),
 }
 
 /// Floor on the application's CPU share, so work always makes *some*
@@ -127,6 +132,8 @@ impl<T: Copy> Machine<T> {
             work_done: 0.0,
             tasks_completed: 0,
             run_queue_hw: 0,
+            completion: TimerSlot::new(),
+            load_est: (SimTime::ZERO, 0.0, 0.0),
         }
     }
 
@@ -276,6 +283,44 @@ impl<T: Copy> Machine<T> {
         Some(self.last_advance + SimDuration::from_secs_f64(secs.max(0.0)))
     }
 
+    /// Re-arms the completion timer after any change to the task set or
+    /// load: the instant of the earliest completion and the token its tick
+    /// carries, or `None` (the timer cancelled) when nothing runs.
+    pub fn arm_completion(&mut self) -> Option<(SimTime, TimerGen)> {
+        match self.next_completion() {
+            Some(at) => Some((at, self.completion.arm())),
+            None => {
+                self.completion.cancel();
+                None
+            }
+        }
+    }
+
+    /// Consumes a completion tick: `false` when `token` went stale because
+    /// the timer was re-armed or cancelled since.
+    pub fn fire_completion(&mut self, token: TimerGen) -> bool {
+        self.completion.fire(token)
+    }
+
+    /// A rolling estimate of recent utilization at `now`: an exponentially
+    /// weighted load average (α = 0.5), like the OS statistic a real
+    /// scheduler's latency tracks, so a half-second burst that saturates
+    /// the CPU does not read as a sustained spike. A window under 10 ms
+    /// reuses the previous estimate.
+    pub fn estimate_load(&mut self, now: SimTime) -> f64 {
+        const ALPHA: f64 = 0.5;
+        self.advance(now);
+        let (last_t, last_busy, est) = self.load_est;
+        let dt = now.saturating_since(last_t).as_secs_f64();
+        if dt < 0.01 {
+            return est;
+        }
+        let util = ((self.busy_integral - last_busy) / dt).clamp(0.0, 1.0);
+        let ewma = (1.0 - ALPHA) * est + ALPHA * util;
+        self.load_est = (now, self.busy_integral, ewma);
+        ewma
+    }
+
     /// Removes and returns all tasks whose work has reached zero.
     ///
     /// Call after [`Machine::advance`] at a completion instant. Completion
@@ -417,6 +462,40 @@ mod tests {
         assert_eq!(m.submit(ms(11), 0.001, 2), None);
         m.restart(ms(20));
         assert!(m.submit(ms(20), 0.001, 3).is_some());
+    }
+
+    #[test]
+    fn a_stale_completion_token_does_not_fire() {
+        let mut m = Machine::new(MachineId(1));
+        m.submit(ms(0), 0.010, 1).unwrap();
+        let (at, first) = m.arm_completion().unwrap();
+        assert_eq!(at, ms(10));
+        m.submit(ms(5), 0.010, 2).unwrap();
+        let (later, second) = m.arm_completion().unwrap();
+        assert_eq!(later, ms(15), "two tasks share the CPU from 5 ms");
+        assert!(
+            !m.fire_completion(first),
+            "re-armed: the first tick is stale"
+        );
+        assert!(m.fire_completion(second));
+        assert!(!m.fire_completion(second), "a tick fires once");
+        m.fail(ms(6));
+        let third = m.arm_completion();
+        assert!(third.is_none(), "nothing runs on a failed machine");
+    }
+
+    #[test]
+    fn the_load_estimate_is_reused_below_ten_ms() {
+        let mut m: Machine = Machine::new(MachineId(1));
+        m.set_background(ms(0), LoadComponent::Spike, 1.0);
+        // 100 ms fully busy: the estimate moves halfway to 1.0.
+        assert_eq!(m.estimate_load(ms(100)), 0.5);
+        // Under 10 ms later the window is too short: the estimate stands.
+        m.set_background(ms(100), LoadComponent::Spike, 0.0);
+        assert_eq!(m.estimate_load(ms(109)), 0.5);
+        // At 10 ms the idle window since the last update counts: halfway
+        // back toward 0.
+        assert_eq!(m.estimate_load(ms(110)), 0.25);
     }
 
     #[test]

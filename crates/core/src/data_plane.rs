@@ -167,19 +167,12 @@ impl HaWorld {
     /// Re-arms a machine's completion timer after any change to its task
     /// set or load.
     pub(crate) fn rearm_machine(&mut self, ctx: &mut Ctx<Event>, machine: MachineId) {
-        let idx = machine.0 as usize;
-        match self.cluster.machine(machine).next_completion() {
-            Some(at) => {
-                let gen = self.machine_timers[idx].arm();
-                ctx.schedule_at(
-                    at.max(ctx.now()),
-                    Event::MachineTick {
-                        machine: machine.0,
-                        gen,
-                    },
-                );
-            }
-            None => self.machine_timers[idx].cancel(),
+        if let Some((at, gen)) = self.cluster.machine_mut(machine).arm_completion() {
+            let tick = Event::MachineTick {
+                machine: machine.0,
+                gen,
+            };
+            ctx.schedule_at(at.max(ctx.now()), tick);
         }
     }
 
@@ -191,34 +184,10 @@ impl HaWorld {
         demand_secs: f64,
         tag: TaskTag,
     ) {
-        let submitted = self
-            .cluster
-            .machine_mut(machine)
-            .submit(ctx.now(), demand_secs, tag);
-        if submitted.is_some() {
+        let m = self.cluster.machine_mut(machine);
+        if m.submit(ctx.now(), demand_secs, tag).is_some() {
             self.rearm_machine(ctx, machine);
         }
-    }
-
-    /// A rolling estimate of a machine's recent utilization — an
-    /// exponentially weighted load average, like the OS statistic a real
-    /// scheduler's latency tracks. Smoothing matters: a half-second burst
-    /// that transiently saturates the CPU must not look like a sustained
-    /// load spike, or heartbeat false alarms become far more frequent than
-    /// the once-per-tens-of-minutes the paper reports.
-    pub(crate) fn estimate_load(&mut self, now: sps_sim::SimTime, machine: MachineId) -> f64 {
-        const ALPHA: f64 = 0.5;
-        self.cluster.machine_mut(machine).advance(now);
-        let busy = self.cluster.machine(machine).busy_integral();
-        let (last_t, last_busy, est) = self.load_est[machine.0 as usize];
-        let dt = now.saturating_since(last_t).as_secs_f64();
-        if dt < 0.01 {
-            return est; // window too small; reuse the previous estimate
-        }
-        let util = ((busy - last_busy) / dt).clamp(0.0, 1.0);
-        let ewma = (1.0 - ALPHA) * est + ALPHA * util;
-        self.load_est[machine.0 as usize] = (now, busy, ewma);
-        ewma
     }
 
     /// Submits a latency-sensitive task (heartbeat reply, benchmark probe)
@@ -229,7 +198,11 @@ impl HaWorld {
     /// own two or three stream-processing threads has a short run queue and
     /// still schedules a tiny responder promptly, while a load-spike
     /// program's thread herd starves it — the distinction that lets the
-    /// hybrid roll back while the primary is still draining backlog.
+    /// hybrid roll back while the primary is still draining backlog. The
+    /// load is the machine's smoothed estimate, not its instantaneous
+    /// share: with a raw reading a half-second burst would look like a
+    /// spike, and heartbeat false alarms would come far more often than the
+    /// once per tens of minutes the paper reports.
     pub(crate) fn submit_latency_sensitive(
         &mut self,
         ctx: &mut Ctx<Event>,
@@ -237,7 +210,7 @@ impl HaWorld {
         demand_secs: f64,
         tag: TaskTag,
     ) {
-        let load = self.estimate_load(ctx.now(), machine);
+        let load = self.cluster.machine_mut(machine).estimate_load(ctx.now());
         let foreign = self.cluster.machine(machine).background_share();
         let foreign_frac = (foreign / load.max(foreign).max(1e-6)).clamp(0.0, 1.0);
         let median = sched::median_at(load).mul_f64(foreign_frac);
@@ -305,69 +278,100 @@ impl HaWorld {
         for _ in 0..self.cfg.batch_size {
             self.sources[s].generate(ctx.now(), ctx.rng());
         }
-        self.dispatch_source_outputs(ctx, s);
+        self.dispatch(ctx, Hop::Source(s));
         let gap = self.sources[s].next_gap(ctx.now(), ctx.rng()) * self.cfg.batch_size as u64;
         let g = self.sources[s].timer.arm();
         ctx.schedule_in(gap, Event::SourceTick { source, gen: g });
     }
 
-    /// Drains every active connection of a source's queue and transmits.
-    pub(crate) fn dispatch_source_outputs(&mut self, ctx: &mut Ctx<Event>, s: usize) {
-        let src_machine = self.placement.sources[s];
+    /// Drains every active connection of a producer's output and transmits
+    /// the new elements. A PE copy drains only its sendable ports (see
+    /// [`sps_engine::PeInstance::take_sendable_conns`]): a port outside the
+    /// set has nothing to send, so the cost follows the ports written.
+    pub(crate) fn dispatch(&mut self, ctx: &mut Ctx<Event>, hop: Hop) {
         // World-owned buffers serve every hop: one element buffer, with
         // spans remembering which slice belongs to which destination, and
         // one connection list — the steady-state loop allocates nothing.
+        let mut conns = std::mem::take(&mut self.conn_scratch);
+        let (src_machine, trace_pe, replica) = match hop {
+            Hop::Source(s) => {
+                let q = self.sources[s].queue();
+                let active = q.connections().iter().enumerate().filter(|(_, c)| c.active);
+                conns.extend(active.map(|(ci, c)| (0, ConnectionId(ci), c.dest)));
+                (self.sources[s].machine(), TRACE_SOURCE_PE, Replica::Primary)
+            }
+            Hop::Slot(slot) => {
+                let (pe, replica) = unslot(slot);
+                let Some(inst) = self.slots[slot].copy_mut() else {
+                    self.conn_scratch = conns;
+                    return;
+                };
+                debug_assert!(
+                    inst.sendable_set_is_complete(),
+                    "{pe}/{replica}: an output port outside the sendable set has unsent elements"
+                );
+                inst.take_sendable_conns(&mut conns);
+                (self.slots[slot].machine(), pe.0, replica)
+            }
+        };
         let mut elems = std::mem::take(&mut self.dispatch_scratch);
         let mut spans = std::mem::take(&mut self.span_scratch);
-        let mut conns = std::mem::take(&mut self.conn_scratch);
-        {
-            {
-                let q = self.sources[s].queue();
-                conns.extend(
-                    (0..q.connections().len())
-                        .map(ConnectionId)
-                        .filter(|&ci| q.connection(ci).active)
-                        .map(|ci| (0, ci, q.connection(ci).dest)),
-                );
-            }
-            for &(_, ci, dest) in &conns {
+        for &(port, ci, dest) in &conns {
+            let dst = self.dest_machine(dest);
+            let partitioned = self.cluster.network().is_partitioned(src_machine, dst);
+            if partitioned {
                 // A partitioned link behaves like a stalled TCP connection:
-                // the send cursor stays put and the backlog flows on heal.
-                let dst = self.dest_machine(dest);
-                if self.cluster.network().is_partitioned(src_machine, dst) {
-                    continue;
+                // the send cursor stays put, and a PE port stays in its
+                // sendable set, so the backlog flows on heal.
+                if let Hop::Slot(slot) = hop {
+                    let inst = self.slots[slot].copy_mut().expect("checked");
+                    if inst.output(port).has_unsent(ci) {
+                        inst.mark_sendable(port);
+                    }
                 }
-                let start = elems.len();
-                self.sources[s]
-                    .queue_mut()
-                    .drain_sendable_into(ci, &mut elems);
-                if elems.len() > start {
-                    let last = elems[elems.len() - 1];
-                    let (stream, last_seq, n) =
-                        (last.stream.0, last.seq, (elems.len() - start) as u32);
-                    self.tracer
-                        .emit_data(ctx.now(), || TraceEvent::ElementSend {
-                            pe: TRACE_SOURCE_PE,
-                            replica: 0,
-                            stream,
-                            elements: n,
-                            last_seq,
-                        });
-                    spans.push((dest, start, elems.len()));
+                continue;
+            }
+            let start = elems.len();
+            match hop {
+                Hop::Source(s) => {
+                    self.sources[s]
+                        .queue_mut()
+                        .drain_sendable_into(ci, &mut elems);
                 }
+                Hop::Slot(slot) => {
+                    let inst = self.slots[slot].copy_mut().expect("checked");
+                    inst.drain_sendable_into(port, ci, &mut elems);
+                }
+            }
+            if elems.len() > start {
+                let last = elems[elems.len() - 1];
+                let (stream, last_seq, n) = (last.stream.0, last.seq, (elems.len() - start) as u32);
+                self.tracer
+                    .emit_data(ctx.now(), || TraceEvent::ElementSend {
+                        pe: trace_pe,
+                        replica: replica_code(replica),
+                        stream,
+                        elements: n,
+                        last_seq,
+                    });
+                spans.push((dest, start, elems.len()));
             }
         }
         if let Some(lin) = self.observers.lineage_mut() {
-            // Roots enter the lineage here: a source element's emission is
-            // its creation, its first drain is its first transmission.
-            // Re-drains after a rewind and the AS second connection both
-            // no-op (first-writer-wins).
-            for e in &elems {
-                lin.record_root((e.stream.0, e.seq), e.created_at);
+            // Source roots enter the lineage here: an emission is the
+            // element's creation, its first drain its first transmission;
+            // re-drains after a rewind and the AS second connection no-op
+            // (first-writer-wins). A PE's hop records were created when the
+            // producing element finished.
+            if let Hop::Source(_) = hop {
+                for e in &elems {
+                    lin.record_root((e.stream.0, e.seq), e.created_at);
+                }
             }
             note_spans_sent(lin, &elems, &spans, ctx.now());
         }
-        self.transmit_spans(ctx, src_machine, false, &elems, &spans);
+        let produced_by_secondary = replica == Replica::Secondary;
+        self.transmit_spans(ctx, src_machine, produced_by_secondary, &elems, &spans);
         elems.clear();
         spans.clear();
         conns.clear();
@@ -451,82 +455,19 @@ impl HaWorld {
         self.send_msg(ctx, src_machine, dst, msg, class, n);
     }
 
-    /// Drains every active connection of the instance's sendable output
-    /// ports (see [`sps_engine::PeInstance::take_sendable_conns`]) and
-    /// transmits the new elements. A port outside the set has nothing to
-    /// send, so the cost follows the ports written, not the ports owned.
-    pub(crate) fn dispatch_outputs(&mut self, ctx: &mut Ctx<Event>, slot: usize) {
-        let (pe, replica) = unslot(slot);
-        let src_machine = self.slots[slot].machine();
-        let Some(inst) = self.slots[slot].copy_mut() else {
-            return;
-        };
-        debug_assert!(
-            inst.sendable_set_is_complete(),
-            "{pe}/{replica}: an output port outside the sendable set has unsent elements"
-        );
-        // Same reused-buffer pattern as `dispatch_source_outputs`.
-        let mut elems = std::mem::take(&mut self.dispatch_scratch);
-        let mut spans = std::mem::take(&mut self.span_scratch);
-        let mut conns = std::mem::take(&mut self.conn_scratch);
-        inst.take_sendable_conns(&mut conns);
-        for &(port, ci, dest) in &conns {
-            let dst = self.dest_machine(dest);
-            let partitioned = self.cluster.network().is_partitioned(src_machine, dst);
-            let inst = self.slots[slot].copy_mut().expect("checked");
-            if partitioned {
-                // Stalled-TCP semantics across partitions: keep the cursor,
-                // and keep the port in the set so the backlog flows on heal.
-                if inst.output(port).has_unsent(ci) {
-                    inst.mark_sendable(port);
-                }
-                continue;
-            }
-            let start = elems.len();
-            inst.drain_sendable_into(port, ci, &mut elems);
-            if elems.len() > start {
-                let last = elems[elems.len() - 1];
-                let (stream, last_seq, n) = (last.stream.0, last.seq, (elems.len() - start) as u32);
-                self.tracer
-                    .emit_data(ctx.now(), || TraceEvent::ElementSend {
-                        pe: pe.0,
-                        replica: replica_code(replica),
-                        stream,
-                        elements: n,
-                        last_seq,
-                    });
-                spans.push((dest, start, elems.len()));
-            }
-        }
-        if let Some(lin) = self.observers.lineage_mut() {
-            // Hop records were created when the producing element finished;
-            // checkpoint-restored elements with no record no-op here.
-            note_spans_sent(lin, &elems, &spans, ctx.now());
-        }
-        let produced_by_secondary = replica == Replica::Secondary;
-        self.transmit_spans(ctx, src_machine, produced_by_secondary, &elems, &spans);
-        elems.clear();
-        spans.clear();
-        conns.clear();
-        self.dispatch_scratch = elems;
-        self.span_scratch = spans;
-        self.conn_scratch = conns;
-    }
-
     // ---- machine tick: CPU task completions ----
 
     pub(crate) fn on_machine_tick(&mut self, ctx: &mut Ctx<Event>, machine: u32, gen: TimerGen) {
         let m = MachineId(machine);
-        if !self.machine_timers[machine as usize].fire(gen) {
+        let host = self.cluster.machine_mut(m);
+        if !host.fire_completion(gen) {
             return;
         }
-        self.cluster.machine_mut(m).advance(ctx.now());
+        host.advance(ctx.now());
         // Reused world scratch: completions fire once per task — the
         // steady-state hot path — so the buffer must not allocate.
         let mut finished = std::mem::take(&mut self.task_scratch);
-        self.cluster
-            .machine_mut(m)
-            .collect_finished_into(&mut finished);
+        host.collect_finished_into(&mut finished);
         for task in &finished {
             match task.tag {
                 TaskTag::PeWork { slot, epoch } => self.on_pe_work_done(ctx, slot, epoch),
@@ -568,7 +509,7 @@ impl HaWorld {
                 }
             },
         );
-        self.dispatch_outputs(ctx, slot);
+        self.dispatch(ctx, Hop::Slot(slot));
 
         // Copies that do not ack on checkpoints send batched acks on
         // processing. Backlog accounting is per element, so a batch
@@ -659,13 +600,10 @@ impl HaWorld {
     /// a fixed-size array so the per-element ack path never allocates.
     pub(crate) fn ack_targets(&self, stream: StreamId) -> [Option<(ProducerAddr, MachineId)>; 2] {
         match self.job.producer(stream) {
-            sps_engine::Producer::Source(src) => [
-                Some((
-                    ProducerAddr::Source(src),
-                    self.placement.sources[src.0 as usize],
-                )),
-                None,
-            ],
+            sps_engine::Producer::Source(src) => {
+                let addr = ProducerAddr::Source(src);
+                [self.producer_machine(addr).map(|m| (addr, m)), None]
+            }
             sps_engine::Producer::Pe(pe, port) => {
                 let mut out = [None, None];
                 let mut n = 0;
@@ -866,7 +804,7 @@ impl HaWorld {
                 // whose ack was lost).
                 if accept.newly_accepted > 0 || (self.cfg.reliable_control && through >= first.seq)
                 {
-                    let from_machine = self.placement.sinks[s];
+                    let from_machine = self.sinks[s].machine();
                     self.send_acks_for_stream(ctx, from_machine, Dest::Sink(sink), stream, through);
                 }
             }
@@ -1023,21 +961,51 @@ impl HaWorld {
     /// never correctness.
     pub(crate) fn on_retransmit_sweep(&mut self, ctx: &mut Ctx<Event>) {
         ctx.schedule_in(REL_SWEEP_INTERVAL, Event::RetransmitSweep);
-        for s in 0..self.sources.len() {
-            if self.sweep_rewind(ProducerAddr::Source(SourceId(s as u32))) {
-                self.dispatch_source_outputs(ctx, s);
-            }
-        }
-        for slot in 0..self.slots.len() {
-            let (pe, replica) = unslot(slot);
+        let sources = (0..self.sources.len()).map(Hop::Source);
+        for hop in sources.chain((0..self.slots.len()).map(Hop::Slot)) {
+            let ports = match hop {
+                Hop::Source(_) => 1,
+                Hop::Slot(slot) => self.job.out_ports(unslot(slot).0),
+            };
             let mut rewound = false;
-            for port in 0..self.job.out_ports(pe) {
-                rewound |=
-                    self.sweep_rewind(ProducerAddr::Instance(InstanceId { pe, replica }, port));
+            for port in 0..ports {
+                rewound |= self.sweep_rewind(hop.addr(port));
             }
             if rewound {
-                self.dispatch_outputs(ctx, slot);
+                self.dispatch(ctx, hop);
             }
+        }
+    }
+}
+
+/// A producer copy one dispatch drains: a source, or the PE copy in an
+/// instance slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Hop {
+    /// A source, by index.
+    Source(usize),
+    /// A PE copy, by instance-slot index.
+    Slot(usize),
+}
+
+impl Hop {
+    /// The producer's output `port` (a source has one, port 0).
+    fn addr(self, port: usize) -> ProducerAddr {
+        match self {
+            Hop::Source(s) => ProducerAddr::Source(SourceId(s as u32)),
+            Hop::Slot(slot) => {
+                let (pe, replica) = unslot(slot);
+                ProducerAddr::Instance(InstanceId { pe, replica }, port)
+            }
+        }
+    }
+}
+
+impl From<ProducerAddr> for Hop {
+    fn from(addr: ProducerAddr) -> Hop {
+        match addr {
+            ProducerAddr::Source(s) => Hop::Source(s.0 as usize),
+            ProducerAddr::Instance(iid, _) => Hop::Slot(slot_of(iid.pe, iid.replica)),
         }
     }
 }

@@ -21,6 +21,7 @@ use sps_trace::{AbortReason, EpochCause, TraceEvent};
 use crate::config::{
     HaMode, CONNECT_DELAY, DEPLOY_DELAY, HYBRID_MISS_THRESHOLD, PS_MISS_THRESHOLD, RESUME_DELAY,
 };
+use crate::data_plane::Hop;
 use crate::detect::{BenchAction, HbVerdict, HeartbeatMonitor, BENCH_SAMPLE_INTERVAL};
 use crate::message::{Msg, ProducerAddr};
 use crate::wiring::find_conn;
@@ -171,21 +172,13 @@ impl HaWorld {
         if !self.tracer.is_enabled() {
             return;
         }
+        let topo = self.cluster.topology();
         let (m, pd, sd) = match (machine, paired_with) {
-            (Some(s), Some(p)) => {
-                let topo = self.cluster.topology();
-                let pd = topo.rack_of(p).0;
-                let sd = if topo.domain_disjoint(p, s) {
-                    topo.rack_of(s).0
-                } else {
-                    pd
-                };
-                (s.0, pd, sd)
+            (Some(s), Some(p)) if topo.domain_disjoint(p, s) => {
+                (s.0, topo.rack_of(p).0, topo.rack_of(s).0)
             }
-            (Some(s), None) => {
-                let topo = self.cluster.topology();
-                (s.0, u32::MAX, topo.rack_of(s).0)
-            }
+            (Some(s), Some(p)) => (s.0, topo.rack_of(p).0, topo.rack_of(p).0),
+            (Some(s), None) => (s.0, u32::MAX, topo.rack_of(s).0),
             (None, _) => (u32::MAX, u32::MAX, u32::MAX),
         };
         self.tracer.emit(
@@ -442,7 +435,7 @@ impl HaWorld {
         if !self.cluster.machine(sec).is_up() {
             return Some((Some(sec), AbortReason::StandbyUnhealthy));
         }
-        if self.domain_has_active_fault(sec) {
+        if self.cluster.domain_has_active_fault(sec) {
             return Some((Some(sec), AbortReason::DomainFault));
         }
         None
@@ -722,11 +715,11 @@ impl HaWorld {
         // spare-redeploy fallback) must not point its checkpoints into a
         // corpse or a faulted domain; take a safe spare instead.
         let (target, fresh) = if self.cluster.machine(old_machine).is_up()
-            && !self.domain_has_active_fault(old_machine)
+            && !self.cluster.domain_has_active_fault(old_machine)
         {
             (Some(old_machine), false)
         } else {
-            (self.take_safe_spare(Some(new_machine)), true)
+            (self.cluster.take_safe_spare(Some(new_machine)), true)
         };
         self.provision_standby(ctx, sj_id, target, fresh, Some(HaEventKind::PsConnected));
     }
@@ -780,7 +773,7 @@ impl HaWorld {
         // Automatic standby re-provisioning: a fresh standby on a healthy
         // machine domain-disjoint from the new primary (with a flat
         // topology this is exactly the spare `pop()` always took).
-        let target = self.take_safe_spare(Some(new_primary_machine));
+        let target = self.cluster.take_safe_spare(Some(new_primary_machine));
         self.provision_standby(ctx, sj_id, target, true, Some(HaEventKind::Promoted));
     }
 
@@ -802,7 +795,7 @@ impl HaWorld {
                 return;
             }
         }
-        let Some(spare) = self.take_safe_spare(None) else {
+        let Some(spare) = self.cluster.take_safe_spare(None) else {
             return; // the abort was already logged; the next miss retries
         };
         // Retire both copies: the primary is dead, and whatever standby
@@ -872,7 +865,7 @@ impl HaWorld {
         self.observers
             .metric_inc(sps_metrics::Scope::global("failover"), "standby_lost", 1);
         let primary_machine = self.subjobs[idx].primary_machine;
-        let spare = self.take_safe_spare(Some(primary_machine));
+        let spare = self.cluster.take_safe_spare(Some(primary_machine));
         self.provision_standby(ctx, sj_id, spare, true, None);
     }
 
@@ -911,12 +904,9 @@ impl HaWorld {
         );
         self.cluster.machine_mut(m).fail(ctx.now());
         self.rearm_machine(ctx, m);
-        for record in &mut self.slots {
-            if record.machine() == m {
-                if let Some(inst) = record.copy_mut() {
-                    inst.abort_inflight();
-                }
-            }
+        let on_m = self.slots.iter_mut().filter(|record| record.machine() == m);
+        for inst in on_m.filter_map(|record| record.copy_mut()) {
+            inst.abort_inflight();
         }
         // Standby-death repair: subjobs whose standby lived on the dead
         // machine (with the primary elsewhere and alive) re-provision a
@@ -947,13 +937,9 @@ impl HaWorld {
         if !self.cluster.machine(machine).is_up() {
             return;
         }
-        self.cluster.machine_mut(machine).advance(ctx.now());
-        let load = {
-            let machine_ref = self.cluster.machine(machine);
-            self.bench_detectors[d]
-                .monitor
-                .sample(machine_ref, ctx.now())
-        };
+        let m = self.cluster.machine_mut(machine);
+        m.advance(ctx.now());
+        let load = self.bench_detectors[d].monitor.sample(m, ctx.now());
         let now = ctx.now();
         if let Some(p) = self.bench_detectors[d].predictor.as_mut() {
             if p.on_sample(now, load) {
@@ -1045,18 +1031,14 @@ impl HaWorld {
                         Some((q.stream().0, q.resume(conn, position)))
                     })
                     .expect("linked");
-                let found = resumed.is_some();
+                // A source always re-dispatches; an instance only when its
+                // connection was found.
+                let redispatch = resumed.is_some() || matches!(addr, ProducerAddr::Source(_));
                 if let Some((stream, resent)) = resumed {
                     self.note_replay_retransmits(stream, resent);
                 }
-                // A source always re-dispatches; an instance only when its
-                // connection was found.
-                match addr {
-                    ProducerAddr::Source(s) => self.dispatch_source_outputs(ctx, s.0 as usize),
-                    ProducerAddr::Instance(iid, _) if found => {
-                        self.dispatch_outputs(ctx, slot_of(iid.pe, iid.replica));
-                    }
-                    ProducerAddr::Instance(..) => {}
+                if redispatch {
+                    self.dispatch(ctx, addr.into());
                 }
             }
         }
@@ -1079,7 +1061,7 @@ impl HaWorld {
                 }
             }
         }
-        self.dispatch_outputs(ctx, slot);
+        self.dispatch(ctx, Hop::Slot(slot));
     }
 
     /// Records replayed elements in the lineage table: every element of

@@ -241,6 +241,11 @@ impl HaSimulationBuilder {
 
     /// Builds the simulation, deploys everything, and schedules the initial
     /// events.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a chaos plan naming a machine, rack or switch the cluster
+    /// lacks ([`ChaosPlan::check`]).
     pub fn build(mut self) -> HaSimulation {
         // `SPS_BATCH_SIZE=N` overrides the data-plane batch size globally
         // (used by `crates/bench/tests/goldens.rs` to re-render figures at
@@ -298,9 +303,10 @@ impl HaSimulationBuilder {
             let chaos_seed = sps_sim::SimRng::seed_from(self.seed)
                 .fork(0xC4A0_5EED)
                 .next_u64();
-            world.cluster_mut().network_mut().reseed_chaos(chaos_seed);
-            world.chaos_steps = plan.steps().to_vec();
-            for (i, step) in world.chaos_steps.iter().enumerate() {
+            if let Err(e) = world.cluster_mut().install_chaos(&plan, chaos_seed) {
+                panic!("invalid chaos plan: {e}");
+            }
+            for (i, step) in plan.steps().iter().enumerate() {
                 ctx.schedule_at(step.at, Event::ChaosStep { step: i as u32 });
             }
         }
@@ -372,30 +378,39 @@ impl HaSimulation {
         self.sim.world_mut()
     }
 
+    /// Panics at the call, not mid-run, when `machine` is outside the
+    /// cluster.
+    fn assert_machine(&self, machine: MachineId, call: &str) {
+        let n = self.sim.world().cluster().len();
+        assert!(
+            (machine.0 as usize) < n,
+            "{call}: {machine} is outside the cluster's {n} machines"
+        );
+    }
+
+    /// Schedules `component` of `machine`'s background load to each
+    /// window's share over the window.
+    fn schedule_load(&mut self, machine: MachineId, load: LoadComponent, windows: &[SpikeWindow]) {
+        for w in windows {
+            for (at, share) in [(w.start, w.share), (w.end, 0.0)] {
+                let event = Event::SetBackground {
+                    machine: machine.0,
+                    component: load,
+                    share,
+                };
+                self.sim.schedule_at(at, event);
+            }
+        }
+    }
+
     /// Schedules a transient-failure load schedule on a machine and records
     /// it as ground truth.
     pub fn inject_spike_windows(&mut self, machine: MachineId, windows: &[SpikeWindow]) {
+        self.assert_machine(machine, "inject_spike_windows");
+        self.schedule_load(machine, LoadComponent::Spike, windows);
         for w in windows {
-            self.sim.schedule_at(
-                w.start,
-                Event::SetBackground {
-                    machine: machine.0,
-                    component: LoadComponent::Spike,
-                    share: w.share,
-                },
-            );
-            self.sim.schedule_at(
-                w.end,
-                Event::SetBackground {
-                    machine: machine.0,
-                    component: LoadComponent::Spike,
-                    share: 0.0,
-                },
-            );
-            self.sim
-                .world_mut()
-                .observers
-                .note_injection(machine, w.start);
+            let observers = &mut self.sim.world_mut().observers;
+            observers.note_injection(machine, w.start);
         }
     }
 
@@ -403,31 +418,16 @@ impl HaSimulation {
     /// assuming the given ambient load (not recorded as ground truth — these
     /// are the false-alarm source).
     pub fn inject_jitter(&mut self, machine: MachineId, horizon: SimTime, ambient_load: f64) {
+        self.assert_machine(machine, "inject_jitter");
         let (_, ctx) = self.sim.parts_mut();
         let mut rng = ctx.rng().fork(0x7177_0000 + machine.0 as u64);
         let windows = jitter_stalls(&mut rng, horizon, ambient_load);
-        for w in windows {
-            self.sim.schedule_at(
-                w.start,
-                Event::SetBackground {
-                    machine: machine.0,
-                    component: LoadComponent::Jitter,
-                    share: w.share,
-                },
-            );
-            self.sim.schedule_at(
-                w.end,
-                Event::SetBackground {
-                    machine: machine.0,
-                    component: LoadComponent::Jitter,
-                    share: 0.0,
-                },
-            );
-        }
+        self.schedule_load(machine, LoadComponent::Jitter, &windows);
     }
 
     /// Schedules a machine fail-stop.
     pub fn fail_stop_at(&mut self, machine: MachineId, at: SimTime) {
+        self.assert_machine(machine, "fail_stop_at");
         self.sim
             .schedule_at(at, Event::FailStop { machine: machine.0 });
     }
@@ -439,6 +439,7 @@ impl HaSimulation {
 
     /// Installs a benchmark detector on a machine and starts its sampling.
     pub fn add_benchmark_detector(&mut self, machine: MachineId) -> u32 {
+        self.assert_machine(machine, "add_benchmark_detector");
         let det = self.sim.world_mut().add_benchmark_detector(machine);
         self.sim
             .schedule_in(BENCH_SAMPLE_INTERVAL, Event::BenchSample { det });

@@ -6,6 +6,7 @@
 //! acknowledgment stream that seeds the sweeping-checkpoint trim wave at the
 //! most-downstream PE.
 
+use sps_cluster::MachineId;
 use sps_engine::{DataElement, InputQueue, SinkId, StreamId};
 use sps_metrics::LatencyRecorder;
 use sps_sim::SimTime;
@@ -14,6 +15,7 @@ use sps_sim::SimTime;
 #[derive(Debug)]
 pub struct SinkRuntime {
     id: SinkId,
+    machine: MachineId,
     input: InputQueue,
     latency: LatencyRecorder,
     accepted: u64,
@@ -34,11 +36,13 @@ pub struct SinkAccept {
 }
 
 impl SinkRuntime {
-    /// Creates a sink; `log_accepts` retains a per-element accept log (used
-    /// by recovery-time experiments to find the first new output).
-    pub fn new(id: SinkId, log_accepts: bool) -> Self {
+    /// Creates a sink on `machine`; `log_accepts` retains a per-element
+    /// accept log (used by recovery-time experiments to find the first new
+    /// output).
+    pub fn new(id: SinkId, machine: MachineId, log_accepts: bool) -> Self {
         SinkRuntime {
             id,
+            machine,
             input: InputQueue::new(),
             latency: LatencyRecorder::new(),
             accepted: 0,
@@ -49,6 +53,11 @@ impl SinkRuntime {
     /// This sink's id.
     pub fn id(&self) -> SinkId {
         self.id
+    }
+
+    /// The machine the sink runs on.
+    pub fn machine(&self) -> MachineId {
+        self.machine
     }
 
     /// Registers a stream this sink consumes.
@@ -167,7 +176,7 @@ mod tests {
 
     #[test]
     fn accepts_records_latency_and_acks() {
-        let mut s = SinkRuntime::new(SinkId(0), false);
+        let mut s = SinkRuntime::new(SinkId(0), MachineId(0), false);
         s.register_stream(StreamId(5));
         let acc = deliver(&mut s, SimTime::from_millis(10), elem(1, 4)).unwrap();
         assert_eq!(acc.processed_through, 1);
@@ -183,7 +192,7 @@ mod tests {
     fn recorded_latency_is_the_durations_millisecond_float() {
         let edge = u64::from(u32::MAX);
         for ns in [0, 1, 739_664, edge - 1, edge, edge + 1, 30_000_000_000] {
-            let mut s = SinkRuntime::new(SinkId(0), false);
+            let mut s = SinkRuntime::new(SinkId(0), MachineId(0), false);
             s.register_stream(StreamId(5));
             let created = SimTime::from_millis(4);
             let latency = SimDuration::from_nanos(ns);
@@ -197,7 +206,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_silent() {
-        let mut s = SinkRuntime::new(SinkId(0), false);
+        let mut s = SinkRuntime::new(SinkId(0), MachineId(0), false);
         s.register_stream(StreamId(5));
         deliver(&mut s, SimTime::from_millis(1), elem(1, 0)).unwrap();
         assert_eq!(deliver(&mut s, SimTime::from_millis(2), elem(1, 0)), None);
@@ -207,7 +216,7 @@ mod tests {
 
     #[test]
     fn gap_then_fill_accepts_batch() {
-        let mut s = SinkRuntime::new(SinkId(0), false);
+        let mut s = SinkRuntime::new(SinkId(0), MachineId(0), false);
         s.register_stream(StreamId(5));
         assert_eq!(
             deliver(&mut s, SimTime::from_millis(1), elem(2, 0)),
@@ -222,7 +231,7 @@ mod tests {
 
     #[test]
     fn processed_through_reads_the_cursor_of_any_stream() {
-        let mut s = SinkRuntime::new(SinkId(0), false);
+        let mut s = SinkRuntime::new(SinkId(0), MachineId(0), false);
         s.register_stream(StreamId(5));
         s.register_stream(StreamId(9));
         assert_eq!(s.processed_through(StreamId(5)), 0, "never accepted");
@@ -241,7 +250,7 @@ mod tests {
 
     #[test]
     fn accept_log_supports_recovery_queries() {
-        let mut s = SinkRuntime::new(SinkId(0), true);
+        let mut s = SinkRuntime::new(SinkId(0), MachineId(0), true);
         s.register_stream(StreamId(5));
         deliver(&mut s, SimTime::from_millis(10), elem(1, 0));
         deliver(&mut s, SimTime::from_millis(30), elem(2, 0));

@@ -5,6 +5,7 @@
 //! the first subjob can always retransmit from the source ("data
 //! retransmission" in §V-B's recovery decomposition).
 
+use sps_cluster::MachineId;
 use sps_engine::{Dest, OutputQueue, Payload, SourceId, StreamId};
 use sps_sim::{SimDuration, SimRng, SimTime, TimerSlot};
 
@@ -103,6 +104,7 @@ pub fn zipf_rank(rng: &mut SimRng, n: u64, s: f64) -> u64 {
 #[derive(Debug)]
 pub struct SourceRuntime {
     id: SourceId,
+    machine: MachineId,
     queue: OutputQueue<Dest>,
     profile: RateProfile,
     payload_gen: PayloadGen,
@@ -119,9 +121,10 @@ pub struct SourceRuntime {
 }
 
 impl SourceRuntime {
-    /// Creates a source producing into `stream`.
+    /// Creates a source on `machine` producing into `stream`.
     pub fn new(
         id: SourceId,
+        machine: MachineId,
         stream: StreamId,
         profile: RateProfile,
         payload_gen: PayloadGen,
@@ -132,6 +135,7 @@ impl SourceRuntime {
         };
         SourceRuntime {
             id,
+            machine,
             queue: OutputQueue::new(stream),
             profile,
             payload_gen,
@@ -147,6 +151,11 @@ impl SourceRuntime {
     /// This source's id.
     pub fn id(&self) -> SourceId {
         self.id
+    }
+
+    /// The machine the source runs on.
+    pub fn machine(&self) -> MachineId {
+        self.machine
     }
 
     /// The output queue (for wiring, trimming, retransmission).
@@ -244,7 +253,13 @@ mod tests {
     use super::*;
 
     fn src(profile: RateProfile) -> SourceRuntime {
-        SourceRuntime::new(SourceId(0), StreamId(0), profile, PayloadGen::Synthetic)
+        SourceRuntime::new(
+            SourceId(0),
+            MachineId(0),
+            StreamId(0),
+            profile,
+            PayloadGen::Synthetic,
+        )
     }
 
     #[test]
@@ -356,6 +371,7 @@ mod tests {
         let make = || {
             SourceRuntime::new(
                 SourceId(0),
+                MachineId(0),
                 StreamId(0),
                 RateProfile::Constant { per_sec: 1.0 },
                 PayloadGen::Zipf {
@@ -379,6 +395,7 @@ mod tests {
     fn market_prices_walk_but_stay_positive() {
         let mut s = SourceRuntime::new(
             SourceId(0),
+            MachineId(0),
             StreamId(0),
             RateProfile::Constant { per_sec: 1.0 },
             PayloadGen::Market {

@@ -197,7 +197,7 @@ impl HaWorld {
     /// The machine hosting a producer copy, if that copy is deployed.
     pub(crate) fn producer_machine(&self, addr: ProducerAddr) -> Option<MachineId> {
         match addr {
-            ProducerAddr::Source(s) => Some(self.placement.sources[s.0 as usize]),
+            ProducerAddr::Source(s) => Some(self.sources[s.0 as usize].machine()),
             ProducerAddr::Instance(iid, _) => {
                 let record = &self.slots[slot_of(iid.pe, iid.replica)];
                 record.copy().is_some().then(|| record.machine())

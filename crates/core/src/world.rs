@@ -5,17 +5,14 @@
 //! and construction/wiring; the protocol handlers live in sibling modules
 //! (`data_plane`, `checkpoint`, `failover`).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sps_cluster::{
-    ChaosAction, ChaosStep, Cluster, FaultTopology, LoadComponent, MachineId, NetworkConfig,
-};
+use sps_cluster::{ChaosAction, Cluster, FaultTopology, LoadComponent, MachineId, NetworkConfig};
 use sps_engine::{
     Dest, InstanceId, Job, PeCheckpoint, PeId, Replica, SinkId, SourceId, StreamId, SubjobId,
 };
 use sps_metrics::{MsgCounters, Registry};
-use sps_sim::{Ctx, SimTime, TimerGen, TimerSlot, World};
+use sps_sim::{Ctx, SimTime, TimerGen, World};
 use sps_trace::{ChaosKind, EpochCause, HaModeTag, LineageTable, TraceEvent, Tracer};
 
 use crate::config::{HaConfig, HaMode};
@@ -540,14 +537,10 @@ pub struct BenchRt {
 pub struct HaWorld {
     pub(crate) cfg: HaConfig,
     pub(crate) job: Job,
-    pub(crate) placement: Placement,
+    /// Machines, network, fault domains, the spare pool and the chaos plan.
     pub(crate) cluster: Cluster<TaskTag>,
-    pub(crate) machine_timers: Vec<TimerSlot>,
     /// One record per PE copy: index = `pe * 2 + replica` (0 = primary).
     pub(crate) slots: Vec<Slot>,
-    /// Per-machine rolling utilization estimates (for scheduling-latency
-    /// sampling): `(last_time, last_busy_integral, estimate)`.
-    pub(crate) load_est: Vec<(SimTime, f64, f64)>,
     pub(crate) sources: Vec<SourceRuntime>,
     pub(crate) sinks: Vec<SinkRuntime>,
     pub(crate) subjobs: Vec<SubjobHa>,
@@ -563,11 +556,6 @@ pub struct HaWorld {
     /// Lineage, metrics, health and the sampler: read-only observation,
     /// each layer off unless the builder switched it on.
     pub(crate) observers: Observers,
-    /// The installed chaos plan's steps; [`Event::ChaosStep`] indexes here.
-    pub(crate) chaos_steps: Vec<ChaosStep>,
-    /// Switches currently partitioned by a chaos [`ChaosAction::PartitionSwitch`]
-    /// step; machines behind them count as having an active domain fault.
-    pub(crate) partitioned_switches: BTreeSet<u32>,
     /// The reliable transport under [`HaConfig::reliable_control`]:
     /// control-plane transmissions and the data-plane sweep's ledger.
     pub(crate) reliable: Reliable,
@@ -631,6 +619,7 @@ impl HaWorld {
 
         let mut cluster = Cluster::new(NetworkConfig::default());
         cluster.add_machines(placement.machine_count());
+        cluster.set_spares(placement.spares);
 
         let n_pes = job.pe_count();
 
@@ -638,30 +627,22 @@ impl HaWorld {
         let sources: Vec<SourceRuntime> = (0..job.source_count())
             .map(|i| {
                 let (profile, payload) = source_profiles[i];
-                SourceRuntime::new(
-                    SourceId(i as u32),
-                    job.source_stream(SourceId(i as u32)),
-                    profile,
-                    payload,
-                )
+                let (id, machine) = (SourceId(i as u32), placement.sources[i]);
+                SourceRuntime::new(id, machine, job.source_stream(id), profile, payload)
             })
             .collect();
         let sinks: Vec<SinkRuntime> = (0..job.sink_count())
-            .map(|i| SinkRuntime::new(SinkId(i as u32), log_sink_accepts))
+            .map(|i| SinkRuntime::new(SinkId(i as u32), placement.sinks[i], log_sink_accepts))
             .collect();
 
         let mut world = HaWorld {
             slots: (0..n_pes * 2).map(|_| Slot::empty()).collect(),
-            load_est: vec![(SimTime::ZERO, 0.0, 0.0); cluster.len()],
-            machine_timers: (0..cluster.len()).map(|_| TimerSlot::new()).collect(),
             subjobs: Vec::new(),
             sj_state_counts: [0; SjState::COUNT],
             bench_detectors: Vec::new(),
             counters: MsgCounters::new(),
             tracer: Tracer::new(),
             observers: Observers::default(),
-            chaos_steps: Vec::new(),
-            partitioned_switches: BTreeSet::new(),
             reliable: Reliable::default(),
             dispatch_scratch: Vec::new(),
             emit_scratch: sps_engine::Emitter::default(),
@@ -672,7 +653,6 @@ impl HaWorld {
             hb_pairs: PairRounds::new(job.subjob_count(), cluster.len()),
             batch_bufs: Vec::new(),
             cfg,
-            placement,
             cluster,
             sources,
             sinks,
@@ -687,8 +667,8 @@ impl HaWorld {
             ckpts.sort_unstable_by_key(|&(pe, _)| pe);
             world.subjobs.push(SubjobHa {
                 mode,
-                primary_machine: world.placement.primaries[sj.0 as usize],
-                secondary_machine: world.placement.secondaries[sj.0 as usize],
+                primary_machine: placement.primaries[sj.0 as usize],
+                secondary_machine: placement.secondaries[sj.0 as usize],
                 primary_replica: Replica::Primary,
                 state: SjState::Normal,
                 epoch: 0,
@@ -706,11 +686,10 @@ impl HaWorld {
         // Deploy instances.
         for pe in (0..n_pes as u32).map(PeId) {
             let sj = world.job.subjob_of(pe);
-            let mode = modes[sj.0 as usize];
-            let primary = world.placement.primaries[sj.0 as usize];
-            world.deploy_copy(pe, Replica::Primary, primary, false);
+            let (i, mode) = (sj.0 as usize, modes[sj.0 as usize]);
+            world.deploy_copy(pe, Replica::Primary, placement.primaries[i], false);
             if world.cfg.predeploys(mode) {
-                let sec = world.placement.secondaries[sj.0 as usize]
+                let sec = placement.secondaries[i]
                     .unwrap_or_else(|| panic!("{sj} mode {mode} needs a secondary machine"));
                 // "we suspend this job immediately after its deployment".
                 world.deploy_copy(pe, Replica::Secondary, sec, mode == HaMode::Hybrid);
@@ -769,7 +748,7 @@ impl HaWorld {
     pub(crate) fn dest_machine(&self, dest: Dest) -> MachineId {
         match dest {
             Dest::Pe { inst, .. } => self.slots[slot_of(inst.pe, inst.replica)].machine(),
-            Dest::Sink(s) => self.placement.sinks[s.0 as usize],
+            Dest::Sink(s) => self.sinks[s.0 as usize].machine(),
         }
     }
 
@@ -873,37 +852,24 @@ impl HaWorld {
                 quiescent,
             },
         );
-        let metas: Vec<(u32, HaModeTag, u64, u32, u8)> = self
-            .subjobs
-            .iter()
-            .enumerate()
-            .map(|(i, sj)| {
-                let mode = match sj.mode {
-                    HaMode::None => HaModeTag::None,
-                    HaMode::Active => HaModeTag::Active,
-                    HaMode::Passive => HaModeTag::Passive,
-                    HaMode::Hybrid => HaModeTag::Hybrid,
-                };
-                (
-                    i as u32,
-                    mode,
-                    sj.epoch,
-                    sj.primary_machine.0,
-                    replica_code(sj.primary_replica),
-                )
-            })
-            .collect();
-        for (subjob, mode, epoch, primary_machine, primary_replica) in metas {
+        for (i, sj) in self.subjobs.iter().enumerate() {
+            let subjob = i as u32;
+            let mode = match sj.mode {
+                HaMode::None => HaModeTag::None,
+                HaMode::Active => HaModeTag::Active,
+                HaMode::Passive => HaModeTag::Passive,
+                HaMode::Hybrid => HaModeTag::Hybrid,
+            };
             self.tracer
                 .emit(SimTime::ZERO, TraceEvent::SubjobMeta { subjob, mode });
             self.tracer.emit(
                 SimTime::ZERO,
                 TraceEvent::EpochChange {
                     subjob,
-                    epoch,
+                    epoch: sj.epoch,
                     cause: EpochCause::Init,
-                    primary_machine,
-                    primary_replica,
+                    primary_machine: sj.primary_machine.0,
+                    primary_replica: replica_code(sj.primary_replica),
                 },
             );
         }
@@ -992,124 +958,37 @@ impl HaWorld {
 
     // ---- chaos plan ----
 
-    /// Applies one due step of the installed chaos plan.
+    /// Applies one due step of the installed chaos plan: the cluster
+    /// changes the network itself and names the machines it takes down.
     pub(crate) fn on_chaos_step(&mut self, ctx: &mut Ctx<Event>, step: u32) {
-        let Some(s) = self.chaos_steps.get(step as usize).copied() else {
+        let Some((action, down)) = self.cluster.apply_chaos(step as usize) else {
             return;
         };
+        use ChaosAction as A;
+        use ChaosKind as K;
         const NONE: u32 = u32::MAX;
-        let (kind, a, b) = match &s.action {
-            ChaosAction::LinkFaults { src, dst, .. } => (ChaosKind::LinkFaults, src.0, dst.0),
-            ChaosAction::ClearLinkFaults { src, dst } => (ChaosKind::ClearLinkFaults, src.0, dst.0),
-            ChaosAction::DefaultFaults { profile: Some(_) } => {
-                (ChaosKind::DefaultFaults, NONE, NONE)
-            }
-            ChaosAction::DefaultFaults { profile: None } => {
-                (ChaosKind::ClearDefaultFaults, NONE, NONE)
-            }
-            ChaosAction::Partition { a, b } => (ChaosKind::Partition, a.0, b.0),
-            ChaosAction::Heal { a, b } => (ChaosKind::Heal, a.0, b.0),
-            ChaosAction::FailStop { machine } => (ChaosKind::FailStop, machine.0, NONE),
-            ChaosAction::FailDomain { rack } => (ChaosKind::FailDomain, rack.0, NONE),
-            ChaosAction::PartitionSwitch { switch } => (ChaosKind::PartitionSwitch, switch.0, NONE),
-            ChaosAction::HealSwitch { switch } => (ChaosKind::HealSwitch, switch.0, NONE),
+        let (kind, a, b) = match action {
+            A::LinkFaults { src, dst, .. } => (K::LinkFaults, src.0, dst.0),
+            A::ClearLinkFaults { src, dst } => (K::ClearLinkFaults, src.0, dst.0),
+            A::DefaultFaults { profile: Some(_) } => (K::DefaultFaults, NONE, NONE),
+            A::DefaultFaults { profile: None } => (K::ClearDefaultFaults, NONE, NONE),
+            A::Partition { a, b } => (K::Partition, a.0, b.0),
+            A::Heal { a, b } => (K::Heal, a.0, b.0),
+            A::FailStop { machine } => (K::FailStop, machine.0, NONE),
+            A::FailDomain { rack } => (K::FailDomain, rack.0, NONE),
+            A::PartitionSwitch { switch } => (K::PartitionSwitch, switch.0, NONE),
+            A::HealSwitch { switch } => (K::HealSwitch, switch.0, NONE),
         };
-        self.tracer.emit(
-            ctx.now(),
-            TraceEvent::ChaosPhase {
-                step,
-                action: kind,
-                a,
-                b,
-            },
-        );
-        match s.action {
-            ChaosAction::LinkFaults { src, dst, profile } => {
-                self.cluster
-                    .network_mut()
-                    .set_link_faults(src, dst, profile);
-            }
-            ChaosAction::ClearLinkFaults { src, dst } => {
-                self.cluster.network_mut().clear_link_faults(src, dst);
-            }
-            ChaosAction::DefaultFaults { profile } => {
-                self.cluster.network_mut().set_default_faults(profile);
-            }
-            ChaosAction::Partition { a, b } => {
-                self.cluster.network_mut().set_partitioned(a, b, true);
-            }
-            ChaosAction::Heal { a, b } => {
-                self.cluster.network_mut().set_partitioned(a, b, false);
-            }
-            ChaosAction::FailStop { machine } => self.on_fail_stop(ctx, machine.0),
-            ChaosAction::FailDomain { rack } => {
-                // Correlated fail-stop: every live machine in the rack dies
-                // at once (power-rail loss). Expansion happens here, at
-                // apply time, against the installed topology.
-                let members: Vec<MachineId> =
-                    self.cluster.topology().machines_in_rack(rack).collect();
-                for m in members {
-                    if self.cluster.machine(m).is_up() {
-                        self.on_fail_stop(ctx, m.0);
-                    }
-                }
-            }
-            ChaosAction::PartitionSwitch { switch } => {
-                self.partitioned_switches.insert(switch.0);
-                self.set_switch_partitioned(switch, true);
-            }
-            ChaosAction::HealSwitch { switch } => {
-                self.partitioned_switches.remove(&switch.0);
-                self.set_switch_partitioned(switch, false);
-            }
+        let phase = TraceEvent::ChaosPhase {
+            step,
+            action: kind,
+            a,
+            b,
+        };
+        self.tracer.emit(ctx.now(), phase);
+        for m in down {
+            self.on_fail_stop(ctx, m.0);
         }
-    }
-
-    /// Partitions (or heals) every link crossing `switch`: machines behind
-    /// it lose connectivity to every machine that is not.
-    fn set_switch_partitioned(&mut self, switch: sps_cluster::SwitchId, on: bool) {
-        let topo = self.cluster.topology();
-        let inside: BTreeSet<u32> = topo.machines_behind_switch(switch).map(|m| m.0).collect();
-        let outside: Vec<u32> = (0..self.cluster.len() as u32)
-            .filter(|m| !inside.contains(m))
-            .collect();
-        for &i in &inside {
-            for &o in &outside {
-                self.cluster
-                    .network_mut()
-                    .set_partitioned(MachineId(i), MachineId(o), on);
-            }
-        }
-    }
-
-    /// `true` when `m`'s fault domain has an active correlated fault: its
-    /// switch is partitioned, or any machine in its rack is down. Under
-    /// the flat topology (every machine alone in its domain) this reduces
-    /// to "`m` itself is down or isolated".
-    pub(crate) fn domain_has_active_fault(&self, m: MachineId) -> bool {
-        let topo = self.cluster.topology();
-        if self.partitioned_switches.contains(&topo.switch_of(m).0) {
-            return true;
-        }
-        topo.machines_in_rack(topo.rack_of(m))
-            .any(|peer| !self.cluster.machine(peer).is_up())
-    }
-
-    /// Removes and returns the best spare for a new standby: up, in a
-    /// fault-free domain, and (when `disjoint_from` is given) domain-
-    /// disjoint from that machine. Scans from the *back* of the spare list
-    /// so that with a flat topology and healthy spares it picks exactly
-    /// the machine `spares.pop()` always picked.
-    pub(crate) fn take_safe_spare(
-        &mut self,
-        disjoint_from: Option<MachineId>,
-    ) -> Option<MachineId> {
-        let pos = self.placement.spares.iter().rposition(|&s| {
-            self.cluster.machine(s).is_up()
-                && !self.domain_has_active_fault(s)
-                && disjoint_from.is_none_or(|p| self.cluster.topology().domain_disjoint(s, p))
-        })?;
-        Some(self.placement.spares.remove(pos))
     }
 }
 
@@ -1123,11 +1002,7 @@ pub(crate) fn replica_code(replica: Replica) -> u8 {
 
 /// The instance-slot index of `(pe, replica)`.
 pub(crate) fn slot_of(pe: PeId, replica: Replica) -> usize {
-    pe.0 as usize * 2
-        + match replica {
-            Replica::Primary => 0,
-            Replica::Secondary => 1,
-        }
+    pe.0 as usize * 2 + replica_code(replica) as usize
 }
 
 /// The `(pe, replica)` of an instance-slot index.

@@ -3,7 +3,9 @@
 //! reordering, duplicating, and partitioned networks, including correlated
 //! machine fail-stops (the ISSUE acceptance scenario).
 
-use sps_cluster::{BurstLoss, ChaosPlan, DomainId, FaultProfile, FaultTopology, MachineId};
+use sps_cluster::{
+    BurstLoss, ChaosPlan, DomainId, FaultProfile, FaultTopology, MachineId, SwitchId,
+};
 use sps_engine::{Dest, Job, OperatorSpec, OutputQueue, PeId, Replica, SubjobId};
 use sps_ha::{
     HaEventKind, HaMode, HaSimulation, Placement, SjState, REL_RTO_MAX, REL_SWEEP_INTERVAL,
@@ -847,4 +849,87 @@ fn the_first_sweep_after_a_partition_heals_rewinds_at_once() {
     for sj in 0..4 {
         assert_eq!(world.subjob(SubjobId(sj)).state, SjState::Normal);
     }
+}
+
+/// The message `f` panicked with, or `None` when it returned.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+}
+
+/// A chaos plan naming a machine, rack or switch the cluster lacks is
+/// refused when the simulation is built, before the first event, instead
+/// of doing nothing, growing the network, or panicking mid-run.
+#[test]
+fn chaos_plans_outside_the_cluster_are_refused_at_build() {
+    // The evaluation chain's default placement: 11 machines, flat.
+    let t = SimTime::from_secs(1);
+    let build = |plan: ChaosPlan| {
+        panic_message(|| {
+            HaSimulation::builder(chain_job()).chaos(plan).build();
+        })
+    };
+    let cases = [
+        (
+            ChaosPlan::new()
+                .correlated_fail_stop(t, &[MachineId(1)])
+                .domain_fail_stop(t, DomainId(11)),
+            "chaos step 1 names unknown rack r11",
+        ),
+        (
+            ChaosPlan::new().switch_partition_window(t, t, SwitchId(11)),
+            "chaos step 0 names unknown switch s11",
+        ),
+        (
+            ChaosPlan::new().link_window(t, t, MachineId(0), MachineId(11), lossy_weather()),
+            "chaos step 0 names unknown machine m11",
+        ),
+        (
+            ChaosPlan::new().partition_window(t, t, MachineId(12), MachineId(0)),
+            "chaos step 0 names unknown machine m12",
+        ),
+        (
+            ChaosPlan::new().correlated_fail_stop(t, &[MachineId(40)]),
+            "chaos step 0 names unknown machine m40",
+        ),
+    ];
+    for (plan, want) in cases {
+        assert_eq!(build(plan), Some(format!("invalid chaos plan: {want}")));
+    }
+    let edge = ChaosPlan::new()
+        .domain_fail_stop(t, DomainId(10))
+        .switch_partition_window(t, t, SwitchId(10));
+    assert_eq!(build(edge), None, "the last rack and switch exist");
+}
+
+/// Each harness fault injection checks its machine at the call.
+#[test]
+fn harness_injections_outside_the_cluster_panic_at_the_call() {
+    let sim = || HaSimulation::builder(chain_job()).build();
+    let (m, t) = (MachineId(11), SimTime::from_secs(1));
+    let window = sps_cluster::SpikeWindow {
+        start: t,
+        end: t + SimDuration::from_secs(1),
+        share: 0.9,
+    };
+    let refused = |name: &str, call: &dyn Fn(&mut HaSimulation)| {
+        let mut sim = sim();
+        let got = panic_message(|| call(&mut sim));
+        let want = format!("{name}: m11 is outside the cluster's 11 machines");
+        assert_eq!(got, Some(want));
+    };
+    refused("fail_stop_at", &|s| s.fail_stop_at(m, t));
+    refused("inject_spike_windows", &|s| {
+        s.inject_spike_windows(m, &[window])
+    });
+    refused("inject_jitter", &|s| s.inject_jitter(m, t, 0.5));
+    refused("add_benchmark_detector", &|s| {
+        s.add_benchmark_detector(m);
+    });
+    let mut sim = sim();
+    sim.fail_stop_at(MachineId(10), t);
+    sim.run_for(SimDuration::from_secs(2));
 }

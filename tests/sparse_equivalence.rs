@@ -10,8 +10,8 @@
 //! goldens (≤83 machines) survive the sparse rewrite without regeneration.
 
 use sps_cluster::{
-    BurstLoss, ChaosAction, ChaosPlan, Delivery, FaultProfile, FaultTopology, MachineId, Network,
-    NetworkConfig, SwitchId,
+    BurstLoss, ChaosAction, ChaosPlan, Cluster, Delivery, FaultProfile, FaultTopology, MachineId,
+    Network, NetworkConfig, SwitchId,
 };
 use sps_sim::{SimDuration, SimRng, SimTime};
 
@@ -350,62 +350,30 @@ fn sparse_matches_dense_reference_across_random_ops() {
     }
 }
 
-/// Applies one network-visible chaos action to both implementations.
-fn apply(sparse: &mut Network, dense: &mut DenseNet, topo: &FaultTopology, action: ChaosAction) {
+/// Applies one network-visible chaos action to the dense reference, with
+/// its own expansion of a switch partition into per-pair cuts between the
+/// dark side and the rest of the cluster.
+fn apply_dense(dense: &mut DenseNet, topo: &FaultTopology, action: ChaosAction) {
     match action {
-        ChaosAction::LinkFaults { src, dst, profile } => {
-            sparse.set_link_faults(src, dst, profile);
-            dense.set_link_faults(src, dst, profile);
-        }
-        ChaosAction::ClearLinkFaults { src, dst } => {
-            sparse.clear_link_faults(src, dst);
-            dense.clear_link_faults(src, dst);
-        }
-        ChaosAction::DefaultFaults { profile } => {
-            sparse.set_default_faults(profile);
-            dense.set_default_faults(profile);
-        }
-        ChaosAction::Partition { a, b } => {
-            sparse.set_partitioned(a, b, true);
-            dense.set_partitioned(a, b, true);
-        }
-        ChaosAction::Heal { a, b } => {
-            sparse.set_partitioned(a, b, false);
-            dense.set_partitioned(a, b, false);
-        }
-        // The harness expands switch partitions to per-pair cuts between
-        // the dark side and the rest of the cluster; mirror that here.
-        ChaosAction::PartitionSwitch { switch } => {
-            for_switch_pairs(topo, switch, |a, b| {
-                sparse.set_partitioned(a, b, true);
-                dense.set_partitioned(a, b, true);
-            });
-        }
-        ChaosAction::HealSwitch { switch } => {
-            for_switch_pairs(topo, switch, |a, b| {
-                sparse.set_partitioned(a, b, false);
-                dense.set_partitioned(a, b, false);
-            });
+        ChaosAction::LinkFaults { src, dst, profile } => dense.set_link_faults(src, dst, profile),
+        ChaosAction::ClearLinkFaults { src, dst } => dense.clear_link_faults(src, dst),
+        ChaosAction::DefaultFaults { profile } => dense.set_default_faults(profile),
+        ChaosAction::Partition { a, b } => dense.set_partitioned(a, b, true),
+        ChaosAction::Heal { a, b } => dense.set_partitioned(a, b, false),
+        ChaosAction::PartitionSwitch { switch } | ChaosAction::HealSwitch { switch } => {
+            let cut = matches!(action, ChaosAction::PartitionSwitch { .. });
+            let dark: Vec<MachineId> = topo.machines_behind_switch(switch).collect();
+            for m in (0..topo.machines() as u32).map(MachineId) {
+                if topo.switch_of(m) != switch {
+                    for &d in &dark {
+                        dense.set_partitioned(d, m, cut);
+                    }
+                }
+            }
         }
         // Machine-level actions (fail-stop, domain fail-stop) never touch
         // the network's link state.
         ChaosAction::FailStop { .. } | ChaosAction::FailDomain { .. } => {}
-    }
-}
-
-fn for_switch_pairs(
-    topo: &FaultTopology,
-    switch: SwitchId,
-    mut f: impl FnMut(MachineId, MachineId),
-) {
-    let dark: Vec<MachineId> = topo.machines_behind_switch(switch).collect();
-    for m in 0..topo.machines() as u32 {
-        let m = MachineId(m);
-        if topo.switch_of(m) != switch {
-            for &d in &dark {
-                f(d, m);
-            }
-        }
     }
 }
 
@@ -464,9 +432,18 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
         let mut steps = plan.steps().to_vec();
         steps.sort_by_key(|s| s.at);
 
-        let mut sparse = Network::new(config());
+        // The sparse side is a real cluster applying the plan itself,
+        // switch partitions included.
+        let mut cluster: Cluster = Cluster::new(config());
+        cluster.add_machines(topo.machines());
+        cluster.set_topology(topo.clone());
+        let sorted = steps
+            .iter()
+            .fold(ChaosPlan::new(), |p, s| p.step(s.at, s.action));
+        cluster
+            .install_chaos(&sorted, chaos_seed)
+            .expect("plan fits");
         let mut dense = DenseNet::new(config());
-        sparse.reseed_chaos(chaos_seed);
         dense.reseed_chaos(chaos_seed);
         let mut now = SimTime::ZERO;
         for (i, step) in steps.iter().enumerate() {
@@ -475,23 +452,31 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
                 now += SimDuration::from_micros(meta.uniform_u64(50, 2_000));
                 let (src, dst) = (pick(&mut meta), pick(&mut meta));
                 let bytes = meta.uniform_u64(1, 20_000);
-                let a = sparse.send(now.min(step.at), src, dst, bytes);
+                let a = cluster
+                    .network_mut()
+                    .send(now.min(step.at), src, dst, bytes);
                 let b = dense.send(now.min(step.at), src, dst, bytes);
                 assert_eq!(a, b, "seed {seed} before step {i}");
             }
             now = step.at;
             // ...then the chaos action itself.
-            apply(&mut sparse, &mut dense, &topo, step.action);
-            assert_eq!(counters(&sparse), dense.counters(), "seed {seed} step {i}");
+            cluster.apply_chaos(i).expect("installed");
+            apply_dense(&mut dense, &topo, step.action);
+            assert_eq!(
+                counters(cluster.network()),
+                dense.counters(),
+                "seed {seed} step {i}"
+            );
         }
         // Drain traffic after the last step.
         for _ in 0..200 {
             now += SimDuration::from_micros(meta.uniform_u64(50, 2_000));
             let (src, dst) = (pick(&mut meta), pick(&mut meta));
-            let a = sparse.send(now, src, dst, 512);
+            let a = cluster.network_mut().send(now, src, dst, 512);
             let b = dense.send(now, src, dst, 512);
             assert_eq!(a, b, "seed {seed} drain");
         }
-        assert_eq!(counters(&sparse), dense.counters(), "seed {seed} final");
+        let sparse = cluster.network();
+        assert_eq!(counters(sparse), dense.counters(), "seed {seed} final");
     }
 }
