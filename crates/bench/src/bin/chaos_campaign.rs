@@ -17,6 +17,7 @@ use sps_engine::SubjobId;
 use sps_ha::HaEventKind;
 use sps_metrics::Table;
 use sps_trace::{SharedRecorder, TraceEvent};
+use sps_workloads::eval_chain_job;
 
 struct CampaignRun {
     produced: u64,
@@ -45,7 +46,7 @@ fn run_campaign(loss: f64, seed: u64, audit: bool) -> CampaignRun {
     // JSONL preamble (and hence an offline `sps-inspect audit` of the
     // dump) is identical with and without `--observe-out`; the table's own
     // exactly_once/quiescent columns assert the same promises.
-    let sim = campaign_cell(loss, seed, |builder| {
+    let sim = campaign_cell(eval_chain_job(), loss, seed, |builder| {
         let builder = builder.trace_sink(Box::new(recorder.clone()));
         if audit {
             // The auditor rides this cell's real trace bus: a strictly

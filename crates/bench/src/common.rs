@@ -3,10 +3,10 @@
 use std::path::PathBuf;
 
 use sps_cluster::{BurstLoss, ChaosPlan, FaultProfile, MachineId};
+use sps_engine::Job;
 use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder};
 use sps_metrics::Table;
 use sps_sim::{SimDuration, SimTime};
-use sps_workloads::eval_chain_job;
 
 use crate::runner::Runner;
 
@@ -205,11 +205,13 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Runs one `chaos_campaign` cell, lossless and quiescent by promise: the
-/// all-Hybrid evaluation chain at 500 el/s, reliable control, bursty `loss`
-/// from 0.5 s to 6 s, machines 1 and 3 fail-stop at 3 s, sources stop at
-/// 10 s, 16 s run. `attach` adds the caller's trace sinks and probes.
+/// Runs one `chaos_campaign` cell, lossless and quiescent by promise:
+/// `job` all-Hybrid (the campaign runs the evaluation chain) at 500 el/s,
+/// reliable control, bursty `loss` from 0.5 s to 6 s, machines 1 and 3
+/// fail-stop at 3 s, sources stop at 10 s, 16 s run. `attach` adds the
+/// caller's trace sinks and probes.
 pub fn campaign_cell(
+    job: Job,
     loss: f64,
     seed: u64,
     attach: impl FnOnce(HaSimulationBuilder) -> HaSimulationBuilder,
@@ -227,7 +229,7 @@ pub fn campaign_cell(
     let plan = ChaosPlan::default()
         .loss_window(SimTime::from_millis(500), SimTime::from_secs(6), weather)
         .correlated_fail_stop(SimTime::from_secs(3), &[MachineId(1), MachineId(3)]);
-    let builder = HaSimulation::builder(eval_chain_job())
+    let builder = HaSimulation::builder(job)
         .mode(HaMode::Hybrid)
         .source_rate(500.0)
         .seed(seed)

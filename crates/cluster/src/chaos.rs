@@ -43,21 +43,6 @@ pub struct BurstLoss {
     pub bad_loss_prob: f64,
 }
 
-impl BurstLoss {
-    fn validate(&self) {
-        for (name, p) in [
-            ("good_to_bad", self.good_to_bad),
-            ("bad_to_good", self.bad_to_good),
-            ("bad_loss_prob", self.bad_loss_prob),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "burst {name} must be a probability, got {p}"
-            );
-        }
-    }
-}
-
 /// How one *directed* link misbehaves.
 ///
 /// A profile combines independent per-message loss, an optional
@@ -122,21 +107,38 @@ impl FaultProfile {
         self
     }
 
-    /// Panics if any parameter is out of range.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.loss_prob),
-            "loss_prob must be a probability, got {}",
-            self.loss_prob
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.duplicate_prob),
-            "duplicate_prob must be a probability, got {}",
-            self.duplicate_prob
-        );
-        if let Some(b) = &self.burst {
-            b.validate();
-        }
+    /// Checks that every probability, the burst chain's included, lies in
+    /// `[0, 1]`; the first that does not is the error.
+    pub fn validate(&self) -> Result<(), BadProbability> {
+        // Without a burst chain, its three fields read as a valid 0.
+        let burst = |field: fn(&BurstLoss) -> f64| self.burst.as_ref().map_or(0.0, field);
+        [
+            ("loss_prob", self.loss_prob),
+            ("duplicate_prob", self.duplicate_prob),
+            ("burst.good_to_bad", burst(|b| b.good_to_bad)),
+            ("burst.bad_to_good", burst(|b| b.bad_to_good)),
+            ("burst.bad_loss_prob", burst(|b| b.bad_loss_prob)),
+        ]
+        .into_iter()
+        .find(|(_, value)| !(0.0..=1.0).contains(value))
+        .map(|(field, value)| BadProbability { field, value })
+        .map_or(Ok(()), Err)
+    }
+}
+
+/// A [`FaultProfile`] parameter outside `[0, 1]` ([`FaultProfile::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BadProbability {
+    /// The field, as `loss_prob` or `burst.good_to_bad`.
+    pub field: &'static str,
+    /// Its value.
+    pub value: f64,
+}
+
+impl fmt::Display for BadProbability {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let BadProbability { field, value } = self;
+        write!(f, "{field} must be a probability in [0, 1], got {value}")
     }
 }
 
@@ -244,17 +246,8 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// Appends one raw step.
+    /// Appends one raw step; [`check`](Self::check) judges it.
     pub fn step(mut self, at: SimTime, action: ChaosAction) -> Self {
-        if let ChaosAction::LinkFaults { profile, .. } = &action {
-            profile.validate();
-        }
-        if let ChaosAction::DefaultFaults {
-            profile: Some(profile),
-        } = &action
-        {
-            profile.validate();
-        }
         self.steps.push(ChaosStep { at, action });
         self
     }
@@ -404,7 +397,8 @@ impl ChaosPlan {
     }
 
     /// Checks that every step names only machines, racks and switches of
-    /// `topology`; the first step that does not is the error.
+    /// `topology`, and installs only valid fault profiles; the first step
+    /// that does not is the error.
     pub fn check(&self, topology: &FaultTopology) -> Result<(), ChaosPlanError> {
         let machine_ok = |m: MachineId| (m.0 as usize) < topology.machines();
         for (step, s) in self.steps.iter().enumerate() {
@@ -428,7 +422,14 @@ impl ChaosPlan {
                 }
                 ChaosAction::DefaultFaults { .. } => None,
             };
-            if let Some(target) = unknown {
+            let bad_profile = match s.action {
+                ChaosAction::LinkFaults { profile, .. }
+                | ChaosAction::DefaultFaults {
+                    profile: Some(profile),
+                } => profile.validate().err().map(ChaosTarget::Profile),
+                _ => None,
+            };
+            if let Some(target) = unknown.or(bad_profile) {
                 return Err(ChaosPlanError { step, target });
             }
         }
@@ -436,8 +437,9 @@ impl ChaosPlan {
     }
 }
 
-/// A machine, rack or switch a chaos step names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a chaos step gets wrong: a machine, rack or switch it names, or
+/// the fault profile it installs.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChaosTarget {
     /// A machine.
     Machine(MachineId),
@@ -445,15 +447,17 @@ pub enum ChaosTarget {
     Rack(DomainId),
     /// A switch.
     Switch(SwitchId),
+    /// A fault profile with a parameter out of range.
+    Profile(BadProbability),
 }
 
-/// A chaos plan step names something the cluster's topology lacks
-/// ([`ChaosPlan::check`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A chaos plan step names something the cluster's topology lacks, or
+/// installs an invalid fault profile ([`ChaosPlan::check`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosPlanError {
     /// Index of the offending step in [`ChaosPlan::steps`].
     pub step: usize,
-    /// What it names that does not exist.
+    /// What it names that does not exist, or the profile it installs.
     pub target: ChaosTarget,
 }
 
@@ -463,6 +467,7 @@ impl fmt::Display for ChaosPlanError {
             ChaosTarget::Machine(m) => ("machine", m.to_string()),
             ChaosTarget::Rack(r) => ("rack", r.to_string()),
             ChaosTarget::Switch(s) => ("switch", s.to_string()),
+            ChaosTarget::Profile(bad) => return write!(f, "chaos step {}: {bad}", self.step),
         };
         write!(f, "chaos step {} names unknown {kind} {id}", self.step)
     }
@@ -480,7 +485,7 @@ mod tests {
         assert_eq!(p.loss_prob, 0.0);
         assert_eq!(p.duplicate_prob, 0.0);
         assert!(p.burst.is_none());
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
@@ -493,15 +498,104 @@ mod tests {
                 bad_to_good: 0.2,
                 bad_loss_prob: 0.8,
             });
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.loss_prob, 0.05);
         assert!(p.burst.is_some());
     }
 
     #[test]
-    #[should_panic(expected = "probability")]
     fn invalid_loss_prob_rejected() {
-        FaultProfile::loss(1.5).validate();
+        let err = FaultProfile::loss(1.5).validate().unwrap_err();
+        assert_eq!((err.field, err.value), ("loss_prob", 1.5));
+        assert_eq!(
+            err.to_string(),
+            "loss_prob must be a probability in [0, 1], got 1.5"
+        );
+    }
+
+    /// The plan refuses `profile` at its first step, naming `field`.
+    fn refused(profile: FaultProfile, field: &str) {
+        let t = SimTime::from_secs(1);
+        let topo = FaultTopology::grid(8, 2, 2);
+        for plan in [
+            ChaosPlan::new().loss_window(t, t, profile),
+            ChaosPlan::new().link_window(t, t, MachineId(0), MachineId(7), profile),
+        ] {
+            let err = plan.check(&topo).unwrap_err();
+            assert_eq!(err.step, 0);
+            match err.target {
+                ChaosTarget::Profile(bad) => assert_eq!(bad.field, field),
+                other => panic!("expected a bad profile, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn check_refuses_a_negative_loss_prob() {
+        refused(FaultProfile::loss(-0.1), "loss_prob");
+    }
+
+    #[test]
+    fn check_refuses_a_nan_loss_prob() {
+        refused(FaultProfile::loss(f64::NAN), "loss_prob");
+    }
+
+    #[test]
+    fn check_refuses_a_duplicate_prob_above_one() {
+        refused(
+            FaultProfile::default().with_duplication(1.01),
+            "duplicate_prob",
+        );
+    }
+
+    #[test]
+    fn check_refuses_a_bad_burst_chain() {
+        let chain = BurstLoss {
+            good_to_bad: 0.01,
+            bad_to_good: 0.2,
+            bad_loss_prob: 0.6,
+        };
+        for (field, bad) in [
+            (
+                "burst.good_to_bad",
+                BurstLoss {
+                    good_to_bad: 2.0,
+                    ..chain
+                },
+            ),
+            (
+                "burst.bad_to_good",
+                BurstLoss {
+                    bad_to_good: -1.0,
+                    ..chain
+                },
+            ),
+            (
+                "burst.bad_loss_prob",
+                BurstLoss {
+                    bad_loss_prob: 1.5,
+                    ..chain
+                },
+            ),
+        ] {
+            refused(FaultProfile::default().with_burst(bad), field);
+        }
+        let err = ChaosPlan::new()
+            .correlated_fail_stop(SimTime::ZERO, &[MachineId(1)])
+            .loss_window(
+                SimTime::ZERO,
+                SimTime::ZERO,
+                FaultProfile::loss(0.1).with_burst(BurstLoss {
+                    bad_loss_prob: 1.5,
+                    ..chain
+                }),
+            )
+            .check(&FaultTopology::flat(2))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "chaos step 1: burst.bad_loss_prob must be a probability in [0, 1], got 1.5"
+        );
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! A container tying machines and the network together, with the state
-//! the substrate's faults leave behind: which switches are dark, the
-//! installed chaos plan, and the pool of spare machines.
-
-use std::collections::BTreeSet;
+//! the substrate's faults leave behind: the installed chaos plan and the
+//! pool of spare machines. Which switches are dark is the network's.
 
 use crate::chaos::{ChaosAction, ChaosPlan, ChaosPlanError};
 use crate::domain::{FaultTopology, SwitchId};
@@ -30,8 +28,6 @@ pub struct Cluster<T = u64> {
     topology: FaultTopology,
     /// Machines held back to host replacement standbys.
     spares: Vec<MachineId>,
-    /// Switches cut off by [`set_switch_partitioned`](Self::set_switch_partitioned).
-    dark_switches: BTreeSet<SwitchId>,
     /// The installed chaos plan's actions, in step order.
     chaos: Vec<ChaosAction>,
 }
@@ -44,7 +40,6 @@ impl<T: Copy> Cluster<T> {
             network: Network::new(network),
             topology: FaultTopology::flat(0),
             spares: Vec::new(),
-            dark_switches: BTreeSet::new(),
             chaos: Vec::new(),
         }
     }
@@ -156,30 +151,17 @@ impl<T: Copy> Cluster<T> {
     /// topology this reduces to "`m` itself is down or its switch dark".
     pub fn domain_has_active_fault(&self, m: MachineId) -> bool {
         let topo = &self.topology;
-        self.dark_switches.contains(&topo.switch_of(m))
+        self.network.dark_switch(m).is_some()
             || topo
                 .machines_in_rack(topo.rack_of(m))
                 .any(|peer| !self.machine(peer).is_up())
     }
 
-    /// Cuts (or heals) `switch`: every pair of one machine behind it and
-    /// one that is not is partitioned (or healed) in both directions, one
-    /// pair at a time, so a heal also reopens an explicit partition of
-    /// such a pair.
+    /// Cuts (or heals) `switch` ([`Network::set_switch_partitioned`]): a
+    /// pair another cause cuts stays cut through the heal.
     pub fn set_switch_partitioned(&mut self, switch: SwitchId, on: bool) {
-        if on {
-            self.dark_switches.insert(switch);
-        } else {
-            self.dark_switches.remove(&switch);
-        }
-        let (inside, outside): (Vec<MachineId>, Vec<MachineId>) = self
-            .ids()
-            .partition(|&m| self.topology.switch_of(m) == switch);
-        for &i in &inside {
-            for &o in &outside {
-                self.network.set_partitioned(i, o, on);
-            }
-        }
+        let behind = self.topology.machines_behind_switch(switch);
+        self.network.set_switch_partitioned(switch, behind, on);
     }
 
     /// Installs a chaos plan whose steps the owner will apply with
@@ -188,8 +170,8 @@ impl<T: Copy> Cluster<T> {
     ///
     /// # Errors
     ///
-    /// A step naming a machine, rack or switch outside the topology; then
-    /// nothing is installed.
+    /// A step naming a machine, rack or switch outside the topology, or
+    /// installing an invalid fault profile; then nothing is installed.
     pub fn install_chaos(&mut self, plan: &ChaosPlan, seed: u64) -> Result<(), ChaosPlanError> {
         plan.check(&self.topology)?;
         self.network.reseed_chaos(seed);
@@ -290,6 +272,58 @@ mod tests {
                 assert!(!c.network().is_partitioned(MachineId(a), MachineId(b)));
             }
         }
+    }
+
+    #[test]
+    fn a_switch_heal_keeps_an_open_pair_partition() {
+        let mut c = grid();
+        let (a, b) = (MachineId(0), MachineId(5));
+        c.network_mut().set_partitioned(a, b, true);
+        c.set_switch_partitioned(SwitchId(1), true);
+        c.set_switch_partitioned(SwitchId(1), false);
+        assert!(
+            c.network().is_partitioned(a, b),
+            "the pair's window is open"
+        );
+        assert!(!c.network().is_partitioned(a, MachineId(4)));
+    }
+
+    #[test]
+    fn a_pair_heal_inside_a_dark_switch_leaves_the_pair_cut() {
+        let mut c = grid();
+        let (a, b) = (MachineId(0), MachineId(5));
+        c.set_switch_partitioned(SwitchId(1), true);
+        c.network_mut().set_partitioned(a, b, false);
+        assert!(c.network().is_partitioned(a, b), "s1 is still dark");
+        assert!(c.domain_has_active_fault(b));
+    }
+
+    #[test]
+    fn healing_one_of_two_dark_switches_leaves_the_pairs_between_them_cut() {
+        let mut c = grid();
+        c.set_switch_partitioned(SwitchId(1), true);
+        c.set_switch_partitioned(SwitchId(2), true);
+        c.set_switch_partitioned(SwitchId(1), false);
+        let (m5, m9) = (MachineId(5), MachineId(9));
+        assert!(c.network().is_partitioned(m5, m9), "s2 is still dark");
+        assert!(!c.network().is_partitioned(m5, MachineId(0)));
+        assert!(!c.network().is_partitioned(m9, MachineId(10)));
+        assert!(!c.domain_has_active_fault(m5) && c.domain_has_active_fault(m9));
+    }
+
+    #[test]
+    fn a_switch_cut_marks_machines_not_pairs() {
+        // 100 machines behind s0 and 900 outside: the per-pair expansion
+        // held 90,000 entries for this one cut.
+        let mut c: Cluster = Cluster::new(NetworkConfig::default());
+        c.add_machines(1000);
+        c.set_topology(FaultTopology::grid(1000, 20, 5));
+        c.set_switch_partitioned(SwitchId(0), true);
+        assert!(c.network.partitioned.is_empty());
+        assert!(c.network().is_partitioned(MachineId(99), MachineId(100)));
+        assert!(!c.network().is_partitioned(MachineId(0), MachineId(99)));
+        c.set_switch_partitioned(SwitchId(0), false);
+        assert!(!c.network().is_partitioned(MachineId(99), MachineId(100)));
     }
 
     #[test]

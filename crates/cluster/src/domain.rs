@@ -121,22 +121,13 @@ impl FaultTopology {
         self.rack_of[m.0 as usize]
     }
 
-    /// The switch rack `r` hangs off.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r` is outside the topology.
-    pub fn switch_of_rack(&self, r: DomainId) -> SwitchId {
-        self.switch_of[r.0 as usize]
-    }
-
     /// The switch `m` is behind.
     ///
     /// # Panics
     ///
     /// Panics when `m` is outside the topology.
     pub fn switch_of(&self, m: MachineId) -> SwitchId {
-        self.switch_of_rack(self.rack_of(m))
+        self.switch_of[self.rack_of(m).0 as usize]
     }
 
     /// Machines in rack `r`, in id order.

@@ -46,12 +46,13 @@ mod network;
 pub mod sched;
 
 pub use chaos::{
-    BurstLoss, ChaosAction, ChaosPlan, ChaosPlanError, ChaosStep, ChaosTarget, FaultProfile,
+    BadProbability, BurstLoss, ChaosAction, ChaosPlan, ChaosPlanError, ChaosStep, ChaosTarget,
+    FaultProfile,
 };
 pub use cluster::Cluster;
 pub use domain::{DomainId, FaultTopology, SwitchId};
 pub use jitter::jitter_stalls;
-pub use load::{total_failure_time, Dist, SpikeProfile, SpikeWindow};
+pub use load::{Dist, SpikeProfile, SpikeWindow};
 pub use machine::{FinishedTask, LoadComponent, Machine, MachineId, TaskId};
 pub use monitor::{mean_duration, mean_inter_failure_time, CpuMonitor, SpikeEpisode, SpikeTracker};
 pub use network::{Delivery, Network, NetworkConfig};

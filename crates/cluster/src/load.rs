@@ -152,13 +152,6 @@ impl SpikeProfile {
     }
 }
 
-/// Total time under failure across a schedule.
-pub fn total_failure_time(windows: &[SpikeWindow]) -> SimDuration {
-    windows
-        .iter()
-        .fold(SimDuration::ZERO, |acc, w| acc + w.duration())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +192,7 @@ mod tests {
         let profile = SpikeProfile::duty_cycle(0.3, SimDuration::from_secs(5));
         let horizon = SimTime::from_secs(20_000);
         let windows = profile.generate(&mut rng(), horizon);
-        let on = total_failure_time(&windows).as_secs_f64();
+        let on: f64 = windows.iter().map(|w| w.duration().as_secs_f64()).sum();
         let frac = on / horizon.as_secs_f64();
         assert!((frac - 0.3).abs() < 0.03, "observed fraction {frac}");
     }

@@ -105,7 +105,6 @@ pub struct Machine<T = u64> {
     up: bool,
     busy_integral: f64,
     work_done: f64,
-    tasks_completed: u64,
     run_queue_hw: usize,
     /// Only the latest armed completion tick fires.
     completion: TimerSlot,
@@ -130,7 +129,6 @@ impl<T: Copy> Machine<T> {
             up: true,
             busy_integral: 0.0,
             work_done: 0.0,
-            tasks_completed: 0,
             run_queue_hw: 0,
             completion: TimerSlot::new(),
             load_est: (SimTime::ZERO, 0.0, 0.0),
@@ -167,11 +165,6 @@ impl<T: Copy> Machine<T> {
     /// Total CPU-seconds of application work completed so far.
     pub fn work_done(&self) -> f64 {
         self.work_done
-    }
-
-    /// Number of tasks that have run to completion.
-    pub fn tasks_completed(&self) -> u64 {
-        self.tasks_completed
     }
 
     /// The integral over time of CPU busyness (background + application),
@@ -337,7 +330,6 @@ impl<T: Copy> Machine<T> {
         // One nanosecond of full-speed CPU: absorbs the rounding of
         // completion instants to integer nanoseconds.
         const EPS: f64 = 1e-9;
-        let before = finished.len();
         self.tasks.retain(|t| {
             if t.remaining <= EPS {
                 finished.push(FinishedTask {
@@ -349,7 +341,6 @@ impl<T: Copy> Machine<T> {
                 true
             }
         });
-        self.tasks_completed += (finished.len() - before) as u64;
     }
 
     /// Fail-stops the machine: all active tasks are lost and no new work is

@@ -13,8 +13,9 @@
 //! A cluster of `n` machines has `n²` ordered links, but at any instant
 //! only the links that recently carried traffic or have chaos installed
 //! matter. Per-*machine* state (partition/fault degrees used to gate the
-//! lookups below) lives in dense `O(n)` vectors grown by amortized
-//! doubling. Per-*link* state is `O(active links)`:
+//! lookups below, and the dark switch each machine sits behind) lives in
+//! dense `O(n)` vectors grown by amortized doubling. Per-*link* state is
+//! `O(active links)`:
 //!
 //! * busy-until times in a hash map keyed by the packed `(src, dst)` pair
 //!   (a fixed, deterministic hasher — no per-process seed), with expired
@@ -22,7 +23,10 @@
 //!   (an entry whose serializer freed at or before `now` is
 //!   indistinguishable from an absent one, so reclamation never changes
 //!   a verdict; the DES clock is monotone, which makes the sweep safe);
-//! * partition flags in a sorted set of packed unordered pairs;
+//! * explicit partition flags in a sorted set of packed unordered pairs —
+//!   one cause of a cut; the other, a dark switch, marks the machines
+//!   behind it, not every pair it severs, and a pair is cut while either
+//!   cause holds it;
 //! * chaos profiles in a sorted map of packed ordered pairs;
 //! * Gilbert–Elliott "bad state" bits as a sorted set of the links
 //!   currently bad (absent ⇔ good, exactly like the dense `false`).
@@ -60,6 +64,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use sps_sim::{SimDuration, SimRng, SimTime};
 
 use crate::chaos::FaultProfile;
+use crate::domain::SwitchId;
 use crate::machine::MachineId;
 
 /// Configuration for [`Network`].
@@ -187,8 +192,8 @@ pub struct Network {
     /// doubles with the surviving population so reclamation stays O(1)
     /// amortized per send.
     busy_reclaim_at: usize,
-    /// Unordered pairs (packed `(min, max)` keys) currently partitioned.
-    partitioned: BTreeSet<u64>,
+    /// Unordered pairs (packed `(min, max)` keys) cut explicitly.
+    pub(crate) partitioned: BTreeSet<u64>,
     /// Ordered pairs (packed keys) with an installed chaos fault profile.
     faults: BTreeMap<u64, FaultProfile>,
     /// Ordered pairs currently in the Gilbert–Elliott bad state. Absent
@@ -202,6 +207,9 @@ pub struct Network {
     /// machine as the source. Skips the profile lookup for machines that
     /// only the default profile (if any) covers.
     fault_out_degree: Vec<u32>,
+    /// Dense per-machine layer: the dark switch each machine sits behind;
+    /// empty (never allocated) while no switch is dark.
+    dark: Vec<Option<SwitchId>>,
     /// Profile applied to links without a per-link profile.
     default_faults: Option<FaultProfile>,
     /// Dedicated RNG stream for chaos draws; consumed only for sends that
@@ -231,6 +239,7 @@ impl Network {
             burst_bad: BTreeSet::new(),
             partition_degree: Vec::new(),
             fault_out_degree: Vec::new(),
+            dark: Vec::new(),
             default_faults: None,
             chaos_rng: SimRng::seed_from(0),
             messages_sent: 0,
@@ -250,11 +259,7 @@ impl Network {
         self.messages_sent += 1;
         self.bytes_sent += bytes;
         self.reclaim_expired(now);
-        if !self.partitioned.is_empty()
-            && self.degree(&self.partition_degree, src) > 0
-            && self.degree(&self.partition_degree, dst) > 0
-            && self.partitioned.contains(&pair_key(src, dst))
-        {
+        if self.is_partitioned(src, dst) {
             self.messages_dropped += 1;
             self.bytes_dropped += bytes;
             return Delivery::Dropped;
@@ -331,10 +336,10 @@ impl Network {
 
     /// Grows a dense per-machine vector to cover `m`, doubling capacity so
     /// repeated one-id growth is O(1) amortized (no per-id recopy storms).
-    fn ensure_machine(v: &mut Vec<u32>, m: MachineId) {
+    fn ensure_machine<V: Clone + Default>(v: &mut Vec<V>, m: MachineId) {
         let need = m.0 as usize + 1;
         if need > v.len() {
-            v.resize(need.next_power_of_two(), 0);
+            v.resize(need.next_power_of_two(), V::default());
         }
     }
 
@@ -370,7 +375,7 @@ impl Network {
     /// both directions for a symmetric fault; a single direction with
     /// [`FaultProfile::blackhole`] models a one-way partition.
     pub fn set_link_faults(&mut self, src: MachineId, dst: MachineId, profile: FaultProfile) {
-        profile.validate();
+        profile.validate().unwrap_or_else(|e| panic!("{e}"));
         Self::ensure_machine(&mut self.fault_out_degree, src);
         if self.faults.insert(link_key(src, dst), profile).is_none() {
             self.fault_out_degree[src.0 as usize] += 1;
@@ -391,8 +396,8 @@ impl Network {
     /// link that has no per-link profile. Clearing resets all burst state on
     /// links without their own profile.
     pub fn set_default_faults(&mut self, profile: Option<FaultProfile>) {
-        if let Some(p) = &profile {
-            p.validate();
+        if let Some(Err(e)) = profile.map(|p| p.validate()) {
+            panic!("{e}");
         }
         if profile.is_none() {
             let faults = &self.faults;
@@ -439,9 +444,38 @@ impl Network {
         }
     }
 
-    /// `true` if messages between `a` and `b` are currently dropped.
+    /// Darkens (or relights) `switch`, with `behind` the machines behind
+    /// it: while it is dark, every pair with exactly one machine behind it
+    /// is cut, in both directions. Explicit pair cuts are untouched.
+    pub fn set_switch_partitioned(
+        &mut self,
+        switch: SwitchId,
+        behind: impl IntoIterator<Item = MachineId>,
+        dark: bool,
+    ) {
+        for m in behind {
+            Self::ensure_machine(&mut self.dark, m);
+            self.dark[m.0 as usize] = dark.then_some(switch);
+        }
+        if self.dark.iter().all(Option::is_none) {
+            self.dark.clear();
+        }
+    }
+
+    /// The dark switch `m` sits behind, if any.
+    pub fn dark_switch(&self, m: MachineId) -> Option<SwitchId> {
+        self.dark.get(m.0 as usize).copied().flatten()
+    }
+
+    /// `true` if messages between `a` and `b` are currently dropped: the
+    /// pair is cut explicitly, or sits on two sides of a dark switch.
+    #[inline]
     pub fn is_partitioned(&self, a: MachineId, b: MachineId) -> bool {
-        self.partitioned.contains(&pair_key(a, b))
+        (!self.partitioned.is_empty()
+            && self.degree(&self.partition_degree, a) > 0
+            && self.degree(&self.partition_degree, b) > 0
+            && self.partitioned.contains(&pair_key(a, b)))
+            || (!self.dark.is_empty() && self.dark_switch(a) != self.dark_switch(b))
     }
 
     /// Number of links currently tracked by the busy map (sent recently
@@ -457,7 +491,8 @@ impl Network {
         let parts = self.partitioned.len() * size_of::<u64>();
         let faults = self.faults.len() * (size_of::<u64>() + size_of::<FaultProfile>());
         let bursts = self.burst_bad.len() * size_of::<u64>();
-        let degrees = (self.partition_degree.len() + self.fault_out_degree.len()) * 4;
+        let degrees = (self.partition_degree.len() + self.fault_out_degree.len()) * 4
+            + self.dark.len() * size_of::<Option<SwitchId>>();
         (busy + parts + faults + bursts + degrees) as u64
     }
 

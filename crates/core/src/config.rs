@@ -1,6 +1,8 @@
 //! HA configuration: standby modes, checkpoint protocols, detection and
 //! recovery parameters.
 
+use std::fmt;
+
 use sps_sim::SimDuration;
 
 /// The high-availability mode of one subjob (§V-A of the paper).
@@ -192,28 +194,51 @@ impl HaConfig {
         }
     }
 
-    /// Validates parameter sanity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive intervals or inverted thresholds; catches
-    /// configuration mistakes early, before a long simulation run.
-    pub fn validate(&self) {
-        assert!(
-            !self.checkpoint_interval.is_zero(),
-            "checkpoint interval must be positive"
-        );
-        assert!(
-            !self.heartbeat_interval.is_zero(),
-            "heartbeat interval must be positive"
-        );
-        assert!(
-            self.failstop_miss_threshold > PS_MISS_THRESHOLD.max(HYBRID_MISS_THRESHOLD),
-            "fail-stop threshold must exceed the transient thresholds"
-        );
-        assert!(self.batch_size >= 1, "data batch size must be >= 1");
+    /// Validates parameter sanity, before a long simulation run: the
+    /// first non-positive interval, inverted threshold or empty batch is
+    /// the error.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let transient = PS_MISS_THRESHOLD.max(HYBRID_MISS_THRESHOLD);
+        [
+            (
+                self.checkpoint_interval.is_zero(),
+                "checkpoint_interval",
+                "must be positive",
+            ),
+            (
+                self.heartbeat_interval.is_zero(),
+                "heartbeat_interval",
+                "must be positive",
+            ),
+            (
+                self.failstop_miss_threshold <= transient,
+                "failstop_miss_threshold",
+                "must exceed the transient thresholds",
+            ),
+            (self.batch_size == 0, "batch_size", "must be >= 1"),
+        ]
+        .into_iter()
+        .find(|&(bad, ..)| bad)
+        .map_or(Ok(()), |(_, field, rule)| Err(ConfigError { field, rule }))
     }
 }
+
+/// A field [`HaConfig::validate`] refuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's name in [`HaConfig`].
+    pub field: &'static str,
+    /// What it must be.
+    pub rule: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.field, self.rule)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -222,7 +247,7 @@ mod tests {
     #[test]
     fn default_config_is_valid_and_paperlike() {
         let c = HaConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.checkpoint_interval, SimDuration::from_millis(500));
         assert_eq!(c.heartbeat_interval, SimDuration::from_millis(100));
         // The 75 % redeployment reduction: resume is 1/4 of deploy.
@@ -254,14 +279,48 @@ mod tests {
         assert_eq!(CheckpointProtocol::Sweeping.to_string(), "sweeping");
     }
 
+    /// The field `validate` names for `c`, if it refuses it.
+    fn refused(c: HaConfig) -> Option<&'static str> {
+        c.validate().err().map(|e| e.field)
+    }
+
     #[test]
-    #[should_panic(expected = "fail-stop threshold")]
     fn validate_rejects_inverted_thresholds() {
         let c = HaConfig {
             failstop_miss_threshold: 2,
             ..HaConfig::default()
         };
-        c.validate();
+        assert_eq!(
+            c.validate().unwrap_err().to_string(),
+            "failstop_miss_threshold must exceed the transient thresholds"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_checkpoint_interval() {
+        let c = HaConfig {
+            checkpoint_interval: SimDuration::ZERO,
+            ..HaConfig::default()
+        };
+        assert_eq!(refused(c), Some("checkpoint_interval"));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_heartbeat_interval() {
+        let c = HaConfig {
+            heartbeat_interval: SimDuration::ZERO,
+            ..HaConfig::default()
+        };
+        assert_eq!(refused(c), Some("heartbeat_interval"));
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_batch() {
+        let c = HaConfig {
+            batch_size: 0,
+            ..HaConfig::default()
+        };
+        assert_eq!(refused(c), Some("batch_size"));
     }
 
     #[test]
@@ -272,6 +331,6 @@ mod tests {
             reliable_control: true,
             ..HaConfig::default()
         };
-        on.validate();
+        assert_eq!(on.validate(), Ok(()));
     }
 }

@@ -244,8 +244,9 @@ impl HaSimulationBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on a chaos plan naming a machine, rack or switch the cluster
-    /// lacks ([`ChaosPlan::check`]).
+    /// Panics on an invalid configuration ([`HaConfig::validate`]), or on a
+    /// chaos plan naming a machine, rack or switch the cluster lacks or
+    /// installing an invalid fault profile ([`ChaosPlan::check`]).
     pub fn build(mut self) -> HaSimulation {
         // `SPS_BATCH_SIZE=N` overrides the data-plane batch size globally
         // (used by `crates/bench/tests/goldens.rs` to re-render figures at
@@ -257,7 +258,6 @@ impl HaSimulationBuilder {
                 .parse()
                 .expect("SPS_BATCH_SIZE must be a positive integer");
         }
-        self.cfg.validate();
         let default_mode = self.cfg.mode;
         let modes: Vec<HaMode> = self
             .modes

@@ -66,7 +66,7 @@ mod source;
 mod wiring;
 mod world;
 
-pub use config::{CheckpointProtocol, HaConfig, HaMode};
+pub use config::{CheckpointProtocol, ConfigError, HaConfig, HaMode};
 pub use detect::{BenchAction, BenchmarkDetector, HbVerdict, HeartbeatMonitor, TrendPredictor};
 pub use harness::{HaSimulation, HaSimulationBuilder, RunReport};
 pub use message::{Msg, ProducerAddr};

@@ -604,7 +604,9 @@ impl HaWorld {
         source_profiles: Vec<(RateProfile, PayloadGen)>,
         log_sink_accepts: bool,
     ) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid config: {e}");
+        }
         assert_eq!(modes.len(), job.subjob_count(), "one mode per subjob");
         assert_eq!(
             placement.primaries.len(),

@@ -905,6 +905,51 @@ fn chaos_plans_outside_the_cluster_are_refused_at_build() {
     assert_eq!(build(edge), None, "the last rack and switch exist");
 }
 
+/// A fault profile out of range is refused by the plan's check when the
+/// simulation is built, naming the step and the field, not by the plan's
+/// builder mid-construction.
+#[test]
+fn chaos_plans_with_bad_fault_profiles_are_refused_at_build() {
+    let t = SimTime::from_secs(1);
+    let build = |plan: ChaosPlan| {
+        panic_message(|| {
+            HaSimulation::builder(chain_job()).chaos(plan).build();
+        })
+    };
+    let plan = ChaosPlan::new()
+        .correlated_fail_stop(t, &[MachineId(1)])
+        .link_window(t, t, MachineId(0), MachineId(2), FaultProfile::loss(1.5));
+    assert_eq!(
+        build(plan),
+        Some(
+            "invalid chaos plan: chaos step 1: loss_prob must be a probability in [0, 1], got 1.5"
+                .to_string()
+        )
+    );
+    let plan = ChaosPlan::new().loss_window(t, t, lossy_weather().with_duplication(-0.5));
+    assert_eq!(
+        build(plan),
+        Some(
+            "invalid chaos plan: chaos step 0: duplicate_prob must be a probability in [0, 1], got -0.5"
+                .to_string()
+        )
+    );
+}
+
+/// An invalid configuration is refused at build, naming the field.
+#[test]
+fn invalid_configs_are_refused_at_build() {
+    let got = panic_message(|| {
+        HaSimulation::builder(chain_job())
+            .tune(|c| c.batch_size = 0)
+            .build();
+    });
+    assert_eq!(
+        got.as_deref(),
+        Some("invalid config: batch_size must be >= 1")
+    );
+}
+
 /// Each harness fault injection checks its machine at the call.
 #[test]
 fn harness_injections_outside_the_cluster_panic_at_the_call() {

@@ -8,6 +8,12 @@
 //! chaos seeds and op sequences; every delivery verdict and every counter
 //! must agree byte-for-byte. This is the contract that lets all committed
 //! goldens (≤83 machines) survive the sparse rewrite without regeneration.
+//!
+//! Partitions follow a set-of-causes model on both sides: a pair is cut
+//! while it is cut explicitly or while a dark switch has exactly one of
+//! the pair behind it, and healing one cause leaves the others standing.
+
+use std::collections::BTreeSet;
 
 use sps_cluster::{
     BurstLoss, ChaosAction, ChaosPlan, Cluster, Delivery, FaultProfile, FaultTopology, MachineId,
@@ -24,9 +30,12 @@ fn config() -> NetworkConfig {
 }
 
 /// The retired dense-matrix network model, kept verbatim as the reference
-/// semantics for the sparse representation.
+/// semantics for the sparse representation, plus the set of dark switches
+/// as the second partition cause.
 struct DenseNet {
     config: NetworkConfig,
+    topology: FaultTopology,
+    dark: BTreeSet<SwitchId>,
     link_busy: Vec<SimTime>,
     partitioned: Vec<bool>,
     faults: Vec<Option<FaultProfile>>,
@@ -45,9 +54,11 @@ struct DenseNet {
 }
 
 impl DenseNet {
-    fn new(config: NetworkConfig) -> Self {
+    fn new(config: NetworkConfig, topology: FaultTopology) -> Self {
         DenseNet {
             config,
+            topology,
+            dark: BTreeSet::new(),
             link_busy: Vec::new(),
             partitioned: Vec::new(),
             faults: Vec::new(),
@@ -70,7 +81,7 @@ impl DenseNet {
         self.messages_sent += 1;
         self.bytes_sent += bytes;
         self.ensure_stride(src, dst);
-        if self.partition_count > 0 && self.partitioned[self.pair_idx(src, dst)] {
+        if self.is_cut(src, dst) {
             self.messages_dropped += 1;
             self.bytes_dropped += bytes;
             return Delivery::Dropped;
@@ -138,6 +149,19 @@ impl DenseNet {
         self.faults = faults;
         self.burst_bad = burst_bad;
         self.stride = new;
+    }
+
+    /// A pair is cut while it is cut explicitly, or while a dark switch
+    /// has exactly one of the pair behind it.
+    fn is_cut(&self, a: MachineId, b: MachineId) -> bool {
+        let explicit = self.partition_count > 0
+            && (a.0 as usize).max(b.0 as usize) < self.stride
+            && self.partitioned[self.pair_idx(a, b)];
+        let switched = !self.dark.is_empty() && {
+            let (sa, sb) = (self.topology.switch_of(a), self.topology.switch_of(b));
+            sa != sb && (self.dark.contains(&sa) || self.dark.contains(&sb))
+        };
+        explicit || switched
     }
 
     fn link_idx(&self, src: MachineId, dst: MachineId) -> usize {
@@ -273,7 +297,7 @@ fn sparse_matches_dense_reference_across_random_ops() {
         let mut meta = SimRng::seed_from(0x5EED_0000 + seed);
         let chaos_seed = meta.next_u64();
         let mut sparse = Network::new(config());
-        let mut dense = DenseNet::new(config());
+        let mut dense = DenseNet::new(config(), FaultTopology::flat(0));
         sparse.reseed_chaos(chaos_seed);
         dense.reseed_chaos(chaos_seed);
         // Mostly-small id pool (dense matrices stay affordable) with
@@ -297,7 +321,7 @@ fn sparse_matches_dense_reference_across_random_ops() {
                     dense.set_partitioned(src, dst, cut);
                     assert_eq!(
                         sparse.is_partitioned(dst, src),
-                        dense.partition_count > 0 && dense.partitioned[dense.pair_idx(dst, src)],
+                        dense.is_cut(dst, src),
                         "seed {seed} step {step}: partition state {src} <-> {dst}"
                     );
                 }
@@ -350,26 +374,19 @@ fn sparse_matches_dense_reference_across_random_ops() {
     }
 }
 
-/// Applies one network-visible chaos action to the dense reference, with
-/// its own expansion of a switch partition into per-pair cuts between the
-/// dark side and the rest of the cluster.
-fn apply_dense(dense: &mut DenseNet, topo: &FaultTopology, action: ChaosAction) {
+/// Applies one network-visible chaos action to the dense reference.
+fn apply_dense(dense: &mut DenseNet, action: ChaosAction) {
     match action {
         ChaosAction::LinkFaults { src, dst, profile } => dense.set_link_faults(src, dst, profile),
         ChaosAction::ClearLinkFaults { src, dst } => dense.clear_link_faults(src, dst),
         ChaosAction::DefaultFaults { profile } => dense.set_default_faults(profile),
         ChaosAction::Partition { a, b } => dense.set_partitioned(a, b, true),
         ChaosAction::Heal { a, b } => dense.set_partitioned(a, b, false),
-        ChaosAction::PartitionSwitch { switch } | ChaosAction::HealSwitch { switch } => {
-            let cut = matches!(action, ChaosAction::PartitionSwitch { .. });
-            let dark: Vec<MachineId> = topo.machines_behind_switch(switch).collect();
-            for m in (0..topo.machines() as u32).map(MachineId) {
-                if topo.switch_of(m) != switch {
-                    for &d in &dark {
-                        dense.set_partitioned(d, m, cut);
-                    }
-                }
-            }
+        ChaosAction::PartitionSwitch { switch } => {
+            dense.dark.insert(switch);
+        }
+        ChaosAction::HealSwitch { switch } => {
+            dense.dark.remove(&switch);
         }
         // Machine-level actions (fail-stop, domain fail-stop) never touch
         // the network's link state.
@@ -443,7 +460,7 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
         cluster
             .install_chaos(&sorted, chaos_seed)
             .expect("plan fits");
-        let mut dense = DenseNet::new(config());
+        let mut dense = DenseNet::new(config(), topo.clone());
         dense.reseed_chaos(chaos_seed);
         let mut now = SimTime::ZERO;
         for (i, step) in steps.iter().enumerate() {
@@ -461,7 +478,7 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
             now = step.at;
             // ...then the chaos action itself.
             cluster.apply_chaos(i).expect("installed");
-            apply_dense(&mut dense, &topo, step.action);
+            apply_dense(&mut dense, step.action);
             assert_eq!(
                 counters(cluster.network()),
                 dense.counters(),
@@ -478,5 +495,88 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
         }
         let sparse = cluster.network();
         assert_eq!(counters(sparse), dense.counters(), "seed {seed} final");
+    }
+}
+
+/// Random sequences of pair and switch cuts and heals on a small grid,
+/// with every pair's `is_partitioned` and every machine's
+/// `domain_has_active_fault` checked after each step against a model that
+/// keeps each cause once: a set of explicitly cut pairs and a set of dark
+/// switches. Overlapping causes are the point: a heal of one must leave a
+/// pair the other still cuts.
+#[test]
+fn cuts_compose_by_cause_across_random_cut_and_heal_sequences() {
+    // 12 machines: racks of 2, 2 racks per switch, so switches s0..s2.
+    let topo = FaultTopology::grid(12, 2, 2);
+    let n = topo.machines() as u32;
+    let switches = topo.switch_count() as u64;
+    for seed in 0..64u64 {
+        let mut meta = SimRng::seed_from(0xC0DE_0000 + seed);
+        let pick = |meta: &mut SimRng| MachineId(meta.uniform_u64(0, n as u64) as u32);
+        let mut plan = ChaosPlan::new();
+        for _ in 0..40 {
+            let action = match meta.uniform_u64(0, 4) {
+                0 => ChaosAction::Partition {
+                    a: pick(&mut meta),
+                    b: pick(&mut meta),
+                },
+                1 => ChaosAction::Heal {
+                    a: pick(&mut meta),
+                    b: pick(&mut meta),
+                },
+                2 => ChaosAction::PartitionSwitch {
+                    switch: SwitchId(meta.uniform_u64(0, switches) as u32),
+                },
+                _ => ChaosAction::HealSwitch {
+                    switch: SwitchId(meta.uniform_u64(0, switches) as u32),
+                },
+            };
+            plan = plan.step(SimTime::ZERO, action);
+        }
+        let mut cluster: Cluster = Cluster::new(config());
+        cluster.add_machines(topo.machines());
+        cluster.set_topology(topo.clone());
+        cluster.install_chaos(&plan, 1).expect("plan fits");
+
+        let mut explicit: BTreeSet<(MachineId, MachineId)> = BTreeSet::new();
+        let mut dark: BTreeSet<SwitchId> = BTreeSet::new();
+        let unordered = |a: MachineId, b: MachineId| (a.min(b), a.max(b));
+        for (i, step) in plan.steps().iter().enumerate() {
+            cluster.apply_chaos(i).expect("installed");
+            match step.action {
+                ChaosAction::Partition { a, b } => {
+                    explicit.insert(unordered(a, b));
+                }
+                ChaosAction::Heal { a, b } => {
+                    explicit.remove(&unordered(a, b));
+                }
+                ChaosAction::PartitionSwitch { switch } => {
+                    dark.insert(switch);
+                }
+                ChaosAction::HealSwitch { switch } => {
+                    dark.remove(&switch);
+                }
+                other => unreachable!("not generated: {other:?}"),
+            }
+            for a in (0..n).map(MachineId) {
+                let dark_a = dark.contains(&topo.switch_of(a));
+                assert_eq!(
+                    cluster.domain_has_active_fault(a),
+                    dark_a,
+                    "seed {seed} step {i}: {a}'s domain"
+                );
+                for b in (0..n).map(MachineId) {
+                    let (sa, sb) = (topo.switch_of(a), topo.switch_of(b));
+                    let want = explicit.contains(&unordered(a, b))
+                        || (sa != sb && (dark_a || dark.contains(&sb)));
+                    assert_eq!(
+                        cluster.network().is_partitioned(a, b),
+                        want,
+                        "seed {seed} step {i} ({:?}): {a} <-> {b}",
+                        step.action
+                    );
+                }
+            }
+        }
     }
 }
