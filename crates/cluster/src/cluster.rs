@@ -312,21 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn a_switch_cut_marks_machines_not_pairs() {
-        // 100 machines behind s0 and 900 outside: the per-pair expansion
-        // held 90,000 entries for this one cut.
-        let mut c: Cluster = Cluster::new(NetworkConfig::default());
-        c.add_machines(1000);
-        c.set_topology(FaultTopology::grid(1000, 20, 5));
-        c.set_switch_partitioned(SwitchId(0), true);
-        assert!(c.network.partitioned.is_empty());
-        assert!(c.network().is_partitioned(MachineId(99), MachineId(100)));
-        assert!(!c.network().is_partitioned(MachineId(0), MachineId(99)));
-        c.set_switch_partitioned(SwitchId(0), false);
-        assert!(!c.network().is_partitioned(MachineId(99), MachineId(100)));
-    }
-
-    #[test]
     fn a_domain_fault_is_a_down_rack_mate_or_a_dark_switch() {
         let mut flat: Cluster = Cluster::new(NetworkConfig::default());
         flat.add_machines(3);

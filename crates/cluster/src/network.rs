@@ -193,7 +193,7 @@ pub struct Network {
     /// amortized per send.
     busy_reclaim_at: usize,
     /// Unordered pairs (packed `(min, max)` keys) cut explicitly.
-    pub(crate) partitioned: BTreeSet<u64>,
+    partitioned: BTreeSet<u64>,
     /// Ordered pairs (packed keys) with an installed chaos fault profile.
     faults: BTreeMap<u64, FaultProfile>,
     /// Ordered pairs currently in the Gilbert–Elliott bad state. Absent
@@ -668,6 +668,20 @@ mod tests {
         assert!(matches!(n.send(SimTime::ZERO, a, b, 10), Delivery::At(_)));
         n.set_partitioned(b, a, false); // idempotent heal
         assert!(!n.is_partitioned(a, b));
+    }
+
+    #[test]
+    fn a_switch_cut_marks_machines_not_pairs() {
+        // 100 machines behind s0 and 900 outside: the per-pair expansion
+        // held 90,000 entries for this one cut.
+        let topo = crate::domain::FaultTopology::grid(1000, 20, 5);
+        let mut n = net();
+        n.set_switch_partitioned(SwitchId(0), topo.machines_behind_switch(SwitchId(0)), true);
+        assert!(n.partitioned.is_empty());
+        assert!(n.is_partitioned(MachineId(99), MachineId(100)));
+        assert!(!n.is_partitioned(MachineId(0), MachineId(99)));
+        n.set_switch_partitioned(SwitchId(0), topo.machines_behind_switch(SwitchId(0)), false);
+        assert!(!n.is_partitioned(MachineId(99), MachineId(100)));
     }
 
     #[test]
