@@ -2,11 +2,7 @@
 
 use std::path::PathBuf;
 
-use sps_cluster::{BurstLoss, ChaosPlan, FaultProfile, MachineId};
-use sps_engine::Job;
-use sps_ha::{HaMode, HaSimulation, HaSimulationBuilder};
 use sps_metrics::Table;
-use sps_sim::{SimDuration, SimTime};
 
 use crate::runner::Runner;
 
@@ -42,9 +38,9 @@ pub struct RunOpts {
     /// `--seed N`: base RNG seed for every simulation cell.
     pub seed: u64,
     /// `--observe-out DIR`: directory for the observation artifacts —
-    /// the five files of [`crate::observe_capture`] for `figures`, the
-    /// real cells' `trace.jsonl` / `audit.txt` for the campaigns. Status
-    /// goes to stderr so stdout stays byte-identical with and without it.
+    /// the five files of [`crate::observe_capture`], and each campaign's
+    /// [`CampaignDump`] under `DIR/<name>/`. Status goes to stderr so
+    /// stdout stays byte-identical with and without it.
     pub observe_out: Option<PathBuf>,
 }
 
@@ -145,6 +141,23 @@ pub struct Experiment {
     /// A closing line printed after the notes (fig04's §V-B
     /// during-failure inflation observation).
     pub postscript: Option<String>,
+    /// What a campaign leaves for `--observe-out` (`None` for a figure).
+    pub dump: Option<CampaignDump>,
+}
+
+/// What a campaign writes under `DIR/<name>/` with `--observe-out DIR`:
+/// the flight-recorder dump of its last cell and the protocol auditor's
+/// report of every cell.
+#[derive(Debug)]
+pub struct CampaignDump {
+    /// `trace.jsonl`: the last cell's control-plane trace.
+    pub trace_jsonl: Vec<u8>,
+    /// `audit.txt`: every cell's audit report, in sweep order.
+    pub audit: String,
+    /// Audit violations summed over the cells.
+    pub violations: u64,
+    /// How many cells ran.
+    pub cells: usize,
 }
 
 impl Experiment {
@@ -203,47 +216,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Runs one `chaos_campaign` cell, lossless and quiescent by promise:
-/// `job` all-Hybrid (the campaign runs the evaluation chain) at 500 el/s,
-/// reliable control, bursty `loss` from 0.5 s to 6 s, machines 1 and 3
-/// fail-stop at 3 s, sources stop at 10 s, 16 s run. `attach` adds the
-/// caller's trace sinks and probes.
-pub fn campaign_cell(
-    job: Job,
-    loss: f64,
-    seed: u64,
-    attach: impl FnOnce(HaSimulationBuilder) -> HaSimulationBuilder,
-) -> HaSimulation {
-    // The zero-loss baseline gets a clean network (no burst chain either).
-    let weather = if loss > 0.0 {
-        FaultProfile::loss(loss).with_burst(BurstLoss {
-            good_to_bad: 0.01,
-            bad_to_good: 0.2,
-            bad_loss_prob: 0.6,
-        })
-    } else {
-        FaultProfile::default()
-    };
-    let plan = ChaosPlan::default()
-        .loss_window(SimTime::from_millis(500), SimTime::from_secs(6), weather)
-        .correlated_fail_stop(SimTime::from_secs(3), &[MachineId(1), MachineId(3)]);
-    let builder = HaSimulation::builder(job)
-        .mode(HaMode::Hybrid)
-        .source_rate(500.0)
-        .seed(seed)
-        .tune(|c| {
-            c.reliable_control = true;
-            c.failstop_miss_threshold = 20;
-        })
-        .chaos(plan)
-        .audit_expectations(true, true);
-    let mut sim = attach(builder).build();
-    sim.stop_sources_at(SimTime::from_secs(10));
-    sim.run_for(SimDuration::from_secs(16));
-    sim.finish_probes();
-    sim
 }
 
 /// Formats a float with 2 decimals.
@@ -352,6 +324,7 @@ mod tests {
             paper_notes: vec![],
             measured_notes: vec![],
             postscript: None,
+            dump: None,
         };
         e.print();
         std::env::remove_var("SPS_CSV_DIR");

@@ -108,6 +108,7 @@ pub fn ablation_checkpointing(runner: &Runner, scale: Scale, seed: u64) -> Exper
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

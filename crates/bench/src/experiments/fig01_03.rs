@@ -68,6 +68,7 @@ pub fn fig01(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             (ratio - 1.0) * 100.0
         )],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -108,6 +109,7 @@ pub fn fig02(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             s.machines.len()
         )],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -140,6 +142,7 @@ pub fn fig03(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             over_20 * 100.0
         )],
         postscript: None,
+        dump: None,
     }
 }
 

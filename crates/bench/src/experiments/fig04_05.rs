@@ -136,6 +136,7 @@ pub fn fig04(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
              {outside:.1} ms outside failure windows ({:.1}x; paper reports over 8x at 85% CPU)",
             inside / outside.max(1e-9)
         )),
+        dump: None,
     }
 }
 
@@ -273,6 +274,7 @@ pub fn fig05(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             format!("max increase overall: {max_increase:.0}%"),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

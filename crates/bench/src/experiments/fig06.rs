@@ -128,6 +128,7 @@ pub fn fig06(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

@@ -183,6 +183,7 @@ pub fn fig07(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -220,6 +221,7 @@ pub fn fig08(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

@@ -141,6 +141,7 @@ pub fn fig09(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -177,6 +178,7 @@ pub fn fig10(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
         ],
         measured_notes: vec!["the last column should stay near 1.0 (≈ rate × duration)".into()],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -219,6 +221,7 @@ pub fn fig11(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             fmt_count(last)
         )],
         postscript: None,
+        dump: None,
     }
 }
 

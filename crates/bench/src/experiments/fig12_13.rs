@@ -57,6 +57,7 @@ pub fn fig12(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             format!("benchmark at the lowest load: {bench_low:.2}"),
         ],
         postscript: None,
+        dump: None,
     }
 }
 
@@ -87,6 +88,7 @@ pub fn fig13(runner: &Runner, scale: Scale, seed: u64) -> Experiment {
             format!("benchmark min false-alarm ratio: {bench_min:.2}"),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

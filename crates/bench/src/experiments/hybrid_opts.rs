@@ -148,6 +148,7 @@ pub fn ablation_hybrid_optimizations(runner: &Runner, scale: Scale, seed: u64) -
             ),
         ],
         postscript: None,
+        dump: None,
     }
 }
 

@@ -1,5 +1,6 @@
-//! The figure registry: every paper figure and ablation, by name, in
-//! printing order. The `figures` binary is the only way to run them.
+//! The figure registry: every paper figure, ablation and campaign, by
+//! name, in printing order. The `figures` binary is the only way to run
+//! them.
 
 use crate::common::{Experiment, RunOpts, Scale};
 use crate::experiments::*;
@@ -8,7 +9,7 @@ use crate::runner::Runner;
 /// One figure harness: `(runner, scale, seed)` to the regenerated series.
 pub type FigureFn = fn(&Runner, Scale, u64) -> Experiment;
 
-/// Every figure and ablation, in printing order.
+/// Every figure, ablation and campaign, in printing order.
 pub const FIGURES: &[(&str, FigureFn)] = &[
     ("fig01", fig01_03::fig01),
     ("fig02", fig01_03::fig02),
@@ -29,6 +30,8 @@ pub const FIGURES: &[(&str, FigureFn)] = &[
         "ablation_hybrid_optimizations",
         hybrid_opts::ablation_hybrid_optimizations,
     ),
+    ("chaos_campaign", campaigns::chaos_campaign),
+    ("domain_campaign", campaigns::domain_campaign),
 ];
 
 /// The registry's names, in printing order.
@@ -37,29 +40,28 @@ pub fn names() -> Vec<&'static str> {
 }
 
 /// Runs the figures called `picked` (all of them when empty), each as one
-/// cell of the runner, and returns them in the order asked for. A cell
-/// fans its own sub-cells out over whatever helper budget is left, so one
-/// figure gets every worker and sixteen share them; either way the output
-/// is byte-identical for every `--jobs`.
+/// cell of the runner, and returns them by name in the order asked for. A
+/// cell fans its own sub-cells out over whatever helper budget is left, so
+/// one figure gets every worker and eighteen share them; either way the
+/// output is byte-identical for every `--jobs`.
 ///
 /// # Panics
 ///
 /// On a name that is not in [`FIGURES`] (`main` validates them first).
-pub fn run(picked: &[String], opts: &RunOpts) -> Vec<Experiment> {
-    let cells: Vec<FigureFn> = if picked.is_empty() {
-        FIGURES.iter().map(|(_, f)| *f).collect()
+pub fn run(picked: &[String], opts: &RunOpts) -> Vec<(&'static str, Experiment)> {
+    let cells: Vec<(&str, FigureFn)> = if picked.is_empty() {
+        FIGURES.to_vec()
     } else {
         picked
             .iter()
             .map(|want| {
-                let (_, f) = FIGURES
+                *FIGURES
                     .iter()
                     .find(|(name, _)| name == want)
-                    .unwrap_or_else(|| panic!("no figure called {want}"));
-                *f
+                    .unwrap_or_else(|| panic!("no figure called {want}"))
             })
             .collect()
     };
     let runner = opts.runner();
-    runner.map(cells, |f| f(&runner, opts.scale, opts.seed))
+    runner.map(cells, |(name, f)| (name, f(&runner, opts.scale, opts.seed)))
 }

@@ -11,10 +11,11 @@
 //!
 //! The run is a fixed scenario, not a cell of the figure that was asked
 //! for (that needs the observation spine of ROADMAP item 3), so figure
-//! numbers never come from an instrumented simulation. The campaign
-//! binaries instead attach recorder and auditor to their real sweep cells
-//! and write `trace.jsonl` / `audit.txt` through [`write_campaign`]. Status
-//! goes to stderr, so stdout is byte-identical with and without the flag.
+//! numbers never come from an instrumented simulation. The campaigns
+//! instead attach recorder and auditor to their real sweep cells, and
+//! [`capture`] writes each one's [`CampaignDump`] as `trace.jsonl` /
+//! `audit.txt` under `DIR/<name>/`. Status goes to stderr, so stdout is
+//! byte-identical with and without the flag.
 
 use std::path::Path;
 
@@ -26,6 +27,8 @@ use sps_observe::{HealthConfig, HealthReport};
 use sps_sim::SimTime;
 use sps_trace::SharedRecorder;
 use sps_workloads::eval_chain_job;
+
+use crate::common::{CampaignDump, Experiment};
 
 /// What every observation layer saw of one run.
 #[derive(Debug)]
@@ -134,7 +137,7 @@ impl Observed {
 /// Creates `dir` and writes `files` into it. A requested artifact that
 /// cannot be written is a failed invocation: the error goes to stderr and
 /// the process exits 1.
-fn write_files(dir: &Path, files: &[(&str, Vec<u8>)]) {
+fn write_files<B: AsRef<[u8]>>(dir: &Path, files: &[(&str, B)]) {
     let written = std::fs::create_dir_all(dir).and_then(|()| {
         files
             .iter()
@@ -146,35 +149,32 @@ fn write_files(dir: &Path, files: &[(&str, Vec<u8>)]) {
     }
 }
 
-/// What a campaign leaves in its `--observe-out` directory: the
-/// flight-recorder dump of its heaviest real cell as `trace.jsonl` and the
-/// auditor's per-cell reports as `audit.txt`.
-pub fn write_campaign(
-    dir: &Path,
-    (trace_jsonl, trace_records): (Vec<u8>, usize),
-    (audit_reports, audit_violations): (String, u64),
-    cells: usize,
-) {
-    write_files(
-        dir,
-        &[
-            ("trace.jsonl", trace_jsonl),
-            ("audit.txt", audit_reports.into_bytes()),
-        ],
-    );
-    eprintln!(
-        "observe: {trace_records} trace records, {audit_violations} audit violations across \
-         {cells} cells written to {}",
-        dir.display()
-    );
-}
-
-/// If an observation directory was requested, runs the observed scenario
-/// and writes its five files there.
-pub fn maybe_capture(dir: Option<&Path>, seed: u64) {
-    let Some(dir) = dir else {
-        return;
-    };
+/// Writes the `--observe-out DIR` artifacts of one invocation: each
+/// campaign in `ran` leaves its dump under `DIR/<name>/`, and the observed
+/// scenario runs and writes its five files into `DIR`.
+pub fn capture(dir: &Path, seed: u64, ran: &[(&str, Experiment)]) {
+    for (name, dump) in ran.iter().filter_map(|(n, e)| Some((n, e.dump.as_ref()?))) {
+        let CampaignDump {
+            trace_jsonl,
+            audit,
+            violations,
+            cells,
+        } = dump;
+        let sub = dir.join(name);
+        write_files(
+            &sub,
+            &[
+                ("trace.jsonl", &trace_jsonl[..]),
+                ("audit.txt", audit.as_bytes()),
+            ],
+        );
+        eprintln!(
+            "observe: {} trace records, {violations} audit violations across {cells} cells \
+             written to {}",
+            trace_jsonl.iter().filter(|&&b| b == b'\n').count(),
+            sub.display()
+        );
+    }
     let run = observed_run(seed);
     write_files(dir, &run.files());
     eprintln!(

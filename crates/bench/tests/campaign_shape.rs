@@ -14,7 +14,7 @@
 use std::ops::Range;
 
 use sps_audit::Auditor;
-use sps_bench::common::campaign_cell;
+use sps_bench::experiments::campaigns::campaign_cell;
 use sps_engine::{Job, OperatorSpec};
 use sps_workloads::eval_chain_job;
 

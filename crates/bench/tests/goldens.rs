@@ -3,8 +3,9 @@
 //! 2010, the default) and byte-compares stdout with the concatenation of
 //! the row's golden files in `crates/bench/golden/`:
 //!
-//! * the sixteen figures, one by one, and all at once (`figures --quick`
-//!   prints exactly the sixteen files in registry order);
+//! * the eighteen figures (fig01–fig13, the three ablations and the two
+//!   campaigns), one by one, and all at once (`figures --quick` prints
+//!   exactly the eighteen files in registry order);
 //! * fig04/06/11 at `SPS_BATCH_SIZE=1` (byte-identical to the unbatched
 //!   runtime, so the plain goldens) and `=16`, fig06 at `=64`
 //!   (`CHUNK_CAP`, the size the benchmark's `batched_chain` runs);
@@ -13,8 +14,10 @@
 //!   `observed_health.jsonl`, the line count and FNV-1a digest of their
 //!   `trace.jsonl` and `metrics.jsonl` equal `observed_digests.txt`, and
 //!   the observed run audits clean;
-//! * the two campaigns, plain and with the auditor riding every real cell
-//!   under `--observe-out`, and `bench_scale --quick`.
+//! * the two campaigns with `--observe-out` too: the auditor rides every
+//!   real cell either way, and each leaves its dump under `DIR/<name>/`
+//!   next to the observed run's five files;
+//! * `bench_scale --quick`.
 //!
 //! A host-side change that perturbs any simulated result fails here; see
 //! `crates/bench/golden/README.md` for when regeneration is legitimate.
@@ -23,8 +26,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
-const CHAOS: &str = env!("CARGO_BIN_EXE_chaos_campaign");
-const DOMAIN: &str = env!("CARGO_BIN_EXE_domain_campaign");
 const SCALE: &str = env!("CARGO_BIN_EXE_bench_scale");
 
 const FIVE_FILES: &[&str] = &[
@@ -34,7 +35,25 @@ const FIVE_FILES: &[&str] = &[
     "health.jsonl",
     "audit.txt",
 ];
-const CAMPAIGN_FILES: &[&str] = &["trace.jsonl", "audit.txt"];
+/// A campaign's `--observe-out` files: the five, and its own dump.
+const CHAOS_FILES: &[&str] = &[
+    "trace.jsonl",
+    "metrics.jsonl",
+    "metrics.csv",
+    "health.jsonl",
+    "audit.txt",
+    "chaos_campaign/trace.jsonl",
+    "chaos_campaign/audit.txt",
+];
+const DOMAIN_FILES: &[&str] = &[
+    "trace.jsonl",
+    "metrics.jsonl",
+    "metrics.csv",
+    "health.jsonl",
+    "audit.txt",
+    "domain_campaign/trace.jsonl",
+    "domain_campaign/audit.txt",
+];
 
 struct Row {
     bin: &'static str,
@@ -84,11 +103,13 @@ fn table() -> Vec<Row> {
         env: Some(("SPS_BATCH_SIZE", "64")),
         ..row(FIGURES, &["fig06"], &["fig06_b64"])
     });
-    for (bin, golden) in [(CHAOS, "chaos_campaign"), (DOMAIN, "domain_campaign")] {
-        rows.push(row(bin, &[], &[golden]));
+    for (campaign, files) in [
+        ("chaos_campaign", CHAOS_FILES),
+        ("domain_campaign", DOMAIN_FILES),
+    ] {
         rows.push(Row {
-            observe: CAMPAIGN_FILES,
-            ..row(bin, &[], &[golden])
+            observe: files,
+            ..row(FIGURES, &[campaign], &[campaign])
         });
     }
     rows.push(row(SCALE, &[], &["bench_scale_quick"]));
@@ -160,16 +181,16 @@ fn check(i: usize, r: &Row) -> Result<(), String> {
             ));
         }
     }
-    if !r.observe.is_empty() {
-        // One report for `figures`, one per real cell for the campaigns:
-        // every one of them clean.
-        let audit = std::fs::read_to_string(tmp.join("audit.txt")).expect("checked above");
+    // One report for the observed run, one per real cell in a campaign's
+    // dump: every one of them clean.
+    for f in r.observe.iter().filter(|f| f.ends_with("audit.txt")) {
+        let audit = std::fs::read_to_string(tmp.join(f)).expect("checked above");
         let clean = audit
             .lines()
             .filter(|l| l.starts_with("violations:"))
             .all(|l| l == "violations: 0");
         if !clean || !audit.contains("verdict: PASS") || audit.contains("verdict: FAIL") {
-            return Err(format!("{what}: audit.txt is not clean:\n{audit}"));
+            return Err(format!("{what}: {f} is not clean:\n{audit}"));
         }
     }
     let _ = std::fs::remove_dir_all(&tmp);

@@ -214,6 +214,9 @@ pub struct ChaosStep {
     pub at: SimTime,
     /// What happens.
     pub action: ChaosAction,
+    /// For the closing step of a window helper, the index of the step that
+    /// opened the window; `None` for every other step.
+    pub closes: Option<usize>,
 }
 
 /// A declarative chaos campaign: an ordered list of timed actions.
@@ -221,6 +224,15 @@ pub struct ChaosStep {
 /// Build one with the fluent helpers, then hand it to a harness that
 /// schedules each step at its instant. Steps keep insertion order for
 /// actions scheduled at the same instant, so campaigns are deterministic.
+///
+/// Windows compose by slot. A slot is one piece of network state: the
+/// network-wide default profile, one directed link's profile, one pair's
+/// cut, or one switch. Each window helper pairs its closing step with its
+/// opening one ([`ChaosStep::closes`]). While windows on one slot overlap,
+/// the most recently opened one still open applies, so closing one window
+/// never ends another. A raw closing step from [`step`](Self::step) — a
+/// `Heal`, `ClearLinkFaults`, `HealSwitch` or cleared default — closes
+/// every window open on its slot.
 ///
 /// ```
 /// use sps_cluster::{ChaosPlan, FaultProfile, MachineId};
@@ -247,9 +259,20 @@ impl ChaosPlan {
     }
 
     /// Appends one raw step; [`check`](Self::check) judges it.
-    pub fn step(mut self, at: SimTime, action: ChaosAction) -> Self {
-        self.steps.push(ChaosStep { at, action });
+    pub fn step(self, at: SimTime, action: ChaosAction) -> Self {
+        self.push(at, action, None)
+    }
+
+    fn push(mut self, at: SimTime, action: ChaosAction, closes: Option<usize>) -> Self {
+        self.steps.push(ChaosStep { at, action, closes });
         self
+    }
+
+    /// Appends a window's closing step, ending the window opened `back`
+    /// steps before it.
+    fn close(self, at: SimTime, action: ChaosAction, back: usize) -> Self {
+        let opened = self.steps.len() - back;
+        self.push(at, action, Some(opened))
     }
 
     /// Applies `profile` to all links (the network-wide default) from
@@ -262,7 +285,7 @@ impl ChaosPlan {
                 profile: Some(profile),
             },
         )
-        .step(until, ChaosAction::DefaultFaults { profile: None })
+        .close(until, ChaosAction::DefaultFaults { profile: None }, 1)
     }
 
     /// Applies `profile` to both directions of the `a <-> b` link from
@@ -292,8 +315,8 @@ impl ChaosPlan {
                 profile,
             },
         )
-        .step(until, ChaosAction::ClearLinkFaults { src: a, dst: b })
-        .step(until, ChaosAction::ClearLinkFaults { src: b, dst: a })
+        .close(until, ChaosAction::ClearLinkFaults { src: a, dst: b }, 2)
+        .close(until, ChaosAction::ClearLinkFaults { src: b, dst: a }, 2)
     }
 
     /// Blackholes only the `src -> dst` direction (a one-way partition, the
@@ -314,7 +337,7 @@ impl ChaosPlan {
                 profile: FaultProfile::blackhole(),
             },
         )
-        .step(until, ChaosAction::ClearLinkFaults { src, dst })
+        .close(until, ChaosAction::ClearLinkFaults { src, dst }, 1)
     }
 
     /// Cuts `a <-> b` from `from` until `until` (both directions).
@@ -327,11 +350,12 @@ impl ChaosPlan {
     ) -> Self {
         assert!(from <= until, "partition window ends before it starts");
         self.step(from, ChaosAction::Partition { a, b })
-            .step(until, ChaosAction::Heal { a, b })
+            .close(until, ChaosAction::Heal { a, b }, 1)
     }
 
     /// A flapping link: `a <-> b` alternates cut/healed every `period`
     /// starting (cut) at `from`, with a final heal at or after `until`.
+    /// Each heal closes the cut before it.
     pub fn flapping_link(
         mut self,
         from: SimTime,
@@ -345,18 +369,17 @@ impl ChaosPlan {
         let mut t = from;
         let mut cut = true;
         while t < until {
-            let action = if cut {
-                ChaosAction::Partition { a, b }
+            self = if cut {
+                self.step(t, ChaosAction::Partition { a, b })
             } else {
-                ChaosAction::Heal { a, b }
+                self.close(t, ChaosAction::Heal { a, b }, 1)
             };
-            self = self.step(t, action);
             cut = !cut;
             t += period;
         }
         if !cut {
             // Last scheduled action was a cut; always leave the link healed.
-            self = self.step(t, ChaosAction::Heal { a, b });
+            self = self.close(t, ChaosAction::Heal { a, b }, 1);
         }
         self
     }
@@ -383,7 +406,7 @@ impl ChaosPlan {
     pub fn switch_partition_window(self, from: SimTime, until: SimTime, switch: SwitchId) -> Self {
         assert!(from <= until, "switch partition ends before it starts");
         self.step(from, ChaosAction::PartitionSwitch { switch })
-            .step(until, ChaosAction::HealSwitch { switch })
+            .close(until, ChaosAction::HealSwitch { switch }, 1)
     }
 
     /// The steps in insertion order.

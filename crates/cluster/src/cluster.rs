@@ -2,7 +2,9 @@
 //! the substrate's faults leave behind: the installed chaos plan and the
 //! pool of spare machines. Which switches are dark is the network's.
 
-use crate::chaos::{ChaosAction, ChaosPlan, ChaosPlanError};
+use std::collections::BTreeMap;
+
+use crate::chaos::{ChaosAction, ChaosPlan, ChaosPlanError, ChaosStep};
 use crate::domain::{FaultTopology, SwitchId};
 use crate::machine::{Machine, MachineId};
 use crate::network::{Network, NetworkConfig};
@@ -28,8 +30,36 @@ pub struct Cluster<T = u64> {
     topology: FaultTopology,
     /// Machines held back to host replacement standbys.
     spares: Vec<MachineId>,
-    /// The installed chaos plan's actions, in step order.
-    chaos: Vec<ChaosAction>,
+    /// The installed chaos plan's steps, in step order.
+    chaos: Vec<ChaosStep>,
+    /// The steps of the chaos windows open on each slot, oldest first.
+    open_windows: BTreeMap<Slot, Vec<usize>>,
+}
+
+/// The one piece of network state a chaos window sets: overlapping windows
+/// on one slot share it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Slot {
+    Default,
+    Link(MachineId, MachineId),
+    Pair(MachineId, MachineId),
+    Switch(SwitchId),
+}
+
+/// The slot `action` opens (`true`) or closes (`false`) a window on, or
+/// `None` for a fail-stop.
+fn window(action: ChaosAction) -> Option<(Slot, bool)> {
+    use ChaosAction as A;
+    Some(match action {
+        A::DefaultFaults { profile } => (Slot::Default, profile.is_some()),
+        A::LinkFaults { src, dst, .. } => (Slot::Link(src, dst), true),
+        A::ClearLinkFaults { src, dst } => (Slot::Link(src, dst), false),
+        A::Partition { a, b } => (Slot::Pair(a.min(b), a.max(b)), true),
+        A::Heal { a, b } => (Slot::Pair(a.min(b), a.max(b)), false),
+        A::PartitionSwitch { switch } => (Slot::Switch(switch), true),
+        A::HealSwitch { switch } => (Slot::Switch(switch), false),
+        A::FailStop { .. } | A::FailDomain { .. } => return None,
+    })
 }
 
 impl<T: Copy> Cluster<T> {
@@ -41,6 +71,7 @@ impl<T: Copy> Cluster<T> {
             topology: FaultTopology::flat(0),
             spares: Vec::new(),
             chaos: Vec::new(),
+            open_windows: BTreeMap::new(),
         }
     }
 
@@ -164,6 +195,30 @@ impl<T: Copy> Cluster<T> {
         self.network.set_switch_partitioned(switch, behind, on);
     }
 
+    /// What applying step `step` of the installed plan does: a fail-stop
+    /// itself, and a window's step what its slot (see [`ChaosPlan`]) holds
+    /// afterwards — the most recently opened window still open there, or,
+    /// with none open, the closing step itself. `None` when the step leaves
+    /// the window in effect unchanged.
+    fn effect_of(&mut self, step: usize) -> Option<ChaosAction> {
+        let ChaosStep { action, closes, .. } = self.chaos[step];
+        let Some((slot, opens)) = window(action) else {
+            return Some(action);
+        };
+        let open = self.open_windows.entry(slot).or_default();
+        let before = open.last().copied();
+        match (opens, closes) {
+            (true, _) => open.push(step),
+            (false, Some(opened)) => open.retain(|&s| s != opened),
+            (false, None) => open.clear(),
+        }
+        let Some(&top) = open.last() else {
+            self.open_windows.remove(&slot);
+            return Some(action);
+        };
+        (Some(top) != before).then(|| self.chaos[top].action)
+    }
+
     /// Installs a chaos plan whose steps the owner will apply with
     /// [`apply_chaos`](Self::apply_chaos), and reseeds the network's fault
     /// draws with `seed`.
@@ -175,7 +230,8 @@ impl<T: Copy> Cluster<T> {
     pub fn install_chaos(&mut self, plan: &ChaosPlan, seed: u64) -> Result<(), ChaosPlanError> {
         plan.check(&self.topology)?;
         self.network.reseed_chaos(seed);
-        self.chaos = plan.steps().iter().map(|s| s.action).collect();
+        self.chaos = plan.steps().to_vec();
+        self.open_windows.clear();
         Ok(())
     }
 
@@ -185,10 +241,13 @@ impl<T: Copy> Cluster<T> {
     /// down: a [`FailStop`](ChaosAction::FailStop)'s machine or a
     /// [`FailDomain`](ChaosAction::FailDomain)'s rack.
     pub fn apply_chaos(&mut self, step: usize) -> Option<(ChaosAction, Vec<MachineId>)> {
-        let action = *self.chaos.get(step)?;
-        let net = &mut self.network;
+        let action = self.chaos.get(step)?.action;
         let mut down = Vec::new();
-        match action {
+        let Some(effect) = self.effect_of(step) else {
+            return Some((action, down));
+        };
+        let net = &mut self.network;
+        match effect {
             ChaosAction::LinkFaults { src, dst, profile } => net.set_link_faults(src, dst, profile),
             ChaosAction::ClearLinkFaults { src, dst } => net.clear_link_faults(src, dst),
             ChaosAction::DefaultFaults { profile } => net.set_default_faults(profile),
@@ -207,7 +266,7 @@ impl<T: Copy> Cluster<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosTarget;
+    use crate::chaos::{ChaosTarget, FaultProfile};
     use crate::domain::DomainId;
     use sps_sim::SimTime;
 
@@ -403,5 +462,70 @@ mod tests {
     fn unknown_machine_panics() {
         let c: Cluster = Cluster::new(NetworkConfig::default());
         let _ = c.machine(MachineId(0));
+    }
+
+    /// A two-machine cluster that has applied every step of `plan` at or
+    /// before `until`, in the order a harness fires them: by instant, then
+    /// by step index.
+    fn after(plan: &ChaosPlan, until: SimTime) -> Cluster {
+        let mut c = Cluster::new(NetworkConfig::default());
+        c.add_machines(2);
+        c.install_chaos(plan, 7).unwrap();
+        let mut order: Vec<usize> = (0..plan.steps().len()).collect();
+        order.sort_by_key(|&i| plan.steps()[i].at);
+        for i in order.into_iter().filter(|&i| plan.steps()[i].at <= until) {
+            c.apply_chaos(i).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn a_loss_window_outlives_a_shorter_one_inside_it() {
+        let s = SimTime::from_secs;
+        let plan = ChaosPlan::new()
+            .loss_window(s(1), s(5), FaultProfile::loss(0.5))
+            .loss_window(s(2), s(3), FaultProfile::loss(0.1));
+        let profile = |t| {
+            after(&plan, t)
+                .network()
+                .profile_for(MachineId(0), MachineId(1))
+        };
+        assert_eq!(
+            profile(s(2)),
+            Some(FaultProfile::loss(0.1)),
+            "the later opened"
+        );
+        assert_eq!(profile(s(4)), Some(FaultProfile::loss(0.5)), "still open");
+        assert_eq!(profile(s(5)), None);
+    }
+
+    #[test]
+    fn a_link_window_outlives_a_one_way_partition_inside_it() {
+        let s = SimTime::from_secs;
+        let (a, b) = (MachineId(0), MachineId(1));
+        let plan = ChaosPlan::new()
+            .link_window(s(1), s(5), a, b, FaultProfile::loss(0.3))
+            .one_way_partition(s(2), s(3), a, b);
+        let profile = |t, src, dst| after(&plan, t).network().profile_for(src, dst);
+        assert_eq!(profile(s(2), a, b), Some(FaultProfile::blackhole()));
+        assert_eq!(profile(s(2), b, a), Some(FaultProfile::loss(0.3)));
+        assert_eq!(
+            profile(s(4), a, b),
+            Some(FaultProfile::loss(0.3)),
+            "still open"
+        );
+        assert_eq!(profile(s(5), a, b), None);
+    }
+
+    #[test]
+    fn two_overlapping_partition_windows_cut_a_pair_until_the_later_ends() {
+        let s = SimTime::from_secs;
+        let (a, b) = (MachineId(0), MachineId(1));
+        let plan = ChaosPlan::new()
+            .partition_window(s(1), s(3), a, b)
+            .partition_window(s(2), s(5), b, a);
+        let cut = |t| after(&plan, t).network().is_partitioned(a, b);
+        assert!(cut(s(4)), "the second window is still open");
+        assert!(!cut(s(5)));
     }
 }

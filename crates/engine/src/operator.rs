@@ -165,9 +165,18 @@ pub trait OperatorFactory: fmt::Debug + Send + Sync {
     fn build(&self) -> Box<dyn Operator>;
 }
 
+/// Factories are equal when they are the same object, so two
+/// [`OperatorSpec::Custom`]s are equal when they share one factory.
+impl PartialEq for dyn OperatorFactory {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::addr_eq(self, other)
+    }
+}
+
 /// A buildable, cloneable description of an operator — the unit of
-/// deployment for replicas and recovered copies.
-#[derive(Debug, Clone)]
+/// deployment for replicas and recovered copies. Equality is structural
+/// for the built-in variants and factory identity for `Custom`.
+#[derive(Debug, Clone, PartialEq)]
 pub enum OperatorSpec {
     /// The paper's synthesized computation: fixed CPU demand per element,
     /// configurable selectivity and internal-state size.
@@ -263,85 +272,6 @@ pub enum OperatorSpec {
     /// let mut op = spec.build();
     /// ```
     Custom(std::sync::Arc<dyn OperatorFactory>),
-}
-
-impl PartialEq for OperatorSpec {
-    /// Structural equality for the built-in variants; pointer identity for
-    /// custom factories.
-    fn eq(&self, other: &Self) -> bool {
-        use OperatorSpec::*;
-        match (self, other) {
-            (
-                Synthetic {
-                    selectivity: a1,
-                    demand_secs: a2,
-                    state_elements: a3,
-                },
-                Synthetic {
-                    selectivity: b1,
-                    demand_secs: b2,
-                    state_elements: b3,
-                },
-            ) => a1 == b1 && a2 == b2 && a3 == b3,
-            (
-                Filter {
-                    min_value: a1,
-                    demand_secs: a2,
-                },
-                Filter {
-                    min_value: b1,
-                    demand_secs: b2,
-                },
-            ) => a1 == b1 && a2 == b2,
-            (
-                Map {
-                    scale: a1,
-                    offset: a2,
-                    demand_secs: a3,
-                },
-                Map {
-                    scale: b1,
-                    offset: b2,
-                    demand_secs: b3,
-                },
-            ) => a1 == b1 && a2 == b2 && a3 == b3,
-            (
-                WindowAggregate {
-                    window: a1,
-                    agg: a2,
-                    demand_secs: a3,
-                },
-                WindowAggregate {
-                    window: b1,
-                    agg: b2,
-                    demand_secs: b3,
-                },
-            ) => a1 == b1 && a2 == b2 && a3 == b3,
-            (
-                Vwap {
-                    window: a1,
-                    demand_secs: a2,
-                },
-                Vwap {
-                    window: b1,
-                    demand_secs: b2,
-                },
-            ) => a1 == b1 && a2 == b2,
-            (Counter { demand_secs: a }, Counter { demand_secs: b }) => a == b,
-            (
-                ShardRouter {
-                    shards: a1,
-                    demand_secs: a2,
-                },
-                ShardRouter {
-                    shards: b1,
-                    demand_secs: b2,
-                },
-            ) => a1 == b1 && a2 == b2,
-            (Custom(a), Custom(b)) => std::sync::Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
 }
 
 impl OperatorSpec {
@@ -501,26 +431,6 @@ impl Operator for SyntheticOp {
 
     fn demand_secs(&self, _input: &DataElement) -> f64 {
         self.demand_secs
-    }
-
-    fn process_run(&mut self, _port: usize, run: &[DataElement], out: &mut Emitter) {
-        let (mut acc, mut credit) = (self.acc, self.emit_credit);
-        for input in run {
-            acc = 0.5 * acc + input.value;
-            credit += self.selectivity;
-            while credit >= 1.0 {
-                credit -= 1.0;
-                out.emit0(Payload::from(input));
-            }
-            out.end_input();
-        }
-        self.processed += run.len() as u64;
-        self.acc = acc;
-        self.emit_credit = credit;
-    }
-
-    fn demand_run(&self, run: &[DataElement]) -> f64 {
-        run.iter().fold(0.0, |sum, _| sum + self.demand_secs)
     }
 
     fn state_size_elements(&self) -> u64 {

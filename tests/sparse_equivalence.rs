@@ -12,12 +12,14 @@
 //! Partitions follow a set-of-causes model on both sides: a pair is cut
 //! while it is cut explicitly or while a dark switch has exactly one of
 //! the pair behind it, and healing one cause leaves the others standing.
+//! Chaos windows compose by slot ([`windowed`]): the dense side keeps its
+//! own list of open windows, so closing one window never ends another.
 
 use std::collections::BTreeSet;
 
 use sps_cluster::{
-    BurstLoss, ChaosAction, ChaosPlan, Cluster, Delivery, FaultProfile, FaultTopology, MachineId,
-    Network, NetworkConfig, SwitchId,
+    BurstLoss, ChaosAction, ChaosPlan, ChaosStep, Cluster, Delivery, FaultProfile, FaultTopology,
+    MachineId, Network, NetworkConfig, SwitchId,
 };
 use sps_sim::{SimDuration, SimRng, SimTime};
 
@@ -394,6 +396,44 @@ fn apply_dense(dense: &mut DenseNet, action: ChaosAction) {
     }
 }
 
+/// The piece of network state `action` sets — `(kind, a, b)` for the
+/// default profile, a directed link, an unordered pair or a switch — and
+/// whether it opens a window there; `None` for a fail-stop.
+fn slot(action: ChaosAction) -> Option<((u8, u32, u32), bool)> {
+    let pair = |a: MachineId, b: MachineId| (2, a.0.min(b.0), a.0.max(b.0));
+    Some(match action {
+        ChaosAction::DefaultFaults { profile } => ((0, 0, 0), profile.is_some()),
+        ChaosAction::LinkFaults { src, dst, .. } => ((1, src.0, dst.0), true),
+        ChaosAction::ClearLinkFaults { src, dst } => ((1, src.0, dst.0), false),
+        ChaosAction::Partition { a, b } => (pair(a, b), true),
+        ChaosAction::Heal { a, b } => (pair(a, b), false),
+        ChaosAction::PartitionSwitch { switch } => ((3, switch.0, 0), true),
+        ChaosAction::HealSwitch { switch } => ((3, switch.0, 0), false),
+        ChaosAction::FailStop { .. } | ChaosAction::FailDomain { .. } => return None,
+    })
+}
+
+/// The reference model of chaos windows. `open` holds every open window,
+/// oldest first. Step `i` opens a window, closes the one its `closes`
+/// names, or (a raw closing step) closes every window on its slot; what it
+/// applies is what the slot holds afterwards: the most recently opened
+/// window still open there, or with none open the step itself.
+fn windowed(open: &mut Vec<(usize, ChaosAction)>, i: usize, step: ChaosStep) -> ChaosAction {
+    let Some((key, opens)) = slot(step.action) else {
+        return step.action;
+    };
+    let on_slot = |a: ChaosAction| slot(a).is_some_and(|(k, _)| k == key);
+    if opens {
+        open.push((i, step.action));
+    } else {
+        open.retain(|&(j, a)| !on_slot(a) || step.closes.is_some_and(|c| c != j));
+    }
+    open.iter()
+        .rev()
+        .find(|&&(_, a)| on_slot(a))
+        .map_or(step.action, |&(_, a)| a)
+}
+
 /// Campaign-shaped equivalence: randomized [`ChaosPlan`]s built from the
 /// fluent helpers (loss windows, link windows, partitions, flapping links,
 /// switch partitions, domain fail-stops) replayed step by step against
@@ -446,24 +486,22 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
                 }
             }
         }
-        let mut steps = plan.steps().to_vec();
-        steps.sort_by_key(|s| s.at);
+        // Steps fire by instant, then by index, as a harness schedules them.
+        let mut order: Vec<usize> = (0..plan.steps().len()).collect();
+        order.sort_by_key(|&i| plan.steps()[i].at);
 
         // The sparse side is a real cluster applying the plan itself,
-        // switch partitions included.
+        // switch partitions and overlapping windows included.
         let mut cluster: Cluster = Cluster::new(config());
         cluster.add_machines(topo.machines());
         cluster.set_topology(topo.clone());
-        let sorted = steps
-            .iter()
-            .fold(ChaosPlan::new(), |p, s| p.step(s.at, s.action));
-        cluster
-            .install_chaos(&sorted, chaos_seed)
-            .expect("plan fits");
+        cluster.install_chaos(&plan, chaos_seed).expect("plan fits");
         let mut dense = DenseNet::new(config(), topo.clone());
         dense.reseed_chaos(chaos_seed);
+        let mut open = Vec::new();
         let mut now = SimTime::ZERO;
-        for (i, step) in steps.iter().enumerate() {
+        for i in order {
+            let step = plan.steps()[i];
             // Traffic up to the step's instant...
             while now < step.at {
                 now += SimDuration::from_micros(meta.uniform_u64(50, 2_000));
@@ -478,7 +516,7 @@ fn sparse_matches_dense_reference_across_chaos_plans() {
             now = step.at;
             // ...then the chaos action itself.
             cluster.apply_chaos(i).expect("installed");
-            apply_dense(&mut dense, step.action);
+            apply_dense(&mut dense, windowed(&mut open, i, step));
             assert_eq!(
                 counters(cluster.network()),
                 dense.counters(),
